@@ -12,6 +12,12 @@
 // configurable control-plane delay, so schemes see the realistic
 // black-holing window between a cut and the reroute.
 //
+// Tables are computed per edge switch, not per host: every host behind
+// one edge switch is reached over the same next hops from anywhere else,
+// so a rebuild runs one BFS per edge switch and hands each other switch
+// one candidate group for all of that edge's hosts. Switches store the
+// group once however many destinations share it.
+//
 // Determinism: path choice hashes the flow key (FlowHash) with no RNG,
 // rebuilds walk switches and ports in index order, and failure events
 // run on the simulation engine. Identical seeds therefore produce
@@ -34,23 +40,18 @@ import (
 type PortRef struct {
 	Link   *link.Port
 	ToHost bool
-	Host   int // peer host index (ToHost)
+	down   bool // the Router's copy of Link's cut state, read by the BFS
+	Host   int  // peer host index (ToHost)
 	HostID packet.NodeID
 	Peer   int // peer switch index (!ToHost)
 }
 
-// Installer receives computed candidate port lists, keyed by destination
-// node. *swtch.Switch implements it.
+// Installer receives one computed candidate port list for a set of
+// destination nodes that share it. ports belongs to the router and is
+// valid only during the call: the installer copies what it keeps.
+// *swtch.Switch implements it.
 type Installer interface {
-	SetRoute(dst packet.NodeID, ports []int)
-}
-
-// TablePresizer is an optional Installer refinement: the router tells
-// each installer how many destinations the initial build will install,
-// so table maps are sized once instead of rehashing while the control
-// plane fills them.
-type TablePresizer interface {
-	PresizeRoutes(destinations int)
+	SetRoutes(dsts []packet.NodeID, ports []int)
 }
 
 // Candidate is one equal-cost next hop offered to a Strategy.
@@ -60,12 +61,12 @@ type Candidate struct {
 }
 
 // Strategy turns the equal-cost candidate set for one (switch,
-// destination) pair into the installed port list the switch hashes
-// over. Expand runs on the control plane (topology build, reconvergence)
-// and appends its ports to out, returning the extended slice — the
-// Router carves tables out of one chunked arena instead of allocating a
-// slice per (switch, destination) pair. The data plane only indexes the
-// installed slice.
+// destination edge switch) pair into the installed port list the switch
+// hashes over, for every host behind that edge. Expand runs on the
+// control plane (topology build, reconvergence) and appends its ports to
+// out, returning the extended slice — the Router passes one scratch
+// slice it reuses, and the installer keeps its own copy of each distinct
+// list. The data plane only indexes the installed slice.
 type Strategy interface {
 	Name() string
 	Expand(cand []Candidate, out []int) []int
@@ -212,35 +213,37 @@ func FlowHash(src, dst packet.NodeID, flow packet.FlowID) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Router owns the routing control plane of one network: the graph, the
-// strategy, the set of currently-failed links, and the installers
-// (switches) that receive computed tables.
+// Router owns the routing control plane of one network: the graph with
+// each link's cut state, the strategy, and the installers (switches)
+// that receive computed tables.
 type Router struct {
 	eng        *sim.Engine
 	graph      [][]PortRef // per switch, per port
 	installers []Installer // same order as graph
 	strategy   Strategy
 
-	hostIDs  []packet.NodeID // host index → node ID
-	down     map[[2]int]bool // undirected switch pairs currently cut
-	rebuilds int
+	edges     []edge          // switches with hosts attached, in switch order
+	dsts      []packet.NodeID // every host's node ID, grouped by edge
+	access    []int           // access[k]: the edge's port facing dsts[k]
+	downLinks int
+	rebuilds  int
 
 	// Scratch reused across rebuilds.
 	dist     []int
 	frontier []int
 	next     []int
 	cand     []Candidate
-	// arena is the chunked backing store installed tables are carved
-	// from: one allocation per chunk instead of one per (switch,
-	// destination) pair. Chunks are never reset or reused within a
-	// router's lifetime, so tables installed by earlier rebuilds — and
-	// the stale entries partitioned switches keep — stay valid.
-	arena []int
+	ports    []int
 }
+
+// edge is one switch with hosts attached — the unit tables are computed
+// for. Its hosts are Router.dsts[lo:hi], behind ports Router.access[lo:hi].
+type edge struct{ sw, lo, hi int }
 
 // NewRouter builds a router over the graph and installs the initial
 // tables. graph[i] lists switch i's egress ports in port order;
-// installers[i] is the switch itself.
+// installers[i] is the switch itself. Every host hangs off exactly one
+// switch port — the per-edge grouping relies on it.
 func NewRouter(eng *sim.Engine, graph [][]PortRef, installers []Installer, strategy Strategy) *Router {
 	if strategy == nil {
 		strategy = ECMP{}
@@ -250,28 +253,23 @@ func NewRouter(eng *sim.Engine, graph [][]PortRef, installers []Installer, strat
 		graph:      graph,
 		installers: installers,
 		strategy:   strategy,
-		down:       map[[2]int]bool{},
 		dist:       make([]int, len(graph)),
 	}
-	seen := map[int]packet.NodeID{}
-	maxHost := -1
-	for _, ports := range graph {
-		for _, ref := range ports {
-			if ref.ToHost {
-				seen[ref.Host] = ref.HostID
-				if ref.Host > maxHost {
-					maxHost = ref.Host
-				}
+	attached := map[int]int{} // host index → its edge switch
+	for si, ports := range graph {
+		lo := len(r.dsts)
+		for pi, ref := range ports {
+			if !ref.ToHost {
+				continue
 			}
+			if other, dup := attached[ref.Host]; dup {
+				panic(fmt.Sprintf("route: host %d is wired to switch %d and to switch %d; a host has one access port", ref.Host, other, si))
+			}
+			attached[ref.Host] = si
+			r.dsts, r.access = append(r.dsts, ref.HostID), append(r.access, pi)
 		}
-	}
-	r.hostIDs = make([]packet.NodeID, maxHost+1)
-	for hi, id := range seen {
-		r.hostIDs[hi] = id
-	}
-	for _, inst := range installers {
-		if p, ok := inst.(TablePresizer); ok {
-			p.PresizeRoutes(len(r.hostIDs))
+		if hi := len(r.dsts); hi > lo {
+			r.edges = append(r.edges, edge{sw: si, lo: lo, hi: hi})
 		}
 	}
 	r.Rebuild()
@@ -285,14 +283,7 @@ func (r *Router) Strategy() Strategy { return r.strategy }
 func (r *Router) Rebuilds() int { return r.rebuilds }
 
 // DownLinks returns the number of currently-failed links.
-func (r *Router) DownLinks() int { return len(r.down) }
-
-func linkKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
+func (r *Router) DownLinks() int { return r.downLinks }
 
 // FailLink cuts the link between switches a and b in both directions:
 // packets already serialized onto it are lost at delivery time and new
@@ -300,22 +291,29 @@ func linkKey(a, b int) [2]int {
 // callers model control-plane reconvergence by calling Rebuild later
 // (or by using Schedule, which does both with a delay).
 func (r *Router) FailLink(a, b int) {
-	r.down[linkKey(a, b)] = true
-	r.setLinkDown(a, b, true)
+	if r.setLinkDown(a, b, true) {
+		r.downLinks++
+	}
 }
 
 // RestoreLink re-activates a failed link. As with FailLink, tables are
 // recomputed only by an explicit Rebuild.
 func (r *Router) RestoreLink(a, b int) {
-	delete(r.down, linkKey(a, b))
-	r.setLinkDown(a, b, false)
+	if r.setLinkDown(a, b, false) {
+		r.downLinks--
+	}
 }
 
-func (r *Router) setLinkDown(a, b int, down bool) {
+// setLinkDown sets the state of every port between a and b, in both
+// directions, and reports whether that changed the link's state.
+func (r *Router) setLinkDown(a, b int, down bool) (changed bool) {
 	cut := 0
 	for _, pair := range [2][2]int{{a, b}, {b, a}} {
-		for _, ref := range r.graph[pair[0]] {
-			if !ref.ToHost && ref.Peer == pair[1] {
+		refs := r.graph[pair[0]]
+		for pi := range refs {
+			if ref := &refs[pi]; !ref.ToHost && ref.Peer == pair[1] {
+				changed = changed || ref.down != down
+				ref.down = down
 				ref.Link.SetDown(down)
 				cut++
 			}
@@ -327,6 +325,7 @@ func (r *Router) setLinkDown(a, b int, down bool) {
 		// loudly beats measuring an intact network as if it were cut.
 		panic(fmt.Sprintf("route: switches %d and %d share no link", a, b))
 	}
+	return changed
 }
 
 // LinkEvent is one scheduled link state change between two switches.
@@ -355,34 +354,27 @@ func (r *Router) Schedule(events []LinkEvent, reconverge sim.Duration) {
 }
 
 // Rebuild recomputes every routing table from the current link state: a
-// BFS per destination host over the switch graph (skipping failed
-// links), equal-cost candidates expanded by the strategy, installed into
-// the switches. Switches left with no path to a destination keep their
-// stale entry — pointing at a dead port that drops — mirroring a real
+// BFS per edge switch over the switch graph (skipping failed links), the
+// equal-cost candidates at every other switch expanded by the strategy
+// once and installed for all of that edge's hosts; the edge switch gets
+// each host's own port. Switches left with no path to an edge keep their
+// stale entries — pointing at a dead port that drops — mirroring a real
 // partition rather than pretending the packet was never sent.
 func (r *Router) Rebuild() {
 	r.rebuilds++
 	const inf = int(1e9)
-	for hi, dst := range r.hostIDs {
+	for _, e := range r.edges {
+		dsts, access := r.dsts[e.lo:e.hi], r.access[e.lo:e.hi]
 		for i := range r.dist {
 			r.dist[i] = inf
 		}
-		r.frontier = r.frontier[:0]
-		// Seed: switches directly attached to the host.
-		for si := range r.graph {
-			for _, ref := range r.graph[si] {
-				if ref.ToHost && ref.Host == hi {
-					r.dist[si] = 1
-					r.frontier = append(r.frontier, si)
-				}
-			}
-		}
-		frontier, next := r.frontier, r.next[:0]
+		r.dist[e.sw] = 1
+		frontier, next := append(r.frontier[:0], e.sw), r.next[:0]
 		for len(frontier) > 0 {
 			next = next[:0]
 			for _, si := range frontier {
 				for _, ref := range r.graph[si] {
-					if ref.ToHost || r.down[linkKey(si, ref.Peer)] {
+					if ref.ToHost || ref.down {
 						continue
 					}
 					if r.dist[ref.Peer] == inf {
@@ -395,68 +387,25 @@ func (r *Router) Rebuild() {
 		}
 		r.frontier, r.next = frontier[:0], next[:0]
 
-		for si := range r.graph {
-			if r.dist[si] == inf {
-				continue
+		for k := range dsts {
+			r.installers[e.sw].SetRoutes(dsts[k:k+1], access[k:k+1])
+		}
+		for si, refs := range r.graph {
+			if si == e.sw || r.dist[si] == inf {
+				continue // the edge itself; partitioned: keep the stale entries
 			}
 			r.cand = r.cand[:0]
-			direct := false
-			for pi, ref := range r.graph[si] {
-				if ref.ToHost && ref.Host == hi {
-					r.cand = append(r.cand[:0], Candidate{Port: pi, Rate: ref.Link.Rate})
-					direct = true
-					break
-				}
-				if !ref.ToHost && !r.down[linkKey(si, ref.Peer)] && r.dist[ref.Peer] == r.dist[si]-1 {
+			for pi, ref := range refs {
+				if !ref.ToHost && !ref.down && r.dist[ref.Peer] == r.dist[si]-1 {
 					r.cand = append(r.cand, Candidate{Port: pi, Rate: ref.Link.Rate})
 				}
 			}
-			if len(r.cand) == 0 {
-				continue // partitioned: keep the stale table entry
-			}
-			ports := r.expandInto(r.cand)
-			if direct || len(ports) > 0 {
-				r.installers[si].SetRoute(dst, ports)
+			r.ports = r.strategy.Expand(r.cand, r.ports[:0])
+			if len(r.ports) > 0 {
+				r.installers[si].SetRoutes(dsts, r.ports)
 			}
 		}
 	}
-}
-
-// maxExpansion bounds how many ports a strategy can emit for n
-// candidates, so the arena reserves enough headroom that Expand never
-// reallocates mid-append.
-func maxExpansion(s Strategy, n int) int {
-	switch w := s.(type) {
-	case SinglePath:
-		return 1
-	case ECMP:
-		return n
-	case WeightedECMP:
-		m := int(w.MaxReplicas)
-		if m <= 0 {
-			m = 16
-		}
-		return m * n
-	default:
-		return 16 * n
-	}
-}
-
-// expandInto runs the strategy over cand, carving the installed table
-// out of the arena. The returned slice is capacity-capped, so later
-// arena appends can never write through it.
-func (r *Router) expandInto(cand []Candidate) []int {
-	need := maxExpansion(r.strategy, len(cand))
-	if cap(r.arena)-len(r.arena) < need {
-		size := 4096
-		if need > size {
-			size = need
-		}
-		r.arena = make([]int, 0, size)
-	}
-	start := len(r.arena)
-	r.arena = r.strategy.Expand(cand, r.arena)
-	return r.arena[start:len(r.arena):len(r.arena)]
 }
 
 // PathSpread reports, for the given switch, how many distinct egress

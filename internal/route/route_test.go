@@ -99,7 +99,12 @@ type tableStub struct{ routes map[packet.NodeID][]int }
 
 func newTableStub() *tableStub { return &tableStub{routes: map[packet.NodeID][]int{}} }
 
-func (ts *tableStub) SetRoute(dst packet.NodeID, ports []int) { ts.routes[dst] = ports }
+func (ts *tableStub) SetRoutes(dsts []packet.NodeID, ports []int) {
+	kept := append([]int(nil), ports...) // ports is the router's scratch
+	for _, dst := range dsts {
+		ts.routes[dst] = kept
+	}
+}
 
 // diamond builds the minimal multipath graph: host 0 on switch 0, host 1
 // on switch 3, two disjoint two-hop paths 0-1-3 and 0-2-3.
@@ -259,4 +264,20 @@ func TestFailLinkOnNonAdjacentPairPanics(t *testing.T) {
 		}
 	}()
 	r.FailLink(1, 2) // switches 1 and 2 share no link in the diamond
+}
+
+// Tables are computed per edge switch, which only works if every host
+// sits behind exactly one: a second attachment is a wiring bug named at
+// build time, not a host that silently loses half its routes.
+func TestMultiHomedHostPanics(t *testing.T) {
+	eng := sim.New()
+	g, stubs := diamond(eng)
+	g[2] = append(g[2], PortRef{Link: link.NewPort(eng, 25*units.Gbps, 0, nil), ToHost: true, Host: 1, HostID: 101})
+	defer func() {
+		want := "route: host 1 is wired to switch 2 and to switch 3; a host has one access port"
+		if got := recover(); got != want {
+			t.Fatalf("NewRouter on a multi-homed host panicked with %v, want %q", got, want)
+		}
+	}()
+	NewRouter(eng, g, installers(stubs), ECMP{})
 }

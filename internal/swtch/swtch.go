@@ -8,6 +8,7 @@ package swtch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/link"
@@ -60,8 +61,15 @@ type Switch struct {
 	cfg   Config
 	share *buffer.Shared
 	ports []*link.Port
-	table map[packet.NodeID][]int
 	rng   *rand.Rand
+
+	// Forwarding state. table is indexed by destination node ID and holds
+	// 1 + an index into groups, 0 for "no route"; groups are the distinct
+	// candidate port lists installed so far, each stored once however
+	// many destinations share it and never modified, carved from store.
+	table  []uint32
+	groups [][]int
+	store  []int
 
 	marked  uint64
 	dropped uint64
@@ -77,7 +85,6 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config) *Switch {
 		eng:   eng,
 		cfg:   cfg,
 		share: buffer.NewShared(cfg.BufferBytes, cfg.Alpha),
-		table: map[packet.NodeID][]int{},
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(id)<<20 ^ 0x9E3779B9)),
 	}
 }
@@ -161,27 +168,79 @@ func (s *Switch) shouldMark(qlen int64) bool {
 
 // SetRoute installs the ECMP candidate ports for a destination.
 func (s *Switch) SetRoute(dst packet.NodeID, portIdx []int) {
-	s.table[dst] = portIdx
+	s.set(dst, s.intern(portIdx))
 }
 
-// PresizeRoutes implements route.TablePresizer: it sizes the (still
-// empty) table for the destinations the control plane is about to
-// install, so the initial build does not rehash the map per insert.
-func (s *Switch) PresizeRoutes(destinations int) {
-	if len(s.table) == 0 && destinations > 0 {
-		s.table = make(map[packet.NodeID][]int, destinations)
+// SetRoutes implements route.Installer: one candidate port list for
+// every destination in dsts. portIdx is copied if it is new to the
+// switch, so the caller may reuse it.
+func (s *Switch) SetRoutes(dsts []packet.NodeID, portIdx []int) {
+	g := s.intern(portIdx)
+	for _, dst := range dsts {
+		s.set(dst, g)
 	}
 }
 
-// Route returns the candidate egress ports for dst (testing).
-func (s *Switch) Route(dst packet.NodeID) []int { return s.table[dst] }
+// intern returns the table value for a candidate list: 1 + the index of
+// the group with exactly these ports in this order, added if the switch
+// has not seen it, or 0 for an empty list. A switch holds a few dozen
+// groups at most (one per neighbour set), so the search is a scan.
+func (s *Switch) intern(portIdx []int) uint32 {
+	if len(portIdx) == 0 {
+		return 0
+	}
+	for gi, g := range s.groups {
+		if slices.Equal(g, portIdx) {
+			return uint32(gi) + 1
+		}
+	}
+	if s.groups == nil {
+		// One block for the lists and one for their headers: an intact
+		// fabric needs a group per host port and one per set of
+		// switch-facing next hops, under one per port. append takes over
+		// beyond that; groups carved earlier keep the block they are in.
+		s.groups = make([][]int, 0, len(s.ports))
+		s.store = make([]int, 0, 2*len(s.ports))
+	}
+	start := len(s.store)
+	s.store = append(s.store, portIdx...)
+	s.groups = append(s.groups, s.store[start:len(s.store):len(s.store)])
+	return uint32(len(s.groups))
+}
+
+func (s *Switch) set(dst packet.NodeID, group uint32) {
+	if dst < 0 {
+		panic(fmt.Sprintf("swtch: switch %d: negative destination %d", s.id, dst))
+	}
+	s.PresizeRoutes(int(dst) + 1)
+	s.table[dst] = group
+}
+
+// PresizeRoutes makes the table cover destinations 0..destinations-1, so
+// the control plane fills it without regrowing it.
+func (s *Switch) PresizeRoutes(destinations int) {
+	if n := destinations - len(s.table); n > 0 {
+		s.table = append(s.table, make([]uint32, n)...)
+	}
+}
+
+// Route returns the candidate egress ports for dst, nil if none is
+// installed. The slice is shared between destinations: read only.
+func (s *Switch) Route(dst packet.NodeID) []int {
+	d := uint(uint32(dst)) // a negative ID wraps past any table length
+	if t := s.table; d < uint(len(t)) && t[d] != 0 {
+		return s.groups[t[d]-1]
+	}
+	return nil
+}
 
 // Receive implements link.Receiver: forward the packet toward its
 // destination, hashing the flow's addressing tuple over the candidate
 // ports the routing control plane installed (see internal/route). The
-// path is a table lookup plus one hash — no allocation per packet.
+// path is a table index, a group load and one hash — no map, no
+// allocation per packet.
 func (s *Switch) Receive(p *packet.Packet) {
-	cand := s.table[p.Dst]
+	cand := s.Route(p.Dst)
 	if len(cand) == 0 {
 		panic(fmt.Sprintf("swtch: switch %d has no route to %d", s.id, p.Dst))
 	}

@@ -1,6 +1,8 @@
 package swtch
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -150,15 +152,100 @@ func TestECMPIsPerFlowConsistent(t *testing.T) {
 	}
 }
 
+// A destination the table cannot resolve — below it, beyond it, or
+// inside it but never installed — is a routing bug reported by name, not
+// an index-out-of-range from the table.
 func TestNoRoutePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing route did not panic")
+	for _, dst := range []packet.NodeID{-1, -1 << 31, 5, 8, 1 << 30} {
+		eng := sim.New()
+		sw := New(eng, 1, Config{})
+		sw.AddPort(100*units.Gbps, 0, &sink{}, nil)
+		sw.SetRoute(7, []int{0}) // table covers 0..7; only 7 is installed
+		func() {
+			defer func() {
+				want := fmt.Sprintf("swtch: switch 1 has no route to %d", dst)
+				if got := recover(); got != want {
+					t.Fatalf("Receive(dst %d) panicked with %v, want %q", dst, got, want)
+				}
+			}()
+			sw.Receive(data(1, dst, 100))
+		}()
+		if r := sw.Route(dst); r != nil {
+			t.Fatalf("Route(%d) = %v, want nil", dst, r)
 		}
-	}()
+	}
+}
+
+// SetRoute on IDs far apart grows the table as needed; PresizeRoutes is
+// an optimisation, never a precondition, and keeps what is installed.
+func TestSetRouteGrowsTableForSparseIDs(t *testing.T) {
 	eng := sim.New()
 	sw := New(eng, 1, Config{})
-	sw.Receive(data(1, 99, 100))
+	a, b := &sink{}, &sink{}
+	sw.AddPort(100*units.Gbps, 0, a, nil)
+	sw.AddPort(100*units.Gbps, 0, b, nil)
+	sw.SetRoute(100, []int{1})
+	sw.SetRoute(7, []int{0})
+	sw.SetRoute(101, []int{0, 1})
+	sw.PresizeRoutes(4096)
+	for dst, want := range map[packet.NodeID][]int{7: {0}, 100: {1}, 101: {0, 1}, 8: nil, 99: nil, 102: nil, 4095: nil} {
+		if got := sw.Route(dst); !slices.Equal(got, want) {
+			t.Fatalf("Route(%d) = %v, want %v", dst, got, want)
+		}
+	}
+	sw.Receive(data(1, 7, 100))
+	sw.Receive(data(1, 100, 100))
+	eng.Run()
+	if len(a.pkts) != 1 || len(b.pkts) != 1 {
+		t.Fatalf("forwarded %d to port 0 and %d to port 1, want 1 and 1", len(a.pkts), len(b.pkts))
+	}
+	// An empty list uninstalls.
+	sw.SetRoute(7, nil)
+	if got := sw.Route(7); got != nil {
+		t.Fatalf("Route(7) after SetRoute(7, nil) = %v", got)
+	}
+}
+
+// Destinations with the same candidate list share one stored group: the
+// switch copies a list the first time it sees it and only then, so a
+// reconvergence that flips between two states neither allocates nor
+// grows the group list after the first flip.
+func TestCandidateGroupsAreSharedAndStable(t *testing.T) {
+	sw := New(sim.New(), 1, Config{})
+	for i := 0; i < 4; i++ {
+		sw.AddPort(100*units.Gbps, 0, &sink{}, nil)
+	}
+	sw.PresizeRoutes(64)
+	rack := []packet.NodeID{8, 9, 10, 11}
+	scratch := []int{2, 3}
+	sw.SetRoutes(rack, scratch)
+	scratch[0] = 0 // the router reuses its scratch; the switch kept a copy
+	for _, dst := range rack {
+		if got := sw.Route(dst); !slices.Equal(got, []int{2, 3}) {
+			t.Fatalf("Route(%d) = %v, want [2 3]", dst, got)
+		}
+		if &sw.Route(dst)[0] != &sw.Route(rack[0])[0] {
+			t.Fatalf("destination %d does not share its rack's group", dst)
+		}
+	}
+	sw.SetRoute(20, []int{3, 2}) // same ports, other order: its own group
+	if len(sw.groups) != 2 {
+		t.Fatalf("groups = %v, want [2 3] and [3 2]", sw.groups)
+	}
+
+	healthy, degraded := []int{2, 3}, []int{3}
+	flip := func() {
+		sw.SetRoutes(rack, degraded)
+		sw.SetRoutes(rack, healthy)
+	}
+	flip()
+	groups := len(sw.groups)
+	if allocs := testing.AllocsPerRun(10, flip); allocs != 0 {
+		t.Fatalf("re-installing known groups allocates %.1f per flip, want 0", allocs)
+	}
+	if len(sw.groups) != groups {
+		t.Fatalf("group list grew from %d to %d over repeated flips", groups, len(sw.groups))
+	}
 }
 
 func TestINTTxBytesMonotonic(t *testing.T) {

@@ -376,6 +376,7 @@ func (n *Network) finish(opts Options) {
 	graph := make([][]route.PortRef, len(n.Switches))
 	installers := make([]route.Installer, len(n.Switches))
 	for si, s := range n.Switches {
+		s.PresizeRoutes(len(n.Hosts)) // host IDs are 0..len(Hosts)-1 (addHost)
 		installers[si] = s
 		ports := s.Ports()
 		refs := make([]route.PortRef, len(n.swPeers[si]))

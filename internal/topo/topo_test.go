@@ -1,6 +1,7 @@
 package topo_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cc"
@@ -306,5 +307,80 @@ func TestNetworkSurvivesLinkFailure(t *testing.T) {
 	}
 	if net.Switches[cfg.SpineSwitch(0)].Ports()[0].TxPackets() != 0 {
 		t.Fatal("failed spine still forwarded traffic")
+	}
+}
+
+// Reconvergence in steady state costs no memory: a Rebuild that changes
+// nothing allocates nothing, and once a failure and its repair have each
+// been seen, further cycles allocate nothing and leave every (switch,
+// destination) pointing at the very group it pointed at before — the
+// switches found each list again instead of storing it anew.
+func TestRebuildSteadyStateAllocatesNothing(t *testing.T) {
+	net, cfg := smallFatTree()
+	c := cfg.WithDefaults()
+	tor, agg := 0, c.Pods*c.TorsPerPod // ToR 0 and the first agg of its pod
+	if allocs := testing.AllocsPerRun(5, net.Router.Rebuild); allocs != 0 {
+		t.Fatalf("a Rebuild that changes nothing allocates %.0f times, want 0", allocs)
+	}
+	cycle := func() {
+		net.Router.FailLink(tor, agg)
+		net.Router.Rebuild()
+		net.Router.RestoreLink(tor, agg)
+		net.Router.Rebuild()
+	}
+	groups := func() (heads []*int) {
+		for _, sw := range net.Switches {
+			for hi := range net.Hosts {
+				heads = append(heads, &sw.Route(net.HostID(hi))[0])
+			}
+		}
+		return heads
+	}
+	cycle()
+	before := groups()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("a repeated fail/restore cycle allocates %.0f times, want 0", allocs)
+	}
+	if after := groups(); !slices.Equal(before, after) {
+		t.Fatal("repeated fail/restore cycles moved table entries to new groups")
+	}
+}
+
+// A switch cut off from a destination keeps its last table entry, as a
+// real switch whose control plane lost the peer would: Route still shows
+// the old ports, and a packet forwarded there dies on the dead wire and
+// is counted lost — no panic on a missing route.
+func TestPartitionedSwitchKeepsStaleRouteAndLosesPackets(t *testing.T) {
+	cfg := topo.LeafSpineConfig{Leaves: 2, Spines: 2, ServersPerLeaf: 1, Opts: opts()}
+	net := topo.LeafSpine(cfg)
+	leaf := net.Switches[cfg.LeafSwitch(0)]
+	remote := net.HostID(1)
+	old := slices.Clone(leaf.Route(remote))
+	if len(old) != 2 {
+		t.Fatalf("leaf 0 route to host 1 = %v, want both spines", old)
+	}
+	net.Router.FailLink(cfg.LeafSwitch(0), cfg.SpineSwitch(0))
+	net.Router.FailLink(cfg.LeafSwitch(0), cfg.SpineSwitch(1))
+	net.Router.Rebuild()
+	if got := leaf.Route(remote); !slices.Equal(got, old) {
+		t.Fatalf("partitioned leaf's route = %v, want the stale %v", got, old)
+	}
+	// The other side is cut off from host 0 the same way.
+	if got := net.Switches[cfg.LeafSwitch(1)].Route(net.HostID(0)); len(got) != 2 {
+		t.Fatalf("leaf 1 route to unreachable host 0 = %v, want the stale pair", got)
+	}
+
+	src, dst := net.TransportHost(0), net.TransportHost(1)
+	src.StartFlow(net.NextFlowID(), dst.ID(), 10_000, &cc.FixedWindow{}, 0)
+	net.Eng.RunUntil(sim.Time(100 * sim.Microsecond))
+	var lost uint64
+	for _, pi := range old {
+		lost += leaf.Ports()[pi].Lost()
+	}
+	if lost == 0 {
+		t.Fatal("no packet was counted lost on the partitioned leaf's dead uplinks")
+	}
+	if got := dst.ReceivedTotal(); got != 0 {
+		t.Fatalf("host 1 received %d bytes across a partition", got)
 	}
 }
