@@ -150,11 +150,17 @@ func (l *Lab) hostFactory(baseRTT sim.Duration) topo.HostFactory {
 }
 
 // wireCollectors attaches completion callbacks on every host and moves
-// the scratch's recycled buffers into the freshly built network.
+// the scratch's packet slabs and record buffer into the freshly built
+// network.
 func (l *Lab) wireCollectors() {
 	if sc := l.scratch; sc != nil {
-		l.Net.Pool.Adopt(sc.packets)
-		sc.packets = nil
+		// Pool i takes what pool i of the last run held; a run with
+		// fewer pools folds the surplus lists round.
+		pools := l.pools()
+		for i, slabs := range sc.slabs {
+			pools[i%len(pools)].Adopt(slabs)
+			sc.slabs[i] = nil
+		}
 		l.Records = sc.records
 		sc.records = nil
 	}

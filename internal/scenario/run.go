@@ -265,14 +265,11 @@ func (p *Prepared) LivePackets() uint64 {
 	if p.env.Rotor != nil {
 		return p.env.Rotor.Pool.Live()
 	}
-	if pools := p.env.Lab.Net.Pools; pools != nil {
-		var n uint64
-		for _, pl := range pools {
-			n += pl.Live()
-		}
-		return n
+	var n uint64
+	for _, pl := range p.env.Lab.pools() {
+		n += pl.Live()
 	}
-	return p.env.Lab.Net.Pool.Live()
+	return n
 }
 
 // Finish merges partitioned completion records and finalizes every

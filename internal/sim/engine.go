@@ -472,21 +472,23 @@ func (e *Engine) runCascades(b int64) {
 
 // loadSlot drains level-0 slot j (holding tick tk) into the firing batch
 // and sorts it by the canonical key: batched same-tick firing with the
-// exact heap order. The batch and the slot swap backing arrays instead of
-// copying — entries carry pointers, and a bulk copy would pay a GC
-// write-barrier sweep per slot. Consumed entries linger beyond the
-// slices' lengths; they only pin pooled nodes, which the free list
-// keeps alive anyway.
+// exact heap order. The entries are copied out and the slot keeps its own
+// backing array, so each slot stays as large as its busiest tick ever
+// made it and a replayed run (Reset, same script) grows nothing. The copy
+// is an element loop, not append(batch, slot...): most ticks hold an
+// entry or two, and for those the bulk copy's calls into the runtime
+// cost more than the tick (about 4 ns an event on the benchmark's
+// schedule-and-fire rung). Consumed entries linger beyond the slices' lengths;
+// they only pin pooled nodes, which the free list keeps alive anyway.
 func (e *Engine) loadSlot(j int, tk int64) {
-	lv := &e.levels[0]
-	s := lv.slot[j]
-	lv.slot[j] = e.batch[:0]
-	lv.occ[j>>6] &^= 1 << (j & 63)
-	lv.count -= len(s)
-	e.batch = s
+	b := e.batch[:0]
+	for _, ent := range e.levels[0].take(j) {
+		b = append(b, ent)
+	}
+	e.batch = b
 	e.curTick = tk + 1
-	if len(s) > 1 {
-		sortEntries(s, bits.Len(uint(len(s)))*2)
+	if len(b) > 1 {
+		sortEntries(b, bits.Len(uint(len(b)))*2)
 	}
 }
 
@@ -588,7 +590,7 @@ func siftEntries(s []entry, root, end int) {
 // decided later by the slot sort — cascading cannot reorder.
 func (e *Engine) cascade(li, idx int) {
 	lv := &e.levels[li]
-	if lv.slot[idx] == nil || len(lv.slot[idx]) == 0 {
+	if len(lv.slot[idx]) == 0 {
 		return
 	}
 	s := lv.take(idx)

@@ -353,3 +353,53 @@ func TestWheelBoundaryLandingCascades(t *testing.T) {
 		t.Fatal("firing order violated (at, seq)")
 	}
 }
+
+// A replayed run — Reset, then the same script — allocates nothing: every
+// level-0 slot kept the array its busiest tick grew, whatever its
+// neighbours held. The script is as uneven as the wheel sees: 10,000
+// events in one tick and 3 in the next, zero-delay children merged into
+// the live batch, entries exactly 255 and 256 ticks ahead (the last
+// level-0 slot and the first level-1 one), level-1 cascades, and one
+// event past the wheel horizon.
+func TestWarmReplayAllocatesNothing(t *testing.T) {
+	const tick = Duration(1) << tickBits
+	e := New()
+	fired := 0
+	noop := func() { fired++ }
+	child := func() { fired++; e.After(0, noop) }
+	edge := func() { fired++; e.After(255*tick, noop); e.After(256*tick, noop) }
+	script := func() int {
+		fired = 0
+		for i := 0; i < 10000; i++ {
+			fn := noop
+			if i%100 == 0 {
+				fn = child
+			}
+			e.At(Time(5*tick+Duration(i)%tick), fn)
+		}
+		for i := 0; i < 3; i++ {
+			e.At(Time(6*tick), edge)
+		}
+		for _, tk := range []Duration{300, 700, 701, 70000} { // levels 1 and 2
+			for i := 0; i < 50; i++ {
+				e.At(Time(tk*tick), edge)
+			}
+		}
+		e.At(Time(Duration(horizonTicks+9)*tick), noop)
+		e.Run()
+		return fired
+	}
+	want := script()
+	if want < 10000+100+3*3+200*3+1 {
+		t.Fatalf("script fired %d events", want)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		e.Reset()
+		if got := script(); got != want {
+			t.Fatalf("replay fired %d events, first run %d", got, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm replay allocates %v times per run, want 0", allocs)
+	}
+}

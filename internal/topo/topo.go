@@ -150,8 +150,8 @@ func newNetwork(hostRate units.BitRate, opts Options) *Network {
 			n.Engs[i] = sim.New()
 			n.Pools[i] = packet.NewPool()
 		}
-		// Partition 0 shares the network-wide pool so warmed packets
-		// adopted into it (scenario scratch reuse) stay in circulation.
+		// Partition 0's pool is the network-wide one, so code that only
+		// knows Pool reaches a pool that is in use.
 		n.Pools[0] = n.Pool
 		n.PSim = psim.New(eng, n.Engs)
 		for _, c := range pl.Cuts {
