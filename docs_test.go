@@ -7,9 +7,9 @@ package powertcp_test
 //     carries a godoc package comment.
 //  2. Every Go snippet in README.md parses, and every `powertcp.X`
 //     identifier it references is actually exported by the root package.
-//  3. Every `go run ./cmd/...` command in README.md or PERF.md points
-//     at a real main package, and every cmd/ directory is mentioned in
-//     the README.
+//  3. Every `go run ./cmd/...` command in README.md, PERF.md or
+//     EXPERIMENTS.md points at a real main package, and every cmd/
+//     directory is mentioned in the README.
 
 import (
 	"go/ast"
@@ -171,7 +171,7 @@ func TestDocsReadmeSnippetsBuild(t *testing.T) {
 	// Shell snippets: every `go run ./cmd/...` target mentioned in the
 	// front-door docs must exist.
 	goRunRE := regexp.MustCompile(`go run (\./cmd/[a-z]+)`)
-	for _, doc := range []string{"README.md", "PERF.md"} {
+	for _, doc := range []string{"README.md", "PERF.md", "EXPERIMENTS.md"} {
 		body, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -38,7 +38,6 @@
 //
 // cmd/figures renders figures from suites; cmd/sweep runs the γ study
 // as one suite; cmd/powersim runs a single spec — or a composed
-// scenario — from flags; bench_test.go regenerates headline metrics
-// under `go test -bench`; EXPERIMENTS.md records the experiment↔figure
+// scenario — from flags; EXPERIMENTS.md records the experiment↔figure
 // index and paper-vs-measured numbers.
 package exp

@@ -85,6 +85,23 @@ func TestComposedScenarioRunsAndIsDeterministic(t *testing.T) {
 	}
 }
 
+// The composition layer rides the zero-allocation hot path: what a run
+// allocates is set-up and results, not per-event work. A per-packet or
+// per-ACK allocation anywhere under Run puts the ratio near 1.
+func TestComposedScenarioAllocsPerEvent(t *testing.T) {
+	var steps float64
+	allocs := testing.AllocsPerRun(3, func() {
+		r, err := Run(mixScenario(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = r.Scalar("engine_steps")
+	})
+	if got := allocs / steps; got > 0.02 {
+		t.Fatalf("%.0f allocs over %.0f events = %.4f allocs/event, want ≤ 0.02", allocs, steps, got)
+	}
+}
+
 // Traffic classes run under their own scheme: a Reno class on a
 // PowerTCP fabric must behave differently than the same flows under the
 // base scheme.

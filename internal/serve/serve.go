@@ -15,6 +15,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,8 +23,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -133,12 +134,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Drain stops admitting work, waits for in-flight runs to finish, and
-// flushes the cache index. Safe to call once; used on SIGTERM.
+// Drain stops admitting work and waits for in-flight runs to finish.
+// Every entry is already on disk by then (store persists as it goes), so
+// there is nothing to flush and the error is always nil. Used on SIGTERM.
 func (s *Server) Drain() error {
 	s.draining.Store(true)
 	s.inflight.Wait()
-	return s.flushIndex()
+	return nil
 }
 
 // errorBody is the JSON error envelope.
@@ -465,7 +467,10 @@ func (s *Server) entryPath(key string) string {
 	return filepath.Join(s.cfg.CacheDir, key+".json")
 }
 
-// loadCache repopulates the in-memory map from CacheDir.
+// loadCache repopulates the in-memory map from CacheDir. Only names of
+// the shape entryPath writes — a 64-hex-digit SpecKey + ".json" — are
+// entries; anything else (an interrupted store's .tmp, an index.json
+// left by an older daemon, a stray file) is not loaded under a bogus key.
 func (s *Server) loadCache() error {
 	if err := os.MkdirAll(s.cfg.CacheDir, 0o755); err != nil {
 		return err
@@ -476,37 +481,18 @@ func (s *Server) loadCache() error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != ".json" || name == "index.json" {
+		key, ok := strings.CutSuffix(name, ".json")
+		if e.IsDir() || !ok || len(key) != 64 {
+			continue
+		}
+		if _, err := hex.DecodeString(key); err != nil {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(s.cfg.CacheDir, name))
 		if err != nil {
 			continue
 		}
-		s.cache[name[:len(name)-len(".json")]] = b
+		s.cache[key] = b
 	}
 	return nil
-}
-
-// flushIndex writes a sorted key index next to the entries — the
-// drain-time manifest that makes the cache directory self-describing.
-func (s *Server) flushIndex() error {
-	if s.cfg.CacheDir == "" {
-		return nil
-	}
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.cache))
-	for k := range s.cache {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	b, err := json.MarshalIndent(struct {
-		V    int      `json:"v"`
-		Keys []string `json:"keys"`
-	}{V: scenario.SpecVersion, Keys: keys}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(s.cfg.CacheDir, "index.json"), append(b, '\n'), 0o644)
 }

@@ -259,7 +259,8 @@ func TestSuiteFanOut(t *testing.T) {
 }
 
 // TestDrain: draining flips healthz to 503, sheds new submissions with
-// 503, waits for in-flight work, and flushes the cache index.
+// 503, waits for in-flight work, and leaves nothing in the cache
+// directory but the entries themselves.
 func TestDrain(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{CacheDir: dir})
@@ -280,19 +281,32 @@ func TestDrain(t *testing.T) {
 	if shed.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submission while draining: %d, want 503", shed.StatusCode)
 	}
-	var index struct {
-		V    int      `json:"v"`
-		Keys []string `json:"keys"`
-	}
-	b, err := os.ReadFile(filepath.Join(dir, "index.json"))
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(b, &index); err != nil {
+	if len(files) != 1 || len(files[0].Name()) != 64+len(".json") {
+		t.Fatalf("cache dir after drain holds %v, want exactly one <64-hex>.json entry", files)
+	}
+}
+
+// TestLoadCacheIgnoresStrayFiles: only <64-hex>.json names are entries.
+// An index.json from an older daemon, an interrupted store's .tmp and a
+// short-named .json are left alone, not loaded under bogus keys.
+func TestLoadCacheIgnoresStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	key := strings.Repeat("0a", 32)
+	for _, name := range []string{key + ".json", "index.json", key + ".json.tmp", "abc123.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{CacheDir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(index.Keys) != 1 || len(index.Keys[0]) != 64 {
-		t.Fatalf("drain index %+v, want one 64-hex key", index)
+	if _, ok := s.cache[key]; !ok || len(s.cache) != 1 {
+		t.Fatalf("loaded %d entries (real one present: %v), want only the 64-hex entry", len(s.cache), ok)
 	}
 }
 
