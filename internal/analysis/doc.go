@@ -13,7 +13,9 @@
 //     clock and randomness from the per-run seeded RNG.
 //   - pooluse: no use-after-Put or double-Put of packet.Pool packets,
 //     and no use of a sim.Event handle after Engine.Cancel, within a
-//     basic block (the bug class PERF.md's pooling invariants document).
+//     basic block (the bug class PERF.md's pooling invariants document);
+//     and no append to a packet's Hops outside internal/packet — INT is
+//     stamped through packet.Pool.Stamp, which owns the hop storage.
 //   - resultorder: a slice collected from map iteration must be sorted
 //     before it is ranged over or handed to an encoder — the rule that
 //     keeps Result envelopes byte-identical at fixed seeds.

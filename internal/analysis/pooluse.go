@@ -23,9 +23,15 @@ import (
 // assignment to it kills the released state. Uses in sibling branches
 // or across loop iterations are out of scope — the runtime
 // pooled-vs-unpooled determinism suite still covers those.
+//
+// It also keeps INT stamping on the pool: a packet's hop storage is a
+// block the pool attaches at the first stamp and takes back at Put, so
+// `p.Hops = append(p.Hops, …)` outside internal/packet is flagged — on a
+// packet from Get it allocates a slice the pool never reclaims. Stamp
+// sites call packet.Pool.Stamp.
 var Pooluse = &Analyzer{
 	Name:      "pooluse",
-	Doc:       "flags use-after-Put/double-Put of pooled packets and use of cancelled event handles",
+	Doc:       "flags use-after-Put/double-Put of pooled packets, use of cancelled event handles, and INT stamps that bypass the pool",
 	Directive: "pool",
 	Run:       runPooluse,
 }
@@ -47,6 +53,7 @@ var releaseFuncs = map[releaseSig]struct {
 }
 
 func runPooluse(pass *Pass) {
+	checkHopAppends(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -234,4 +241,52 @@ func relArgIndex(info *types.Info, call *ast.CallExpr) int {
 		return rel.arg
 	}
 	return 0
+}
+
+const packetPkgPath = "repro/internal/packet"
+
+// checkHopAppends flags every assignment of an append call to the Hops
+// field of a packet.Packet, except in the packet package itself, whose
+// Stamp is the one place that grows a stack.
+func checkHopAppends(pass *Pass) {
+	if pass.Pkg.Path() == packetPkgPath {
+		return
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+				if !ok || !isPacketHops(pass.Info, sel) {
+					continue
+				}
+				call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
+				if !ok {
+					continue
+				}
+				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && pass.Info.Uses[id] == types.Universe.Lookup("append") {
+					pass.Reportf(as.Pos(), "append to %s bypasses the packet pool's hop blocks; stamp through packet.Pool.Stamp", types.ExprString(sel))
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isPacketHops reports whether sel selects the Hops field of a
+// packet.Packet, through a pointer or not.
+func isPacketHops(info *types.Info, sel *ast.SelectorExpr) bool {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal || s.Obj().Name() != "Hops" {
+		return false
+	}
+	t := s.Recv()
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Packet" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == packetPkgPath
 }

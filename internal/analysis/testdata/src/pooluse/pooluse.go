@@ -1,13 +1,41 @@
 // Package pooluse is the analysistest fixture for the pooluse
 // analyzer: use-after-Put and double-Put of pooled packets, stale
-// sim.Event handles after Cancel, kills by reassignment, and the
-// block-local boundary of the analysis.
+// sim.Event handles after Cancel, kills by reassignment, the
+// block-local boundary of the analysis, and INT stamps that bypass the
+// pool.
 package pooluse
 
 import (
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
+
+// stampBypassesPool grows a pooled packet's INT stack by hand: the
+// slice it allocates is not a block the pool takes back.
+func stampBypassesPool(pl *packet.Pool, h telemetry.HopRecord) {
+	p := pl.Get()
+	p.Hops = append(p.Hops, h) // want `append to p.Hops bypasses the packet pool`
+	var v packet.Packet
+	v.Hops = append(v.Hops[:0], h) // want `append to v.Hops bypasses the packet pool`
+}
+
+// stampThroughPool is the sanctioned stamp, and the ACK's takeover of a
+// data packet's stack is a move, not an append.
+func stampThroughPool(pl *packet.Pool, h telemetry.HopRecord) {
+	data, ack := pl.Get(), pl.Get()
+	pl.Stamp(data, h)
+	ack.Hops, data.Hops = data.Hops, nil
+	pl.Put(data)
+	pl.Put(ack)
+}
+
+// otherHops is clean: the rule is about packet.Packet, not the name.
+func otherHops(h telemetry.HopRecord) int {
+	var ack struct{ Hops []telemetry.HopRecord }
+	ack.Hops = append(ack.Hops, h)
+	return len(ack.Hops)
+}
 
 // useAfterPut touches a recycled packet.
 func useAfterPut(pl *packet.Pool) int64 {

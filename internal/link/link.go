@@ -30,7 +30,6 @@ type Receiver interface {
 
 // Port is one egress port: queue + serializer + wire.
 type Port struct {
-	Name  string
 	Eng   *sim.Engine
 	Rate  units.BitRate // line rate
 	Delay sim.Duration  // propagation delay to Peer

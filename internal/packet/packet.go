@@ -59,31 +59,23 @@ const (
 	MaxPriority = 7 // switches implement 8 strict priority levels
 )
 
-// Packet is one simulated packet. Fields are grouped by the subsystem
-// that owns them; a field not relevant to a packet's Kind is zero.
+// Packet is one simulated packet: 128 bytes, two cache lines. The first
+// line holds what every hop reads — forwarding hashes Flow, Src and Dst,
+// WireLen reads PayloadLen and len(Hops), queues and switches read the
+// class and ECN bytes — and the second what only the endpoints touch.
+// A field not relevant to a packet's Kind is zero. TestPacketLayout pins
+// the size and the split.
 type Packet struct {
-	ID   uint64
-	Kind Kind
-	Flow FlowID
-	Src  NodeID
-	Dst  NodeID
+	// INT stack; one record per traversed switch egress port. Nil until
+	// the first switch stamps the packet (Pool.Stamp), and nil again on a
+	// data packet whose ACK took the stack over.
+	Hops []telemetry.HopRecord
 
-	// Transport (Data): [Seq, Seq+PayloadLen) is the byte range carried.
-	Seq        int64
-	PayloadLen int32
-	Rtx        bool // retransmission (excluded from goodput accounting)
-
-	// Transport (Ack).
-	AckSeq   int64    // cumulative: receiver has everything below AckSeq
-	EchoSent sim.Time // SentAt of the data packet being acknowledged
-	EchoECN  bool     // the acknowledged data packet arrived CE-marked
-	AckedNew int64    // bytes newly acknowledged (filled by the sender side)
-
-	// HOMA.
-	MsgID       uint64
-	MsgLen      int64 // total message length, carried on every data packet
-	GrantOffset int64 // Grant: sender may transmit up to this offset
-	Unscheduled bool  // Data: part of the unscheduled burst
+	Flow       FlowID
+	Src        NodeID
+	Dst        NodeID
+	PayloadLen int32 // Data: [Seq, Seq+PayloadLen) is the byte range carried
+	Kind       Kind
 
 	// Network.
 	Priority uint8 // strict-priority class (0 = highest)
@@ -91,10 +83,26 @@ type Packet struct {
 	CE       bool  // congestion experienced (set by switches)
 	TTL      uint8
 
-	SentAt sim.Time // set by the sending host when first serialized
+	Rtx         bool // Data: retransmission (excluded from goodput accounting)
+	EchoECN     bool // Ack: the acknowledged data packet arrived CE-marked
+	Unscheduled bool // HOMA Data: part of the unscheduled burst
 
-	// INT stack; one record per traversed switch egress port.
-	Hops []telemetry.HopRecord
+	Seq int64 // Transport (Data): first byte carried
+
+	ID uint64
+	// SentAt is set by the sending host when the packet enters its NIC
+	// queue, not when it is serialized: RTT samples include NIC queueing.
+	SentAt sim.Time
+
+	// Transport (Ack).
+	AckSeq   int64    // cumulative: receiver has everything below AckSeq
+	EchoSent sim.Time // SentAt of the data packet being acknowledged
+	AckedNew int64    // bytes newly acknowledged (filled by the sender side)
+
+	// HOMA.
+	MsgID       uint64
+	MsgLen      int64 // total message length, carried on every data packet
+	GrantOffset int64 // Grant: sender may transmit up to this offset
 }
 
 // WireLen returns the packet's size on the wire in bytes, including the

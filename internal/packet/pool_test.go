@@ -8,28 +8,38 @@ import (
 	"repro/internal/telemetry"
 )
 
-// dirty writes into every part of a packet a later owner could observe.
-func dirty(p *Packet, i int) {
+// dirty writes into every part of a packet a later owner could observe,
+// stamping two records through pl.
+func dirty(pl *Pool, p *Packet, i int) {
 	p.ID, p.Kind, p.Flow, p.Seq, p.CE = uint64(i+1), Ack, FlowID(i+1), int64(i), true
-	p.Hops = append(p.Hops, telemetry.HopRecord{QLen: int64(i + 1)}, telemetry.HopRecord{TxBytes: 7})
+	pl.Stamp(p, telemetry.HopRecord{QLen: int64(i + 1)})
+	pl.Stamp(p, telemetry.HopRecord{TxBytes: 7})
 }
 
-// checkFresh fails unless p is indistinguishable from a new packet.
+// checkFresh fails unless p is indistinguishable from a new packet,
+// which holds no hop storage.
 func checkFresh(t *testing.T, p *Packet) {
 	t.Helper()
-	if len(p.Hops) != 0 || cap(p.Hops) != telemetry.PathHopCap {
-		t.Fatalf("Hops len %d cap %d, want 0 and %d", len(p.Hops), cap(p.Hops), telemetry.PathHopCap)
+	if p.Hops != nil {
+		t.Fatalf("Hops len %d cap %d, want nil", len(p.Hops), cap(p.Hops))
 	}
-	hops := p.Hops
-	p.Hops = nil
 	if !reflect.DeepEqual(*p, Packet{}) {
 		t.Fatalf("packet not zero: %+v", *p)
 	}
-	p.Hops = hops
 }
 
-// getDistinct takes n packets, failing if any pointer comes out twice.
-func getDistinct(t *testing.T, pl *Pool, n int, seen map[*Packet]bool) {
+// blockOf identifies the hop block behind a stamped packet.
+func blockOf(t *testing.T, p *Packet) *telemetry.HopRecord {
+	t.Helper()
+	if cap(p.Hops) != telemetry.PathHopCap {
+		t.Fatalf("Hops cap %d, want a %d-record block", cap(p.Hops), telemetry.PathHopCap)
+	}
+	return &p.Hops[:1][0]
+}
+
+// getDistinct takes n packets and stamps each, failing if any packet or
+// hop block comes out twice.
+func getDistinct(t *testing.T, pl *Pool, n int, seen map[*Packet]bool, blocks map[*telemetry.HopRecord]bool) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		p := pl.Get()
@@ -38,20 +48,106 @@ func getDistinct(t *testing.T, pl *Pool, n int, seen map[*Packet]bool) {
 		}
 		seen[p] = true
 		checkFresh(t, p)
-		dirty(p, i)
+		dirty(pl, p, i)
+		if len(p.Hops) != 2 || p.Hops[0].QLen != int64(i+1) || p.Hops[1].TxBytes != 7 {
+			t.Fatalf("stamped stack = %+v", p.Hops)
+		}
+		b := blockOf(t, p)
+		if blocks[b] {
+			t.Fatalf("hop block %p attached twice", b)
+		}
+		blocks[b] = true
 	}
 }
 
-// TestDrainReclaimsInFlightPackets: Drain hands on every packet the pool
-// made — returned or not — and the adopting pool serves them zeroed,
-// each once, without allocating.
+// TestStampAttachesOnceAndReusesLIFO: a packet acquires its block at the
+// first stamp and keeps it; returned blocks come back last in, first
+// out, whichever packet asks.
+func TestStampAttachesOnceAndReusesLIFO(t *testing.T) {
+	pl := NewPool()
+	a, b := pl.Get(), pl.Get()
+	checkFresh(t, a)
+	pl.Stamp(a, telemetry.HopRecord{QLen: 1})
+	blkA := blockOf(t, a)
+	for i := 2; i <= telemetry.PathHopCap; i++ {
+		pl.Stamp(a, telemetry.HopRecord{QLen: int64(i)})
+	}
+	if blockOf(t, a) != blkA || len(a.Hops) != telemetry.PathHopCap {
+		t.Fatalf("stack moved or mis-sized while filling its block: len %d", len(a.Hops))
+	}
+	pl.Stamp(b, telemetry.HopRecord{QLen: 100})
+	blkB := blockOf(t, b)
+	if gets, news, puts := pl.HopStats(); gets != 2 || news != 2 || puts != 0 {
+		t.Fatalf("hop stats = %d/%d/%d, want 2/2/0", gets, news, puts)
+	}
+	pl.Put(a)
+	pl.Put(b)
+	c, d := pl.Get(), pl.Get()
+	checkFresh(t, c)
+	checkFresh(t, d)
+	pl.Stamp(d, telemetry.HopRecord{QLen: 5})
+	pl.Stamp(c, telemetry.HopRecord{QLen: 6})
+	if blockOf(t, d) != blkB || blockOf(t, c) != blkA {
+		t.Fatal("returned blocks were not reused last in, first out")
+	}
+	if len(d.Hops) != 1 || d.Hops[0].QLen != 5 {
+		t.Fatalf("reused block shows its last owner's records: %+v", d.Hops)
+	}
+	if gets, news, puts := pl.HopStats(); gets != 4 || news != 2 || puts != 2 {
+		t.Fatalf("hop stats = %d/%d/%d, want 4/2/2", gets, news, puts)
+	}
+
+	// A stack deeper than a block moves to the heap; Put does not take
+	// the grown storage for a block.
+	for i := 0; i < telemetry.PathHopCap; i++ {
+		pl.Stamp(c, telemetry.HopRecord{QLen: int64(i)})
+	}
+	if len(c.Hops) != telemetry.PathHopCap+1 {
+		t.Fatalf("overflowing stack has %d records", len(c.Hops))
+	}
+	pl.Put(c)
+	if _, _, puts := pl.HopStats(); puts != 2 {
+		t.Fatalf("Put recycled %d blocks, want 2: outgrown storage is not a block", puts)
+	}
+}
+
+// TestTakeoverReturnsOneBlock is transport's ACK build: the ACK takes the
+// data packet's stack over, the data packet is left block-less, and
+// putting both back returns exactly one block.
+func TestTakeoverReturnsOneBlock(t *testing.T) {
+	pl := NewPool()
+	data, ack := pl.Get(), pl.Get()
+	pl.Stamp(data, telemetry.HopRecord{QLen: 1})
+	blk := blockOf(t, data)
+	ack.Hops, data.Hops = data.Hops, nil
+	pl.Put(data)
+	pl.Stamp(ack, telemetry.HopRecord{QLen: 2}) // the return path keeps collecting
+	if blockOf(t, ack) != blk || len(ack.Hops) != 2 || ack.Hops[0].QLen != 1 {
+		t.Fatalf("ACK stack after takeover = %+v", ack.Hops)
+	}
+	if gets, _, puts := pl.HopStats(); gets != 1 || puts != 0 {
+		t.Fatalf("hop stats after the data Put = %d attached, %d returned, want 1 and 0", gets, puts)
+	}
+	pl.Put(ack)
+	if gets, news, puts := pl.HopStats(); gets != 1 || news != 1 || puts != 1 {
+		t.Fatalf("hop stats = %d/%d/%d, want 1/1/1", gets, news, puts)
+	}
+}
+
+// TestDrainReclaimsInFlightPackets: Drain hands on every packet and hop
+// block the pool made — returned or not — and the adopting pool serves
+// them, packets zeroed, each once, without allocating.
 func TestDrainReclaimsInFlightPackets(t *testing.T) {
 	const n = 3*slabPackets - 5
 	a := NewPool()
 	var held []*Packet
+	heldBlocks := map[*telemetry.HopRecord]bool{}
 	for i := 0; i < n; i++ {
 		p := a.Get()
-		dirty(p, i)
+		if i%2 == 0 { // every other packet meets a switch
+			dirty(a, p, i)
+			heldBlocks[blockOf(t, p)] = true
+		}
 		held = append(held, p)
 	}
 	for _, p := range held[:10] { // a few come back; the rest stay in flight
@@ -60,9 +156,13 @@ func TestDrainReclaimsInFlightPackets(t *testing.T) {
 	if gets, news, puts := a.Stats(); gets != n || news != n || puts != 10 {
 		t.Fatalf("first run stats = %d/%d/%d, want %d/%d/10", gets, news, puts, n, n)
 	}
+	const stamped = (n + 1) / 2
+	if gets, news, puts := a.HopStats(); gets != stamped || news != stamped || puts != 5 {
+		t.Fatalf("first run hop stats = %d/%d/%d, want %d/%d/5", gets, news, puts, stamped, stamped)
+	}
 	slabs := a.Drain()
-	if len(slabs) != 3 {
-		t.Fatalf("drained %d slabs, want 3", len(slabs))
+	if got := countSlabs(slabs); got != (slabCount{pkts: 3, hops: 2, lists: 1}) {
+		t.Fatalf("drained %+v, want 3 packet slabs, 2 hop slabs and the free lists", got)
 	}
 	if again := a.Drain(); again != nil {
 		t.Fatalf("second Drain returned %d slabs", len(again))
@@ -70,37 +170,77 @@ func TestDrainReclaimsInFlightPackets(t *testing.T) {
 
 	b := NewPool()
 	b.Adopt(slabs)
-	seen := map[*Packet]bool{}
-	getDistinct(t, b, 3*slabPackets, seen)
+	seen, blocks := map[*Packet]bool{}, map[*telemetry.HopRecord]bool{}
+	getDistinct(t, b, 2*slabPackets, seen, blocks)
+	for i := 0; i < slabPackets; i++ { // the third packet slab, unstamped
+		p := b.Get()
+		if seen[p] {
+			t.Fatalf("packet %p handed out twice", p)
+		}
+		seen[p] = true
+		checkFresh(t, p)
+	}
 	if gets, news, _ := b.Stats(); gets != 3*slabPackets || news != 0 {
 		t.Fatalf("adopted run: gets %d news %d, want %d and 0", gets, news, 3*slabPackets)
+	}
+	if gets, news, _ := b.HopStats(); gets != 2*slabPackets || news != 0 {
+		t.Fatalf("adopted run: %d blocks attached, %d new, want %d and 0", gets, news, 2*slabPackets)
 	}
 	for _, p := range held {
 		if !seen[p] {
 			t.Fatalf("in-flight packet %p was not reclaimed", p)
 		}
 	}
+	for blk := range heldBlocks {
+		if !blocks[blk] {
+			t.Fatalf("in-flight hop block %p was not reclaimed", blk)
+		}
+	}
 	// Past the adopted slabs the pool allocates its own, and says so.
-	getDistinct(t, b, 1, seen)
+	getDistinct(t, b, 1, seen, blocks)
 	if _, news, _ := b.Stats(); news != 1 {
 		t.Fatalf("news = %d after outrunning the adopted slabs, want 1", news)
+	}
+	if _, news, _ := b.HopStats(); news != 1 {
+		t.Fatalf("hop news = %d after outrunning the adopted hop slabs, want 1", news)
 	}
 	if b.Live() != 3*slabPackets+1 {
 		t.Fatalf("Live = %d, want %d", b.Live(), 3*slabPackets+1)
 	}
 }
 
+type slabCount struct{ pkts, hops, lists int }
+
+func countSlabs(slabs []Slab) (c slabCount) {
+	for _, s := range slabs {
+		switch {
+		case s.pkts != nil:
+			c.pkts++
+		case s.hops != nil:
+			c.hops++
+		case s.lists != nil:
+			c.lists++
+		}
+	}
+	return c
+}
+
 // TestCrossPoolPutReclaimedOnce is the partitioned fabric in miniature:
-// packets Get from one pool and Put into another sit in the wrong free
-// list at Drain, and must still be handed on exactly once.
+// packets Get and stamped in one pool and Put into another sit, with
+// their blocks, in the wrong free lists at Drain, and must still be
+// handed on exactly once.
 func TestCrossPoolPutReclaimedOnce(t *testing.T) {
 	a, b := NewPool(), NewPool()
 	var fromA, fromB []*Packet
 	for i := 0; i < slabPackets+9; i++ {
-		fromA = append(fromA, a.Get())
+		p := a.Get()
+		dirty(a, p, i)
+		fromA = append(fromA, p)
 	}
 	for i := 0; i < 50; i++ {
-		fromB = append(fromB, b.Get())
+		p := b.Get()
+		dirty(b, p, i)
+		fromB = append(fromB, p)
 	}
 	for _, p := range fromA {
 		b.Put(p)
@@ -109,27 +249,35 @@ func TestCrossPoolPutReclaimedOnce(t *testing.T) {
 		a.Put(p)
 	}
 	for i := 0; i < 20; i++ { // back in flight, out of the wrong free lists
-		dirty(a.Get(), i)
-		dirty(b.Get(), i)
+		dirty(a, a.Get(), i)
+		dirty(b, b.Get(), i)
 	}
 	sa, sb := a.Drain(), b.Drain()
-	total := (len(sa) + len(sb)) * slabPackets
+	ca, cb := countSlabs(sa), countSlabs(sb)
+	if ca.pkts != ca.hops || cb.pkts != cb.hops {
+		t.Fatalf("every packet was stamped, yet slabs are %+v and %+v", ca, cb)
+	}
+	total := (ca.pkts + cb.pkts) * slabPackets
 
 	c := NewPool()
 	c.Adopt(sa)
 	c.Adopt(sb)
-	getDistinct(t, c, total, map[*Packet]bool{})
+	getDistinct(t, c, total, map[*Packet]bool{}, map[*telemetry.HopRecord]bool{})
 	if _, news, _ := c.Stats(); news != 0 {
 		t.Fatalf("news = %d over the adopted slabs, want 0", news)
 	}
+	if _, news, _ := c.HopStats(); news != 0 {
+		t.Fatalf("hop news = %d over the adopted hop slabs, want 0", news)
+	}
 }
 
-// TestPutOfForeignPacket: a packet the pool did not make — here one with
-// no hop storage at all, as the benchmark ladder and tests build them —
-// recycles through the free list and is not part of what Drain hands on.
+// TestPutOfForeignPacket: a packet the pool did not make — here one
+// built as the benchmark ladder and tests build them, with a literal hop
+// slice — recycles through the free list, its hop slice does not pass
+// for a block, and neither is part of what Drain hands on.
 func TestPutOfForeignPacket(t *testing.T) {
 	pl := NewPool()
-	foreign := &Packet{ID: 9, PayloadLen: 1000}
+	foreign := &Packet{ID: 9, PayloadLen: 1000, Hops: []telemetry.HopRecord{{QLen: 1}}}
 	pl.Put(foreign)
 	if got := pl.Get(); got != foreign || got.ID != 0 || got.Hops != nil {
 		t.Fatalf("Get after foreign Put = %p %+v, want the zeroed %p", got, *got, foreign)
@@ -137,75 +285,131 @@ func TestPutOfForeignPacket(t *testing.T) {
 	if gets, news, puts := pl.Stats(); gets != 1 || news != 0 || puts != 1 {
 		t.Fatalf("stats = %d/%d/%d, want 1/0/1", gets, news, puts)
 	}
-	if slabs := pl.Drain(); len(slabs) != 0 {
-		t.Fatalf("foreign packet produced %d slabs", len(slabs))
+	if _, _, puts := pl.HopStats(); puts != 0 {
+		t.Fatal("a one-record literal was recycled as a hop block")
+	}
+	if c := countSlabs(pl.Drain()); c.pkts+c.hops != 0 {
+		t.Fatalf("foreign packet produced slabs: %+v", c)
 	}
 }
 
 // TestPoolEdges: the nil pool and the kill-switch keep allocating plain
-// packets and carry nothing from run to run.
+// packets, stamp by plain append, and carry nothing from run to run.
 func TestPoolEdges(t *testing.T) {
 	var nilPool *Pool
-	checkFresh(t, nilPool.Get())
-	nilPool.Put(&Packet{})
+	p := nilPool.Get()
+	checkFresh(t, p)
+	nilPool.Stamp(p, telemetry.HopRecord{QLen: 3})
+	if len(p.Hops) != 1 || p.Hops[0].QLen != 3 {
+		t.Fatalf("nil pool stamp = %+v", p.Hops)
+	}
+	nilPool.Put(p)
 	nilPool.Adopt(make([]Slab, 1))
-	if nilPool.Drain() != nil || nilPool.Live() != 0 {
+	if g, n, u := nilPool.HopStats(); nilPool.Drain() != nil || nilPool.Live() != 0 || g+n+u != 0 {
 		t.Fatal("nil pool holds state")
 	}
 
 	warm := NewPool()
-	warm.Get()
+	dirty(warm, warm.Get(), 0)
 	slabs := warm.Drain()
 
 	SetPooling(false)
 	defer SetPooling(true)
 	pl := NewPool()
 	pl.Adopt(slabs)
-	p := pl.Get()
+	p = pl.Get()
 	checkFresh(t, p)
+	dirty(pl, p, 4)
+	if len(p.Hops) != 2 || p.Hops[0].QLen != 5 {
+		t.Fatalf("disabled pool stamp = %+v", p.Hops)
+	}
 	pl.Put(p)
-	if gets, news, puts := pl.Stats(); gets+news+puts != 0 || pl.Live() != 0 {
-		t.Fatalf("disabled pool counted %d/%d/%d", gets, news, puts)
+	hg, hn, hp := pl.HopStats()
+	if gets, news, puts := pl.Stats(); gets+news+puts+hg+hn+hp != 0 || pl.Live() != 0 {
+		t.Fatalf("disabled pool counted %d/%d/%d packets, %d/%d/%d blocks", gets, news, puts, hg, hn, hp)
 	}
 	if got := pl.Drain(); len(got) != 0 {
 		t.Fatalf("disabled pool adopted %d slabs", len(got))
 	}
 }
 
-// TestSteadyStateAllocatesNothing: Get/Put round trips, and carving
-// packets out of adopted slabs, are allocation-free.
+// TestSteadyStateAllocatesNothing: Get/stamp/Put round trips, and
+// carving packets and blocks out of adopted slabs with the adopted free
+// lists filling behind them, are allocation-free.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	pl := NewPool()
-	pl.Put(pl.Get())
-	if a := testing.AllocsPerRun(100, func() { pl.Put(pl.Get()) }); a != 0 {
-		t.Fatalf("Get/Put round trip allocates %v", a)
+	roundTrip := func() {
+		p := pl.Get()
+		pl.Stamp(p, telemetry.HopRecord{QLen: 1})
+		pl.Stamp(p, telemetry.HopRecord{QLen: 2})
+		pl.Put(p)
 	}
+	roundTrip()
+	if a := testing.AllocsPerRun(100, roundTrip); a != 0 {
+		t.Fatalf("Get/Stamp/Put round trip allocates %v", a)
+	}
+
 	warm := NewPool()
+	var held []*Packet
 	for i := 0; i < 2*slabPackets; i++ {
-		warm.Get()
+		p := warm.Get()
+		dirty(warm, p, i)
+		held = append(held, p)
+	}
+	for _, p := range held { // grow both free lists to their full length
+		warm.Put(p)
 	}
 	slabs := warm.Drain()
 	next := NewPool()
 	next.Adopt(slabs)
+	held = held[:0]
 	if a := testing.AllocsPerRun(1, func() {
 		for i := 0; i < slabPackets-1; i++ {
-			next.Get()
+			p := next.Get()
+			next.Stamp(p, telemetry.HopRecord{QLen: 1})
+			held = append(held, p)
 		}
+		for _, p := range held {
+			next.Put(p)
+		}
+		held = held[:0]
 	}); a != 0 {
-		t.Fatalf("carving adopted slabs allocates %v", a)
+		t.Fatalf("a warm run over adopted slabs allocates %v", a)
 	}
 }
 
-// TestSlabHalvesAreExactAllocationSizes pins the arithmetic behind
-// slabPackets: both halves of a slab must be sizes the Go allocator hands
+// TestPacketLayout pins the arithmetic behind Packet's field order and
+// slabPackets. A packet is two cache lines with everything a hop reads
+// in the first; both kinds of slab must be sizes the Go allocator hands
 // out without rounding up, or every slab wastes the difference and live
 // heap rises. If Packet or HopRecord changes size, pick slabPackets anew.
-func TestSlabHalvesAreExactAllocationSizes(t *testing.T) {
-	var s Slab
-	if got := unsafe.Sizeof(*s.pkts); got != 18432 { // a malloc size class
-		t.Errorf("packet half of a slab is %d bytes, want 18432", got)
+func TestPacketLayout(t *testing.T) {
+	var p Packet
+	if got := unsafe.Sizeof(p); got != 128 {
+		t.Errorf("Packet is %d bytes, want 128", got)
 	}
-	if got := unsafe.Sizeof(*s.hops); got%8192 != 0 { // large object: whole pages
-		t.Errorf("hop half of a slab is %d bytes, not a whole number of pages", got)
+	for name, off := range map[string]uintptr{
+		"Hops":       unsafe.Offsetof(p.Hops),
+		"Flow":       unsafe.Offsetof(p.Flow),
+		"Src":        unsafe.Offsetof(p.Src),
+		"Dst":        unsafe.Offsetof(p.Dst),
+		"PayloadLen": unsafe.Offsetof(p.PayloadLen),
+		"Kind":       unsafe.Offsetof(p.Kind),
+		"Priority":   unsafe.Offsetof(p.Priority),
+		"ECT":        unsafe.Offsetof(p.ECT),
+		"CE":         unsafe.Offsetof(p.CE),
+		"TTL":        unsafe.Offsetof(p.TTL),
+		"Rtx":        unsafe.Offsetof(p.Rtx),
+	} {
+		if off >= 64 {
+			t.Errorf("%s sits at offset %d, outside the first cache line", name, off)
+		}
+	}
+	var s Slab
+	if got := unsafe.Sizeof(*s.pkts); got != 16384 { // a malloc size class
+		t.Errorf("a packet slab is %d bytes, want 16384", got)
+	}
+	if got := unsafe.Sizeof(*s.hops); got != 49152 || got%8192 != 0 { // large object: whole pages
+		t.Errorf("a hop slab is %d bytes, want 49152, a whole number of pages", got)
 	}
 }

@@ -188,21 +188,17 @@ func Build(cfg Config) *Network {
 			h.SetPool(n.Pool)
 			n.Hosts = append(n.Hosts, h)
 			up := link.NewPort(eng, cfg.HostRate, cfg.EdgeDelay, tor)
-			up.Name = fmt.Sprintf("rdcn-host%d.nic", id)
 			up.Pool = n.Pool
 			h.SetUplink(up)
-			down := newINTPort(eng, cfg.HostRate, cfg.EdgeDelay, h, nil, cfg.INT)
-			down.Name = fmt.Sprintf("tor%d.host%d", ti, s)
+			down := n.newINTPort(cfg.HostRate, cfg.EdgeDelay, h, nil)
 			tor.hostPorts = append(tor.hostPorts, down)
 		}
 		// Packet core uplink.
-		tor.pktPort = newINTPort(eng, cfg.PacketRate, cfg.CoreDelay, n.Core, nil, cfg.INT)
-		tor.pktPort.Name = fmt.Sprintf("tor%d.pkt", ti)
+		tor.pktPort = n.newINTPort(cfg.PacketRate, cfg.CoreDelay, n.Core, nil)
 		// Circuit port with per-destination VOQs, dark until its first day.
 		voq := queue.NewClass(func(p *packet.Packet) int { return n.TorOf(p.Dst) })
 		tor.voq = voq
-		tor.circPort = newINTPort(eng, cfg.CircuitRate, cfg.CoreDelay, fabric, voq, cfg.INT)
-		tor.circPort.Name = fmt.Sprintf("tor%d.circuit", ti)
+		tor.circPort = n.newINTPort(cfg.CircuitRate, cfg.CoreDelay, fabric, voq)
 		tor.circPort.Pause()
 	}
 	// Core routes every host via its ToR's core-facing port. The core's
@@ -218,18 +214,19 @@ func Build(cfg Config) *Network {
 	return n
 }
 
-// newINTPort builds a port that stamps INT at dequeue when enabled.
-func newINTPort(eng *sim.Engine, rate units.BitRate, delay sim.Duration, peer link.Receiver, q queue.Queue, stamp bool) *link.Port {
-	pt := link.NewPort(eng, rate, delay, peer)
+// newINTPort builds a ToR port that stamps INT at dequeue when the
+// network has it enabled.
+func (n *Network) newINTPort(rate units.BitRate, delay sim.Duration, peer link.Receiver, q queue.Queue) *link.Port {
+	pt := link.NewPort(n.Eng, rate, delay, peer)
 	if q != nil {
 		pt.Q = q
 	}
-	if stamp {
+	if n.Cfg.INT {
 		pt.OnDequeue = func(p *packet.Packet) {
-			p.Hops = append(p.Hops, telemetry.HopRecord{
+			n.Pool.Stamp(p, telemetry.HopRecord{
 				QLen:    pt.QueueBytes(),
 				TxBytes: pt.TxBytes(),
-				TS:      eng.Now(),
+				TS:      n.Eng.Now(),
 				Rate:    pt.Rate,
 			})
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // cutShort is a 16-host fat-tree under permutation traffic stopped at
@@ -27,20 +28,24 @@ func cutShort(parts int) Scenario {
 // tests need to know about it.
 type scratchPass struct {
 	scratch    *runScratch // the scratch the lab ran on
+	cold       bool        // the scratch brought no slabs: every carve is a "new"
 	gets, news uint64      // summed over the fabric's pools
 	live       uint64      // packets checked out at the cut
-	inflight   float64
-	envelope   []byte
+	// Hop blocks, summed likewise: attached at a first stamp, of those
+	// served from fresh memory, and returned with a consumed packet.
+	hopGets, hopNews, hopPuts uint64
+	inflight                  float64
+	envelope                  []byte
 }
 
-func runScratchPass(t *testing.T, parts int) scratchPass {
+func runScratchPass(t *testing.T, sc Scenario) scratchPass {
 	t.Helper()
-	p, err := Prepare(cutShort(parts))
+	p, err := Prepare(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lab := p.Env().Lab
-	out := scratchPass{scratch: lab.scratch}
+	out := scratchPass{scratch: lab.scratch, cold: len(lab.scratch.slabs) == 0}
 	p.DriveTo(p.Horizon())
 	res, err := p.Finish()
 	if err != nil {
@@ -51,6 +56,10 @@ func runScratchPass(t *testing.T, parts int) scratchPass {
 		out.gets += gets
 		out.news += news
 		out.live += pl.Live()
+		hg, hn, hp := pl.HopStats()
+		out.hopGets += hg
+		out.hopNews += hn
+		out.hopPuts += hp
 	}
 	out.inflight = res.Scalar("bytes_inflight")
 	var buf bytes.Buffer
@@ -69,7 +78,7 @@ func runScratchPass(t *testing.T, parts int) scratchPass {
 func warmPair(t *testing.T, parts int) (first, second scratchPass) {
 	t.Helper()
 	for try := 0; try < 40; try++ {
-		first, second = runScratchPass(t, parts), runScratchPass(t, parts)
+		first, second = runScratchPass(t, cutShort(parts)), runScratchPass(t, cutShort(parts))
 		if !bytes.Equal(first.envelope, second.envelope) {
 			t.Fatalf("parts=%d: pass 2 Result differs from pass 1", parts)
 		}
@@ -81,9 +90,9 @@ func warmPair(t *testing.T, parts int) (first, second scratchPass) {
 	return
 }
 
-// A second pass over the same scenario allocates no packets: Release
-// reclaimed every packet of the first — most of them still in flight at
-// the cut — and the Result does not change by a byte.
+// A second pass over the same scenario allocates no packets and no hop
+// blocks: Release reclaimed every one of the first — most of them still
+// in flight at the cut — and the Result does not change by a byte.
 func TestSecondPassAllocatesNoPackets(t *testing.T) {
 	for _, parts := range []int{1, 2} {
 		first, second := warmPair(t, parts)
@@ -96,13 +105,20 @@ func TestSecondPassAllocatesNoPackets(t *testing.T) {
 		if second.news != 0 {
 			t.Fatalf("parts=%d: pass 2 allocated %d of %d packets, want 0", parts, second.news, second.gets)
 		}
+		if second.hopGets == 0 || second.hopGets != first.hopGets {
+			t.Fatalf("parts=%d: pass 2 attached %d hop blocks, pass 1 %d", parts, second.hopGets, first.hopGets)
+		}
+		if second.hopNews != 0 {
+			t.Fatalf("parts=%d: pass 2 allocated %d of %d hop blocks, want 0", parts, second.hopNews, second.hopGets)
+		}
 	}
 }
 
-// After a partitioned pass with traffic across the cut, packets sit in
-// the free lists of pools that did not make them. Release must still
-// hand each one on exactly once: the next run's pools, between them,
-// serve every reclaimed packet before allocating, and none twice.
+// After a partitioned pass with traffic across the cut, packets and hop
+// blocks sit in the free lists of pools that did not make them. Release
+// must still hand each one on exactly once: the next run's pools,
+// between them, serve every reclaimed packet and block before
+// allocating, and none twice.
 func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 	_, second := warmPair(t, 2)
 	sc := getScratch()
@@ -117,6 +133,7 @@ func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 		t.Fatalf("scratch holds %d slab lists after a 2-partition run", len(sc.slabs))
 	}
 	seen := map[*packet.Packet]bool{}
+	blocks := map[*telemetry.HopRecord]bool{}
 	for i, slabs := range sc.slabs {
 		if len(slabs) == 0 {
 			t.Fatalf("partition %d handed on no slabs", i)
@@ -133,9 +150,63 @@ func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 			}
 			seen[p] = true
 		}
+		for {
+			var p packet.Packet
+			pl.Stamp(&p, telemetry.HopRecord{})
+			if _, news, _ := pl.HopStats(); news > 0 {
+				break // past the adopted hop slabs
+			}
+			if blocks[&p.Hops[0]] {
+				t.Fatalf("hop block %p reclaimed twice", &p.Hops[0])
+			}
+			blocks[&p.Hops[0]] = true
+		}
 	}
 	if second.live == 0 || uint64(len(seen)) < second.live {
 		t.Fatalf("reclaimed %d packets; %d were checked out at the cut", len(seen), second.live)
 	}
+	if held := second.hopGets - second.hopPuts; held == 0 || uint64(len(blocks)) < held {
+		t.Fatalf("reclaimed %d hop blocks; %d were attached at the cut", len(blocks), held)
+	}
 	// The scratch is not put back: its slabs were carved above.
+}
+
+// TestHopBlocksFollowStamps is the footprint claim in counts: on a
+// 256-host permutation fabric cut at 20 µs a packet holds hop storage
+// only from its first switch egress until its ACK is consumed, so the
+// pools carve fewer blocks than packets.
+func TestHopBlocksFollowStamps(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		sc := cutShort(parts)
+		sc.Topology = FatTreeTopology{ServersPerTor: 32, Partitions: parts}
+		sc.Until = 20 * sim.Microsecond
+		var p scratchPass
+		for try := 0; !p.cold; try++ {
+			if try == 40 {
+				t.Fatalf("parts=%d: never ran on a scratch without slabs", parts)
+			}
+			for len(getScratch().slabs) > 0 { // discard what earlier tests released
+			}
+			p = runScratchPass(t, sc)
+		}
+		// Cold pools: news counts carves. Packets still at their sender's
+		// NIC have met no switch, and an ACK consumed returned its block.
+		held := p.hopGets - p.hopPuts
+		if p.hopPuts == 0 || p.hopGets >= p.gets {
+			t.Fatalf("parts=%d: %d first stamps over %d Gets, %d blocks returned; the cut exercises nothing", parts, p.hopGets, p.gets, p.hopPuts)
+		}
+		if p.hopNews < held {
+			t.Fatalf("parts=%d: %d blocks carved but %d held at the cut", parts, p.hopNews, held)
+		}
+		// One pool reuses every returned block before it carves another
+		// (LIFO, and at this cut the free list is empty): blocks carved =
+		// first stamps − ACKs consumed. Across a cut a block can wait in
+		// one partition's list while the other carves.
+		if parts == 1 && p.hopNews != held {
+			t.Errorf("parts=1: %d blocks carved, want first stamps %d − returned %d = %d", p.hopNews, p.hopGets, p.hopPuts, held)
+		}
+		if p.hopNews >= p.news {
+			t.Errorf("parts=%d: %d blocks carved for %d packets carved, want fewer", parts, p.hopNews, p.news)
+		}
+	}
 }

@@ -50,7 +50,8 @@ type Config struct {
 	// Seed feeds the marking RNG so runs stay deterministic.
 	Seed int64
 	// Pool, when set, recycles admission-dropped packets into the
-	// engine's shared packet free list.
+	// engine's shared packet free list and supplies the hop blocks INT
+	// stamping attaches.
 	Pool *packet.Pool
 }
 
@@ -61,7 +62,7 @@ type Switch struct {
 	cfg   Config
 	share *buffer.Shared
 	ports []*link.Port
-	rng   *rand.Rand
+	rng   *rand.Rand // marking RNG, built by the first probabilistic mark
 
 	// Forwarding state. table is indexed by destination node ID and holds
 	// 1 + an index into groups, 0 for "no route"; groups are the distinct
@@ -85,7 +86,6 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config) *Switch {
 		eng:   eng,
 		cfg:   cfg,
 		share: buffer.NewShared(cfg.BufferBytes, cfg.Alpha),
-		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(id)<<20 ^ 0x9E3779B9)),
 	}
 }
 
@@ -110,7 +110,6 @@ func (s *Switch) Dropped() uint64 { return s.dropped }
 // index for routing tables.
 func (s *Switch) AddPort(rate units.BitRate, delay sim.Duration, peer link.Receiver, q queue.Queue) int {
 	pt := link.NewPort(s.eng, rate, delay, peer)
-	pt.Name = fmt.Sprintf("sw%d.p%d", s.id, len(s.ports))
 	pt.Pool = s.cfg.Pool
 	if q != nil {
 		pt.Q = q
@@ -149,7 +148,7 @@ func (s *Switch) onDequeue(pt *link.Port, p *packet.Packet) {
 		if s.cfg.QuantizeINT {
 			h = h.Quantize()
 		}
-		p.Hops = append(p.Hops, h)
+		s.cfg.Pool.Stamp(p, h)
 	}
 }
 
@@ -161,6 +160,11 @@ func (s *Switch) shouldMark(qlen int64) bool {
 	case qlen >= e.KMax:
 		return true
 	default:
+		if s.rng == nil {
+			// Only a queue inside the (KMin, KMax) ramp draws, and most
+			// switches never see one: the 4.9 KB source waits for it.
+			s.rng = rand.New(rand.NewSource(s.cfg.Seed ^ int64(s.id)<<20 ^ 0x9E3779B9))
+		}
 		prob := e.PMax * float64(qlen-e.KMin) / float64(e.KMax-e.KMin)
 		return s.rng.Float64() < prob
 	}

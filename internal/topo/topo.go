@@ -264,7 +264,6 @@ func (n *Network) wireHost(hi, si int, rate units.BitRate, delay sim.Duration, o
 	h := n.Hosts[hi]
 	s := n.Switches[si]
 	up := link.NewPort(n.engFor(part), rate, delay, s)
-	up.Name = fmt.Sprintf("host%d.nic", hi)
 	up.Pool = n.poolFor(part)
 	h.SetUplink(up)
 	s.AddPort(rate, delay, h, n.qFor(opts))

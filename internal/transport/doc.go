@@ -16,6 +16,10 @@
 //   - Packets handed to Receive are consumed: the host copies what it
 //     needs and recycles them into the engine's pool. Hooks (OnData,
 //     OnFlowDone, monitor taps) must not retain packet pointers.
+//   - A packet's Hops may be nil: hop storage is attached by the first
+//     switch that stamps the packet, through packet.Pool.Stamp, never by
+//     append. The ACK takes the data packet's stack over whole, so by
+//     the time OnData runs the data packet's Hops is nil.
 //   - Pacing and RTO run on pre-bound sim.Timers; the steady-state send
 //     path allocates nothing beyond pool misses.
 //   - A flow with Size = Unbounded never finishes on its own —

@@ -56,7 +56,8 @@ type Host struct {
 	OnFlowDone func(*Flow)
 	// OnData observes every data packet delivered to this host, after
 	// receiver bookkeeping (experiment instrumentation: per-packet
-	// latency, CE fractions, ...).
+	// latency, CE fractions, ...). The packet's INT stack has moved to
+	// its ACK by then: Hops is nil.
 	OnData func(p *packet.Packet)
 
 	rcvdTotal int64 // payload bytes received across all flows
@@ -193,9 +194,10 @@ func (h *Host) onData(p *packet.Packet) {
 	ack.Priority = h.cfg.AckPriority
 	// The ACK carries the INT records collected on the data path and
 	// keeps collecting on the return path (§3.3: the sender receives
-	// metadata from all switches along the round trip). The copy lands in
-	// the recycled hop slice, so it allocates nothing in steady state.
-	ack.Hops = append(ack.Hops, p.Hops...)
+	// metadata from all switches along the round trip). It takes the data
+	// packet's stack over whole, storage included; p is consumed here and
+	// nothing reads its Hops again.
+	ack.Hops, p.Hops = p.Hops, nil
 	h.send(ack)
 	if h.OnData != nil {
 		h.OnData(p)
