@@ -1,18 +1,26 @@
 // Package psim runs one simulation across several timing-wheel engines
-// in parallel — conservative parallel discrete-event simulation (PDES)
-// in the classic null-message lineage — while reproducing the serial
-// engine's firing order byte-for-byte at any partition count.
+// — conservative parallel discrete-event simulation (PDES) in the
+// classic null-message lineage — while reproducing the serial engine's
+// firing order byte-for-byte at any shard count and any worker count.
 //
 // # Model
 //
 // The fabric is sharded along topology-natural cuts (pods for
 // fat-trees, leaf/spine groups for leaf-spine; see
-// internal/topo.Plan): each partition owns a subset of hosts, switches
-// and queues and drives them with its own sim.Engine on its own
-// goroutine. Every cut link i→j carries a lookahead L(i,j) = the
-// minimum latency of any message crossing it (propagation delay plus
-// minimum serialization time) — a hard physical lower bound on how far
-// in the future a send from i can affect j.
+// internal/topo.Plan): each shard (partition) owns a subset of hosts,
+// switches and queues and drives them with its own sim.Engine. How many
+// shards there are is a property of the fabric; how many goroutines
+// step them is a separate number, the worker count W. Shard i belongs
+// to worker i mod W, and within a round a worker steps its shards one
+// after another, each to its own bound. With W = 1 there is no
+// goroutine, channel or WaitGroup at all: Run is a loop on the calling
+// goroutine, and sharding is then a scheduling policy — a shard's
+// events run together, in windows of one lookahead, so the hosts,
+// ports and packets they touch stay in cache — not a concurrency
+// feature (PERF.md "PR 19"). Every cut link i→j carries a lookahead
+// L(i,j) = the minimum latency of any message crossing it (propagation
+// delay plus minimum serialization time) — a hard physical lower bound
+// on how far in the future a send from i can affect j.
 //
 // Cross-partition packet deliveries become mailbox messages: the
 // sending port consumes a causal child slot on its engine
@@ -53,7 +61,11 @@
 // multiset of fired (key, callback) pairs and each partition's firing
 // sub-order equal the serial run's, and the record merge by canonical
 // key (internal/scenario) reconstructs the serial append order
-// exactly. PERF.md § PDES carries the full argument.
+// exactly. PERF.md § PDES carries the full argument. None of it
+// mentions who steps a shard: a round's bounds are fixed before any
+// shard moves and a shard touches only its own state and the mailboxes
+// it alone posts into, so the order in which — or the goroutines on
+// which — the shards of one round are stepped cannot be observed.
 package psim
 
 import (
@@ -74,7 +86,8 @@ type msg struct {
 // sending partition posts into a given mailbox (a mailbox belongs to
 // one boundary port), and the coordinator drains it only between
 // barrier rounds, so no lock is needed: the round barrier's
-// happens-before edge publishes the buffer.
+// happens-before edge publishes the buffer (and with one worker there
+// is one goroutine).
 type Mailbox struct {
 	dst     int
 	deliver func(any)
@@ -96,19 +109,32 @@ type edge struct {
 // Fabric couples the partition engines, the control engine, the cut
 // topology and the mailboxes into one runnable parallel simulation.
 type Fabric struct {
-	ctrl  *sim.Engine
-	parts []*sim.Engine
-	in    [][]edge   // in[i]: incoming cut edges of partition i
-	boxes []*Mailbox // drained in creation order — deterministic
+	ctrl    *sim.Engine
+	parts   []*sim.Engine
+	workers int
+	in      [][]edge   // in[i]: incoming cut edges of partition i
+	boxes   []*Mailbox // drained in creation order — deterministic
+	bounds  []sim.Key  // this round's bound per partition
 
 	steps uint64 // filled by Run: total events fired across all engines
 }
 
 // New returns a fabric over the given control engine and partition
-// engines. Cut edges and mailboxes are registered before Run.
-func New(ctrl *sim.Engine, parts []*sim.Engine) *Fabric {
-	return &Fabric{ctrl: ctrl, parts: parts, in: make([][]edge, len(parts))}
+// engines, stepped by the given number of workers: at most one a
+// partition, which is also what zero asks for. Cut edges and mailboxes
+// are registered before Run.
+func New(ctrl *sim.Engine, parts []*sim.Engine, workers int) *Fabric {
+	if workers <= 0 || workers > len(parts) {
+		workers = max(1, len(parts))
+	}
+	return &Fabric{
+		ctrl: ctrl, parts: parts, workers: workers,
+		in: make([][]edge, len(parts)), bounds: make([]sim.Key, len(parts)),
+	}
 }
+
+// Workers reports how many workers step the fabric's partitions.
+func (f *Fabric) Workers() int { return f.workers }
 
 // AddEdge declares a directed cut from partition `from` to partition
 // `to` with the given lookahead (minimum latency of any crossing
@@ -172,28 +198,14 @@ func (f *Fabric) Run(horizon sim.Time) {
 		return
 	}
 
-	// Persistent worker goroutines, one per partition: each round the
-	// coordinator publishes a bound per partition, releases the workers,
-	// and joins them on a WaitGroup. The Add/Wait pair carries the
-	// happens-before edges that publish mailbox buffers and engine state
-	// back to the coordinator.
-	bounds := make([]sim.Key, p)
-	start := make([]chan struct{}, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		start[i] = make(chan struct{}, 1)
-		go func(i int) {
-			for range start[i] {
-				f.parts[i].RunUntilKey(bounds[i])
-				wg.Done()
-			}
-		}(i)
+	// Workers beyond the first are goroutines that live for this call;
+	// the first is the caller.
+	var crew *helpers
+	if f.workers > 1 {
+		crew = f.startHelpers()
+		defer crew.stop()
 	}
-	defer func() {
-		for i := 0; i < p; i++ {
-			close(start[i])
-		}
-	}()
+	bounds := f.bounds
 
 	for {
 		// The next control event's key, capped by the horizon. While
@@ -220,12 +232,14 @@ func (f *Fabric) Run(horizon sim.Time) {
 			bounds[i] = b
 		}
 
-		// Parallel slice: each partition advances to its bound.
-		wg.Add(p)
-		for i := 0; i < p; i++ {
-			start[i] <- struct{}{}
+		// The slice: each partition advances to its bound.
+		if crew != nil {
+			crew.release()
 		}
-		wg.Wait()
+		f.stepShards(0)
+		if crew != nil {
+			crew.round.Wait()
+		}
 
 		// A tripped partition's RunUntilKey returns without advancing, so
 		// the coordinator would re-issue the same bounds forever; freeze
@@ -310,6 +324,57 @@ func (f *Fabric) Run(horizon sim.Time) {
 	f.ctrl.RunUntil(horizon)
 
 	f.tally()
+}
+
+// stepShards advances worker w's partitions — w, w+W, w+2W, … — to
+// their bounds, one after another.
+func (f *Fabric) stepShards(w int) {
+	for i := w; i < len(f.parts); i += f.workers {
+		f.parts[i].RunUntilKey(f.bounds[i])
+	}
+}
+
+// helpers are workers 1…W−1 of one Run call: goroutines that wait for a
+// round's bounds, step their partitions and report in. The channel send
+// publishes the bounds and last round's injections to a helper; the
+// WaitGroup publishes its engines' state and mailbox buffers back to the
+// coordinator.
+type helpers struct {
+	start  []chan struct{}
+	round  sync.WaitGroup
+	exited sync.WaitGroup
+}
+
+func (f *Fabric) startHelpers() *helpers {
+	h := &helpers{start: make([]chan struct{}, f.workers-1)}
+	h.exited.Add(len(h.start))
+	for i := range h.start {
+		h.start[i] = make(chan struct{})
+		go func(start <-chan struct{}, w int) {
+			defer h.exited.Done()
+			for range start {
+				f.stepShards(w)
+				h.round.Done()
+			}
+		}(h.start[i], i+1)
+	}
+	return h
+}
+
+// release starts a round on every helper.
+func (h *helpers) release() {
+	h.round.Add(len(h.start))
+	for _, c := range h.start {
+		c <- struct{}{}
+	}
+}
+
+// stop ends the helpers and returns once they have exited.
+func (h *helpers) stop() {
+	for _, c := range h.start {
+		close(c)
+	}
+	h.exited.Wait()
 }
 
 // tally refreshes the cross-engine step count.

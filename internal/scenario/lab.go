@@ -64,7 +64,7 @@ type Lab struct {
 // labOpts assembles the switch/buffer options every lab shares. The
 // scheme's DTAlpha (composed via the Alpha scheme option) overrides the
 // Dynamic Thresholds factor; 0 keeps the default α=1. It also claims a
-// recycled scratch, handing its warmed engine (if any) to the builder.
+// recycled scratch, handing its warmed engines (if any) to the builder.
 func (l *Lab) labOpts(seed int64, routing route.Strategy) topo.Options {
 	l.scratch = getScratch()
 	return topo.Options{
@@ -76,6 +76,7 @@ func (l *Lab) labOpts(seed int64, routing route.Strategy) topo.Options {
 		Seed:          seed,
 		Routing:       routing,
 		Engine:        l.scratch.eng,
+		ShardEngines:  l.scratch.engs,
 	}
 }
 
@@ -96,10 +97,13 @@ func NewRoutedFatTreeLab(scheme Scheme, serversPerTor int, seed int64, routing r
 // NewConfiguredFatTreeLab builds a fat-tree lab from an explicit
 // structural config — pods, cores, partitioning — for fabrics beyond
 // the paper's default 4-pod shape (the 10k-host scale benchmarks size
-// theirs this way). cfg.Opts is replaced with the lab's shared options.
+// theirs this way). cfg.Opts is replaced with the lab's shared options,
+// all but its partition plan.
 func NewConfiguredFatTreeLab(scheme Scheme, cfg topo.FatTreeConfig, seed int64, routing route.Strategy) *Lab {
 	l := &Lab{Scheme: scheme}
+	plan := cfg.Opts.Partition
 	cfg.Opts = l.labOpts(seed, routing)
+	cfg.Opts.Partition = plan
 	cfg = cfg.WithDefaults()
 	cfg.Opts.Hosts = l.hostFactory(30 * sim.Microsecond)
 	l.Net = topo.FatTree(cfg)
@@ -154,11 +158,12 @@ func (l *Lab) hostFactory(baseRTT sim.Duration) topo.HostFactory {
 // network.
 func (l *Lab) wireCollectors() {
 	if sc := l.scratch; sc != nil {
-		// Pool i takes what pool i of the last run held; a run with
-		// fewer pools folds the surplus lists round.
+		// Pool i takes what pool i of the last run of this shape held.
+		// Lists beyond the lab's pools stay in the scratch for the next
+		// lab that has a pool for them.
 		pools := l.pools()
-		for i, slabs := range sc.slabs {
-			pools[i%len(pools)].Adopt(slabs)
+		for i := range min(len(pools), len(sc.slabs)) {
+			pools[i].Adopt(sc.slabs[i])
 			sc.slabs[i] = nil
 		}
 		l.Records = sc.records

@@ -1,0 +1,254 @@
+package scenario_test
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/guard"
+	"repro/internal/scenario"
+	"repro/internal/sim"
+)
+
+// wide is a 640-host, 4-pod fat-tree: above the size from which the
+// fabric is built on its pod plan whatever Partitions says.
+func wide(partitions int) scenario.FatTreeTopology {
+	return scenario.FatTreeTopology{ServersPerTor: 80, Partitions: partitions}
+}
+
+func scheme(t *testing.T, name string) scenario.Scheme {
+	t.Helper()
+	s, err := scenario.ResolveScheme(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// busy is 240 staggered transfers of 5–245 KB, each to the far half of the
+// fabric, and an incast pulse, over topo with a ToR–agg link failing and
+// coming back, a queue sampled on the control engine every 2 µs — well
+// inside one lookahead window — and flow completions collected from
+// every shard.
+func busy(t *testing.T, schemeName string, topo scenario.Topology) scenario.Scenario {
+	us := func(n int64) sim.Duration { return sim.Duration(n) * sim.Microsecond }
+	var flows []scenario.FlowSpec
+	for i := 0; i < 240; i++ {
+		src := i * 37 % 640
+		flows = append(flows, scenario.FlowSpec{
+			Start: sim.Time(i) * sim.Time(400*sim.Nanosecond),
+			Src:   scenario.Host(src), Dst: scenario.Host((src + 320 + i) % 640),
+			Size: 5_000 + 1_000*int64(i),
+		})
+	}
+	return scenario.Scenario{
+		Name:     "busy",
+		Scheme:   scheme(t, schemeName),
+		Seed:     9,
+		Topology: topo,
+		Traffic: []scenario.Traffic{
+			scenario.Flows{List: flows},
+			scenario.IncastPulse{At: us(10), Receiver: scenario.Host(3), FanIn: 12, FlowSize: 20_000},
+		},
+		Events: scenario.Timeline{
+			Events: []scenario.Event{
+				scenario.LinkFail{At: us(30), A: scenario.Tor(1), B: scenario.Agg(0)},
+				scenario.LinkRestore{At: us(70), A: scenario.Tor(1), B: scenario.Agg(0)},
+			},
+			Reconverge: us(5),
+		},
+		Probes: []scenario.Probe{
+			scenario.AccountingProbe{},
+			&scenario.QueueProbe{Switch: scenario.Tor(0), Port: 80, Period: us(2)},
+			scenario.FCTProbe{},
+		},
+		Until: us(120),
+	}
+}
+
+func encode(t *testing.T, res *scenario.Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The determinism suites' large-fabric leg. "Partitions: 1" on this
+// fabric is four shards on the caller's goroutine, so the reference is
+// forced onto one engine; one worker and two must both reproduce its
+// bytes, under a window transport with INT, one with ECN marking, and
+// HOMA's receiver-driven priorities.
+func TestPodShardedMatchesSingleEngine(t *testing.T) {
+	for _, name := range []string{scenario.PowerTCP, scenario.DCQCN, scenario.Homa} {
+		t.Run(name, func(t *testing.T) {
+			ref, err := scenario.Prepare(busy(t, name, scenario.SingleEngine(wide(1))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Env().Lab.Net.PSim != nil {
+				t.Fatal("the reference leg is sharded")
+			}
+			ref.DriveTo(ref.Horizon())
+			res, err := ref.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := encode(t, res)
+			ref.Release()
+			if res.Scalar("completed") < 12 || res.Scalar("engine_steps") < 100_000 {
+				t.Fatalf("%v flows completed over %v events; the run tests nothing",
+					res.Scalar("completed"), res.Scalar("engine_steps"))
+			}
+
+			for _, workers := range []int{1, 2} {
+				p, err := scenario.Prepare(busy(t, name, wide(workers)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab := p.Env().Lab.Net.PSim
+				if fab == nil || len(p.Env().Lab.Net.Engs) != 4 || fab.Workers() != workers {
+					t.Fatalf("Partitions %d: want 4 pod shards on %d workers", workers, workers)
+				}
+				p.DriveTo(p.Horizon())
+				res, err := p.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := encode(t, res); !bytes.Equal(got, want) {
+					t.Fatalf("W=%d diverged from the single engine\nsingle:  %.300s\nsharded: %.300s", workers, want, got)
+				}
+				p.Release()
+			}
+		})
+	}
+}
+
+// The rule's boundary: one host short of it a fat-tree asked for one
+// partition is one engine, at it the fabric has an engine a pod and the
+// caller for its only worker.
+func TestPodShardBoundary(t *testing.T) {
+	build := func(topo scenario.FatTreeTopology) *scenario.Prepared {
+		t.Helper()
+		p, err := scenario.Prepare(scenario.Scenario{
+			Scheme: scheme(t, scenario.PowerTCP), Topology: topo,
+			Traffic: []scenario.Traffic{scenario.Permutation{}}, Until: sim.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	below := build(scenario.FatTreeTopology{Pods: 7, TorsPerPod: 1, AggsPerPod: 1, ServersPerTor: 73})
+	defer below.Release()
+	if n := below.Env().Fabric.Hosts; n != scenario.PodShardHosts-1 {
+		t.Fatalf("the fabric below the rule has %d hosts, want %d: pick a new shape", n, scenario.PodShardHosts-1)
+	}
+	if below.Env().Lab.Net.PSim != nil {
+		t.Errorf("a %d-host fat-tree built a psim.Fabric", scenario.PodShardHosts-1)
+	}
+	at := build(scenario.FatTreeTopology{Pods: 8, TorsPerPod: 1, AggsPerPod: 1, ServersPerTor: 64})
+	defer at.Release()
+	if n := at.Env().Fabric.Hosts; n != scenario.PodShardHosts {
+		t.Fatalf("the fabric at the rule has %d hosts, want %d: pick a new shape", n, scenario.PodShardHosts)
+	}
+	net := at.Env().Lab.Net
+	if net.PSim == nil || len(net.Engs) != 8 || net.PSim.Workers() != 1 {
+		t.Errorf("a %d-host, 8-pod fat-tree: want 8 shards on 1 worker, got %d engines", scenario.PodShardHosts, len(net.Engs))
+	}
+}
+
+// A fluid component keeps a fat-tree of any size on one engine — the
+// coupler's exchange loop runs there — and the run still produces the
+// bytes it produced before large fabrics were sharded (the golden was
+// recorded at the parent of the change that introduced the rule).
+func TestFluidKeepsLargeFatTreeOnOneEngine(t *testing.T) {
+	host := func(i int) *scenario.RefSpec { return &scenario.RefSpec{Kind: "host", I: i} }
+	sp := scenario.Spec{
+		Name: "fluid-fattree512", Seed: 11, Scheme: "powertcp",
+		Topo: scenario.TopoSpec{Kind: "fattree", ServersPerTor: 64},
+		Traffic: []scenario.TrafficSpec{
+			{Kind: "poisson", Load: 0.3, GenHorizonUS: 150, Fidelity: "fluid"},
+			{Kind: "flows", Flows: []scenario.FlowEntry{
+				{StartUS: 20, Src: host(1), Dst: host(300), Size: 123_451},
+				{StartUS: 60, Src: host(130), Dst: host(10), Size: 61_211},
+				{StartUS: 90, Src: host(500), Dst: host(64), Size: 30_603},
+			}},
+		},
+		HorizonUS: 250,
+	}
+	sc, err := sp.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := scenario.Prepare(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Env().Fabric.Hosts; n < scenario.PodShardHosts {
+		t.Fatalf("the fabric has %d hosts, under the rule's %d", n, scenario.PodShardHosts)
+	}
+	if p.Env().Lab.Net.PSim != nil {
+		t.Fatal("a fabric with a fluid component was sharded")
+	}
+	p.DriveTo(p.Horizon())
+	res, err := p.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := encode(t, res)
+	p.Release()
+	if res.Scalar("completed") != 3 || res.Scalar("fluid_bytes_emitted") <= 0 {
+		t.Fatalf("%v foreground flows completed over %v fluid bytes", res.Scalar("completed"), res.Scalar("fluid_bytes_emitted"))
+	}
+
+	path := filepath.Join("testdata", "golden", "fluid-fattree512.json")
+	if os.Getenv("POWERTCP_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with POWERTCP_UPDATE_GOLDEN=1): %v", err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("output drifted from recorded golden %s (%d vs %d bytes)", path, len(got), len(want))
+	}
+}
+
+// Budget trips are read at sim-time checkpoints off fabric-wide totals,
+// so a sharded fabric trips at the checkpoint the single engine trips at,
+// with the same watermark.
+func TestGuardTripsAlikeOnPodShards(t *testing.T) {
+	budgets := map[string]guard.Budget{
+		"events":       {MaxEvents: 60_000, CheckEvery: 7 * sim.Microsecond},
+		"sim_time":     {MaxSimTime: 33 * sim.Microsecond},
+		"live_packets": {MaxLivePackets: 2_000, CheckEvery: 7 * sim.Microsecond},
+	}
+	for resource, b := range budgets {
+		trip := func(topo scenario.Topology) guard.BudgetExceeded {
+			t.Helper()
+			sup := guard.Supervisor{Budget: b}
+			res, err := sup.RunScenario(busy(t, scenario.PowerTCP, topo))
+			var be *guard.BudgetExceeded
+			if res != nil || !errors.As(err, &be) {
+				t.Fatalf("%s: got (%v, %v), want *guard.BudgetExceeded", resource, res, err)
+			}
+			if be.Resource != resource || be.Backstop {
+				t.Fatalf("%s: tripped on %+v", resource, *be)
+			}
+			return *be
+		}
+		want := trip(scenario.SingleEngine(wide(1)))
+		for _, workers := range []int{1, 2} {
+			if got := trip(wide(workers)); got != want {
+				t.Errorf("%s, W=%d: sharded %+v, single engine %+v", resource, workers, got, want)
+			}
+		}
+	}
+}

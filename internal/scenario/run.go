@@ -213,10 +213,11 @@ func (p *Prepared) DriveTo(t sim.Time) {
 		t = p.env.Horizon
 	}
 	if p.env.Lab != nil && p.env.Lab.Net.PSim != nil {
-		// Partitioned: the conservative-sync fabric drives the partition
-		// engines in parallel and the control engine between slices; the
-		// per-partition completion records merge back into the exact
-		// serial append order in Finish.
+		// Sharded: the conservative-sync fabric steps the shard engines
+		// window by window — on this goroutine alone when it has one
+		// worker — and the control engine between slices; the per-shard
+		// completion records merge back into the exact serial append
+		// order in Finish.
 		p.env.Lab.Net.PSim.Run(t)
 	} else {
 		p.env.Eng().RunUntil(t)
@@ -229,7 +230,13 @@ func (p *Prepared) DriveTo(t sim.Time) {
 // backstop — deterministic but partition-dependent — so supervised
 // budget accounting compares aggregate Steps() at sim-time checkpoints
 // instead and sets this cap far above the real budget (see
-// internal/guard).
+// internal/guard). The livelock run is counted per engine too: a shard
+// counts its own consecutive events at one instant, not its neighbours'.
+// A stuck model trips at the same instant however the fabric is sharded
+// — and a large fat-tree is sharded by its pods at any Partitions — but
+// the refused event and the SameRun that guard.LivelockError reports are
+// the stuck shard's, and may differ from what one engine, with every
+// shard's events of that instant in one run, would have reported.
 func (p *Prepared) ArmLimits(stopSteps, maxSameInstant uint64) {
 	p.env.Eng().SetLimits(stopSteps, maxSameInstant)
 	if p.env.Lab != nil {

@@ -231,9 +231,14 @@ type FatTreeTopology struct {
 	// Routing selects the multipath strategy by name ("", "ecmp",
 	// "single", "wecmp"); empty keeps per-flow ECMP.
 	Routing string
-	// Partitions > 1 runs the fabric sharded across that many parallel
-	// engines along pod cuts (internal/psim); output is byte-identical
-	// to the serial run at any count. 0 or 1 runs serially.
+	// Partitions is how many workers drive the fabric; output is
+	// byte-identical at any count. On a fabric of podShardHosts hosts or
+	// more the shards are the fabric's own — one engine a pod
+	// (internal/psim) — and Partitions workers step them: 0 or 1 is the
+	// calling goroutine alone, going round the pods a lookahead window at
+	// a time, and W > 1 deals the pods to W goroutines. Below that size
+	// Partitions is also the shard count, as it always was: 0 or 1 is one
+	// engine, W > 1 is W engines along pod cuts on W goroutines.
 	Partitions int
 	// Pods, TorsPerPod, AggsPerPod and Cores override the paper's 4-pod
 	// structure (0 keeps each default) — the scale benchmarks build
@@ -242,6 +247,47 @@ type FatTreeTopology struct {
 	TorsPerPod int
 	AggsPerPod int
 	Cores      int
+
+	// singleEngine keeps a fabric of any size on one engine. Only tests
+	// set it (export_test.go): the determinism suites need a leg that is
+	// not sharded to compare the sharded ones with.
+	singleEngine bool
+}
+
+// podShardHosts is the size from which a fat-tree runs pod by pod
+// whatever Partitions says. One time-ordered queue makes consecutive
+// events touch unrelated hosts, so a large fabric's ports, FIFOs, packets
+// and table rows are cycled through the cache once per packet time; one
+// engine a pod, each advanced a lookahead window (a core link's 5 µs) at a
+// time, lets a pod's events run together. On one core a 10,240-host
+// fabric's events, the same ones in the same canonical order, cost
+// 565–683 ns each on one engine and 289–290 ns on sixteen pods.
+//
+// The constant is a judgement on seven sweeps of one engine against pod
+// shards, 64 to 10,240 hosts, under permutation and web-search traffic
+// (PERF.md "PR 19"). Permutation traffic, which keeps every host busy,
+// is faster pod by pod from 256 hosts up, by a fifth and more from 512;
+// web-search traffic, which keeps few busy at once, cannot tell the two
+// apart through 640 hosts on four pods and gains from 1,280. What a
+// shard costs is fixed — an engine's wheel, a mailbox a cut link — so
+// against what a pass allocates it falls with size: a half more at 128
+// hosts, a fifth at 384, a tenth at 512. Leaf-spine and star fabrics are
+// left alone: no workload in the repository has a large one to sweep.
+const podShardHosts = 512
+
+// podSharded reports whether the fabric is built on the pod plan. A
+// scenario with a fluid component stays on one engine at any size: the
+// coupler's exchange loop runs on the one engine (fluidlaunch.go).
+func podSharded(cfg topo.FatTreeConfig, traffic []Traffic) bool {
+	if cfg.Pods < 2 || cfg.Racks()*cfg.ServersPerTor < podShardHosts {
+		return false
+	}
+	for _, tr := range traffic {
+		if _, _, _, fd := unwrapTraffic(tr); fd == Fluid {
+			return false
+		}
+	}
+	return true
 }
 
 func (t FatTreeTopology) build(env *Env) error {
@@ -267,15 +313,23 @@ func (t FatTreeTopology) build(env *Env) error {
 	if spt == 0 {
 		spt = 8
 	}
-	env.Lab = NewConfiguredFatTreeLab(env.Scheme, topo.FatTreeConfig{
+	cfg := topo.FatTreeConfig{
 		Pods:          t.Pods,
 		TorsPerPod:    t.TorsPerPod,
 		AggsPerPod:    t.AggsPerPod,
 		Cores:         t.Cores,
 		ServersPerTor: spt,
 		Parts:         t.Partitions,
-	}, env.Seed, strategy)
-	cfg := env.Lab.FTCfg
+	}.WithDefaults()
+	switch {
+	case t.singleEngine:
+		cfg.Parts = 0
+	case podSharded(cfg, env.Scenario.Traffic):
+		plan := cfg.Partitions(cfg.Pods)
+		plan.Workers = max(1, t.Partitions)
+		cfg.Opts.Partition = plan
+	}
+	env.Lab = NewConfiguredFatTreeLab(env.Scheme, cfg, env.Seed, strategy)
 	racks := cfg.Racks()
 	env.Fabric = Fabric{
 		Hosts:            racks * spt,

@@ -8,12 +8,21 @@ import (
 )
 
 // runScratch carries the memory a finished run owned to the next one:
-// the event engine (Reset keeps its slot arrays, overflow backing, and
-// node free list), every packet slab the run's pools made or adopted,
+// the event engines (Reset keeps their slot arrays, overflow backing, and
+// node free lists), every packet slab the run's pools made or adopted,
 // and the lab's flow-record accumulator. Suites repeat near-identical
 // runs — every figure is b.N repetitions or a panel of same-scale specs
-// — so a warm run allocates no packets and grows no wheel slot; run
-// memory is a one-time cost.
+// — so a warm run, sharded or not, allocates no packets and grows no
+// wheel slot; run memory is a one-time cost.
+//
+// A lab uses of the scratch what its own shape has a place for — the
+// serial or control engine, and one shard engine and one slab list per
+// pool — and leaves the rest where it lies; Release writes back over the
+// places the lab used. So a scratch that alternates between a
+// sixteen-shard fabric and a two-host star (the benchmark parks one
+// between passes; powersimd serves both kinds) keeps sixteen engines and
+// sixteen slab lists, and the fabric finds every shard as well supplied
+// as it left it.
 //
 // Scratches hold no simulation state: a recycled engine is
 // observationally identical to sim.New() and a packet carved from an
@@ -22,8 +31,9 @@ import (
 // determinism suites pin this. The sync.Pool keeps scratches per-P, so
 // concurrent suite workers never contend or share a live scratch.
 type runScratch struct {
-	eng     *sim.Engine
-	slabs   [][]packet.Slab // per pool of the finished run
+	eng     *sim.Engine     // the serial engine, or a sharded run's control engine
+	engs    []*sim.Engine   // shard engines
+	slabs   [][]packet.Slab // one list per pool
 	records []FlowRecord
 }
 
@@ -59,12 +69,19 @@ func (l *Lab) Release() {
 	// as well supplied as it left it. A packet sent across a cut sits in
 	// another pool's free list, but it still belongs to the slab that
 	// made it, so collecting slabs hands each packet on exactly once.
-	// Partition engines are per-run and fall to the garbage collector;
-	// only the control engine — the one the builder got from the
-	// scratch — is recycled.
-	sc.slabs = sc.slabs[:0]
-	for _, pl := range l.pools() {
-		sc.slabs = append(sc.slabs, pl.Drain())
+	for i, pl := range l.pools() {
+		if i == len(sc.slabs) {
+			sc.slabs = append(sc.slabs, nil)
+		}
+		sc.slabs[i] = pl.Drain()
+	}
+	// The shard engines the scratch lent are still in their places; those
+	// the builder made join behind them.
+	for i, e := range l.Net.Engs {
+		e.Reset()
+		if i == len(sc.engs) {
+			sc.engs = append(sc.engs, e)
+		}
 	}
 	l.Net.Eng.Reset()
 	sc.eng = l.Net.Eng

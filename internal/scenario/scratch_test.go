@@ -36,6 +36,10 @@ type scratchPass struct {
 	hopGets, hopNews, hopPuts uint64
 	inflight                  float64
 	envelope                  []byte
+	// What the shard engines hold after the drive (sim.Engine.Capacity),
+	// and how many packet slabs Release handed to the scratch.
+	engEntries, engNodes int
+	slabs                int
 }
 
 func runScratchPass(t *testing.T, sc Scenario) scratchPass {
@@ -61,6 +65,11 @@ func runScratchPass(t *testing.T, sc Scenario) scratchPass {
 		out.hopNews += hn
 		out.hopPuts += hp
 	}
+	for _, e := range lab.Net.Engs {
+		entries, nodes := e.Capacity()
+		out.engEntries += entries
+		out.engNodes += nodes
+	}
 	out.inflight = res.Scalar("bytes_inflight")
 	var buf bytes.Buffer
 	if err := res.EncodeJSON(&buf); err != nil {
@@ -68,6 +77,9 @@ func runScratchPass(t *testing.T, sc Scenario) scratchPass {
 	}
 	out.envelope = buf.Bytes()
 	p.Release()
+	for _, list := range out.scratch.slabs {
+		out.slabs += len(list)
+	}
 	return out
 }
 
@@ -129,12 +141,14 @@ func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 		_, second = warmPair(t, 2)
 		sc = getScratch()
 	}
-	if len(sc.slabs) != 2 {
+	// The run's two pools wrote the first two lists; a scratch that once
+	// served a wider fabric keeps that fabric's other lists behind them.
+	if len(sc.slabs) < 2 {
 		t.Fatalf("scratch holds %d slab lists after a 2-partition run", len(sc.slabs))
 	}
 	seen := map[*packet.Packet]bool{}
 	blocks := map[*telemetry.HopRecord]bool{}
-	for i, slabs := range sc.slabs {
+	for i, slabs := range sc.slabs[:2] {
 		if len(slabs) == 0 {
 			t.Fatalf("partition %d handed on no slabs", i)
 		}
@@ -169,6 +183,64 @@ func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 		t.Fatalf("reclaimed %d hop blocks; %d were attached at the cut", len(blocks), held)
 	}
 	// The scratch is not put back: its slabs were carved above.
+}
+
+// A lab of another shape does not cost a sharded fabric its scratch. The
+// benchmark parks a two-host star lab on the scratch between passes, and
+// powersimd serves a small serial request between two large ones: the
+// star has one pool and no shard engine, so it uses the first slab list
+// and the control engine and must leave the other shards' lists and
+// engines in the scratch. The second and third sharded passes then carve
+// no packet and no hop block, grow no wheel slot, allocate no event node,
+// and the scratch's slab count stays where the first pass put it.
+func TestStarLabBetweenShardedPassesKeepsScratch(t *testing.T) {
+	star := Scenario{
+		Name: "park", Scheme: mustScheme(PowerTCP),
+		Topology: StarTopology{Hosts: 2}, Until: sim.Nanosecond,
+	}
+	const shards = 4
+try:
+	for try := 0; ; try++ {
+		if try == 40 {
+			t.Fatal("the scratch never survived six passes") // see warmPair
+		}
+		var sharded []scratchPass
+		for i := 0; i < 3; i++ {
+			sharded = append(sharded, runScratchPass(t, cutShort(shards)))
+			parked := runScratchPass(t, star)
+			if parked.scratch != sharded[i].scratch || sharded[i].scratch != sharded[0].scratch {
+				continue try
+			}
+			if len(parked.scratch.slabs) != shards || len(parked.scratch.engs) != shards {
+				t.Fatalf("after the star lab the scratch holds %d slab lists and %d shard engines, want %d of each",
+					len(parked.scratch.slabs), len(parked.scratch.engs), shards)
+			}
+		}
+		first := sharded[0]
+		if first.inflight <= 0 || first.engEntries == 0 || first.engNodes == 0 || first.slabs < shards {
+			t.Fatalf("pass 1: %v bytes in flight, engines hold %d entries and %d nodes, %d slabs; the scenario tests nothing",
+				first.inflight, first.engEntries, first.engNodes, first.slabs)
+		}
+		for i, p := range sharded[1:] {
+			if !bytes.Equal(p.envelope, first.envelope) {
+				t.Fatalf("pass %d: Result differs from pass 1", i+2)
+			}
+			if p.gets != first.gets || p.news != 0 {
+				t.Errorf("pass %d: carved %d packets over %d Gets (pass 1 made %d Gets), want 0", i+2, p.news, p.gets, first.gets)
+			}
+			if p.hopGets != first.hopGets || p.hopNews != 0 {
+				t.Errorf("pass %d: carved %d hop blocks over %d first stamps, want 0", i+2, p.hopNews, p.hopGets)
+			}
+			if p.engEntries != first.engEntries || p.engNodes != first.engNodes {
+				t.Errorf("pass %d: shard engines hold %d entries and %d nodes, pass 1 left %d and %d",
+					i+2, p.engEntries, p.engNodes, first.engEntries, first.engNodes)
+			}
+			if p.slabs != first.slabs {
+				t.Errorf("pass %d: the scratch holds %d slabs, after pass 1 %d", i+2, p.slabs, first.slabs)
+			}
+		}
+		return
+	}
 }
 
 // TestHopBlocksFollowStamps is the footprint claim in counts: on a

@@ -354,6 +354,47 @@ func TestWheelBoundaryLandingCascades(t *testing.T) {
 	}
 }
 
+// A slot keeps its array for good, so a long level-0 one grows by a
+// quarter, not by append's doubling: filled to 10,000 entries it has room for under
+// 1.3× that, and every entry is where it was put. On the way there, once
+// the last array append chose is outgrown — in the hundreds, where append
+// still doubles or nearly — a slot never has room for 1.6× what it holds:
+// a quarter, and on top the runtime's rounding, to a size class or, just
+// past 32 KB, to a page. The coarser levels grow as append does, which
+// rounds whatever the traffic's busiest moment was to the same few sizes.
+func TestLongSlotGrowsByAQuarter(t *testing.T) {
+	const n = 10000
+	var l wheelLevel
+	for i := 0; i < n; i++ {
+		l.addTight(7, entry{at: Time(i)})
+		held, room := i+1, cap(l.slot[7])
+		if held > 2*slotGrowFrom && room*10 >= held*16 {
+			t.Fatalf("a slot of %d entries has room for %d", held, room)
+		}
+	}
+	s := l.slot[7]
+	if len(s) != n || l.count != n || cap(s)*10 >= n*13 {
+		t.Fatalf("slot holds %d entries (level counts %d) in room for %d, want %d in under %d", len(s), l.count, cap(s), n, n*13/10)
+	}
+	for i, ent := range s {
+		if ent.at != Time(i) {
+			t.Fatalf("entry %d is the one added at %d", i, ent.at)
+		}
+	}
+
+	e := New()
+	for i := 0; i < 600; i++ {
+		e.At(Time(300)<<tickBits, func() {})
+	}
+	var loose []entry
+	for i := 0; i < 600; i++ {
+		loose = append(loose, entry{})
+	}
+	if got := cap(e.levels[1].slot[1]); got != cap(loose) {
+		t.Fatalf("a level-1 slot of 600 entries has room for %d, append gives %d", got, cap(loose))
+	}
+}
+
 // A replayed run — Reset, then the same script — allocates nothing: every
 // level-0 slot kept the array its busiest tick grew, whatever its
 // neighbours held. The script is as uneven as the wheel sees: 10,000

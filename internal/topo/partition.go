@@ -27,7 +27,12 @@ type Cut struct {
 // FatTreeConfig.Partitions and LeafSpineConfig.Partitions for the
 // topology-natural assignment rules.
 type Plan struct {
-	Parts      int
+	Parts int
+	// Workers is how many goroutines step the partitions (internal/psim):
+	// partition i belongs to worker i mod Workers, and one worker means the
+	// goroutine that drives the run, with none started. 0 gives every
+	// partition a worker of its own.
+	Workers    int
 	HostPart   []int
 	SwitchPart []int
 	Cuts       []Cut

@@ -146,3 +146,33 @@ func TestPartitionsBeyondPods(t *testing.T) {
 		t.Fatalf("partitioned build: PSim=%v engines=%d", n.PSim != nil, len(n.Engs))
 	}
 }
+
+// A builder runs partition i on the recycled engine it is lent for it and
+// makes the rest, and a plan's workers are its partitions' unless it says
+// otherwise.
+func TestShardEnginesAndWorkers(t *testing.T) {
+	lent := []*sim.Engine{sim.New(), sim.New()}
+	cfg := FatTreeConfig{ServersPerTor: 2, Parts: 4}
+	cfg.Opts.Hosts = TransportHosts(transport.Config{BaseRTT: 30 * sim.Microsecond})
+	cfg.Opts.ShardEngines = lent
+	n := FatTree(cfg)
+	if len(n.Engs) != 4 || n.Engs[0] != lent[0] || n.Engs[1] != lent[1] {
+		t.Fatalf("partitions 0 and 1 do not run on the lent engines")
+	}
+	if n.Engs[2] == nil || n.Engs[3] == nil || n.Engs[2] == n.Engs[3] || n.Engs[2] == n.Eng {
+		t.Fatalf("partitions 2 and 3 did not get fresh engines of their own")
+	}
+	if w := n.PSim.Workers(); w != 4 {
+		t.Fatalf("a plan that names no worker count runs on %d workers, want one a partition", w)
+	}
+	if n.HostEngine(0) != lent[0] {
+		t.Fatalf("host 0 is not on partition 0's engine")
+	}
+
+	plan := cfg.Partitions(4)
+	plan.Workers = 1
+	cfg.Parts, cfg.Opts.Partition, cfg.Opts.ShardEngines = 0, plan, nil
+	if w := FatTree(cfg).PSim.Workers(); w != 1 {
+		t.Fatalf("a one-worker plan runs on %d workers", w)
+	}
+}

@@ -64,13 +64,16 @@ type Options struct {
 	// rings and node free list) from one run to the next. Nil builds a
 	// fresh engine. The engine must be at time zero with no pending
 	// events. Under a partition plan this engine becomes the control
-	// engine (probes, routing events); each partition gets a fresh
-	// engine of its own.
+	// engine (probes, routing events).
 	Engine *sim.Engine
-	// Partition, when non-nil with Parts > 1, shards the fabric for
-	// parallel execution (internal/psim): every host and switch runs on
-	// its partition's engine and packet pool, cut links deliver through
-	// mailboxes, and the built Network carries a ready psim.Fabric.
+	// ShardEngines are recycled engines for a partition plan, under the
+	// same conditions as Engine: partition i runs on ShardEngines[i], and
+	// partitions beyond the slice get fresh engines.
+	ShardEngines []*sim.Engine
+	// Partition, when non-nil with Parts > 1, shards the fabric
+	// (internal/psim): every host and switch runs on its partition's
+	// engine and packet pool, cut links deliver through mailboxes, and
+	// the built Network carries a ready psim.Fabric.
 	// Plans come from FatTreeConfig.Partitions / LeafSpineConfig.Partitions.
 	Partition *Plan
 }
@@ -146,14 +149,17 @@ func newNetwork(hostRate units.BitRate, opts Options) *Network {
 		n.Part = pl
 		n.Engs = make([]*sim.Engine, pl.Parts)
 		n.Pools = make([]*packet.Pool, pl.Parts)
+		copy(n.Engs, opts.ShardEngines)
 		for i := range n.Engs {
-			n.Engs[i] = sim.New()
+			if n.Engs[i] == nil {
+				n.Engs[i] = sim.New()
+			}
 			n.Pools[i] = packet.NewPool()
 		}
 		// Partition 0's pool is the network-wide one, so code that only
 		// knows Pool reaches a pool that is in use.
 		n.Pools[0] = n.Pool
-		n.PSim = psim.New(eng, n.Engs)
+		n.PSim = psim.New(eng, n.Engs, pl.Workers)
 		for _, c := range pl.Cuts {
 			pa, pb := pl.SwitchPart[c.A], pl.SwitchPart[c.B]
 			n.PSim.AddEdge(pa, pb, c.Lookahead)
