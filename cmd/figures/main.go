@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/fluid"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -84,7 +85,7 @@ func main() {
 
 // runSuite executes the specs over the worker pool and dies loudly on
 // misconfigured panels.
-func runSuite(specs []exp.Spec) []*exp.Result {
+func runSuite(specs []exp.Spec) []*scenario.Result {
 	suite := exp.Suite{Specs: specs, Workers: *workersFlag}
 	results, err := suite.Run()
 	if err != nil {
@@ -92,6 +93,11 @@ func runSuite(specs []exp.Spec) []*exp.Result {
 		os.Exit(1)
 	}
 	return results
+}
+
+// spec is one panel cell: a preset under a scheme at the base seed.
+func spec(p exp.Preset, scheme string) exp.Spec {
+	return exp.Spec{Preset: p, Scheme: scheme, Seed: *seedFlag}
 }
 
 // serversPerTor picks the fat-tree scale.
@@ -168,7 +174,7 @@ func fig3() {
 }
 
 func fig4() {
-	schemes := []string{exp.PowerTCP, exp.ThetaPowerTCP, exp.Timely, exp.HPCC, exp.Homa}
+	schemes := []string{scenario.PowerTCP, scenario.ThetaPowerTCP, scenario.Timely, scenario.HPCC, scenario.Homa}
 	var specs []exp.Spec
 	for _, fanIn := range []int{10, 255} {
 		spt := serversPerTor()
@@ -176,15 +182,14 @@ func fig4() {
 			spt = 32 // need 256 servers for the full-cluster incast
 		}
 		for _, sc := range schemes {
-			specs = append(specs, exp.NewSpec("incast", sc,
-				exp.WithFanIn(fanIn), exp.WithServersPerTor(spt), exp.WithSeed(*seedFlag)))
+			specs = append(specs, spec(exp.Incast{FanIn: fanIn, ServersPerTor: spt}, sc))
 		}
 	}
 	results := runSuite(specs)
-	for i, spec := range specs {
+	for i, s := range specs {
 		r := results[i].Raw.(*exp.IncastResult)
 		fmt.Printf("# Figure 4 (%d:1) %s: peak=%.0fKB end=%.0fKB avg=%.1fGbps done=%d/%d\n",
-			spec.FanIn, r.Scheme, r.PeakQueueKB, r.EndQueueKB, r.AvgGoodputGbps, r.Completed, r.FanIn)
+			s.Preset.(exp.Incast).FanIn, r.Scheme, r.PeakQueueKB, r.EndQueueKB, r.AvgGoodputGbps, r.Completed, r.FanIn)
 		fmt.Println("# time_ms\tthroughput_gbps\tqueue_kb")
 		for k, p := range r.Points {
 			if k%5 == 0 {
@@ -197,10 +202,10 @@ func fig4() {
 }
 
 func fig5() {
-	schemes := []string{exp.PowerTCP, exp.Homa, exp.ThetaPowerTCP, exp.Timely}
+	schemes := []string{scenario.PowerTCP, scenario.Homa, scenario.ThetaPowerTCP, scenario.Timely}
 	var specs []exp.Spec
 	for _, sc := range schemes {
-		specs = append(specs, exp.NewSpec("fairness", sc, exp.WithSeed(*seedFlag)))
+		specs = append(specs, spec(exp.Fairness{}, sc))
 	}
 	for _, res := range runSuite(specs) {
 		r := res.Raw.(*exp.FairnessResult)
@@ -221,9 +226,8 @@ func fig6() {
 	loads := []float64{0.2, 0.6}
 	var specs []exp.Spec
 	for _, load := range loads {
-		for _, sc := range exp.Schemes {
-			specs = append(specs, exp.NewSpec("websearch", sc,
-				exp.WithLoad(load), exp.WithServersPerTor(serversPerTor()), exp.WithSeed(*seedFlag)))
+		for _, sc := range scenario.Schemes {
+			specs = append(specs, spec(exp.WebSearch{Load: load, ServersPerTor: serversPerTor()}, sc))
 		}
 	}
 	results := runSuite(specs)
@@ -231,7 +235,7 @@ func fig6() {
 	for _, load := range loads {
 		fmt.Printf("# Figure 6: 99.9p FCT slowdown by flow size, websearch at %.0f%% load\n", load*100)
 		fmt.Println("# scheme\t≤5K\t≤20K\t≤50K\t≤100K\t≤400K\t≤800K\t≤5M\t≤30M")
-		for range exp.Schemes {
+		for range scenario.Schemes {
 			r := results[i].Raw.(*exp.WebSearchResult)
 			i++
 			fmt.Printf("%s", r.Scheme)
@@ -245,7 +249,7 @@ func fig6() {
 }
 
 func fig7() {
-	schemes := []string{exp.PowerTCP, exp.ThetaPowerTCP, exp.HPCC}
+	schemes := []string{scenario.PowerTCP, scenario.ThetaPowerTCP, scenario.HPCC}
 	spt := serversPerTor()
 
 	// Build every panel's specs up front and run them as ONE suite, so
@@ -258,8 +262,7 @@ func fig7() {
 	loadStart := len(specs)
 	for _, load := range loads {
 		for _, sc := range schemes {
-			specs = append(specs, exp.NewSpec("websearch", sc,
-				exp.WithLoad(load), exp.WithServersPerTor(spt), exp.WithSeed(*seedFlag)))
+			specs = append(specs, spec(exp.WebSearch{Load: load, ServersPerTor: spt}, sc))
 		}
 	}
 
@@ -273,9 +276,8 @@ func fig7() {
 	rateStart := len(specs)
 	for _, rate := range rates {
 		for _, sc := range schemes {
-			specs = append(specs, exp.NewSpec("websearch", sc,
-				exp.WithLoad(0.8), exp.WithServersPerTor(spt), exp.WithSeed(*seedFlag),
-				exp.WithIncastOverlay(rate, 2<<20, 0)))
+			specs = append(specs, spec(exp.WebSearch{Load: 0.8, ServersPerTor: spt,
+				IncastRate: rate, IncastSize: 2 << 20}, sc))
 		}
 	}
 
@@ -283,54 +285,54 @@ func fig7() {
 	sizeStart := len(specs)
 	for _, mb := range sizes {
 		for _, sc := range schemes {
-			specs = append(specs, exp.NewSpec("websearch", sc,
-				exp.WithLoad(0.8), exp.WithServersPerTor(spt), exp.WithSeed(*seedFlag),
-				exp.WithIncastOverlay(rates[1], mb<<20, 0)))
+			specs = append(specs, spec(exp.WebSearch{Load: 0.8, ServersPerTor: spt,
+				IncastRate: rates[1], IncastSize: mb << 20}, sc))
 		}
 	}
 
 	bufStart := len(specs)
 	for _, withIncast := range []bool{false, true} {
 		for _, sc := range schemes {
-			opts := []exp.Option{
-				exp.WithLoad(0.8), exp.WithServersPerTor(spt), exp.WithSeed(*seedFlag),
-				exp.WithBufferSampling(true),
-			}
+			cell := exp.WebSearch{Load: 0.8, ServersPerTor: spt, SampleBuffers: true}
+			label := ""
 			if withIncast {
-				opts = append(opts, exp.WithIncastOverlay(rates[len(rates)-1], 2<<20, 0),
-					exp.WithLabel("incast"))
+				cell.IncastRate, cell.IncastSize = rates[len(rates)-1], 2<<20
+				label = "incast"
 			}
-			specs = append(specs, exp.NewSpec("websearch", sc, opts...))
+			s := spec(cell, sc)
+			s.Label = label
+			specs = append(specs, s)
 		}
 	}
 
 	results := runSuite(specs)
+	cell := func(i int) exp.WebSearch { return specs[i].Preset.(exp.WebSearch) }
 
 	fmt.Println("# Figure 7a/7b: short & long flow 99.9p slowdown vs load")
 	fmt.Println("# load\tscheme\tshort_p999\tlong_p999")
 	for i := loadStart; i < rateStart; i++ {
 		r := results[i].Raw.(*exp.WebSearchResult)
-		fmt.Printf("%.1f\t%s\t%.2f\t%.2f\n", specs[i].Load, r.Scheme, r.ShortP999, r.LongP999)
+		fmt.Printf("%.1f\t%s\t%.2f\t%.2f\n", cell(i).Load, r.Scheme, r.ShortP999, r.LongP999)
 	}
 
 	fmt.Println("\n# Figure 7c/7d: websearch@80% + incast, sweep request rate (2MB requests)")
 	fmt.Println("# req_per_s\tscheme\tshort_p999\tlong_p999")
 	for i := rateStart; i < sizeStart; i++ {
 		r := results[i].Raw.(*exp.WebSearchResult)
-		fmt.Printf("%.0f\t%s\t%.2f\t%.2f\n", specs[i].IncastRate, r.Scheme, r.ShortP999, r.LongP999)
+		fmt.Printf("%.0f\t%s\t%.2f\t%.2f\n", cell(i).IncastRate, r.Scheme, r.ShortP999, r.LongP999)
 	}
 
 	fmt.Println("\n# Figure 7e/7f: sweep request size at fixed rate")
 	fmt.Println("# req_mb\tscheme\tshort_p999\tlong_p999")
 	for i := sizeStart; i < bufStart; i++ {
 		r := results[i].Raw.(*exp.WebSearchResult)
-		fmt.Printf("%d\t%s\t%.2f\t%.2f\n", specs[i].IncastSize>>20, r.Scheme, r.ShortP999, r.LongP999)
+		fmt.Printf("%d\t%s\t%.2f\t%.2f\n", cell(i).IncastSize>>20, r.Scheme, r.ShortP999, r.LongP999)
 	}
 
 	fmt.Println("\n# Figure 7g/7h: buffer occupancy CDF at 80% load (+incast for 7h)")
 	for i := bufStart; i < len(specs); i++ {
 		r := results[i].Raw.(*exp.WebSearchResult)
-		fmt.Printf("# %s incast=%v p99_buffer=%.0fB\n", r.Scheme, specs[i].IncastRate > 0, r.BufferP99)
+		fmt.Printf("# %s incast=%v p99_buffer=%.0fB\n", r.Scheme, cell(i).IncastRate > 0, r.BufferP99)
 		fmt.Println("# occupancy_kb\tcdf")
 		for _, p := range r.BufferCDF {
 			fmt.Printf("%.1f\t%.3f\n", p.V/1024, p.F)
@@ -341,20 +343,17 @@ func fig7() {
 
 func fig8() {
 	tors, servers, weeks := rdcnScale()
-	schemes8a := []string{exp.PowerTCP, exp.HPCC, exp.ReTCP600, exp.ReTCP1800}
+	schemes8a := []string{scenario.PowerTCP, scenario.HPCC, scenario.ReTCP600, scenario.ReTCP1800}
 	var specs []exp.Spec
 	for _, sc := range schemes8a {
-		specs = append(specs, exp.NewSpec("rdcn", sc,
-			exp.WithTors(tors), exp.WithServersPerTor(servers), exp.WithWeeks(weeks),
-			exp.WithSeed(*seedFlag)))
+		specs = append(specs, spec(exp.RDCN{Tors: tors, ServersPerTor: servers, Weeks: weeks}, sc))
 	}
 	rates := []units.BitRate{25 * units.Gbps, 50 * units.Gbps}
-	schemes8b := []string{exp.ReTCP600, exp.ReTCP1800, exp.HPCC, exp.PowerTCP}
+	schemes8b := []string{scenario.ReTCP600, scenario.ReTCP1800, scenario.HPCC, scenario.PowerTCP}
 	for _, pg := range rates {
 		for _, sc := range schemes8b {
-			specs = append(specs, exp.NewSpec("rdcn", sc,
-				exp.WithTors(tors), exp.WithServersPerTor(servers), exp.WithWeeks(weeks),
-				exp.WithPacketRate(pg), exp.WithSeed(*seedFlag)))
+			specs = append(specs, spec(exp.RDCN{Tors: tors, ServersPerTor: servers, Weeks: weeks,
+				PacketRate: pg}, sc))
 		}
 	}
 	results := runSuite(specs)
@@ -396,11 +395,9 @@ func fig9() {
 	for oc := 1; oc <= 6; oc++ {
 		sc := fmt.Sprintf("homa-oc%d", oc)
 		specs = append(specs,
-			exp.NewSpec("fairness", sc, exp.WithSeed(*seedFlag)),
-			exp.NewSpec("incast", sc,
-				exp.WithFanIn(10), exp.WithServersPerTor(serversPerTor()), exp.WithSeed(*seedFlag)),
-			exp.NewSpec("incast", sc,
-				exp.WithFanIn(spt255*8-2), exp.WithServersPerTor(spt255), exp.WithSeed(*seedFlag)),
+			spec(exp.Fairness{}, sc),
+			spec(exp.Incast{FanIn: 10, ServersPerTor: serversPerTor()}, sc),
+			spec(exp.Incast{FanIn: spt255*8 - 2, ServersPerTor: spt255}, sc),
 		)
 	}
 	results := runSuite(specs)
@@ -422,28 +419,26 @@ func fig9() {
 // unequal-spine fabric (ECMP vs WCMP), panel C the mid-run link failure
 // (per-scheme recovery).
 func figMultipath() {
-	schemes := []string{exp.PowerTCP, exp.HPCC, exp.Timely}
+	schemes := []string{scenario.PowerTCP, scenario.HPCC, scenario.Timely}
 	spt := serversPerTor()
 
 	var specs []exp.Spec
 	permStart := len(specs)
 	for _, routing := range []string{"single", "ecmp"} {
 		for _, sc := range schemes {
-			specs = append(specs, exp.NewSpec("permutation", sc,
-				exp.WithRouting(routing), exp.WithServersPerTor(spt), exp.WithSeed(*seedFlag)))
+			specs = append(specs, spec(exp.Permutation{Routing: routing, ServersPerTor: spt}, sc))
 		}
 	}
 	asymStart := len(specs)
 	for _, routing := range []string{"single", "ecmp", "wecmp"} {
-		for _, sc := range []string{exp.PowerTCP, exp.HPCC} {
-			specs = append(specs, exp.NewSpec("asymmetry", sc,
-				exp.WithRouting(routing), exp.WithSeed(*seedFlag)))
+		for _, sc := range []string{scenario.PowerTCP, scenario.HPCC} {
+			specs = append(specs, spec(exp.Asymmetry{Routing: routing}, sc))
 		}
 	}
 	failStart := len(specs)
-	failSchemes := []string{exp.PowerTCP, exp.HPCC, exp.Timely, exp.Homa}
+	failSchemes := []string{scenario.PowerTCP, scenario.HPCC, scenario.Timely, scenario.Homa}
 	for _, sc := range failSchemes {
-		specs = append(specs, exp.NewSpec("failover", sc, exp.WithSeed(*seedFlag)))
+		specs = append(specs, spec(exp.Failover{}, sc))
 	}
 	results := runSuite(specs)
 

@@ -80,7 +80,7 @@ func replaySpec(path string) {
 		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
 		os.Exit(2)
 	}
-	var sp fuzzlab.Spec
+	var sp scenario.Spec
 	if err := json.Unmarshal(b, &sp); err != nil {
 		fmt.Fprintf(os.Stderr, "powersim: parsing %s: %v\n", path, err)
 		os.Exit(2)
@@ -113,7 +113,7 @@ func replaySpec(path string) {
 // otherwise ignores its default in favor of the time budget).
 func seedsSet() bool {
 	set := false
-	flag.Visit(func(f *flag.Flag) {
+	flags.Visit(func(f *flag.Flag) {
 		if f.Name == "seeds" {
 			set = true
 		}

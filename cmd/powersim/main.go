@@ -3,11 +3,11 @@
 // way to poke at one configuration without regenerating whole figures.
 // Any registered experiment and scheme (including the homa-oc<N> and
 // retcp-<µs> families) resolves by name; γ and DT-α ablations compose
-// via flags. Specs are validated: a flag the chosen experiment does not
-// consume is an error, not a silently ignored knob.
+// via flags. A flag the chosen experiment does not consume is an error,
+// not a silently ignored knob.
 //
 // The -scenario mode runs assemblies of the composable scenario API
-// (topology × traffic × events × probes) that the flat experiment specs
+// (topology × traffic × events × probes) that the experiment presets
 // cannot express: mixed traffic-class schemes, an incast pulse during a
 // failover, a mid-run load step. 'powersim -scenario list' names them.
 //
@@ -35,68 +35,70 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/exp"
-	"repro/internal/sim"
-	"repro/internal/units"
+	"repro/internal/scenario"
 )
 
-var (
-	expFlag      = flag.String("exp", "incast", "experiment name from the registry; 'list' prints all")
-	scenarioFlag = flag.String("scenario", "", "run a composed scenario instead of a registry experiment; 'list' prints all")
-	fidelityFlag = flag.String("fidelity", "", "background fidelity for scenarios that take it: packet (default) or fluid (hybrid co-simulation)")
-	schemeFlag   = flag.String("scheme", "powertcp", "CC scheme (powertcp, theta-powertcp, hpcc, timely, dcqcn, swift, dctcp, reno, cubic, homa, homa-oc<N>, retcp-<µs>)")
-	fanInFlag    = flag.Int("fanin", 0, "incast fan-in")
-	loadFlag     = flag.Float64("load", 0, "websearch ToR-uplink load")
-	serversFlag  = flag.Int("servers", 0, "servers per ToR (32 = paper scale)")
-	durFlag      = flag.Float64("ms", 0, "override experiment duration (milliseconds)")
-	seedFlag     = flag.Int64("seed", 1, "RNG seed")
-	partsFlag    = flag.Int("parts", 0, "shard the fabric across N parallel engines (byte-identical results)")
-	pktGbps      = flag.Int64("pktgbps", 0, "RDCN packet-network bandwidth (Gbps)")
-	icRateFlag   = flag.Float64("icrate", 0, "websearch incast request rate (req/s)")
-	icSizeFlag   = flag.Int64("icmb", 2, "websearch incast request size (MB)")
-	gammaFlag    = flag.Float64("gamma", 0, "override PowerTCP-family γ (ablation)")
-	alphaFlag    = flag.Float64("alpha", 0, "override the Dynamic-Thresholds α (ablation)")
-	routeFlag    = flag.String("route", "", "multipath strategy: ecmp, single, wecmp (multipath lab)")
-	failMsFlag   = flag.Float64("failms", 0, "failover: link failure time (milliseconds)")
-	restoreMs    = flag.Float64("restorems", 0, "failover: link restore time (milliseconds; negative keeps it down)")
-	reconvMs     = flag.Float64("reconvms", 0, "failover: control-plane reconvergence delay (milliseconds)")
-	flowsFlag    = flag.Int("flows", 0, "flow count (fairness, failover)")
-	jsonFlag     = flag.Bool("json", false, "emit the result envelope as JSON")
-	tsvFlag      = flag.Bool("tsv", false, "emit the result envelope as TSV blocks")
+// flags is the set the flag variables below are bound to by
+// defineFlags: flag.CommandLine in main, a fresh set per case in tests.
+var flags *flag.FlagSet
 
-	fuzzFlag    = flag.Bool("fuzz", false, "fuzz mode: generate scenarios from seeds and check every invariant (internal/fuzzlab)")
-	deepFlag    = flag.Bool("deep", false, "fuzz: sweep seeds until the -minutes wall-clock budget instead of a fixed count")
-	minutesFlag = flag.Float64("minutes", 10, "fuzz: wall-clock budget of a -deep sweep")
-	seedsFlag   = flag.Int("seeds", 1, "fuzz: how many consecutive seeds to check, starting at -seed")
-	replayFlag  = flag.String("replay", "", "fuzz: re-check a pinned spec JSON file and emit its result")
-	pinFlag     = flag.String("pin", "", "fuzz: directory to write shrunk repros into (ready for testdata/corpus)")
-)
+var expFlag, scenarioFlag, fidelityFlag, schemeFlag, routeFlag, replayFlag, pinFlag *string
+var fanInFlag, serversFlag, partsFlag, flowsFlag, seedsFlag *int
+var seedFlag, pktGbps, icSizeFlag *int64
+var loadFlag, durFlag, icRateFlag, gammaFlag, alphaFlag, failMsFlag, restoreMs, reconvMs, minutesFlag *float64
+var jsonFlag, tsvFlag, fuzzFlag, deepFlag *bool
+
+func defineFlags(fs *flag.FlagSet) {
+	flags = fs
+	expFlag = fs.String("exp", "incast", "experiment name from the registry; 'list' prints all")
+	scenarioFlag = fs.String("scenario", "", "run a composed scenario instead of a registry experiment; 'list' prints all")
+	fidelityFlag = fs.String("fidelity", "", "background fidelity for scenarios that take it: packet (default) or fluid (hybrid co-simulation)")
+	schemeFlag = fs.String("scheme", "powertcp", "CC scheme (powertcp, theta-powertcp, hpcc, timely, dcqcn, swift, dctcp, reno, cubic, homa, homa-oc<N>, retcp-<µs>)")
+	fanInFlag = fs.Int("fanin", 0, "incast fan-in")
+	loadFlag = fs.Float64("load", 0, "websearch ToR-uplink load")
+	serversFlag = fs.Int("servers", 0, "servers per ToR (32 = paper scale)")
+	durFlag = fs.Float64("ms", 0, "override experiment duration (milliseconds)")
+	seedFlag = fs.Int64("seed", 1, "RNG seed")
+	partsFlag = fs.Int("parts", 0, "shard the fabric across N parallel engines (byte-identical results)")
+	pktGbps = fs.Int64("pktgbps", 0, "RDCN packet-network bandwidth (Gbps)")
+	icRateFlag = fs.Float64("icrate", 0, "websearch incast request rate (req/s)")
+	icSizeFlag = fs.Int64("icmb", 2, "websearch incast request size (MB)")
+	gammaFlag = fs.Float64("gamma", 0, "override PowerTCP-family γ (ablation)")
+	alphaFlag = fs.Float64("alpha", 0, "override the Dynamic-Thresholds α (ablation)")
+	routeFlag = fs.String("route", "", "multipath strategy: ecmp, single, wecmp (multipath lab)")
+	failMsFlag = fs.Float64("failms", 0, "failover: link failure time (milliseconds)")
+	restoreMs = fs.Float64("restorems", 0, "failover: link restore time (milliseconds; negative keeps it down)")
+	reconvMs = fs.Float64("reconvms", 0, "failover: control-plane reconvergence delay (milliseconds)")
+	flowsFlag = fs.Int("flows", 0, "flow count (fairness, failover)")
+	jsonFlag = fs.Bool("json", false, "emit the result envelope as JSON")
+	tsvFlag = fs.Bool("tsv", false, "emit the result envelope as TSV blocks")
+
+	fuzzFlag = fs.Bool("fuzz", false, "fuzz mode: generate scenarios from seeds and check every invariant (internal/fuzzlab)")
+	deepFlag = fs.Bool("deep", false, "fuzz: sweep seeds until the -minutes wall-clock budget instead of a fixed count")
+	minutesFlag = fs.Float64("minutes", 10, "fuzz: wall-clock budget of a -deep sweep")
+	seedsFlag = fs.Int("seeds", 1, "fuzz: how many consecutive seeds to check, starting at -seed")
+	replayFlag = fs.String("replay", "", "fuzz: re-check a pinned spec JSON file and emit its result")
+	pinFlag = fs.String("pin", "", "fuzz: directory to write shrunk repros into (ready for testdata/corpus)")
+}
 
 func main() {
+	defineFlags(flag.CommandLine)
 	flag.Parse()
 	if *expFlag == "list" || *scenarioFlag == "list" {
 		fmt.Printf("experiments: %s\n", strings.Join(exp.ExperimentNames(), ", "))
 		fmt.Printf("scenarios  : %s\n", strings.Join(scenarioNames(), ", "))
-		fmt.Printf("schemes    : %s (plus homa-oc<N>, retcp-<µs>)\n", strings.Join(exp.SchemeNames(), ", "))
+		fmt.Printf("schemes    : %s (plus homa-oc<N>, retcp-<µs>)\n", strings.Join(scenario.SchemeNames(), ", "))
 		return
 	}
 
 	if *fuzzFlag || *replayFlag != "" {
 		// Fuzz mode is self-contained: the generator derives everything
 		// from the seed, so experiment knobs cannot apply.
-		allowed := map[string]bool{
-			"fuzz": true, "deep": true, "minutes": true, "seeds": true,
-			"seed": true, "replay": true, "pin": true, "json": true, "tsv": true,
-		}
-		var stray []string
-		flag.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
+		if stray := strayFlags("-fuzz", "-deep", "-minutes", "-seeds", "-seed", "-replay", "-pin", "-json", "-tsv"); len(stray) > 0 {
 			fmt.Fprintf(os.Stderr, "powersim: fuzz mode does not consume %s (specs derive from the seed alone)\n",
 				strings.Join(stray, ", "))
 			os.Exit(2)
@@ -107,19 +109,12 @@ func main() {
 
 	if *scenarioFlag != "" {
 		// Composed scenarios carry their whole configuration; the same
-		// no-silently-ignored-knobs rule as spec validation applies to
-		// the experiment flags.
-		allowed := map[string]bool{"scenario": true, "scheme": true, "seed": true, "json": true, "tsv": true}
+		// no-silently-ignored-knobs rule as the experiment rows applies.
+		allowed := []string{"-scenario", "-scheme", "-seed", "-json", "-tsv"}
 		if scenarioTakesFidelity(*scenarioFlag) {
-			allowed["fidelity"] = true
+			allowed = append(allowed, "-fidelity")
 		}
-		var stray []string
-		flag.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
+		if stray := strayFlags(allowed...); len(stray) > 0 {
 			fmt.Fprintf(os.Stderr, "powersim: scenario %q does not consume %s (scenarios are fully self-configured)\n",
 				*scenarioFlag, strings.Join(stray, ", "))
 			os.Exit(2)
@@ -133,71 +128,12 @@ func main() {
 		return
 	}
 
-	opts := []exp.Option{exp.WithSeed(*seedFlag)}
-	if *fanInFlag > 0 {
-		opts = append(opts, exp.WithFanIn(*fanInFlag))
+	spec, err := experimentSpec()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
+		os.Exit(2)
 	}
-	if *loadFlag > 0 {
-		opts = append(opts, exp.WithLoad(*loadFlag))
-	}
-	if *serversFlag > 0 {
-		opts = append(opts, exp.WithServersPerTor(*serversFlag))
-	}
-	if *partsFlag > 0 {
-		opts = append(opts, exp.WithPartitions(*partsFlag))
-	}
-	if *durFlag > 0 {
-		// The relevant horizon differs per experiment; consult the
-		// registry so validation only sees the knob the experiment reads.
-		e, err := exp.ExperimentByName(*expFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
-			os.Exit(2)
-		}
-		if e.Accepts(exp.FieldWindow) {
-			opts = append(opts, exp.WithWindow(sim.Millis(*durFlag)))
-		}
-		if e.Accepts(exp.FieldDuration) {
-			opts = append(opts, exp.WithDuration(sim.Millis(*durFlag)))
-		}
-	}
-	if *pktGbps > 0 {
-		opts = append(opts, exp.WithPacketRate(units.BitRate(*pktGbps)*units.Gbps))
-	}
-	if *icRateFlag > 0 {
-		opts = append(opts, exp.WithIncastOverlay(*icRateFlag, *icSizeFlag<<20, 0))
-	}
-	if *routeFlag != "" {
-		opts = append(opts, exp.WithRouting(*routeFlag))
-	}
-	if *failMsFlag > 0 || *restoreMs != 0 {
-		restore := sim.Millis(*restoreMs)
-		if *restoreMs < 0 {
-			restore = exp.KeepLinkDown
-		}
-		opts = append(opts, exp.WithFailure(sim.Millis(*failMsFlag), restore))
-	}
-	if *reconvMs > 0 {
-		opts = append(opts, exp.WithReconverge(sim.Millis(*reconvMs)))
-	}
-	if *flowsFlag > 0 {
-		opts = append(opts, exp.WithFlows(*flowsFlag))
-	}
-	if *expFlag == "websearch" {
-		opts = append(opts, exp.WithBufferSampling(true))
-	}
-	var schemeOpts []exp.SchemeOption
-	if *gammaFlag > 0 {
-		schemeOpts = append(schemeOpts, exp.Gamma(*gammaFlag))
-	}
-	if *alphaFlag > 0 {
-		schemeOpts = append(schemeOpts, exp.Alpha(*alphaFlag))
-	}
-	if len(schemeOpts) > 0 {
-		opts = append(opts, exp.WithSchemeOptions(schemeOpts...))
-	}
-
-	r, err := exp.Run(exp.NewSpec(*expFlag, *schemeFlag, opts...))
+	r, err := exp.Run(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
 		os.Exit(2)
@@ -205,8 +141,20 @@ func main() {
 	emit(r)
 }
 
+// strayFlags lists the flags set on the command line that are not among
+// allowed; both are spelled "-name".
+func strayFlags(allowed ...string) []string {
+	var stray []string
+	flags.Visit(func(f *flag.Flag) {
+		if !slices.Contains(allowed, "-"+f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	return stray
+}
+
 // emit prints one result envelope in the selected format.
-func emit(r *exp.Result) {
+func emit(r *scenario.Result) {
 	switch {
 	case *jsonFlag:
 		if err := r.EncodeJSON(os.Stdout); err != nil {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Composed scenarios the flat Spec could not express: mixed
+// Composed scenarios the experiment presets do not cover: mixed
 // traffic-class schemes, an incast pulse landing inside a failover
 // window, and a mid-run load step. Each is a plain scenario.Scenario
 // value — no runner files — selected with -scenario <name>.

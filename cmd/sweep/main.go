@@ -1,7 +1,7 @@
 // Command sweep reproduces the parameter study behind the paper's γ=0.9
 // recommendation (§3.3): it sweeps the EWMA weight over scenarios that
 // stress both of γ's failure modes — reaction speed (incast) and noise
-// sensitivity (steady websearch load) — and prints the trade-off table.
+// sensitivity (steady websearch load) — and prints the table.
 //
 // The whole grid is one experiment suite executed concurrently over a
 // worker pool; every column of a row runs under the same swept γ (the
@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"repro/internal/exp"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -37,19 +38,17 @@ func main() {
 		perRow = 3
 	}
 	for _, g := range gammas {
-		gamma := exp.WithSchemeOptions(exp.Gamma(g))
-		label := exp.WithLabel(fmt.Sprintf("gamma=%.2f", g))
+		cell := func(p exp.Preset) exp.Spec {
+			return exp.Spec{Preset: p, Scheme: scenario.PowerTCP,
+				SchemeOpts: []scenario.SchemeOption{scenario.Gamma(g)},
+				Seed:       *seedFlag, Label: fmt.Sprintf("gamma=%.2f", g)}
+		}
 		specs = append(specs,
-			exp.NewSpec("incast", exp.PowerTCP, gamma, label,
-				exp.WithFanIn(16), exp.WithWindow(3*sim.Millisecond), exp.WithSeed(*seedFlag)),
-			exp.NewSpec("fairness", exp.PowerTCP, gamma, label,
-				exp.WithWindow(6*sim.Millisecond), exp.WithSeed(*seedFlag)),
-		)
+			cell(exp.Incast{FanIn: 16, Window: 3 * sim.Millisecond}),
+			cell(exp.Fairness{Window: 6 * sim.Millisecond}))
 		if !*quickFlag {
-			specs = append(specs,
-				exp.NewSpec("websearch", exp.PowerTCP, gamma, label,
-					exp.WithLoad(0.6), exp.WithSeed(*seedFlag),
-					exp.WithDuration(8*sim.Millisecond), exp.WithDrain(4*sim.Millisecond)))
+			specs = append(specs, cell(exp.WebSearch{Load: 0.6,
+				Duration: 8 * sim.Millisecond, Drain: 4 * sim.Millisecond}))
 		}
 	}
 
@@ -79,6 +78,4 @@ func main() {
 		}
 		fmt.Println(row)
 	}
-	fmt.Println("\nLow γ reacts slowly (incast queue persists); γ=1 trusts every")
-	fmt.Println("noisy sample (jittery windows under load). γ≈0.9 is the paper's pick.")
 }

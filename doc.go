@@ -36,8 +36,12 @@
 //     transport.
 //   - internal/core and internal/cc: PowerTCP/θ-PowerTCP and every
 //     baseline (HPCC, TIMELY, DCQCN, Swift, DCTCP, Reno, Cubic).
-//   - internal/exp: the experiment registry, scheme registry, result
-//     envelope and parallel suite runner behind every figure.
+//   - internal/scenario: the composition layer — a run is a Scenario
+//     value (Topology × Traffic × Events × Probes) — with the scheme
+//     registry and the result envelope.
+//   - internal/exp: the paper's figures as eight typed presets that
+//     build Scenarios, and the parallel suite runner behind every
+//     figure.
 //
 // This package re-exports the public surface of those layers; see
 // README.md for the quickstart, EXPERIMENTS.md for the

@@ -1,7 +1,7 @@
 package powertcp_test
 
 // The docs gate: CI runs `go test -run TestDocs .` so the front-door
-// documentation cannot rot. It enforces three properties:
+// documentation cannot rot. It enforces four properties:
 //
 //  1. Every package under internal/ and cmd/ (and the root package)
 //     carries a godoc package comment.
@@ -10,6 +10,8 @@ package powertcp_test
 //  3. Every `go run ./cmd/...` command in README.md, PERF.md or
 //     EXPERIMENTS.md points at a real main package, and every cmd/
 //     directory is mentioned in the README.
+//  4. Every test name a CI step selects with `go test -run '…|…'`
+//     exists in a package that step lists.
 
 import (
 	"go/ast"
@@ -18,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -208,5 +211,59 @@ func TestDocsReadmeSnippetsBuild(t *testing.T) {
 		if !strings.Contains(string(readme), dir) {
 			t.Errorf("README.md never mentions %s — document what it is for", dir)
 		}
+	}
+}
+
+// TestDocsCIRunPatternsResolve reads the CI workflow and fails if an
+// alternative of a `go test -run '…|…'` pattern matches no test function
+// in the packages its step lists: a test that was renamed, moved or
+// deleted would otherwise silently drop out of the race steps that name
+// it.
+func TestDocsCIRunPatternsResolve(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRE := regexp.MustCompile(`go test([^\n&]*?)-run '([^']+)'([^\n&]*)`)
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	names := 0
+	for _, m := range runRE.FindAllStringSubmatch(string(ci), -1) {
+		args := m[1] + m[3]
+		if strings.Contains(args, "-bench") {
+			continue // `-run '^$'` there selects no test on purpose
+		}
+		var funcs []string
+		for _, dir := range strings.Fields(args) {
+			if !strings.HasPrefix(dir, "./") {
+				continue
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fm := range funcRE.FindAllSubmatch(src, -1) {
+					funcs = append(funcs, string(fm[1]))
+				}
+			}
+		}
+		for _, alt := range strings.Split(m[2], "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml: -run alternative %q: %v", alt, err)
+				continue
+			}
+			names++
+			if !slices.ContainsFunc(funcs, re.MatchString) {
+				t.Errorf("ci.yml: -run alternative %q matches no test in%s", alt, args)
+			}
+		}
+	}
+	if names < 20 {
+		t.Fatalf("found %d -run alternatives in ci.yml, want the ≥ 20 the race steps name — did the workflow move?", names)
 	}
 }

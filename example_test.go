@@ -25,13 +25,14 @@ func ExampleNew() {
 	// Output: done=true bytes=1048576 retransmits=0
 }
 
-// ExampleRunExperiment runs one registered experiment through the
-// spec/registry API — the same path cmd/figures and the benchmarks use.
+// ExampleRunExperiment runs one registered experiment through its typed
+// preset — the same path cmd/figures uses.
 func ExampleRunExperiment() {
-	res, err := powertcp.RunExperiment(powertcp.NewSpec(
-		"incast", powertcp.SchemePowerTCP,
-		powertcp.WithFanIn(10), powertcp.WithSeed(1),
-	))
+	res, err := powertcp.RunExperiment(powertcp.ExperimentSpec{
+		Preset: powertcp.Incast{FanIn: 10},
+		Scheme: powertcp.SchemePowerTCP,
+		Seed:   1,
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 func main() {
-	res, err := powertcp.RunExperiment(powertcp.NewSpec(
-		"fairness", powertcp.SchemePowerTCP, powertcp.WithSeed(1)))
+	res, err := powertcp.RunExperiment(powertcp.ExperimentSpec{
+		Preset: powertcp.Fairness{}, Scheme: powertcp.SchemePowerTCP, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,8 +26,8 @@ func main() {
 	}
 	var specs []powertcp.ExperimentSpec
 	for _, scheme := range schemes {
-		specs = append(specs, powertcp.NewSpec("incast", scheme,
-			powertcp.WithFanIn(32), powertcp.WithSeed(1)))
+		specs = append(specs, powertcp.ExperimentSpec{
+			Preset: powertcp.Incast{FanIn: 32}, Scheme: scheme, Seed: 1})
 	}
 	results, err := powertcp.RunSuite(specs...)
 	if err != nil {

@@ -5,11 +5,12 @@
 // bottleneck queue observed along the way.
 //
 // Act 2 does the same category of thing through the experiment API: one
-// registry spec (NewSpec + With* options + RunExperiment) reproduces a
-// whole paper scenario and returns the common result envelope — scalar
-// metrics plus named series, encodable as JSON/TSV. Ablations compose as
-// scheme options (WithSchemeOptions(Gamma(0.7))) instead of bespoke
-// runner arguments; suites of specs run concurrently via RunSuite.
+// spec (a preset struct such as Incast{FanIn: 10}, a scheme, a seed, run
+// with RunExperiment) reproduces a whole paper scenario and returns the
+// common result envelope — scalar metrics plus named series, encodable
+// as JSON/TSV. Ablations compose as scheme options (SchemeOpts:
+// Gamma(0.7)) instead of bespoke runner arguments; suites of specs run
+// concurrently via RunSuite.
 //
 //	go run ./examples/quickstart
 package main
@@ -71,18 +72,18 @@ func lowLevel() {
 
 // experimentAPI runs a registered paper scenario through one spec.
 func experimentAPI() {
-	res, err := powertcp.RunExperiment(powertcp.NewSpec(
-		"incast", powertcp.SchemePowerTCP,
-		powertcp.WithFanIn(10),
-		powertcp.WithSeed(1),
+	res, err := powertcp.RunExperiment(powertcp.ExperimentSpec{
+		Preset: powertcp.Incast{FanIn: 10},
+		Scheme: powertcp.SchemePowerTCP,
+		Seed:   1,
 		// Ablations compose as scheme options; try Gamma(0.5) here.
-		powertcp.WithSchemeOptions(powertcp.Gamma(0.9)),
-	))
+		SchemeOpts: []powertcp.SchemeOption{powertcp.Gamma(0.9)},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\n— experiment API: the Figure 4 incast as a registry spec —")
+	fmt.Println("\n— experiment API: the Figure 4 incast as one spec —")
 	fmt.Printf("experiment   : %s (scheme %s, seed %d)\n", res.Experiment, res.Scheme, res.Seed)
 	for _, name := range res.ScalarNames() {
 		fmt.Printf("%-18s: %g\n", name, res.Scalar(name))

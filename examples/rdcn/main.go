@@ -26,7 +26,7 @@ func main() {
 	}
 	var specs []powertcp.ExperimentSpec
 	for _, scheme := range schemes {
-		specs = append(specs, powertcp.NewSpec("rdcn", scheme, powertcp.WithSeed(1)))
+		specs = append(specs, powertcp.ExperimentSpec{Preset: powertcp.RDCN{}, Scheme: scheme, Seed: 1})
 	}
 	results, err := powertcp.RunSuite(specs...)
 	if err != nil {

@@ -28,8 +28,8 @@ func main() {
 	}
 	var specs []powertcp.ExperimentSpec
 	for _, scheme := range schemes {
-		specs = append(specs, powertcp.NewSpec("websearch", scheme,
-			powertcp.WithLoad(0.6), powertcp.WithSeed(1)))
+		specs = append(specs, powertcp.ExperimentSpec{
+			Preset: powertcp.WebSearch{Load: 0.6}, Scheme: scheme, Seed: 1})
 	}
 	results, err := powertcp.RunSuite(specs...)
 	if err != nil {

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // accountingScalars are the byte-ledger scalars the AccountingProbe
@@ -14,15 +16,15 @@ var accountingScalars = []string{
 	"bytes_lost_fail", "bytes_inflight", "bytes_residual",
 }
 
-func runAccounted(t *testing.T, name string, opts ...Option) *Result {
+func runAccounted(t *testing.T, p Preset) *scenario.Result {
 	t.Helper()
-	r, err := Run(NewSpec(name, "powertcp", append([]Option{WithSeed(1)}, opts...)...))
+	r, err := Run(Spec{Preset: p, Scheme: "powertcp", Seed: 1})
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatalf("%s: %v", p.Name(), err)
 	}
 	for _, s := range accountingScalars {
 		if _, ok := r.Scalars[s]; !ok {
-			t.Fatalf("%s: result envelope is missing accounting scalar %q", name, s)
+			t.Fatalf("%s: result envelope is missing accounting scalar %q", p.Name(), s)
 		}
 	}
 	return r
@@ -32,7 +34,7 @@ func runAccounted(t *testing.T, name string, opts ...Option) *Result {
 // pulse emits real traffic, nothing is black-holed (the timeline has no
 // failures), and the cross-layer conservation identity closes exactly.
 func TestIncastAccounting(t *testing.T) {
-	r := runAccounted(t, "incast")
+	r := runAccounted(t, Incast{})
 	if r.Scalar("bytes_emitted") <= 0 {
 		t.Fatalf("incast emitted no payload: %g", r.Scalar("bytes_emitted"))
 	}
@@ -54,7 +56,7 @@ func TestIncastAccounting(t *testing.T) {
 // lost_packets scalar), and conservation still closes exactly — lost
 // bytes are accounted, not leaked.
 func TestFailoverAccounting(t *testing.T) {
-	r := runAccounted(t, "failover")
+	r := runAccounted(t, Failover{})
 	if l := r.Scalar("bytes_lost_fail"); l <= 0 {
 		t.Fatalf("failover lost %g payload bytes; the link cut should black-hole traffic", l)
 	}
@@ -72,8 +74,8 @@ func TestFailoverAccounting(t *testing.T) {
 // same failover run partitioned over 2 engines reports the identical
 // byte ledger.
 func TestFailoverAccountingPartitionInvariant(t *testing.T) {
-	serial := runAccounted(t, "failover")
-	parted := runAccounted(t, "failover", WithPartitions(2))
+	serial := runAccounted(t, Failover{})
+	parted := runAccounted(t, Failover{Partitions: 2})
 	for _, s := range accountingScalars {
 		if serial.Scalar(s) != parted.Scalar(s) {
 			t.Errorf("scalar %s diverges: serial %g, parts=2 %g", s, serial.Scalar(s), parted.Scalar(s))

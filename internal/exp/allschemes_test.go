@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -12,14 +13,14 @@ import (
 // scheme-to-switch-feature wiring (INT, ECN, priority queues). The runs
 // execute as one parallel suite — the same path cmd/figures uses.
 func TestEverySchemeRunsIncast(t *testing.T) {
-	schemes := append([]string{}, Schemes...)
-	schemes = append(schemes, Swift, DCTCP, Reno, Cubic, "homa-oc3")
+	schemes := append([]string{}, scenario.Schemes...)
+	schemes = append(schemes, scenario.Swift, scenario.DCTCP, scenario.Reno, scenario.Cubic, "homa-oc3")
 	var specs []Spec
 	for _, sc := range schemes {
 		// 8 ms gives even the slow starters (Reno/CUBIC from 10
 		// MSS, TIMELY's additive recovery) time to move 500 KB each.
-		specs = append(specs, NewSpec("incast", sc,
-			WithFanIn(6), WithWindow(8*sim.Millisecond), WithSeed(11)))
+		specs = append(specs, Spec{Preset: Incast{FanIn: 6, Window: 8 * sim.Millisecond},
+			Scheme: sc, Seed: 11})
 	}
 	results, err := NewSuite(specs...).Run()
 	if err != nil {

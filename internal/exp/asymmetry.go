@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/scenario"
@@ -22,60 +23,57 @@ type AsymmetryResult struct {
 	Efficiency float64   // AggGbps / min(total spine, offered) capacity
 }
 
-func init() {
-	mustRegisterExperiment(Experiment{
-		Name:    "asymmetry",
-		Figures: "Supplementary (multipath lab): ECMP vs WCMP across unequal spine capacities",
-		Fields: []string{FieldTors, FieldSpines, FieldServersPerTor,
-			FieldSpineRates, FieldRouting, FieldWindow},
-		Normalize: func(s *Spec) {
-			if s.Tors == 0 {
-				s.Tors = 2 // leaves
-			}
-			if s.Spines == 0 {
-				s.Spines = 2
-			}
-			if s.ServersPerTor == 0 {
-				s.ServersPerTor = 8
-			}
-			if len(s.SpineRates) == 0 {
-				// One full-rate spine, one at half rate: the classic
-				// heterogeneous-upgrade fabric WCMP papers target.
-				s.SpineRates = []units.BitRate{100 * units.Gbps, 50 * units.Gbps}
-			}
-			if s.Window == 0 {
-				s.Window = 4 * sim.Millisecond
-			}
-		},
-		Run: runAsymmetry,
-	})
+// Asymmetry is the supplementary multipath-lab comparison of ECMP and
+// WCMP across unequal spine capacities: one long flow from every server
+// on the first leaf to its counterpart on the last leaf, so all traffic
+// crosses the spines. Plain ECMP hashes flows uniformly and overloads
+// the slow spine; weighted ECMP shares in proportion to capacity.
+type Asymmetry struct {
+	Tors          int // leaves; default 2
+	Spines        int // default 2
+	ServersPerTor int // default 8
+	// SpineRates are the per-spine fabric rates. The default is one
+	// full-rate spine and one at half rate (100G + 50G): the classic
+	// heterogeneous-upgrade fabric WCMP papers target.
+	SpineRates []units.BitRate
+	Routing    string       // "", "ecmp", "single", "wecmp"
+	Window     sim.Duration // default 4 ms
 }
 
-// runAsymmetry sends one long flow from every server on the first leaf
-// to its counterpart on the last leaf, so all traffic crosses the
-// spines. Plain ECMP hashes flows uniformly and overloads the slow
-// spine; weighted ECMP shares in proportion to capacity.
-func runAsymmetry(s Spec, scheme Scheme) (*Result, error) {
-	if s.Tors < 2 {
-		return nil, fmt.Errorf("asymmetry needs ≥2 leaves, got %d", s.Tors)
+// Name returns "asymmetry".
+func (Asymmetry) Name() string { return "asymmetry" }
+
+func (p Asymmetry) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
+	p.Tors = cmp.Or(p.Tors, 2)
+	p.Spines = cmp.Or(p.Spines, 2)
+	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
+	p.Window = cmp.Or(p.Window, 4*sim.Millisecond)
+	if len(p.SpineRates) == 0 {
+		p.SpineRates = []units.BitRate{100 * units.Gbps, 50 * units.Gbps}
+	}
+	if p.Tors < 2 {
+		return nil, fmt.Errorf("asymmetry needs ≥2 leaves, got Tors %d", p.Tors)
+	}
+	if err := checkSpans(span{"Window", p.Window}); err != nil {
+		return nil, err
 	}
 	return scenario.Run(scenario.Scenario{
 		Name:   "asymmetry",
 		Scheme: scheme,
-		Seed:   s.Seed,
+		Seed:   seed,
 		Topology: scenario.LeafSpineTopology{
-			Leaves:         s.Tors,
-			Spines:         s.Spines,
-			ServersPerLeaf: s.ServersPerTor,
-			SpineRates:     s.SpineRates,
-			Routing:        s.Routing,
+			Leaves:         p.Tors,
+			Spines:         p.Spines,
+			ServersPerLeaf: p.ServersPerTor,
+			SpineRates:     p.SpineRates,
+			Routing:        p.Routing,
 		},
 		Traffic: []scenario.Traffic{scenario.RackPairs{
 			FromRack: scenario.RackStart(0),
-			ToRack:   scenario.RackStart(s.Tors - 1),
+			ToRack:   scenario.RackStart(p.Tors - 1),
 		}},
-		Probes: []scenario.Probe{&asymmetryPanel{window: s.Window}},
-		Until:  s.Window,
+		Probes: []scenario.Probe{&asymmetryPanel{window: p.Window}},
+		Until:  p.Window,
 	})
 }
 
@@ -87,7 +85,7 @@ type asymmetryPanel struct {
 
 func (p *asymmetryPanel) Install(env *scenario.Env) error { return nil }
 
-func (p *asymmetryPanel) Finalize(env *scenario.Env, res *Result) error {
+func (p *asymmetryPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	net := env.Lab.Net
 	ls := env.Lab.LSCfg
 	perLeaf := ls.ServersPerLeaf
@@ -133,10 +131,10 @@ func (p *asymmetryPanel) Finalize(env *scenario.Env, res *Result) error {
 	res.SetScalar("jain", ar.Jain)
 	res.SetScalar("efficiency", ar.Efficiency)
 	res.SetScalar("engine_steps", float64(net.Steps()))
-	spineSeries := Series{Name: "spine_util", XLabel: "spine"}
+	spineSeries := scenario.Series{Name: "spine_util", XLabel: "spine"}
 	for sp, u := range ar.SpineUtil {
 		res.SetScalar(fmt.Sprintf("spine%d_util", sp), u)
-		spineSeries.Points = append(spineSeries.Points, SeriesPoint{X: float64(sp), V: u})
+		spineSeries.Points = append(spineSeries.Points, scenario.SeriesPoint{X: float64(sp), V: u})
 	}
 	res.AddSeries(spineSeries)
 	return nil

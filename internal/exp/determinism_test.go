@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -13,8 +14,8 @@ import (
 // repository leans on for regression testing).
 func TestIncastDeterminism(t *testing.T) {
 	run := func() *IncastResult {
-		return mustRun(t, NewSpec("incast", PowerTCP,
-			WithFanIn(10), WithWindow(2*sim.Millisecond), WithSeed(7))).Raw.(*IncastResult)
+		return mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: 2 * sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 7}).Raw.(*IncastResult)
 	}
 	a, b := run(), run()
 	if len(a.Points) != len(b.Points) {
@@ -34,16 +35,16 @@ func TestWebSearchDeterminismAcrossSchemesIsolated(t *testing.T) {
 	// Two runs of the same scheme agree; a different scheme still sees
 	// the same workload trace (same Started count) because workload
 	// randomness is seeded independently of the CC scheme.
-	opts := []Option{
-		WithLoad(0.15), WithServersPerTor(4),
-		WithDuration(2 * sim.Millisecond), WithDrain(2 * sim.Millisecond), WithSeed(9),
+	spec := func(scheme string) Spec {
+		return Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4,
+			Duration: 2 * sim.Millisecond, Drain: 2 * sim.Millisecond}, Scheme: scheme, Seed: 9}
 	}
-	a := mustRun(t, NewSpec("websearch", PowerTCP, opts...)).Raw.(*WebSearchResult)
-	b := mustRun(t, NewSpec("websearch", PowerTCP, opts...)).Raw.(*WebSearchResult)
+	a := mustRun(t, spec(scenario.PowerTCP)).Raw.(*WebSearchResult)
+	b := mustRun(t, spec(scenario.PowerTCP)).Raw.(*WebSearchResult)
 	if a.Completed != b.Completed || a.ShortP999 != b.ShortP999 {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
-	c := mustRun(t, NewSpec("websearch", HPCC, opts...)).Raw.(*WebSearchResult)
+	c := mustRun(t, spec(scenario.HPCC)).Raw.(*WebSearchResult)
 	if c.Started != a.Started {
 		t.Fatalf("workload trace depends on scheme: %d vs %d flows", c.Started, a.Started)
 	}
@@ -51,9 +52,9 @@ func TestWebSearchDeterminismAcrossSchemesIsolated(t *testing.T) {
 
 func TestSeedChangesWorkload(t *testing.T) {
 	spec := func(seed int64) Spec {
-		return NewSpec("websearch", PowerTCP,
-			WithLoad(0.15), WithServersPerTor(4),
-			WithDuration(2*sim.Millisecond), WithDrain(sim.Millisecond), WithSeed(seed))
+		return Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4, Duration: 2 * sim.Millisecond,
+			Drain: sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: seed}
 	}
 	a := mustRun(t, spec(1)).Raw.(*WebSearchResult)
 	b := mustRun(t, spec(2)).Raw.(*WebSearchResult)
@@ -70,29 +71,29 @@ func TestSeedChangesWorkload(t *testing.T) {
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	specs := func() []Spec {
 		var out []Spec
-		for _, scheme := range []string{PowerTCP, ThetaPowerTCP, HPCC, Timely, Homa} {
-			out = append(out, NewSpec("incast", scheme,
-				WithFanIn(6), WithWindow(sim.Millisecond), WithSeed(11)))
+		for _, scheme := range []string{scenario.PowerTCP, scenario.ThetaPowerTCP, scenario.HPCC, scenario.Timely, scenario.Homa} {
+			out = append(out, Spec{Preset: Incast{FanIn: 6, Window: sim.Millisecond},
+				Scheme: scheme, Seed: 11})
 		}
 		for _, seed := range []int64{1, 2} {
-			out = append(out, NewSpec("fairness", PowerTCP,
-				WithWindow(2*sim.Millisecond), WithSeed(seed)))
+			out = append(out, Spec{Preset: Fairness{Window: 2 * sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: seed})
 		}
-		out = append(out, NewSpec("websearch", PowerTCP,
-			WithLoad(0.15), WithServersPerTor(4),
-			WithDuration(2*sim.Millisecond), WithDrain(sim.Millisecond), WithSeed(3)))
+		out = append(out, Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4,
+			Duration: 2 * sim.Millisecond, Drain: sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 3})
 		// The multipath lab: hashing, weighted tables, and scheduled link
 		// failures must all be worker-count independent too.
 		for _, routing := range []string{"ecmp", "wecmp"} {
-			out = append(out, NewSpec("permutation", PowerTCP,
-				WithRouting(routing), WithServersPerTor(4),
-				WithWindow(sim.Millisecond), WithSeed(13)))
+			out = append(out, Spec{Preset: Permutation{Routing: routing, ServersPerTor: 4,
+				Window: sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 13})
 		}
 		out = append(out,
-			NewSpec("asymmetry", PowerTCP, WithRouting("wecmp"), WithServersPerTor(4),
-				WithWindow(sim.Millisecond), WithSeed(13)),
-			NewSpec("failover", PowerTCP, WithServersPerTor(4), WithFlows(2),
-				WithWindow(3*sim.Millisecond), WithSeed(13)))
+			Spec{Preset: Asymmetry{Routing: "wecmp", ServersPerTor: 4, Window: sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 13},
+			Spec{Preset: Failover{ServersPerTor: 4, Flows: 2, Window: 3 * sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 13})
 		// Wheel-engine stress (PR 4): failure/restore schedules a few
 		// milliseconds out live in the wheel's coarsest level and cascade
 		// down across many level-0/1 rotations before firing, and the
@@ -100,14 +101,12 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 		// cell also routes single-path so reconvergence rebuilds tables
 		// from the arena mid-run.
 		out = append(out,
-			NewSpec("failover", PowerTCP, WithServersPerTor(4), WithFlows(2),
-				WithFailure(2*sim.Millisecond, 5*sim.Millisecond),
-				WithReconverge(400*sim.Microsecond),
-				WithWindow(7*sim.Millisecond), WithSeed(17)),
-			NewSpec("failover", HPCC, WithServersPerTor(4), WithFlows(2),
-				WithRouting("single"),
-				WithFailure(1500*sim.Microsecond, KeepLinkDown),
-				WithWindow(4*sim.Millisecond), WithSeed(17)))
+			Spec{Preset: Failover{ServersPerTor: 4, Flows: 2, FailAfter: 2 * sim.Millisecond,
+				RestoreAfter: 5 * sim.Millisecond, Reconverge: 400 * sim.Microsecond, Window: 7 * sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 17},
+			Spec{Preset: Failover{ServersPerTor: 4, Flows: 2, Routing: "single",
+				FailAfter: 1500 * sim.Microsecond, RestoreAfter: KeepLinkDown, Window: 4 * sim.Millisecond},
+				Scheme: scenario.HPCC, Seed: 17})
 		return out
 	}
 
@@ -147,16 +146,16 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 func TestSuitePooledMatchesUnpooled(t *testing.T) {
 	specs := func() []Spec {
 		var out []Spec
-		for _, scheme := range []string{PowerTCP, HPCC, Timely, DCQCN, Reno, Homa} {
-			out = append(out, NewSpec("incast", scheme,
-				WithFanIn(6), WithWindow(sim.Millisecond), WithSeed(5)))
+		for _, scheme := range []string{scenario.PowerTCP, scenario.HPCC, scenario.Timely, scenario.DCQCN, scenario.Reno, scenario.Homa} {
+			out = append(out, Spec{Preset: Incast{FanIn: 6, Window: sim.Millisecond},
+				Scheme: scheme, Seed: 5})
 		}
-		out = append(out, NewSpec("fairness", PowerTCP,
-			WithWindow(2*sim.Millisecond), WithSeed(5)))
-		out = append(out, NewSpec("websearch", PowerTCP,
-			WithLoad(0.15), WithServersPerTor(4),
-			WithDuration(2*sim.Millisecond), WithDrain(sim.Millisecond), WithSeed(5)))
-		out = append(out, NewSpec("rdcn", PowerTCP, WithTors(4), WithSeed(5)))
+		out = append(out, Spec{Preset: Fairness{Window: 2 * sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 5})
+		out = append(out, Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4,
+			Duration: 2 * sim.Millisecond, Drain: sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 5})
+		out = append(out, Spec{Preset: RDCN{Tors: 4}, Scheme: scenario.PowerTCP, Seed: 5})
 		return out
 	}
 
@@ -199,9 +198,9 @@ func TestSuitePooledMatchesUnpooled(t *testing.T) {
 // its runs end with events still pending (RTOs, restore schedules), so
 // Reset's discard path runs every repetition.
 func TestWheelEngineRecycleDeterminism(t *testing.T) {
-	spec := NewSpec("failover", PowerTCP, WithServersPerTor(4), WithFlows(2),
-		WithFailure(sim.Millisecond, 3*sim.Millisecond),
-		WithWindow(5*sim.Millisecond), WithSeed(21))
+	spec := Spec{Preset: Failover{ServersPerTor: 4, Flows: 2, FailAfter: sim.Millisecond,
+		RestoreAfter: 3 * sim.Millisecond, Window: 5 * sim.Millisecond},
+		Scheme: scenario.PowerTCP, Seed: 21}
 	var first []byte
 	for i := 0; i < 3; i++ {
 		r, err := Run(spec)
@@ -225,8 +224,8 @@ func TestWheelEngineRecycleDeterminism(t *testing.T) {
 // Suite errors: a bad spec reports its index without sinking the rest.
 func TestSuitePartialFailure(t *testing.T) {
 	suite := NewSuite(
-		NewSpec("incast", PowerTCP, WithFanIn(4), WithWindow(sim.Millisecond), WithSeed(1)),
-		NewSpec("incast", "bogus"),
+		Spec{Preset: Incast{FanIn: 4, Window: sim.Millisecond}, Scheme: scenario.PowerTCP, Seed: 1},
+		Spec{Preset: Incast{}, Scheme: "bogus"},
 	)
 	results, err := suite.Run()
 	if err == nil {

@@ -1,23 +1,27 @@
-// Package exp is the experiment registry behind the paper's evaluation
-// (§4–§5, Appendix D) and the repository's extension scenarios. Since
-// the scenario redesign it is a thin, validated layer over
-// internal/scenario: every registered experiment — the paper's incast,
-// fairness, websearch, load-sweep and rdcn, plus the multipath lab's
-// permutation, asymmetry and failover — is a preset that assembles a
-// declarative scenario.Scenario (Topology × Traffic × Events × Probes)
-// and hands it to the generic scenario.Run. It exposes:
+// Package exp holds the paper's evaluation (§4–§5, Appendix D) and the
+// repository's extension scenarios as eight typed presets over
+// internal/scenario: the paper's Incast, Fairness, WebSearch, LoadSweep
+// and RDCN, plus the multipath lab's Permutation, Asymmetry and
+// Failover. Each is a parameter struct whose fields are exactly the
+// knobs that experiment reads and whose zero fields take its defaults;
+// its run assembles a declarative scenario.Scenario (Topology × Traffic
+// × Events × Probes) with the experiment's figure-panel probe and hands
+// it to the generic scenario.Run (LoadSweep runs the WebSearch cell once
+// per load). It exposes:
 //
-//   - The experiment registry: NewSpec + Run execute one named preset,
-//     and a Suite executes many concurrently over a GOMAXPROCS-sized
-//     worker pool. Specs validate: each experiment declares the Spec
-//     knobs it consumes (Experiment.Fields), and assigning any other
-//     knob is an error instead of a silently ignored no-op
-//     (Spec.Validate, wired into Run and therefore Suite.Run).
-//   - Re-exports of the scenario layer's scheme registry
-//     (ResolveScheme with γ / DT α / overcommitment / prebuffering
-//     options), Result envelope (scalar metrics map + named series,
-//     JSON/TSV encoders), and lab harness, so existing callers keep one
-//     import.
+//   - Spec, the identity of one run — {Preset, Scheme, SchemeOpts, Seed,
+//     Label} — executed by Run, and a Suite that executes many
+//     concurrently over a GOMAXPROCS-sized worker pool.
+//   - The typed result payloads (IncastResult, WebSearchResult, …)
+//     carried in scenario.Result.Raw.
+//
+// A knob an experiment does not read is not a field of its struct.
+// Value domains are enforced where a value is consumed: by the scenario
+// component it is handed to (a load outside (0, 1], a negative size or
+// count — the same checks a serialised scenario.Spec meets), and here
+// only for the horizon and sampling parameters the presets add up and
+// keep (Window, Drain, SamplePeriod). Schemes, the Result envelope and
+// the lab harness are internal/scenario's; callers name them there.
 //
 // # Invariants
 //

@@ -4,11 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 // mustRun executes a spec and fails the test on error.
-func mustRun(t *testing.T, spec Spec) *Result {
+func mustRun(t *testing.T, spec Spec) *scenario.Result {
 	t.Helper()
 	r, err := Run(spec)
 	if err != nil {
@@ -18,41 +19,41 @@ func mustRun(t *testing.T, spec Spec) *Result {
 }
 
 func TestSchemeRegistry(t *testing.T) {
-	for _, name := range Schemes {
-		s, err := ResolveScheme(name)
+	for _, name := range scenario.Schemes {
+		s, err := scenario.ResolveScheme(name)
 		if err != nil {
 			t.Fatalf("ResolveScheme(%q): %v", name, err)
 		}
 		if s.Name != name {
 			t.Fatalf("scheme %q resolved to %q", name, s.Name)
 		}
-		if name == Homa && (!s.IsHoma() || !s.PrioQueues) {
+		if name == scenario.Homa && (!s.IsHoma() || !s.PrioQueues) {
 			t.Fatal("homa scheme misconfigured")
 		}
-		if name == PowerTCP && !s.INT {
+		if name == scenario.PowerTCP && !s.INT {
 			t.Fatal("powertcp requires INT")
 		}
-		if name == DCQCN && !s.ECN.Enabled() {
+		if name == scenario.DCQCN && !s.ECN.Enabled() {
 			t.Fatal("dcqcn requires ECN")
 		}
 		if !s.IsHoma() && s.Alg == nil {
 			t.Fatalf("scheme %q has no algorithm builder", name)
 		}
 	}
-	if oc, err := ResolveScheme("homa-oc4"); err != nil || oc.Overcommit != 4 {
+	if oc, err := scenario.ResolveScheme("homa-oc4"); err != nil || oc.Overcommit != 4 {
 		t.Fatalf("homa-oc4 = %+v, %v", oc, err)
 	}
-	if re, err := ResolveScheme(ReTCP1800); err != nil || re.PrebufferFor != 1800*sim.Microsecond {
+	if re, err := scenario.ResolveScheme(scenario.ReTCP1800); err != nil || re.PrebufferFor != 1800*sim.Microsecond {
 		t.Fatalf("retcp-1800 = %+v, %v", re, err)
 	}
 }
 
 func TestSchemeNamesSortedAndComplete(t *testing.T) {
-	names := SchemeNames()
+	names := scenario.SchemeNames()
 	if len(names) < 10 {
 		t.Fatalf("expected ≥10 registered schemes, got %v", names)
 	}
-	for _, want := range []string{PowerTCP, ThetaPowerTCP, HPCC, Timely, DCQCN, Swift, DCTCP, Reno, Cubic, Homa} {
+	for _, want := range []string{scenario.PowerTCP, scenario.ThetaPowerTCP, scenario.HPCC, scenario.Timely, scenario.DCQCN, scenario.Swift, scenario.DCTCP, scenario.Reno, scenario.Cubic, scenario.Homa} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -66,18 +67,18 @@ func TestSchemeNamesSortedAndComplete(t *testing.T) {
 }
 
 func TestRegisterSchemeRejectsDuplicates(t *testing.T) {
-	proto := func(string) (Scheme, error) { return Scheme{}, nil }
-	if err := RegisterScheme(PowerTCP, proto); err == nil {
+	proto := func(string) (scenario.Scheme, error) { return scenario.Scheme{}, nil }
+	if err := scenario.RegisterScheme(scenario.PowerTCP, proto); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	if err := RegisterScheme("", nil); err == nil {
+	if err := scenario.RegisterScheme("", nil); err == nil {
 		t.Fatal("empty registration accepted")
 	}
 }
 
 func TestIncastPowerTCPKeepsQueueShortAndThroughputHigh(t *testing.T) {
-	res := mustRun(t, NewSpec("incast", PowerTCP,
-		WithFanIn(10), WithWindow(3*sim.Millisecond), WithSeed(1)))
+	res := mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: 3 * sim.Millisecond},
+		Scheme: scenario.PowerTCP, Seed: 1})
 	r := res.Raw.(*IncastResult)
 	if r.FanIn != 10 || len(r.Points) == 0 {
 		t.Fatalf("degenerate result: %+v", r)
@@ -97,16 +98,16 @@ func TestIncastPowerTCPKeepsQueueShortAndThroughputHigh(t *testing.T) {
 	if res.Scalar("peak_queue_kb") != r.PeakQueueKB {
 		t.Fatalf("envelope peak %v != payload %v", res.Scalar("peak_queue_kb"), r.PeakQueueKB)
 	}
-	if res.Experiment != "incast" || res.Scheme != PowerTCP || res.Seed != 1 {
+	if res.Experiment != "incast" || res.Scheme != scenario.PowerTCP || res.Seed != 1 {
 		t.Fatalf("envelope identity wrong: %+v", res)
 	}
 }
 
 func TestIncastTimelyBuildsLargerQueues(t *testing.T) {
-	pt := mustRun(t, NewSpec("incast", PowerTCP,
-		WithFanIn(10), WithWindow(3*sim.Millisecond), WithSeed(1)))
-	tm := mustRun(t, NewSpec("incast", Timely,
-		WithFanIn(10), WithWindow(3*sim.Millisecond), WithSeed(1)))
+	pt := mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: 3 * sim.Millisecond},
+		Scheme: scenario.PowerTCP, Seed: 1})
+	tm := mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: 3 * sim.Millisecond},
+		Scheme: scenario.Timely, Seed: 1})
 	// Fig. 4c vs 4a: TIMELY does not control the queue; its peak must
 	// exceed PowerTCP's by a clear margin.
 	if tm.Scalar("peak_queue_kb") < 1.5*pt.Scalar("peak_queue_kb") {
@@ -116,8 +117,8 @@ func TestIncastTimelyBuildsLargerQueues(t *testing.T) {
 }
 
 func TestIncastHomaRuns(t *testing.T) {
-	res := mustRun(t, NewSpec("incast", Homa,
-		WithFanIn(10), WithWindow(3*sim.Millisecond), WithSeed(1)))
+	res := mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: 3 * sim.Millisecond},
+		Scheme: scenario.Homa, Seed: 1})
 	r := res.Raw.(*IncastResult)
 	if r.Completed < 8 {
 		t.Fatalf("HOMA completed %d/10", r.Completed)
@@ -128,7 +129,7 @@ func TestIncastHomaRuns(t *testing.T) {
 }
 
 func TestFairnessPowerTCPSharesEvenly(t *testing.T) {
-	res := mustRun(t, NewSpec("fairness", PowerTCP, WithSeed(2)))
+	res := mustRun(t, Spec{Preset: Fairness{}, Scheme: scenario.PowerTCP, Seed: 2})
 	r := res.Raw.(*FairnessResult)
 	if r.JainAvg < 0.85 {
 		t.Fatalf("Jain index = %v, want ≥0.85", r.JainAvg)
@@ -142,9 +143,9 @@ func TestFairnessPowerTCPSharesEvenly(t *testing.T) {
 }
 
 func TestWebSearchSmokeAndOrdering(t *testing.T) {
-	res := mustRun(t, NewSpec("websearch", PowerTCP,
-		WithLoad(0.15), WithServersPerTor(4),
-		WithDuration(4*sim.Millisecond), WithDrain(4*sim.Millisecond), WithSeed(3)))
+	res := mustRun(t, Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4,
+		Duration: 4 * sim.Millisecond, Drain: 4 * sim.Millisecond},
+		Scheme: scenario.PowerTCP, Seed: 3})
 	pt := res.Raw.(*WebSearchResult)
 	if pt.Completed == 0 {
 		t.Fatal("no flows completed")
@@ -159,10 +160,9 @@ func TestWebSearchSmokeAndOrdering(t *testing.T) {
 }
 
 func TestWebSearchBufferCDF(t *testing.T) {
-	res := mustRun(t, NewSpec("websearch", PowerTCP,
-		WithLoad(0.15), WithServersPerTor(4),
-		WithDuration(3*sim.Millisecond), WithDrain(2*sim.Millisecond),
-		WithSeed(4), WithBufferSampling(true)))
+	res := mustRun(t, Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4,
+		Duration: 3 * sim.Millisecond, Drain: 2 * sim.Millisecond, SampleBuffers: true},
+		Scheme: scenario.PowerTCP, Seed: 4})
 	r := res.Raw.(*WebSearchResult)
 	if len(r.BufferCDF) == 0 {
 		t.Fatal("no buffer CDF collected")
@@ -174,7 +174,7 @@ func TestWebSearchBufferCDF(t *testing.T) {
 }
 
 func TestRDCNPowerTCPUtilizationAndLatency(t *testing.T) {
-	res := mustRun(t, NewSpec("rdcn", PowerTCP, WithWeeks(3), WithSeed(5)))
+	res := mustRun(t, Spec{Preset: RDCN{Weeks: 3}, Scheme: scenario.PowerTCP, Seed: 5})
 	r := res.Raw.(*RDCNResult)
 	// §5 headline: PowerTCP achieves 80–85% circuit utilization. With the
 	// scaled topology we accept ≥60% here; the bench at paper scale
@@ -188,8 +188,8 @@ func TestRDCNPowerTCPUtilizationAndLatency(t *testing.T) {
 }
 
 func TestRDCNReTCPTradesLatencyForUtilization(t *testing.T) {
-	pt := mustRun(t, NewSpec("rdcn", PowerTCP, WithWeeks(3), WithSeed(5)))
-	re := mustRun(t, NewSpec("rdcn", ReTCP1800, WithWeeks(3), WithSeed(5)))
+	pt := mustRun(t, Spec{Preset: RDCN{Weeks: 3}, Scheme: scenario.PowerTCP, Seed: 5})
+	re := mustRun(t, Spec{Preset: RDCN{Weeks: 3}, Scheme: scenario.ReTCP1800, Seed: 5})
 	// Fig. 8: reTCP prebuffering pays with tail queuing latency;
 	// PowerTCP must beat it by at least 2× (paper: ≥5×).
 	if re.Scalar("tail_queuing_us") < 2*pt.Scalar("tail_queuing_us") {
@@ -202,7 +202,7 @@ func TestRDCNReTCPTradesLatencyForUtilization(t *testing.T) {
 }
 
 func TestRDCNRejectsUnsupportedScheme(t *testing.T) {
-	_, err := Run(NewSpec("rdcn", Timely, WithWeeks(1)))
+	_, err := Run(Spec{Preset: RDCN{Weeks: 1}, Scheme: scenario.Timely})
 	if err == nil || !strings.Contains(err.Error(), "does not support") {
 		t.Fatalf("rdcn accepted timely: %v", err)
 	}

@@ -2,316 +2,101 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/guard"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/units"
 )
 
-// Spec is the unified experiment configuration: the registry key, the
-// scheme (with composed scheme options), the seed, and the superset of
-// scenario knobs. Each experiment's Normalize fills the defaults of the
-// knobs it reads; the rest stay inert. Build one with NewSpec and the
-// With* options.
+// Spec is the identity of one run: which experiment, under which
+// scheme, at which seed. The experiment's own parameters travel inside
+// the Preset value, so a knob an experiment does not read cannot be
+// written down.
 type Spec struct {
-	Experiment string
-	Scheme     string
-	SchemeOpts []SchemeOption
-	Seed       int64
+	// Preset is one of the eight experiment parameter structs (Incast,
+	// Fairness, WebSearch, LoadSweep, RDCN, Permutation, Asymmetry,
+	// Failover); its zero fields take that experiment's defaults.
+	Preset Preset
+	Scheme string
+	// SchemeOpts composes ablation options (scenario.Gamma, Alpha,
+	// Overcommit, PerRTT, Prebuffer) onto the scheme at resolution time.
+	SchemeOpts []scenario.SchemeOption
+	// Seed drives workload and switch randomness.
+	Seed int64
 	// Label distinguishes specs that would otherwise summarize
 	// identically (e.g. sweep cells); it is carried into the Result.
 	Label string
-
-	// Topology scale.
-	ServersPerTor int
-	Tors          int
-	// Partitions > 1 shards the fabric across that many parallel engines
-	// (internal/psim); the Result is byte-identical to the serial run at
-	// any count. 0 or 1 runs serially.
-	Partitions int
-
-	// Incast (Fig. 4, 9–11).
-	FanIn    int
-	FlowSize int64
-
-	// Fairness (Fig. 5, 9).
-	Flows   int
-	Stagger sim.Duration
-	Sizes   []int64
-
-	// Websearch (Fig. 6–7) and load-sweep.
-	Load          float64
-	Loads         []float64
-	IncastRate    float64
-	IncastSize    int64
-	IncastFanIn   int
-	SampleBuffers bool
-
-	// RDCN (Fig. 8).
-	PacketRate units.BitRate
-	Weeks      int
-
-	// Multipath & failure lab (permutation, asymmetry, failover).
-	Routing      string          // route strategy name: "", "ecmp", "single", "wecmp"
-	Spines       int             // leaf-spine spine count
-	SpineRates   []units.BitRate // per-spine fabric rates (asymmetry)
-	FailAfter    sim.Duration    // link-failure instant (failover)
-	RestoreAfter sim.Duration    // link-restore instant; 0 defaults, KeepLinkDown suppresses
-	Reconverge   sim.Duration    // control-plane reconvergence delay
-
-	// Horizons and sampling.
-	Window       sim.Duration
-	Warmup       sim.Duration
-	Duration     sim.Duration
-	Drain        sim.Duration
-	SamplePeriod sim.Duration
 }
 
-// Option mutates a Spec under construction.
-type Option func(*Spec)
-
-// Spec options. Each sets one knob; experiments ignore knobs they do not
-// read.
-
-// WithSeed sets the RNG seed (workload and switch randomness).
-func WithSeed(seed int64) Option { return func(s *Spec) { s.Seed = seed } }
-
-// WithLabel tags the spec's result (sweep cells, panel names).
-func WithLabel(label string) Option { return func(s *Spec) { s.Label = label } }
-
-// WithSchemeOptions composes ablation options (Gamma, Alpha, Overcommit,
-// PerRTT, Prebuffer) onto the spec's scheme at resolution time.
-func WithSchemeOptions(opts ...SchemeOption) Option {
-	return func(s *Spec) { s.SchemeOpts = append(s.SchemeOpts, opts...) }
+// Preset is one registered experiment of the paper's evaluation with its
+// parameters filled in. Each run builds its own network and engine: the
+// Suite runs specs concurrently.
+type Preset interface {
+	// Name is the experiment's registry key ("incast", "websearch", ...).
+	Name() string
+	run(seed int64, scheme scenario.Scheme) (*scenario.Result, error)
 }
 
-// WithServersPerTor scales the fat-tree (32 = paper's §4.1 fabric).
-func WithServersPerTor(n int) Option { return func(s *Spec) { s.ServersPerTor = n } }
-
-// WithTors sets the RDCN rack count (paper: 25).
-func WithTors(n int) Option { return func(s *Spec) { s.Tors = n } }
-
-// WithPartitions runs the fabric sharded across n parallel engines
-// (topology-natural cuts, conservative sync — internal/psim). Output is
-// byte-identical to the serial run; only wall-clock time changes.
-func WithPartitions(n int) Option { return func(s *Spec) { s.Partitions = n } }
-
-// WithFanIn sets the incast fan-in degree.
-func WithFanIn(n int) Option { return func(s *Spec) { s.FanIn = n } }
-
-// WithFlowSize sets the incast per-responder transfer size in bytes.
-func WithFlowSize(bytes int64) Option { return func(s *Spec) { s.FlowSize = bytes } }
-
-// WithFlows sets the fairness flow count.
-func WithFlows(n int) Option { return func(s *Spec) { s.Flows = n } }
-
-// WithStagger sets the fairness arrival spacing.
-func WithStagger(d sim.Duration) Option { return func(s *Spec) { s.Stagger = d } }
-
-// WithSizes sets the fairness transfer sizes.
-func WithSizes(sizes ...int64) Option { return func(s *Spec) { s.Sizes = sizes } }
-
-// WithLoad sets the websearch ToR-uplink load (0.2–0.95, §4.1).
-func WithLoad(load float64) Option { return func(s *Spec) { s.Load = load } }
-
-// WithLoads sets the load-sweep grid.
-func WithLoads(loads ...float64) Option { return func(s *Spec) { s.Loads = loads } }
-
-// WithIncastOverlay overlays the synthetic incast request workload of
-// Fig. 7c–f on the websearch background.
-func WithIncastOverlay(ratePerSec float64, size int64, fanIn int) Option {
-	return func(s *Spec) {
-		s.IncastRate = ratePerSec
-		s.IncastSize = size
-		s.IncastFanIn = fanIn
-	}
-}
-
-// WithBufferSampling collects the ToR buffer-occupancy CDF (Fig. 7g/h).
-func WithBufferSampling(on bool) Option { return func(s *Spec) { s.SampleBuffers = on } }
-
-// WithPacketRate sets the RDCN packet-network bandwidth (Fig. 8b).
-func WithPacketRate(r units.BitRate) Option { return func(s *Spec) { s.PacketRate = r } }
-
-// WithRouting selects the multipath strategy ("ecmp", "single",
-// "wecmp") for the experiments that exercise the routing control plane.
-func WithRouting(name string) Option { return func(s *Spec) { s.Routing = name } }
-
-// WithSpines sets the leaf-spine spine count.
-func WithSpines(n int) Option { return func(s *Spec) { s.Spines = n } }
-
-// WithSpineRates sets per-spine fabric rates (the asymmetry scenario's
-// unequal core capacities).
-func WithSpineRates(rates ...units.BitRate) Option {
-	return func(s *Spec) { s.SpineRates = rates }
-}
-
-// KeepLinkDown, passed as WithFailure's restoreAt, leaves the failed
-// link down for the rest of the run.
-const KeepLinkDown sim.Duration = -1
-
-// WithFailure schedules a link failure at failAt and its repair at
-// restoreAt (failover scenario). Zero values take the experiment's
-// defaults; restoreAt = KeepLinkDown suppresses the repair. A positive
-// restoreAt at or before the failure is rejected at run time.
-func WithFailure(failAt, restoreAt sim.Duration) Option {
-	return func(s *Spec) {
-		s.FailAfter = failAt
-		s.RestoreAfter = restoreAt
-	}
-}
-
-// WithReconverge sets the control-plane delay between a link event and
-// the routing tables reflecting it.
-func WithReconverge(d sim.Duration) Option { return func(s *Spec) { s.Reconverge = d } }
-
-// WithWeeks sets the simulated RDCN rotor weeks.
-func WithWeeks(n int) Option { return func(s *Spec) { s.Weeks = n } }
-
-// WithWindow sets the observation window (incast, fairness).
-func WithWindow(d sim.Duration) Option { return func(s *Spec) { s.Window = d } }
-
-// WithWarmup sets the incast long-flow head start.
-func WithWarmup(d sim.Duration) Option { return func(s *Spec) { s.Warmup = d } }
-
-// WithDuration sets the websearch workload-generation horizon.
-func WithDuration(d sim.Duration) Option { return func(s *Spec) { s.Duration = d } }
-
-// WithDrain sets the websearch in-flight drain time.
-func WithDrain(d sim.Duration) Option { return func(s *Spec) { s.Drain = d } }
-
-// WithSamplePeriod sets the telemetry sampling period.
-func WithSamplePeriod(d sim.Duration) Option { return func(s *Spec) { s.SamplePeriod = d } }
-
-// NewSpec names an experiment and a scheme and applies options. Nothing
-// is validated here; Run resolves both registries and reports errors.
-func NewSpec(experiment, scheme string, opts ...Option) Spec {
-	s := Spec{Experiment: experiment, Scheme: scheme}
-	for _, opt := range opts {
-		opt(&s)
-	}
-	return s
-}
-
-// Experiment is one registered scenario of the paper's evaluation.
-type Experiment struct {
-	// Name is the registry key ("incast", "websearch", ...).
-	Name string
-	// Figures names the paper figures the experiment reproduces.
-	Figures string
-	// Normalize fills the defaults of the Spec knobs the experiment
-	// reads (the fillDefaults of the old per-runner options structs).
-	Normalize func(*Spec)
-	// Run executes one normalized spec under a resolved scheme. Each
-	// call must build its own network/engine: the Suite runs specs
-	// concurrently.
-	Run func(Spec, Scheme) (*Result, error)
-	// Fields names the Spec knobs the experiment consumes (see
-	// SpecFieldNames). When set, Run rejects specs that assign any
-	// other knob instead of silently ignoring it; nil skips the check
-	// (externally registered experiments).
-	Fields []string
-	// Supports rejects schemes the experiment cannot drive. When nil,
-	// Run applies the default rule: the scheme must provide a per-flow
-	// algorithm builder or use the HOMA transport.
-	Supports func(Scheme) error
-}
-
-var (
-	expMu       sync.RWMutex
-	experiments = map[string]Experiment{}
-)
-
-// RegisterExperiment adds an experiment to the registry; it errors on
-// duplicate or incomplete registrations.
-func RegisterExperiment(e Experiment) error {
-	if e.Name == "" || e.Run == nil {
-		return fmt.Errorf("exp: RegisterExperiment needs a name and a run function")
-	}
-	expMu.Lock()
-	defer expMu.Unlock()
-	if _, dup := experiments[e.Name]; dup {
-		return fmt.Errorf("exp: experiment %q already registered", e.Name)
-	}
-	experiments[e.Name] = e
-	return nil
-}
-
-func mustRegisterExperiment(e Experiment) {
-	if err := RegisterExperiment(e); err != nil {
-		panic(err)
-	}
+// presets lists the registered experiments by name order, each at its
+// defaults.
+var presets = []Preset{
+	Asymmetry{}, Failover{}, Fairness{}, Incast{},
+	LoadSweep{}, Permutation{}, RDCN{}, WebSearch{},
 }
 
 // ExperimentNames returns the registered experiment names, sorted.
 func ExperimentNames() []string {
-	expMu.RLock()
-	defer expMu.RUnlock()
-	return experimentNamesLocked()
-}
-
-// ExperimentByName returns a registered experiment.
-func ExperimentByName(name string) (Experiment, error) {
-	expMu.RLock()
-	defer expMu.RUnlock()
-	e, ok := experiments[name]
-	if !ok {
-		return Experiment{}, fmt.Errorf("exp: unknown experiment %q (known: %s)",
-			name, strings.Join(experimentNamesLocked(), ", "))
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.Name()
 	}
-	return e, nil
-}
-
-func experimentNamesLocked() []string {
-	names := make([]string, 0, len(experiments))
-	for n := range experiments {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	return names
 }
 
-// Run resolves the spec's experiment and scheme, validates that every
-// assigned knob is one the experiment consumes, normalizes defaults,
-// and executes the run on an isolated engine. It is safe to call
-// concurrently with distinct specs — the Suite does exactly that.
-func Run(s Spec) (*Result, error) {
-	e, err := ExperimentByName(s.Experiment)
+// Run resolves the spec's scheme and executes its preset on an isolated
+// engine. It is safe to call concurrently with distinct specs — the
+// Suite does exactly that.
+func Run(s Spec) (*scenario.Result, error) {
+	if s.Preset == nil {
+		return nil, fmt.Errorf("exp: spec names no experiment (Preset is one of: %s)",
+			strings.Join(ExperimentNames(), ", "))
+	}
+	name := s.Preset.Name()
+	scheme, err := scenario.ResolveScheme(s.Scheme, s.SchemeOpts...)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.validateAgainst(e); err != nil {
-		return nil, err
-	}
-	scheme, err := ResolveScheme(s.Scheme, s.SchemeOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("exp: experiment %q: %w", s.Experiment, err)
-	}
-	if e.Supports != nil {
-		if err := e.Supports(scheme); err != nil {
-			return nil, fmt.Errorf("exp: experiment %q: %w", e.Name, err)
-		}
-	} else if scheme.Alg == nil && !scheme.IsHoma() {
-		return nil, fmt.Errorf("exp: experiment %q does not support scheme %q (no per-flow algorithm)",
-			e.Name, scheme.Name)
-	}
-	if e.Normalize != nil {
-		e.Normalize(&s)
+		return nil, fmt.Errorf("exp: experiment %q: %w", name, err)
 	}
 	// Panic capture around the run body: a crash in a model or probe
 	// surfaces as a typed *guard.PanicError instead of unwinding through
 	// whoever called Run — which in a Suite would take every sibling
 	// spec's worker down with it.
-	r, err := guard.Capture(func() (*Result, error) { return e.Run(s, scheme) })
+	r, err := guard.Capture(func() (*scenario.Result, error) { return s.Preset.run(s.Seed, scheme) })
 	if err != nil {
-		return nil, fmt.Errorf("exp: experiment %q scheme %q: %w", s.Experiment, scheme.Name, err)
+		return nil, fmt.Errorf("exp: experiment %q scheme %q: %w", name, scheme.Name, err)
 	}
-	r.Experiment = e.Name
+	r.Experiment = name
 	r.Scheme = scheme.Name
 	r.Label = s.Label
 	r.Seed = s.Seed
 	return r, nil
+}
+
+// span is one horizon or sampling parameter a preset consumes itself.
+type span struct {
+	name string
+	d    sim.Duration
+}
+
+// checkSpans rejects a negative Window, Drain or SamplePeriod. The
+// presets add these into the run horizon and hand them to their own
+// panel probes, so no scenario component sees the raw value; every
+// other parameter is checked by the scenario component that reads it.
+func checkSpans(spans ...span) error {
+	for _, s := range spans {
+		if s.d < 0 {
+			return fmt.Errorf("%s %v is negative", s.name, s.d)
+		}
+	}
+	return nil
 }

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/units"
 )
 
 // FailoverResult is the typed payload of the link-failure experiment:
@@ -26,105 +28,99 @@ type FailoverResult struct {
 	LostPackets  uint64  // packets black-holed on downed wires
 }
 
-func init() {
-	mustRegisterExperiment(Experiment{
-		Name:    "failover",
-		Figures: "Supplementary (multipath lab): mid-run link failure, per-scheme recovery",
-		Fields: []string{FieldTors, FieldSpines, FieldServersPerTor,
-			FieldPartitions, FieldSpineRates, FieldFlows, FieldRouting,
-			FieldFailAfter, FieldRestoreAfter, FieldReconverge, FieldWindow,
-			FieldSamplePeriod},
-		Normalize: func(s *Spec) {
-			if s.Tors == 0 {
-				s.Tors = 2 // leaves
-			}
-			if s.Spines == 0 {
-				s.Spines = 2
-			}
-			if s.ServersPerTor == 0 {
-				s.ServersPerTor = 8
-			}
-			if s.Flows == 0 {
-				// Sized so the surviving spines can still carry the whole
-				// offered load: recovery measures rerouting + loss
-				// repair, not a capacity cliff.
-				s.Flows = 4
-			}
-			if s.Flows > s.ServersPerTor {
-				s.Flows = s.ServersPerTor
-			}
-			if s.Window == 0 {
-				s.Window = 5 * sim.Millisecond
-			}
-			if s.FailAfter == 0 {
-				s.FailAfter = sim.Millisecond
-			}
-			if s.RestoreAfter == 0 {
-				// KeepLinkDown (negative) suppresses the repair instead.
-				s.RestoreAfter = s.FailAfter + 2*sim.Millisecond
-			}
-			if s.Reconverge == 0 {
-				s.Reconverge = 200 * sim.Microsecond
-			}
-			if s.SamplePeriod == 0 {
-				s.SamplePeriod = 20 * sim.Microsecond
-			}
-		},
-		Run: runFailover,
-	})
+// KeepLinkDown, as Failover.RestoreAfter, leaves the failed link down
+// for the rest of the run.
+const KeepLinkDown sim.Duration = -1
+
+// Failover is the supplementary multipath-lab link failure: the first
+// leaf's link to spine 0 is cut mid-run. Flows hashed onto the dead path
+// black-hole until the control plane reconverges (Reconverge later),
+// then recover at the pace the scheme's loss detection allows; the link
+// comes back at RestoreAfter.
+type Failover struct {
+	Tors          int // leaves; default 2
+	Spines        int // default 2, and at least 2 so there is a path to reroute onto
+	ServersPerTor int // default 8
+	// Partitions is scenario.LeafSpineTopology.Partitions.
+	Partitions int
+	SpineRates []units.BitRate
+	// Flows is the cross-fabric flow count, capped at ServersPerTor. The
+	// default 4 is sized so the surviving spines can still carry the whole
+	// offered load: recovery measures rerouting + loss repair, not a
+	// capacity cliff.
+	Flows     int
+	Routing   string       // "", "ecmp", "single", "wecmp"
+	FailAfter sim.Duration // failure instant; default 1 ms
+	// RestoreAfter is the repair instant (default FailAfter + 2 ms,
+	// KeepLinkDown for never); it must come after the failure.
+	RestoreAfter sim.Duration
+	Reconverge   sim.Duration // control-plane delay; default 200 µs
+	Window       sim.Duration // default 5 ms
+	SamplePeriod sim.Duration // default 20 µs
 }
 
-// runFailover cuts the first leaf's link to spine 0 mid-run. Flows
-// hashed onto the dead path black-hole until the control plane
-// reconverges (s.Reconverge later), then recover at the pace the
-// scheme's loss detection allows; the link comes back at RestoreAfter.
-func runFailover(s Spec, scheme Scheme) (*Result, error) {
-	if s.Spines < 2 {
-		return nil, fmt.Errorf("failover needs ≥2 spines to reroute, got %d", s.Spines)
+// Name returns "failover".
+func (Failover) Name() string { return "failover" }
+
+func (p Failover) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
+	p.Tors = cmp.Or(p.Tors, 2)
+	p.Spines = cmp.Or(p.Spines, 2)
+	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
+	p.Flows = min(cmp.Or(p.Flows, 4), p.ServersPerTor)
+	p.Window = cmp.Or(p.Window, 5*sim.Millisecond)
+	p.FailAfter = cmp.Or(p.FailAfter, sim.Millisecond)
+	p.RestoreAfter = cmp.Or(p.RestoreAfter, p.FailAfter+2*sim.Millisecond)
+	p.Reconverge = cmp.Or(p.Reconverge, 200*sim.Microsecond)
+	p.SamplePeriod = cmp.Or(p.SamplePeriod, 20*sim.Microsecond)
+	if p.Spines < 2 {
+		return nil, fmt.Errorf("failover needs ≥2 Spines to reroute, got %d", p.Spines)
 	}
-	if s.RestoreAfter > 0 && s.RestoreAfter <= s.FailAfter {
-		return nil, fmt.Errorf("failover restore at %v is not after the failure at %v",
-			s.RestoreAfter, s.FailAfter)
+	if err := checkSpans(span{"Window", p.Window}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+		return nil, err
 	}
 	events := []scenario.Event{
-		scenario.LinkFail{At: s.FailAfter, A: scenario.Leaf(0), B: scenario.Spine(0)},
+		scenario.LinkFail{At: p.FailAfter, A: scenario.Leaf(0), B: scenario.Spine(0)},
 	}
 	restoreAt := sim.Duration(0)
-	if s.RestoreAfter > s.FailAfter {
-		restoreAt = s.RestoreAfter
+	if p.RestoreAfter != KeepLinkDown {
+		if p.RestoreAfter >= 0 && p.RestoreAfter <= p.FailAfter {
+			return nil, fmt.Errorf("failover RestoreAfter %v is not after the failure at %v",
+				p.RestoreAfter, p.FailAfter)
+		}
+		restoreAt = p.RestoreAfter
 		events = append(events, scenario.LinkRestore{
-			At: s.RestoreAfter, A: scenario.Leaf(0), B: scenario.Spine(0),
+			At: p.RestoreAfter, A: scenario.Leaf(0), B: scenario.Spine(0),
 		})
 	}
 	return scenario.Run(scenario.Scenario{
 		Name:   "failover",
 		Scheme: scheme,
-		Seed:   s.Seed,
+		Seed:   seed,
 		Topology: scenario.LeafSpineTopology{
-			Leaves:         s.Tors,
-			Spines:         s.Spines,
-			ServersPerLeaf: s.ServersPerTor,
-			SpineRates:     s.SpineRates,
-			Routing:        s.Routing,
-			Partitions:     s.Partitions,
+			Leaves:         p.Tors,
+			Spines:         p.Spines,
+			ServersPerLeaf: p.ServersPerTor,
+			SpineRates:     p.SpineRates,
+			Routing:        p.Routing,
+			Partitions:     p.Partitions,
 		},
 		Traffic: []scenario.Traffic{scenario.RackPairs{
 			FromRack: scenario.RackStart(0),
-			ToRack:   scenario.RackStart(s.Tors - 1),
-			Count:    s.Flows,
+			ToRack:   scenario.RackStart(p.Tors - 1),
+			Count:    p.Flows,
 		}},
-		Events: scenario.Timeline{Events: events, Reconverge: s.Reconverge},
+		Events: scenario.Timeline{Events: events, Reconverge: p.Reconverge},
 		Probes: []scenario.Probe{
 			&failoverPanel{
-				period:    s.SamplePeriod,
-				window:    s.Window,
-				failAt:    s.FailAfter,
+				period:    p.SamplePeriod,
+				window:    p.Window,
+				failAt:    p.FailAfter,
 				restoreAt: restoreAt,
-				flows:     s.Flows,
+				flows:     p.Flows,
 			},
 			scenario.AccountingProbe{},
 		},
-		Until: s.Window,
+		Until: p.Window,
 	})
 }
 
@@ -169,7 +165,7 @@ func (p *failoverPanel) Install(env *scenario.Env) error {
 	return nil
 }
 
-func (p *failoverPanel) Finalize(env *scenario.Env, res *Result) error {
+func (p *failoverPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	fr := p.fr
 	net := env.Lab.Net
 	for _, sw := range net.Switches {

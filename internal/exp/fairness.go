@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/scenario"
@@ -17,56 +18,51 @@ type FairnessResult struct {
 	JainAvg float64     // mean Jain index over samples with ≥2 active flows
 }
 
-func init() {
-	mustRegisterExperiment(Experiment{
-		Name:    "fairness",
-		Figures: "Fig. 5 (staggered arrivals), Fig. 9 (HOMA overcommitment)",
-		Fields: []string{FieldFlows, FieldStagger, FieldSizes,
-			FieldWindow, FieldSamplePeriod},
-		Normalize: func(s *Spec) {
-			if s.Flows == 0 {
-				s.Flows = 4
-			}
-			if s.Stagger == 0 {
-				s.Stagger = sim.Millisecond
-			}
-			if s.Window == 0 {
-				s.Window = 8 * sim.Millisecond
-			}
-			if s.SamplePeriod == 0 {
-				s.SamplePeriod = 50 * sim.Microsecond
-			}
-			if len(s.Sizes) == 0 {
-				// Chosen so at 25G fair sharing the flows finish in
-				// arrival order, giving the arrive-and-leave staircase
-				// of Fig. 5.
-				s.Sizes = []int64{9 << 20, 6 << 20, 4 << 20, 2 << 20}[:min(s.Flows, 4)]
-				for len(s.Sizes) < s.Flows {
-					s.Sizes = append(s.Sizes, 2<<20)
-				}
-			}
-		},
-		Run: runFairness,
-	})
+// Fairness is Figure 5 (staggered arrivals) and Figure 9 (HOMA
+// overcommitment): Flows staggered senders to one receiver over a single
+// 25G bottleneck.
+type Fairness struct {
+	Flows   int          // default 4
+	Stagger sim.Duration // arrival spacing; default 1 ms
+	// Sizes are the transfer sizes in arrival order. The default is chosen
+	// so at 25G fair sharing the flows finish in arrival order, giving the
+	// arrive-and-leave staircase of Fig. 5.
+	Sizes        []int64
+	Window       sim.Duration // default 8 ms
+	SamplePeriod sim.Duration // default 50 µs
 }
 
-// runFairness reproduces Figure 5 as a declarative scenario: Flows
-// staggered senders to one receiver over a single 25G bottleneck.
-func runFairness(s Spec, scheme Scheme) (*Result, error) {
+// Name returns "fairness".
+func (Fairness) Name() string { return "fairness" }
+
+func (p Fairness) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
+	p.Flows = cmp.Or(p.Flows, 4)
+	p.Stagger = cmp.Or(p.Stagger, sim.Millisecond)
+	p.Window = cmp.Or(p.Window, 8*sim.Millisecond)
+	p.SamplePeriod = cmp.Or(p.SamplePeriod, 50*sim.Microsecond)
+	if len(p.Sizes) == 0 {
+		p.Sizes = []int64{9 << 20, 6 << 20, 4 << 20, 2 << 20}[:max(0, min(p.Flows, 4))]
+		for len(p.Sizes) < p.Flows {
+			p.Sizes = append(p.Sizes, 2<<20)
+		}
+	}
+	if err := checkSpans(span{"Window", p.Window}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+		return nil, err
+	}
 	return scenario.Run(scenario.Scenario{
 		Name:     "fairness",
 		Scheme:   scheme,
-		Seed:     s.Seed,
-		Topology: scenario.StarTopology{Hosts: s.Flows + 1},
+		Seed:     seed,
+		Topology: scenario.StarTopology{Hosts: p.Flows + 1},
 		Traffic: []scenario.Traffic{scenario.Staggered{
 			Receiver:    scenario.Host(0),
 			FirstSender: scenario.Host(1),
-			Count:       s.Flows,
-			Stagger:     s.Stagger,
-			Sizes:       s.Sizes,
+			Count:       p.Flows,
+			Stagger:     p.Stagger,
+			Sizes:       p.Sizes,
 		}},
-		Probes: []scenario.Probe{&fairnessPanel{receiver: 0, period: s.SamplePeriod}},
-		Until:  s.Window,
+		Probes: []scenario.Probe{&fairnessPanel{receiver: 0, period: p.SamplePeriod}},
+		Until:  p.Window,
 	})
 }
 
@@ -109,7 +105,7 @@ func (p *fairnessPanel) Install(env *scenario.Env) error {
 	return nil
 }
 
-func (p *fairnessPanel) Finalize(env *scenario.Env, res *Result) error {
+func (p *fairnessPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	if p.jainN > 0 {
 		p.fr.JainAvg = p.jainSum / float64(p.jainN)
 	}
@@ -121,11 +117,4 @@ func (p *fairnessPanel) Finalize(env *scenario.Env, res *Result) error {
 		res.AddSeries(scenario.TimeSeries(fmt.Sprintf("flow%d_gbps", i+1), p.fr.T, p.fr.Per[i]))
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -12,9 +13,8 @@ import (
 // We compare the tail-mean queue after the burst.
 func TestGammaTradeoff(t *testing.T) {
 	run := func(gamma float64) *IncastResult {
-		return mustRun(t, NewSpec("incast", PowerTCP,
-			WithSchemeOptions(Gamma(gamma)),
-			WithFanIn(10), WithWindow(3*sim.Millisecond), WithSeed(4))).Raw.(*IncastResult)
+		return mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: 3 * sim.Millisecond},
+			Scheme: scenario.PowerTCP, SchemeOpts: []scenario.SchemeOption{scenario.Gamma(gamma)}, Seed: 4}).Raw.(*IncastResult)
 	}
 	slow := run(0.1)
 	rec := run(0.9)
@@ -30,8 +30,8 @@ func TestGammaTradeoff(t *testing.T) {
 
 // The γ option must rebuild the builder for both PowerTCP variants.
 func TestGammaOptionBuilders(t *testing.T) {
-	for _, name := range []string{PowerTCP, ThetaPowerTCP} {
-		s, err := ResolveScheme(name, Gamma(0.5))
+	for _, name := range []string{scenario.PowerTCP, scenario.ThetaPowerTCP} {
+		s, err := scenario.ResolveScheme(name, scenario.Gamma(0.5))
 		if err != nil {
 			t.Fatalf("ResolveScheme(%s, Gamma(0.5)): %v", name, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -17,27 +18,23 @@ import (
 // pins the scenario redesign to byte-identical figure outputs.
 func goldenSpecs() []Spec {
 	return []Spec{
-		NewSpec("incast", PowerTCP,
-			WithFanIn(10), WithWindow(2*sim.Millisecond), WithSeed(1)),
-		NewSpec("fairness", PowerTCP,
-			WithWindow(3*sim.Millisecond), WithSeed(1)),
-		NewSpec("websearch", PowerTCP,
-			WithLoad(0.15), WithServersPerTor(4),
-			WithDuration(2*sim.Millisecond), WithDrain(sim.Millisecond), WithSeed(1)),
-		NewSpec("load-sweep", PowerTCP,
-			WithLoads(0.1, 0.2), WithServersPerTor(4),
-			WithDuration(sim.Millisecond), WithDrain(sim.Millisecond), WithSeed(1)),
-		NewSpec("rdcn", PowerTCP,
-			WithTors(4), WithWeeks(2), WithPacketRate(25*units.Gbps), WithSeed(1)),
-		NewSpec("permutation", PowerTCP,
-			WithRouting("ecmp"), WithServersPerTor(4),
-			WithWindow(sim.Millisecond), WithSeed(1)),
-		NewSpec("asymmetry", PowerTCP,
-			WithRouting("wecmp"), WithServersPerTor(4),
-			WithWindow(sim.Millisecond), WithSeed(1)),
-		NewSpec("failover", PowerTCP,
-			WithServersPerTor(4), WithFlows(2),
-			WithWindow(3*sim.Millisecond), WithSeed(1)),
+		Spec{Preset: Incast{FanIn: 10, Window: 2 * sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 1},
+		Spec{Preset: Fairness{Window: 3 * sim.Millisecond}, Scheme: scenario.PowerTCP, Seed: 1},
+		Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4, Duration: 2 * sim.Millisecond,
+			Drain: sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 1},
+		Spec{Preset: LoadSweep{Loads: []float64{0.1, 0.2}, ServersPerTor: 4,
+			Duration: sim.Millisecond, Drain: sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 1},
+		Spec{Preset: RDCN{Tors: 4, Weeks: 2, PacketRate: 25 * units.Gbps},
+			Scheme: scenario.PowerTCP, Seed: 1},
+		Spec{Preset: Permutation{Routing: "ecmp", ServersPerTor: 4, Window: sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 1},
+		Spec{Preset: Asymmetry{Routing: "wecmp", ServersPerTor: 4, Window: sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 1},
+		Spec{Preset: Failover{ServersPerTor: 4, Flows: 2, Window: 3 * sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 1},
 	}
 }
 
@@ -53,7 +50,7 @@ func TestGoldenCompatibility(t *testing.T) {
 	// cannot ship without a recorded golden.
 	covered := map[string]bool{}
 	for _, s := range specs {
-		covered[s.Experiment] = true
+		covered[s.Preset.Name()] = true
 	}
 	for _, name := range ExperimentNames() {
 		if !covered[name] {
@@ -64,13 +61,13 @@ func TestGoldenCompatibility(t *testing.T) {
 	for _, spec := range specs {
 		r, err := Run(spec)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.Experiment, err)
+			t.Fatalf("%s: %v", spec.Preset.Name(), err)
 		}
 		var buf bytes.Buffer
 		if err := r.EncodeJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", "golden", spec.Experiment+".json")
+		path := filepath.Join("testdata", "golden", spec.Preset.Name()+".json")
 		if update {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
@@ -83,11 +80,11 @@ func TestGoldenCompatibility(t *testing.T) {
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: missing golden (run with POWERTCP_UPDATE_GOLDEN=1): %v",
-				spec.Experiment, err)
+				spec.Preset.Name(), err)
 		}
 		if !bytes.Equal(want, buf.Bytes()) {
 			t.Errorf("%s: seed-1 output differs from recorded golden %s (%d vs %d bytes)",
-				spec.Experiment, path, len(buf.Bytes()), len(want))
+				spec.Preset.Name(), path, len(buf.Bytes()), len(want))
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"cmp"
+
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -26,45 +28,41 @@ type IncastResult struct {
 	Completed       int     // incast flows finished inside the window
 }
 
-func init() {
-	mustRegisterExperiment(Experiment{
-		Name:    "incast",
-		Figures: "Fig. 4 (10:1 and 255:1), Fig. 10–11 (HOMA overcommitment)",
-		Fields: []string{FieldServersPerTor, FieldPartitions, FieldFanIn, FieldFlowSize,
-			FieldWindow, FieldWarmup, FieldSamplePeriod},
-		Normalize: func(s *Spec) {
-			if s.FanIn == 0 {
-				s.FanIn = 10
-			}
-			if s.ServersPerTor == 0 {
-				s.ServersPerTor = 8
-			}
-			if s.FlowSize == 0 {
-				s.FlowSize = 500_000
-			}
-			if s.Window == 0 {
-				s.Window = 4 * sim.Millisecond
-			}
-			if s.Warmup == 0 {
-				s.Warmup = 500 * sim.Microsecond
-			}
-			if s.SamplePeriod == 0 {
-				s.SamplePeriod = 20 * sim.Microsecond
-			}
-		},
-		Run: runIncast,
-	})
+// Incast is one panel of Figure 4 (10:1 and 255:1) and of Figures 10–11
+// (HOMA overcommitment): a long flow into the receiver, then at Warmup
+// a FanIn:1 incast pulse from senders in other racks hits it.
+type Incast struct {
+	FanIn    int   // default 10
+	FlowSize int64 // bytes per responder; default 500 KB
+	// ServersPerTor scales the fat-tree (default 8; 32 is the paper's
+	// §4.1 fabric).
+	ServersPerTor int
+	// Partitions is scenario.FatTreeTopology.Partitions: output is
+	// byte-identical at any count.
+	Partitions   int
+	Window       sim.Duration // observation window after Warmup; default 4 ms
+	Warmup       sim.Duration // long-flow head start; default 500 µs
+	SamplePeriod sim.Duration // default 20 µs
 }
 
-// runIncast reproduces one panel of Figure 4 as a declarative scenario:
-// a long flow into the receiver, then at Warmup a FanIn:1 incast pulse
-// from senders in other racks hits it.
-func runIncast(s Spec, scheme Scheme) (*Result, error) {
+// Name returns "incast".
+func (Incast) Name() string { return "incast" }
+
+func (p Incast) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
+	p.FanIn = cmp.Or(p.FanIn, 10)
+	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
+	p.FlowSize = cmp.Or(p.FlowSize, 500_000)
+	p.Window = cmp.Or(p.Window, 4*sim.Millisecond)
+	p.Warmup = cmp.Or(p.Warmup, 500*sim.Microsecond)
+	p.SamplePeriod = cmp.Or(p.SamplePeriod, 20*sim.Microsecond)
+	if err := checkSpans(span{"Window", p.Window}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+		return nil, err
+	}
 	return scenario.Run(scenario.Scenario{
 		Name:     "incast",
 		Scheme:   scheme,
-		Seed:     s.Seed,
-		Topology: scenario.FatTreeTopology{ServersPerTor: s.ServersPerTor, Partitions: s.Partitions},
+		Seed:     seed,
+		Topology: scenario.FatTreeTopology{ServersPerTor: p.ServersPerTor, Partitions: p.Partitions},
 		Traffic: []scenario.Traffic{
 			// Long flow from the last rack toward the receiver.
 			scenario.Flows{List: []scenario.FlowSpec{{
@@ -73,18 +71,18 @@ func runIncast(s Spec, scheme Scheme) (*Result, error) {
 			// FanIn cross-rack senders fire together at Warmup. The span
 			// excludes the long flow's sender at the end of the host range.
 			scenario.IncastPulse{
-				At:       s.Warmup,
+				At:       p.Warmup,
 				Receiver: scenario.Host(0),
-				FanIn:    s.FanIn,
-				FlowSize: s.FlowSize,
+				FanIn:    p.FanIn,
+				FlowSize: p.FlowSize,
 				Senders:  scenario.Span{From: scenario.RackStart(1), To: scenario.HostFromEnd(1)},
 			},
 		},
 		Probes: []scenario.Probe{
-			&incastPanel{receiver: 0, flowSize: s.FlowSize, period: s.SamplePeriod},
+			&incastPanel{receiver: 0, flowSize: p.FlowSize, period: p.SamplePeriod},
 			scenario.AccountingProbe{},
 		},
-		Until: s.Warmup + s.Window,
+		Until: p.Warmup + p.Window,
 	})
 }
 
@@ -134,7 +132,7 @@ func (p *incastPanel) Install(env *scenario.Env) error {
 	return nil
 }
 
-func (p *incastPanel) Finalize(env *scenario.Env, res *Result) error {
+func (p *incastPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	ic := p.ic
 	var sumTp float64
 	for _, pt := range ic.Points {

@@ -3,14 +3,15 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 // Scaled-down multipath specs shared by the tests below.
 func permSpec(routing string) Spec {
-	return NewSpec("permutation", PowerTCP,
-		WithRouting(routing), WithServersPerTor(4),
-		WithWindow(2*sim.Millisecond), WithSeed(1))
+	return Spec{Preset: Permutation{Routing: routing, ServersPerTor: 4,
+		Window: 2 * sim.Millisecond},
+		Scheme: scenario.PowerTCP, Seed: 1}
 }
 
 func TestPermutationECMPSpreadsAndOutperformsSinglePath(t *testing.T) {
@@ -54,9 +55,9 @@ func TestAsymmetryWCMPBeatsECMPBeatsSinglePath(t *testing.T) {
 	// 8 senders × 25G = 200G offered over 150G of spine capacity: the
 	// fabric must be saturated for the strategies to separate.
 	spec := func(routing string) Spec {
-		return NewSpec("asymmetry", PowerTCP,
-			WithRouting(routing), WithServersPerTor(8),
-			WithWindow(2*sim.Millisecond), WithSeed(1))
+		return Spec{Preset: Asymmetry{Routing: routing, ServersPerTor: 8,
+			Window: 2 * sim.Millisecond},
+			Scheme: scenario.PowerTCP, Seed: 1}
 	}
 	ecmp := mustRun(t, spec("ecmp")).Raw.(*AsymmetryResult)
 	wcmp := mustRun(t, spec("wecmp")).Raw.(*AsymmetryResult)
@@ -89,8 +90,8 @@ func TestAsymmetryWCMPBeatsECMPBeatsSinglePath(t *testing.T) {
 }
 
 func TestFailoverCutsRecoversAndRestores(t *testing.T) {
-	res := mustRun(t, NewSpec("failover", PowerTCP,
-		WithServersPerTor(4), WithFlows(2), WithSeed(1)))
+	res := mustRun(t, Spec{Preset: Failover{ServersPerTor: 4, Flows: 2},
+		Scheme: scenario.PowerTCP, Seed: 1})
 	fr := res.Raw.(*FailoverResult)
 
 	if fr.PreFailGbps < 20 {
@@ -116,9 +117,9 @@ func TestFailoverCutsRecoversAndRestores(t *testing.T) {
 }
 
 func TestFailoverWithoutRestoreKeepsLinkDown(t *testing.T) {
-	res := mustRun(t, NewSpec("failover", PowerTCP,
-		WithServersPerTor(4), WithFlows(2),
-		WithFailure(sim.Millisecond, KeepLinkDown), WithWindow(3*sim.Millisecond), WithSeed(1)))
+	res := mustRun(t, Spec{Preset: Failover{ServersPerTor: 4, Flows: 2, FailAfter: sim.Millisecond,
+		RestoreAfter: KeepLinkDown, Window: 3 * sim.Millisecond},
+		Scheme: scenario.PowerTCP, Seed: 1})
 	// Only the initial build and the failure reconvergence.
 	if got := res.Scalar("route_rebuilds"); got != 2 {
 		t.Fatalf("route_rebuilds = %v, want 2 (no restore)", got)
@@ -129,9 +130,9 @@ func TestFailoverWithoutRestoreKeepsLinkDown(t *testing.T) {
 }
 
 func TestMultipathExperimentsRejectBadRouting(t *testing.T) {
-	for _, name := range []string{"permutation", "asymmetry", "failover"} {
-		if _, err := Run(NewSpec(name, PowerTCP, WithRouting("bogus"))); err == nil {
-			t.Fatalf("%s accepted bogus routing strategy", name)
+	for _, p := range []Preset{Permutation{Routing: "bogus"}, Asymmetry{Routing: "bogus"}, Failover{Routing: "bogus"}} {
+		if _, err := Run(Spec{Preset: p, Scheme: scenario.PowerTCP}); err == nil {
+			t.Fatalf("%s accepted bogus routing strategy", p.Name())
 		}
 	}
 }

@@ -3,19 +3,17 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 func TestWebSearchIncastOverlay(t *testing.T) {
-	base := []Option{
-		WithLoad(0.1), WithServersPerTor(4),
-		WithDuration(3 * sim.Millisecond), WithDrain(2 * sim.Millisecond), WithSeed(5),
-	}
-	plain := mustRun(t, NewSpec("websearch", PowerTCP, base...)).Raw.(*WebSearchResult)
+	cell := WebSearch{Load: 0.1, ServersPerTor: 4,
+		Duration: 3 * sim.Millisecond, Drain: 2 * sim.Millisecond}
+	plain := mustRun(t, Spec{Preset: cell, Scheme: scenario.PowerTCP, Seed: 5}).Raw.(*WebSearchResult)
 	const fanIn = 8
-	withIncast := append(append([]Option{}, base...),
-		WithIncastOverlay(2000 /* ≈6 requests in the horizon */, 1<<20, fanIn))
-	burst := mustRun(t, NewSpec("websearch", PowerTCP, withIncast...)).Raw.(*WebSearchResult)
+	cell.IncastRate, cell.IncastSize, cell.IncastFanIn = 2000 /* ≈6 requests in the horizon */, 1<<20, fanIn
+	burst := mustRun(t, Spec{Preset: cell, Scheme: scenario.PowerTCP, Seed: 5}).Raw.(*WebSearchResult)
 	if burst.Started <= plain.Started {
 		t.Fatalf("incast overlay added no flows: %d vs %d", burst.Started, plain.Started)
 	}
@@ -27,9 +25,9 @@ func TestWebSearchIncastOverlay(t *testing.T) {
 }
 
 func TestLoadSweepShapes(t *testing.T) {
-	res := mustRun(t, NewSpec("load-sweep", PowerTCP,
-		WithLoads(0.1, 0.3), WithServersPerTor(4),
-		WithDuration(3*sim.Millisecond), WithDrain(2*sim.Millisecond), WithSeed(6)))
+	res := mustRun(t, Spec{Preset: LoadSweep{Loads: []float64{0.1, 0.3}, ServersPerTor: 4,
+		Duration: 3 * sim.Millisecond, Drain: 2 * sim.Millisecond},
+		Scheme: scenario.PowerTCP, Seed: 6})
 	rs := res.Raw.([]*WebSearchResult)
 	if len(rs) != 2 || rs[0].Load != 0.1 || rs[1].Load != 0.3 {
 		t.Fatalf("sweep shape wrong: %+v", rs)
@@ -48,9 +46,8 @@ func TestLoadSweepShapes(t *testing.T) {
 
 func TestFairnessHomaOvercommitRuns(t *testing.T) {
 	for _, oc := range []int{1, 4} {
-		res := mustRun(t, NewSpec("fairness", Homa,
-			WithSchemeOptions(Overcommit(oc)),
-			WithWindow(4*sim.Millisecond), WithSeed(3)))
+		res := mustRun(t, Spec{Preset: Fairness{Window: 4 * sim.Millisecond},
+			Scheme: scenario.Homa, SchemeOpts: []scenario.SchemeOption{scenario.Overcommit(oc)}, Seed: 3})
 		r := res.Raw.(*FairnessResult)
 		if len(r.T) == 0 {
 			t.Fatalf("oc %d: empty series", oc)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -17,21 +18,21 @@ import (
 func TestPartitionedMatchesSerial(t *testing.T) {
 	specs := map[string]func(parts int) Spec{
 		"incast": func(parts int) Spec {
-			return NewSpec("incast", PowerTCP, WithPartitions(parts),
-				WithFanIn(10), WithWindow(2*sim.Millisecond), WithSeed(7))
+			return Spec{Preset: Incast{Partitions: parts, FanIn: 10, Window: 2 * sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 7}
 		},
 		"permutation": func(parts int) Spec {
-			return NewSpec("permutation", PowerTCP, WithPartitions(parts),
-				WithRouting("ecmp"), WithWindow(2*sim.Millisecond), WithSeed(3))
+			return Spec{Preset: Permutation{Partitions: parts, Routing: "ecmp",
+				Window: 2 * sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 3}
 		},
 		// Far-horizon failover: the restore event and the RTOs it triggers
 		// live beyond the wheel span, so partitioned runs exercise the
 		// overflow heap and Reset's discard path on every engine.
 		"failover": func(parts int) Spec {
-			return NewSpec("failover", PowerTCP, WithPartitions(parts),
-				WithServersPerTor(4), WithFlows(2), WithSpines(2),
-				WithFailure(2*sim.Millisecond, 12*sim.Millisecond),
-				WithWindow(20*sim.Millisecond), WithSeed(21))
+			return Spec{Preset: Failover{Partitions: parts, ServersPerTor: 4, Flows: 2,
+				Spines: 2, FailAfter: 2 * sim.Millisecond, RestoreAfter: 12 * sim.Millisecond, Window: 20 * sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 21}
 		},
 	}
 	for name, spec := range specs {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -24,40 +25,38 @@ type PermutationResult struct {
 	UplinkImbalance float64 // max/mean bytes across used ToR uplinks
 }
 
-func init() {
-	mustRegisterExperiment(Experiment{
-		Name:    "permutation",
-		Figures: "Supplementary (multipath lab): ECMP hash imbalance on the §4.1 fat-tree",
-		Fields: []string{FieldServersPerTor, FieldPartitions, FieldRouting,
-			FieldWindow, FieldSamplePeriod},
-		Normalize: func(s *Spec) {
-			if s.ServersPerTor == 0 {
-				s.ServersPerTor = 8
-			}
-			if s.Window == 0 {
-				s.Window = 4 * sim.Millisecond
-			}
-			if s.SamplePeriod == 0 {
-				s.SamplePeriod = 50 * sim.Microsecond
-			}
-		},
-		Run: runPermutation,
-	})
+// Permutation is the supplementary multipath-lab stress: one endless
+// flow per host along a host permutation of the §4.1 fat-tree, measuring
+// how evenly the routing strategy spreads it — per-flow goodput fairness
+// and ToR-uplink load imbalance under ECMP hashing.
+type Permutation struct {
+	ServersPerTor int // default 8
+	// Partitions is scenario.FatTreeTopology.Partitions.
+	Partitions int
+	// Routing names the multipath strategy ("", "ecmp", "single", "wecmp").
+	Routing      string
+	Window       sim.Duration // default 4 ms
+	SamplePeriod sim.Duration // default 50 µs
 }
 
-// runPermutation drives host-permutation traffic — the canonical
-// multipath stress — across the fat tree and measures how evenly the
-// routing strategy spreads it: per-flow goodput fairness and ToR-uplink
-// load imbalance.
-func runPermutation(s Spec, scheme Scheme) (*Result, error) {
+// Name returns "permutation".
+func (Permutation) Name() string { return "permutation" }
+
+func (p Permutation) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
+	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
+	p.Window = cmp.Or(p.Window, 4*sim.Millisecond)
+	p.SamplePeriod = cmp.Or(p.SamplePeriod, 50*sim.Microsecond)
+	if err := checkSpans(span{"Window", p.Window}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+		return nil, err
+	}
 	return scenario.Run(scenario.Scenario{
 		Name:     "permutation",
 		Scheme:   scheme,
-		Seed:     s.Seed,
-		Topology: scenario.FatTreeTopology{ServersPerTor: s.ServersPerTor, Routing: s.Routing, Partitions: s.Partitions},
+		Seed:     seed,
+		Topology: scenario.FatTreeTopology{ServersPerTor: p.ServersPerTor, Routing: p.Routing, Partitions: p.Partitions},
 		Traffic:  []scenario.Traffic{scenario.Permutation{}},
-		Probes:   []scenario.Probe{&permutationPanel{period: s.SamplePeriod, window: s.Window}},
-		Until:    s.Window,
+		Probes:   []scenario.Probe{&permutationPanel{period: p.SamplePeriod, window: p.Window}},
+		Until:    p.Window,
 	})
 }
 
@@ -92,7 +91,7 @@ func (p *permutationPanel) Install(env *scenario.Env) error {
 	return nil
 }
 
-func (p *permutationPanel) Finalize(env *scenario.Env, res *Result) error {
+func (p *permutationPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	pr := p.pr
 	net := env.Lab.Net
 	n := pr.Flows
@@ -152,9 +151,9 @@ func (p *permutationPanel) Finalize(env *scenario.Env, res *Result) error {
 	res.SetScalar("uplink_imbalance", pr.UplinkImbalance)
 	res.SetScalar("engine_steps", float64(net.Steps()))
 	res.AddSeries(scenario.TimeSeries("agg_goodput_gbps", pr.T, pr.AggGbps))
-	flowSeries := Series{Name: "flow_goodput_gbps", XLabel: "flow"}
+	flowSeries := scenario.Series{Name: "flow_goodput_gbps", XLabel: "flow"}
 	for i, g := range pr.PerFlowGbps {
-		flowSeries.Points = append(flowSeries.Points, SeriesPoint{X: float64(i), V: g})
+		flowSeries.Points = append(flowSeries.Points, scenario.SeriesPoint{X: float64(i), V: g})
 	}
 	res.AddSeries(flowSeries)
 	return nil

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"repro/internal/packet"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -26,66 +27,50 @@ type RDCNResult struct {
 	AvgGoodputGbps float64
 }
 
-func init() {
-	mustRegisterExperiment(Experiment{
-		Name:    "rdcn",
-		Figures: "Fig. 8 (reconfigurable DCN case study, §5)",
-		Fields: []string{FieldTors, FieldServersPerTor, FieldPacketRate,
-			FieldWeeks, FieldSamplePeriod},
-		Normalize: func(s *Spec) {
-			if s.Tors == 0 {
-				// 16 keeps the rotor week (3.7 ms) comfortably longer
-				// than reTCP's 1800 µs prebuffering, like the paper's
-				// 25-ToR setup.
-				s.Tors = 16
-			}
-			if s.ServersPerTor == 0 {
-				s.ServersPerTor = 4
-			}
-			if s.PacketRate == 0 {
-				s.PacketRate = 25 * units.Gbps
-			}
-			if s.Weeks == 0 {
-				s.Weeks = 3
-			}
-			if s.SamplePeriod == 0 {
-				s.SamplePeriod = 10 * sim.Microsecond
-			}
-		},
-		Run:      runRDCN,
-		Supports: rdcnSupports,
-	})
+// RDCN is Figure 8 (the reconfigurable-DCN case study, §5) for one
+// scheme: all servers of ToR 0 send long flows to the corresponding
+// servers of ToR 1 on the rotor network; the monitored circuit is ToR
+// 0's, which reaches ToR 1 once per rotor week. The scheme must be one
+// the rotor launcher can build (scenario.RotorSupports).
+type RDCN struct {
+	// Tors is the rack count (default 16, which keeps the rotor week of
+	// 3.7 ms comfortably longer than reTCP's 1800 µs prebuffering, like
+	// the paper's 25-ToR setup).
+	Tors          int
+	ServersPerTor int           // default 4
+	PacketRate    units.BitRate // packet-network bandwidth (Fig. 8b); default 25 Gbps
+	Weeks         int           // simulated rotor weeks; default 3
+	SamplePeriod  sim.Duration  // default 10 µs
 }
 
-// rdcnSupports restricts the case study to the Fig. 8 competitors; the
-// scheme whitelist itself lives with the rotor launcher
-// (scenario.RotorSupports), so the preset and the scenario layer
-// cannot drift apart.
-func rdcnSupports(scheme Scheme) error {
-	return scenario.RotorSupports(scheme)
-}
+// Name returns "rdcn".
+func (RDCN) Name() string { return "rdcn" }
 
-// runRDCN reproduces Figure 8 for one scheme as a declarative scenario:
-// all servers of ToR 0 send long flows to the corresponding servers of
-// ToR 1 on the rotor network; the monitored circuit is ToR 0's, which
-// reaches ToR 1 once per rotor week.
-func runRDCN(s Spec, scheme Scheme) (*Result, error) {
+func (p RDCN) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
+	p.Tors = cmp.Or(p.Tors, 16)
+	p.ServersPerTor = cmp.Or(p.ServersPerTor, 4)
+	p.PacketRate = cmp.Or(p.PacketRate, 25*units.Gbps)
+	p.Weeks = cmp.Or(p.Weeks, 3)
+	p.SamplePeriod = cmp.Or(p.SamplePeriod, 10*sim.Microsecond)
+	if err := checkSpans(span{"SamplePeriod", p.SamplePeriod}); err != nil {
+		return nil, err
+	}
 	return scenario.Run(scenario.Scenario{
 		Name:   "rdcn",
 		Scheme: scheme,
-		Seed:   s.Seed,
+		Seed:   seed,
 		Topology: scenario.RotorTopology{
-			Tors:          s.Tors,
-			ServersPerTor: s.ServersPerTor,
-			PacketRate:    s.PacketRate,
-			Weeks:         s.Weeks,
+			Tors:          p.Tors,
+			ServersPerTor: p.ServersPerTor,
+			PacketRate:    p.PacketRate,
+			Weeks:         p.Weeks,
 		},
 		Traffic: []scenario.Traffic{scenario.RackPairs{
 			FromRack: scenario.RackStart(0),
 			ToRack:   scenario.RackStart(1),
 		}},
 		Probes: []scenario.Probe{&rotorPanel{
-			srcTor: 0, dstTor: 1, weeks: s.Weeks, period: s.SamplePeriod,
+			srcTor: 0, dstTor: 1, weeks: p.Weeks, period: p.SamplePeriod,
 		}},
 	})
 }
@@ -146,7 +131,7 @@ func (p *rotorPanel) Install(env *scenario.Env) error {
 	return nil
 }
 
-func (p *rotorPanel) Finalize(env *scenario.Env, res *Result) error {
+func (p *rotorPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	net := env.Rotor
 	rr := p.rr
 

@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -24,7 +26,7 @@ func TestResolveSchemeErrors(t *testing.T) {
 		{"retcp-abc", "malformed"},
 	}
 	for _, c := range cases {
-		_, err := ResolveScheme(c.name)
+		_, err := scenario.ResolveScheme(c.name)
 		if err == nil {
 			t.Fatalf("ResolveScheme(%q) accepted", c.name)
 		}
@@ -36,22 +38,22 @@ func TestResolveSchemeErrors(t *testing.T) {
 
 // Options validate their target scheme.
 func TestSchemeOptionsRejectWrongTarget(t *testing.T) {
-	if _, err := ResolveScheme(Homa, Gamma(0.5)); err == nil {
+	if _, err := scenario.ResolveScheme(scenario.Homa, scenario.Gamma(0.5)); err == nil {
 		t.Fatal("γ accepted on HOMA")
 	}
-	if _, err := ResolveScheme(PowerTCP, Overcommit(2)); err == nil {
+	if _, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Overcommit(2)); err == nil {
 		t.Fatal("overcommit accepted on PowerTCP")
 	}
-	if _, err := ResolveScheme(PowerTCP, Prebuffer(sim.Millisecond)); err == nil {
+	if _, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Prebuffer(sim.Millisecond)); err == nil {
 		t.Fatal("prebuffer accepted on PowerTCP")
 	}
-	if _, err := ResolveScheme(Timely, PerRTT(true)); err == nil {
+	if _, err := scenario.ResolveScheme(scenario.Timely, scenario.PerRTT(true)); err == nil {
 		t.Fatal("per-RTT accepted on TIMELY")
 	}
-	if _, err := ResolveScheme(PowerTCP, Gamma(1.5)); err == nil {
+	if _, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Gamma(1.5)); err == nil {
 		t.Fatal("γ > 1 accepted")
 	}
-	if _, err := ResolveScheme(PowerTCP, Alpha(-1)); err == nil {
+	if _, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Alpha(-1)); err == nil {
 		t.Fatal("negative DT α accepted")
 	}
 }
@@ -59,7 +61,7 @@ func TestSchemeOptionsRejectWrongTarget(t *testing.T) {
 // Composed γ / per-RTT overrides must reach the algorithm the scheme
 // builds, and α must reach the scheme's buffer configuration.
 func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
-	s, err := ResolveScheme(PowerTCP, Gamma(0.55), PerRTT(true), Alpha(2))
+	s, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Gamma(0.55), scenario.PerRTT(true), scenario.Alpha(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 		t.Fatalf("DT α = %v, want 2", s.DTAlpha)
 	}
 
-	th, err := ResolveScheme(ThetaPowerTCP, Gamma(0.4))
+	th, err := scenario.ResolveScheme(scenario.ThetaPowerTCP, scenario.Gamma(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 		t.Fatalf("theta built config = %+v, want γ=0.4", cfg)
 	}
 
-	ho, err := ResolveScheme(Homa, Overcommit(5))
+	ho, err := scenario.ResolveScheme(scenario.Homa, scenario.Overcommit(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 		t.Fatalf("homa overcommit = %d", ho.Overcommit)
 	}
 
-	re, err := ResolveScheme(ReTCP600, Prebuffer(900*sim.Microsecond))
+	re, err := scenario.ResolveScheme(scenario.ReTCP600, scenario.Prebuffer(900*sim.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +108,10 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 // An option-composed γ must actually change the simulation, matching the
 // equivalent family-name resolution end to end.
 func TestGammaOptionChangesRun(t *testing.T) {
-	base := mustRun(t, NewSpec("incast", PowerTCP,
-		WithFanIn(10), WithWindow(sim.Millisecond), WithSeed(4)))
-	low := mustRun(t, NewSpec("incast", PowerTCP,
-		WithSchemeOptions(Gamma(0.1)),
-		WithFanIn(10), WithWindow(sim.Millisecond), WithSeed(4)))
+	base := mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: sim.Millisecond},
+		Scheme: scenario.PowerTCP, Seed: 4})
+	low := mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: sim.Millisecond},
+		Scheme: scenario.PowerTCP, SchemeOpts: []scenario.SchemeOption{scenario.Gamma(0.1)}, Seed: 4})
 	if base.Scalar("tail_mean_queue_kb") == low.Scalar("tail_mean_queue_kb") &&
 		base.Scalar("peak_queue_kb") == low.Scalar("peak_queue_kb") {
 		t.Fatal("γ=0.1 produced a run identical to the default γ")
@@ -121,43 +122,33 @@ func TestGammaOptionChangesRun(t *testing.T) {
 // no per-flow algorithm builder; every other experiment must reject it
 // with an error rather than crash on the nil builder.
 func TestNonRDCNExperimentsRejectReTCP(t *testing.T) {
-	for _, name := range []string{"incast", "fairness", "websearch", "load-sweep"} {
-		_, err := Run(NewSpec(name, ReTCP600))
+	for _, p := range []Preset{Incast{}, Fairness{}, WebSearch{}, LoadSweep{}} {
+		_, err := Run(Spec{Preset: p, Scheme: scenario.ReTCP600})
 		if err == nil || !strings.Contains(err.Error(), "does not support") {
-			t.Fatalf("%s accepted retcp-600: %v", name, err)
+			t.Fatalf("%s accepted retcp-600: %v", p.Name(), err)
 		}
 	}
 }
 
-// Run reports unknown experiments as errors, not panics.
+// Run reports a spec without a preset, and an unknown scheme, as errors,
+// not panics. (An unknown experiment name cannot be written down in Go;
+// cmd/powersim reports one typed at -exp.)
 func TestRunUnknownExperiment(t *testing.T) {
-	_, err := Run(NewSpec("bogus-experiment", PowerTCP))
-	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+	_, err := Run(Spec{Scheme: scenario.PowerTCP})
+	if err == nil || !strings.Contains(err.Error(), "names no experiment") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = Run(NewSpec("incast", "bogus-scheme"))
+	_, err = Run(Spec{Preset: Incast{}, Scheme: "bogus-scheme"})
 	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
+// The registry is the eight presets, listed once each in name order.
 func TestExperimentRegistryComplete(t *testing.T) {
-	names := ExperimentNames()
-	for _, want := range []string{"incast", "fairness", "websearch", "rdcn", "load-sweep"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("experiment %q missing from registry: %v", want, names)
-		}
-	}
-	if err := RegisterExperiment(Experiment{Name: "incast", Run: runIncast}); err == nil {
-		t.Fatal("duplicate experiment registration accepted")
-	}
-	if err := RegisterExperiment(Experiment{Name: "no-run"}); err == nil {
-		t.Fatal("experiment without a run function accepted")
+	want := []string{"asymmetry", "failover", "fairness", "incast",
+		"load-sweep", "permutation", "rdcn", "websearch"}
+	if got := ExperimentNames(); !slices.Equal(got, want) {
+		t.Fatalf("ExperimentNames() = %v, want %v", got, want)
 	}
 }

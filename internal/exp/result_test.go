@@ -5,15 +5,17 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
-func sampleResult() *Result {
-	r := &Result{Experiment: "incast", Scheme: PowerTCP, Seed: 7, Label: "demo"}
+func sampleResult() *scenario.Result {
+	r := &scenario.Result{Experiment: "incast", Scheme: scenario.PowerTCP, Seed: 7, Label: "demo"}
 	r.SetScalar("peak_queue_kb", 42.5)
 	r.SetScalar("avg_goodput_gbps", 23.125)
-	r.AddSeries(Series{
+	r.AddSeries(scenario.Series{
 		Name: "queue_kb", XLabel: "time_us",
-		Points: []SeriesPoint{{X: 0, V: 1}, {X: 20, V: 2.5}},
+		Points: []scenario.SeriesPoint{{X: 0, V: 1}, {X: 20, V: 2.5}},
 	})
 	return r
 }
@@ -23,11 +25,11 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if err := sampleResult().EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back Result
+	var back scenario.Result
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if back.Experiment != "incast" || back.Scheme != PowerTCP || back.Seed != 7 {
+	if back.Experiment != "incast" || back.Scheme != scenario.PowerTCP || back.Seed != 7 {
 		t.Fatalf("identity lost: %+v", back)
 	}
 	if back.Scalars["peak_queue_kb"] != 42.5 {
@@ -61,18 +63,18 @@ func TestResultTSVLayout(t *testing.T) {
 }
 
 func TestEncodeResultSets(t *testing.T) {
-	rs := []*Result{sampleResult(), sampleResult()}
+	rs := []*scenario.Result{sampleResult(), sampleResult()}
 	var tsv, js bytes.Buffer
-	if err := EncodeTSVResults(&tsv, rs); err != nil {
+	if err := scenario.EncodeTSVResults(&tsv, rs); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(tsv.String(), "# experiment=incast"); got != 2 {
 		t.Fatalf("TSV set has %d blocks", got)
 	}
-	if err := EncodeJSONResults(&js, rs); err != nil {
+	if err := scenario.EncodeJSONResults(&js, rs); err != nil {
 		t.Fatal(err)
 	}
-	var back []Result
+	var back []scenario.Result
 	if err := json.Unmarshal(js.Bytes(), &back); err != nil || len(back) != 2 {
 		t.Fatalf("JSON set round-trip: %v, %d", err, len(back))
 	}

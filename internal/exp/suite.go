@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"repro/internal/scenario"
 )
 
 // Suite executes many experiment specs concurrently over a worker pool.
@@ -30,10 +32,10 @@ func (su *Suite) Add(specs ...Spec) *Suite {
 // Run executes every spec and returns results in spec order. Failed
 // specs leave a nil slot; the joined error names each failure. The
 // remaining specs still run to completion — a spec whose experiment
-// panics is recovered per spec (exp.Run wraps the registered runner in
+// panics is recovered per spec (exp.Run wraps the preset's run in
 // guard.Capture), so one crash surfaces as a *guard.PanicError in the
 // joined error instead of killing the pool.
-func (su *Suite) Run() ([]*Result, error) {
+func (su *Suite) Run() ([]*scenario.Result, error) {
 	n := su.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -41,7 +43,7 @@ func (su *Suite) Run() ([]*Result, error) {
 	if n > len(su.Specs) {
 		n = len(su.Specs)
 	}
-	results := make([]*Result, len(su.Specs))
+	results := make([]*scenario.Result, len(su.Specs))
 	errs := make([]error, len(su.Specs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -68,6 +70,6 @@ func (su *Suite) Run() ([]*Result, error) {
 }
 
 // RunSuite is shorthand for NewSuite(specs...).Run().
-func RunSuite(specs ...Spec) ([]*Result, error) {
+func RunSuite(specs ...Spec) ([]*scenario.Result, error) {
 	return NewSuite(specs...).Run()
 }

@@ -6,28 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/guard"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-// crasherSpec installs a test-only experiment whose Run panics
-// mid-flight — the injected fault for the suite isolation battery —
-// and removes it when the test ends, so the registry meta-tests
-// (accepted-fields table, golden coverage) never see it.
-func crasherSpec(t *testing.T) Spec {
-	t.Helper()
-	mustRegisterExperiment(Experiment{
-		Name:    "crash-test",
-		Figures: "none (test-only fault injection)",
-		Run: func(Spec, Scheme) (*Result, error) {
-			panic("deliberate suite-isolation crash")
-		},
-	})
-	t.Cleanup(func() {
-		expMu.Lock()
-		delete(experiments, "crash-test")
-		expMu.Unlock()
-	})
-	return NewSpec("crash-test", PowerTCP)
+// crasher is a test-only preset whose run panics mid-flight — the
+// injected fault for the suite isolation battery.
+type crasher struct{}
+
+func (crasher) Name() string { return "crash-test" }
+
+func (crasher) run(int64, scenario.Scheme) (*scenario.Result, error) {
+	panic("deliberate suite-isolation crash")
 }
 
 // A panic inside one spec's Run must not take down the worker pool: the
@@ -35,22 +25,20 @@ func crasherSpec(t *testing.T) Spec {
 // its result slot stays nil, and every sibling still completes with
 // byte-identical output serial vs parallel.
 func TestSuiteIsolatesCrashingSpec(t *testing.T) {
-	crash := crasherSpec(t)
 	specs := func() []Spec {
 		return []Spec{
-			NewSpec("incast", PowerTCP,
-				WithFanIn(6), WithWindow(sim.Millisecond), WithSeed(11)),
-			crash,
-			NewSpec("fairness", PowerTCP,
-				WithWindow(2*sim.Millisecond), WithSeed(2)),
-			NewSpec("websearch", PowerTCP,
-				WithLoad(0.15), WithServersPerTor(4),
-				WithDuration(2*sim.Millisecond), WithDrain(sim.Millisecond), WithSeed(3)),
+			Spec{Preset: Incast{FanIn: 6, Window: sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 11},
+			{Preset: crasher{}, Scheme: scenario.PowerTCP},
+			Spec{Preset: Fairness{Window: 2 * sim.Millisecond}, Scheme: scenario.PowerTCP, Seed: 2},
+			Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4, Duration: 2 * sim.Millisecond,
+				Drain: sim.Millisecond},
+				Scheme: scenario.PowerTCP, Seed: 3},
 		}
 	}
 	const crashIdx = 1
 
-	run := func(workers int) []*Result {
+	run := func(workers int) []*scenario.Result {
 		su := Suite{Specs: specs(), Workers: workers}
 		results, err := su.Run()
 		if err == nil {

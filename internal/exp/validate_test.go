@@ -5,273 +5,85 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
 
-// acceptedFields enumerates, per registered experiment, exactly the
-// Spec knobs it consumes. Validate rejects anything else, so this table
-// is the contract the options API is checked against.
-var acceptedFields = map[string][]string{
-	"incast": {FieldServersPerTor, FieldPartitions, FieldFanIn, FieldFlowSize,
-		FieldWindow, FieldWarmup, FieldSamplePeriod},
-	"fairness": {FieldFlows, FieldStagger, FieldSizes,
-		FieldWindow, FieldSamplePeriod},
-	"websearch": {FieldServersPerTor, FieldLoad, FieldIncastRate,
-		FieldIncastSize, FieldIncastFanIn, FieldSampleBuffers,
-		FieldDuration, FieldDrain, FieldSamplePeriod},
-	"load-sweep": {FieldLoads, FieldServersPerTor, FieldIncastRate,
-		FieldIncastSize, FieldIncastFanIn, FieldSampleBuffers,
-		FieldDuration, FieldDrain, FieldSamplePeriod},
-	"rdcn": {FieldTors, FieldServersPerTor, FieldPacketRate,
-		FieldWeeks, FieldSamplePeriod},
-	"permutation": {FieldServersPerTor, FieldPartitions, FieldRouting,
-		FieldWindow, FieldSamplePeriod},
-	"asymmetry": {FieldTors, FieldSpines, FieldServersPerTor,
-		FieldSpineRates, FieldRouting, FieldWindow},
-	"failover": {FieldTors, FieldSpines, FieldServersPerTor,
-		FieldPartitions, FieldSpineRates, FieldFlows, FieldRouting,
-		FieldFailAfter, FieldRestoreAfter, FieldReconverge, FieldWindow,
-		FieldSamplePeriod},
-}
-
-// Every registered experiment declares its consumed fields, and the
-// declaration matches this test's table exactly.
-func TestExperimentAcceptedFields(t *testing.T) {
-	for _, name := range ExperimentNames() {
-		e, err := ExperimentByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, ok := acceptedFields[name]
-		if !ok {
-			t.Errorf("experiment %q missing from the accepted-fields table", name)
-			continue
-		}
-		if e.Fields == nil {
-			t.Errorf("experiment %q registered without a Fields list", name)
-			continue
-		}
-		got := map[string]bool{}
-		for _, f := range e.Fields {
-			got[f] = true
-		}
-		for _, f := range want {
-			if !got[f] {
-				t.Errorf("%s: expected to accept %s", name, f)
-			}
-			delete(got, f)
-		}
-		for f := range got {
-			t.Errorf("%s: accepts %s, which the table does not expect", name, f)
-		}
-	}
-}
-
-// setOneField builds, per field name, an option that assigns it.
-var setOneField = map[string]Option{
-	FieldServersPerTor: WithServersPerTor(4),
-	FieldTors:          WithTors(4),
-	FieldPartitions:    WithPartitions(2),
-	FieldFanIn:         WithFanIn(4),
-	FieldFlowSize:      WithFlowSize(1000),
-	FieldFlows:         WithFlows(2),
-	FieldStagger:       WithStagger(sim.Millisecond),
-	FieldSizes:         WithSizes(1 << 20),
-	FieldLoad:          WithLoad(0.2),
-	FieldLoads:         WithLoads(0.2, 0.4),
-	FieldIncastRate:    func(s *Spec) { s.IncastRate = 100 },
-	FieldIncastSize:    func(s *Spec) { s.IncastSize = 1 << 20 },
-	FieldIncastFanIn:   func(s *Spec) { s.IncastFanIn = 8 },
-	FieldSampleBuffers: WithBufferSampling(true),
-	FieldPacketRate:    WithPacketRate(10 * units.Gbps),
-	FieldWeeks:         WithWeeks(1),
-	FieldRouting:       WithRouting("ecmp"),
-	FieldSpines:        WithSpines(2),
-	FieldSpineRates:    WithSpineRates(100 * units.Gbps),
-	FieldFailAfter:     func(s *Spec) { s.FailAfter = sim.Millisecond },
-	FieldRestoreAfter:  func(s *Spec) { s.RestoreAfter = 2 * sim.Millisecond },
-	FieldReconverge:    WithReconverge(100 * sim.Microsecond),
-	FieldWindow:        WithWindow(sim.Millisecond),
-	FieldWarmup:        WithWarmup(100 * sim.Microsecond),
-	FieldDuration:      WithDuration(sim.Millisecond),
-	FieldDrain:         WithDrain(sim.Millisecond),
-	FieldSamplePeriod:  WithSamplePeriod(50 * sim.Microsecond),
-}
-
-// Validate accepts every consumed field and rejects every other one,
-// for every experiment — the end of silently ignored knobs.
-func TestValidateRejectsUnconsumedFields(t *testing.T) {
-	for name, accepted := range acceptedFields {
-		ok := map[string]bool{}
-		for _, f := range accepted {
-			ok[f] = true
-		}
-		for field, opt := range setOneField {
-			spec := NewSpec(name, PowerTCP, opt)
-			err := spec.Validate()
-			if ok[field] {
-				if err != nil {
-					t.Errorf("%s: rejected consumed field %s: %v", name, field, err)
-				}
-				continue
-			}
-			if err == nil {
-				t.Errorf("%s: accepted unconsumed field %s", name, field)
-			} else if !strings.Contains(err.Error(), field) {
-				t.Errorf("%s/%s: error does not name the field: %v", name, field, err)
-			}
-		}
-	}
-}
-
-// invalidValues assigns, per knob, a value outside its domain.
-// SampleBuffers is the one declared knob with no possible invalid value
-// (a bool), so it is deliberately absent; the coverage loop below pins
-// that every other knob has a negative case here.
-var invalidValues = map[string]Option{
-	FieldServersPerTor: WithServersPerTor(-4),
-	FieldTors:          WithTors(-1),
-	FieldPartitions:    WithPartitions(-2),
-	FieldFanIn:         WithFanIn(-8),
-	FieldFlowSize:      WithFlowSize(-1000),
-	FieldFlows:         WithFlows(-2),
-	FieldStagger:       WithStagger(-sim.Millisecond),
-	FieldSizes:         WithSizes(1<<20, -5),
-	FieldLoad:          WithLoad(1.5),
-	FieldLoads:         WithLoads(0.2, -0.4),
-	FieldIncastRate:    func(s *Spec) { s.IncastRate = -100 },
-	FieldIncastSize:    func(s *Spec) { s.IncastSize = -1 },
-	FieldIncastFanIn:   func(s *Spec) { s.IncastFanIn = -8 },
-	FieldPacketRate:    WithPacketRate(-10 * units.Gbps),
-	FieldWeeks:         WithWeeks(-1),
-	FieldRouting:       WithRouting("spray"),
-	FieldSpines:        WithSpines(-2),
-	FieldSpineRates:    WithSpineRates(100*units.Gbps, -units.Gbps),
-	FieldFailAfter:     func(s *Spec) { s.FailAfter = -sim.Millisecond },
-	FieldRestoreAfter:  func(s *Spec) { s.RestoreAfter = -2 * sim.Millisecond },
-	FieldReconverge:    WithReconverge(-sim.Microsecond),
-	FieldWindow:        WithWindow(-sim.Millisecond),
-	FieldWarmup:        WithWarmup(-sim.Microsecond),
-	FieldDuration:      WithDuration(-sim.Millisecond),
-	FieldDrain:         WithDrain(-sim.Millisecond),
-	FieldSamplePeriod:  WithSamplePeriod(-sim.Microsecond),
+// outOfDomain assigns, per preset field name, one value outside its
+// domain on a preset that has the field. want is how the rejecting layer
+// names the value: the preset's own field where the preset consumes it,
+// the scenario component's field where it is handed down (FlowSize and
+// Sizes become flow sizes, Flows a RackPairs Count, Warmup a start time,
+// Duration a generation Horizon, the Incast* overlay an IncastRequests).
+// SampleBuffers is the one field with no possible invalid value (a
+// bool), so it is deliberately absent; the coverage loop below pins
+// that every other field has a negative case here.
+var outOfDomain = []struct {
+	field  string
+	preset Preset
+	want   string
+}{
+	{"ServersPerTor", Incast{ServersPerTor: -4}, "ServersPerTor -4"},
+	{"Tors", Asymmetry{Tors: -1}, "Tors -1"},
+	{"Partitions", Incast{Partitions: -2}, "Partitions -2"},
+	{"FanIn", Incast{FanIn: -8}, "FanIn"},
+	{"FlowSize", Incast{FlowSize: -1000}, "size -1000"},
+	{"Flows", Failover{Flows: -2}, "Count -2"},
+	{"Stagger", Fairness{Stagger: -sim.Millisecond}, "Stagger"},
+	{"Sizes", Fairness{Sizes: []int64{1 << 20, -5}}, "size -5"},
+	{"Load", WebSearch{Load: 1.5}, "Load 1.5"},
+	{"Loads", LoadSweep{Loads: []float64{0.2, -0.4}}, "Load -0.4"},
+	{"IncastRate", WebSearch{IncastRate: -100, IncastSize: 1 << 20}, "RequestRate -100"},
+	{"IncastSize", WebSearch{IncastRate: 100, IncastSize: -1}, "RequestSize -1"},
+	{"IncastFanIn", WebSearch{IncastRate: 100, IncastSize: 1 << 20, IncastFanIn: -8}, "FanIn"},
+	{"PacketRate", RDCN{PacketRate: -10 * units.Gbps}, "packet rate"},
+	{"Weeks", RDCN{Weeks: -1}, "Weeks"},
+	{"Routing", Permutation{Routing: "spray"}, "spray"},
+	{"Spines", Asymmetry{Spines: -2}, "Spines -2"},
+	{"SpineRates", Asymmetry{SpineRates: []units.BitRate{100 * units.Gbps, -units.Gbps}}, "SpineRates[1]"},
+	{"FailAfter", Failover{FailAfter: -sim.Millisecond}, "failure at negative time"},
+	{"RestoreAfter", Failover{RestoreAfter: -2 * sim.Millisecond}, "restore at negative time"},
+	{"Reconverge", Failover{Reconverge: -sim.Microsecond}, "reconvergence"},
+	{"Window", Incast{Window: -sim.Millisecond}, "Window"},
+	{"Warmup", Incast{Warmup: -sim.Microsecond}, "negative time"},
+	{"Duration", WebSearch{Duration: -sim.Millisecond}, "Horizon"},
+	{"Drain", WebSearch{Drain: -sim.Millisecond}, "Drain"},
+	{"SamplePeriod", Incast{SamplePeriod: -sim.Microsecond}, "SamplePeriod"},
 }
 
 // TestValidateRejectsOutOfDomainValues pins a negative case for every
-// declared knob: an assigned value outside the knob's domain must fail
-// validation with an error naming the knob — even on an experiment that
-// consumes it.
+// preset field: a value outside the field's domain must fail Run with an
+// error naming it — from the scenario component that reads the value, or
+// from the preset where the preset itself does.
 func TestValidateRejectsOutOfDomainValues(t *testing.T) {
-	// Every declared knob except the boolean must carry a negative case.
-	for field := range setOneField {
-		if field == FieldSampleBuffers {
+	cased := map[string]bool{}
+	for _, c := range outOfDomain {
+		cased[c.field] = true
+		if _, ok := reflect.TypeOf(c.preset).FieldByName(c.field); !ok {
+			t.Errorf("%s: preset %s has no such field", c.field, c.preset.Name())
 			continue
 		}
-		if _, ok := invalidValues[field]; !ok {
-			t.Errorf("declared knob %s has no out-of-domain case", field)
+		_, err := Run(Spec{Preset: c.preset, Scheme: scenario.PowerTCP, Seed: 1})
+		if err == nil {
+			t.Errorf("%s: accepted an out-of-domain %s", c.preset.Name(), c.field)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s/%s: error does not name %q: %v", c.preset.Name(), c.field, c.want, err)
 		}
 	}
-	// consumers maps each knob to an experiment that accepts it, so the
-	// rejection below is attributable to the domain check alone.
-	consumers := map[string]string{}
-	for name, fields := range acceptedFields {
-		for _, f := range fields {
-			if _, ok := consumers[f]; !ok {
-				consumers[f] = name
+	// Every field of every preset except the boolean must carry a case.
+	for _, p := range presets {
+		typ := reflect.TypeOf(p)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type.Kind() != reflect.Bool && !cased[f.Name] {
+				t.Errorf("%s.%s has no out-of-domain case", typ.Name(), f.Name)
 			}
 		}
 	}
-	for field, opt := range invalidValues {
-		expName, ok := consumers[field]
-		if !ok {
-			t.Errorf("no registered experiment consumes %s", field)
-			continue
-		}
-		err := NewSpec(expName, PowerTCP, opt).Validate()
-		if err == nil {
-			t.Errorf("%s: accepted an out-of-domain %s", expName, field)
-		} else if !strings.Contains(err.Error(), field) {
-			t.Errorf("%s/%s: error does not name the knob: %v", expName, field, err)
-		}
-	}
 	// The KeepLinkDown sentinel is the one negative duration with a
-	// meaning; it must keep validating.
-	if err := NewSpec("failover", PowerTCP,
-		WithFailure(sim.Millisecond, KeepLinkDown)).Validate(); err != nil {
+	// meaning; it must keep running.
+	if _, err := Run(Spec{Preset: Failover{ServersPerTor: 4, Flows: 2, RestoreAfter: KeepLinkDown,
+		Window: 2 * sim.Millisecond}, Scheme: scenario.PowerTCP, Seed: 1}); err != nil {
 		t.Errorf("KeepLinkDown rejected: %v", err)
-	}
-}
-
-// specIdentityFields are the Spec fields that are not scenario knobs:
-// they are always accepted and assignedFields must not report them.
-var specIdentityFields = map[string]bool{
-	"Experiment": true, "Scheme": true, "SchemeOpts": true,
-	"Seed": true, "Label": true,
-}
-
-// assignedFields is a hand-maintained mirror of the Spec struct; this
-// reflection test pins the two in sync, so a future knob added to Spec
-// without a matching assignedFields line fails here loudly instead of
-// sliding past every experiment's validation.
-func TestAssignedFieldsCoversSpec(t *testing.T) {
-	typ := reflect.TypeOf(Spec{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if specIdentityFields[f.Name] {
-			continue
-		}
-		// Set just this field to a non-zero value via reflection and
-		// check assignedFields reports it under its own name.
-		var s Spec
-		v := reflect.ValueOf(&s).Elem().Field(i)
-		switch f.Type.Kind() {
-		case reflect.Int, reflect.Int64:
-			v.SetInt(1)
-		case reflect.Float64:
-			v.SetFloat(0.5)
-		case reflect.Bool:
-			v.SetBool(true)
-		case reflect.String:
-			v.SetString("x")
-		case reflect.Slice:
-			v.Set(reflect.MakeSlice(f.Type, 1, 1))
-		default:
-			t.Fatalf("Spec.%s has kind %s — teach this test to set it", f.Name, f.Type.Kind())
-		}
-		got := s.assignedFields()
-		if len(got) != 1 || got[0] != f.Name {
-			t.Errorf("Spec.%s set, but assignedFields reported %v — add it to validate.go", f.Name, got)
-		}
-	}
-}
-
-// The canonical motivating case: WithFanIn on fairness must fail
-// loudly through Run, not silently produce the default fairness run.
-func TestRunRejectsIgnoredKnobs(t *testing.T) {
-	_, err := Run(NewSpec("fairness", PowerTCP, WithFanIn(32)))
-	if err == nil || !strings.Contains(err.Error(), "does not consume FanIn") {
-		t.Fatalf("fairness accepted WithFanIn: %v", err)
-	}
-	// The Suite path reports the same error with the spec index.
-	results, err := NewSuite(
-		NewSpec("incast", PowerTCP, WithFanIn(4), WithWindow(sim.Millisecond), WithSeed(1)),
-		NewSpec("fairness", PowerTCP, WithFanIn(32)),
-	).Run()
-	if err == nil || !strings.Contains(err.Error(), "spec 1") {
-		t.Fatalf("suite did not report the invalid spec: %v", err)
-	}
-	if results[0] == nil {
-		t.Fatal("valid spec did not run")
-	}
-	// Validate on an unknown experiment reports the registry error.
-	if err := NewSpec("bogus", PowerTCP).Validate(); err == nil {
-		t.Fatal("unknown experiment validated")
-	}
-	// Experiments registered without a Fields list (external users) keep
-	// the permissive pre-redesign behavior.
-	permissive := Experiment{Name: "custom-no-fields"}
-	if err := NewSpec("custom-no-fields", PowerTCP, WithFanIn(4)).validateAgainst(permissive); err != nil {
-		t.Fatalf("Fields-less experiment rejected a knob: %v", err)
 	}
 }

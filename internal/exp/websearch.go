@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/scenario"
@@ -34,94 +35,66 @@ type WebSearchResult struct {
 	EngineSteps uint64
 }
 
-func normalizeWebSearch(s *Spec) {
-	if s.Load == 0 {
-		s.Load = 0.6
-	}
-	if s.ServersPerTor == 0 {
-		s.ServersPerTor = 8
-	}
-	if s.Duration == 0 {
-		s.Duration = 15 * sim.Millisecond
-	}
-	if s.Drain == 0 {
-		s.Drain = 5 * sim.Millisecond
-	}
-	if s.IncastFanIn == 0 {
-		s.IncastFanIn = 16
-	}
-}
-
-// webSearchFields are the Spec knobs the websearch cell consumes; the
-// load sweep accepts the same plus the Loads grid (its per-cell Load is
-// overridden, so setting it is rejected).
-var webSearchFields = []string{FieldServersPerTor, FieldLoad,
-	FieldIncastRate, FieldIncastSize, FieldIncastFanIn, FieldSampleBuffers,
-	FieldDuration, FieldDrain, FieldSamplePeriod}
-
-func init() {
-	mustRegisterExperiment(Experiment{
-		Name:      "websearch",
-		Figures:   "Fig. 6 (slowdown by size), Fig. 7 (classes, incast overlay, buffers)",
-		Fields:    webSearchFields,
-		Normalize: normalizeWebSearch,
-		Run:       runWebSearch,
-	})
-	sweepFields := append([]string{FieldLoads}, webSearchFields...)
-	for i, f := range sweepFields {
-		if f == FieldLoad { // cells own the load; the sweep takes the grid
-			sweepFields = append(sweepFields[:i], sweepFields[i+1:]...)
-			break
-		}
-	}
-	mustRegisterExperiment(Experiment{
-		Name:    "load-sweep",
-		Figures: "Fig. 7a/7b (slowdown vs load)",
-		Fields:  sweepFields,
-		Normalize: func(s *Spec) {
-			if len(s.Loads) == 0 {
-				s.Loads = []float64{0.2, 0.5, 0.8}
-			}
-			normalizeWebSearch(s)
-		},
-		Run: runLoadSweep,
-	})
-}
-
-// webSearchScenario assembles one cell of Figures 6–7: the web-search
-// flow-size distribution offered as an open-loop Poisson process at a
-// target ToR-uplink load on the fat-tree, optionally overlaid with the
+// WebSearch is one scheme×load cell of Figure 6 (slowdown by size) and
+// Figure 7 (classes, incast overlay, buffers): the web-search flow-size
+// distribution offered as an open-loop Poisson process at a target
+// ToR-uplink load on the fat-tree, optionally overlaid with the
 // synthetic incast workload (Fig. 7c–f).
-func webSearchScenario(s Spec, scheme Scheme) scenario.Scenario {
-	traffic := []scenario.Traffic{
-		scenario.PoissonLoad{Load: s.Load, Horizon: s.Duration},
+type WebSearch struct {
+	// ServersPerTor scales the fat-tree (default 8; 32 is the paper's).
+	ServersPerTor int
+	Load          float64 // ToR-uplink load, (0, 1]; default 0.6 (§4.1: 0.2–0.95)
+	// IncastRate (requests/s) turns the incast overlay on; each request is
+	// IncastSize bytes spread over IncastFanIn responders (default 16).
+	IncastRate  float64
+	IncastSize  int64
+	IncastFanIn int
+	// SampleBuffers collects the ToR buffer-occupancy CDF (Fig. 7g/h).
+	SampleBuffers bool
+	Duration      sim.Duration // workload-generation horizon; default 15 ms
+	Drain         sim.Duration // in-flight drain time after it; default 5 ms
+	SamplePeriod  sim.Duration // buffer-occupancy sampling; default 20 µs
+}
+
+// Name returns "websearch".
+func (WebSearch) Name() string { return "websearch" }
+
+func (p WebSearch) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
+	p.Load = cmp.Or(p.Load, 0.6)
+	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
+	p.Duration = cmp.Or(p.Duration, 15*sim.Millisecond)
+	p.Drain = cmp.Or(p.Drain, 5*sim.Millisecond)
+	p.IncastFanIn = cmp.Or(p.IncastFanIn, 16)
+	p.SamplePeriod = cmp.Or(p.SamplePeriod, 20*sim.Microsecond)
+	if err := checkSpans(span{"Drain", p.Drain}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+		return nil, err
 	}
-	if s.IncastRate > 0 {
+	traffic := []scenario.Traffic{
+		scenario.PoissonLoad{Load: p.Load, Horizon: p.Duration},
+	}
+	if p.IncastRate != 0 {
 		traffic = append(traffic, scenario.IncastRequests{
-			RequestRate: s.IncastRate,
-			RequestSize: s.IncastSize,
-			FanIn:       s.IncastFanIn,
-			Horizon:     s.Duration,
+			RequestRate: p.IncastRate,
+			RequestSize: p.IncastSize,
+			FanIn:       p.IncastFanIn,
+			Horizon:     p.Duration,
 			SeedOffset:  1,
 		})
 	}
-	return scenario.Scenario{
+	return scenario.Run(scenario.Scenario{
 		Name:     "websearch",
 		Scheme:   scheme,
-		Seed:     s.Seed,
-		Topology: scenario.FatTreeTopology{ServersPerTor: s.ServersPerTor},
+		Seed:     seed,
+		Topology: scenario.FatTreeTopology{ServersPerTor: p.ServersPerTor},
 		Traffic:  traffic,
 		Probes: []scenario.Probe{&webSearchPanel{
-			load:          s.Load,
-			sampleBuffers: s.SampleBuffers,
-			duration:      s.Duration,
+			load:          p.Load,
+			sampleBuffers: p.SampleBuffers,
+			duration:      p.Duration,
+			period:        p.SamplePeriod,
 		}},
-		Until: s.Duration + s.Drain,
-	}
-}
-
-func runWebSearch(s Spec, scheme Scheme) (*Result, error) {
-	return scenario.Run(webSearchScenario(s, scheme))
+		Until: p.Duration + p.Drain,
+	})
 }
 
 // webSearchPanel collects the Figures 6–7 cell metrics: FCT slowdown
@@ -131,6 +104,7 @@ type webSearchPanel struct {
 	load          float64
 	sampleBuffers bool
 	duration      sim.Duration
+	period        sim.Duration
 
 	bufSamples stats.Dist
 }
@@ -143,8 +117,8 @@ func (p *webSearchPanel) Install(env *scenario.Env) error {
 	tors := env.Lab.FTCfg.Racks()
 	// Run metadata fixes the sample count: one sweep of every ToR per
 	// period over the generation horizon. Size the distribution once.
-	p.bufSamples.Presize((int(p.duration/(20*sim.Microsecond)) + 2) * tors)
-	scenario.SampleEvery(net.Eng, 20*sim.Microsecond, sim.Time(p.duration), func(sim.Time) {
+	p.bufSamples.Presize((int(p.duration/p.period) + 2) * tors)
+	scenario.SampleEvery(net.Eng, p.period, sim.Time(p.duration), func(sim.Time) {
 		for t := 0; t < tors; t++ {
 			p.bufSamples.Add(float64(net.Switches[t].Shared().Used()))
 		}
@@ -152,7 +126,7 @@ func (p *webSearchPanel) Install(env *scenario.Env) error {
 	return nil
 }
 
-func (p *webSearchPanel) Finalize(env *scenario.Env, res *Result) error {
+func (p *webSearchPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	lab := env.Lab
 	ws := &WebSearchResult{
 		Scheme:    env.Scheme.Name,
@@ -173,16 +147,16 @@ func (p *webSearchPanel) Finalize(env *scenario.Env, res *Result) error {
 	res.Raw = ws
 	webSearchScalars(res, ws)
 	if p.sampleBuffers {
-		cdf := Series{Name: "buffer_cdf", XLabel: "occupancy_bytes"}
+		cdf := scenario.Series{Name: "buffer_cdf", XLabel: "occupancy_bytes"}
 		for _, pt := range ws.BufferCDF {
-			cdf.Points = append(cdf.Points, SeriesPoint{X: pt.V, V: pt.F})
+			cdf.Points = append(cdf.Points, scenario.SeriesPoint{X: pt.V, V: pt.F})
 		}
 		res.AddSeries(cdf)
 	}
 	return nil
 }
 
-func webSearchScalars(res *Result, ws *WebSearchResult) {
+func webSearchScalars(res *scenario.Result, ws *WebSearchResult) {
 	res.SetScalar("load", ws.Load)
 	res.SetScalar("started", float64(ws.Started))
 	res.SetScalar("completed", float64(ws.Completed))
@@ -198,25 +172,47 @@ func webSearchScalars(res *Result, ws *WebSearchResult) {
 	res.SetScalar("engine_steps", float64(ws.EngineSteps))
 }
 
-// runLoadSweep runs the websearch cell scenario across Loads
-// (Fig. 7a/7b). Raw is the []*WebSearchResult, one per load.
-func runLoadSweep(s Spec, scheme Scheme) (*Result, error) {
-	cells := make([]*WebSearchResult, 0, len(s.Loads))
-	short := Series{Name: "short_p999", XLabel: "load"}
-	long := Series{Name: "long_p999", XLabel: "load"}
-	for _, load := range s.Loads {
-		cell := s
-		cell.Load = load
-		cr, err := scenario.Run(webSearchScenario(cell, scheme))
+// LoadSweep runs the WebSearch cell across Loads (Fig. 7a/7b: slowdown vs
+// load); every other field means what it means on WebSearch. Raw is the
+// []*WebSearchResult, one per load.
+type LoadSweep struct {
+	Loads         []float64 // default 0.2, 0.5, 0.8
+	ServersPerTor int
+	IncastRate    float64
+	IncastSize    int64
+	IncastFanIn   int
+	SampleBuffers bool
+	Duration      sim.Duration
+	Drain         sim.Duration
+	SamplePeriod  sim.Duration
+}
+
+// Name returns "load-sweep".
+func (LoadSweep) Name() string { return "load-sweep" }
+
+func (p LoadSweep) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
+	if len(p.Loads) == 0 {
+		p.Loads = []float64{0.2, 0.5, 0.8}
+	}
+	cells := make([]*WebSearchResult, 0, len(p.Loads))
+	short := scenario.Series{Name: "short_p999", XLabel: "load"}
+	long := scenario.Series{Name: "long_p999", XLabel: "load"}
+	for _, load := range p.Loads {
+		cr, err := WebSearch{
+			ServersPerTor: p.ServersPerTor, Load: load,
+			IncastRate: p.IncastRate, IncastSize: p.IncastSize, IncastFanIn: p.IncastFanIn,
+			SampleBuffers: p.SampleBuffers,
+			Duration:      p.Duration, Drain: p.Drain, SamplePeriod: p.SamplePeriod,
+		}.run(seed, scheme)
 		if err != nil {
 			return nil, err
 		}
 		ws := cr.Raw.(*WebSearchResult)
 		cells = append(cells, ws)
-		short.Points = append(short.Points, SeriesPoint{X: load, V: ws.ShortP999})
-		long.Points = append(long.Points, SeriesPoint{X: load, V: ws.LongP999})
+		short.Points = append(short.Points, scenario.SeriesPoint{X: load, V: ws.ShortP999})
+		long.Points = append(long.Points, scenario.SeriesPoint{X: load, V: ws.LongP999})
 	}
-	res := &Result{Raw: cells}
+	res := &scenario.Result{Raw: cells}
 	res.AddSeries(short)
 	res.AddSeries(long)
 	if n := len(cells); n > 0 {

@@ -71,7 +71,7 @@ const slackBytes = 2 * 1500
 // A Build or Run error means the Spec itself is malformed (a generator
 // bug or a shrinker overshoot) and is returned as the error; only a
 // clean run can yield violations.
-func Check(sp *Spec, opts Options) ([]Violation, error) {
+func Check(sp *scenario.Spec, opts Options) ([]Violation, error) {
 	axis := opts.Parts
 	if axis == nil {
 		axis = sp.PartsAxis()
@@ -127,7 +127,7 @@ func Check(sp *Spec, opts Options) ([]Violation, error) {
 	return vs, nil
 }
 
-func runAt(sp *Spec, parts int) (*scenario.Result, error) {
+func runAt(sp *scenario.Spec, parts int) (*scenario.Result, error) {
 	sc, err := sp.Build(parts)
 	if err != nil {
 		return nil, err
@@ -143,7 +143,7 @@ func runAt(sp *Spec, parts int) (*scenario.Result, error) {
 // caught even if the fabric-side ledger still balances. When the
 // timeline cuts no link, the failure-loss word must additionally be
 // zero: a packet black-holed on a healthy fabric is a routing bug.
-func checkConservation(sp *Spec, res *scenario.Result) []Violation {
+func checkConservation(sp *scenario.Spec, res *scenario.Result) []Violation {
 	var vs []Violation
 	emitted := res.Scalar("bytes_emitted")
 	delivered := res.Scalar("bytes_delivered")
@@ -174,7 +174,7 @@ func checkConservation(sp *Spec, res *scenario.Result) []Violation {
 
 // checkCapacity bounds aggregate delivery by the receive line rate: no
 // host can accept payload faster than its NIC drains it.
-func checkCapacity(sp *Spec, res *scenario.Result) []Violation {
+func checkCapacity(sp *scenario.Spec, res *scenario.Result) []Violation {
 	perHost := deliveredByHost(res)
 	rxGbps := res.Scalar("rx_cap_gbps_per_host")
 	if perHost == nil || rxGbps <= 0 {
@@ -206,7 +206,7 @@ func checkCapacity(sp *Spec, res *scenario.Result) []Violation {
 // exactly one symmetric permutation on an event-free symmetric fabric —
 // the only shape where every host is statistically interchangeable and
 // a fairness floor is sound.
-func checkFairness(sp *Spec, res *scenario.Result) []Violation {
+func checkFairness(sp *scenario.Spec, res *scenario.Result) []Violation {
 	// A fluid component delivers no per-host packet bytes, so the
 	// per-host series the index reads would be vacuously uniform.
 	if len(sp.Traffic) != 1 || sp.Traffic[0].Kind != "permutation" ||
@@ -276,7 +276,7 @@ const hybridFCTFactor = 8.0
 // runRecorded runs the spec serially and returns both the Result and
 // the completed per-flow records (which scenario.Run discards on
 // release).
-func runRecorded(sp *Spec) (*scenario.Result, []scenario.FlowRecord, error) {
+func runRecorded(sp *scenario.Spec) (*scenario.Result, []scenario.FlowRecord, error) {
 	sc, err := sp.Build(1)
 	if err != nil {
 		return nil, nil, err
@@ -328,7 +328,7 @@ func uniqueFCTs(recs []scenario.FlowRecord) map[int64]float64 {
 //   - hybrid-divergence: rerun with fluid fidelity stripped (all-packet)
 //     and bound every unambiguously matched foreground flow's FCT ratio
 //     by hybridFCTFactor.
-func checkHybrid(sp *Spec, serial *scenario.Result) ([]Violation, error) {
+func checkHybrid(sp *scenario.Spec, serial *scenario.Result) ([]Violation, error) {
 	var vs []Violation
 	em := serial.Scalar("fluid_bytes_emitted")
 	del := serial.Scalar("fluid_bytes_delivered")
@@ -364,7 +364,7 @@ func checkHybrid(sp *Spec, serial *scenario.Result) ([]Violation, error) {
 	}
 
 	ref := *sp
-	ref.Traffic = append([]TrafficSpec(nil), sp.Traffic...)
+	ref.Traffic = append([]scenario.TrafficSpec(nil), sp.Traffic...)
 	for i := range ref.Traffic {
 		ref.Traffic[i].Fidelity = ""
 	}

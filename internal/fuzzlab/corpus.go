@@ -18,7 +18,7 @@ import (
 // human-readable sibling of scenario.MarshalCanonical's compact
 // cache-key form; both carry the same version field and decode
 // identically under scenario.DecodeSpec.)
-func Canonical(sp *Spec) []byte {
+func Canonical(sp *scenario.Spec) []byte {
 	norm := *sp
 	if norm.V == 0 {
 		norm.V = scenario.SpecVersion
@@ -35,7 +35,7 @@ func Canonical(sp *Spec) []byte {
 // falling back to its seed) and returns the written path. This is how a
 // shrunk counterexample becomes a permanent regression test: the pinned
 // corpus test re-checks every file here on every run.
-func WriteRepro(dir string, sp *Spec) (string, error) {
+func WriteRepro(dir string, sp *scenario.Spec) (string, error) {
 	name := sp.Name
 	if name == "" {
 		name = fmt.Sprintf("seed-%d", sp.Seed)
@@ -52,7 +52,7 @@ func WriteRepro(dir string, sp *Spec) (string, error) {
 
 // LoadCorpus reads every *.json spec under dir, sorted by filename so
 // iteration order is stable. Each spec's Name is set to its file stem.
-func LoadCorpus(dir string) ([]Spec, error) {
+func LoadCorpus(dir string) ([]scenario.Spec, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -64,7 +64,7 @@ func LoadCorpus(dir string) ([]Spec, error) {
 		}
 	}
 	sort.Strings(names)
-	specs := make([]Spec, 0, len(names))
+	specs := make([]scenario.Spec, 0, len(names))
 	for _, n := range names {
 		b, err := os.ReadFile(filepath.Join(dir, n))
 		if err != nil {

@@ -113,7 +113,7 @@ func TestPinCorpus(t *testing.T) {
 				if err != nil || len(vs) == 0 {
 					continue
 				}
-				shrunk := Shrink(sp, func(c *Spec) bool {
+				shrunk := Shrink(sp, func(c *scenario.Spec) bool {
 					cvs, cerr := Check(c, opts)
 					return cerr == nil && len(cvs) > 0
 				})

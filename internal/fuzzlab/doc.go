@@ -8,7 +8,7 @@
 // across partition counts (the PDES fabric's central contract).
 //
 // On a violation, a deterministic greedy shrinker minimizes the
-// offending Spec — dropping traffic components and events, shrinking
+// offending scenario.Spec — dropping traffic components and events, shrinking
 // topology dims, simplifying values — re-checking at every step, and
 // the canonical JSON repro is pinned under testdata/corpus/ as a
 // regression test. Three entry points exist: the tier-1 `go test`

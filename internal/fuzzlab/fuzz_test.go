@@ -2,6 +2,8 @@ package fuzzlab
 
 import (
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // FuzzScenario is the native fuzzing entry point: the fuzzer mutates
@@ -23,7 +25,7 @@ func FuzzScenario(f *testing.F) {
 			t.Errorf("seed %d: %s", seed, v)
 		}
 		if t.Failed() {
-			shrunk := Shrink(sp, func(c *Spec) bool {
+			shrunk := Shrink(sp, func(c *scenario.Spec) bool {
 				cvs, cerr := Check(c, Options{Parts: []int{1, 2}})
 				return cerr == nil && len(cvs) > 0
 			})

@@ -72,23 +72,23 @@ func TestGeneratorSmoke(t *testing.T) {
 func TestSeededViolationCaughtAndShrunk(t *testing.T) {
 	// A busy but quick scenario: three traffic components, a link cut,
 	// and an injected burst, all inside 120µs.
-	sp := Spec{
+	sp := scenario.Spec{
 		Seed:   3,
 		Scheme: "powertcp",
-		Topo:   TopoSpec{Kind: "leafspine", Leaves: 2, Spines: 2, ServersPerLeaf: 2},
-		Traffic: []TrafficSpec{
-			{Kind: "pulse", Receiver: &RefSpec{Kind: "host", I: 0}, FanIn: 2, FlowSize: 30_000},
-			{Kind: "flows", Flows: []FlowEntry{
-				{Src: &RefSpec{Kind: "host", I: 1}, Dst: &RefSpec{Kind: "host", I: 3}, Size: 20_000},
-				{Src: &RefSpec{Kind: "host", I: 2}, Dst: &RefSpec{Kind: "host", I: 0}, Size: 15_000, StartUS: 10},
+		Topo:   scenario.TopoSpec{Kind: "leafspine", Leaves: 2, Spines: 2, ServersPerLeaf: 2},
+		Traffic: []scenario.TrafficSpec{
+			{Kind: "pulse", Receiver: &scenario.RefSpec{Kind: "host", I: 0}, FanIn: 2, FlowSize: 30_000},
+			{Kind: "flows", Flows: []scenario.FlowEntry{
+				{Src: &scenario.RefSpec{Kind: "host", I: 1}, Dst: &scenario.RefSpec{Kind: "host", I: 3}, Size: 20_000},
+				{Src: &scenario.RefSpec{Kind: "host", I: 2}, Dst: &scenario.RefSpec{Kind: "host", I: 0}, Size: 15_000, StartUS: 10},
 			}},
-			{Kind: "rackpairs", FromRack: &RefSpec{Kind: "rack_start", Rack: 1},
-				ToRack: &RefSpec{Kind: "rack_start", Rack: 0}, Count: 2, Size: 25_000},
+			{Kind: "rackpairs", FromRack: &scenario.RefSpec{Kind: "rack_start", Rack: 1},
+				ToRack: &scenario.RefSpec{Kind: "rack_start", Rack: 0}, Count: 2, Size: 25_000},
 		},
-		Events: []EventSpec{
-			{Kind: "fail", AtUS: 40, A: &SwitchRefSpec{Tier: "leaf", I: 0}, B: &SwitchRefSpec{Tier: "spine", I: 1}},
-			{Kind: "inject", AtUS: 50, Inject: &TrafficSpec{Kind: "flows", Flows: []FlowEntry{
-				{Src: &RefSpec{Kind: "host", I: 3}, Dst: &RefSpec{Kind: "host", I: 1}, Size: 10_000},
+		Events: []scenario.EventSpec{
+			{Kind: "fail", AtUS: 40, A: &scenario.SwitchRefSpec{Tier: "leaf", I: 0}, B: &scenario.SwitchRefSpec{Tier: "spine", I: 1}},
+			{Kind: "inject", AtUS: 50, Inject: &scenario.TrafficSpec{Kind: "flows", Flows: []scenario.FlowEntry{
+				{Src: &scenario.RefSpec{Kind: "host", I: 3}, Dst: &scenario.RefSpec{Kind: "host", I: 1}, Size: 10_000},
 			}}},
 		},
 		ReconvergeUS: 15,
@@ -118,7 +118,7 @@ func TestSeededViolationCaughtAndShrunk(t *testing.T) {
 		t.Fatalf("planted delivery miscount not caught; violations: %v", vs)
 	}
 
-	failing := func(c *Spec) bool {
+	failing := func(c *scenario.Spec) bool {
 		cvs, cerr := Check(c, opts)
 		return cerr == nil && len(cvs) > 0
 	}
@@ -148,7 +148,7 @@ func TestSeededViolationCaughtAndShrunk(t *testing.T) {
 func TestSpecJSONRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		sp := Generate(seed)
-		var back Spec
+		var back scenario.Spec
 		if err := json.Unmarshal(Canonical(&sp), &back); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -2,6 +2,8 @@ package fuzzlab
 
 import (
 	"math/rand"
+
+	"repro/internal/scenario"
 )
 
 // BaseSchemes is the pool the generator draws base schemes from — every
@@ -30,9 +32,9 @@ func (f fabricInfo) multiRack() bool { return f.racks > 1 }
 // Run error on a generated spec as a generator bug, not a finding. All
 // randomness flows from the one seeded source, so the mapping is a pure
 // function of seed.
-func Generate(seed int64) Spec {
+func Generate(seed int64) scenario.Spec {
 	rng := rand.New(rand.NewSource(seed))
-	sp := Spec{Seed: seed}
+	sp := scenario.Spec{Seed: seed}
 	sp.Scheme = BaseSchemes[rng.Intn(len(BaseSchemes))]
 	sp.HorizonUS = 150 + rng.Int63n(451)
 
@@ -40,18 +42,18 @@ func Generate(seed int64) Spec {
 	switch roll := rng.Float64(); {
 	case roll < 0.25:
 		hosts := 3 + rng.Intn(6)
-		sp.Topo = TopoSpec{Kind: "star", Hosts: hosts}
+		sp.Topo = scenario.TopoSpec{Kind: "star", Hosts: hosts}
 		f = fabricInfo{hosts: hosts, racks: 1, perRack: hosts}
 	case roll < 0.70:
 		leaves := 2 + rng.Intn(2)
 		spines := 2 + rng.Intn(2)
 		spl := 2 + rng.Intn(2)
-		sp.Topo = TopoSpec{Kind: "leafspine", Leaves: leaves, Spines: spines, ServersPerLeaf: spl}
+		sp.Topo = scenario.TopoSpec{Kind: "leafspine", Leaves: leaves, Spines: spines, ServersPerLeaf: spl}
 		f = fabricInfo{hosts: leaves * spl, racks: leaves, perRack: spl}
 	default:
 		// The default 4-pod fat-tree has 8 ToRs; only the rack width varies.
 		spt := 1 + rng.Intn(2)
-		sp.Topo = TopoSpec{Kind: "fattree", ServersPerTor: spt}
+		sp.Topo = scenario.TopoSpec{Kind: "fattree", ServersPerTor: spt}
 		f = fabricInfo{hosts: 8 * spt, racks: 8, perRack: spt}
 	}
 	if f.multiRack() && rng.Float64() < 0.2 {
@@ -94,20 +96,20 @@ func Generate(seed int64) Spec {
 	if f.multiRack() && !hasFluid && rng.Float64() < 0.5 {
 		h := sp.HorizonUS
 		failAt := h/5 + rng.Int63n(h/2-h/5+1)
-		var a, b SwitchRefSpec
+		var a, b scenario.SwitchRefSpec
 		if sp.Topo.Kind == "leafspine" {
-			a = SwitchRefSpec{Tier: "leaf", I: rng.Intn(sp.Topo.Leaves)}
-			b = SwitchRefSpec{Tier: "spine", I: rng.Intn(sp.Topo.Spines)}
+			a = scenario.SwitchRefSpec{Tier: "leaf", I: rng.Intn(sp.Topo.Leaves)}
+			b = scenario.SwitchRefSpec{Tier: "spine", I: rng.Intn(sp.Topo.Spines)}
 		} else {
 			// A ToR wires to both aggs of its own pod (2 ToRs and 2 aggs per
 			// pod), so pick the cut among links that exist.
 			t := rng.Intn(8)
-			a = SwitchRefSpec{Tier: "tor", I: t}
-			b = SwitchRefSpec{Tier: "agg", I: (t/2)*2 + rng.Intn(2)}
+			a = scenario.SwitchRefSpec{Tier: "tor", I: t}
+			b = scenario.SwitchRefSpec{Tier: "agg", I: (t/2)*2 + rng.Intn(2)}
 		}
-		sp.Events = append(sp.Events, EventSpec{Kind: "fail", AtUS: failAt, A: &a, B: &b})
+		sp.Events = append(sp.Events, scenario.EventSpec{Kind: "fail", AtUS: failAt, A: &a, B: &b})
 		if rng.Float64() < 0.5 {
-			sp.Events = append(sp.Events, EventSpec{
+			sp.Events = append(sp.Events, scenario.EventSpec{
 				Kind: "restore", AtUS: failAt + (h-failAt)/2, A: &a, B: &b,
 			})
 		}
@@ -115,7 +117,7 @@ func Generate(seed int64) Spec {
 	}
 	if rng.Float64() < 0.3 {
 		inj := genComponent(rng, f, sp.HorizonUS)
-		sp.Events = append(sp.Events, EventSpec{
+		sp.Events = append(sp.Events, scenario.EventSpec{
 			Kind: "inject", AtUS: sp.HorizonUS/4 + rng.Int63n(sp.HorizonUS/4+1), Inject: &inj,
 		})
 	}
@@ -124,7 +126,7 @@ func Generate(seed int64) Spec {
 
 // genComponent rolls one traffic component valid on the fabric. Every
 // selector it emits stays in bounds by construction.
-func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) TrafficSpec {
+func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) scenario.TrafficSpec {
 	kinds := []string{"flows", "pulse", "staggered", "permutation"}
 	if f.multiRack() {
 		kinds = append(kinds, "poisson", "requests", "rackpairs")
@@ -132,7 +134,7 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) TrafficSpec {
 	switch kinds[rng.Intn(len(kinds))] {
 	case "flows":
 		cnt := 1 + rng.Intn(3)
-		var list []FlowEntry
+		var list []scenario.FlowEntry
 		for i := 0; i < cnt; i++ {
 			src := rng.Intn(f.hosts)
 			dst := rng.Intn(f.hosts - 1)
@@ -143,26 +145,26 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) TrafficSpec {
 			if rng.Float64() < 0.1 {
 				size = -1 // Unbounded
 			}
-			list = append(list, FlowEntry{
+			list = append(list, scenario.FlowEntry{
 				StartUS: rng.Int63n(horizonUS/3 + 1),
-				Src:     &RefSpec{Kind: "host", I: src},
-				Dst:     &RefSpec{Kind: "host", I: dst},
+				Src:     &scenario.RefSpec{Kind: "host", I: src},
+				Dst:     &scenario.RefSpec{Kind: "host", I: dst},
 				Size:    size,
 			})
 		}
-		return TrafficSpec{Kind: "flows", Flows: list}
+		return scenario.TrafficSpec{Kind: "flows", Flows: list}
 	case "pulse":
-		tr := TrafficSpec{
+		tr := scenario.TrafficSpec{
 			Kind:     "pulse",
 			AtUS:     rng.Int63n(horizonUS/4 + 1),
-			Receiver: &RefSpec{Kind: "host", I: 0},
+			Receiver: &scenario.RefSpec{Kind: "host", I: 0},
 			FanIn:    2 + rng.Intn(5),
 			FlowSize: 5000 + rng.Int63n(75001),
 		}
 		if !f.multiRack() {
 			// On a star the zero span would exclude the receiver's rack —
 			// which is every host — so name the sender pool explicitly.
-			tr.SpanFrom = &RefSpec{Kind: "host", I: 1}
+			tr.SpanFrom = &scenario.RefSpec{Kind: "host", I: 1}
 		}
 		return tr
 	case "staggered":
@@ -175,16 +177,16 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) TrafficSpec {
 		if rng.Float64() < 0.5 {
 			sizes = append(sizes, 10_000+rng.Int63n(40_001))
 		}
-		return TrafficSpec{
+		return scenario.TrafficSpec{
 			Kind:        "staggered",
-			Receiver:    &RefSpec{Kind: "host", I: 0},
-			FirstSender: &RefSpec{Kind: "host", I: 1},
+			Receiver:    &scenario.RefSpec{Kind: "host", I: 0},
+			FirstSender: &scenario.RefSpec{Kind: "host", I: 1},
 			Count:       cnt,
 			StaggerUS:   5 + rng.Int63n(16),
 			Sizes:       sizes,
 		}
 	case "poisson":
-		return TrafficSpec{
+		return scenario.TrafficSpec{
 			Kind:         "poisson",
 			Load:         0.2 + 0.6*rng.Float64(),
 			GenHorizonUS: horizonUS,
@@ -197,7 +199,7 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) TrafficSpec {
 		}
 		// Aim for 1–5 expected requests inside the generation horizon.
 		expected := float64(1 + rng.Intn(5))
-		return TrafficSpec{
+		return scenario.TrafficSpec{
 			Kind:         "requests",
 			RequestRate:  expected / (float64(horizonUS) * 1e-6),
 			RequestSize:  20_000 + rng.Int63n(80_001),
@@ -215,14 +217,14 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) TrafficSpec {
 		if rng.Float64() < 0.5 {
 			size = 20_000 + rng.Int63n(80_001)
 		}
-		return TrafficSpec{
+		return scenario.TrafficSpec{
 			Kind:     "rackpairs",
-			FromRack: &RefSpec{Kind: "rack_start", Rack: from},
-			ToRack:   &RefSpec{Kind: "rack_start", Rack: to},
+			FromRack: &scenario.RefSpec{Kind: "rack_start", Rack: from},
+			ToRack:   &scenario.RefSpec{Kind: "rack_start", Rack: to},
 			Count:    1 + rng.Intn(f.perRack),
 			Size:     size,
 		}
 	default: // permutation
-		return TrafficSpec{Kind: "permutation", SeedOffset: rng.Int63n(1000)}
+		return scenario.TrafficSpec{Kind: "permutation", SeedOffset: rng.Int63n(1000)}
 	}
 }

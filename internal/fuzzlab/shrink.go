@@ -2,6 +2,8 @@ package fuzzlab
 
 import (
 	"bytes"
+
+	"repro/internal/scenario"
 )
 
 // maxShrinkTries caps the total candidate evaluations of one Shrink
@@ -17,7 +19,7 @@ const maxShrinkTries = 4096
 // exhibits the violation (a Spec that no longer builds or runs counts
 // as not failing). The walk is deterministic: the same input spec and
 // predicate always shrink to the same output.
-func Shrink(sp Spec, failing func(*Spec) bool) Spec {
+func Shrink(sp scenario.Spec, failing func(*scenario.Spec) bool) scenario.Spec {
 	cur := sp
 	tries := 0
 	for {
@@ -38,14 +40,14 @@ func Shrink(sp Spec, failing func(*Spec) bool) Spec {
 	}
 }
 
-func clone(sp *Spec) *Spec {
+func clone(sp *scenario.Spec) *scenario.Spec {
 	c := *sp
-	c.Traffic = append([]TrafficSpec(nil), sp.Traffic...)
+	c.Traffic = append([]scenario.TrafficSpec(nil), sp.Traffic...)
 	for i := range c.Traffic {
-		c.Traffic[i].Flows = append([]FlowEntry(nil), c.Traffic[i].Flows...)
+		c.Traffic[i].Flows = append([]scenario.FlowEntry(nil), c.Traffic[i].Flows...)
 		c.Traffic[i].Sizes = append([]int64(nil), c.Traffic[i].Sizes...)
 	}
-	c.Events = append([]EventSpec(nil), sp.Events...)
+	c.Events = append([]scenario.EventSpec(nil), sp.Events...)
 	return &c
 }
 
@@ -53,10 +55,10 @@ func clone(sp *Spec) *Spec {
 // fixed order the shrinker walks. Transforms that would leave the spec
 // unchanged are skipped, so an accepted candidate always makes strict
 // progress and the loop terminates.
-func candidates(sp *Spec) []*Spec {
+func candidates(sp *scenario.Spec) []*scenario.Spec {
 	base := Canonical(sp)
-	var out []*Spec
-	add := func(c *Spec) {
+	var out []*scenario.Spec
+	add := func(c *scenario.Spec) {
 		if !bytes.Equal(Canonical(c), base) {
 			out = append(out, c)
 		}
@@ -96,10 +98,10 @@ func candidates(sp *Spec) []*Spec {
 			add(c)
 		}
 	case "leafspine":
-		for _, f := range []func(*TopoSpec){
-			func(t *TopoSpec) { t.Leaves = 2 },
-			func(t *TopoSpec) { t.Spines = 2 },
-			func(t *TopoSpec) { t.ServersPerLeaf = floorHalve(t.ServersPerLeaf, 1) },
+		for _, f := range []func(*scenario.TopoSpec){
+			func(t *scenario.TopoSpec) { t.Leaves = 2 },
+			func(t *scenario.TopoSpec) { t.Spines = 2 },
+			func(t *scenario.TopoSpec) { t.ServersPerLeaf = floorHalve(t.ServersPerLeaf, 1) },
 		} {
 			c := clone(sp)
 			f(&c.Topo)
@@ -130,9 +132,9 @@ func candidates(sp *Spec) []*Spec {
 
 // simplifyComponent enumerates the value-level reductions of one
 // traffic component.
-func simplifyComponent(sp *Spec, i int) []*Spec {
-	var out []*Spec
-	emit := func(f func(*TrafficSpec)) {
+func simplifyComponent(sp *scenario.Spec, i int) []*scenario.Spec {
+	var out []*scenario.Spec
+	emit := func(f func(*scenario.TrafficSpec)) {
 		c := clone(sp)
 		f(&c.Traffic[i])
 		out = append(out, c)
@@ -141,35 +143,35 @@ func simplifyComponent(sp *Spec, i int) []*Spec {
 	case "flows":
 		for j := range sp.Traffic[i].Flows {
 			j := j
-			emit(func(t *TrafficSpec) { t.Flows = append(t.Flows[:j:j], t.Flows[j+1:]...) })
+			emit(func(t *scenario.TrafficSpec) { t.Flows = append(t.Flows[:j:j], t.Flows[j+1:]...) })
 		}
 		for j := range sp.Traffic[i].Flows {
 			j := j
-			emit(func(t *TrafficSpec) { t.Flows[j].StartUS = 0 })
-			emit(func(t *TrafficSpec) { t.Flows[j].Size = floorHalve64(t.Flows[j].Size, 1000) })
+			emit(func(t *scenario.TrafficSpec) { t.Flows[j].StartUS = 0 })
+			emit(func(t *scenario.TrafficSpec) { t.Flows[j].Size = floorHalve64(t.Flows[j].Size, 1000) })
 		}
 	case "pulse":
-		emit(func(t *TrafficSpec) { t.FanIn = floorHalve(t.FanIn, 1) })
-		emit(func(t *TrafficSpec) { t.FlowSize = floorHalve64(t.FlowSize, 1000) })
-		emit(func(t *TrafficSpec) { t.AtUS = 0 })
+		emit(func(t *scenario.TrafficSpec) { t.FanIn = floorHalve(t.FanIn, 1) })
+		emit(func(t *scenario.TrafficSpec) { t.FlowSize = floorHalve64(t.FlowSize, 1000) })
+		emit(func(t *scenario.TrafficSpec) { t.AtUS = 0 })
 	case "staggered":
-		emit(func(t *TrafficSpec) { t.Count = floorHalve(t.Count, 1) })
+		emit(func(t *scenario.TrafficSpec) { t.Count = floorHalve(t.Count, 1) })
 		if len(sp.Traffic[i].Sizes) > 0 {
-			emit(func(t *TrafficSpec) { t.Sizes = t.Sizes[:1] })
-			emit(func(t *TrafficSpec) { t.Sizes[0] = floorHalve64(t.Sizes[0], 1000) })
+			emit(func(t *scenario.TrafficSpec) { t.Sizes = t.Sizes[:1] })
+			emit(func(t *scenario.TrafficSpec) { t.Sizes[0] = floorHalve64(t.Sizes[0], 1000) })
 		}
 	case "poisson":
-		emit(func(t *TrafficSpec) {
+		emit(func(t *scenario.TrafficSpec) {
 			if t.Load > 0.2 {
 				t.Load = 0.2
 			}
 		})
 	case "requests":
-		emit(func(t *TrafficSpec) { t.FanIn = floorHalve(t.FanIn, 1) })
-		emit(func(t *TrafficSpec) { t.RequestSize = floorHalve64(t.RequestSize, 1000) })
+		emit(func(t *scenario.TrafficSpec) { t.FanIn = floorHalve(t.FanIn, 1) })
+		emit(func(t *scenario.TrafficSpec) { t.RequestSize = floorHalve64(t.RequestSize, 1000) })
 	case "rackpairs":
-		emit(func(t *TrafficSpec) { t.Count = floorHalve(t.Count, 1) })
-		emit(func(t *TrafficSpec) {
+		emit(func(t *scenario.TrafficSpec) { t.Count = floorHalve(t.Count, 1) })
+		emit(func(t *scenario.TrafficSpec) {
 			// Replace endless pairs with a finite transfer, then halve it.
 			if t.Size == 0 {
 				t.Size = 20_000

@@ -3,6 +3,8 @@ package fuzzlab
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/scenario"
 )
 
 // Finding is one violating seed of a Sweep: the generated spec's
@@ -10,7 +12,7 @@ import (
 type Finding struct {
 	Seed       int64
 	Violations []Violation
-	Shrunk     Spec
+	Shrunk     scenario.Spec
 }
 
 // Report summarizes one Sweep.
@@ -56,7 +58,7 @@ func Sweep(start int64, n int, opts Options, stop func() bool, w io.Writer) Repo
 			}
 			fmt.Fprintf(w, "seed %d: shrinking…\n", seed)
 		}
-		shrunk := Shrink(sp, func(c *Spec) bool {
+		shrunk := Shrink(sp, func(c *scenario.Spec) bool {
 			cvs, cerr := Check(c, opts)
 			return cerr == nil && len(cvs) > 0
 		})

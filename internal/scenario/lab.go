@@ -80,20 +80,6 @@ func (l *Lab) labOpts(seed int64, routing route.Strategy) topo.Options {
 	}
 }
 
-// NewFatTreeLab builds the paper's fat-tree (§4.1) scaled to
-// serversPerTor servers per rack under default per-flow ECMP.
-func NewFatTreeLab(scheme Scheme, serversPerTor int, seed int64) *Lab {
-	return NewRoutedFatTreeLab(scheme, serversPerTor, seed, nil, 0)
-}
-
-// NewRoutedFatTreeLab is NewFatTreeLab with an explicit multipath
-// strategy (nil keeps per-flow ECMP) and partition count (≤1 runs
-// serially; >1 shards pods across engines — see topo.Plan).
-func NewRoutedFatTreeLab(scheme Scheme, serversPerTor int, seed int64, routing route.Strategy, parts int) *Lab {
-	return NewConfiguredFatTreeLab(scheme,
-		topo.FatTreeConfig{ServersPerTor: serversPerTor, Parts: parts}, seed, routing)
-}
-
 // NewConfiguredFatTreeLab builds a fat-tree lab from an explicit
 // structural config — pods, cores, partitioning — for fabrics beyond
 // the paper's default 4-pod shape (the 10k-host scale benchmarks size

@@ -56,7 +56,11 @@ func TestRunRejectsMalformedScenarios(t *testing.T) {
 		{"leaf-spine negative spine rate", func(sc *Scenario) {
 			sc.Topology = LeafSpineTopology{Leaves: 2, Spines: 2, ServersPerLeaf: 2,
 				SpineRates: []units.BitRate{-units.Gbps}}
-		}, "rate"},
+		}, "SpineRates[0]"},
+		{"leaf-spine zero spine rate", func(sc *Scenario) {
+			sc.Topology = LeafSpineTopology{Leaves: 2, Spines: 2, ServersPerLeaf: 2,
+				SpineRates: []units.BitRate{100 * units.Gbps, 0}}
+		}, "SpineRates[1]"},
 		{"leaf-spine bad routing", func(sc *Scenario) {
 			sc.Topology = LeafSpineTopology{Leaves: 2, Spines: 2, ServersPerLeaf: 2, Routing: "spray"}
 		}, "spray"},
@@ -160,6 +164,54 @@ func TestRunRejectsMalformedScenarios(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Run error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestSpecJSONRejectsOutOfDomainValues pins the value domains at the
+// serialisable door: a Spec that decodes cleanly but carries a load
+// outside (0, 1], a non-positive request rate or size, a negative count
+// or a negative duration fails in Build or Run with an error naming the
+// field and the value, from the same component check an in-process
+// Scenario meets — never an OK Result of zero events.
+func TestSpecJSONRejectsOutOfDomainValues(t *testing.T) {
+	cases := []struct {
+		name    string
+		traffic string
+		wantErr string
+	}{
+		{"load above one", `{"kind":"poisson","load":7,"gen_horizon_us":100}`, "Load 7 "},
+		{"negative load", `{"kind":"poisson","load":-0.5,"gen_horizon_us":100}`, "Load -0.5 "},
+		{"absent load", `{"kind":"poisson","gen_horizon_us":100}`, "Load 0 "},
+		{"negative poisson start", `{"kind":"poisson","load":0.3,"at_us":-5,"gen_horizon_us":100}`, "Start -5"},
+		{"negative request size", `{"kind":"requests","request_rate":20000,"request_size":-20000,"fan_in":4,"gen_horizon_us":100}`, "RequestSize -20000 "},
+		{"absent request size", `{"kind":"requests","request_rate":20000,"fan_in":4,"gen_horizon_us":100}`, "RequestSize 0 "},
+		{"negative request rate", `{"kind":"requests","request_rate":-1,"request_size":20000,"fan_in":4,"gen_horizon_us":100}`, "RequestRate -1 "},
+		{"absent request rate", `{"kind":"requests","request_size":20000,"fan_in":4,"gen_horizon_us":100}`, "RequestRate 0 "},
+		{"negative request fan-in", `{"kind":"requests","request_rate":20000,"request_size":20000,"fan_in":-4,"gen_horizon_us":100}`, "FanIn ≥ 1, got -4"},
+		{"negative requests start", `{"kind":"requests","request_rate":20000,"request_size":20000,"fan_in":4,"at_us":-5,"gen_horizon_us":100}`, "Start -5"},
+		{"negative rack-pair count", `{"kind":"rackpairs","from_rack":{"kind":"rack_start"},"to_rack":{"kind":"rack_start","rack":1},"count":-1}`, "Count -1 "},
+		{"negative stagger", `{"kind":"staggered","receiver":{"kind":"host"},"first_sender":{"kind":"host","i":1},"count":2,"stagger_us":-5,"sizes":[1000]}`, "Stagger -5"},
+		{"negative staggered size", `{"kind":"staggered","receiver":{"kind":"host"},"first_sender":{"kind":"host","i":1},"count":2,"sizes":[1000,-7]}`, "size -7"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := `{"v":2,"seed":1,"scheme":"powertcp","topo":{"kind":"fattree","servers_per_tor":2},` +
+				`"horizon_us":200,"traffic":[` + tc.traffic + `]}`
+			sp, err := DecodeSpec([]byte(doc))
+			if err != nil {
+				t.Fatalf("spec does not decode: %v", err)
+			}
+			sc, err := sp.Build(1)
+			if err == nil {
+				var res *Result
+				if res, err = Run(sc); err == nil {
+					t.Fatalf("Run accepted the spec: %v engine steps", res.Scalar("engine_steps"))
+				}
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -133,7 +133,7 @@ func (p *Prepared) setup() error {
 		// Switched topologies launch through the lab, which needs either
 		// the HOMA transport or a per-flow algorithm builder.
 		if !sc.Scheme.IsHoma() && sc.Scheme.Alg == nil {
-			return fmt.Errorf("scenario: scheme %q provides no per-flow algorithm for a switched topology",
+			return fmt.Errorf("scenario: a switched topology does not support scheme %q (no per-flow algorithm)",
 				sc.Scheme.Name)
 		}
 	}
@@ -413,8 +413,8 @@ func (env *Env) launchRotor(tr Traffic, flows []workload.Flow) error {
 
 // RotorSupports restricts rotor runs to the schemes rotorAlg can
 // actually build — anything else would silently fall back to HPCC. It
-// is the single source of the Fig. 8 competitor list; the exp rdcn
-// preset's Supports check delegates here.
+// is the single source of the Fig. 8 competitor list: the exp rdcn
+// preset is refused here, at launch.
 func RotorSupports(scheme Scheme) error {
 	switch scheme.Kind {
 	case KindPowerTCP, KindReTCP:

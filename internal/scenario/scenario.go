@@ -406,8 +406,8 @@ func (t LeafSpineTopology) build(env *Env) error {
 		}
 	}
 	for i, r := range t.SpineRates {
-		if r < 0 {
-			return fmt.Errorf("scenario: leaf-spine spine %d rate %v is negative", i, r)
+		if r <= 0 {
+			return fmt.Errorf("scenario: leaf-spine SpineRates[%d] rate %v is not positive", i, r)
 		}
 	}
 	strategy, err := resolveRouting(t.Routing)

@@ -124,6 +124,9 @@ func (t Staggered) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 	if t.Count <= 0 || len(t.Sizes) == 0 {
 		return nil, fmt.Errorf("scenario: staggered flows need Count ≥ 1 and at least one size")
 	}
+	if t.Stagger < 0 {
+		return nil, fmt.Errorf("scenario: staggered flows Stagger %v is negative", t.Stagger)
+	}
 	if first+t.Count > f.Hosts {
 		return nil, fmt.Errorf("scenario: staggered flows need %d senders from host %d, fabric has %d hosts",
 			t.Count, first, f.Hosts)
@@ -150,7 +153,7 @@ func (t Staggered) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 // target rack-uplink load (§4.1): sources uniform over all hosts,
 // destinations uniform over other racks.
 type PoissonLoad struct {
-	// Load is the offered load on the rack uplinks, 0–1.
+	// Load is the offered load on the rack uplinks, within (0, 1].
 	Load float64
 	// Dist samples flow sizes; nil means the web-search distribution.
 	Dist workload.SizeDist
@@ -168,8 +171,14 @@ func (t PoissonLoad) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 	if f.UplinkCapPerRack == 0 || f.Racks < 2 {
 		return nil, fmt.Errorf("scenario: Poisson load needs a multi-rack fabric with uplink capacity")
 	}
+	if !(t.Load > 0 && t.Load <= 1) {
+		return nil, fmt.Errorf("scenario: Poisson load Load %g is outside (0, 1]", t.Load)
+	}
 	if t.Horizon <= 0 {
 		return nil, fmt.Errorf("scenario: Poisson load needs a generation Horizon")
+	}
+	if t.Start < 0 {
+		return nil, fmt.Errorf("scenario: Poisson load Start %v is negative", t.Start)
 	}
 	dist := t.Dist
 	if dist == nil {
@@ -209,8 +218,20 @@ func (t IncastRequests) generate(f Fabric, seed int64) ([]workload.Flow, error) 
 	if f.Racks < 2 {
 		return nil, fmt.Errorf("scenario: incast requests need a multi-rack fabric")
 	}
+	if !(t.RequestRate > 0) {
+		return nil, fmt.Errorf("scenario: incast requests RequestRate %g is not positive", t.RequestRate)
+	}
+	if t.RequestSize <= 0 {
+		return nil, fmt.Errorf("scenario: incast requests RequestSize %d is not positive", t.RequestSize)
+	}
+	if t.FanIn <= 0 {
+		return nil, fmt.Errorf("scenario: incast requests need FanIn ≥ 1, got %d", t.FanIn)
+	}
 	if t.Horizon <= 0 {
 		return nil, fmt.Errorf("scenario: incast requests need a generation Horizon")
+	}
+	if t.Start < 0 {
+		return nil, fmt.Errorf("scenario: incast requests Start %v is negative", t.Start)
 	}
 	gen := &workload.Incast{
 		RequestRate:  t.RequestRate,
@@ -248,7 +269,7 @@ func (t Permutation) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 // RackPairs launches endless flows from the servers of one rack to
 // their index counterparts in another — the cross-fabric load of the
 // asymmetry and failover scenarios. Count 0 pairs the whole rack; a
-// Count larger than the rack is an error.
+// negative Count or one larger than the rack is an error.
 type RackPairs struct {
 	FromRack HostRef // resolved as the first host of the source rack
 	ToRack   HostRef // resolved as the first host of the destination rack
@@ -265,11 +286,11 @@ func (t RackPairs) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.Count > f.HostsPerRack {
-		return nil, fmt.Errorf("scenario: rack pairs Count %d exceeds the rack size %d", t.Count, f.HostsPerRack)
+	if t.Count < 0 || t.Count > f.HostsPerRack {
+		return nil, fmt.Errorf("scenario: rack pairs Count %d is outside [0, %d], the rack size", t.Count, f.HostsPerRack)
 	}
 	n := t.Count
-	if n <= 0 {
+	if n == 0 {
 		n = f.HostsPerRack
 	}
 	if src0+n > f.Hosts || dst0+n > f.Hosts {

@@ -189,6 +189,30 @@ func TestRunFailureTyped(t *testing.T) {
 	}
 }
 
+// TestOutOfDomainSpecRefusedBeforeRun: a spec that decodes but offers a
+// load of 7 comes back 422 with the scenario layer's own error naming the
+// field and value. The one-event budget shows it never ran: had a single
+// event fired, the trip would have been kind "budget".
+func TestOutOfDomainSpecRefusedBeforeRun(t *testing.T) {
+	_, ts := newTestServer(t, Config{Budget: guard.Budget{MaxEvents: 1}})
+	body := `{"v":2,"seed":1,"scheme":"powertcp","topo":{"kind":"fattree","servers_per_tor":2},` +
+		`"traffic":[{"kind":"poisson","load":7,"gen_horizon_us":100}],"horizon_us":200}`
+	resp := post(t, ts.URL+"/v1/run", []byte(body))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422", resp.StatusCode)
+	}
+	var eb struct {
+		Error string `json:"error"`
+		Kind  string `json:"kind"`
+	}
+	if err := json.Unmarshal(readAll(t, resp), &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Kind != "run" || !strings.Contains(eb.Error, "Load 7 is outside (0, 1]") {
+		t.Fatalf("error envelope %+v, want kind run naming Load 7", eb)
+	}
+}
+
 // TestOverloadSheds: with one worker wedged and the queue full, the
 // next submission is shed with 429 + Retry-After instead of piling up.
 func TestOverloadSheds(t *testing.T) {

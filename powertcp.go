@@ -127,32 +127,39 @@ var Monitor = monitor.Wrap
 // builders consume.
 func Hosts(cfg HostConfig) topo.HostFactory { return topo.TransportHosts(cfg) }
 
-// Experiments: a named registry of the paper's evaluation scenarios
-// (incast, fairness, websearch, rdcn, load-sweep). Build a spec with
-// NewSpec plus With* options, run it with RunExperiment, or run many
-// concurrently with a Suite. See EXPERIMENTS.md for the
-// experiment↔figure index and the paper-vs-measured record.
+// Experiments: the paper's evaluation scenarios (incast, fairness,
+// websearch, load-sweep, rdcn) and the multipath lab (permutation,
+// asymmetry, failover) as typed presets. An ExperimentSpec names a
+// preset value — its zero fields take the experiment's defaults — a
+// scheme and a seed; run it with RunExperiment, or many concurrently
+// with a Suite. See EXPERIMENTS.md for the experiment↔figure index and
+// the paper-vs-measured record.
 type (
-	// ExperimentSpec names an experiment, a scheme, and the scenario
-	// knobs; ExperimentOption mutates one under construction.
-	ExperimentSpec   = exp.Spec
-	ExperimentOption = exp.Option
-	// Experiment is a registered scenario (RegisterExperiment extends
-	// the registry with new ones).
-	Experiment = exp.Experiment
+	// ExperimentSpec is the identity of one run: Preset, Scheme,
+	// SchemeOpts, Seed, Label.
+	ExperimentSpec = exp.Spec
+	// The experiment parameter structs (ExperimentSpec.Preset).
+	Incast      = exp.Incast
+	Fairness    = exp.Fairness
+	WebSearch   = exp.WebSearch
+	LoadSweep   = exp.LoadSweep
+	RDCN        = exp.RDCN
+	Permutation = exp.Permutation
+	Asymmetry   = exp.Asymmetry
+	Failover    = exp.Failover
 	// ExperimentResult is the common result envelope: scalar metrics map
 	// plus named series, JSON/TSV-encodable. Raw carries the typed
 	// payload below.
-	ExperimentResult = exp.Result
-	Series           = exp.Series
-	SeriesPoint      = exp.SeriesPoint
+	ExperimentResult = scenario.Result
+	Series           = scenario.Series
+	SeriesPoint      = scenario.SeriesPoint
 	// ExperimentSuite executes many specs over a worker pool.
 	ExperimentSuite = exp.Suite
 	// Scheme bundles a congestion-control choice with the switch
 	// features it needs; SchemeOption composes ablation variants
 	// (Gamma, Alpha, Overcommit, PerRTT, Prebuffer) onto it.
-	Scheme       = exp.Scheme
-	SchemeOption = exp.SchemeOption
+	Scheme       = scenario.Scheme
+	SchemeOption = scenario.SchemeOption
 
 	// Typed experiment payloads (ExperimentResult.Raw).
 	IncastResult      = exp.IncastResult
@@ -164,74 +171,45 @@ type (
 	FailoverResult    = exp.FailoverResult
 )
 
+// KeepLinkDown, as Failover.RestoreAfter, leaves the failed link down.
+const KeepLinkDown = exp.KeepLinkDown
+
 // Experiment API entry points.
 var (
-	NewSpec            = exp.NewSpec
-	RunExperiment      = exp.Run
-	NewSuite           = exp.NewSuite
-	RunSuite           = exp.RunSuite
-	ResolveScheme      = exp.ResolveScheme
-	RegisterScheme     = exp.RegisterScheme
-	RegisterExperiment = exp.RegisterExperiment
-	ExperimentNames    = exp.ExperimentNames
-	SchemeNames        = exp.SchemeNames
-)
-
-// Spec options (see the exp package for details).
-var (
-	WithSeed           = exp.WithSeed
-	WithLabel          = exp.WithLabel
-	WithSchemeOptions  = exp.WithSchemeOptions
-	WithServersPerTor  = exp.WithServersPerTor
-	WithTors           = exp.WithTors
-	WithFanIn          = exp.WithFanIn
-	WithFlowSize       = exp.WithFlowSize
-	WithFlows          = exp.WithFlows
-	WithStagger        = exp.WithStagger
-	WithSizes          = exp.WithSizes
-	WithLoad           = exp.WithLoad
-	WithLoads          = exp.WithLoads
-	WithIncastOverlay  = exp.WithIncastOverlay
-	WithBufferSampling = exp.WithBufferSampling
-	WithPacketRate     = exp.WithPacketRate
-	WithWeeks          = exp.WithWeeks
-	WithWindow         = exp.WithWindow
-	WithWarmup         = exp.WithWarmup
-	WithDuration       = exp.WithDuration
-	WithDrain          = exp.WithDrain
-	WithSamplePeriod   = exp.WithSamplePeriod
-	WithRouting        = exp.WithRouting
-	WithSpines         = exp.WithSpines
-	WithSpineRates     = exp.WithSpineRates
-	WithFailure        = exp.WithFailure
-	WithReconverge     = exp.WithReconverge
+	RunExperiment   = exp.Run
+	NewSuite        = exp.NewSuite
+	RunSuite        = exp.RunSuite
+	ResolveScheme   = scenario.ResolveScheme
+	RegisterScheme  = scenario.RegisterScheme
+	ExperimentNames = exp.ExperimentNames
+	SchemeNames     = scenario.SchemeNames
 )
 
 // Scheme options (ablation variants composed at resolution time).
 var (
-	Gamma      = exp.Gamma
-	Alpha      = exp.Alpha
-	Overcommit = exp.Overcommit
-	PerRTT     = exp.PerRTT
-	Prebuffer  = exp.Prebuffer
+	Gamma      = scenario.Gamma
+	Alpha      = scenario.Alpha
+	Overcommit = scenario.Overcommit
+	PerRTT     = scenario.PerRTT
+	Prebuffer  = scenario.Prebuffer
 )
 
 // Scheme names accepted by the scheme registry. The parameterized
 // families "homa-oc<N>" (overcommitment) and "retcp-<µs>" (prebuffering)
 // are resolvable too.
 const (
-	SchemePowerTCP      = exp.PowerTCP
-	SchemeThetaPowerTCP = exp.ThetaPowerTCP
-	SchemeHPCC          = exp.HPCC
-	SchemeTimely        = exp.Timely
-	SchemeDCQCN         = exp.DCQCN
-	SchemeSwift         = exp.Swift
-	SchemeDCTCP         = exp.DCTCP
-	SchemeReno          = exp.Reno
-	SchemeCubic         = exp.Cubic
-	SchemeHoma          = exp.Homa
-	SchemeReTCP600      = exp.ReTCP600
-	SchemeReTCP1800     = exp.ReTCP1800
+	SchemePowerTCP      = scenario.PowerTCP
+	SchemeThetaPowerTCP = scenario.ThetaPowerTCP
+	SchemeHPCC          = scenario.HPCC
+	SchemeTimely        = scenario.Timely
+	SchemeDCQCN         = scenario.DCQCN
+	SchemeSwift         = scenario.Swift
+	SchemeDCTCP         = scenario.DCTCP
+	SchemeReno          = scenario.Reno
+	SchemeCubic         = scenario.Cubic
+	SchemeHoma          = scenario.Homa
+	SchemeReTCP600      = scenario.ReTCP600
+	SchemeReTCP1800     = scenario.ReTCP1800
 )
 
 // Composable scenario API (internal/scenario): an experiment is a
