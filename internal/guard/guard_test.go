@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -265,6 +266,9 @@ func TestReproBundle(t *testing.T) {
 	gotKey, _ := scenario.SpecKey(back, bundle.Seed, bundle.Parts)
 	if gotKey != wantKey {
 		t.Fatalf("bundle replays a different run: key %s, want %s", gotKey, wantKey)
+	}
+	if want := "repro-" + wantKey[:16] + ".json"; filepath.Base(pe.Bundle) != want {
+		t.Fatalf("bundle is named %s, want %s after its key", filepath.Base(pe.Bundle), want)
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
 )
 
 // This file defines the canonical Spec wire form — the documented
@@ -19,6 +21,13 @@ import (
 //   - Fields at their zero value are omitted exactly where the Spec
 //     struct tags say omitempty — the canonical bytes of a spec and of
 //     its decode→encode round trip are identical.
+//   - Numbers and strings are as encoding/json writes them (64-bit seeds
+//     exact; <, >, & and U+2028/9 escaped), except that a byte that is
+//     not valid UTF-8 is a literal U+FFFD, not the escape \ufffd: what
+//     marshalling twice, as these bytes were first made, left there.
+//
+// One encoder (canonenc.go) writes them in a single pass over the struct;
+// canonical_diff_test.go holds it to encoding/json spec by spec.
 //
 // Two Specs are semantically equal exactly when their canonical bytes
 // are equal, and SpecKey extends that equality to the full run identity
@@ -45,31 +54,34 @@ const SpecVersion = 2
 // every field vocabulary since then is a subset of the current one.
 const legacySpecVersion = 1
 
-// MarshalCanonical renders the Spec in canonical form. A zero V is
-// normalized to SpecVersion; any other mismatched version is an error
-// (an in-memory Spec carrying a foreign version is a decode that should
-// have failed).
+// MarshalCanonical renders the Spec in canonical form, in a slice with no
+// scratch behind the bytes. A zero V is normalized to SpecVersion; any
+// other mismatched version is an error (an in-memory Spec carrying a
+// foreign version is a decode that should have failed), as is NaN or ±Inf.
 func MarshalCanonical(sp *Spec) ([]byte, error) {
-	if sp.V != 0 && sp.V != SpecVersion {
+	var scratch [canonScratch]byte
+	b, err := appendCanonical(scratch[:0], sp)
+	return bytes.Clone(b), err
+}
+
+// canonScratch is the stack the bytes are built on, twice the largest preset; a bigger spec moves to the heap.
+const canonScratch = 1024
+
+// appendCanonical appends sp's canonical bytes to b.
+func appendCanonical(b []byte, sp *Spec) ([]byte, error) {
+	if sp.V == 0 {
+		norm := *sp
+		norm.V = SpecVersion
+		sp = &norm
+	} else if sp.V != SpecVersion {
 		return nil, fmt.Errorf("scenario: cannot canonicalize spec version %d (current %d)", sp.V, SpecVersion)
 	}
-	norm := *sp
-	norm.V = SpecVersion
-	// Struct-marshal first (field tags decide omission), then round-trip
-	// through an untyped map so encoding/json re-emits every object with
-	// lexicographically sorted keys. UseNumber keeps 64-bit seeds exact —
-	// float64 would corrupt seeds above 2^53.
-	first, err := json.Marshal(&norm)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: marshaling spec: %w", err)
+	w := canonWriter{b: b}
+	w.value(specPlan(), reflect.ValueOf(sp).Elem())
+	if w.err != nil {
+		return nil, fmt.Errorf("scenario: marshaling spec: %w", w.err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(first))
-	dec.UseNumber()
-	var doc any
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("scenario: canonicalizing spec: %w", err)
-	}
-	return json.Marshal(doc)
+	return w.b, nil
 }
 
 // DecodeSpec parses canonical (or hand-written) Spec JSON strictly:
@@ -106,15 +118,15 @@ func DecodeSpec(data []byte) (*Spec, error) {
 // determinism contract, but a distinct supervised run worth its own
 // cache slot while budgets are partition-aware).
 func SpecKey(sp *Spec, seed int64, parts int) (string, error) {
-	canon, err := MarshalCanonical(sp)
+	var scratch [canonScratch]byte
+	b, err := appendCanonical(scratch[:0], sp)
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	h.Write(canon)
-	var tail [16]byte
-	binary.BigEndian.PutUint64(tail[:8], uint64(seed))
-	binary.BigEndian.PutUint64(tail[8:], uint64(parts))
-	h.Write(tail[:])
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	b = binary.BigEndian.AppendUint64(b, uint64(seed))
+	b = binary.BigEndian.AppendUint64(b, uint64(parts))
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), nil
 }

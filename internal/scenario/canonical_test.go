@@ -89,8 +89,8 @@ func TestCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCanonicalSeedPrecision: seeds above 2^53 survive the
-// canonicalization round trip exactly (UseNumber, not float64).
+// TestCanonicalSeedPrecision: seeds above 2^53 survive encode and decode
+// exactly (written as integers, never through a float64).
 func TestCanonicalSeedPrecision(t *testing.T) {
 	sp := SpecPresets()[0]
 	sp.Seed = (1 << 62) + 12345

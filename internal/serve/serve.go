@@ -14,7 +14,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -160,7 +159,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	env, hit, err := s.resolve(sp, parts)
+	_, env, hit, err := s.resolve(sp, parts)
 	if err != nil {
 		s.writeRunError(w, err)
 		return
@@ -188,9 +187,8 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error(), "read")
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var raws []json.RawMessage
@@ -215,12 +213,11 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, sp *scenario.Spec) {
 			defer wg.Done()
-			env, _, err := s.resolve(sp, parts)
+			key, env, _, err := s.resolve(sp, parts)
 			if err != nil {
 				out[i].Error = runErrorBody(err)
 				return
 			}
-			key, _ := scenario.SpecKey(sp, sp.Seed, parts)
 			out[i] = slot{Key: key, Result: env}
 		}(i, sp)
 	}
@@ -261,9 +258,8 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*scenari
 	if !ok {
 		return nil, 0, false
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error(), "read")
+	body, ok := readBody(w, r)
+	if !ok {
 		return nil, 0, false
 	}
 	sp, err := scenario.DecodeSpec(body)
@@ -272,6 +268,28 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*scenari
 		return nil, 0, false
 	}
 	return sp, parts, true
+}
+
+// maxBodyBytes bounds a request body, a suite's too; the largest preset is 451.
+const maxBodyBytes = 1 << 20
+
+// readBody reads the body once, into a buffer sized from Content-Length if there is one,
+// and answers the request itself on failure: 413 for a body past maxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	var err error
+	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
+		body = make([]byte, n)
+		_, err = io.ReadFull(rd, body)
+	} else {
+		body, err = io.ReadAll(rd)
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
+		httpError(w, http.StatusRequestEntityTooLarge, err.Error(), "too_large")
+	} else if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error(), "read")
+	}
+	return body, err == nil
 }
 
 func partsParam(w http.ResponseWriter, r *http.Request) (int, bool) {
@@ -287,21 +305,21 @@ func partsParam(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return parts, true
 }
 
-// resolve answers one (spec, parts) submission: cache first, then a
-// supervised run behind admission control. The returned envelope bytes
-// for a given key are identical forever — cold runs store exactly what
-// later hits return.
-func (s *Server) resolve(sp *scenario.Spec, parts int) (env []byte, hit bool, err error) {
-	key, err := scenario.SpecKey(sp, sp.Seed, parts)
+// resolve answers one (spec, parts) submission with its content key and
+// envelope: cache first, then a supervised run behind admission control.
+// The returned envelope bytes for a given key are identical forever —
+// cold runs store exactly what later hits return.
+func (s *Server) resolve(sp *scenario.Spec, parts int) (key string, env []byte, hit bool, err error) {
+	key, err = scenario.SpecKey(sp, sp.Seed, parts)
 	if err != nil {
-		return nil, false, &requestError{status: http.StatusBadRequest, kind: "decode", msg: err.Error()}
+		return "", nil, false, &requestError{status: http.StatusBadRequest, kind: "decode", msg: err.Error()}
 	}
 	if env := s.lookup(key); env != nil {
 		s.cacheHits.Add(1)
-		return env, true, nil
+		return key, env, true, nil
 	}
 	if err := s.acquire(); err != nil {
-		return nil, false, err
+		return "", nil, false, err
 	}
 	defer s.release()
 
@@ -309,21 +327,19 @@ func (s *Server) resolve(sp *scenario.Spec, parts int) (env []byte, hit bool, er
 	// submission may have landed the entry meanwhile.
 	if env := s.lookup(key); env != nil {
 		s.cacheHits.Add(1)
-		return env, true, nil
+		return key, env, true, nil
 	}
 	s.runs.Add(1)
 	res, err := s.run(sp, parts)
-	if err != nil {
-		s.failures.Add(1)
-		return nil, false, err
+	if err == nil {
+		env, err = encodeEnvelope(key, sp.Seed, parts, res)
 	}
-	env, err = encodeEnvelope(key, sp, parts, res)
 	if err != nil {
 		s.failures.Add(1)
-		return nil, false, err
+		return "", nil, false, err
 	}
 	s.store(key, env)
-	return env, false, nil
+	return key, env, false, nil
 }
 
 // requestError carries an HTTP status decided before any run happened.
@@ -401,29 +417,17 @@ func httpError(w http.ResponseWriter, status int, msg, kind string) {
 	json.NewEncoder(w).Encode(errorBody{Error: msg, Kind: kind})
 }
 
-// envelope is the /v1/run response: run identity plus the Result
-// document. The bytes are produced once per key and cached verbatim, so
-// cold and hit responses are byte-identical.
-type envelope struct {
-	V      int             `json:"v"`
-	Key    string          `json:"key"`
-	Seed   int64           `json:"seed"`
-	Parts  int             `json:"parts"`
-	Result json.RawMessage `json:"result"`
-}
-
-func encodeEnvelope(key string, sp *scenario.Spec, parts int, res *scenario.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := res.EncodeJSON(&buf); err != nil {
+// encodeEnvelope writes the /v1/run response: run identity, then the
+// Result document, compact. The bytes are produced once per key and
+// cached verbatim, so cold and hit responses are byte-identical.
+func encodeEnvelope(key string, seed int64, parts int, res *scenario.Result) ([]byte, error) {
+	result, err := json.Marshal(res)
+	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(envelope{
-		V:      scenario.SpecVersion,
-		Key:    key,
-		Seed:   sp.Seed,
-		Parts:  parts,
-		Result: bytes.TrimRight(buf.Bytes(), "\n"),
-	})
+	head := fmt.Sprintf(`{"v":%d,"key":"%s","seed":%d,"parts":%d,"result":`, scenario.SpecVersion, key, seed, parts)
+	env := make([]byte, 0, len(head)+len(result)+1) // kept for the server's life: no spare capacity
+	return append(append(append(env, head...), result...), '}'), nil
 }
 
 // lookup checks memory first, then the disk cache (promoting a disk hit

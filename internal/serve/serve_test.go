@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -139,23 +140,32 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 }
 
 // TestBadRequests: non-canonical or malformed submissions are rejected
-// with 400 before any run.
+// with 400 before any run, and a body past maxBodyBytes with 413.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	huge := strings.Repeat(" ", maxBodyBytes) + "[]"
 	for name, tc := range map[string]struct {
-		url  string
-		body string
+		url    string
+		body   string
+		status int
+		kind   string
 	}{
-		"unknown field":  {"/v1/run", `{"v":1,"seed":1,"scheme":"powertcp","topo":{"kind":"star","hosts":4},"horizon_us":50,"bogus":1}`},
-		"not json":       {"/v1/run", `hello`},
-		"foreign v":      {"/v1/run", `{"v":99,"seed":1,"scheme":"powertcp","topo":{"kind":"star","hosts":4},"horizon_us":50}`},
-		"bad parts":      {"/v1/run?parts=0", `{}`},
-		"non-int parts":  {"/v1/run?parts=x", `{}`},
-		"suite not list": {"/v1/suite", `{"v":1}`},
+		"unknown field":  {"/v1/run", `{"v":1,"seed":1,"scheme":"powertcp","topo":{"kind":"star","hosts":4},"horizon_us":50,"bogus":1}`, 400, "decode"},
+		"not json":       {"/v1/run", `hello`, 400, "decode"},
+		"foreign v":      {"/v1/run", `{"v":99,"seed":1,"scheme":"powertcp","topo":{"kind":"star","hosts":4},"horizon_us":50}`, 400, "decode"},
+		"bad parts":      {"/v1/run?parts=0", `{}`, 400, "decode"},
+		"non-int parts":  {"/v1/run?parts=x", `{}`, 400, "decode"},
+		"suite not list": {"/v1/suite", `{"v":1}`, 400, "decode"},
+		"huge run":       {"/v1/run", huge, 413, "too_large"},
+		"huge suite":     {"/v1/suite", huge, 413, "too_large"},
 	} {
 		resp := post(t, ts.URL+tc.url, []byte(tc.body))
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		var eb errorBody
+		if err := json.Unmarshal(readAll(t, resp), &eb); err != nil {
+			t.Errorf("%s: error body: %v", name, err)
+		}
+		if resp.StatusCode != tc.status || eb.Kind != tc.kind {
+			t.Errorf("%s: status %d kind %q, want %d %q", name, resp.StatusCode, eb.Kind, tc.status, tc.kind)
 		}
 	}
 }
@@ -367,5 +377,101 @@ func TestEnvelopeMatchesDirectRun(t *testing.T) {
 	}
 	if got, want := string(env.Result), wantCompact.String(); got != want {
 		t.Fatalf("served result differs from direct run:\n got %.200s\nwant %.200s", got, want)
+	}
+}
+
+// parentEntry returns the one disk-cache entry under testdata/cache: the
+// envelope the commit before the one-pass encoder answered preset incast
+// at seed 100, parts 1 with, under the name it stored it by.
+func parentEntry(t *testing.T) (spec []byte, name string, env []byte) {
+	t.Helper()
+	files, err := os.ReadDir(filepath.Join("testdata", "cache"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("testdata/cache: %v, %d files, want 1", err, len(files))
+	}
+	env, err = os.ReadFile(filepath.Join("testdata", "cache", files[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := scenario.DecodeSpec(presetJSON(t, "incast"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Seed = 100
+	spec, err = scenario.MarshalCanonical(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, files[0].Name(), env
+}
+
+// TestEnvelopeGolden pins one whole /v1/run envelope byte for byte, key
+// included: the envelope is appended by hand, and both it and the key
+// are a contract with every cache directory already written.
+func TestEnvelopeGolden(t *testing.T) {
+	spec, name, want := parentEntry(t)
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{CacheDir: dir})
+	resp := post(t, ts.URL+"/v1/run", spec)
+	if h := resp.Header.Get("X-Powersim-Cache"); h != "miss" {
+		t.Fatalf("cache %q, want miss", h)
+	}
+	if got := readAll(t, resp); !bytes.Equal(got, want) {
+		t.Fatalf("envelope drifted:\n got %s\nwant %s", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+		t.Fatalf("entry not stored under the parent's name: %v", err)
+	}
+}
+
+// TestParentCacheDirStillHits: a server started on a cache directory the
+// parent commit wrote answers from it without running anything.
+func TestParentCacheDirStillHits(t *testing.T) {
+	spec, name, want := parentEntry(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{CacheDir: dir})
+	s.run = func(*scenario.Spec, int) (*scenario.Result, error) {
+		t.Error("reran a spec the parent's cache directory holds")
+		return nil, errors.New("not run")
+	}
+	resp := post(t, ts.URL+"/v1/run", spec)
+	if h := resp.Header.Get("X-Powersim-Cache"); h != "hit" {
+		t.Fatalf("cache %q, want hit", h)
+	}
+	if !bytes.Equal(readAll(t, resp), want) {
+		t.Fatal("hit differs from the stored entry")
+	}
+}
+
+// TestHitAllocations is the ceiling on a cache hit with the handler
+// called directly, request and recorder included: measured 46 allocations
+// (47 under the race detector), allowed 10% more. Of the 46, httptest's
+// request and recorder are 11, DecodeSpec 20 and the key 1. Nothing on
+// the path is pooled, so the race detector's dropped sync.Pool Puts do
+// not move the count.
+func TestHitAllocations(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	spec := presetJSON(t, "websearch")
+	hit := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(spec)))
+		return rec
+	}
+	if rec := hit(); rec.Code != http.StatusOK {
+		t.Fatalf("cold run: %d %s", rec.Code, rec.Body)
+	}
+	if rec := hit(); rec.Header().Get("X-Powersim-Cache") != "hit" {
+		t.Fatal("second submission missed")
+	}
+	const ceiling = 51
+	if got := testing.AllocsPerRun(200, func() { hit() }); got > ceiling {
+		t.Errorf("a cache hit makes %.0f allocations, ceiling %d", got, ceiling)
 	}
 }
