@@ -27,14 +27,14 @@ var SimPathPackages = []string{
 	"packet",    // packet struct + pool — recycling must not alter output
 	"psim",      // parallel conservative-sync fabric — barrier order IS the output order
 	"queue",     // FIFO rings on the hot path
-	"rdcn",      // reconfigurable-DCN schedule + reTCP
+	"rdcn",      // rotor calendar + reTCP, no fabric of its own (topo.RotorFabric)
 	"route",     // ECMP/WCMP tables, BFS rebuilds, failure events
 	"scenario",  // Topology×Traffic×Events×Probes execution + Result envelope
 	"sim",       // the event engine itself — the clock everyone must use
 	"stats",     // distributions/series aggregated into results
 	"swtch",     // switch forwarding, hash-based path choice
 	"telemetry", // INT hop records carried in packets
-	"topo",      // fabric construction — wiring order fixes IDs
+	"topo",      // fabric construction — wiring order fixes IDs; the rotor's slot timeline
 	"transport", // flows, hosts, pacing, RTO
 	"units",     // bitrate/size arithmetic used in every computation
 	"wire",      // packet serialization — byte layout of the deployment path

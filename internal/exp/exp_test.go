@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 // mustRun executes a spec and fails the test on error.
@@ -173,14 +174,17 @@ func TestWebSearchBufferCDF(t *testing.T) {
 	}
 }
 
+// The two Fig. 8 claims. A rotor run draws no randomness — RackPairs is
+// a fixed trace and the Fig. 8 schemes mark nothing probabilistically —
+// so seeds 1–5 give identical scalars and one seed is the whole sample.
 func TestRDCNPowerTCPUtilizationAndLatency(t *testing.T) {
 	res := mustRun(t, Spec{Preset: RDCN{Weeks: 3}, Scheme: scenario.PowerTCP, Seed: 5})
 	r := res.Raw.(*RDCNResult)
-	// §5 headline: PowerTCP achieves 80–85% circuit utilization. With the
-	// scaled topology we accept ≥60% here; the bench at paper scale
-	// records the real number.
-	if r.CircuitUtilization < 0.6 {
-		t.Fatalf("circuit utilization = %v", r.CircuitUtilization)
+	// §5 headline: "PowerTCP achieves 85% circuit utilization" on the
+	// paper's 25 Gbps packet network (the preset's default; measured
+	// 0.854). The band is that claim only: at 50 Gbps it reads 0.91.
+	if r.CircuitUtilization < 0.80 || r.CircuitUtilization > 0.90 {
+		t.Fatalf("circuit utilization = %v, want the paper's 0.80–0.90", r.CircuitUtilization)
 	}
 	if len(r.Throughput) == 0 {
 		t.Fatal("no series")
@@ -188,16 +192,18 @@ func TestRDCNPowerTCPUtilizationAndLatency(t *testing.T) {
 }
 
 func TestRDCNReTCPTradesLatencyForUtilization(t *testing.T) {
-	pt := mustRun(t, Spec{Preset: RDCN{Weeks: 3}, Scheme: scenario.PowerTCP, Seed: 5})
-	re := mustRun(t, Spec{Preset: RDCN{Weeks: 3}, Scheme: scenario.ReTCP1800, Seed: 5})
-	// Fig. 8: reTCP prebuffering pays with tail queuing latency;
-	// PowerTCP must beat it by at least 2× (paper: ≥5×).
-	if re.Scalar("tail_queuing_us") < 2*pt.Scalar("tail_queuing_us") {
-		t.Fatalf("tail queuing: reTCP %vµs vs PowerTCP %vµs, expected ≥2×",
-			re.Scalar("tail_queuing_us"), pt.Scalar("tail_queuing_us"))
-	}
-	if re.Scalar("circuit_utilization") < 0.5 {
-		t.Fatalf("reTCP circuit utilization = %v", re.Scalar("circuit_utilization"))
+	// Fig. 8b: reTCP's prebuffering pays with tail queuing latency, at
+	// least 5× PowerTCP's at either packet rate (measured 11.5× and 31×).
+	for _, rate := range []units.BitRate{25 * units.Gbps, 50 * units.Gbps} {
+		pt := mustRun(t, Spec{Preset: RDCN{Weeks: 3, PacketRate: rate}, Scheme: scenario.PowerTCP, Seed: 5})
+		re := mustRun(t, Spec{Preset: RDCN{Weeks: 3, PacketRate: rate}, Scheme: scenario.ReTCP1800, Seed: 5})
+		if re.Scalar("tail_queuing_us") < 5*pt.Scalar("tail_queuing_us") {
+			t.Fatalf("%v: tail queuing: reTCP %vµs vs PowerTCP %vµs, expected ≥5×",
+				rate, re.Scalar("tail_queuing_us"), pt.Scalar("tail_queuing_us"))
+		}
+		if re.Scalar("circuit_utilization") < 0.5 {
+			t.Fatalf("%v: reTCP circuit utilization = %v", rate, re.Scalar("circuit_utilization"))
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ type RDCNResult struct {
 // scheme: all servers of ToR 0 send long flows to the corresponding
 // servers of ToR 1 on the rotor network; the monitored circuit is ToR
 // 0's, which reaches ToR 1 once per rotor week. The scheme must be one
-// the rotor launcher can build (scenario.RotorSupports).
+// the rotor topology can run (scenario.RotorSupports).
 type RDCN struct {
 	// Tors is the rack count (default 16, which keeps the rotor week of
 	// 3.7 ms comfortably longer than reTCP's 1800 µs prebuffering, like
@@ -89,54 +89,58 @@ type rotorPanel struct {
 	lastRx   int64
 }
 
+// rxTotal sums what the receiving rack's servers have received.
 func (p *rotorPanel) rxTotal(env *scenario.Env) int64 {
 	var n int64
-	for _, h := range env.Rotor.HostsOfTor(p.dstTor) {
-		n += h.ReceivedTotal()
+	spt := env.Fabric.HostsPerRack
+	for i := p.dstTor * spt; i < (p.dstTor+1)*spt; i++ {
+		n += env.ReceivedTotal(i)
 	}
 	return n
 }
 
 func (p *rotorPanel) Install(env *scenario.Env) error {
-	net := env.Rotor
+	net := env.Lab.Net
+	rot, eng := net.Rotor, net.Eng
 	// Per-packet latency collection at the receiving rack: queuing
 	// latency is one-way delay minus the minimum observed (propagation +
 	// serialization floor).
-	for _, h := range net.HostsOfTor(p.dstTor) {
-		h := h
-		h.OnData = func(pkt *packet.Packet) {
-			p.delays.Add(net.Eng.Now().Sub(pkt.SentAt).Seconds())
+	spt := env.Fabric.HostsPerRack
+	for i := p.dstTor * spt; i < (p.dstTor+1)*spt; i++ {
+		net.TransportHost(i).OnData = func(pkt *packet.Packet) {
+			p.delays.Add(eng.Now().Sub(pkt.SentAt).Seconds())
 		}
 	}
 
 	p.rr = &RDCNResult{Scheme: env.Scheme.Name}
-	scenario.SampleEvery(net.Eng, p.period, env.Horizon, func(now sim.Time) {
+	scenario.SampleEvery(eng, p.period, env.Horizon, func(now sim.Time) {
 		cur := p.rxTotal(env)
 		p.rr.T = append(p.rr.T, now)
 		p.rr.Throughput = append(p.rr.Throughput, stats.Gbps(cur-p.lastRx, p.period))
-		p.rr.VOQKB = append(p.rr.VOQKB, float64(net.Tors[p.srcTor].VOQBytes(p.dstTor))/1024)
+		p.rr.VOQKB = append(p.rr.VOQKB, float64(rot.VOQBytes(p.srcTor, p.dstTor))/1024)
 		p.lastRx = cur
 	})
 
 	// Track circuit bytes of the monitored pair: snapshot the circuit
 	// port's counter at each day boundary of matching ToR0→ToR1.
+	circ := rot.CircuitPort(p.srcTor)
 	for w := 0; w < p.weeks; w++ {
-		start := net.Sched.NextDayStart(p.srcTor, p.dstTor, sim.Time(sim.Duration(w)*net.Sched.Week()))
+		start := rot.Sched.NextDayStart(p.srcTor, p.dstTor, sim.Time(sim.Duration(w)*rot.Sched.Week()))
 		var atStart uint64
-		net.Eng.At(start, func() { atStart = net.Tors[p.srcTor].CircuitPort().TxBytes() })
-		net.Eng.At(start.Add(net.Sched.Day), func() {
-			p.dayBytes = append(p.dayBytes, int64(net.Tors[p.srcTor].CircuitPort().TxBytes()-atStart))
+		eng.At(start, func() { atStart = circ.TxBytes() })
+		eng.At(start.Add(rot.Sched.Day), func() {
+			p.dayBytes = append(p.dayBytes, int64(circ.TxBytes()-atStart))
 		})
 	}
 	return nil
 }
 
 func (p *rotorPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
-	net := env.Rotor
+	rot := env.Lab.Net.Rotor
 	rr := p.rr
 
 	// Circuit utilization across monitored days.
-	cap := net.Cfg.CircuitRate.Bytes(net.Sched.Day)
+	cap := rot.Cfg.CircuitRate.Bytes(rot.Sched.Day)
 	var used int64
 	for _, b := range p.dayBytes {
 		used += b
@@ -153,7 +157,6 @@ func (p *rotorPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 
 	res.Raw = rr
 	res.SetScalar("circuit_utilization", rr.CircuitUtilization)
-	res.SetScalar("engine_steps", float64(net.Eng.Steps()))
 	res.SetScalar("tail_queuing_us", rr.TailQueuingUs)
 	res.SetScalar("avg_goodput_gbps", rr.AvgGoodputGbps)
 	res.AddSeries(scenario.TimeSeries("throughput_gbps", rr.T, rr.Throughput))

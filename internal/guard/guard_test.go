@@ -227,6 +227,41 @@ func TestSupervisedBytesIdentical(t *testing.T) {
 			t.Errorf("parts=%d: supervised Result differs from unsupervised:\n got %s\nwant %s", parts, got, want)
 		}
 	}
+
+	// A rotor fabric is a lab like any other, so it is supervised like
+	// any other: sliced drives, step and live-packet watermarks. It has no
+	// Spec form yet, so it goes through RunScenario.
+	rotor := func() scenario.Scenario {
+		scheme, err := scenario.ResolveScheme(scenario.ReTCP600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scenario.Scenario{
+			Name: "rotor", Scheme: scheme, Seed: 1,
+			Topology: scenario.RotorTopology{Tors: 4, ServersPerTor: 2, Weeks: 2},
+			Traffic: []scenario.Traffic{scenario.RackPairs{
+				FromRack: scenario.RackStart(0), ToRack: scenario.RackStart(1)}},
+			Probes: []scenario.Probe{scenario.AccountingProbe{}, scenario.FCTProbe{}},
+		}
+	}
+	plain, err = scenario.Run(rotor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := &Supervisor{Budget: Budget{MaxEvents: 1 << 40, MaxLivePackets: 1 << 40, CheckEvery: 20 * sim.Microsecond}}
+	res, err := sup.RunScenario(rotor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := encode(res), encode(plain); got != want {
+		t.Errorf("rotor: supervised Result differs from unsupervised:\n got %s\nwant %s", got, want)
+	}
+	// And its packets come from the pool the budget watches.
+	tight := &Supervisor{Budget: Budget{MaxLivePackets: 1, CheckEvery: 20 * sim.Microsecond}}
+	var be *BudgetExceeded
+	if _, err := tight.RunScenario(rotor()); !errors.As(err, &be) {
+		t.Errorf("rotor under a one-packet budget: %v, want BudgetExceeded", err)
+	}
 }
 
 // TestReproBundle: a supervised failure with ReproDir set writes a

@@ -20,7 +20,8 @@ import (
 //
 // ReTCP implements cc.Algorithm. Routing-side prebuffering (the ToR
 // steering packets into the VOQ Δ early) is configured separately via
-// Config.Prebuffer; both must use the same Δ for a faithful model.
+// topo.RotorConfig.Prebuffer; both must use the same Δ for a faithful
+// model.
 type ReTCP struct {
 	// Sched/SrcTor/DstTor identify the circuit this flow rides.
 	Sched  *Schedule

@@ -1,11 +1,12 @@
-// Package rdcn models the reconfigurable datacenter network of the
-// paper's case study (§5): ToR switches attached both to a packet-
-// switched core and to a single optical circuit switch that rotates
-// through a fixed permutation schedule — each matching held for one
-// "day" (225 µs) followed by a reconfiguration "night" (20 µs), every ToR
-// pair directly connected once per "week" of N−1 matchings. ToRs hold
-// per-destination virtual output queues (VOQs) and forward on the circuit
-// exclusively when it is (or is about to be) available.
+// Package rdcn holds what is specific to the reconfigurable datacenter
+// network of the paper's case study (§5) and needs no fabric: the rotor
+// switch's calendar (Schedule) — a fixed family of permutations, each
+// matching held for one "day" (225 µs) followed by a reconfiguration
+// "night" (20 µs), every ToR pair directly connected once per "week" of
+// N−1 matchings — and reTCP, the circuit-aware transport the case study
+// compares against. The network itself is an ordinary topo.Network
+// (topo.RotorFabric): ToRs with per-destination virtual output queues
+// (VOQs) on one more switch port, re-pointed each slot by topo.Rotor.
 package rdcn
 
 import "repro/internal/sim"

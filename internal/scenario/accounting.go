@@ -1,9 +1,5 @@
 package scenario
 
-import (
-	"fmt"
-)
-
 // ByteAccounting is the network-wide payload-byte ledger at a point in
 // time: every payload byte an endpoint emitted is — exactly — either
 // delivered to an endpoint, dropped at a switch's shared-buffer
@@ -40,13 +36,10 @@ func (a ByteAccounting) Residual() int64 {
 	return a.Emitted - a.Delivered - a.Dropped - a.Lost - a.InFlight()
 }
 
-// Accounting reads the current payload ledger off the built fabric.
-// Only switched topologies carry the per-port counters it sums; the
-// rotor network is not supported.
-func (env *Env) Accounting() (ByteAccounting, error) {
-	if env.Lab == nil {
-		return ByteAccounting{}, fmt.Errorf("scenario: byte accounting needs a switched topology")
-	}
+// Accounting reads the current payload ledger off the built fabric: it
+// sums the per-port counters of every host NIC and every switch port, a
+// rotor fabric's circuit ports and whatever their VOQs hold included.
+func (env *Env) Accounting() ByteAccounting {
 	var a ByteAccounting
 	net := env.Lab.Net
 	for i, h := range net.Hosts {
@@ -76,7 +69,7 @@ func (env *Env) Accounting() (ByteAccounting, error) {
 		a.Delivered += del
 		a.Queued += back
 	}
-	return a, nil
+	return a
 }
 
 // AccountingProbe surfaces the run's final byte ledger as Result
@@ -87,18 +80,10 @@ func (env *Env) Accounting() (ByteAccounting, error) {
 // into fabric internals.
 type AccountingProbe struct{}
 
-func (AccountingProbe) Install(env *Env) error {
-	if env.Lab == nil {
-		return fmt.Errorf("scenario: the accounting probe needs a switched topology")
-	}
-	return nil
-}
+func (AccountingProbe) Install(env *Env) error { return nil }
 
 func (AccountingProbe) Finalize(env *Env, res *Result) error {
-	a, err := env.Accounting()
-	if err != nil {
-		return err
-	}
+	a := env.Accounting()
 	res.SetScalar("bytes_emitted", float64(a.Emitted))
 	res.SetScalar("bytes_delivered", float64(a.Delivered))
 	res.SetScalar("bytes_dropped", float64(a.Dropped))

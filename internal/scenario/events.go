@@ -86,8 +86,11 @@ func (e InjectTraffic) apply(env *Env, links *[]route.LinkEvent) error {
 
 func (env *Env) resolveLink(a, b SwitchRef) (int, int, error) {
 	res, ok := env.Scenario.Topology.(switchResolver)
-	if !ok || env.Lab == nil {
-		return 0, 0, fmt.Errorf("scenario: link events need a switched topology with a routing control plane")
+	if !ok {
+		// Only RotorTopology has no switch references, on purpose: its
+		// timeline rewrites the ToR tables every slot, and a link event's
+		// Router.Rebuild would write the same tables.
+		return 0, 0, fmt.Errorf("scenario: link events are not supported on %T (the rotor timeline and the control plane's rebuild would both write the ToR tables)", env.Scenario.Topology)
 	}
 	ai, err := res.resolveSwitch(a, env)
 	if err != nil {

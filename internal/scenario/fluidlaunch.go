@@ -18,9 +18,9 @@ import (
 // topo.Network.WalkRoutes (the fluid limit of per-flow hashing).
 //
 // Restrictions (all validated here, never silently ignored): fluid
-// components need a switched topology, serial execution (the coupler's
-// exchange loop runs on the one engine), a static routing plane (no
-// link-failure timeline — demand is routed once at prepare), and an
+// components need serial execution (the coupler's exchange loop runs on
+// the one engine), a static routing plane (no link-failure timeline and
+// no rotor — demand is routed once at prepare), and an
 // open traffic shape whose offered rate is well defined up front
 // (Flows, PoissonLoad, Permutation, RackPairs; pulse/staggered/request
 // shapes are reactive foreground patterns that belong at packet
@@ -66,8 +66,8 @@ func fluidLawFor(s Scheme) (fluid.Law, float64) {
 // (the override if present, the base scheme otherwise) — it selects the
 // control-law family the aggregate obeys.
 func (env *Env) launchFluid(tr Traffic, law Scheme, shift sim.Duration) error {
-	if env.Rotor != nil {
-		return fmt.Errorf("scenario: fluid fidelity is not supported on the rotor topology")
+	if env.Lab.Net.Rotor != nil {
+		return fmt.Errorf("scenario: fluid fidelity is not supported on the rotor topology (fluid demand is routed once, before the run; rotor routes rotate)")
 	}
 	if env.Lab.Net.Part != nil {
 		return fmt.Errorf("scenario: fluid fidelity requires serial execution (got %d partitions)", env.Lab.Net.Part.Parts)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/transport"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -61,100 +60,53 @@ type Lab struct {
 	partRecs [][]keyedRecord
 }
 
-// labOpts assembles the switch/buffer options every lab shares. The
-// scheme's DTAlpha (composed via the Alpha scheme option) overrides the
-// Dynamic Thresholds factor; 0 keeps the default α=1. It also claims a
-// recycled scratch, handing its warmed engines (if any) to the builder.
-func (l *Lab) labOpts(seed int64, routing route.Strategy) topo.Options {
-	l.scratch = getScratch()
-	return topo.Options{
+// newLab builds a lab of any shape: it claims a recycled scratch, hands
+// build the switch/buffer options every lab shares — with the scratch's
+// warmed engines (if any) and scheme-appropriate hosts configured by
+// host, whose BaseRTT is the fabric's maximum RTT (the paper's τ) — and
+// wires the collectors onto the network build returns. The scheme's
+// DTAlpha (composed via the Alpha scheme option) overrides the Dynamic
+// Thresholds factor; 0 keeps the default α=1. build adds what is the
+// fabric's own (a partition plan, the rotor's INT and buffer rules).
+func newLab(scheme Scheme, seed int64, routing route.Strategy, host transport.Config, build func(topo.Options) *topo.Network) *Lab {
+	l := &Lab{Scheme: scheme, scratch: getScratch()}
+	l.Net = build(topo.Options{
 		BufferPerGbps: topo.TofinoBufferPerGbps,
-		Alpha:         l.Scheme.DTAlpha,
-		INT:           l.Scheme.INT,
-		ECN:           l.Scheme.ECN,
-		Queues:        l.Scheme.queueFactory(),
+		Alpha:         scheme.DTAlpha,
+		INT:           scheme.INT,
+		ECN:           scheme.ECN,
+		Queues:        scheme.queueFactory(),
 		Seed:          seed,
 		Routing:       routing,
 		Engine:        l.scratch.eng,
 		ShardEngines:  l.scratch.engs,
-	}
-}
-
-// NewConfiguredFatTreeLab builds a fat-tree lab from an explicit
-// structural config — pods, cores, partitioning — for fabrics beyond
-// the paper's default 4-pod shape (the 10k-host scale benchmarks size
-// theirs this way). cfg.Opts is replaced with the lab's shared options,
-// all but its partition plan.
-func NewConfiguredFatTreeLab(scheme Scheme, cfg topo.FatTreeConfig, seed int64, routing route.Strategy) *Lab {
-	l := &Lab{Scheme: scheme}
-	plan := cfg.Opts.Partition
-	cfg.Opts = l.labOpts(seed, routing)
-	cfg.Opts.Partition = plan
-	cfg = cfg.WithDefaults()
-	cfg.Opts.Hosts = l.hostFactory(30 * sim.Microsecond)
-	l.Net = topo.FatTree(cfg)
-	l.FTCfg = cfg
+		Hosts: func(eng *sim.Engine, id packet.NodeID) topo.Node {
+			if scheme.IsHoma() {
+				return homa.NewHost(eng, id, homa.Config{
+					BaseRTT:    host.BaseRTT,
+					Overcommit: scheme.Overcommit,
+				})
+			}
+			return transport.NewHost(eng, id, host)
+		},
+	})
 	l.wireCollectors()
 	return l
-}
-
-// NewStarLab builds an n-host single-switch network at 25 Gbps.
-func NewStarLab(scheme Scheme, hosts int, seed int64) *Lab {
-	l := &Lab{Scheme: scheme}
-	cfg := topo.StarConfig{
-		Hosts:    hosts,
-		HostRate: 25 * units.Gbps,
-		Opts:     l.labOpts(seed, nil),
-	}
-	cfg.Opts.Hosts = l.hostFactory(12 * sim.Microsecond)
-	l.Net = topo.Star(cfg)
-	l.wireCollectors()
-	return l
-}
-
-// NewLeafSpineLab builds a two-tier Clos fabric under the given
-// multipath strategy; cfg carries the structural knobs (leaves, spines,
-// per-spine rates) and the lab fills in the shared options.
-func NewLeafSpineLab(scheme Scheme, cfg topo.LeafSpineConfig, seed int64, routing route.Strategy) *Lab {
-	l := &Lab{Scheme: scheme}
-	cfg.Opts = l.labOpts(seed, routing)
-	cfg.Opts.Hosts = l.hostFactory(16 * sim.Microsecond)
-	l.Net = topo.LeafSpine(cfg)
-	l.LSCfg = cfg.WithDefaults()
-	l.wireCollectors()
-	return l
-}
-
-// hostFactory builds scheme-appropriate hosts at the topology's base
-// RTT (the paper configures τ as the fabric's maximum RTT).
-func (l *Lab) hostFactory(baseRTT sim.Duration) topo.HostFactory {
-	return func(eng *sim.Engine, id packet.NodeID) topo.Node {
-		if l.Scheme.IsHoma() {
-			return homa.NewHost(eng, id, homa.Config{
-				BaseRTT:    baseRTT,
-				Overcommit: l.Scheme.Overcommit,
-			})
-		}
-		return transport.NewHost(eng, id, transport.Config{BaseRTT: baseRTT})
-	}
 }
 
 // wireCollectors attaches completion callbacks on every host and moves
 // the scratch's packet slabs and record buffer into the freshly built
 // network.
 func (l *Lab) wireCollectors() {
-	if sc := l.scratch; sc != nil {
-		// Pool i takes what pool i of the last run of this shape held.
-		// Lists beyond the lab's pools stay in the scratch for the next
-		// lab that has a pool for them.
-		pools := l.pools()
-		for i := range min(len(pools), len(sc.slabs)) {
-			pools[i].Adopt(sc.slabs[i])
-			sc.slabs[i] = nil
-		}
-		l.Records = sc.records
-		sc.records = nil
+	// Pool i takes what pool i of the last run of this shape held. Lists
+	// beyond the lab's pools stay in the scratch for the next lab that has
+	// a pool for them.
+	sc, pools := l.scratch, l.pools()
+	for i := range min(len(pools), len(sc.slabs)) {
+		pools[i].Adopt(sc.slabs[i])
+		sc.slabs[i] = nil
 	}
+	l.Records, sc.records = sc.records, nil
 	if l.Net.Part != nil {
 		l.partRecs = make([][]keyedRecord, l.Net.Part.Parts)
 	}
@@ -249,13 +201,11 @@ func (l *Lab) UnboundedSize() int64 {
 	return transport.Unbounded
 }
 
-// Launch starts one workload flow (transport flow or HOMA message) and
-// returns the flow ID it was assigned.
-func (l *Lab) Launch(f workload.Flow) packet.FlowID { return l.LaunchAlg(f, nil) }
-
-// LaunchAlg is Launch with an explicit per-flow algorithm — the seam
-// scenario traffic classes use to run components under their own
-// scheme. nil keeps the lab scheme's algorithm; HOMA messages carry no
+// LaunchAlg starts one workload flow (transport flow or HOMA message)
+// and returns the flow ID it was assigned. alg is an explicit per-flow
+// algorithm — the seam scenario traffic classes use to run components
+// under their own scheme, and the rotor to build reTCP against its
+// calendar. nil keeps the lab scheme's algorithm; HOMA messages carry no
 // per-flow algorithm and ignore it.
 func (l *Lab) LaunchAlg(f workload.Flow, alg cc.Algorithm) packet.FlowID {
 	l.started++
@@ -277,13 +227,6 @@ func (l *Lab) LaunchAlg(f workload.Flow, alg cc.Algorithm) packet.FlowID {
 		h.Send(id, dst, f.Size, f.Start)
 	}
 	return id
-}
-
-// LaunchAll starts a whole trace.
-func (l *Lab) LaunchAll(flows []workload.Flow) {
-	for _, f := range flows {
-		l.Launch(f)
-	}
 }
 
 // Started returns the number of launched flows.

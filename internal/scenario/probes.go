@@ -21,13 +21,7 @@ type Probe interface {
 
 // ReceivedTotal returns the payload bytes received by host i on any
 // fabric.
-func (env *Env) ReceivedTotal(i int) int64 {
-	if env.Rotor != nil {
-		spt := env.Fabric.HostsPerRack
-		return env.Rotor.HostsOfTor(i / spt)[i%spt].ReceivedTotal()
-	}
-	return env.Lab.ReceivedTotal(i)
-}
+func (env *Env) ReceivedTotal(i int) int64 { return env.Lab.ReceivedTotal(i) }
 
 // until resolves a probe's sampling end: 0 means the run horizon.
 func (env *Env) until(d sim.Duration) sim.Time {
@@ -119,8 +113,8 @@ func (p *QueueProbe) Install(env *Env) error {
 		return fmt.Errorf("scenario: queue probe needs a sampling Period")
 	}
 	resolver, ok := env.Scenario.Topology.(switchResolver)
-	if !ok || env.Lab == nil {
-		return fmt.Errorf("scenario: queue probe needs a switched topology")
+	if !ok {
+		return fmt.Errorf("scenario: queue probe needs a topology with switch references (%T has none)", env.Scenario.Topology)
 	}
 	si, err := resolver.resolveSwitch(p.Switch, env)
 	if err != nil {
@@ -159,15 +153,11 @@ func (p *QueueProbe) Finalize(env *Env, res *Result) error {
 
 // FCTProbe bins the completed flows' slowdowns (FCT over ideal transfer
 // time) into the paper's size bins and records completion counts and
-// class percentiles.
+// class percentiles — on any fabric: a rotor run's finite flows are
+// recorded like any other's.
 type FCTProbe struct{}
 
-func (p FCTProbe) Install(env *Env) error {
-	if env.Lab == nil {
-		return fmt.Errorf("scenario: FCT probe needs a switched topology (rotor hosts run open-ended flows)")
-	}
-	return nil
-}
+func (p FCTProbe) Install(env *Env) error { return nil }
 
 func (p FCTProbe) Finalize(env *Env, res *Result) error {
 	res.SetScalar("started", float64(env.Lab.Started()))

@@ -140,10 +140,19 @@ func TestRunRejectsMalformedScenarios(t *testing.T) {
 			sc.Topology = FatTreeTopology{ServersPerTor: 2, Partitions: 2}
 			sc.Traffic = []Traffic{WithFidelity(Fluid, Flows{List: []FlowSpec{{Src: Host(0), Dst: Host(8), Size: 1000}}})}
 		}, "serial execution"},
+		// What the rotor still refuses, each for a reason of its own.
 		{"fluid rotor", func(sc *Scenario) {
 			sc.Topology = RotorTopology{Tors: 4, ServersPerTor: 2, Weeks: 2}
 			sc.Traffic = []Traffic{WithFidelity(Fluid, Permutation{})}
-		}, "rotor"},
+		}, "rotor routes rotate"},
+		{"rotor link event", func(sc *Scenario) {
+			sc.Topology = RotorTopology{Tors: 4, ServersPerTor: 2, Weeks: 2}
+			sc.Events = Timeline{Events: []Event{LinkFail{At: sim.Microsecond, A: SwitchIndex(0), B: SwitchIndex(4)}}}
+		}, "both write the ToR tables"},
+		{"rotor traffic-class scheme", func(sc *Scenario) {
+			sc.Topology = RotorTopology{Tors: 4, ServersPerTor: 2, Weeks: 2}
+			sc.Traffic = []Traffic{WithScheme(HPCC, sc.Traffic[0])}
+		}, "Fig. 8 comparison fixes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

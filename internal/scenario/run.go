@@ -9,22 +9,21 @@ import (
 	"repro/internal/rdcn"
 	"repro/internal/route"
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/topo"
 )
 
-// Env is the built run a Scenario executes in: the fabric (a Lab for
-// switched topologies, a rotor network for RotorTopology), the resolved
-// fabric metadata, and the flows launched so far. Probes receive it on
-// Install and Finalize.
+// Env is the built run a Scenario executes in: the fabric (a Lab, on
+// every topology), the resolved fabric metadata, and the flows launched
+// so far. Probes receive it on Install and Finalize.
 type Env struct {
 	Scenario *Scenario
 	Scheme   Scheme
 	Seed     int64
 	Fabric   Fabric
-	// Lab is the switched-topology harness (nil for RotorTopology).
+	// Lab is the built network and its launch/collect harness; never nil
+	// once the topology is built. A rotor fabric is the lab whose
+	// Net.Rotor is set.
 	Lab *Lab
-	// Rotor is the reconfigurable DCN (nil otherwise).
-	Rotor *rdcn.Network
 	// Horizon is the absolute run end.
 	Horizon sim.Time
 	// Launched lists every launched flow in launch order.
@@ -41,22 +40,12 @@ type Env struct {
 // Eng returns the simulation engine of the built fabric — on a
 // partitioned network, the control engine probes and routing events
 // schedule on.
-func (env *Env) Eng() *sim.Engine {
-	if env.Rotor != nil {
-		return env.Rotor.Eng
-	}
-	return env.Lab.Net.Eng
-}
+func (env *Env) Eng() *sim.Engine { return env.Lab.Net.Eng }
 
 // Steps reports the total events executed by the run across every
 // engine driving the fabric (one engine serially; control plus
 // partition engines — an identical total — when partitioned).
-func (env *Env) Steps() uint64 {
-	if env.Rotor != nil {
-		return env.Rotor.Eng.Steps()
-	}
-	return env.Lab.Net.Steps()
-}
+func (env *Env) Steps() uint64 { return env.Lab.Net.Steps() }
 
 // TrafficPreparer is an optional Probe refinement: BeforeTraffic runs
 // after the fabric is built but before any flow launches, the hook
@@ -129,13 +118,13 @@ func Prepare(sc Scenario) (*Prepared, error) {
 func (p *Prepared) setup() error {
 	env := p.env
 	sc := env.Scenario
-	if env.Lab != nil {
-		// Switched topologies launch through the lab, which needs either
-		// the HOMA transport or a per-flow algorithm builder.
-		if !sc.Scheme.IsHoma() && sc.Scheme.Alg == nil {
-			return fmt.Errorf("scenario: a switched topology does not support scheme %q (no per-flow algorithm)",
-				sc.Scheme.Name)
-		}
+	// A launch needs the HOMA transport or a per-flow algorithm builder.
+	// The rotor brings its own builder (rotorAlg; RotorTopology.build has
+	// already held the scheme to RotorSupports), so reTCP, which has no
+	// Alg, passes there and nowhere else.
+	if env.Lab.Net.Rotor == nil && !sc.Scheme.IsHoma() && sc.Scheme.Alg == nil {
+		return fmt.Errorf("scenario: a switched topology does not support scheme %q (no per-flow algorithm)",
+			sc.Scheme.Name)
 	}
 	// A topology that derives its own horizon (RotorTopology's Weeks)
 	// keeps it; Until drives everything else.
@@ -212,7 +201,7 @@ func (p *Prepared) DriveTo(t sim.Time) {
 	if t > p.env.Horizon {
 		t = p.env.Horizon
 	}
-	if p.env.Lab != nil && p.env.Lab.Net.PSim != nil {
+	if p.env.Lab.Net.PSim != nil {
 		// Sharded: the conservative-sync fabric steps the shard engines
 		// window by window — on this goroutine alone when it has one
 		// worker — and the control engine between slices; the per-shard
@@ -239,10 +228,8 @@ func (p *Prepared) DriveTo(t sim.Time) {
 // shard's events of that instant in one run, would have reported.
 func (p *Prepared) ArmLimits(stopSteps, maxSameInstant uint64) {
 	p.env.Eng().SetLimits(stopSteps, maxSameInstant)
-	if p.env.Lab != nil {
-		for _, e := range p.env.Lab.Net.Engs {
-			e.SetLimits(stopSteps, maxSameInstant)
-		}
+	for _, e := range p.env.Lab.Net.Engs {
+		e.SetLimits(stopSteps, maxSameInstant)
 	}
 }
 
@@ -251,7 +238,7 @@ func (p *Prepared) ArmLimits(stopSteps, maxSameInstant uint64) {
 // canonical order is returned (deterministic even when several
 // partitions trip in one barrier round).
 func (p *Prepared) Trip() *sim.Trip {
-	if p.env.Lab != nil && p.env.Lab.Net.PSim != nil {
+	if p.env.Lab.Net.PSim != nil {
 		return p.env.Lab.Net.PSim.Tripped()
 	}
 	return p.env.Eng().Tripped()
@@ -269,9 +256,6 @@ func (p *Prepared) Steps() uint64 { return p.env.Steps() }
 // partition-count-invariant. (With packet pooling globally disabled —
 // a test-only mode — pools count nothing and this reports zero.)
 func (p *Prepared) LivePackets() uint64 {
-	if p.env.Rotor != nil {
-		return p.env.Rotor.Pool.Live()
-	}
 	var n uint64
 	for _, pl := range p.env.Lab.pools() {
 		n += pl.Live()
@@ -285,7 +269,7 @@ func (p *Prepared) LivePackets() uint64 {
 func (p *Prepared) Finish() (*Result, error) {
 	env := p.env
 	sc := env.Scenario
-	if env.Lab != nil && env.Lab.Net.PSim != nil {
+	if env.Lab.Net.PSim != nil {
 		env.Lab.mergeRecords()
 	}
 	res := &Result{Experiment: sc.Name, Scheme: sc.Scheme.Name, Seed: sc.Seed}
@@ -301,16 +285,13 @@ func (p *Prepared) Finish() (*Result, error) {
 }
 
 // Release recycles the lab's warmed buffers into the scratch pool
-// (idempotent; a no-op for rotor runs, which have no lab). Never call
-// it after a panic on the run path — see Run.
+// (idempotent). Never call it after a panic on the run path — see Run.
 func (p *Prepared) Release() {
 	if p.released {
 		return
 	}
 	p.released = true
-	if p.env.Lab != nil {
-		p.env.Lab.Release()
-	}
+	p.env.Lab.Release()
 }
 
 // launchComponent generates one traffic component's trace and launches
@@ -319,14 +300,15 @@ func (p *Prepared) Release() {
 // divert to the hybrid coupler instead of launching flows.
 func (env *Env) launchComponent(wrapped Traffic, shift sim.Duration) error {
 	tr, schemeName, hasOverride, fd := unwrapTraffic(wrapped)
+	rotor := env.Lab.Net.Rotor
 	var override Scheme
 	if hasOverride {
 		var err error
 		if override, err = resolveOverride(schemeName, env.Scheme); err != nil {
 			return err
 		}
-		if env.Rotor != nil {
-			return fmt.Errorf("scenario: traffic-class schemes are not supported on the rotor topology")
+		if rotor != nil {
+			return fmt.Errorf("scenario: traffic-class schemes are not supported on the rotor topology (the Fig. 8 comparison fixes the once-per-RTT PowerTCP and HPCC variants)")
 		}
 	}
 	if fd == Fluid {
@@ -358,18 +340,24 @@ func (env *Env) launchComponent(wrapped Traffic, shift sim.Duration) error {
 			return fmt.Errorf("scenario: flow %d→%d starts at negative time %v", f.Src, f.Dst, f.Start)
 		}
 	}
-	if env.Rotor != nil {
-		return env.launchRotor(tr, flows)
-	}
+	spt := env.Fabric.HostsPerRack
 	for _, f := range flows {
 		launch := f
 		if launch.Size == Unbounded {
 			launch.Size = env.Fabric.UnboundedSize
 		}
 		var alg cc.Algorithm
-		if hasOverride {
+		switch {
+		case rotor != nil:
+			// Per-flow algorithms are built against the rotor (reTCP needs
+			// its calendar); reTCP's fair share is the component's flow count.
+			if f.Src/spt == f.Dst/spt {
+				return fmt.Errorf("scenario: rotor flows must cross racks (src %d, dst %d)", f.Src, f.Dst)
+			}
+			alg = rotorAlg(env.Scheme, rotor, f.Src/spt, f.Dst/spt, len(flows))
+		case hasOverride:
 			alg = override.Alg()
-		} else if env.wrapAlg != nil && !env.Scheme.IsHoma() {
+		case env.wrapAlg != nil && !env.Scheme.IsHoma():
 			alg = env.Scheme.Alg()
 		}
 		if alg != nil && env.wrapAlg != nil {
@@ -381,40 +369,11 @@ func (env *Env) launchComponent(wrapped Traffic, shift sim.Duration) error {
 	return nil
 }
 
-// launchRotor launches a component on the reconfigurable DCN. Per-flow
-// algorithms are built per network (reTCP needs the rotor schedule);
-// reTCP's fair-share accounting sees the component's flow count.
-func (env *Env) launchRotor(tr Traffic, flows []workload.Flow) error {
-	if err := RotorSupports(env.Scheme); err != nil {
-		return err
-	}
-	net := env.Rotor
-	spt := env.Fabric.HostsPerRack
-	for _, f := range flows {
-		if f.Src/spt == f.Dst/spt {
-			return fmt.Errorf("scenario: rotor flows must cross racks (src %d, dst %d)", f.Src, f.Dst)
-		}
-		src := net.HostsOfTor(f.Src / spt)[f.Src%spt]
-		dst := net.HostsOfTor(f.Dst / spt)[f.Dst%spt]
-		size := f.Size
-		if size == Unbounded {
-			size = env.Fabric.UnboundedSize
-		}
-		alg := rotorAlg(env.Scheme, net, f.Src/spt, f.Dst/spt, len(flows))
-		if env.wrapAlg != nil {
-			alg = env.wrapAlg(len(env.Launched), alg)
-		}
-		id := net.NextFlowID()
-		src.StartFlow(id, dst.ID(), size, alg, f.Start)
-		env.Launched = append(env.Launched, LaunchedFlow{Flow: f, ID: id})
-	}
-	return nil
-}
-
 // RotorSupports restricts rotor runs to the schemes rotorAlg can
 // actually build — anything else would silently fall back to HPCC. It
-// is the single source of the Fig. 8 competitor list: the exp rdcn
-// preset is refused here, at launch.
+// is the single source of the Fig. 8 competitor list: RotorTopology
+// refuses any other scheme before it builds anything, and with it the
+// exp rdcn preset.
 func RotorSupports(scheme Scheme) error {
 	switch scheme.Kind {
 	case KindPowerTCP, KindReTCP:
@@ -432,18 +391,18 @@ func RotorSupports(scheme Scheme) error {
 // PowerTCP and HPCC limit window updates to once per RTT for the fair
 // comparison with reTCP (§5); reTCP is built against the network's
 // rotor schedule and the flow count sharing the monitored circuit.
-func rotorAlg(scheme Scheme, net *rdcn.Network, srcTor, dstTor, flowsSharing int) cc.Algorithm {
+func rotorAlg(scheme Scheme, rotor *topo.Rotor, srcTor, dstTor, flowsSharing int) cc.Algorithm {
 	switch scheme.Kind {
 	case KindPowerTCP:
 		return core.New(core.Config{Gamma: scheme.Gamma, UpdatePerRTT: true})
 	case KindReTCP:
 		return &rdcn.ReTCP{
-			Sched:        net.Sched,
+			Sched:        rotor.Sched,
 			SrcTor:       srcTor,
 			DstTor:       dstTor,
 			Prebuffer:    scheme.PrebufferFor,
-			PacketRate:   net.Cfg.PacketRate,
-			CircuitRate:  net.Cfg.CircuitRate,
+			PacketRate:   rotor.Cfg.PacketRate,
+			CircuitRate:  rotor.Cfg.CircuitRate,
 			FlowsSharing: flowsSharing,
 		}
 	default: // hpcc

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/packet"
-	"repro/internal/rdcn"
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -198,16 +197,10 @@ func (t StarTopology) build(env *Env) error {
 	if t.HostRate < 0 {
 		return fmt.Errorf("scenario: star topology host rate %v is negative", t.HostRate)
 	}
-	if t.HostRate == 0 {
-		env.Lab = NewStarLab(env.Scheme, t.Hosts, env.Seed)
-	} else {
-		l := &Lab{Scheme: env.Scheme}
-		cfg := topo.StarConfig{Hosts: t.Hosts, HostRate: t.HostRate, Opts: l.labOpts(env.Seed, nil)}
-		cfg.Opts.Hosts = l.hostFactory(12 * sim.Microsecond)
-		l.Net = topo.Star(cfg)
-		l.wireCollectors()
-		env.Lab = l
-	}
+	env.Lab = newLab(env.Scheme, env.Seed, nil, transport.Config{BaseRTT: 12 * sim.Microsecond},
+		func(o topo.Options) *topo.Network {
+			return topo.Star(topo.StarConfig{Hosts: t.Hosts, HostRate: t.HostRate, Opts: o})
+		})
 	env.Fabric = Fabric{
 		Hosts:         t.Hosts,
 		Racks:         1,
@@ -329,7 +322,13 @@ func (t FatTreeTopology) build(env *Env) error {
 		plan.Workers = max(1, t.Partitions)
 		cfg.Opts.Partition = plan
 	}
-	env.Lab = NewConfiguredFatTreeLab(env.Scheme, cfg, env.Seed, strategy)
+	env.Lab = newLab(env.Scheme, env.Seed, strategy, transport.Config{BaseRTT: 30 * sim.Microsecond},
+		func(o topo.Options) *topo.Network {
+			o.Partition = cfg.Opts.Partition // the lab's options, plus the plan chosen above
+			cfg.Opts = o
+			return topo.FatTree(cfg)
+		})
+	env.Lab.FTCfg = cfg
 	racks := cfg.Racks()
 	env.Fabric = Fabric{
 		Hosts:            racks * spt,
@@ -421,8 +420,13 @@ func (t LeafSpineTopology) build(env *Env) error {
 		SpineRates:     t.SpineRates,
 		Parts:          t.Partitions,
 	}
-	env.Lab = NewLeafSpineLab(env.Scheme, cfg, env.Seed, strategy)
-	ls := env.Lab.LSCfg
+	env.Lab = newLab(env.Scheme, env.Seed, strategy, transport.Config{BaseRTT: 16 * sim.Microsecond},
+		func(o topo.Options) *topo.Network {
+			cfg.Opts = o
+			return topo.LeafSpine(cfg)
+		})
+	ls := cfg.WithDefaults()
+	env.Lab.LSCfg = ls
 	var uplink units.BitRate
 	for sp := 0; sp < ls.Spines; sp++ {
 		uplink += ls.SpineRate(sp)
@@ -456,9 +460,16 @@ func (t LeafSpineTopology) resolveSwitch(ref SwitchRef, env *Env) (int, error) {
 	return 0, fmt.Errorf("scenario: switch reference not valid on a leaf-spine (use Leaf/Spine/SwitchIndex)")
 }
 
-// RotorTopology is the reconfigurable DCN of §5: Tors racks joined by a
-// rotating circuit switch plus a multi-hop packet network. The run
-// horizon is Weeks rotor weeks (Scenario.Until is ignored).
+// RotorTopology is the reconfigurable DCN of §5: Tors racks (default
+// 25) of ServersPerTor servers (default 10) joined by a rotating circuit
+// switch plus a multi-hop packet network at PacketRate (default 25
+// Gbps), built on the common port layer like every other fabric
+// (topo.RotorFabric) — so it carries the byte ledger, FCT records,
+// supervision and scratch recycling. The run horizon is Weeks rotor
+// weeks (Scenario.Until is ignored). It runs the Fig. 8 competitors only
+// (RotorSupports) and has no switch references: link events are refused,
+// because the rotor's timeline and the control plane's Rebuild would
+// both write the ToR tables.
 type RotorTopology struct {
 	Tors, ServersPerTor int
 	PacketRate          units.BitRate
@@ -478,19 +489,34 @@ func (t RotorTopology) build(env *Env) error {
 	if t.PacketRate < 0 {
 		return fmt.Errorf("scenario: rotor packet rate %v is negative", t.PacketRate)
 	}
-	env.Rotor = rdcn.Build(rdcn.Config{
+	if err := RotorSupports(env.Scheme); err != nil {
+		return err
+	}
+	cfg := topo.RotorConfig{
 		Tors:          t.Tors,
 		ServersPerTor: t.ServersPerTor,
 		PacketRate:    t.PacketRate,
 		Prebuffer:     env.Scheme.PrebufferFor,
-		INT:           true,
+	}.WithDefaults()
+	// Circuit day/night path flapping reorders packets: no fast
+	// retransmit, rely on the RTO.
+	host := transport.Config{BaseRTT: cfg.BaseRTT(), DupAckThreshold: -1}
+	env.Lab = newLab(env.Scheme, env.Seed, nil, host, func(o topo.Options) *topo.Network {
+		// The Fig. 8 fabric stamps INT at every egress whatever the scheme
+		// — reTCP's packets would otherwise be shorter by their hop records
+		// — and its ToR buffers are unbounded: a Tofino-sized pool under
+		// Dynamic Thresholds would drop what an 1,800 µs prebuffer parks in
+		// a VOQ.
+		o.INT, o.BufferPerGbps = true, 0
+		cfg.Opts = o
+		return topo.RotorFabric(cfg)
 	})
-	env.Horizon = sim.Time(sim.Duration(t.Weeks) * env.Rotor.Sched.Week())
+	env.Horizon = sim.Time(sim.Duration(t.Weeks) * cfg.Schedule().Week())
 	env.Fabric = Fabric{
-		Hosts:         t.Tors * t.ServersPerTor,
-		Racks:         t.Tors,
-		HostsPerRack:  t.ServersPerTor,
-		UnboundedSize: transport.Unbounded, // rotor servers run the window transport
+		Hosts:         cfg.Tors * cfg.ServersPerTor,
+		Racks:         cfg.Tors,
+		HostsPerRack:  cfg.ServersPerTor,
+		UnboundedSize: env.Lab.UnboundedSize(),
 	}
 	return nil
 }

@@ -449,6 +449,75 @@ func TestRotorHorizonIgnoresUntil(t *testing.T) {
 	}
 }
 
+// A rotor fabric is a lab like the other three, so a rotor run has what
+// every lab has: the byte ledger balances mid-run and at the horizon —
+// with whatever a reTCP prebuffer has parked in a VOQ counted as queued —
+// and finite flows leave FCT records.
+func TestRotorInheritsCommonLayer(t *testing.T) {
+	for _, name := range []string{PowerTCP, HPCC, ReTCP600, ReTCP1800} {
+		t.Run(name, func(t *testing.T) {
+			p, err := Prepare(Scenario{
+				Scheme:   mustScheme(name),
+				Seed:     1,
+				Topology: RotorTopology{Tors: 4, ServersPerTor: 2, Weeks: 2},
+				Traffic: []Traffic{
+					RackPairs{FromRack: RackStart(0), ToRack: RackStart(1)},
+					Flows{List: []FlowSpec{
+						{Src: RackHost(2, 0), Dst: RackHost(3, 1), Size: 200_000},
+						{Src: RackHost(3, 0), Dst: RackHost(0, 1), Size: 50_000, Start: sim.Time(100 * sim.Microsecond)},
+					}},
+				},
+				Probes: []Probe{AccountingProbe{}, FCTProbe{}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Seven checkpoints, so that each scheme is read at least once
+			// with payload queued or on a wire (reTCP senders spend whole
+			// slots waiting on ACKs parked in a VOQ).
+			var inFlight int64
+			var live uint64
+			for i := sim.Time(1); i <= 7; i++ {
+				p.DriveTo(p.Horizon() * i / 7)
+				a := p.Env().Accounting()
+				if a.Emitted == 0 || a.Residual() != 0 || a.Dropped != 0 {
+					t.Fatalf("ledger at %v: %+v, residual %d", p.Env().Eng().Now(), a, a.Residual())
+				}
+				inFlight = max(inFlight, a.InFlight())
+				live = max(live, p.LivePackets())
+			}
+			if inFlight == 0 || live == 0 {
+				t.Fatalf("no checkpoint saw payload in flight (%d B) or a live pooled packet (%d): the test reads nothing", inFlight, live)
+			}
+			res, err := p.Finish()
+			p.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Scalar("completed"); got != 2 {
+				t.Fatalf("completed = %v, want the two finite flows", got)
+			}
+			if got, ok := res.Scalars["bytes_residual"]; !ok || got != 0 {
+				t.Fatalf("bytes_residual = %v (present %v), want 0", got, ok)
+			}
+		})
+	}
+
+	// Zero Tors/ServersPerTor keep the paper's 25 × 10: selectors resolve
+	// against the fabric that was built, not against the zeros.
+	res, err := Run(Scenario{
+		Scheme:   mustScheme(PowerTCP),
+		Topology: RotorTopology{Weeks: 1},
+		Traffic: []Traffic{Flows{List: []FlowSpec{
+			{Src: RackHost(24, 9), Dst: RackHost(0, 0), Size: 20_000},
+		}}},
+		Probes: []Probe{FCTProbe{}},
+	})
+	if err != nil || res.Scalar("completed") != 1 {
+		t.Fatalf("default-sized rotor: completed %v, err %v", res.Scalar("completed"), err)
+	}
+}
+
 // Host and rack references resolve relative to the fabric.
 func TestHostRefResolution(t *testing.T) {
 	f := Fabric{Hosts: 32, Racks: 8, HostsPerRack: 4}

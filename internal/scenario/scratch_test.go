@@ -190,7 +190,9 @@ func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 // powersimd serves a small serial request between two large ones: the
 // star has one pool and no shard engine, so it uses the first slab list
 // and the control engine and must leave the other shards' lists and
-// engines in the scratch. The second and third sharded passes then carve
+// engines in the scratch. So does a rotor lab, the fourth shape, which
+// unlike the parked star moves packets: its two short flows are carved
+// from the first shard's slabs, hop blocks too, and handed back whole. The second and third sharded passes then carve
 // no packet and no hop block, grow no wheel slot, allocate no event node,
 // and the scratch's slab count stays where the first pass put it.
 func TestStarLabBetweenShardedPassesKeepsScratch(t *testing.T) {
@@ -198,6 +200,12 @@ func TestStarLabBetweenShardedPassesKeepsScratch(t *testing.T) {
 		Name: "park", Scheme: mustScheme(PowerTCP),
 		Topology: StarTopology{Hosts: 2}, Until: sim.Nanosecond,
 	}
+	rotor := Scenario{
+		Name: "rotor", Scheme: mustScheme(PowerTCP),
+		Topology: RotorTopology{Tors: 4, ServersPerTor: 2, Weeks: 1},
+		Traffic:  []Traffic{RackPairs{FromRack: RackStart(0), ToRack: RackStart(1), Size: 30_000}},
+	}
+	between := []Scenario{star, rotor, star}
 	const shards = 4
 try:
 	for try := 0; ; try++ {
@@ -207,13 +215,17 @@ try:
 		var sharded []scratchPass
 		for i := 0; i < 3; i++ {
 			sharded = append(sharded, runScratchPass(t, cutShort(shards)))
-			parked := runScratchPass(t, star)
+			parked := runScratchPass(t, between[i])
 			if parked.scratch != sharded[i].scratch || sharded[i].scratch != sharded[0].scratch {
 				continue try
 			}
 			if len(parked.scratch.slabs) != shards || len(parked.scratch.engs) != shards {
-				t.Fatalf("after the star lab the scratch holds %d slab lists and %d shard engines, want %d of each",
-					len(parked.scratch.slabs), len(parked.scratch.engs), shards)
+				t.Fatalf("after the %s lab the scratch holds %d slab lists and %d shard engines, want %d of each",
+					between[i].Name, len(parked.scratch.slabs), len(parked.scratch.engs), shards)
+			}
+			if i == 1 && (parked.gets == 0 || parked.hopGets == 0 || parked.news != 0 || parked.hopNews != 0) {
+				t.Fatalf("the rotor lab made %d Gets and %d first stamps and carved %d packets and %d hop blocks, want traffic and no carving",
+					parked.gets, parked.hopGets, parked.news, parked.hopNews)
 			}
 		}
 		first := sharded[0]

@@ -15,13 +15,20 @@
 //     fabrics.
 //   - ParkingLot: the multi-bottleneck chain behind §3.5's INT-vs-RTT
 //     argument.
+//   - RotorFabric: the reconfigurable DCN of §5 — ToRs on a packet core,
+//     plus one circuit port a ToR holding per-destination VOQs. The
+//     Rotor hung off the Network owns the slot timeline: each slot it
+//     re-points the circuit ports at the matching's peers and moves each
+//     ToR's routes to a rack between packet port and circuit port.
 //
 // # Invariants
 //
 //   - Builders only wire; routing tables are computed and installed by
 //     internal/route from the finished graph. Options.Routing picks the
 //     multipath strategy (per-flow ECMP when nil), and Network.Router
-//     can fail/restore links mid-run with reconvergence.
+//     can fail/restore links mid-run with reconvergence. The one other
+//     writer of tables is the Rotor, whose circuit ports the router never
+//     sees — which is why a rotor fabric takes no link events.
 //   - Host and switch port creation order is deterministic and
 //     documented per builder (servers first, then fabric ports in peer
 //     order), so tests and experiments may index ports structurally.

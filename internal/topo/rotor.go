@@ -1,0 +1,208 @@
+package topo
+
+import (
+	"cmp"
+
+	"repro/internal/link"
+	"repro/internal/packet"
+	"repro/internal/queue"
+	"repro/internal/rdcn"
+	"repro/internal/sim"
+	"repro/internal/units"
+)
+
+// RotorConfig describes the reconfigurable DCN of §5: Tors ToR switches
+// with ServersPerTor servers each, a shared packet-switched core, and one
+// rotor circuit switch that gives every ToR a circuit to one other ToR
+// at a time. The zero value reproduces the paper's setup (25 ToRs × 10
+// servers, 25 Gbps packet links, 100 Gbps circuits, 225 µs days, 20 µs
+// nights, base RTT 24 µs).
+type RotorConfig struct {
+	Tors          int
+	ServersPerTor int
+	HostRate      units.BitRate // server ↔ ToR
+	PacketRate    units.BitRate // ToR ↔ packet core (Fig. 8b sweeps this)
+	CircuitRate   units.BitRate // ToR ↔ rotor
+	Day           sim.Duration  // time a matching stays installed
+	Night         sim.Duration  // reconfiguration gap, circuits dark
+	// Prebuffer routes packets into the circuit VOQ this long before
+	// their circuit day begins (reTCP's prebuffering; 0 for PowerTCP and
+	// HPCC runs, which use the circuit only while it is up).
+	Prebuffer sim.Duration
+	// EdgeDelay/CoreDelay are propagation delays (defaults 1 µs / 5 µs);
+	// circuits and core links both run at CoreDelay.
+	EdgeDelay, CoreDelay sim.Duration
+	Opts                 Options
+}
+
+// WithDefaults returns the config with every zero field replaced by the
+// paper's §5 value and Prebuffer clamped to the schedule, so callers can
+// inspect the effective fabric before it exists.
+func (c RotorConfig) WithDefaults() RotorConfig {
+	c.Tors = cmp.Or(c.Tors, 25)
+	c.ServersPerTor = cmp.Or(c.ServersPerTor, 10)
+	c.HostRate = cmp.Or(c.HostRate, 25*units.Gbps)
+	c.PacketRate = cmp.Or(c.PacketRate, 25*units.Gbps)
+	c.CircuitRate = cmp.Or(c.CircuitRate, 100*units.Gbps)
+	c.Day = cmp.Or(c.Day, 225*sim.Microsecond)
+	c.Night = cmp.Or(c.Night, 20*sim.Microsecond)
+	c.EdgeDelay = cmp.Or(c.EdgeDelay, sim.Microsecond)
+	c.CoreDelay = cmp.Or(c.CoreDelay, 5*sim.Microsecond)
+	// A prebuffer lead approaching the rotor week would classify every
+	// destination as "upcoming" and starve the packet path (including
+	// ACKs). Clamp it so at least two slots of each cycle stay packet-
+	// routed; paper-scale runs are unaffected.
+	s := c.Schedule()
+	c.Prebuffer = min(c.Prebuffer, s.Week()-2*s.Slot())
+	return c
+}
+
+// Schedule returns the rotor calendar of the configured fabric.
+func (c RotorConfig) Schedule() *rdcn.Schedule {
+	return &rdcn.Schedule{Tors: c.Tors, Day: c.Day, Night: c.Night}
+}
+
+// BaseRTT is the fabric's maximum base RTT, computable before the
+// network exists (hosts are configured with it): the packet path is the
+// longest — edge+core+core+edge one way — which is the paper's 24 µs at
+// 1 µs / 5 µs delays.
+func (c RotorConfig) BaseRTT() sim.Duration {
+	return 2*(2*c.EdgeDelay+2*c.CoreDelay) +
+		2*c.HostRate.TxTime(1048) + 2*c.PacketRate.TxTime(1048)
+}
+
+// Rotor is the circuit switch of a rotor fabric: it owns the slot
+// timeline and, each slot, re-points every ToR's circuit port and moves
+// the ToR's routes to a rack between packet port and circuit port. It
+// hangs off Network.Rotor, nil on every other fabric.
+type Rotor struct {
+	// Cfg is the resolved config: defaults filled, Prebuffer clamped.
+	Cfg   RotorConfig
+	Sched *rdcn.Schedule
+
+	net   *Network
+	voq   []*queue.Class    // per ToR: the circuit port's per-destination VOQs
+	racks [][]packet.NodeID // per ToR: its servers' node IDs
+	// onCircuit[src*Tors+dst]: src's routes to rack dst point at the
+	// circuit port. Every ToR has the same port layout — servers, then
+	// the packet uplink, then the circuit — so two one-port candidate
+	// lists serve them all.
+	onCircuit             []bool
+	viaPacket, viaCircuit []int
+}
+
+// VOQBytes returns the bytes waiting in src's VOQ toward dst.
+func (r *Rotor) VOQBytes(src, dst int) int64 { return r.voq[src].ClassBytes(dst) }
+
+// CircuitPort exposes ToR t's circuit-facing port (utilization metrics).
+func (r *Rotor) CircuitPort(t int) *link.Port { return r.net.Switches[t].Ports()[r.viaCircuit[0]] }
+
+// PacketPort exposes ToR t's packet-core-facing port.
+func (r *Rotor) PacketPort(t int) *link.Port { return r.net.Switches[t].Ports()[r.viaPacket[0]] }
+
+// RotorFabric wires the RDCN on the common port layer and starts the
+// rotor. Servers [t·ServersPerTor, (t+1)·ServersPerTor) share ToR t;
+// Switches lists the ToRs, then the packet core. The router sees the
+// packet network alone: each ToR's circuit port is added last and kept
+// out of the graph, and the rotor moves routes onto it.
+func RotorFabric(cfg RotorConfig) *Network {
+	cfg = cfg.WithDefaults()
+	n := newNetwork(cfg.HostRate, cfg.Opts)
+	n.BaseRTT = cfg.BaseRTT()
+	r := &Rotor{
+		Cfg: cfg, Sched: cfg.Schedule(), net: n,
+		onCircuit:  make([]bool, cfg.Tors*cfg.Tors),
+		viaPacket:  []int{cfg.ServersPerTor},
+		viaCircuit: []int{cfg.ServersPerTor + 1},
+	}
+	n.Rotor = r
+	for range cfg.Tors {
+		n.addSwitch(cfg.Opts)
+	}
+	core := n.addSwitch(cfg.Opts)
+	for t := range cfg.Tors {
+		var ids []packet.NodeID
+		for range cfg.ServersPerTor {
+			hi := n.addHost(cfg.Opts.Hosts)
+			n.wireHost(hi, t, cfg.HostRate, cfg.EdgeDelay, cfg.Opts)
+			ids = append(ids, n.HostID(hi))
+		}
+		r.racks = append(r.racks, ids)
+		n.wireSwitches(t, core, cfg.PacketRate, cfg.CoreDelay, cfg.Opts)
+	}
+	n.finish(cfg.Opts)
+	for t := range cfg.Tors {
+		// Per-destination VOQs, dark until the first day; the peer is set
+		// at each day start.
+		voq := queue.NewClass(func(p *packet.Packet) int { return int(p.Dst) / cfg.ServersPerTor })
+		r.voq = append(r.voq, voq)
+		n.Switches[t].AddPort(cfg.CircuitRate, cfg.CoreDelay, nil, voq)
+		r.CircuitPort(t).Pause()
+	}
+	r.day(0)
+	if lead, slot := cfg.Prebuffer, r.Sched.Slot(); lead%slot != 0 {
+		// Routes also move lead before each day start. (A lead of whole
+		// slots lands on day starts, which reroute anyway.)
+		var tick func()
+		tick = func() {
+			r.reroute()
+			n.Eng.After(slot, tick)
+		}
+		n.Eng.After(slot-lead%slot, tick)
+	}
+	return n
+}
+
+// day starts slot k — installs its matching on every ToR and lights the
+// circuits — and schedules the night and the next slot, forever; runs
+// are bounded by their horizon.
+//
+// A circuit port's Peer is re-pointed here and not at day end: the VOQ
+// only drains the matched rack's class, and a packet still on the
+// circuit when the day ends lands within CoreDelay plus one
+// transmission, far inside the Night, so every delivery has read Peer
+// before the next day start overwrites it.
+func (r *Rotor) day(k int) {
+	m := k % r.Sched.Matchings()
+	for t := range r.Cfg.Tors {
+		dst := r.Sched.DstOf(t, m)
+		r.voq[t].SetActive(dst)
+		circ := r.CircuitPort(t)
+		circ.Peer = r.net.Switches[dst]
+		circ.Resume()
+	}
+	r.reroute()
+	r.net.Eng.After(r.Cfg.Day, func() {
+		// Night: circuits go dark for reconfiguration.
+		for t := range r.Cfg.Tors {
+			r.CircuitPort(t).Pause()
+		}
+		r.reroute()
+		r.net.Eng.After(r.Cfg.Night, func() { r.day(k + 1) })
+	})
+}
+
+// reroute brings every ToR's tables in line with the calendar: traffic
+// to a rack rides the circuit exactly while the circuit to it is up or
+// within Prebuffer of coming up, and the packet network otherwise. It
+// runs at the only instants the answer changes — day start, day end,
+// Prebuffer before a day start — ahead of any packet event of that
+// instant (it was scheduled earlier), and after the first week it
+// touches only tables: the switch has both candidate lists interned.
+func (r *Rotor) reroute() {
+	now, n := r.net.Eng.Now(), r.Cfg.Tors
+	for src := range n {
+		for dst := range n {
+			on := r.Sched.ActiveOrUpcoming(src, dst, now, r.Cfg.Prebuffer)
+			if on == r.onCircuit[src*n+dst] {
+				continue
+			}
+			r.onCircuit[src*n+dst] = on
+			via := r.viaPacket
+			if on {
+				via = r.viaCircuit
+			}
+			r.net.Switches[src].SetRoutes(r.racks[dst], via)
+		}
+	}
+}

@@ -106,6 +106,11 @@ type Network struct {
 	Part  *Plan
 	PSim  *psim.Fabric
 
+	// Rotor is the circuit switch of a rotor fabric (RotorFabric), nil on
+	// every other: the one component that rewrites routes on a timeline
+	// of its own.
+	Rotor *Rotor
+
 	nextFlow uint64
 	swPeers  [][]peerRef // per switch, per port: what the port points at
 	hostTor  []int       // per host: index of the switch its NIC points at

@@ -6,7 +6,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fluid"
 	"repro/internal/monitor"
-	"repro/internal/rdcn"
 	"repro/internal/route"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -81,10 +80,6 @@ type (
 	// multi-bottleneck chain used by ablations.
 	LeafSpineConfig  = topo.LeafSpineConfig
 	ParkingLotConfig = topo.ParkingLotConfig
-	// RDCNConfig describes the reconfigurable DCN of §5.
-	RDCNConfig = rdcn.Config
-	// RDCNNetwork is a built reconfigurable DCN.
-	RDCNNetwork = rdcn.Network
 )
 
 // Topology builders.
@@ -94,7 +89,6 @@ var (
 	FatTree    = topo.FatTree
 	LeafSpine  = topo.LeafSpine
 	ParkingLot = topo.ParkingLot
-	BuildRDCN  = rdcn.Build
 )
 
 // Routing control plane (internal/route): pluggable multipath
