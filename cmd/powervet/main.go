@@ -12,7 +12,7 @@
 //	go run ./cmd/powervet -v ./...       # also list justified suppressions
 //
 // Packages outside the simulation path (examples, excluded internal
-// packages such as livenet) are skipped; the skip reasons are part of
+// packages such as serve) are skipped; the skip reasons are part of
 // internal/analysis.ExcludedPackages and printed under -v. A finding is
 // suppressed in source with a `//powervet:<directive> <justification>`
 // comment on or directly above the flagged line; the justification is

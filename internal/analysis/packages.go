@@ -23,7 +23,7 @@ var SimPathPackages = []string{
 	"homa",      // HOMA transport — grants, resends
 	"hybrid",    // fluid/packet coupling — exchange ticks are engine events, RK4 order fixed
 	"link",      // ports, serialization, delivery ordering
-	"monitor",   // taps and captures embedded in golden outputs
+	"monitor",   // cwnd recorder behind CwndProbe — its samples land in results
 	"packet",    // packet struct + pool — recycling must not alter output
 	"psim",      // parallel conservative-sync fabric — barrier order IS the output order
 	"queue",     // FIFO rings on the hot path
@@ -37,7 +37,6 @@ var SimPathPackages = []string{
 	"topo",      // fabric construction — wiring order fixes IDs; the rotor's slot timeline
 	"transport", // flows, hosts, pacing, RTO
 	"units",     // bitrate/size arithmetic used in every computation
-	"wire",      // packet serialization — byte layout of the deployment path
 	"workload",  // seeded traffic generators — the RNG discipline lives here
 }
 
@@ -47,14 +46,6 @@ var SimPathPackages = []string{
 // of SimPathPackages and ExcludedPackages is exactly the set of
 // internal packages.
 var ExcludedPackages = map[string]string{
-	// livenet is the real-network deployment path: wall-clock
-	// timestamps, kernel sockets and OS scheduling are the point of the
-	// package (the paper's §3.6 run over loopback), so simclock's
-	// engine-clock rule cannot apply. Its inherent timing variance is
-	// why its adaptation test is gated behind POWERTCP_LIVENET=1 — the
-	// same boundary, enforced once at the package level here instead of
-	// per call site.
-	"livenet": "real-network path: wall clock and kernel sockets are the point; runtime counterpart gated by POWERTCP_LIVENET=1",
 	// The linter does not lint itself: analysis runs at development
 	// time, never inside a simulation.
 	"analysis": "powervet's own implementation; not simulation code",

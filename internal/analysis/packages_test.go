@@ -66,8 +66,8 @@ func TestAnalyzerScoping(t *testing.T) {
 			t.Errorf("simclock must not run on cmd packages")
 		}
 	}
-	if got := AnalyzersFor("repro/internal/livenet"); got != nil {
-		t.Errorf("livenet is excluded but gets %d analyzers", len(got))
+	if got := AnalyzersFor("repro/internal/serve"); got != nil {
+		t.Errorf("serve is excluded but gets %d analyzers", len(got))
 	}
 	if got := AnalyzersFor("repro/examples/quickstart"); got != nil {
 		t.Errorf("examples are out of scope but get %d analyzers", len(got))

@@ -20,8 +20,8 @@ import (
 // There is no in-tree justification for a wall-clock read on the
 // simulation path, so the suppression directive (`//powervet:clock`)
 // exists for completeness but the tree is expected to carry none;
-// packages where the wall clock is the point (livenet) are excluded
-// wholesale with a documented reason in ExcludedPackages.
+// packages where the wall clock is the point (serve's admission control)
+// are excluded wholesale with a documented reason in ExcludedPackages.
 var Simclock = &Analyzer{
 	Name:      "simclock",
 	Doc:       "bans time.Now/time.Since and global math/rand in simulation-path packages",

@@ -103,9 +103,7 @@ func Check(sp *scenario.Spec, opts Options) ([]Violation, error) {
 		return nil, fmt.Errorf("fuzzlab: encoding serial result: %w", err)
 	}
 	for _, parts := range axis {
-		// Fluid specs are serial by validation (the coupler runs on the
-		// one engine), so the partition sweep does not apply to them.
-		if parts <= 1 || !sp.Partitionable() || sp.HasFluid() {
+		if parts <= 1 || !sp.Partitionable() {
 			continue
 		}
 		res, err := runAt(sp, parts)
@@ -323,8 +321,8 @@ func uniqueFCTs(recs []scenario.FlowRecord) map[int64]float64 {
 //   - fluid-conservation: the coupler's integer ledger closes exactly —
 //     fluid emitted − delivered − backlog ≡ 0 (the packet-side identity,
 //     with fluid bytes folded in, is already covered by checkConservation).
-//   - hybrid-determinism: two serial runs encode byte-identically; the
-//     stand-in for the partition sweep fluid specs cannot take.
+//   - hybrid-determinism: two serial runs encode byte-identically — the
+//     one repeat check a star spec gets, having no partition axis.
 //   - hybrid-divergence: rerun with fluid fidelity stripped (all-packet)
 //     and bound every unambiguously matched foreground flow's FCT ratio
 //     by hybridFCTFactor.

@@ -1,44 +1,18 @@
 package monitor_test
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/monitor"
-	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
 
 // Telemetry allocs guard (the monitor-side companion of the AllocsPerRun
-// tests in internal/sim and internal/link): once a tap's ring and a CC
-// monitor's sample buffer are sized from run metadata, observing traffic
-// must not allocate.
-
-func TestTapRingSteadyStateAllocs(t *testing.T) {
-	eng := sim.New()
-	sink := &nullSink{}
-	tap := monitor.NewTap(sink, 64, eng.Now)
-	p := &packet.Packet{Kind: packet.Data, PayloadLen: 1000}
-	// The ring is presized at construction; fill it so eviction mode is
-	// also exercised.
-	for i := 0; i < 128; i++ {
-		tap.Receive(p)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			tap.Receive(p)
-		}
-	})
-	if allocs > 0.5 {
-		t.Fatalf("full tap ring allocates %.2f allocs per 64-packet burst, want 0", allocs)
-	}
-	if tap.Total() == 0 {
-		t.Fatal("tap observed nothing")
-	}
-}
+// tests in internal/sim and internal/link): once a CC monitor's sample
+// buffer is sized from run metadata, recording must not allocate.
 
 func TestCCMonitorPresizedSteadyStateAllocs(t *testing.T) {
 	mon := monitor.Wrap(core.New(core.Config{}), 0)
@@ -61,40 +35,3 @@ func TestCCMonitorPresizedSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("recorded %d samples, want %d", len(mon.Samples), samples)
 	}
 }
-
-// ReadCapture presizes its replay slice from the stream size, so a
-// replay performs one slice allocation regardless of frame count.
-func TestReadCapturePresizesFromStreamSize(t *testing.T) {
-	var buf bytes.Buffer
-	cw, err := monitor.NewCaptureWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &packet.Packet{Kind: packet.Data, Flow: 7, Seq: 3, PayloadLen: 1000}
-	const frames = 200
-	for i := 0; i < frames; i++ {
-		if err := cw.Write(sim.Time(i)*sim.Time(sim.Microsecond), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	got, err := monitor.ReadCapture(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != frames {
-		t.Fatalf("replayed %d frames, want %d", len(got), frames)
-	}
-	// The presize is an upper-bound estimate: it must cover every frame
-	// in one allocation (capacity ≥ frames) without growing.
-	if cap(got) < frames {
-		t.Fatalf("replay slice capacity %d < %d frames (presize missed)", cap(got), frames)
-	}
-}
-
-type nullSink struct{ n int }
-
-func (s *nullSink) Receive(p *packet.Packet) { s.n++ }

@@ -1,10 +1,9 @@
-// Package monitor provides instrumentation wrappers: a congestion-
-// control interposer that records the window/rate/feedback trajectory of
-// a flow (the data behind cwnd-over-time plots), and a packet tap that
-// records traffic crossing any link.Receiver.
+// Package monitor provides a congestion-control interposer that records
+// the window/rate/feedback trajectory of a flow (the data behind
+// cwnd-over-time plots).
 //
-// Both wrappers are pass-through: experiments behave identically with or
-// without them, which the tests assert.
+// The wrapper is pass-through: experiments behave identically with or
+// without it, which the tests assert.
 package monitor
 
 import (
@@ -13,8 +12,6 @@ import (
 	"slices"
 
 	"repro/internal/cc"
-	"repro/internal/link"
-	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -130,88 +127,6 @@ func (m *CC) WriteCSV(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "%.2f,%.0f,%.3f,%.2f,%d,%d\n",
 			float64(s.At)/float64(sim.Microsecond), s.Cwnd,
 			float64(s.Rate)/1e9, s.RTT.Micros(), s.AckSeq, s.Losses); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TraceEntry is one packet observation at a tap point.
-type TraceEntry struct {
-	At   sim.Time
-	Kind packet.Kind
-	Flow packet.FlowID
-	Seq  int64
-	Len  int64
-	CE   bool
-}
-
-// Tap records packets flowing into a link.Receiver, keeping the most
-// recent Cap entries in a ring.
-type Tap struct {
-	Inner link.Receiver
-	Cap   int
-	// Filter keeps only matching packets when non-nil.
-	Filter func(p *packet.Packet) bool
-
-	entries []TraceEntry
-	next    int
-	total   uint64
-	now     func() sim.Time
-}
-
-// NewTap wraps inner; now supplies timestamps (usually Engine.Now).
-// A positive capacity presizes the ring up front — the declared Cap is
-// run metadata, so the tap never grows while packets flow.
-func NewTap(inner link.Receiver, capacity int, now func() sim.Time) *Tap {
-	t := &Tap{Inner: inner, Cap: capacity, now: now}
-	if capacity > 0 {
-		t.entries = make([]TraceEntry, 0, capacity)
-	}
-	return t
-}
-
-// Receive implements link.Receiver.
-func (t *Tap) Receive(p *packet.Packet) {
-	if t.Filter == nil || t.Filter(p) {
-		e := TraceEntry{
-			At: t.now(), Kind: p.Kind, Flow: p.Flow,
-			Seq: p.Seq, Len: p.WireLen(), CE: p.CE,
-		}
-		if t.Cap > 0 && len(t.entries) >= t.Cap {
-			t.entries[t.next] = e
-			t.next = (t.next + 1) % t.Cap
-		} else {
-			t.entries = append(t.entries, e)
-		}
-		t.total++
-	}
-	t.Inner.Receive(p)
-}
-
-// Total returns the number of packets observed (including evicted ones).
-func (t *Tap) Total() uint64 { return t.total }
-
-// Entries returns the retained observations in arrival order.
-func (t *Tap) Entries() []TraceEntry {
-	if t.Cap <= 0 || len(t.entries) < t.Cap {
-		return t.entries
-	}
-	out := make([]TraceEntry, 0, t.Cap)
-	out = append(out, t.entries[t.next:]...)
-	out = append(out, t.entries[:t.next]...)
-	return out
-}
-
-// WriteText dumps the retained entries in a tcpdump-ish line format.
-func (t *Tap) WriteText(w io.Writer) error {
-	for _, e := range t.Entries() {
-		ce := ""
-		if e.CE {
-			ce = " CE"
-		}
-		if _, err := fmt.Fprintf(w, "%12v %-5v flow=%d seq=%d len=%d%s\n",
-			e.At, e.Kind, e.Flow, e.Seq, e.Len, ce); err != nil {
 			return err
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/monitor"
-	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -88,64 +87,5 @@ func TestCCMonitorForwardsExtensions(t *testing.T) {
 	m.Stop()
 	if got := m.Name(); !strings.Contains(got, "dcqcn") {
 		t.Fatalf("name = %q", got)
-	}
-}
-
-type nullReceiver struct{ got []*packet.Packet }
-
-func (n *nullReceiver) Receive(p *packet.Packet) { n.got = append(n.got, p) }
-
-func TestTapRingAndFilter(t *testing.T) {
-	inner := &nullReceiver{}
-	now := sim.Time(0)
-	tap := monitor.NewTap(inner, 4, func() sim.Time { return now })
-	tap.Filter = func(p *packet.Packet) bool { return p.Kind == packet.Data }
-	for i := 0; i < 10; i++ {
-		now = sim.Time(sim.Duration(i) * sim.Microsecond)
-		kind := packet.Data
-		if i%3 == 0 {
-			kind = packet.Ack
-		}
-		tap.Receive(&packet.Packet{Kind: kind, Seq: int64(i), PayloadLen: 100})
-	}
-	if len(inner.got) != 10 {
-		t.Fatalf("tap swallowed packets: %d delivered", len(inner.got))
-	}
-	// 10 packets, 4 are Acks (0,3,6,9) → 6 data observed, ring keeps 4.
-	if tap.Total() != 6 {
-		t.Fatalf("total = %d", tap.Total())
-	}
-	entries := tap.Entries()
-	if len(entries) != 4 {
-		t.Fatalf("retained %d", len(entries))
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].At < entries[i-1].At {
-			t.Fatal("ring order broken")
-		}
-	}
-	var buf bytes.Buffer
-	if err := tap.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(buf.String(), "\n") != 4 {
-		t.Fatalf("text dump lines = %d", strings.Count(buf.String(), "\n"))
-	}
-}
-
-func TestTapOnLiveLink(t *testing.T) {
-	// Interpose a tap between the switch and the receiving host.
-	net := buildStar()
-	src, dst := net.TransportHost(0), net.TransportHost(1)
-	port := net.Switches[0].Ports()[1] // faces host 1
-	tap := monitor.NewTap(dst, 0, net.Eng.Now)
-	port.Peer = tap
-	src.StartFlow(net.NextFlowID(), dst.ID(), 100_000, core.New(core.Config{}), 0)
-	net.Eng.Run()
-	if dst.ReceivedTotal() != 100_000 {
-		t.Fatalf("tap broke delivery: %d", dst.ReceivedTotal())
-	}
-	if tap.Total() < 100 {
-		t.Fatalf("tap saw %d packets", tap.Total())
 	}
 }

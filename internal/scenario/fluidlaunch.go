@@ -18,13 +18,17 @@ import (
 // topo.Network.WalkRoutes (the fluid limit of per-flow hashing).
 //
 // Restrictions (all validated here, never silently ignored): fluid
-// components need serial execution (the coupler's exchange loop runs on
-// the one engine), a static routing plane (no link-failure timeline and
-// no rotor — demand is routed once at prepare), and an
-// open traffic shape whose offered rate is well defined up front
-// (Flows, PoissonLoad, Permutation, RackPairs; pulse/staggered/request
-// shapes are reactive foreground patterns that belong at packet
-// fidelity).
+// components need a static routing plane (no link-failure timeline and
+// no rotor — demand is routed once at prepare), and an open traffic
+// shape whose offered rate is well defined up front (Flows, PoissonLoad,
+// Permutation, RackPairs; pulse/staggered/request shapes are reactive
+// foreground patterns that belong at packet fidelity).
+//
+// A sharded fabric needs nothing extra: the coupler ticks on env.Eng(),
+// the psim control engine, and a control event runs while every shard is
+// paused at its key. A tick only reads port counters and calls
+// SetVirtualLoad, which schedules nothing, so it sees and leaves the
+// same state at any shard count.
 
 // hybridExchangeDivisor sets the exchange interval to BaseRTT/4: well
 // below the RTT the ODE's time constants are defined over, so the RK4
@@ -68,9 +72,6 @@ func fluidLawFor(s Scheme) (fluid.Law, float64) {
 func (env *Env) launchFluid(tr Traffic, law Scheme, shift sim.Duration) error {
 	if env.Lab.Net.Rotor != nil {
 		return fmt.Errorf("scenario: fluid fidelity is not supported on the rotor topology (fluid demand is routed once, before the run; rotor routes rotate)")
-	}
-	if env.Lab.Net.Part != nil {
-		return fmt.Errorf("scenario: fluid fidelity requires serial execution (got %d partitions)", env.Lab.Net.Part.Parts)
 	}
 	if !fluidEligible(tr) {
 		return fmt.Errorf("scenario: traffic kind %T cannot run at fluid fidelity (eligible: Flows, PoissonLoad, Permutation, RackPairs)", tr)

@@ -161,11 +161,12 @@ func TestPodShardBoundary(t *testing.T) {
 	}
 }
 
-// A fluid component keeps a fat-tree of any size on one engine — the
-// coupler's exchange loop runs there — and the run still produces the
-// bytes it produced before large fabrics were sharded (the golden was
-// recorded at the parent of the change that introduced the rule).
-func TestFluidKeepsLargeFatTreeOnOneEngine(t *testing.T) {
+// A fluid component runs on the pod shards like any other: the coupler
+// ticks on the control engine while every shard is paused. At one worker
+// and at two the run reproduces the bytes recorded before large fabrics
+// were sharded at all (the golden was recorded at the parent of that
+// change).
+func TestFluidRunsOnPodShards(t *testing.T) {
 	host := func(i int) *scenario.RefSpec { return &scenario.RefSpec{Kind: "host", I: i} }
 	sp := scenario.Spec{
 		Name: "fluid-fattree512", Seed: 11, Scheme: "powertcp",
@@ -180,44 +181,46 @@ func TestFluidKeepsLargeFatTreeOnOneEngine(t *testing.T) {
 		},
 		HorizonUS: 250,
 	}
-	sc, err := sp.Build(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := scenario.Prepare(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := p.Env().Fabric.Hosts; n < scenario.PodShardHosts {
-		t.Fatalf("the fabric has %d hosts, under the rule's %d", n, scenario.PodShardHosts)
-	}
-	if p.Env().Lab.Net.PSim != nil {
-		t.Fatal("a fabric with a fluid component was sharded")
-	}
-	p.DriveTo(p.Horizon())
-	res, err := p.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := encode(t, res)
-	p.Release()
-	if res.Scalar("completed") != 3 || res.Scalar("fluid_bytes_emitted") <= 0 {
-		t.Fatalf("%v foreground flows completed over %v fluid bytes", res.Scalar("completed"), res.Scalar("fluid_bytes_emitted"))
-	}
-
 	path := filepath.Join("testdata", "golden", "fluid-fattree512.json")
-	if os.Getenv("POWERTCP_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+	for _, workers := range []int{1, 2} {
+		sc, err := sp.Build(workers)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with POWERTCP_UPDATE_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Errorf("output drifted from recorded golden %s (%d vs %d bytes)", path, len(got), len(want))
+		p, err := scenario.Prepare(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := p.Env().Fabric.Hosts; n < scenario.PodShardHosts {
+			t.Fatalf("the fabric has %d hosts, under the rule's %d", n, scenario.PodShardHosts)
+		}
+		if fab := p.Env().Lab.Net.PSim; fab == nil || fab.Workers() != workers {
+			t.Fatalf("W=%d: a fabric with a fluid component was not sharded on %d workers", workers, workers)
+		}
+		p.DriveTo(p.Horizon())
+		res, err := p.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := encode(t, res)
+		p.Release()
+		if res.Scalar("completed") != 3 || res.Scalar("fluid_bytes_emitted") <= 0 {
+			t.Fatalf("W=%d: %v foreground flows completed over %v fluid bytes", workers, res.Scalar("completed"), res.Scalar("fluid_bytes_emitted"))
+		}
+
+		if workers == 1 && os.Getenv("POWERTCP_UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with POWERTCP_UPDATE_GOLDEN=1): %v", err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("W=%d: output drifted from recorded golden %s (%d vs %d bytes)", workers, path, len(got), len(want))
+		}
 	}
 }
 

@@ -136,10 +136,6 @@ func TestRunRejectsMalformedScenarios(t *testing.T) {
 			sc.Events = Timeline{Events: []Event{InjectTraffic{At: sim.Microsecond,
 				Traffic: WithFidelity(Fluid, Flows{List: []FlowSpec{{Src: Host(0), Dst: Host(2), Size: 1000}}})}}}
 		}, "injected traffic cannot run at fluid fidelity"},
-		{"fluid partitioned", func(sc *Scenario) {
-			sc.Topology = FatTreeTopology{ServersPerTor: 2, Partitions: 2}
-			sc.Traffic = []Traffic{WithFidelity(Fluid, Flows{List: []FlowSpec{{Src: Host(0), Dst: Host(8), Size: 1000}}})}
-		}, "serial execution"},
 		// What the rotor still refuses, each for a reason of its own.
 		{"fluid rotor", func(sc *Scenario) {
 			sc.Topology = RotorTopology{Tors: 4, ServersPerTor: 2, Weeks: 2}

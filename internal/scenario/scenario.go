@@ -268,21 +268,6 @@ type FatTreeTopology struct {
 // left alone: no workload in the repository has a large one to sweep.
 const podShardHosts = 512
 
-// podSharded reports whether the fabric is built on the pod plan. A
-// scenario with a fluid component stays on one engine at any size: the
-// coupler's exchange loop runs on the one engine (fluidlaunch.go).
-func podSharded(cfg topo.FatTreeConfig, traffic []Traffic) bool {
-	if cfg.Pods < 2 || cfg.Racks()*cfg.ServersPerTor < podShardHosts {
-		return false
-	}
-	for _, tr := range traffic {
-		if _, _, _, fd := unwrapTraffic(tr); fd == Fluid {
-			return false
-		}
-	}
-	return true
-}
-
 func (t FatTreeTopology) build(env *Env) error {
 	// Structural dims are validated here, not panicked on downstream: the
 	// fuzzlab shrinker legitimately drives them through zero and below.
@@ -317,7 +302,7 @@ func (t FatTreeTopology) build(env *Env) error {
 	switch {
 	case t.singleEngine:
 		cfg.Parts = 0
-	case podSharded(cfg, env.Scenario.Traffic):
+	case cfg.Pods >= 2 && cfg.Racks()*cfg.ServersPerTor >= podShardHosts:
 		plan := cfg.Partitions(cfg.Pods)
 		plan.Workers = max(1, t.Partitions)
 		cfg.Opts.Partition = plan

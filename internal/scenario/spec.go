@@ -171,19 +171,17 @@ func (s *Spec) Partitionable() bool {
 }
 
 // PartsAxis returns the partition counts the invariant checker compares
-// this spec across: [1] for unshardable fabrics and for hybrid specs
-// (the fluid coupler's exchange loop is serial-only), the full 1/2/4/8
-// axis otherwise.
+// this spec across: [1] for unshardable fabrics, the full 1/2/4/8 axis
+// otherwise.
 func (s *Spec) PartsAxis() []int {
-	if !s.Partitionable() || s.HasFluid() {
+	if !s.Partitionable() {
 		return []int{1}
 	}
 	return []int{1, 2, 4, 8}
 }
 
 // HasFluid reports whether any traffic component runs at fluid
-// fidelity — the gate for the hybrid-vs-packet agreement invariant and
-// for the serial-only execution restriction.
+// fidelity — the gate for the hybrid-vs-packet agreement invariant.
 func (s *Spec) HasFluid() bool {
 	for i := range s.Traffic {
 		if s.Traffic[i].Fidelity == "fluid" {

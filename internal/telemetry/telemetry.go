@@ -9,10 +9,11 @@
 // HPCC's INT header that PowerTCP reuses (§3.3, "Feedback").
 //
 // In the simulator the records travel as native Go values for speed, but
-// the package also provides the on-the-wire codec used by the paper's
-// switch component: a 32-bit base header plus one 64-bit record per hop,
-// carried in TCP option 36 (§5). The codec quantizes fields the way a
-// real pipeline must and is exercised by the property tests.
+// the package also provides the on-the-wire codec of the paper's switch
+// component: a 32-bit base header plus one 64-bit record per hop, carried
+// in TCP option 36 (§5). The codec quantizes fields the way a real
+// pipeline must; it is the reference HopRecord.Quantize (and so the
+// switches' quantized-INT mode) is held to by the property tests.
 package telemetry
 
 import (
@@ -76,13 +77,6 @@ var rateCodes = []units.BitRate{
 	100 * units.Gbps,
 	200 * units.Gbps,
 	400 * units.Gbps,
-	// Sub-Gbps codes for software bottlenecks (livenet's loopback rig).
-	50 * units.Mbps,
-	100 * units.Mbps,
-	200 * units.Mbps,
-	500 * units.Mbps,
-	2500 * units.Mbps,
-	5 * units.Gbps,
 }
 
 // RateCode returns the codebook index for r, or an error if the rate is

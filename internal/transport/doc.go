@@ -15,7 +15,7 @@
 //
 //   - Packets handed to Receive are consumed: the host copies what it
 //     needs and recycles them into the engine's pool. Hooks (OnData,
-//     OnFlowDone, monitor taps) must not retain packet pointers.
+//     OnFlowDone) must not retain packet pointers.
 //   - A packet's Hops may be nil: hop storage is attached by the first
 //     switch that stamps the packet, through packet.Pool.Stamp, never by
 //     append. The ACK takes the data packet's stack over whole, so by
