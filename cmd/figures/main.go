@@ -26,6 +26,7 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -88,11 +89,30 @@ func main() {
 func runSuite(specs []exp.Spec) []*scenario.Result {
 	suite := exp.Suite{Specs: specs, Workers: *workersFlag}
 	results, err := suite.Run()
+	check(err)
+	return results
+}
+
+// scalar and series read a panel's numbers by name. A missing key exits
+// 1 naming the experiment, scheme and key: a renamed metric must stop
+// the run, not print a 0.
+func scalar(r *scenario.Result, name string) float64 {
+	v, err := r.Lookup(name)
+	check(err)
+	return v
+}
+
+func series(r *scenario.Result, name string) []scenario.SeriesPoint {
+	s, err := r.SeriesNamed(name)
+	check(err)
+	return s.Points
+}
+
+func check(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 		os.Exit(1)
 	}
-	return results
 }
 
 // spec is one panel cell: a preset under a scheme at the base seed.
@@ -187,15 +207,14 @@ func fig4() {
 	}
 	results := runSuite(specs)
 	for i, s := range specs {
-		r := results[i].Raw.(*exp.IncastResult)
+		r := results[i]
 		fmt.Printf("# Figure 4 (%d:1) %s: peak=%.0fKB end=%.0fKB avg=%.1fGbps done=%d/%d\n",
-			s.Preset.(exp.Incast).FanIn, r.Scheme, r.PeakQueueKB, r.EndQueueKB, r.AvgGoodputGbps, r.Completed, r.FanIn)
+			s.Preset.(exp.Incast).FanIn, r.Scheme, scalar(r, "peak_queue_kb"), scalar(r, "end_queue_kb"),
+			scalar(r, "avg_goodput_gbps"), int(scalar(r, "completed")), int(scalar(r, "fan_in")))
 		fmt.Println("# time_ms\tthroughput_gbps\tqueue_kb")
-		for k, p := range r.Points {
-			if k%5 == 0 {
-				fmt.Printf("%.3f\t%.2f\t%.1f\n",
-					p.T.Seconds()*1e3, p.ThroughputGbps, p.QueueKB)
-			}
+		tp, q := series(r, "throughput_gbps"), series(r, "queue_kb")
+		for k := 0; k < len(tp); k += 5 {
+			fmt.Printf("%.3f\t%.2f\t%.1f\n", tp[k].X/1e3, tp[k].V, q[k].V)
 		}
 		fmt.Println()
 	}
@@ -207,14 +226,17 @@ func fig5() {
 	for _, sc := range schemes {
 		specs = append(specs, spec(exp.Fairness{}, sc))
 	}
-	for _, res := range runSuite(specs) {
-		r := res.Raw.(*exp.FairnessResult)
-		fmt.Printf("# Figure 5 %s: Jain=%.3f\n", r.Scheme, r.JainAvg)
+	for _, r := range runSuite(specs) {
+		fmt.Printf("# Figure 5 %s: Jain=%.3f\n", r.Scheme, scalar(r, "jain"))
 		fmt.Println("# time_ms\tflow1\tflow2\tflow3\tflow4 (Gbps)")
-		for k := 0; k < len(r.T); k += 4 {
-			fmt.Printf("%.3f", r.T[k].Seconds()*1e3)
-			for i := range r.Per {
-				fmt.Printf("\t%.2f", r.Per[i][k])
+		per := make([][]scenario.SeriesPoint, int(scalar(r, "flows")))
+		for i := range per {
+			per[i] = series(r, fmt.Sprintf("flow%d_gbps", i+1))
+		}
+		for k := 0; k < len(per[0]); k += 4 {
+			fmt.Printf("%.3f", per[0][k].X/1e3)
+			for i := range per {
+				fmt.Printf("\t%.2f", per[i][k].V)
 			}
 			fmt.Println()
 		}
@@ -230,19 +252,16 @@ func fig6() {
 			specs = append(specs, spec(exp.WebSearch{Load: load, ServersPerTor: serversPerTor()}, sc))
 		}
 	}
-	results := runSuite(specs)
-	i := 0
-	for _, load := range loads {
+	results, n := runSuite(specs), len(scenario.Schemes)
+	for li, load := range loads {
 		fmt.Printf("# Figure 6: 99.9p FCT slowdown by flow size, websearch at %.0f%% load\n", load*100)
 		fmt.Println("# scheme\t≤5K\t≤20K\t≤50K\t≤100K\t≤400K\t≤800K\t≤5M\t≤30M")
-		for range scenario.Schemes {
-			r := results[i].Raw.(*exp.WebSearchResult)
-			i++
+		for _, r := range results[li*n : (li+1)*n] {
 			fmt.Printf("%s", r.Scheme)
-			for _, v := range r.Binned.Row(99.9) {
-				fmt.Printf("\t%.1f", v)
+			for _, b := range stats.FlowSizeBins {
+				fmt.Printf("\t%.1f", scalar(r, "p999_bin_"+stats.SizeLabel(b)))
 			}
-			fmt.Printf("\t# completed=%d/%d\n", r.Completed, r.Started)
+			fmt.Printf("\t# completed=%d/%d\n", int(scalar(r, "completed")), int(scalar(r, "started")))
 		}
 		fmt.Println()
 	}
@@ -310,32 +329,28 @@ func fig7() {
 
 	fmt.Println("# Figure 7a/7b: short & long flow 99.9p slowdown vs load")
 	fmt.Println("# load\tscheme\tshort_p999\tlong_p999")
-	for i := loadStart; i < rateStart; i++ {
-		r := results[i].Raw.(*exp.WebSearchResult)
-		fmt.Printf("%.1f\t%s\t%.2f\t%.2f\n", cell(i).Load, r.Scheme, r.ShortP999, r.LongP999)
+	for i, r := range results[loadStart:rateStart] {
+		fmt.Printf("%.1f\t%s\t%.2f\t%.2f\n", cell(loadStart+i).Load, r.Scheme, scalar(r, "short_p999"), scalar(r, "long_p999"))
 	}
 
 	fmt.Println("\n# Figure 7c/7d: websearch@80% + incast, sweep request rate (2MB requests)")
 	fmt.Println("# req_per_s\tscheme\tshort_p999\tlong_p999")
-	for i := rateStart; i < sizeStart; i++ {
-		r := results[i].Raw.(*exp.WebSearchResult)
-		fmt.Printf("%.0f\t%s\t%.2f\t%.2f\n", cell(i).IncastRate, r.Scheme, r.ShortP999, r.LongP999)
+	for i, r := range results[rateStart:sizeStart] {
+		fmt.Printf("%.0f\t%s\t%.2f\t%.2f\n", cell(rateStart+i).IncastRate, r.Scheme, scalar(r, "short_p999"), scalar(r, "long_p999"))
 	}
 
 	fmt.Println("\n# Figure 7e/7f: sweep request size at fixed rate")
 	fmt.Println("# req_mb\tscheme\tshort_p999\tlong_p999")
-	for i := sizeStart; i < bufStart; i++ {
-		r := results[i].Raw.(*exp.WebSearchResult)
-		fmt.Printf("%d\t%s\t%.2f\t%.2f\n", cell(i).IncastSize>>20, r.Scheme, r.ShortP999, r.LongP999)
+	for i, r := range results[sizeStart:bufStart] {
+		fmt.Printf("%d\t%s\t%.2f\t%.2f\n", cell(sizeStart+i).IncastSize>>20, r.Scheme, scalar(r, "short_p999"), scalar(r, "long_p999"))
 	}
 
 	fmt.Println("\n# Figure 7g/7h: buffer occupancy CDF at 80% load (+incast for 7h)")
-	for i := bufStart; i < len(specs); i++ {
-		r := results[i].Raw.(*exp.WebSearchResult)
-		fmt.Printf("# %s incast=%v p99_buffer=%.0fB\n", r.Scheme, cell(i).IncastRate > 0, r.BufferP99)
+	for i, r := range results[bufStart:] {
+		fmt.Printf("# %s incast=%v p99_buffer=%.0fB\n", r.Scheme, cell(bufStart+i).IncastRate > 0, scalar(r, "buffer_p99_bytes"))
 		fmt.Println("# occupancy_kb\tcdf")
-		for _, p := range r.BufferCDF {
-			fmt.Printf("%.1f\t%.3f\n", p.V/1024, p.F)
+		for _, p := range series(r, "buffer_cdf") {
+			fmt.Printf("%.1f\t%.3f\n", p.X/1024, p.V)
 		}
 		fmt.Println()
 	}
@@ -359,29 +374,21 @@ func fig8() {
 	results := runSuite(specs)
 
 	fmt.Println("# Figure 8a: RDCN throughput & VOQ time series")
-	for i := range schemes8a {
-		r := results[i].Raw.(*exp.RDCNResult)
+	for _, r := range results[:len(schemes8a)] {
 		fmt.Printf("# %s: circuit_util=%.2f tail_queuing=%.1fus avg=%.1fGbps\n",
-			r.Scheme, r.CircuitUtilization, r.TailQueuingUs, r.AvgGoodputGbps)
+			r.Scheme, scalar(r, "circuit_utilization"), scalar(r, "tail_queuing_us"), scalar(r, "avg_goodput_gbps"))
 		fmt.Println("# time_ms\tthroughput_gbps\tvoq_kb")
-		for k := range r.T {
-			if k%10 == 0 {
-				fmt.Printf("%.3f\t%.2f\t%.1f\n",
-					r.T[k].Seconds()*1e3, r.Throughput[k], r.VOQKB[k])
-			}
+		tp, voq := series(r, "throughput_gbps"), series(r, "voq_kb")
+		for k := 0; k < len(tp); k += 10 {
+			fmt.Printf("%.3f\t%.2f\t%.1f\n", tp[k].X/1e3, tp[k].V, voq[k].V)
 		}
 		fmt.Println()
 	}
 	fmt.Println("# Figure 8b: tail queuing latency vs packet bandwidth")
 	fmt.Println("# pkt_gbps\tscheme\ttail_queuing_us\tcircuit_util")
-	i := len(schemes8a)
-	for _, pg := range rates {
-		for range schemes8b {
-			r := results[i].Raw.(*exp.RDCNResult)
-			i++
-			fmt.Printf("%d\t%s\t%.1f\t%.2f\n",
-				pg/units.Gbps, r.Scheme, r.TailQueuingUs, r.CircuitUtilization)
-		}
+	for j, r := range results[len(schemes8a):] {
+		fmt.Printf("%d\t%s\t%.1f\t%.2f\n", rates[j/len(schemes8b)]/units.Gbps, r.Scheme,
+			scalar(r, "tail_queuing_us"), scalar(r, "circuit_utilization"))
 	}
 	fmt.Println()
 }
@@ -404,11 +411,10 @@ func fig9() {
 	fmt.Println("# Figures 9-11: HOMA overcommitment sweep")
 	fmt.Println("# oc\tjain\tincast10_peak_kb\tincast10_done\tincast255_peak_kb\tincast255_done")
 	for oc := 1; oc <= 6; oc++ {
-		f := results[(oc-1)*3].Raw.(*exp.FairnessResult)
-		i10 := results[(oc-1)*3+1].Raw.(*exp.IncastResult)
-		i255 := results[(oc-1)*3+2].Raw.(*exp.IncastResult)
-		fmt.Printf("%d\t%.3f\t%.0f\t%d\t%.0f\t%d\n",
-			oc, f.JainAvg, i10.PeakQueueKB, i10.Completed, i255.PeakQueueKB, i255.Completed)
+		f, i10, i255 := results[(oc-1)*3], results[(oc-1)*3+1], results[(oc-1)*3+2]
+		fmt.Printf("%d\t%.3f\t%.0f\t%d\t%.0f\t%d\n", oc, scalar(f, "jain"),
+			scalar(i10, "peak_queue_kb"), int(scalar(i10, "completed")),
+			scalar(i255, "peak_queue_kb"), int(scalar(i255, "completed")))
 	}
 	fmt.Println()
 }
@@ -444,38 +450,36 @@ func figMultipath() {
 
 	fmt.Println("# Supplementary MP-A: host-permutation goodput fairness under hash imbalance")
 	fmt.Println("# routing\tscheme\tjain\tavg_gbps\tmin_gbps\tuplinks_used\tuplink_imbalance")
-	for i := permStart; i < asymStart; i++ {
-		r := results[i].Raw.(*exp.PermutationResult)
+	for i, r := range results[permStart:asymStart] {
 		fmt.Printf("%s\t%s\t%.3f\t%.2f\t%.2f\t%d/%d\t%.2f\n",
-			r.Routing, r.Scheme, r.Jain, results[i].Scalar("avg_goodput_gbps"),
-			r.MinGbps, r.UplinksUsed, r.UplinksTotal, r.UplinkImbalance)
+			specs[permStart+i].Preset.(exp.Permutation).Routing, r.Scheme, scalar(r, "jain"), scalar(r, "avg_goodput_gbps"),
+			scalar(r, "min_goodput_gbps"), int(scalar(r, "uplinks_used")), int(scalar(r, "uplinks_total")),
+			scalar(r, "uplink_imbalance"))
 	}
 
 	fmt.Println("\n# Supplementary MP-B: unequal spines (100G + 50G), ECMP vs WCMP")
 	fmt.Println("# routing\tscheme\tefficiency\tjain\tspine_utils")
-	for i := asymStart; i < failStart; i++ {
-		r := results[i].Raw.(*exp.AsymmetryResult)
-		fmt.Printf("%s\t%s\t%.3f\t%.3f", r.Routing, r.Scheme, r.Efficiency, r.Jain)
-		for _, u := range r.SpineUtil {
-			fmt.Printf("\t%.2f", u)
+	for i, r := range results[asymStart:failStart] {
+		fmt.Printf("%s\t%s\t%.3f\t%.3f", specs[asymStart+i].Preset.(exp.Asymmetry).Routing, r.Scheme,
+			scalar(r, "efficiency"), scalar(r, "jain"))
+		for _, u := range series(r, "spine_util") {
+			fmt.Printf("\t%.2f", u.V)
 		}
 		fmt.Println()
 	}
 
 	fmt.Println("\n# Supplementary MP-C: spine-link failure at 1ms, restore at 3ms")
 	fmt.Println("# scheme\trecovery_us\tqueue_spike_kb\tlost_pkts\tpre_gbps\tpost_gbps")
-	for i := failStart; i < len(specs); i++ {
-		r := results[i].Raw.(*exp.FailoverResult)
+	for _, r := range results[failStart:] {
 		fmt.Printf("%s\t%.0f\t%.1f\t%d\t%.1f\t%.1f\n",
-			r.Scheme, r.RecoveryUs, r.QueueSpikeKB, r.LostPackets, r.PreFailGbps, r.PostFailGbps)
+			r.Scheme, scalar(r, "recovery_us"), scalar(r, "queue_spike_kb"), int(scalar(r, "lost_packets")),
+			scalar(r, "pre_fail_gbps"), scalar(r, "post_fail_gbps"))
 	}
-	for i := failStart; i < len(specs); i++ {
-		r := results[i].Raw.(*exp.FailoverResult)
+	for _, r := range results[failStart:] {
 		fmt.Printf("\n# MP-C series %s\n# time_ms\tgoodput_gbps\tqueue_kb\n", r.Scheme)
-		for k := range r.T {
-			if k%10 == 0 {
-				fmt.Printf("%.3f\t%.2f\t%.1f\n", r.T[k].Seconds()*1e3, r.Gbps[k], r.QueueKB[k])
-			}
+		gbps, q := series(r, "goodput_gbps"), series(r, "queue_kb")
+		for k := 0; k < len(gbps); k += 10 {
+			fmt.Printf("%.3f\t%.2f\t%.1f\n", gbps[k].X/1e3, gbps[k].V, q[k].V)
 		}
 	}
 	fmt.Println()

@@ -54,10 +54,7 @@ func main() {
 
 	suite := exp.Suite{Specs: specs, Workers: *workersFlag}
 	results, err := suite.Run()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
-	}
+	check(err)
 
 	fmt.Println("PowerTCP γ sweep — reaction speed vs noise sensitivity")
 	header := fmt.Sprintf("%-6s %14s %14s %12s %8s", "γ",
@@ -68,14 +65,28 @@ func main() {
 	fmt.Println(header)
 
 	for i, g := range gammas {
-		ic := results[i*perRow].Raw.(*exp.IncastResult)
-		fr := results[i*perRow+1].Raw.(*exp.FairnessResult)
-		row := fmt.Sprintf("%-6.2f %12.0fKB %12.1fKB %10.1fG %8.3f",
-			g, ic.PeakQueueKB, ic.TailMeanQueueKB, ic.AvgGoodputGbps, fr.JainAvg)
+		ic, fr := results[i*perRow], results[i*perRow+1]
+		row := fmt.Sprintf("%-6.2f %12.0fKB %12.1fKB %10.1fG %8.3f", g, scalar(ic, "peak_queue_kb"),
+			scalar(ic, "tail_mean_queue_kb"), scalar(ic, "avg_goodput_gbps"), scalar(fr, "jain"))
 		if !*quickFlag {
-			ws := results[i*perRow+2].Raw.(*exp.WebSearchResult)
-			row += fmt.Sprintf(" %12.1f %12.1f", ws.ShortP999, ws.LongP999)
+			ws := results[i*perRow+2]
+			row += fmt.Sprintf(" %12.1f %12.1f", scalar(ws, "short_p999"), scalar(ws, "long_p999"))
 		}
 		fmt.Println(row)
+	}
+}
+
+// scalar reads a cell's metric by name; a missing key exits 1 naming
+// the experiment, scheme and key, so a renamed metric cannot print a 0.
+func scalar(r *scenario.Result, name string) float64 {
+	v, err := r.Lookup(name)
+	check(err)
+	return v
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -36,8 +36,7 @@ func ExampleRunExperiment() {
 	if err != nil {
 		panic(err)
 	}
-	ic := res.Raw.(*powertcp.IncastResult)
-	fmt.Printf("completed=%d/%d\n", ic.Completed, ic.FanIn)
+	fmt.Printf("completed=%.0f/%.0f\n", res.Scalar("completed"), res.Scalar("fan_in"))
 	// Output: completed=10/10
 }
 

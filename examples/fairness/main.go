@@ -21,18 +21,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := res.Raw.(*powertcp.FairnessResult)
+	// One flow<i>_gbps series per flow, all on the same time axis.
+	per := res.Series
 
 	fmt.Println("four staggered PowerTCP flows on a 25G bottleneck (Gbps per flow)")
 	fmt.Printf("%8s %8s %8s %8s %8s\n", "t(ms)", "flow1", "flow2", "flow3", "flow4")
-	for k := 0; k < len(r.T); k += len(r.T) / 16 {
-		fmt.Printf("%8.2f", r.T[k].Seconds()*1e3)
-		for i := range r.Per {
-			fmt.Printf(" %8.2f", r.Per[i][k])
+	n := len(per[0].Points)
+	for k := 0; k < n; k += n / 16 {
+		fmt.Printf("%8.2f", per[0].Points[k].X/1e3)
+		for _, s := range per {
+			fmt.Printf(" %8.2f", s.Points[k].V)
 		}
 		fmt.Println()
 	}
-	fmt.Printf("\nmean Jain fairness index: %.3f (1.0 = perfectly fair)\n", r.JainAvg)
+	fmt.Printf("\nmean Jain fairness index: %.3f (1.0 = perfectly fair)\n", res.Scalar("jain"))
 	fmt.Println("Theorem 3: PowerTCP is β-weighted proportionally fair; with equal β")
 	fmt.Println("the allocation is max-min fair, which is what the staircase shows.")
 }

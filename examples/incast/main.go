@@ -38,10 +38,9 @@ func main() {
 	fmt.Printf("%-16s %12s %12s %14s %10s\n",
 		"scheme", "peak queue", "end queue", "goodput", "done")
 	for _, res := range results {
-		r := res.Raw.(*powertcp.IncastResult)
-		fmt.Printf("%-16s %10.0fKB %10.0fKB %11.1fGbps %6d/%d\n",
-			r.Scheme, r.PeakQueueKB, r.EndQueueKB, r.AvgGoodputGbps,
-			r.Completed, r.FanIn)
+		fmt.Printf("%-16s %10.0fKB %10.0fKB %11.1fGbps %6.0f/%.0f\n",
+			res.Scheme, res.Scalar("peak_queue_kb"), res.Scalar("end_queue_kb"),
+			res.Scalar("avg_goodput_gbps"), res.Scalar("completed"), res.Scalar("fan_in"))
 	}
 	fmt.Println("\nPowerTCP's takeaway: the queue drains back to ≈0 without the")
 	fmt.Println("receiver losing goodput — fast reaction *and* accurate inflight control.")

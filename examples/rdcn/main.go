@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -37,23 +38,23 @@ func main() {
 	fmt.Printf("%-14s %18s %20s %14s\n",
 		"scheme", "circuit util", "tail queuing (p99)", "goodput")
 	for _, res := range results {
-		r := res.Raw.(*powertcp.RDCNResult)
-		fmt.Printf("%-14s %17.1f%% %18.1fµs %11.1fGbps\n",
-			r.Scheme, r.CircuitUtilization*100, r.TailQueuingUs, r.AvgGoodputGbps)
+		fmt.Printf("%-14s %17.1f%% %18.1fµs %11.1fGbps\n", res.Scheme,
+			res.Scalar("circuit_utilization")*100, res.Scalar("tail_queuing_us"), res.Scalar("avg_goodput_gbps"))
 	}
 
 	// Show the bandwidth-tracking behaviour: PowerTCP's pair throughput
 	// around its circuit day (the gray region of Fig. 8a).
-	r := results[0].Raw.(*powertcp.RDCNResult)
-	fmt.Println("\nPowerTCP pair throughput (Gbps) and VOQ (KB) across the first rotor week:")
-	step := len(r.T) / 24
-	if step == 0 {
-		step = 1
+	tp, err1 := results[0].SeriesNamed("throughput_gbps")
+	voq, err2 := results[0].SeriesNamed("voq_kb")
+	if err := errors.Join(err1, err2); err != nil {
+		log.Fatal(err)
 	}
-	for i := 0; i < len(r.T)/3; i += step {
-		bar := int(r.Throughput[i] / 4)
-		fmt.Printf("%7.2fms %7.1fG %7.0fKB |%s\n",
-			r.T[i].Seconds()*1e3, r.Throughput[i], r.VOQKB[i], bars(bar))
+	fmt.Println("\nPowerTCP pair throughput (Gbps) and VOQ (KB) across the first rotor week:")
+	n := len(tp.Points)
+	step := max(n/24, 1)
+	for i := 0; i < n/3; i += step {
+		p := tp.Points[i]
+		fmt.Printf("%7.2fms %7.1fG %7.0fKB |%s\n", p.X/1e3, p.V, voq.Points[i].V, bars(int(p.V/4)))
 	}
 	fmt.Println("\nThe spike is the circuit day: PowerTCP ramps within ~1 RTT of the")
 	fmt.Println("bandwidth appearing, without reTCP's prebuffered queue sitting in the VOQ.")

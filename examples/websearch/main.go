@@ -43,12 +43,11 @@ func main() {
 	}
 	fmt.Printf("%10s\n", "done")
 	for _, res := range results {
-		r := res.Raw.(*powertcp.WebSearchResult)
-		fmt.Printf("%-16s", r.Scheme)
-		for _, v := range r.Binned.Row(99.9) {
-			fmt.Printf("%8.1f", v)
+		fmt.Printf("%-16s", res.Scheme)
+		for _, b := range stats.FlowSizeBins {
+			fmt.Printf("%8.1f", res.Scalar("p999_bin_"+stats.SizeLabel(b)))
 		}
-		fmt.Printf("%7d/%d\n", r.Completed, r.Started)
+		fmt.Printf("%7.0f/%.0f\n", res.Scalar("completed"), res.Scalar("started"))
 	}
 	fmt.Println("\nShort-flow bins (≤10KB) are where power-based control pays off: the")
 	fmt.Println("bottleneck queue stays near zero, so tail latency tracks the base RTT.")

@@ -27,14 +27,14 @@ func TestEverySchemeRunsIncast(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sc := range schemes {
-		r := results[i].Raw.(*IncastResult)
-		if r.AvgGoodputGbps < 2 {
-			t.Fatalf("%s: goodput %.1f Gbps", sc, r.AvgGoodputGbps)
+		r := results[i]
+		if g := scalar(t, r, "avg_goodput_gbps"); g < 2 {
+			t.Fatalf("%s: goodput %.1f Gbps", sc, g)
 		}
-		if r.Completed < 4 {
-			t.Fatalf("%s: only %d/6 incast flows completed", sc, r.Completed)
+		if n := scalar(t, r, "completed"); n < 4 {
+			t.Fatalf("%s: only %v/6 incast flows completed", sc, n)
 		}
-		if len(r.Points) == 0 {
+		if len(points(t, r, "queue_kb")) == 0 {
 			t.Fatalf("%s: no samples", sc)
 		}
 	}

@@ -10,19 +10,6 @@ import (
 	"repro/internal/units"
 )
 
-// AsymmetryResult is the typed payload of the unequal-spine experiment:
-// how a routing strategy shares an asymmetric core, per spine.
-type AsymmetryResult struct {
-	Scheme     string
-	Routing    string
-	Flows      int
-	SpineGbps  []float64 // configured per-spine capacity
-	SpineUtil  []float64 // fraction of that capacity actually carried
-	AggGbps    float64   // aggregate goodput over the window
-	Jain       float64   // fairness across per-flow goodputs
-	Efficiency float64   // AggGbps / min(total spine, offered) capacity
-}
-
 // Asymmetry is the supplementary multipath-lab comparison of ECMP and
 // WCMP across unequal spine capacities: one long flow from every server
 // on the first leaf to its counterpart on the last leaf, so all traffic
@@ -77,8 +64,12 @@ func (p Asymmetry) run(seed int64, scheme scenario.Scheme) (*scenario.Result, er
 	})
 }
 
-// asymmetryPanel summarizes the asymmetric-core run: aggregate goodput,
-// per-flow fairness, per-spine utilization and capacity efficiency.
+// asymmetryPanel summarizes the asymmetric-core run, how the routing
+// strategy shared it: flows; agg_goodput_gbps over the window; jain,
+// fairness across the per-flow goodputs; efficiency, agg_goodput_gbps
+// over min(total spine, offered) capacity; and spine<i>_util (also the
+// spine_util series), the fraction of spine i's configured capacity
+// actually carried.
 type asymmetryPanel struct {
 	window sim.Duration
 }
@@ -91,8 +82,7 @@ func (p *asymmetryPanel) Finalize(env *scenario.Env, res *scenario.Result) error
 	perLeaf := ls.ServersPerLeaf
 	rxBase := (ls.Leaves - 1) * perLeaf
 
-	ar := &AsymmetryResult{Scheme: env.Scheme.Name, Routing: net.Router.Strategy().Name(), Flows: perLeaf}
-	var sum, sumSq float64
+	var sum, sumSq, jain float64
 	var aggBytes int64
 	for i := 0; i < perLeaf; i++ {
 		g := stats.Gbps(env.Lab.ReceivedTotal(rxBase+i), p.window)
@@ -100,42 +90,38 @@ func (p *asymmetryPanel) Finalize(env *scenario.Env, res *scenario.Result) error
 		sum += g
 		sumSq += g * g
 	}
-	ar.AggGbps = stats.Gbps(aggBytes, p.window)
+	agg := stats.Gbps(aggBytes, p.window)
 	if sumSq > 0 {
-		ar.Jain = sum * sum / (float64(perLeaf) * sumSq)
+		jain = sum * sum / (float64(perLeaf) * sumSq)
 	}
 
 	// Spine utilization, measured on leaf 0's uplinks (ports follow the
 	// servers, in spine order).
+	spineSeries := scenario.Series{Name: "spine_util", XLabel: "spine"}
 	var totalSpine units.BitRate
 	for sp := 0; sp < ls.Spines; sp++ {
 		rate := ls.SpineRate(sp)
 		totalSpine += rate
 		pt := net.Switches[ls.LeafSwitch(0)].Ports()[perLeaf+sp]
-		carried := stats.Gbps(int64(pt.TxBytes()), p.window)
-		ar.SpineGbps = append(ar.SpineGbps, float64(rate/units.Gbps))
-		ar.SpineUtil = append(ar.SpineUtil, carried/float64(rate/units.Gbps))
+		u := stats.Gbps(int64(pt.TxBytes()), p.window) / float64(rate/units.Gbps)
+		res.SetScalar(fmt.Sprintf("spine%d_util", sp), u)
+		spineSeries.Points = append(spineSeries.Points, scenario.SeriesPoint{X: float64(sp), V: u})
 	}
 	offered := float64(perLeaf) * float64(net.HostRate/units.Gbps)
 	capacity := float64(totalSpine / units.Gbps)
 	if offered < capacity {
 		capacity = offered
 	}
+	var efficiency float64
 	if capacity > 0 {
-		ar.Efficiency = ar.AggGbps / capacity
+		efficiency = agg / capacity
 	}
 
-	res.Raw = ar
-	res.SetScalar("flows", float64(ar.Flows))
-	res.SetScalar("agg_goodput_gbps", ar.AggGbps)
-	res.SetScalar("jain", ar.Jain)
-	res.SetScalar("efficiency", ar.Efficiency)
+	res.SetScalar("flows", float64(perLeaf))
+	res.SetScalar("agg_goodput_gbps", agg)
+	res.SetScalar("jain", jain)
+	res.SetScalar("efficiency", efficiency)
 	res.SetScalar("engine_steps", float64(net.Steps()))
-	spineSeries := scenario.Series{Name: "spine_util", XLabel: "spine"}
-	for sp, u := range ar.SpineUtil {
-		res.SetScalar(fmt.Sprintf("spine%d_util", sp), u)
-		spineSeries.Points = append(spineSeries.Points, scenario.SeriesPoint{X: float64(sp), V: u})
-	}
 	res.AddSeries(spineSeries)
 	return nil
 }

@@ -13,20 +13,24 @@ import (
 // byte-identical experiment results (the paper's artifact property this
 // repository leans on for regression testing).
 func TestIncastDeterminism(t *testing.T) {
-	run := func() *IncastResult {
+	run := func() *scenario.Result {
 		return mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: 2 * sim.Millisecond},
-			Scheme: scenario.PowerTCP, Seed: 7}).Raw.(*IncastResult)
+			Scheme: scenario.PowerTCP, Seed: 7})
 	}
 	a, b := run(), run()
-	if len(a.Points) != len(b.Points) {
-		t.Fatalf("sample counts differ: %d vs %d", len(a.Points), len(b.Points))
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("series diverged at %d: %+v vs %+v", i, a.Points[i], b.Points[i])
+	for _, name := range []string{"throughput_gbps", "queue_kb"} {
+		pa, pb := points(t, a, name), points(t, b, name)
+		if len(pa) != len(pb) {
+			t.Fatalf("%s: sample counts differ: %d vs %d", name, len(pa), len(pb))
+		}
+		for i := range pa {
+			if pa[i] != pb[i] {
+				t.Fatalf("%s diverged at %d: %+v vs %+v", name, i, pa[i], pb[i])
+			}
 		}
 	}
-	if a.Completed != b.Completed || a.PeakQueueKB != b.PeakQueueKB {
+	if scalar(t, a, "completed") != scalar(t, b, "completed") ||
+		scalar(t, a, "peak_queue_kb") != scalar(t, b, "peak_queue_kb") {
 		t.Fatal("summary metrics diverged")
 	}
 }
@@ -39,14 +43,15 @@ func TestWebSearchDeterminismAcrossSchemesIsolated(t *testing.T) {
 		return Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4,
 			Duration: 2 * sim.Millisecond, Drain: 2 * sim.Millisecond}, Scheme: scheme, Seed: 9}
 	}
-	a := mustRun(t, spec(scenario.PowerTCP)).Raw.(*WebSearchResult)
-	b := mustRun(t, spec(scenario.PowerTCP)).Raw.(*WebSearchResult)
-	if a.Completed != b.Completed || a.ShortP999 != b.ShortP999 {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+	a := mustRun(t, spec(scenario.PowerTCP))
+	b := mustRun(t, spec(scenario.PowerTCP))
+	if scalar(t, a, "completed") != scalar(t, b, "completed") ||
+		scalar(t, a, "short_p999") != scalar(t, b, "short_p999") {
+		t.Fatalf("same seed diverged: %+v vs %+v", a.Scalars, b.Scalars)
 	}
-	c := mustRun(t, spec(scenario.HPCC)).Raw.(*WebSearchResult)
-	if c.Started != a.Started {
-		t.Fatalf("workload trace depends on scheme: %d vs %d flows", c.Started, a.Started)
+	c := mustRun(t, spec(scenario.HPCC))
+	if cs, as := scalar(t, c, "started"), scalar(t, a, "started"); cs != as {
+		t.Fatalf("workload trace depends on scheme: %v vs %v flows", cs, as)
 	}
 }
 
@@ -56,9 +61,10 @@ func TestSeedChangesWorkload(t *testing.T) {
 			Drain: sim.Millisecond},
 			Scheme: scenario.PowerTCP, Seed: seed}
 	}
-	a := mustRun(t, spec(1)).Raw.(*WebSearchResult)
-	b := mustRun(t, spec(2)).Raw.(*WebSearchResult)
-	if a.Started == b.Started && a.ShortP999 == b.ShortP999 {
+	a := mustRun(t, spec(1))
+	b := mustRun(t, spec(2))
+	if scalar(t, a, "started") == scalar(t, b, "started") &&
+		scalar(t, a, "short_p999") == scalar(t, b, "short_p999") {
 		t.Fatal("different seeds produced identical runs (suspicious)")
 	}
 }

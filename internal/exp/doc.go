@@ -12,8 +12,12 @@
 //   - Spec, the identity of one run — {Preset, Scheme, SchemeOpts, Seed,
 //     Label} — executed by Run, and a Suite that executes many
 //     concurrently over a GOMAXPROCS-sized worker pool.
-//   - The typed result payloads (IncastResult, WebSearchResult, …)
-//     carried in scenario.Result.Raw.
+//
+// A run's whole result is a scenario.Result: each panel probe writes
+// every number its figure prints as a named scalar or series, once, and
+// its doc comment lists them. Readers fetch them by name
+// (Result.Lookup, Result.SeriesNamed), so a figure redrawn from the
+// JSON a golden pins or powersimd serves matches one drawn in process.
 //
 // A knob an experiment does not read is not a field of its struct.
 // Value domains are enforced where a value is consumed: by the scenario

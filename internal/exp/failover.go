@@ -10,24 +10,6 @@ import (
 	"repro/internal/units"
 )
 
-// FailoverResult is the typed payload of the link-failure experiment:
-// goodput and queue trajectories around a mid-run spine-link cut, and
-// how fast the scheme recovered once routing reconverged.
-type FailoverResult struct {
-	Scheme  string
-	Routing string
-	T       []sim.Time
-	Gbps    []float64 // aggregate goodput per sample
-	QueueKB []float64 // max uplink queue on the sending leaf
-
-	PreFailGbps  float64 // mean goodput before the cut
-	PostFailGbps float64 // mean goodput after recovery (before restore)
-	RecoveryUs   float64 // cut → goodput back to ≥90% of pre-fail
-	Recovered    bool
-	QueueSpikeKB float64 // max queue seen after the cut
-	LostPackets  uint64  // packets black-holed on downed wires
-}
-
 // KeepLinkDown, as Failover.RestoreAfter, leaves the failed link down
 // for the rest of the run.
 const KeepLinkDown sim.Duration = -1
@@ -124,10 +106,17 @@ func (p Failover) run(seed int64, scheme scenario.Scheme) (*scenario.Result, err
 	})
 }
 
-// failoverPanel samples aggregate goodput and the sending leaf's
-// worst uplink queue, then summarizes the recovery: pre-fail baseline,
-// time back to 90% goodput, post-recovery plateau, queue spike and
-// black-holed packets.
+// failoverPanel samples aggregate goodput and the sending leaf's worst
+// uplink queue (the series goodput_gbps and queue_kb), then summarizes
+// how fast the scheme recovered once routing reconverged:
+//
+//   - pre_fail_gbps: mean goodput before the cut;
+//   - recovery_us: cut → goodput back to ≥90% of pre-fail, and
+//     recovered (1 or 0): whether it ever got there;
+//   - post_fail_gbps: mean goodput after recovery, before the restore;
+//   - queue_spike_kb: the max queue seen after the cut;
+//   - lost_packets: packets black-holed on downed wires;
+//   - route_rebuilds.
 type failoverPanel struct {
 	period    sim.Duration
 	window    sim.Duration
@@ -135,7 +124,9 @@ type failoverPanel struct {
 	restoreAt sim.Duration // 0 means the link stays down
 	flows     int
 
-	fr        *FailoverResult
+	t         []sim.Time
+	gbps      []float64
+	queueKB   []float64
 	lastBytes int64
 }
 
@@ -144,7 +135,6 @@ func (p *failoverPanel) Install(env *scenario.Env) error {
 	ls := env.Lab.LSCfg
 	perLeaf := ls.ServersPerLeaf
 	rxBase := (ls.Leaves - 1) * perLeaf
-	p.fr = &FailoverResult{Scheme: env.Scheme.Name, Routing: net.Router.Strategy().Name()}
 	uplinks := net.Switches[ls.LeafSwitch(0)].Ports()[perLeaf : perLeaf+ls.Spines]
 	scenario.SampleEvery(net.Eng, p.period, env.Horizon, func(now sim.Time) {
 		var cur int64
@@ -157,20 +147,20 @@ func (p *failoverPanel) Install(env *scenario.Env) error {
 				q = b
 			}
 		}
-		p.fr.T = append(p.fr.T, now)
-		p.fr.Gbps = append(p.fr.Gbps, stats.Gbps(cur-p.lastBytes, p.period))
-		p.fr.QueueKB = append(p.fr.QueueKB, float64(q)/1024)
+		p.t = append(p.t, now)
+		p.gbps = append(p.gbps, stats.Gbps(cur-p.lastBytes, p.period))
+		p.queueKB = append(p.queueKB, float64(q)/1024)
 		p.lastBytes = cur
 	})
 	return nil
 }
 
 func (p *failoverPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
-	fr := p.fr
 	net := env.Lab.Net
+	var lost uint64
 	for _, sw := range net.Switches {
 		for _, pt := range sw.Ports() {
-			fr.LostPackets += pt.Lost()
+			lost += pt.Lost()
 		}
 	}
 
@@ -181,62 +171,60 @@ func (p *failoverPanel) Finalize(env *scenario.Env, res *scenario.Result) error 
 	if p.restoreAt > p.failAt {
 		restoreT = sim.Time(p.restoreAt)
 	}
-	var preSum float64
+	var preSum, pre float64
 	var preN int
-	for i, t := range fr.T {
+	for i, t := range p.t {
 		if t >= failT {
 			break
 		}
 		if t >= failT/2 {
-			preSum += fr.Gbps[i]
+			preSum += p.gbps[i]
 			preN++
 		}
 	}
 	if preN > 0 {
-		fr.PreFailGbps = preSum / float64(preN)
+		pre = preSum / float64(preN)
 	}
 
 	// Recovery: first post-cut sample back at ≥90% of the baseline.
-	target := 0.9 * fr.PreFailGbps
+	target := 0.9 * pre
 	recoveredAt := sim.Time(p.window)
-	for i, t := range fr.T {
+	var spike float64
+	recovered := false
+	for i, t := range p.t {
 		if t <= failT {
 			continue
 		}
-		if fr.QueueKB[i] > fr.QueueSpikeKB {
-			fr.QueueSpikeKB = fr.QueueKB[i]
-		}
-		if !fr.Recovered && fr.Gbps[i] >= target {
-			fr.Recovered = true
+		spike = max(spike, p.queueKB[i])
+		if !recovered && p.gbps[i] >= target {
+			recovered = true
 			recoveredAt = t
 		}
 	}
-	fr.RecoveryUs = (recoveredAt - failT).Seconds() * 1e6
 
 	// Post-recovery plateau: recovery point to the restore instant.
-	var postSum float64
+	var postSum, post float64
 	var postN int
-	for i, t := range fr.T {
+	for i, t := range p.t {
 		if t > recoveredAt && t < restoreT {
-			postSum += fr.Gbps[i]
+			postSum += p.gbps[i]
 			postN++
 		}
 	}
 	if postN > 0 {
-		fr.PostFailGbps = postSum / float64(postN)
+		post = postSum / float64(postN)
 	}
 
-	res.Raw = fr
-	res.SetScalar("pre_fail_gbps", fr.PreFailGbps)
-	res.SetScalar("post_fail_gbps", fr.PostFailGbps)
-	res.SetScalar("recovery_us", fr.RecoveryUs)
-	res.SetScalar("recovered", b2f(fr.Recovered))
-	res.SetScalar("queue_spike_kb", fr.QueueSpikeKB)
-	res.SetScalar("lost_packets", float64(fr.LostPackets))
+	res.SetScalar("pre_fail_gbps", pre)
+	res.SetScalar("post_fail_gbps", post)
+	res.SetScalar("recovery_us", (recoveredAt-failT).Seconds()*1e6)
+	res.SetScalar("recovered", b2f(recovered))
+	res.SetScalar("queue_spike_kb", spike)
+	res.SetScalar("lost_packets", float64(lost))
 	res.SetScalar("route_rebuilds", float64(net.Router.Rebuilds()))
 	res.SetScalar("engine_steps", float64(net.Steps()))
-	res.AddSeries(scenario.TimeSeries("goodput_gbps", fr.T, fr.Gbps))
-	res.AddSeries(scenario.TimeSeries("queue_kb", fr.T, fr.QueueKB))
+	res.AddSeries(scenario.TimeSeries("goodput_gbps", p.t, p.gbps))
+	res.AddSeries(scenario.TimeSeries("queue_kb", p.t, p.queueKB))
 	return nil
 }
 

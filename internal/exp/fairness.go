@@ -9,15 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-// FairnessResult carries per-flow throughput series (Figure 5, and
-// Figure 9 for HOMA's overcommitment levels).
-type FairnessResult struct {
-	Scheme  string
-	T       []sim.Time
-	Per     [][]float64 // Per[i][k]: flow i's Gbps at sample k
-	JainAvg float64     // mean Jain index over samples with ≥2 active flows
-}
-
 // Fairness is Figure 5 (staggered arrivals) and Figure 9 (HOMA
 // overcommitment): Flows staggered senders to one receiver over a single
 // 25G bottleneck.
@@ -66,13 +57,16 @@ func (p Fairness) run(seed int64, scheme scenario.Scheme) (*scenario.Result, err
 	})
 }
 
-// fairnessPanel samples every launched flow's receive rate and averages
-// the Jain fairness index over samples with ≥2 active flows.
+// fairnessPanel samples every launched flow's receive rate (Figure 5,
+// and Figure 9 for HOMA's overcommitment levels) and writes one
+// flow<i>_gbps series per flow, the flow count, and jain: the mean Jain
+// fairness index over samples with ≥2 active flows.
 type fairnessPanel struct {
 	receiver int
 	period   sim.Duration
 
-	fr      *FairnessResult
+	t       []sim.Time
+	per     [][]float64 // per[i][k]: flow i's Gbps at sample k
 	last    []int64
 	jainSum float64
 	jainN   int
@@ -80,17 +74,17 @@ type fairnessPanel struct {
 
 func (p *fairnessPanel) Install(env *scenario.Env) error {
 	flows := len(env.Launched)
-	p.fr = &FairnessResult{Scheme: env.Scheme.Name, Per: make([][]float64, flows)}
+	p.per = make([][]float64, flows)
 	p.last = make([]int64, flows)
 	scenario.SampleEvery(env.Eng(), p.period, env.Horizon, func(now sim.Time) {
-		p.fr.T = append(p.fr.T, now)
+		p.t = append(p.t, now)
 		var sum, sumSq float64
 		active := 0
 		for i := 0; i < flows; i++ {
 			cur := env.Lab.ReceivedBytes(p.receiver, env.Launched[i].ID)
 			g := stats.Gbps(cur-p.last[i], p.period)
 			p.last[i] = cur
-			p.fr.Per[i] = append(p.fr.Per[i], g)
+			p.per[i] = append(p.per[i], g)
 			if g > 0.5 {
 				active++
 				sum += g
@@ -106,15 +100,15 @@ func (p *fairnessPanel) Install(env *scenario.Env) error {
 }
 
 func (p *fairnessPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
+	var jain float64
 	if p.jainN > 0 {
-		p.fr.JainAvg = p.jainSum / float64(p.jainN)
+		jain = p.jainSum / float64(p.jainN)
 	}
-	res.Raw = p.fr
-	res.SetScalar("jain", p.fr.JainAvg)
-	res.SetScalar("flows", float64(len(p.fr.Per)))
+	res.SetScalar("jain", jain)
+	res.SetScalar("flows", float64(len(p.per)))
 	res.SetScalar("engine_steps", float64(env.Steps()))
-	for i := range p.fr.Per {
-		res.AddSeries(scenario.TimeSeries(fmt.Sprintf("flow%d_gbps", i+1), p.fr.T, p.fr.Per[i]))
+	for i := range p.per {
+		res.AddSeries(scenario.TimeSeries(fmt.Sprintf("flow%d_gbps", i+1), p.t, p.per[i]))
 	}
 	return nil
 }

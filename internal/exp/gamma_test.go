@@ -12,19 +12,18 @@ import (
 // for longer — while the recommended γ=0.9 cuts within roughly an RTT.
 // We compare the tail-mean queue after the burst.
 func TestGammaTradeoff(t *testing.T) {
-	run := func(gamma float64) *IncastResult {
+	run := func(gamma float64) *scenario.Result {
 		return mustRun(t, Spec{Preset: Incast{FanIn: 10, Window: 3 * sim.Millisecond},
-			Scheme: scenario.PowerTCP, SchemeOpts: []scenario.SchemeOption{scenario.Gamma(gamma)}, Seed: 4}).Raw.(*IncastResult)
+			Scheme: scenario.PowerTCP, SchemeOpts: []scenario.SchemeOption{scenario.Gamma(gamma)}, Seed: 4})
 	}
-	slow := run(0.1)
+	slow := scalar(t, run(0.1), "tail_mean_queue_kb")
 	rec := run(0.9)
-	if rec.TailMeanQueueKB > slow.TailMeanQueueKB+1 {
-		t.Fatalf("γ=0.9 resolved worse than γ=0.1: %.1fKB vs %.1fKB",
-			rec.TailMeanQueueKB, slow.TailMeanQueueKB)
+	if tail := scalar(t, rec, "tail_mean_queue_kb"); tail > slow+1 {
+		t.Fatalf("γ=0.9 resolved worse than γ=0.1: %.1fKB vs %.1fKB", tail, slow)
 	}
 	// Both must still complete the incast and keep goodput.
-	if rec.AvgGoodputGbps < 15 {
-		t.Fatalf("γ=0.9 goodput = %v", rec.AvgGoodputGbps)
+	if g := scalar(t, rec, "avg_goodput_gbps"); g < 15 {
+		t.Fatalf("γ=0.9 goodput = %v", g)
 	}
 }
 

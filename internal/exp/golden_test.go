@@ -2,8 +2,10 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/scenario"
@@ -41,7 +43,10 @@ func goldenSpecs() []Spec {
 // TestGoldenCompatibility runs every registered experiment at seed 1 and
 // compares the encoded JSON byte-for-byte against the recorded
 // pre-redesign outputs. Regenerate with POWERTCP_UPDATE_GOLDEN=1 — but
-// only when a change is *meant* to alter figure output.
+// only when a change is *meant* to alter figure output. It also decodes
+// each golden and requires it to equal the in-process Result: what
+// powersimd serves is the whole result, so a figure drawn from it is
+// the figure drawn in process.
 func TestGoldenCompatibility(t *testing.T) {
 	update := os.Getenv("POWERTCP_UPDATE_GOLDEN") != ""
 	specs := goldenSpecs()
@@ -85,6 +90,13 @@ func TestGoldenCompatibility(t *testing.T) {
 		if !bytes.Equal(want, buf.Bytes()) {
 			t.Errorf("%s: seed-1 output differs from recorded golden %s (%d vs %d bytes)",
 				spec.Preset.Name(), path, len(buf.Bytes()), len(want))
+		}
+		var served scenario.Result
+		if err := json.Unmarshal(want, &served); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !reflect.DeepEqual(&served, r) {
+			t.Errorf("%s: the decoded golden is not the in-process Result", spec.Preset.Name())
 		}
 	}
 }

@@ -8,26 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// TimePoint is one sample of the Figure 4 time series.
-type TimePoint struct {
-	T              sim.Time
-	ThroughputGbps float64
-	QueueKB        float64
-}
-
-// IncastResult is the typed payload behind one Figure 4 panel (and
-// Figures 10–11 for HOMA's overcommitment appendix).
-type IncastResult struct {
-	Scheme          string
-	FanIn           int
-	Points          []TimePoint
-	PeakQueueKB     float64
-	AvgGoodputGbps  float64 // receiver goodput over the window
-	EndQueueKB      float64 // queue at the end: did congestion resolve?
-	TailMeanQueueKB float64 // mean queue over the last quarter of the window
-	Completed       int     // incast flows finished inside the window
-}
-
 // Incast is one panel of Figure 4 (10:1 and 255:1) and of Figures 10–11
 // (HOMA overcommitment): a long flow into the receiver, then at Warmup
 // a FanIn:1 incast pulse from senders in other racks hits it.
@@ -86,15 +66,27 @@ func (p Incast) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error
 	})
 }
 
-// incastPanel is the Figure 4 probe: one sampler records receiver
-// throughput and the bottleneck ToR queue, and the finalizer summarizes
-// peak/end/tail queue and goodput.
+// incastPanel is the Figure 4 probe (and Figures 10–11's, for HOMA's
+// overcommitment appendix): one sampler records receiver throughput and
+// the bottleneck ToR queue, and the finalizer writes both as series and
+// these scalars:
+//
+//   - fan_in: the incast flows actually launched;
+//   - peak_queue_kb, and end_queue_kb, the queue at the end: did
+//     congestion resolve?
+//   - tail_mean_queue_kb: the mean queue over the last quarter of the
+//     window;
+//   - avg_goodput_gbps: receiver goodput over the window;
+//   - completed: incast flows finished inside the window.
 type incastPanel struct {
 	receiver int
 	flowSize int64
 	period   sim.Duration
 
-	ic        *IncastResult
+	fanIn     int
+	t         []sim.Time
+	gbps      []float64
+	queueKB   []float64
 	lastBytes int64
 }
 
@@ -106,75 +98,60 @@ func (p *incastPanel) Install(env *scenario.Env) error {
 	port := net.Switches[p.receiver/perRack].Ports()[p.receiver%perRack]
 
 	// The incast fan-in actually launched: pulse flows carry FlowSize.
-	fanIn := 0
 	for _, f := range env.Launched {
 		if f.Size == p.flowSize {
-			fanIn++
+			p.fanIn++
 		}
 	}
 
 	// The sampler runs at a fixed period from t=0 to the fixed horizon,
-	// so the series length is run metadata: allocate the points once.
-	p.ic = &IncastResult{
-		Scheme: env.Scheme.Name, FanIn: fanIn,
-		Points: make([]TimePoint, 0, int(env.Horizon.Duration()/p.period)+2),
-	}
+	// so the series length is run metadata: allocate the samples once.
+	n := int(env.Horizon.Duration()/p.period) + 2
+	p.t, p.gbps, p.queueKB = make([]sim.Time, 0, n), make([]float64, 0, n), make([]float64, 0, n)
 	scenario.SampleEvery(net.Eng, p.period, env.Horizon, func(now sim.Time) {
 		cur := env.Lab.ReceivedTotal(p.receiver)
-		tp := TimePoint{
-			T:              now,
-			ThroughputGbps: stats.Gbps(cur-p.lastBytes, p.period),
-			QueueKB:        float64(port.QueueBytes()) / 1024,
-		}
+		p.t = append(p.t, now)
+		p.gbps = append(p.gbps, stats.Gbps(cur-p.lastBytes, p.period))
+		p.queueKB = append(p.queueKB, float64(port.QueueBytes())/1024)
 		p.lastBytes = cur
-		p.ic.Points = append(p.ic.Points, tp)
 	})
 	return nil
 }
 
 func (p *incastPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
-	ic := p.ic
-	var sumTp float64
-	for _, pt := range ic.Points {
-		if pt.QueueKB > ic.PeakQueueKB {
-			ic.PeakQueueKB = pt.QueueKB
-		}
-		sumTp += pt.ThroughputGbps
+	var peak, sumTp, avg, end, tailMean float64
+	for i, q := range p.queueKB {
+		peak = max(peak, q)
+		sumTp += p.gbps[i]
 	}
-	if n := len(ic.Points); n > 0 {
-		ic.AvgGoodputGbps = sumTp / float64(n)
-		ic.EndQueueKB = ic.Points[n-1].QueueKB
+	if n := len(p.queueKB); n > 0 {
+		avg = sumTp / float64(n)
+		end = p.queueKB[n-1]
 		k := n / 4
 		if k == 0 {
 			k = 1
 		}
 		var tail float64
-		for _, pt := range ic.Points[n-k:] {
-			tail += pt.QueueKB
+		for _, q := range p.queueKB[n-k:] {
+			tail += q
 		}
-		ic.TailMeanQueueKB = tail / float64(k)
+		tailMean = tail / float64(k)
 	}
+	completed := 0
 	for _, r := range env.Lab.Records {
 		if r.Size == p.flowSize {
-			ic.Completed++
+			completed++
 		}
 	}
 
-	res.Raw = ic
-	res.SetScalar("fan_in", float64(ic.FanIn))
+	res.SetScalar("fan_in", float64(p.fanIn))
 	res.SetScalar("engine_steps", float64(env.Steps()))
-	res.SetScalar("peak_queue_kb", ic.PeakQueueKB)
-	res.SetScalar("end_queue_kb", ic.EndQueueKB)
-	res.SetScalar("tail_mean_queue_kb", ic.TailMeanQueueKB)
-	res.SetScalar("avg_goodput_gbps", ic.AvgGoodputGbps)
-	res.SetScalar("completed", float64(ic.Completed))
-	ts := make([]sim.Time, len(ic.Points))
-	tp := make([]float64, len(ic.Points))
-	qs := make([]float64, len(ic.Points))
-	for i, pt := range ic.Points {
-		ts[i], tp[i], qs[i] = pt.T, pt.ThroughputGbps, pt.QueueKB
-	}
-	res.AddSeries(scenario.TimeSeries("throughput_gbps", ts, tp))
-	res.AddSeries(scenario.TimeSeries("queue_kb", ts, qs))
+	res.SetScalar("peak_queue_kb", peak)
+	res.SetScalar("end_queue_kb", end)
+	res.SetScalar("tail_mean_queue_kb", tailMean)
+	res.SetScalar("avg_goodput_gbps", avg)
+	res.SetScalar("completed", float64(completed))
+	res.AddSeries(scenario.TimeSeries("throughput_gbps", p.t, p.gbps))
+	res.AddSeries(scenario.TimeSeries("queue_kb", p.t, p.queueKB))
 	return nil
 }

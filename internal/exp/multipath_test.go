@@ -15,39 +15,36 @@ func permSpec(routing string) Spec {
 }
 
 func TestPermutationECMPSpreadsAndOutperformsSinglePath(t *testing.T) {
-	ecmp := mustRun(t, permSpec("ecmp")).Raw.(*PermutationResult)
-	single := mustRun(t, permSpec("single")).Raw.(*PermutationResult)
+	ecmp := mustRun(t, permSpec("ecmp"))
+	single := mustRun(t, permSpec("single"))
 
-	if ecmp.Routing != "ecmp" || single.Routing != "single" {
-		t.Fatalf("routing labels: %q, %q", ecmp.Routing, single.Routing)
-	}
-	if ecmp.Flows != 32 {
-		t.Fatalf("permutation launched %d flows on a 32-host tree", ecmp.Flows)
+	if n := scalar(t, ecmp, "flows"); n != 32 {
+		t.Fatalf("permutation launched %v flows on a 32-host tree", n)
 	}
 	// ECMP engages (nearly) every ToR uplink — at 32 flows the hash may
 	// miss one — while deterministic single-path concentrates each ToR
 	// onto one. The exhaustive per-table spread assertion lives in the
 	// topo tests; here we check the traffic actually spread.
-	if ecmp.UplinksUsed < ecmp.UplinksTotal-1 {
-		t.Fatalf("ECMP used %d/%d uplinks", ecmp.UplinksUsed, ecmp.UplinksTotal)
+	eUsed, sUsed := scalar(t, ecmp, "uplinks_used"), scalar(t, single, "uplinks_used")
+	if total := scalar(t, ecmp, "uplinks_total"); eUsed < total-1 {
+		t.Fatalf("ECMP used %v/%v uplinks", eUsed, total)
 	}
-	if single.UplinksUsed >= ecmp.UplinksUsed {
-		t.Fatalf("single-path used %d uplinks, ECMP %d — no spreading win",
-			single.UplinksUsed, ecmp.UplinksUsed)
+	if sUsed >= eUsed {
+		t.Fatalf("single-path used %v uplinks, ECMP %v — no spreading win", sUsed, eUsed)
 	}
 	// Spreading pays: higher aggregate goodput and better fairness.
 	var eAvg, sAvg float64
-	for _, g := range ecmp.PerFlowGbps {
-		eAvg += g
+	for _, p := range points(t, ecmp, "flow_goodput_gbps") {
+		eAvg += p.V
 	}
-	for _, g := range single.PerFlowGbps {
-		sAvg += g
+	for _, p := range points(t, single, "flow_goodput_gbps") {
+		sAvg += p.V
 	}
 	if eAvg <= sAvg {
 		t.Fatalf("ECMP aggregate %.1f ≤ single-path %.1f", eAvg, sAvg)
 	}
-	if ecmp.Jain <= single.Jain {
-		t.Fatalf("ECMP Jain %.3f ≤ single-path %.3f", ecmp.Jain, single.Jain)
+	if ej, sj := scalar(t, ecmp, "jain"), scalar(t, single, "jain"); ej <= sj {
+		t.Fatalf("ECMP Jain %.3f ≤ single-path %.3f", ej, sj)
 	}
 }
 
@@ -59,32 +56,31 @@ func TestAsymmetryWCMPBeatsECMPBeatsSinglePath(t *testing.T) {
 			Window: 2 * sim.Millisecond},
 			Scheme: scenario.PowerTCP, Seed: 1}
 	}
-	ecmp := mustRun(t, spec("ecmp")).Raw.(*AsymmetryResult)
-	wcmp := mustRun(t, spec("wecmp")).Raw.(*AsymmetryResult)
-	single := mustRun(t, spec("single")).Raw.(*AsymmetryResult)
+	ecmp := mustRun(t, spec("ecmp"))
+	wcmp := mustRun(t, spec("wecmp"))
+	single := mustRun(t, spec("single"))
 
 	// Weighted hashing matches the 2:1 spine capacities: fairness
 	// improves over capacity-blind ECMP.
-	if wcmp.Jain <= ecmp.Jain {
-		t.Fatalf("WCMP Jain %.3f ≤ ECMP %.3f", wcmp.Jain, ecmp.Jain)
+	if wj, ej := scalar(t, wcmp, "jain"), scalar(t, ecmp, "jain"); wj <= ej {
+		t.Fatalf("WCMP Jain %.3f ≤ ECMP %.3f", wj, ej)
 	}
 	// Single-path leaves a spine idle and loses efficiency.
-	if single.Efficiency >= 0.85*ecmp.Efficiency {
-		t.Fatalf("single-path efficiency %.2f suspiciously close to ECMP %.2f",
-			single.Efficiency, ecmp.Efficiency)
+	if se, ee := scalar(t, single, "efficiency"), scalar(t, ecmp, "efficiency"); se >= 0.85*ee {
+		t.Fatalf("single-path efficiency %.2f suspiciously close to ECMP %.2f", se, ee)
 	}
 	idle := 0
-	for _, u := range single.SpineUtil {
-		if u == 0 {
+	for _, u := range points(t, single, "spine_util") {
+		if u.V == 0 {
 			idle++
 		}
 	}
 	if idle == 0 {
 		t.Fatal("single-path engaged every spine — not single-path")
 	}
-	for _, u := range ecmp.SpineUtil {
-		if u <= 0 {
-			t.Fatalf("ECMP left a spine idle: %v", ecmp.SpineUtil)
+	for _, u := range points(t, ecmp, "spine_util") {
+		if u.V <= 0 {
+			t.Fatalf("ECMP left spine %v idle", u.X)
 		}
 	}
 }
@@ -92,23 +88,21 @@ func TestAsymmetryWCMPBeatsECMPBeatsSinglePath(t *testing.T) {
 func TestFailoverCutsRecoversAndRestores(t *testing.T) {
 	res := mustRun(t, Spec{Preset: Failover{ServersPerTor: 4, Flows: 2},
 		Scheme: scenario.PowerTCP, Seed: 1})
-	fr := res.Raw.(*FailoverResult)
-
-	if fr.PreFailGbps < 20 {
-		t.Fatalf("pre-failure goodput %.1f Gbps, want a loaded fabric", fr.PreFailGbps)
+	pre := scalar(t, res, "pre_fail_gbps")
+	if pre < 20 {
+		t.Fatalf("pre-failure goodput %.1f Gbps, want a loaded fabric", pre)
 	}
-	if fr.LostPackets == 0 {
+	if scalar(t, res, "lost_packets") == 0 {
 		t.Fatal("a cut spine link lost no packets")
 	}
-	if !fr.Recovered {
+	if scalar(t, res, "recovered") != 1 {
 		t.Fatal("goodput never recovered after reconvergence")
 	}
-	if fr.RecoveryUs <= 0 || fr.RecoveryUs > 3000 {
-		t.Fatalf("recovery took %.0fµs, want (0, 3000]", fr.RecoveryUs)
+	if us := scalar(t, res, "recovery_us"); us <= 0 || us > 3000 {
+		t.Fatalf("recovery took %.0fµs, want (0, 3000]", us)
 	}
-	if fr.PostFailGbps < 0.8*fr.PreFailGbps {
-		t.Fatalf("post-recovery plateau %.1f Gbps vs pre-fail %.1f",
-			fr.PostFailGbps, fr.PreFailGbps)
+	if post := scalar(t, res, "post_fail_gbps"); post < 0.8*pre {
+		t.Fatalf("post-recovery plateau %.1f Gbps vs pre-fail %.1f", post, pre)
 	}
 	// Initial build + failure reconvergence + restore reconvergence.
 	if got := res.Scalar("route_rebuilds"); got != 3 {

@@ -7,24 +7,6 @@ import (
 	"repro/internal/stats"
 )
 
-// PermutationResult is the typed payload of the host-permutation
-// multipath experiment: per-flow goodput under hash-based path
-// assignment, plus how the ToR uplinks actually shared the load.
-type PermutationResult struct {
-	Scheme          string
-	Routing         string
-	Flows           int
-	T               []sim.Time
-	AggGbps         []float64 // aggregate receive rate per sample
-	PerFlowGbps     []float64 // per-flow mean goodput over the window
-	Jain            float64   // fairness across the per-flow goodputs
-	MinGbps         float64
-	MaxGbps         float64
-	UplinksUsed     int     // distinct ToR uplink ports that carried traffic
-	UplinksTotal    int     // uplink ports available across all ToRs
-	UplinkImbalance float64 // max/mean bytes across used ToR uplinks
-}
-
 // Permutation is the supplementary multipath-lab stress: one endless
 // flow per host along a host permutation of the §4.1 fat-tree, measuring
 // how evenly the routing strategy spreads it — per-flow goodput fairness
@@ -61,12 +43,21 @@ func (p Permutation) run(seed int64, scheme scenario.Scheme) (*scenario.Result, 
 }
 
 // permutationPanel samples the aggregate receive rate, then summarizes
-// per-flow goodput fairness and the ToR-uplink load spread.
+// per-flow goodput fairness and the ToR-uplink load spread. It writes
+// the series agg_goodput_gbps (aggregate receive rate per sample) and
+// flow_goodput_gbps (per-flow mean goodput over the window), and:
+//
+//   - flows, and jain: fairness across the per-flow goodputs;
+//   - avg_, min_ and max_goodput_gbps over the flows;
+//   - uplinks_used: distinct ToR uplink ports that carried traffic, of
+//     uplinks_total across all ToRs;
+//   - uplink_imbalance: max/mean bytes across the used ToR uplinks.
 type permutationPanel struct {
 	period sim.Duration
 	window sim.Duration
 
-	pr      *PermutationResult
+	t       []sim.Time
+	aggGbps []float64
 	last    []int64
 	perFlow []int64 // received bytes per destination host
 }
@@ -74,7 +65,6 @@ type permutationPanel struct {
 func (p *permutationPanel) Install(env *scenario.Env) error {
 	net := env.Lab.Net
 	n := len(net.Hosts)
-	p.pr = &PermutationResult{Scheme: env.Scheme.Name, Routing: net.Router.Strategy().Name(), Flows: n}
 	p.last = make([]int64, n)
 	p.perFlow = make([]int64, n)
 	scenario.SampleEvery(net.Eng, p.period, env.Horizon, func(now sim.Time) {
@@ -85,35 +75,31 @@ func (p *permutationPanel) Install(env *scenario.Env) error {
 			p.perFlow[i] = cur
 			p.last[i] = cur
 		}
-		p.pr.T = append(p.pr.T, now)
-		p.pr.AggGbps = append(p.pr.AggGbps, stats.Gbps(delta, p.period))
+		p.t = append(p.t, now)
+		p.aggGbps = append(p.aggGbps, stats.Gbps(delta, p.period))
 	})
 	return nil
 }
 
 func (p *permutationPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
-	pr := p.pr
 	net := env.Lab.Net
-	n := pr.Flows
+	n := len(p.perFlow)
 
 	// Per-flow goodput over the whole window (keyed by receiver; each
 	// host receives exactly one flow of the permutation).
-	var sum, sumSq float64
-	pr.MinGbps = 1e18
-	for i := 0; i < n; i++ {
-		g := stats.Gbps(p.perFlow[i], p.window)
-		pr.PerFlowGbps = append(pr.PerFlowGbps, g)
+	flowSeries := scenario.Series{Name: "flow_goodput_gbps", XLabel: "flow"}
+	var sum, sumSq, jain, maxG float64
+	minG := 1e18
+	for i, b := range p.perFlow {
+		g := stats.Gbps(b, p.window)
+		flowSeries.Points = append(flowSeries.Points, scenario.SeriesPoint{X: float64(i), V: g})
 		sum += g
 		sumSq += g * g
-		if g < pr.MinGbps {
-			pr.MinGbps = g
-		}
-		if g > pr.MaxGbps {
-			pr.MaxGbps = g
-		}
+		minG = min(minG, g)
+		maxG = max(maxG, g)
 	}
 	if sumSq > 0 {
-		pr.Jain = sum * sum / (float64(n) * sumSq)
+		jain = sum * sum / (float64(n) * sumSq)
 	}
 
 	// Uplink spread: walk every ToR's aggregation-facing ports.
@@ -134,27 +120,21 @@ func (p *permutationPanel) Finalize(env *scenario.Env, res *scenario.Result) err
 			}
 		}
 	}
-	pr.UplinksTotal = nUp
-	pr.UplinksUsed = used
+	var imbalance float64
 	if totB > 0 && used > 0 {
-		pr.UplinkImbalance = float64(maxB) / (float64(totB) / float64(used))
+		imbalance = float64(maxB) / (float64(totB) / float64(used))
 	}
 
-	res.Raw = pr
-	res.SetScalar("flows", float64(pr.Flows))
-	res.SetScalar("jain", pr.Jain)
+	res.SetScalar("flows", float64(n))
+	res.SetScalar("jain", jain)
 	res.SetScalar("avg_goodput_gbps", sum/float64(n))
-	res.SetScalar("min_goodput_gbps", pr.MinGbps)
-	res.SetScalar("max_goodput_gbps", pr.MaxGbps)
-	res.SetScalar("uplinks_used", float64(pr.UplinksUsed))
-	res.SetScalar("uplinks_total", float64(pr.UplinksTotal))
-	res.SetScalar("uplink_imbalance", pr.UplinkImbalance)
+	res.SetScalar("min_goodput_gbps", minG)
+	res.SetScalar("max_goodput_gbps", maxG)
+	res.SetScalar("uplinks_used", float64(used))
+	res.SetScalar("uplinks_total", float64(nUp))
+	res.SetScalar("uplink_imbalance", imbalance)
 	res.SetScalar("engine_steps", float64(net.Steps()))
-	res.AddSeries(scenario.TimeSeries("agg_goodput_gbps", pr.T, pr.AggGbps))
-	flowSeries := scenario.Series{Name: "flow_goodput_gbps", XLabel: "flow"}
-	for i, g := range pr.PerFlowGbps {
-		flowSeries.Points = append(flowSeries.Points, scenario.SeriesPoint{X: float64(i), V: g})
-	}
+	res.AddSeries(scenario.TimeSeries("agg_goodput_gbps", p.t, p.aggGbps))
 	res.AddSeries(flowSeries)
 	return nil
 }

@@ -9,24 +9,6 @@ import (
 	"repro/internal/units"
 )
 
-// RDCNResult is the typed payload behind Figure 8.
-type RDCNResult struct {
-	Scheme string
-
-	// Fig. 8a series for the monitored ToR pair.
-	T          []sim.Time
-	Throughput []float64 // receiver-side Gbps
-	VOQKB      []float64 // ToR0's VOQ toward ToR1
-
-	// Circuit utilization of the monitored pair's days (the paper's
-	// 80–85% headline).
-	CircuitUtilization float64
-	// Fig. 8b metric: tail (p99) per-packet queuing latency in µs.
-	TailQueuingUs float64
-	// Mean goodput across the run.
-	AvgGoodputGbps float64
-}
-
 // RDCN is Figure 8 (the reconfigurable-DCN case study, §5) for one
 // scheme: all servers of ToR 0 send long flows to the corresponding
 // servers of ToR 1 on the rotor network; the monitored circuit is ToR
@@ -77,16 +59,26 @@ func (p RDCN) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) 
 
 // rotorPanel is the Figure 8 probe: throughput and VOQ series for the
 // monitored ToR pair, per-packet queuing delays at the receiving rack,
-// and circuit-byte snapshots at the monitored pair's day boundaries.
+// and circuit-byte snapshots at the monitored pair's day boundaries. It
+// writes the Fig. 8a series throughput_gbps (receiver side) and voq_kb
+// (ToR src's VOQ toward ToR dst), and three scalars:
+//
+//   - circuit_utilization: of the monitored pair's days (the paper's
+//     80–85% headline);
+//   - tail_queuing_us: Fig. 8b's metric, the p99 per-packet queuing
+//     latency;
+//   - avg_goodput_gbps: mean goodput across the run.
 type rotorPanel struct {
 	srcTor, dstTor int
 	weeks          int
 	period         sim.Duration
 
-	rr       *RDCNResult
-	delays   stats.Dist
-	dayBytes []int64
-	lastRx   int64
+	t          []sim.Time
+	throughput []float64
+	voqKB      []float64
+	delays     stats.Dist
+	dayBytes   []int64
+	lastRx     int64
 }
 
 // rxTotal sums what the receiving rack's servers have received.
@@ -112,12 +104,11 @@ func (p *rotorPanel) Install(env *scenario.Env) error {
 		}
 	}
 
-	p.rr = &RDCNResult{Scheme: env.Scheme.Name}
 	scenario.SampleEvery(eng, p.period, env.Horizon, func(now sim.Time) {
 		cur := p.rxTotal(env)
-		p.rr.T = append(p.rr.T, now)
-		p.rr.Throughput = append(p.rr.Throughput, stats.Gbps(cur-p.lastRx, p.period))
-		p.rr.VOQKB = append(p.rr.VOQKB, float64(rot.VOQBytes(p.srcTor, p.dstTor))/1024)
+		p.t = append(p.t, now)
+		p.throughput = append(p.throughput, stats.Gbps(cur-p.lastRx, p.period))
+		p.voqKB = append(p.voqKB, float64(rot.VOQBytes(p.srcTor, p.dstTor))/1024)
 		p.lastRx = cur
 	})
 
@@ -137,7 +128,6 @@ func (p *rotorPanel) Install(env *scenario.Env) error {
 
 func (p *rotorPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	rot := env.Lab.Net.Rotor
-	rr := p.rr
 
 	// Circuit utilization across monitored days.
 	cap := rot.Cfg.CircuitRate.Bytes(rot.Sched.Day)
@@ -145,21 +135,20 @@ func (p *rotorPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	for _, b := range p.dayBytes {
 		used += b
 	}
+	var util, tailUs float64
 	if len(p.dayBytes) > 0 {
-		rr.CircuitUtilization = float64(used) / float64(cap*int64(len(p.dayBytes)))
+		util = float64(used) / float64(cap*int64(len(p.dayBytes)))
 	}
 	// Tail queuing latency: p99 one-way delay above the observed floor.
 	if p.delays.Count() > 0 {
 		floor := p.delays.Percentile(0)
-		rr.TailQueuingUs = (p.delays.Percentile(99) - floor) * 1e6
+		tailUs = (p.delays.Percentile(99) - floor) * 1e6
 	}
-	rr.AvgGoodputGbps = stats.Gbps(p.rxTotal(env), env.Horizon.Duration())
 
-	res.Raw = rr
-	res.SetScalar("circuit_utilization", rr.CircuitUtilization)
-	res.SetScalar("tail_queuing_us", rr.TailQueuingUs)
-	res.SetScalar("avg_goodput_gbps", rr.AvgGoodputGbps)
-	res.AddSeries(scenario.TimeSeries("throughput_gbps", rr.T, rr.Throughput))
-	res.AddSeries(scenario.TimeSeries("voq_kb", rr.T, rr.VOQKB))
+	res.SetScalar("circuit_utilization", util)
+	res.SetScalar("tail_queuing_us", tailUs)
+	res.SetScalar("avg_goodput_gbps", stats.Gbps(p.rxTotal(env), env.Horizon.Duration()))
+	res.AddSeries(scenario.TimeSeries("throughput_gbps", p.t, p.throughput))
+	res.AddSeries(scenario.TimeSeries("voq_kb", p.t, p.voqKB))
 	return nil
 }

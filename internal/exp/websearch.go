@@ -2,38 +2,11 @@ package exp
 
 import (
 	"cmp"
-	"fmt"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// WebSearchResult is one scheme×load cell of Figures 6–7.
-type WebSearchResult struct {
-	Scheme string
-	Load   float64
-
-	Started   int
-	Completed int
-
-	// Binned is Figure 6's x-axis: p99.9 slowdown per flow-size bin.
-	Binned *stats.BinnedSlowdowns
-	// ShortP999 / MediumP999 / LongP999 are the class percentiles of
-	// Fig. 7a/7b (short <10 KB, medium 100 KB–1 MB, long >1 MB).
-	ShortP999  float64
-	MediumP999 float64
-	LongP999   float64
-
-	// BufferCDF is the distribution of ToR shared-buffer occupancy
-	// samples (Fig. 7g/h), in bytes.
-	BufferCDF []stats.CDFPoint
-	BufferP99 float64
-
-	// EngineSteps is the number of discrete events the run executed
-	// (simulator-throughput accounting for the bench harness).
-	EngineSteps uint64
-}
 
 // WebSearch is one scheme×load cell of Figure 6 (slowdown by size) and
 // Figure 7 (classes, incast overlay, buffers): the web-search flow-size
@@ -97,9 +70,19 @@ func (p WebSearch) run(seed int64, scheme scenario.Scheme) (*scenario.Result, er
 	})
 }
 
-// webSearchPanel collects the Figures 6–7 cell metrics: FCT slowdown
-// bins and class percentiles from the completed-flow records, plus the
-// optional ToR shared-buffer occupancy CDF.
+// webSearchPanel collects the Figures 6–7 cell metrics from the
+// completed-flow records:
+//
+//   - load, started and completed (flows);
+//   - p999_bin_<size>: Figure 6's x-axis, the p99.9 slowdown per
+//     flow-size bin;
+//   - short_p999, medium_p999, long_p999: the class percentiles of
+//     Fig. 7a/7b (short <10 KB, medium 100 KB–1 MB, long >1 MB);
+//   - engine_steps: the discrete events the run executed.
+//
+// With sampleBuffers it also writes buffer_cdf, the distribution of ToR
+// shared-buffer occupancy samples (Fig. 7g/h) in bytes, and its
+// buffer_p99_bytes, even when every sample is 0.
 type webSearchPanel struct {
 	load          float64
 	sampleBuffers bool
@@ -128,27 +111,20 @@ func (p *webSearchPanel) Install(env *scenario.Env) error {
 
 func (p *webSearchPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	lab := env.Lab
-	ws := &WebSearchResult{
-		Scheme:    env.Scheme.Name,
-		Load:      p.load,
-		Started:   lab.Started(),
-		Completed: len(lab.Records),
-		Binned:    lab.Binned(),
+	res.SetScalar("load", p.load)
+	res.SetScalar("started", float64(lab.Started()))
+	res.SetScalar("completed", float64(len(lab.Records)))
+	res.SetScalar("short_p999", lab.ClassP(99.9, 0, stats.ShortFlowMax))
+	res.SetScalar("medium_p999", lab.ClassP(99.9, 100_000, stats.LongFlowMin))
+	res.SetScalar("long_p999", lab.ClassP(99.9, stats.LongFlowMin, 0))
+	for i, v := range lab.Binned().Row(99.9) {
+		res.SetScalar("p999_bin_"+stats.SizeLabel(stats.FlowSizeBins[i]), v)
 	}
-	ws.ShortP999 = lab.ClassP(99.9, 0, stats.ShortFlowMax)
-	ws.MediumP999 = lab.ClassP(99.9, 100_000, stats.LongFlowMin)
-	ws.LongP999 = lab.ClassP(99.9, stats.LongFlowMin, 0)
+	res.SetScalar("engine_steps", float64(env.Steps()))
 	if p.sampleBuffers {
-		ws.BufferCDF = p.bufSamples.CDF(50)
-		ws.BufferP99 = p.bufSamples.Percentile(99)
-	}
-	ws.EngineSteps = env.Steps()
-
-	res.Raw = ws
-	webSearchScalars(res, ws)
-	if p.sampleBuffers {
+		res.SetScalar("buffer_p99_bytes", p.bufSamples.Percentile(99))
 		cdf := scenario.Series{Name: "buffer_cdf", XLabel: "occupancy_bytes"}
-		for _, pt := range ws.BufferCDF {
+		for _, pt := range p.bufSamples.CDF(50) {
 			cdf.Points = append(cdf.Points, scenario.SeriesPoint{X: pt.V, V: pt.F})
 		}
 		res.AddSeries(cdf)
@@ -156,25 +132,10 @@ func (p *webSearchPanel) Finalize(env *scenario.Env, res *scenario.Result) error
 	return nil
 }
 
-func webSearchScalars(res *scenario.Result, ws *WebSearchResult) {
-	res.SetScalar("load", ws.Load)
-	res.SetScalar("started", float64(ws.Started))
-	res.SetScalar("completed", float64(ws.Completed))
-	res.SetScalar("short_p999", ws.ShortP999)
-	res.SetScalar("medium_p999", ws.MediumP999)
-	res.SetScalar("long_p999", ws.LongP999)
-	for i, v := range ws.Binned.Row(99.9) {
-		res.SetScalar(fmt.Sprintf("p999_bin_%s", stats.SizeLabel(stats.FlowSizeBins[i])), v)
-	}
-	if ws.BufferP99 > 0 {
-		res.SetScalar("buffer_p99_bytes", ws.BufferP99)
-	}
-	res.SetScalar("engine_steps", float64(ws.EngineSteps))
-}
-
 // LoadSweep runs the WebSearch cell across Loads (Fig. 7a/7b: slowdown vs
-// load); every other field means what it means on WebSearch. Raw is the
-// []*WebSearchResult, one per load.
+// load); every other field means what it means on WebSearch. Its Result
+// carries short_p999 and long_p999 as load-indexed series, the top
+// load's values as scalars, and engine_steps summed over the cells.
 type LoadSweep struct {
 	Loads         []float64 // default 0.2, 0.5, 0.8
 	ServersPerTor int
@@ -194,11 +155,12 @@ func (p LoadSweep) run(seed int64, scheme scenario.Scheme) (*scenario.Result, er
 	if len(p.Loads) == 0 {
 		p.Loads = []float64{0.2, 0.5, 0.8}
 	}
-	cells := make([]*WebSearchResult, 0, len(p.Loads))
 	short := scenario.Series{Name: "short_p999", XLabel: "load"}
 	long := scenario.Series{Name: "long_p999", XLabel: "load"}
+	var steps float64
+	var top *scenario.Result
 	for _, load := range p.Loads {
-		cr, err := WebSearch{
+		cell, err := WebSearch{
 			ServersPerTor: p.ServersPerTor, Load: load,
 			IncastRate: p.IncastRate, IncastSize: p.IncastSize, IncastFanIn: p.IncastFanIn,
 			SampleBuffers: p.SampleBuffers,
@@ -207,24 +169,19 @@ func (p LoadSweep) run(seed int64, scheme scenario.Scheme) (*scenario.Result, er
 		if err != nil {
 			return nil, err
 		}
-		ws := cr.Raw.(*WebSearchResult)
-		cells = append(cells, ws)
-		short.Points = append(short.Points, scenario.SeriesPoint{X: load, V: ws.ShortP999})
-		long.Points = append(long.Points, scenario.SeriesPoint{X: load, V: ws.LongP999})
+		short.Points = append(short.Points, scenario.SeriesPoint{X: load, V: cell.Scalar("short_p999")})
+		long.Points = append(long.Points, scenario.SeriesPoint{X: load, V: cell.Scalar("long_p999")})
+		steps += cell.Scalar("engine_steps")
+		top = cell
 	}
-	res := &scenario.Result{Raw: cells}
+	res := &scenario.Result{}
 	res.AddSeries(short)
 	res.AddSeries(long)
-	if n := len(cells); n > 0 {
-		top := cells[n-1]
-		res.SetScalar("top_load", top.Load)
-		res.SetScalar("short_p999_top_load", top.ShortP999)
-		res.SetScalar("long_p999_top_load", top.LongP999)
+	if top != nil {
+		res.SetScalar("top_load", top.Scalar("load"))
+		res.SetScalar("short_p999_top_load", top.Scalar("short_p999"))
+		res.SetScalar("long_p999_top_load", top.Scalar("long_p999"))
 	}
-	var steps uint64
-	for _, ws := range cells {
-		steps += ws.EngineSteps
-	}
-	res.SetScalar("engine_steps", float64(steps))
+	res.SetScalar("engine_steps", steps)
 	return res, nil
 }

@@ -276,9 +276,6 @@ func NewRouter(eng *sim.Engine, graph [][]PortRef, installers []Installer, strat
 	return r
 }
 
-// Strategy returns the active path-selection strategy.
-func (r *Router) Strategy() Strategy { return r.strategy }
-
 // Rebuilds counts control-plane table recomputations (1 after build).
 func (r *Router) Rebuilds() int { return r.rebuilds }
 

@@ -24,11 +24,11 @@ type Series struct {
 	Points []SeriesPoint `json:"points"`
 }
 
-// Result is the common envelope every experiment returns: identity
-// (experiment, scheme, label, seed), a scalar metrics map, and named
-// series. Raw carries the experiment's typed payload (IncastResult,
-// FairnessResult, ...) for renderers that need figure-specific detail;
-// it is excluded from the JSON encoding.
+// Result is the whole result of a run: identity (experiment, scheme,
+// label, seed), a scalar metrics map, and named series. Every number a
+// figure prints is one of its scalars or series, so the JSON encoding
+// (a golden file, a powersimd reply) redraws the figure as well as the
+// in-process value does.
 type Result struct {
 	Experiment string             `json:"experiment"`
 	Scheme     string             `json:"scheme"`
@@ -36,7 +36,6 @@ type Result struct {
 	Seed       int64              `json:"seed"`
 	Scalars    map[string]float64 `json:"scalars,omitempty"`
 	Series     []Series           `json:"series,omitempty"`
-	Raw        any                `json:"-"`
 }
 
 // SetScalar records one headline metric.
@@ -49,6 +48,30 @@ func (r *Result) SetScalar(name string, v float64) {
 
 // Scalar returns a recorded metric (0 if absent).
 func (r *Result) Scalar(name string) float64 { return r.Scalars[name] }
+
+// Lookup returns a recorded metric, or an error naming the experiment,
+// the scheme and the missing key: a renderer that reads a renamed
+// metric must stop, not print a 0.
+func (r *Result) Lookup(name string) (float64, error) {
+	if v, ok := r.Scalars[name]; ok {
+		return v, nil
+	}
+	return 0, r.missing("scalar", name)
+}
+
+// SeriesNamed returns the named series, or an error like Lookup's.
+func (r *Result) SeriesNamed(name string) (Series, error) {
+	for _, s := range r.Series {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return Series{}, r.missing("series", name)
+}
+
+func (r *Result) missing(kind, name string) error {
+	return fmt.Errorf("experiment %q scheme %q has no %s %q", r.Experiment, r.Scheme, kind, name)
+}
 
 // ScalarNames returns the recorded metric names, sorted.
 func (r *Result) ScalarNames() []string {

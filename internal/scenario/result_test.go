@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +60,33 @@ func TestResultEncodingByteDeterministic(t *testing.T) {
 		if !bytes.Equal(first.Bytes(), other.Bytes()) {
 			t.Errorf("%s: scalar insertion order leaked into the encoding:\n%s\nvs\n%s",
 				enc.name, first.Bytes(), other.Bytes())
+		}
+	}
+}
+
+// TestResultLookup: a present key returns its value; a missing one is an
+// error that names the experiment, the scheme and the key.
+func TestResultLookup(t *testing.T) {
+	r := buildResult([]string{"peak_queue_kb", "engine_steps"})
+	if v, err := r.Lookup("engine_steps"); err != nil || v != 1.75 {
+		t.Fatalf("Lookup(engine_steps) = %v, %v; want 1.75", v, err)
+	}
+	if s, err := r.SeriesNamed("queue_kb"); err != nil || len(s.Points) != 2 || s.Points[1].V != 2.5 {
+		t.Fatalf("SeriesNamed(queue_kb) = %+v, %v", s, err)
+	}
+	_, errScalar := r.Lookup("peak_queue")
+	_, errSeries := r.SeriesNamed("queue")
+	for _, c := range []struct {
+		err error
+		key string
+	}{{errScalar, "peak_queue"}, {errSeries, "queue"}} {
+		if c.err == nil {
+			t.Fatalf("missing key %q returned no error", c.key)
+		}
+		for _, want := range []string{"incast", "powertcp", `"` + c.key + `"`} {
+			if !strings.Contains(c.err.Error(), want) {
+				t.Errorf("error %q does not name %s", c.err, want)
+			}
 		}
 	}
 }

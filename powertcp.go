@@ -141,9 +141,9 @@ type (
 	Permutation = exp.Permutation
 	Asymmetry   = exp.Asymmetry
 	Failover    = exp.Failover
-	// ExperimentResult is the common result envelope: scalar metrics map
-	// plus named series, JSON/TSV-encodable. Raw carries the typed
-	// payload below.
+	// ExperimentResult is a run's whole result: scalar metrics map
+	// plus named series, JSON/TSV-encodable, read by name through
+	// Lookup and SeriesNamed.
 	ExperimentResult = scenario.Result
 	Series           = scenario.Series
 	SeriesPoint      = scenario.SeriesPoint
@@ -154,15 +154,6 @@ type (
 	// (Gamma, Alpha, Overcommit, PerRTT, Prebuffer) onto it.
 	Scheme       = scenario.Scheme
 	SchemeOption = scenario.SchemeOption
-
-	// Typed experiment payloads (ExperimentResult.Raw).
-	IncastResult      = exp.IncastResult
-	FairnessResult    = exp.FairnessResult
-	WebSearchResult   = exp.WebSearchResult
-	RDCNResult        = exp.RDCNResult
-	PermutationResult = exp.PermutationResult
-	AsymmetryResult   = exp.AsymmetryResult
-	FailoverResult    = exp.FailoverResult
 )
 
 // KeepLinkDown, as Failover.RestoreAfter, leaves the failed link down.
