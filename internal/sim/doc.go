@@ -12,14 +12,19 @@
 // # Invariants
 //
 //   - Single-threaded by design: one goroutine drives the wheel, so
-//     reproducible event ordering is structural, not locked-in. Ties in
-//     event time are broken by scheduling order; two runs with the same
-//     seed are byte-identical on every platform. Run concurrent
-//     simulations on separate Engines (the exp.Suite does exactly that).
-//   - Exact (at, seq) total order, wheel or not: a slot drains as one
-//     batch sorted by timestamp-then-scheduling-order, so bucketing by
-//     tick never reorders events — the property test pins the firing
-//     order to the retired binary heap's.
+//     reproducible event ordering is structural, not locked-in. Two runs
+//     with the same seed are byte-identical on every platform. Run
+//     concurrent simulations on separate Engines (the exp.Suite does
+//     exactly that).
+//   - One causal total order, wheel or not: at ASC, then dsched DESC
+//     (scheduled earlier fires first), phash ASC (the scheduling parent's
+//     causal hash), k ASC (the parent's child index). Every component is
+//     a function of the causal tree, not of allocation order, so a
+//     partitioned run fires in the serial order. A slot drains as one
+//     batch: up to 64 entries are scattered into 128 ps sub-tick buckets
+//     and only a bucket of two or more is sorted; a larger slot is sorted
+//     whole. The property tests pin the firing order to a reference
+//     binary heap's.
 //   - The steady-state hot path allocates nothing: event nodes are
 //     recycled through a free list with generation counters, so an Event
 //     handle to recycled storage goes stale instead of aliasing a new

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // node is the engine-owned storage behind a scheduled event. Nodes are
 // recycled through a free list: when an event fires, or a cancelled event
@@ -115,17 +118,19 @@ func (ent entry) k() uint32      { return uint32(ent.lo) }
 // heap and are pulled in as the wheel turns.
 //
 // Determinism: events fire in the canonical causal order (at, dsched,
-// phash, k) — see entry. A slot is drained as a whole into the firing
-// batch and sorted by that key — entries within a tick fire in precise
-// canonical order, not bucket order — and cascades only re-bucket
-// entries into finer levels, never across an undrained earlier tick. The
-// property test in engine_prop_test.go runs randomized
-// schedule/cancel/re-arm scripts against a reference heap
-// (referenceQueue) carrying the same key and requires identical firing
-// orders.
+// phash, k) — see entry. A level-0 slot is drained as a whole into the
+// firing batch and put in that order there (loadSlot: sub-tick buckets,
+// then the comparator on what shares a bucket) — entries within a tick
+// fire in precise canonical order, not arrival order — and cascades only
+// re-bucket entries into finer levels, never across an undrained earlier
+// tick. The property tests in engine_prop_test.go run randomized
+// schedule/cancel/re-arm scripts, and crowded mid-run ticks, against a
+// reference heap (referenceQueue) carrying the same key and require
+// identical firing orders.
 const (
-	tickBits  = 13 // one wheel tick = 8.192 ns
-	levelBits = 8  // slots per level
+	tickBits  = 13           // one wheel tick = 8.192 ns
+	subShift  = tickBits - 6 // 64 sub-tick buckets of 128 ps (loadSlot)
+	levelBits = 8            // slots per level
 	numSlots  = 1 << levelBits
 	slotMask  = numSlots - 1
 	numLevels = 3
@@ -517,35 +522,73 @@ func (e *Engine) runCascades(b int64) {
 }
 
 // loadSlot drains level-0 slot j (holding tick tk) into the firing batch
-// and sorts it by the canonical key: batched same-tick firing with the
-// exact heap order. The entries are copied out and the slot keeps its own
-// backing array, so each slot stays as large as its busiest tick ever
-// made it and a replayed run (Reset, same script) grows nothing. The copy
-// is an element loop, not append(batch, slot...): most ticks hold an
-// entry or two, and for those the bulk copy's calls into the runtime
-// cost more than the tick (about 4 ns an event on the benchmark's
-// schedule-and-fire rung). Consumed entries linger beyond the slices' lengths;
-// they only pin pooled nodes, which the free list keeps alive anyway.
+// in canonical order. Every entry of a level-0 slot has the same tick, so
+// the six bits of at below the tick (subShift) cut it into 64 buckets of
+// 128 ps whose order is at order. A slot of up to 64 entries — the
+// bound uint8 chain links and one occupancy word give — is chained into
+// those buckets, walked out bucket by bucket, and only a bucket holding
+// more than one entry (events under 128 ps apart, or an exact at tie)
+// reaches sortEntries. A slot whose entries share one bucket, or that
+// holds more than 64, is copied and sorted whole: it is mostly exact at
+// ties (permutation traffic starting in step), which buckets cannot
+// split. The slot keeps its own backing array, so each slot stays as
+// large as its busiest tick ever made it and a replayed run (Reset, same
+// script) grows nothing; the batch grows by append's rule. Entries move
+// by element copies, not copy(), except in a slot sorted whole: most
+// ticks hold a few entries, and for those a call into the runtime costs
+// more than the tick. Consumed entries linger beyond the slices'
+// lengths; they only pin pooled nodes, which the free list keeps alive
+// anyway.
 func (e *Engine) loadSlot(j int, tk int64) {
-	b := e.batch[:0]
-	for _, ent := range e.levels[0].take(j) {
-		b = append(b, ent)
-	}
-	e.batch = b
+	s := e.levels[0].take(j)
 	e.curTick = tk + 1
-	if len(b) > 1 {
-		sortEntries(b, bits.Len(uint(len(b)))*2)
+	b := slices.Grow(e.batch[:0], len(s))[:len(s)]
+	e.batch = b
+	if len(s) == 1 {
+		b[0] = s[0]
+		return
 	}
+	if len(s) <= 64 {
+		// 1-based entry index; 0 ends a chain. The &63 on an index below
+		// len(s) changes nothing but drops the bounds check.
+		var head, next [64]uint8
+		var occ uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			q := uint(s[i].at>>subShift) & 63
+			next[i&63] = head[q]
+			head[q] = uint8(i + 1)
+			occ |= 1 << q
+		}
+		if occ&(occ-1) != 0 {
+			pos := 0
+			for ; occ != 0; occ &= occ - 1 {
+				start := pos
+				for i := head[bits.TrailingZeros64(occ)]; i != 0; i = next[(i-1)&63] {
+					b[pos] = s[i-1]
+					pos++
+				}
+				if m := pos - start; m > 1 {
+					sortEntries(b[start:pos], bits.Len(uint(m))*2)
+				}
+			}
+			return
+		}
+	}
+	copy(b, s)
+	sortEntries(b, bits.Len(uint(len(b)))*2)
 }
 
 // sortEntries is an introsort over the canonical key with the comparator
 // inlined: median-of-three quicksort, insertion sort below 16 elements,
 // heapsort past the depth limit. The generic slices.SortFunc pays an
-// indirect call per comparison; with 32-byte value entries and slots of
-// 10–100 same-tick events drained every few microseconds of simulated
-// time, that call overhead dominated the engine profile. The ordering is
-// identical to slices.SortFunc(s, cmpEntry) — elements are unique under
-// the total key, so stability is moot.
+// indirect call per comparison, which on 32-byte value entries dominated
+// the engine profile. loadSlot calls it on a sub-tick bucket of two or
+// more entries (mostly a pair under 128 ps apart) and on a slot it does
+// not bucket:
+// one whose entries all share a bucket, or one of more than 64 — on the
+// large fabrics, hundreds of same-instant entries ordered by (dsched,
+// phash). The ordering is identical to slices.SortFunc(s, cmpEntry) —
+// elements are unique under the total key, so stability is moot.
 func sortEntries(s []entry, depth int) {
 	for len(s) > 16 {
 		if depth--; depth < 0 {

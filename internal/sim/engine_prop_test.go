@@ -169,6 +169,162 @@ func runWheelVsHeapScript(t *testing.T, seed int64) {
 	}
 }
 
+// TestDenseSlotsMatchReferenceHeap is the lockstep property aimed at the
+// drain of a crowded slot, which the script above reaches almost only at
+// t = 0. Mid-run ticks hold 2, 16, 17, 63, 64, 65 and 200 entries, the
+// sizes either side of the 64-entry sub-tick bucket bound and of the
+// sort's insertion cut-off. Their at offsets sit on 128 ps bucket edges,
+// one picosecond below them, anywhere in the tick, or exactly on an
+// offset another entry took: ties from one parent (same phash and
+// dsched, k decides), from parents firing at the same instant (dsched
+// equal, phash decides) and from parents firing at different instants.
+// The entries arrive by cascade from level 1 (scheduled at setup) and
+// straight into level 0 (scheduled by spawners a tick or two ahead), a
+// few are cancelled, and some schedule zero-delay and same-tick children
+// into the batch while it fires.
+func TestDenseSlotsMatchReferenceHeap(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runDenseSlotScript(t, seed)
+		})
+	}
+}
+
+func runDenseSlotScript(t *testing.T, seed int64) {
+	const tick = Time(1) << tickBits
+	sizes := []int{2, 16, 17, 63, 64, 65, 200}
+	rng := rand.New(rand.NewSource(seed))
+
+	e := New()
+	q := &referenceQueue{}
+	nextID := 0
+	cancelled := map[int]bool{}
+	// children[id] are the delays, from id's firing instant, of the events
+	// id schedules when it fires, in call order; childIDs names them.
+	children := map[int][]Duration{}
+	childIDs := map[int][]int{}
+	// drained[tt] is the batch length when the first live event of target
+	// tick tt fired: the size of the slot that drained.
+	drained := map[Time]int{}
+	lastFired := -1
+
+	var cb func(id int) func()
+	cb = func(id int) func() {
+		return func() {
+			lastFired = id
+			if tt := e.Now() &^ (tick - 1); drained[tt] == 0 {
+				drained[tt] = len(e.batch)
+			}
+			for i, d := range children[id] {
+				e.At(e.Now().Add(d), cb(childIDs[id][i]))
+			}
+		}
+	}
+	newID := func() int { nextID++; return nextID - 1 }
+	addChild := func(parent int, d Duration) int {
+		id := newID()
+		children[parent] = append(children[parent], d)
+		childIDs[parent] = append(childIDs[parent], id)
+		return id
+	}
+	schedule := func(at Time, id int) Event {
+		q.schedule(at, id)
+		return e.At(at, cb(id))
+	}
+	// offset draws an at offset within a tick: on a bucket edge, one
+	// picosecond below one, one of the tick's three tie offsets, or
+	// anywhere.
+	offset := func(ties []Time) Time {
+		switch rng.Intn(5) {
+		case 0:
+			return Time(rng.Intn(64)) * 128
+		case 1:
+			return Time(1+rng.Intn(64))*128 - 1
+		case 2:
+			return ties[rng.Intn(len(ties))]
+		default:
+			return Time(rng.Int63n(int64(tick)))
+		}
+	}
+	// sameTick gives one entry in six a zero-delay child, and half of
+	// those a second child later in the same tick: insertions into the
+	// batch while it fires.
+	sameTick := func(id int, at Time) {
+		if rng.Intn(6) != 0 {
+			return
+		}
+		addChild(id, 0)
+		if end := at | (tick - 1); rng.Intn(2) == 0 && end > at {
+			addChild(id, Duration(rng.Int63n(int64(end-at))))
+		}
+	}
+
+	var targets []Time
+	for si, n := range sizes {
+		tt := Time(1000+40*si) * tick
+		targets = append(targets, tt)
+		ties := []Time{Time(rng.Intn(64)) * 128, Time(rng.Int63n(int64(tick))), tick - 1}
+		// Two spawners fire at one instant two ticks ahead, a third a tick
+		// ahead; the rest of the tick's entries are setup roots.
+		e.SetOrigin(uint64(si))
+		q.setOrigin(uint64(si))
+		spawnAt := []Time{tt - 2*tick + 100, tt - 2*tick + 100, tt - tick + 5000}
+		spawners := []int{newID(), newID(), newID()}
+		for i, id := range spawners {
+			schedule(spawnAt[i], id)
+		}
+		for i := 0; i < n; i++ {
+			at := tt + offset(ties)
+			if src := rng.Intn(4); src < len(spawners) {
+				sameTick(addChild(spawners[src], at.Sub(spawnAt[src])), at)
+				continue
+			}
+			id := newID()
+			ev := schedule(at, id)
+			sameTick(id, at)
+			if rng.Intn(10) == 0 {
+				e.Cancel(ev)
+				cancelled[id] = true
+			}
+		}
+	}
+	// Background events keep the wheel turning between the targets; none
+	// lands in a target tick.
+	for i := 0; i < 300; i++ {
+		if at := Time(rng.Int63n(int64(1300 * tick))); !slices.Contains(targets, at&^(tick-1)) {
+			schedule(at, newID())
+		}
+	}
+
+	for {
+		ent, ok := q.pop()
+		if !ok {
+			break
+		}
+		if cancelled[ent.id] {
+			continue
+		}
+		if !e.Step() {
+			t.Fatalf("engine ran dry; reference still holds id=%d at=%v", ent.id, ent.at)
+		}
+		if lastFired != ent.id || e.Now() != ent.at {
+			t.Fatalf("order diverged: engine fired id=%d at=%v, reference expects id=%d at=%v",
+				lastFired, e.Now(), ent.id, ent.at)
+		}
+		for i, d := range children[ent.id] {
+			q.schedule(ent.at.Add(d), childIDs[ent.id][i])
+		}
+	}
+	if e.Step() {
+		t.Fatalf("reference ran dry but engine fired id=%d at=%v", lastFired, e.Now())
+	}
+	for si, tt := range targets {
+		if got := drained[tt]; got != sizes[si] {
+			t.Errorf("tick %d drained %d entries, want %d", tt/tick, got, sizes[si])
+		}
+	}
+}
+
 // fireRec is one fired event tagged with its canonical key.
 type fireRec struct {
 	key Key
