@@ -29,8 +29,9 @@
 //     recycled through a free list with generation counters, so an Event
 //     handle to recycled storage goes stale instead of aliasing a new
 //     event. Cancel is lazy mark-and-skip (no wheel surgery), and
-//     schedule/fire are O(1) slot appends and batch reads rather than
-//     O(log n) sifts.
+//     schedule/fire are O(1) chunk appends and batch reads rather than
+//     O(log n) sifts: a slot's 64-entry chunks come from one engine-wide
+//     spare list and go back to it when the slot drains or cascades.
 //   - Once an event has fired or been reaped its handle is inert:
 //     Scheduled and Cancelled report false and Cancel is a no-op.
 //   - Timer is the re-armable variant for long-lived callbacks (pacing,

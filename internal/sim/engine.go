@@ -117,6 +117,12 @@ func (ent entry) k() uint32      { return uint32(ent.lo) }
 // beyond the wheel horizon wait in a small canonically-ordered overflow
 // heap and are pulled in as the wheel turns.
 //
+// Storage: a slot is a list of chunkLen-entry chunks from one engine-wide
+// LIFO spare list, handed back as soon as the slot drains or cascades. A
+// chunk is in exactly one place: one slot's list or the spare list. So the
+// wheel keeps room for what is pending, plus a part-filled chunk per
+// non-empty slot, not for every slot's own busiest tick.
+//
 // Determinism: events fire in the canonical causal order (at, dsched,
 // phash, k) — see entry. A level-0 slot is drained as a whole into the
 // firing batch and put in that order there (loadSlot: sub-tick buckets,
@@ -138,51 +144,44 @@ const (
 	horizonTicks = int64(1) << (numLevels * levelBits)
 )
 
+// chunkLen is the entries a wheel chunk holds: loadSlot's 64-entry bucket
+// bound, so a slot that fits one chunk drains in place. A chunk is 2 KiB,
+// one allocator size class.
+const chunkLen = 64
+
+type chunk [chunkLen]entry
+
 // wheelLevel is one ring of slots plus an occupancy bitmap so the scan
-// for the next pending tick skips empty slots a word at a time.
+// for the next pending tick skips empty slots a word at a time. Slot idx
+// holds n[idx] entries, filling slot[idx]'s chunks in order.
 type wheelLevel struct {
-	slot  [numSlots][]entry
+	slot  [numSlots][]*chunk
+	n     [numSlots]uint32
 	occ   [numSlots / 64]uint64
 	count int
 }
 
-func (l *wheelLevel) add(idx int, ent entry) {
-	l.slot[idx] = append(l.slot[idx], ent)
+// add appends ent to slot idx of level l, taking a spare chunk when the
+// slot's last one is full.
+func (e *Engine) add(l *wheelLevel, idx int, ent entry) {
+	n := l.n[idx]
+	if n%chunkLen == 0 {
+		l.slot[idx] = append(l.slot[idx], e.newChunk())
+	}
+	l.slot[idx][n/chunkLen][n%chunkLen] = ent
+	l.n[idx] = n + 1
 	l.occ[idx>>6] |= 1 << (idx & 63)
 	l.count++
 }
 
-// slotGrowFrom is the length from which a full level-0 slot grows by a
-// quarter instead of by append's rule, which all but doubles an array up
-// to a thousand entries and still adds a half at 2,000. A slot keeps its
-// array for the life of the engine (take, Reset), so what growth
-// over-allocates is held for good, times 256 slots an engine and one
-// engine a shard: on the 10,240-host benchmark fabric, where level 0
-// holds 95% of a shard's slot entries, that slack was 6 MB of live heap.
-// Shorter slots keep append's rule: a cold engine pays for its growth in
-// bytes allocated — five times the final size a quarter at a time, twice
-// by doubling — and a fabric of a few hosts that meets a cold engine
-// (powersimd, one request in twenty-five) has nothing but short slots.
-//
-// The coarser levels keep append's rule at any length. A capacity that
-// hugs a slot's busiest moment follows the traffic, and on a level-1 slot
-// — the packets in flight 2 to 537 µs ahead — that moment moves with who
-// talks to whom: with the rule on every level the 64-host web-search
-// benchmark held 12.6 to 14.3 MB from one seed to the next (256 level-1
-// slots peaking at 500 to 850 entries), against 15.5 to 15.8 MB with
-// every one of them rounded to append's 1,023.
-const slotGrowFrom = 256
-
-// addTight is add under the slotGrowFrom rule.
-func (l *wheelLevel) addTight(idx int, ent entry) {
-	if s := l.slot[idx]; len(s) == cap(s) && len(s) >= slotGrowFrom {
-		// Appending to nil makes the runtime round the request up to its
-		// size class, so the slack it allocates anyway is usable capacity.
-		n := len(s)
-		l.slot[idx] = append([]entry(nil), make([]entry, n+n/4)...)[:n]
-		copy(l.slot[idx], s)
+// newChunk pops the spare list, or allocates when it is empty.
+func (e *Engine) newChunk() *chunk {
+	if k := len(e.spare); k > 0 {
+		c := e.spare[k-1]
+		e.spare = e.spare[:k-1]
+		return c
 	}
-	l.add(idx, ent)
+	return new(chunk)
 }
 
 // scan returns the first occupied slot index ≥ from, or -1.
@@ -201,15 +200,27 @@ func (l *wheelLevel) scan(from int) int {
 	}
 }
 
-// take removes and returns slot idx's entries, clearing its occupancy.
-// The backing array stays with the slot (truncated in place) so a warmed
-// wheel schedules without allocating.
-func (l *wheelLevel) take(idx int) []entry {
-	s := l.slot[idx]
-	l.slot[idx] = s[:0]
+// take removes slot idx's entries from the level's count and occupancy
+// and returns its chunks and entry count. The chunks stay in the slot's
+// list until release hands them back.
+func (l *wheelLevel) take(idx int) ([]*chunk, int) {
+	n := int(l.n[idx])
+	l.n[idx] = 0
 	l.occ[idx>>6] &^= 1 << (idx & 63)
-	l.count -= len(s)
-	return s
+	l.count -= n
+	return l.slot[idx], n
+}
+
+// release moves a taken slot's chunks to the spare list. The slot keeps
+// its emptied pointer list, so a warmed wheel schedules without
+// allocating.
+func (e *Engine) release(l *wheelLevel, idx int) {
+	cs := l.slot[idx]
+	for i, c := range cs {
+		e.spare = append(e.spare, c)
+		cs[i] = nil
+	}
+	l.slot[idx] = cs[:0]
 }
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
@@ -249,7 +260,8 @@ type Engine struct {
 	// so no boundary's cascade is ever skipped.
 	cascadedTo int64
 	levels     [numLevels]wheelLevel
-	over       []entry // overflow min-heap in canonical order
+	spare      []*chunk // LIFO list of chunks no slot holds
+	over       []entry  // overflow min-heap in canonical order
 
 	// batch holds the tick being fired, in canonical order; bi is the
 	// cursor of the next entry to fire. Run touches no other queue state
@@ -288,16 +300,17 @@ func (e *Engine) Steps() uint64 { return e.nSteps }
 func (e *Engine) Pending() int { return e.pending }
 
 // Capacity reports what the engine keeps across Reset: how many entries
-// its wheel slots, firing batch and overflow heap have room for, and how
-// many event nodes it owns, free or scheduled. A run replayed on a Reset
-// engine leaves both where the first run put them.
+// its wheel chunks (in slots or spare), firing batch and overflow heap
+// have room for, and how many event nodes it owns, free or scheduled. A
+// run replayed on a Reset engine leaves both where the first run put them.
 func (e *Engine) Capacity() (entries, nodes int) {
+	chunks := len(e.spare)
 	for li := range e.levels {
-		for _, s := range e.levels[li].slot {
-			entries += cap(s)
+		for _, cs := range e.levels[li].slot {
+			chunks += len(cs)
 		}
 	}
-	return entries + cap(e.batch) + cap(e.over), len(e.free) + e.pending
+	return chunks*chunkLen + cap(e.batch) + cap(e.over), len(e.free) + e.pending
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
@@ -387,11 +400,11 @@ func (e *Engine) place(ent entry) {
 		// older): merge into the batch at its canonical position.
 		e.batchInsert(ent)
 	case delta < 1<<levelBits:
-		e.levels[0].addTight(int(tk)&slotMask, ent)
+		e.add(&e.levels[0], int(tk)&slotMask, ent)
 	case delta < 1<<(2*levelBits):
-		e.levels[1].add(int(tk>>levelBits)&slotMask, ent)
+		e.add(&e.levels[1], int(tk>>levelBits)&slotMask, ent)
 	case delta < horizonTicks:
-		e.levels[2].add(int(tk>>(2*levelBits))&slotMask, ent)
+		e.add(&e.levels[2], int(tk>>(2*levelBits))&slotMask, ent)
 	default:
 		e.overPush(ent)
 	}
@@ -524,58 +537,69 @@ func (e *Engine) runCascades(b int64) {
 // loadSlot drains level-0 slot j (holding tick tk) into the firing batch
 // in canonical order. Every entry of a level-0 slot has the same tick, so
 // the six bits of at below the tick (subShift) cut it into 64 buckets of
-// 128 ps whose order is at order. A slot of up to 64 entries — the
-// bound uint8 chain links and one occupancy word give — is chained into
-// those buckets, walked out bucket by bucket, and only a bucket holding
-// more than one entry (events under 128 ps apart, or an exact at tie)
-// reaches sortEntries. A slot whose entries share one bucket, or that
-// holds more than 64, is copied and sorted whole: it is mostly exact at
-// ties (permutation traffic starting in step), which buckets cannot
-// split. The slot keeps its own backing array, so each slot stays as
-// large as its busiest tick ever made it and a replayed run (Reset, same
-// script) grows nothing; the batch grows by append's rule. Entries move
-// by element copies, not copy(), except in a slot sorted whole: most
-// ticks hold a few entries, and for those a call into the runtime costs
-// more than the tick. Consumed entries linger beyond the slices'
-// lengths; they only pin pooled nodes, which the free list keeps alive
+// 128 ps whose order is at order. A slot of up to 64 entries — the bound
+// uint8 chain links and one occupancy word give, and so chunkLen — is one
+// chunk: it is chained into those buckets in place, walked out bucket by
+// bucket, and only a bucket holding more than one entry (events under
+// 128 ps apart, or an exact at tie) reaches sortEntries. A slot whose
+// entries share one bucket, or that spans several chunks, is copied into
+// the batch and sorted whole: it is mostly exact at ties (permutation
+// traffic starting in step), which buckets cannot split. Either way the
+// slot's chunks are back on the spare list before the batch fires; the
+// batch grows by append's rule. Entries move by element
+// copies, not copy(), except in a slot sorted whole: most ticks hold a few
+// entries, and for those a call into the runtime costs more than the
+// tick. Consumed entries linger in spare chunks and beyond the batch's
+// length; they only pin pooled nodes, which the free list keeps alive
 // anyway.
 func (e *Engine) loadSlot(j int, tk int64) {
-	s := e.levels[0].take(j)
+	l := &e.levels[0]
+	cs, n := l.take(j)
 	e.curTick = tk + 1
-	b := slices.Grow(e.batch[:0], len(s))[:len(s)]
+	b := slices.Grow(e.batch[:0], n)[:n]
 	e.batch = b
-	if len(s) == 1 {
+	if n > chunkLen {
+		for i, c := range cs {
+			copy(b[i*chunkLen:], c[:])
+		}
+		e.release(l, j)
+		sortEntries(b, bits.Len(uint(n))*2)
+		return
+	}
+	// The chunk is spare once released, but nothing takes a chunk before
+	// this drain returns, so s stays intact while it is read.
+	s := cs[0][:n]
+	e.release(l, j)
+	if n == 1 {
 		b[0] = s[0]
 		return
 	}
-	if len(s) <= 64 {
-		// 1-based entry index; 0 ends a chain. The &63 on an index below
-		// len(s) changes nothing but drops the bounds check.
-		var head, next [64]uint8
-		var occ uint64
-		for i := len(s) - 1; i >= 0; i-- {
-			q := uint(s[i].at>>subShift) & 63
-			next[i&63] = head[q]
-			head[q] = uint8(i + 1)
-			occ |= 1 << q
+	// 1-based entry index; 0 ends a chain. The &63 on an index below n
+	// changes nothing but drops the bounds check.
+	var head, next [chunkLen]uint8
+	var occ uint64
+	for i := n - 1; i >= 0; i-- {
+		q := uint(s[i].at>>subShift) & 63
+		next[i&63] = head[q]
+		head[q] = uint8(i + 1)
+		occ |= 1 << q
+	}
+	if occ&(occ-1) == 0 {
+		copy(b, s)
+		sortEntries(b, bits.Len(uint(n))*2)
+		return
+	}
+	pos := 0
+	for ; occ != 0; occ &= occ - 1 {
+		start := pos
+		for i := head[bits.TrailingZeros64(occ)]; i != 0; i = next[(i-1)&63] {
+			b[pos] = s[i-1]
+			pos++
 		}
-		if occ&(occ-1) != 0 {
-			pos := 0
-			for ; occ != 0; occ &= occ - 1 {
-				start := pos
-				for i := head[bits.TrailingZeros64(occ)]; i != 0; i = next[(i-1)&63] {
-					b[pos] = s[i-1]
-					pos++
-				}
-				if m := pos - start; m > 1 {
-					sortEntries(b[start:pos], bits.Len(uint(m))*2)
-				}
-			}
-			return
+		if m := pos - start; m > 1 {
+			sortEntries(b[start:pos], bits.Len(uint(m))*2)
 		}
 	}
-	copy(b, s)
-	sortEntries(b, bits.Len(uint(len(b)))*2)
 }
 
 // sortEntries is an introsort over the canonical key with the comparator
@@ -676,16 +700,23 @@ func siftEntries(s []entry, root, end int) {
 
 // cascade re-buckets one slot of a coarser level. Every entry lands in a
 // finer level (its tick shares the current window), so relative order is
-// decided later by the slot sort — cascading cannot reorder.
+// decided later by the slot sort — cascading cannot reorder — and the
+// walk never appends to the slot it reads. Each chunk goes back to the
+// spare list once walked, so the next chunk's entries can land in it.
 func (e *Engine) cascade(li, idx int) {
 	lv := &e.levels[li]
-	if len(lv.slot[idx]) == 0 {
+	if lv.n[idx] == 0 {
 		return
 	}
-	s := lv.take(idx)
-	for _, ent := range s {
-		e.place(ent)
+	cs, n := lv.take(idx)
+	for i, c := range cs {
+		for _, ent := range c[:min(n-i*chunkLen, chunkLen)] {
+			e.place(ent)
+		}
+		e.spare = append(e.spare, c)
+		cs[i] = nil
 	}
+	lv.slot[idx] = cs[:0]
 }
 
 // refill pulls every overflow event inside the wheel horizon into the
@@ -784,28 +815,26 @@ func (e *Engine) RunUntil(t Time) {
 
 // Reset returns the engine to its initial zero-time state — clock,
 // causal context, step count and drain position at zero, no pending
-// events — while
-// keeping every warmed buffer: slot and batch capacities, the overflow
-// heap's backing array, and the node free list (pending events are
-// discarded and their nodes recycled). A reset engine is observationally
-// identical to New(), so suite harnesses reuse engines across runs to
-// skip the per-run pool and wheel warm-up (see internal/exp).
+// events — while keeping every warmed buffer: the wheel's chunks (all
+// spare), the batch capacity, the overflow heap's backing array, and the
+// node free list (pending events are discarded and their nodes
+// recycled). A reset engine is observationally identical to New(), so
+// suite harnesses reuse engines across runs to skip the per-run pool and
+// wheel warm-up (see internal/exp).
 func (e *Engine) Reset() {
 	for li := range e.levels {
 		lv := &e.levels[li]
-		if lv.count > 0 {
-			for idx := range lv.slot {
-				for _, ent := range lv.slot[idx] {
+		for idx := 0; lv.count > 0 && idx < numSlots; idx++ {
+			cs, n := lv.take(idx)
+			for i, c := range cs {
+				used := c[:min(n-i*chunkLen, chunkLen)]
+				for _, ent := range used {
 					e.reap(ent.n)
 				}
-				if s := lv.slot[idx]; len(s) > 0 {
-					clear(s)
-					lv.slot[idx] = s[:0]
-				}
+				clear(used)
 			}
+			e.release(lv, idx)
 		}
-		lv.occ = [numSlots / 64]uint64{}
-		lv.count = 0
 	}
 	for _, ent := range e.over {
 		e.reap(ent.n)

@@ -266,7 +266,8 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 }
 
 // BenchmarkLoadSlot times the drain of one level-0 slot into the firing
-// batch, refill included: n entries whose at offsets within the tick are
+// batch, refill included (a bulk copy into one spare chunk, or a chain of
+// them past chunkLen): n entries whose at offsets within the tick are
 // uniform, or all equal, so that only the comparator can order them (the
 // permutation traffic of a large fabric starting in step). n = 14 is the
 // 64-host web-search fabric's mean drained slot. The drain cycles through
@@ -290,7 +291,13 @@ func BenchmarkLoadSlot(b *testing.B) {
 				e := New()
 				l := &e.levels[0]
 				for i := 0; i < b.N; i++ {
-					l.slot[5] = append(l.slot[5][:0], slots[i%len(slots)]...)
+					src := slots[i%len(slots)]
+					for k := 0; k < n; k += chunkLen {
+						c := e.newChunk()
+						copy(c[:], src[k:])
+						l.slot[5] = append(l.slot[5], c)
+					}
+					l.n[5] = uint32(n)
 					l.occ[0] |= 1 << 5
 					l.count += n
 					e.loadSlot(5, 5)
@@ -307,7 +314,7 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	e := New()
 	fn := func() {}
 	// Warm the pool and the queue's backing storage. The timing wheel
-	// lazily allocates each slot's entry array on first touch, and the
+	// lazily allocates each slot's chunk list on first touch, and the
 	// round stride drifts through slot residues slowly, so the warm-up
 	// repeats until every level-0 slot the loop can land in has capacity.
 	for round := 0; round < 4096; round++ {
@@ -391,50 +398,40 @@ func TestWheelBoundaryLandingCascades(t *testing.T) {
 	}
 }
 
-// A slot keeps its array for good, so a long level-0 one grows by a
-// quarter, not by append's doubling: filled to 10,000 entries it has room for under
-// 1.3× that, and every entry is where it was put. On the way there, once
-// the last array append chose is outgrown — in the hundreds, where append
-// still doubles or nearly — a slot never has room for 1.6× what it holds:
-// a quarter, and on top the runtime's rounding, to a size class or, just
-// past 32 KB, to a page. The coarser levels grow as append does, which
-// rounds whatever the traffic's busiest moment was to the same few sizes.
-func TestLongSlotGrowsByAQuarter(t *testing.T) {
-	const n = 10000
-	var l wheelLevel
-	for i := 0; i < n; i++ {
-		l.addTight(7, entry{at: Time(i)})
-		held, room := i+1, cap(l.slot[7])
-		if held > 2*slotGrowFrom && room*10 >= held*16 {
-			t.Fatalf("a slot of %d entries has room for %d", held, room)
-		}
-	}
-	s := l.slot[7]
-	if len(s) != n || l.count != n || cap(s)*10 >= n*13 {
-		t.Fatalf("slot holds %d entries (level counts %d) in room for %d, want %d in under %d", len(s), l.count, cap(s), n, n*13/10)
-	}
-	for i, ent := range s {
-		if ent.at != Time(i) {
-			t.Fatalf("entry %d is the one added at %d", i, ent.at)
-		}
-	}
-
+// The wheel keeps room for what is pending, not for each slot's busiest
+// tick. A burst of 200 entries into each level-0 slot in turn, then one of
+// 600 into each level-1 slot in turn (cascaded into a level-0 slot and
+// drained there), running the engine dry between bursts, leaves room for
+// one burst's chunks plus a part-filled one for the one slot holding it,
+// however many slots the bursts have passed through. The batch and the
+// overflow heap are not the wheel's: the batch is as large as the busiest
+// tick drained, by append's rule.
+func TestWheelRoomFollowsPending(t *testing.T) {
 	e := New()
-	for i := 0; i < 600; i++ {
-		e.At(Time(300)<<tickBits, func() {})
+	fn := func() {}
+	burst := func(tk int64, n int) {
+		for i := 0; i < n; i++ {
+			e.At(Time(tk<<tickBits+int64(i)), fn)
+		}
+		peak := e.Pending()
+		e.Run()
+		entries, _ := e.Capacity()
+		room := entries - cap(e.batch) - cap(e.over)
+		if bound := 64 * ((peak+63)/64 + 1); room > bound {
+			t.Fatalf("after %d entries at tick %d the wheel has room for %d, want at most %d", n, tk, room, bound)
+		}
 	}
-	var loose []entry
-	for i := 0; i < 600; i++ {
-		loose = append(loose, entry{})
+	for tk := int64(1); tk <= numSlots; tk++ { // level-0 slots 1 to 255, then 0
+		burst(tk, 200)
 	}
-	if got := cap(e.levels[1].slot[1]); got != cap(loose) {
-		t.Fatalf("a level-1 slot of 600 entries has room for %d, append gives %d", got, cap(loose))
+	for m := int64(1); m <= numSlots; m++ { // level-1 slot 3m mod 256: every one
+		burst(3*m*numSlots, 600)
 	}
 }
 
-// A replayed run — Reset, then the same script — allocates nothing: every
-// level-0 slot kept the array its busiest tick grew, whatever its
-// neighbours held. The script is as uneven as the wheel sees: 10,000
+// A replayed run — Reset, then the same script — allocates nothing: the
+// wheel's chunks, the slots' chunk lists and the batch keep what the
+// first run grew. The script is as uneven as the wheel sees: 10,000
 // events in one tick and 3 in the next, zero-delay children merged into
 // the live batch, entries exactly 255 and 256 ticks ahead (the last
 // level-0 slot and the first level-1 one), level-1 cascades, and one

@@ -127,7 +127,7 @@ func TestTimerZeroAllocSteadyState(t *testing.T) {
 		e.Run()
 	}
 	// Warm up the pool and the wheel. Arming walks the clock forward and
-	// the wheel sizes each slot's entry array on first touch, so the
+	// the wheel sizes each slot's chunk list on first touch, so the
 	// warm-up repeats the measured cycle often enough to visit every slot
 	// residue the cycle's stride will ever land in.
 	for i := 0; i < 256; i++ {
