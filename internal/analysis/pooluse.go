@@ -25,7 +25,8 @@ import (
 // pooled-vs-unpooled determinism suite still covers those.
 //
 // It also keeps INT stamping on the pool: a packet's hop storage is a
-// block the pool attaches at the first stamp and takes back at Put, so
+// block the pool attaches at the first stamp, swaps for a round-trip
+// block at the fifth and takes back at Put, so
 // `p.Hops = append(p.Hops, …)` outside internal/packet is flagged — on a
 // packet from Get it allocates a slice the pool never reclaims. Stamp
 // sites call packet.Pool.Stamp.

@@ -136,7 +136,6 @@ func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
 	cfg.fillDefaults()
 	return &Host{
 		id: id, eng: eng, cfg: cfg,
-		pool:  packet.NewPool(),
 		sendQ: map[uint64]*Msg{},
 		recvQ: map[uint64]*recvMsg{},
 	}
@@ -145,8 +144,14 @@ func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
 // ID implements topo.Node.
 func (h *Host) ID() packet.NodeID { return h.id }
 
-// SetUplink implements topo.Node.
-func (h *Host) SetUplink(p *link.Port) { h.nic = p }
+// SetUplink implements topo.Node. A host with no shared packet pool by
+// then gets a private one (see transport.Host.SetUplink).
+func (h *Host) SetUplink(p *link.Port) {
+	h.nic = p
+	if h.pool == nil {
+		h.pool = packet.NewPool()
+	}
+}
 
 // SetPool shares an engine-wide packet free list (see transport.Host.SetPool).
 func (h *Host) SetPool(pl *packet.Pool) {

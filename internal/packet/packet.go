@@ -67,8 +67,9 @@ const (
 // the size and the split.
 type Packet struct {
 	// INT stack; one record per traversed switch egress port. Nil until
-	// the first switch stamps the packet (Pool.Stamp), and nil again on a
-	// data packet whose ACK took the stack over.
+	// the first switch stamps the packet (Pool.Stamp, which sizes the
+	// storage to the depth reached), and nil again on a data packet whose
+	// ACK took the stack over.
 	Hops []telemetry.HopRecord
 
 	Flow       FlowID

@@ -22,36 +22,115 @@ func SetPooling(on bool) { poolingEnabled.Store(on) }
 // PoolingEnabled reports whether packet pooling is active.
 func PoolingEnabled() bool { return poolingEnabled.Load() }
 
-// slabPackets is the number of elements per slab, of either kind. 128
-// puts both kinds on an exact Go allocation size: 128 Packets are 16,384
-// bytes (a size class) and 128 hop blocks are 49,152 bytes (six pages),
-// so slabs round up to nothing.
+// slabPackets is the number of elements per slab, of any kind. 128 puts
+// every kind on an exact Go allocation size: 128 Packets and 128 first
+// blocks are 16,384 bytes each (a size class), and 128 round-trip blocks
+// are 49,152 bytes (six pages), so slabs round up to nothing.
 const slabPackets = 128
 
-// hopBlock is the INT storage of one packet: room for PathHopCap
-// records, attached at the packet's first stamp.
-type hopBlock [telemetry.PathHopCap]telemetry.HopRecord
+// firstHops is the capacity of the block a packet's first stamp
+// attaches: 128 bytes, two cache lines. Switches stamp at dequeue, so a
+// data packet crossing a fat-tree's core (ToR, agg, core, agg, ToR: five
+// stamps one way) waits in every queue of its path with at most four
+// records. The fifth stamp moves the stack, once, into a round-trip
+// block of telemetry.PathHopCap records, which the ACK inherits.
+const firstHops = 4
 
-// Slab is one piece of a pool's run memory: slabPackets packets, or
-// slabPackets hop blocks, or the emptied backing arrays of the pool's
-// two free lists — one allocation per 128 packets and one per 128
-// packets that ever met a switch. An element belongs for life to the
-// slab that made it, whichever pools it passes through. The type is
-// opaque; it exists so a finished run's memory can travel from Drain to
-// the next run's Adopt.
+type (
+	// firstBlock is the INT storage a packet's first stamp attaches.
+	firstBlock [firstHops]telemetry.HopRecord
+	// tripBlock is the storage a stack moves into at its fifth stamp,
+	// sized for the deepest round trip.
+	tripBlock [telemetry.PathHopCap]telemetry.HopRecord
+)
+
+// Slab is one piece of a pool's run memory: slabPackets elements of one
+// kind — packets, first blocks or round-trip blocks — or the emptied
+// backing arrays of the pool's free lists. An element belongs for life
+// to the slab that made it, whichever pools it passes through. The type
+// is opaque; it exists so a finished run's memory can travel from Drain
+// to the next run's Adopt.
 type Slab struct {
-	pkts    *[slabPackets]Packet
-	hops    *[slabPackets]hopBlock
-	lists   *freeLists
+	mem     any  // *[slabPackets]Packet, *[slabPackets]firstBlock, *[slabPackets]tripBlock or *freeLists
 	adopted bool // came in through Adopt: carving it is not a "new"
 }
 
 // freeLists are the backing arrays of a drained pool's free lists, every
-// element nil. They ride along with the slabs so a warm run regrows
-// neither list.
+// element nil. They ride along with the slabs so a warm run regrows none
+// of the lists.
 type freeLists struct {
-	pkts []*Packet
-	hops []*hopBlock
+	pkts   []*Packet
+	firsts []*firstBlock
+	trips  []*tripBlock
+}
+
+// store is one kind of pooled element: a LIFO free list of returned
+// elements in front of slabs carved in order — slabs adopted from a
+// finished run first, then slabs the store allocates itself.
+type store[T any] struct {
+	free   []*T
+	slabs  []Slab
+	carved int // elements carved so far: slabs[carved/slabPackets], element carved%slabPackets
+
+	gets uint64 // elements taken
+	news uint64 // of those, served by neither the free list nor an adopted slab
+	puts uint64 // elements returned
+}
+
+// take returns an element whose contents are unspecified: the last one
+// returned, else the next one carved from the slabs, allocating a slab
+// when they are used up.
+func (s *store[T]) take() *T {
+	s.gets++
+	if k := len(s.free); k > 0 {
+		e := s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+		return e
+	}
+	si, i := s.carved/slabPackets, s.carved%slabPackets
+	if si == len(s.slabs) {
+		s.slabs = append(s.slabs, Slab{mem: new([slabPackets]T)})
+	}
+	sl := &s.slabs[si]
+	if !sl.adopted {
+		s.news++
+	}
+	s.carved++
+	return &sl.mem.(*[slabPackets]T)[i]
+}
+
+func (s *store[T]) put(e *T) {
+	s.puts++
+	s.free = append(s.free, e)
+}
+
+// adopt takes sl over if it is a slab of this store's kind.
+func (s *store[T]) adopt(sl Slab) bool {
+	if _, ok := sl.mem.(*[slabPackets]T); !ok {
+		return false
+	}
+	sl.adopted = true
+	s.slabs = append(s.slabs, sl)
+	return true
+}
+
+// adoptFree keeps the roomier of the store's free-list array and an
+// emptied one handed on; the store's own is empty unless Adopt comes
+// mid-run.
+func (s *store[T]) adoptFree(free []*T) {
+	if len(s.free) == 0 && cap(free) > cap(s.free) {
+		s.free = free
+	}
+}
+
+// drain forgets the store's slabs and returns its free-list array,
+// emptied.
+func (s *store[T]) drain() []*T {
+	free := s.free[:0]
+	clear(s.free)
+	s.free, s.slabs, s.carved = nil, nil, 0
+	return free
 }
 
 // Pool hands out packets and the hop blocks behind their INT stacks.
@@ -61,18 +140,22 @@ type freeLists struct {
 // ACK consumption at the sender, and admission drops), and switches
 // record INT through Stamp.
 //
-// A Get is served from the free list of returned packets, else carved
-// from the pool's packet slabs in order — slabs adopted from a finished
-// run first, then slabs the pool allocates itself. A packet's first
-// Stamp is served the same way from the hop free list and the hop slabs.
-// The pool remembers every slab of both kinds, so Drain can hand all of
-// its memory on, including the packets and blocks still in flight.
+// Each kind — packets, first blocks, round-trip blocks — is a store: a
+// Get or a block is served from its free list of returned elements, else
+// carved from its slabs in order. A packet's first Stamp attaches a
+// first block; its fifth moves the stack into a round-trip block and
+// returns the first block, so hop storage follows what a packet has
+// stamped. The pool remembers every slab of every kind, so Drain can
+// hand all of its memory on, including the packets and blocks still in
+// flight.
 //
 // Invariants (see PERF.md):
 //   - A packet from Get has Hops == nil. Outside this package Hops grows
 //     only through Stamp (powervet's pooluse flags an append), and moves
 //     between packets only whole: the taker gets the slice and the
 //     donor's Hops is set to nil in the same statement.
+//   - A block is in exactly one place: one packet's Hops, or its kind's
+//     free list, or not yet carved.
 //   - After Put(p) the caller must not touch p or p.Hops again: both are
 //     recycled and will be handed to unrelated senders.
 //   - A packet may be Put at most once per Get.
@@ -83,21 +166,9 @@ type freeLists struct {
 // The nil *Pool is valid and degrades to plain allocation, so optional
 // integration points can call through unconditionally.
 type Pool struct {
-	free   []*Packet
-	slabs  []Slab // packet slabs
-	carved int    // packets carved so far: slabs[carved/slabPackets], element carved%slabPackets
-
-	hopFree   []*hopBlock
-	hopSlabs  []Slab // hop-block slabs
-	hopCarved int    // blocks carved so far, as carved
-
-	gets uint64 // total Get calls
-	news uint64 // Gets served by neither the free list nor an adopted slab
-	puts uint64 // total Put calls
-
-	hopGets uint64 // blocks attached: first stamps
-	hopNews uint64 // of those, served by neither the hop free list nor an adopted slab
-	hopPuts uint64 // blocks returned by Put
+	pkts   store[Packet]
+	firsts store[firstBlock]
+	trips  store[tripBlock]
 }
 
 // NewPool returns an empty pool.
@@ -110,80 +181,63 @@ func (pl *Pool) Get() *Packet {
 	if pl == nil || !poolingEnabled.Load() {
 		return &Packet{}
 	}
-	pl.gets++
-	if k := len(pl.free); k > 0 {
-		p := pl.free[k-1]
-		pl.free[k-1] = nil
-		pl.free = pl.free[:k-1]
-		return p
-	}
-	si, i := pl.carved/slabPackets, pl.carved%slabPackets
-	if si == len(pl.slabs) {
-		pl.slabs = append(pl.slabs, Slab{pkts: new([slabPackets]Packet)})
-	}
-	s := &pl.slabs[si]
-	if !s.adopted {
-		pl.news++
-	}
-	pl.carved++
-	p := &s.pkts[i]
-	*p = Packet{} // an adopted slab holds the last run's packets
+	p := pl.pkts.take()
+	*p = Packet{} // a returned packet, or an adopted slab's from the last run
 	return p
 }
 
-// Stamp appends one INT record to p's stack. The first record of a
-// packet attaches a hop block — from the hop free list, else carved from
-// the hop slabs, else from a new slab — and the rest land in it, so
+// Stamp appends one INT record to p's stack. The first record attaches
+// a first block and the fifth moves the four before it into a round-trip
+// block, returning the first block; the rest land in place, so
 // steady-state stamping allocates nothing. A stack deeper than
-// PathHopCap, and every stack under a nil pool or with pooling disabled,
-// grows by plain append.
+// telemetry.PathHopCap, and every stack under a nil pool or with pooling
+// disabled, grows by plain append.
 func (pl *Pool) Stamp(p *Packet, h telemetry.HopRecord) {
-	if p.Hops == nil && pl != nil && poolingEnabled.Load() {
-		p.Hops = pl.block()[:0]
+	if len(p.Hops) == cap(p.Hops) { // kept this small so Stamp inlines
+		pl.makeRoom(p)
 	}
 	p.Hops = append(p.Hops, h)
 }
 
-// block returns a hop block whose contents are unspecified.
-func (pl *Pool) block() *hopBlock {
-	pl.hopGets++
-	if k := len(pl.hopFree); k > 0 {
-		b := pl.hopFree[k-1]
-		pl.hopFree[k-1] = nil
-		pl.hopFree = pl.hopFree[:k-1]
-		return b
+// makeRoom gives a full stack a block with room: a first block to a
+// stack with none, a round-trip block, records copied, to a full first
+// block. A full round-trip block, or any stack under a nil pool or with
+// pooling disabled, is left for append to grow.
+func (pl *Pool) makeRoom(p *Packet) {
+	if pl == nil || !poolingEnabled.Load() {
+		return
 	}
-	si, i := pl.hopCarved/slabPackets, pl.hopCarved%slabPackets
-	if si == len(pl.hopSlabs) {
-		pl.hopSlabs = append(pl.hopSlabs, Slab{hops: new([slabPackets]hopBlock)})
+	switch {
+	case p.Hops == nil:
+		p.Hops = pl.firsts.take()[:0]
+	case cap(p.Hops) == firstHops:
+		trip := pl.trips.take()
+		copy(trip[:], p.Hops)
+		pl.firsts.put((*firstBlock)(p.Hops))
+		p.Hops = trip[:firstHops]
 	}
-	s := &pl.hopSlabs[si]
-	if !s.adopted {
-		pl.hopNews++
-	}
-	pl.hopCarved++
-	return &s.hops[i]
 }
 
-// Put recycles p through the free list, zeroed, and its hop block, if it
-// holds one, through the hop free list. Put of nil is a no-op. The pool
-// need not have made either: a packet or block from another pool's slab
-// (a partitioned fabric sends across pools) or from a plain allocation
-// circulates like any other — it is reclaimed with the slab that owns
-// it, or by the garbage collector if none does. Hop storage of any other
-// capacity than a block's (a stack that outgrew its block, a literal
-// slice) is left to the garbage collector.
+// Put recycles p through the free list (Get zeroes it on the way out)
+// and its hop block, if it holds one, through its kind's free list. Put
+// of nil is a no-op. The pool need not have made either: a packet or
+// block from another pool's slab (a partitioned fabric sends across
+// pools) or from a plain allocation circulates like any other — it is
+// reclaimed with the slab that owns it, or by the garbage collector if
+// none does. Hop storage of any other capacity than a block's (a stack
+// that outgrew its round-trip block, a literal slice) is left to the
+// garbage collector.
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil || p == nil || !poolingEnabled.Load() {
 		return
 	}
-	pl.puts++
-	if cap(p.Hops) == telemetry.PathHopCap {
-		pl.hopPuts++
-		pl.hopFree = append(pl.hopFree, (*hopBlock)(p.Hops[:telemetry.PathHopCap]))
+	switch cap(p.Hops) {
+	case firstHops:
+		pl.firsts.put((*firstBlock)(p.Hops[:firstHops]))
+	case telemetry.PathHopCap:
+		pl.trips.put((*tripBlock)(p.Hops[:telemetry.PathHopCap]))
 	}
-	*p = Packet{}
-	pl.free = append(pl.free, p)
+	pl.pkts.put(p)
 }
 
 // Stats reports pool traffic: total Gets, how many of them had to be
@@ -194,17 +248,20 @@ func (pl *Pool) Stats() (gets, news, puts uint64) {
 	if pl == nil {
 		return 0, 0, 0
 	}
-	return pl.gets, pl.news, pl.puts
+	return pl.pkts.gets, pl.pkts.news, pl.pkts.puts
 }
 
-// HopStats is Stats for hop blocks: blocks attached (one per packet
-// that was stamped at least once), how many of those were served from
-// freshly allocated memory, and blocks returned by Put.
+// HopStats is Stats for hop blocks of both sizes: blocks attached (a
+// first block at a packet's first stamp, a round-trip block at its
+// fifth), how many of those were served from freshly allocated memory,
+// and blocks returned (by Put, or by the move into a round-trip block).
+// Attached minus returned is the blocks packets hold.
 func (pl *Pool) HopStats() (gets, news, puts uint64) {
 	if pl == nil {
 		return 0, 0, 0
 	}
-	return pl.hopGets, pl.hopNews, pl.hopPuts
+	f, t := &pl.firsts, &pl.trips
+	return f.gets + t.gets, f.news + t.news, f.puts + t.puts
 }
 
 // Live reports the packets currently checked out of the pool (Gets
@@ -218,7 +275,7 @@ func (pl *Pool) Live() uint64 {
 	if pl == nil {
 		return 0
 	}
-	return pl.gets - pl.puts
+	return pl.pkts.gets - pl.pkts.puts
 }
 
 // Adopt takes over the run memory of a finished run (see Drain): the
@@ -232,30 +289,22 @@ func (pl *Pool) Adopt(slabs []Slab) {
 		return
 	}
 	// Room for the whole hand-over in one list, so that Drain joins the
-	// two in place when the run carves no more than the last one did.
-	pl.slabs = slices.Grow(pl.slabs, len(slabs))
+	// three in place when the run carves no more than the last one did.
+	pl.pkts.slabs = slices.Grow(pl.pkts.slabs, len(slabs))
 	for _, s := range slabs {
-		s.adopted = true
-		switch {
-		case s.pkts != nil:
-			pl.slabs = append(pl.slabs, s)
-		case s.hops != nil:
-			pl.hopSlabs = append(pl.hopSlabs, s)
-		case s.lists != nil:
-			// Keep the roomier array of each list; the pool's own are
-			// empty unless Adopt comes mid-run.
-			if len(pl.free) == 0 && cap(s.lists.pkts) > cap(pl.free) {
-				pl.free = s.lists.pkts
-			}
-			if len(pl.hopFree) == 0 && cap(s.lists.hops) > cap(pl.hopFree) {
-				pl.hopFree = s.lists.hops
-			}
+		if pl.pkts.adopt(s) || pl.firsts.adopt(s) || pl.trips.adopt(s) {
+			continue
+		}
+		if l, ok := s.mem.(*freeLists); ok {
+			pl.pkts.adoptFree(l.pkts)
+			pl.firsts.adoptFree(l.firsts)
+			pl.trips.adoptFree(l.trips)
 		}
 	}
 }
 
 // Drain ends the pool's run and returns all of its run memory — every
-// slab of either kind it made or adopted, and its free lists' backing
+// slab of every kind it made or adopted, and its free lists' backing
 // arrays — for the next run's pool to Adopt. All of their packets and
 // blocks are reclaimed — free, queued in a port, or in flight on the
 // engine — so Drain is only for a run that is over: nothing that holds a
@@ -268,13 +317,10 @@ func (pl *Pool) Drain() []Slab {
 	if pl == nil {
 		return nil
 	}
-	out := append(pl.slabs, pl.hopSlabs...)
-	if cap(pl.free)+cap(pl.hopFree) > 0 {
-		clear(pl.free)
-		clear(pl.hopFree)
-		out = append(out, Slab{lists: &freeLists{pkts: pl.free[:0], hops: pl.hopFree[:0]}})
+	out := append(append(pl.pkts.slabs, pl.firsts.slabs...), pl.trips.slabs...)
+	lists := &freeLists{pkts: pl.pkts.drain(), firsts: pl.firsts.drain(), trips: pl.trips.drain()}
+	if cap(lists.pkts)+cap(lists.firsts)+cap(lists.trips) > 0 {
+		out = append(out, Slab{mem: lists})
 	}
-	pl.free, pl.slabs, pl.carved = nil, nil, 0
-	pl.hopFree, pl.hopSlabs, pl.hopCarved = nil, nil, 0
 	return out
 }

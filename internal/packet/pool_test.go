@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -28,11 +29,20 @@ func checkFresh(t *testing.T, p *Packet) {
 	}
 }
 
-// blockOf identifies the hop block behind a stamped packet.
-func blockOf(t *testing.T, p *Packet) *telemetry.HopRecord {
+// blockOf identifies the first block behind a packet stamped at most
+// firstHops times.
+func blockOf(t *testing.T, p *Packet) *telemetry.HopRecord { return blockOfCap(t, p, firstHops) }
+
+// tripOf identifies the round-trip block behind a packet stamped more
+// than firstHops times.
+func tripOf(t *testing.T, p *Packet) *telemetry.HopRecord {
+	return blockOfCap(t, p, telemetry.PathHopCap)
+}
+
+func blockOfCap(t *testing.T, p *Packet, want int) *telemetry.HopRecord {
 	t.Helper()
-	if cap(p.Hops) != telemetry.PathHopCap {
-		t.Fatalf("Hops cap %d, want a %d-record block", cap(p.Hops), telemetry.PathHopCap)
+	if cap(p.Hops) != want {
+		t.Fatalf("Hops cap %d, want a %d-record block", cap(p.Hops), want)
 	}
 	return &p.Hops[:1][0]
 }
@@ -60,19 +70,19 @@ func getDistinct(t *testing.T, pl *Pool, n int, seen map[*Packet]bool, blocks ma
 	}
 }
 
-// TestStampAttachesOnceAndReusesLIFO: a packet acquires its block at the
-// first stamp and keeps it; returned blocks come back last in, first
-// out, whichever packet asks.
+// TestStampAttachesOnceAndReusesLIFO: a packet acquires its first block
+// at the first stamp and keeps it while it fills; returned blocks come
+// back last in, first out, whichever packet asks.
 func TestStampAttachesOnceAndReusesLIFO(t *testing.T) {
 	pl := NewPool()
 	a, b := pl.Get(), pl.Get()
 	checkFresh(t, a)
 	pl.Stamp(a, telemetry.HopRecord{QLen: 1})
 	blkA := blockOf(t, a)
-	for i := 2; i <= telemetry.PathHopCap; i++ {
+	for i := 2; i <= firstHops; i++ {
 		pl.Stamp(a, telemetry.HopRecord{QLen: int64(i)})
 	}
-	if blockOf(t, a) != blkA || len(a.Hops) != telemetry.PathHopCap {
+	if blockOf(t, a) != blkA || len(a.Hops) != firstHops {
 		t.Fatalf("stack moved or mis-sized while filling its block: len %d", len(a.Hops))
 	}
 	pl.Stamp(b, telemetry.HopRecord{QLen: 100})
@@ -96,18 +106,55 @@ func TestStampAttachesOnceAndReusesLIFO(t *testing.T) {
 	if gets, news, puts := pl.HopStats(); gets != 4 || news != 2 || puts != 2 {
 		t.Fatalf("hop stats = %d/%d/%d, want 4/2/2", gets, news, puts)
 	}
+}
 
-	// A stack deeper than a block moves to the heap; Put does not take
-	// the grown storage for a block.
-	for i := 0; i < telemetry.PathHopCap; i++ {
-		pl.Stamp(c, telemetry.HopRecord{QLen: int64(i)})
+// TestHopRoomFollowsStamps: a stack holds a first block for its first
+// four records, moves once — records and all — into a round-trip block
+// at the fifth, handing the first block straight back, and stays there
+// up to telemetry.PathHopCap records. Deeper, it grows onto the heap,
+// and Put does not take the grown storage for a block.
+func TestHopRoomFollowsStamps(t *testing.T) {
+	pl := NewPool()
+	p := pl.Get()
+	for i := 1; i <= firstHops; i++ {
+		pl.Stamp(p, telemetry.HopRecord{QLen: int64(i)})
 	}
-	if len(c.Hops) != telemetry.PathHopCap+1 {
-		t.Fatalf("overflowing stack has %d records", len(c.Hops))
+	first := blockOf(t, p)
+	pl.Stamp(p, telemetry.HopRecord{QLen: firstHops + 1})
+	trip := tripOf(t, p)
+	for i, h := range p.Hops {
+		if h.QLen != int64(i+1) {
+			t.Fatalf("record %d reads QLen %d after the move, want %d", i, h.QLen, i+1)
+		}
 	}
-	pl.Put(c)
-	if _, _, puts := pl.HopStats(); puts != 2 {
-		t.Fatalf("Put recycled %d blocks, want 2: outgrown storage is not a block", puts)
+	if f, tr := pl.firsts, pl.trips; f.gets != 1 || f.puts != 1 || len(f.free) != 1 || tr.gets != 1 || tr.puts != 0 {
+		t.Fatalf("after the move: first blocks %d taken %d returned %d free, round-trip %d taken %d returned",
+			f.gets, f.puts, len(f.free), tr.gets, tr.puts)
+	}
+	q := pl.Get()
+	pl.Stamp(q, telemetry.HopRecord{})
+	if blockOf(t, q) != first {
+		t.Fatal("the first block the move returned was not the next one attached")
+	}
+
+	for i := firstHops + 2; i <= telemetry.PathHopCap; i++ {
+		pl.Stamp(p, telemetry.HopRecord{QLen: int64(i)})
+	}
+	if tripOf(t, p) != trip || len(p.Hops) != telemetry.PathHopCap {
+		t.Fatalf("stack moved again or mis-sized while filling its round-trip block: len %d", len(p.Hops))
+	}
+	if gets, _, _ := pl.HopStats(); gets != 3 {
+		t.Fatalf("%d blocks attached, want 3: two first stamps and one move", gets)
+	}
+	pl.Stamp(p, telemetry.HopRecord{})
+	if len(p.Hops) != telemetry.PathHopCap+1 || cap(p.Hops) == telemetry.PathHopCap {
+		t.Fatalf("overflowing stack has %d records in %d of room", len(p.Hops), cap(p.Hops))
+	}
+	pl.Put(p)
+	pl.Put(q)
+	if gets, _, puts := pl.HopStats(); gets != 3 || puts != 2 || pl.trips.puts != 0 {
+		t.Fatalf("Put recycled %d blocks (%d round-trip) of %d attached, want 2 and 0: outgrown storage is not a block",
+			puts, pl.trips.puts, gets)
 	}
 }
 
@@ -161,8 +208,8 @@ func TestDrainReclaimsInFlightPackets(t *testing.T) {
 		t.Fatalf("first run hop stats = %d/%d/%d, want %d/%d/5", gets, news, puts, stamped, stamped)
 	}
 	slabs := a.Drain()
-	if got := countSlabs(slabs); got != (slabCount{pkts: 3, hops: 2, lists: 1}) {
-		t.Fatalf("drained %+v, want 3 packet slabs, 2 hop slabs and the free lists", got)
+	if got := countSlabs(slabs); got != (slabCount{pkts: 3, firsts: 2, lists: 1}) {
+		t.Fatalf("drained %+v, want 3 packet slabs, 2 first-block slabs and the free lists", got)
 	}
 	if again := a.Drain(); again != nil {
 		t.Fatalf("second Drain returned %d slabs", len(again))
@@ -209,16 +256,74 @@ func TestDrainReclaimsInFlightPackets(t *testing.T) {
 	}
 }
 
-type slabCount struct{ pkts, hops, lists int }
+// TestDrainHandsOnRoundTripBlocks: round-trip blocks are run memory like
+// the rest — Drain hands on their slabs, in flight or returned, and the
+// adopting pool moves stacks into them, each once, before it allocates.
+func TestDrainHandsOnRoundTripBlocks(t *testing.T) {
+	const n = slabPackets + 1
+	deep := func(pl *Pool) *Packet {
+		p := pl.Get()
+		for i := 0; i <= firstHops; i++ {
+			pl.Stamp(p, telemetry.HopRecord{QLen: int64(i)})
+		}
+		return p
+	}
+	a := NewPool()
+	held := map[*telemetry.HopRecord]bool{}
+	var ps []*Packet
+	for i := 0; i < n; i++ {
+		p := deep(a)
+		held[tripOf(t, p)] = true
+		ps = append(ps, p)
+	}
+	for _, p := range ps[:3] {
+		a.Put(p)
+	}
+	// Every move hands its first block back, and the next packet takes it.
+	if f, tr := a.firsts, a.trips; f.news != 1 || tr.news != n || tr.puts != 3 {
+		t.Fatalf("carved %d first and %d round-trip blocks, %d returned; want 1, %d, 3", f.news, tr.news, tr.puts, n)
+	}
+	slabs := a.Drain()
+	if got := countSlabs(slabs); got != (slabCount{pkts: 2, firsts: 1, trips: 2, lists: 1}) {
+		t.Fatalf("drained %+v, want 2 packet slabs, 1 first-block slab, 2 round-trip slabs and the free lists", got)
+	}
+
+	b := NewPool()
+	b.Adopt(slabs)
+	seen := map[*telemetry.HopRecord]bool{}
+	for i := 0; i < 2*slabPackets; i++ {
+		blk := tripOf(t, deep(b))
+		if seen[blk] {
+			t.Fatalf("round-trip block %p attached twice", blk)
+		}
+		seen[blk] = true
+	}
+	if b.trips.news != 0 || b.firsts.news != 0 {
+		t.Fatalf("adopted run carved %d round-trip and %d first blocks fresh, want 0", b.trips.news, b.firsts.news)
+	}
+	for blk := range held {
+		if !seen[blk] {
+			t.Fatalf("round-trip block %p was not reclaimed", blk)
+		}
+	}
+	deep(b)
+	if b.trips.news != 1 {
+		t.Fatalf("round-trip news = %d after outrunning the adopted slabs, want 1", b.trips.news)
+	}
+}
+
+type slabCount struct{ pkts, firsts, trips, lists int }
 
 func countSlabs(slabs []Slab) (c slabCount) {
 	for _, s := range slabs {
-		switch {
-		case s.pkts != nil:
+		switch s.mem.(type) {
+		case *[slabPackets]Packet:
 			c.pkts++
-		case s.hops != nil:
-			c.hops++
-		case s.lists != nil:
+		case *[slabPackets]firstBlock:
+			c.firsts++
+		case *[slabPackets]tripBlock:
+			c.trips++
+		case *freeLists:
 			c.lists++
 		}
 	}
@@ -254,7 +359,7 @@ func TestCrossPoolPutReclaimedOnce(t *testing.T) {
 	}
 	sa, sb := a.Drain(), b.Drain()
 	ca, cb := countSlabs(sa), countSlabs(sb)
-	if ca.pkts != ca.hops || cb.pkts != cb.hops {
+	if ca.pkts != ca.firsts || cb.pkts != cb.firsts {
 		t.Fatalf("every packet was stamped, yet slabs are %+v and %+v", ca, cb)
 	}
 	total := (ca.pkts + cb.pkts) * slabPackets
@@ -288,7 +393,7 @@ func TestPutOfForeignPacket(t *testing.T) {
 	if _, _, puts := pl.HopStats(); puts != 0 {
 		t.Fatal("a one-record literal was recycled as a hop block")
 	}
-	if c := countSlabs(pl.Drain()); c.pkts+c.hops != 0 {
+	if c := countSlabs(pl.Drain()); c.pkts+c.firsts+c.trips != 0 {
 		t.Fatalf("foreign packet produced slabs: %+v", c)
 	}
 }
@@ -405,11 +510,33 @@ func TestPacketLayout(t *testing.T) {
 			t.Errorf("%s sits at offset %d, outside the first cache line", name, off)
 		}
 	}
-	var s Slab
-	if got := unsafe.Sizeof(*s.pkts); got != 16384 { // a malloc size class
+	if got := unsafe.Sizeof([slabPackets]Packet{}); got != 16384 { // a malloc size class
 		t.Errorf("a packet slab is %d bytes, want 16384", got)
 	}
-	if got := unsafe.Sizeof(*s.hops); got != 49152 || got%8192 != 0 { // large object: whole pages
-		t.Errorf("a hop slab is %d bytes, want 49152, a whole number of pages", got)
+	if got := unsafe.Sizeof([slabPackets]firstBlock{}); got != 16384 {
+		t.Errorf("a first-block slab is %d bytes, want 16384", got)
+	}
+	if got := unsafe.Sizeof([slabPackets]tripBlock{}); got != 49152 || got%8192 != 0 { // large object: whole pages
+		t.Errorf("a round-trip block slab is %d bytes, want 49152, a whole number of pages", got)
+	}
+}
+
+// BenchmarkStampRoundTrip is one packet's INT life on a fat-tree round
+// trip — Get, the stamps, Put — at the depths of a path inside a rack
+// (2), inside a pod (6) and across the core (10). The last two pay the
+// move into a round-trip block.
+func BenchmarkStampRoundTrip(b *testing.B) {
+	for _, depth := range []int{2, 6, 10} {
+		b.Run(fmt.Sprintf("hops=%d", depth), func(b *testing.B) {
+			pl := NewPool()
+			h := telemetry.HopRecord{QLen: 1}
+			for i := 0; i < b.N; i++ {
+				p := pl.Get()
+				for j := 0; j < depth; j++ {
+					pl.Stamp(p, h)
+				}
+				pl.Put(p)
+			}
+		})
 	}
 }

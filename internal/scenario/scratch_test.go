@@ -31,8 +31,9 @@ type scratchPass struct {
 	cold       bool        // the scratch brought no slabs: every carve is a "new"
 	gets, news uint64      // summed over the fabric's pools
 	live       uint64      // packets checked out at the cut
-	// Hop blocks, summed likewise: attached at a first stamp, of those
-	// served from fresh memory, and returned with a consumed packet.
+	// Hop blocks of both sizes, summed likewise (packet.Pool.HopStats):
+	// attached at a first stamp or a move into a round-trip block, of
+	// those served from fresh memory, and returned.
 	hopGets, hopNews, hopPuts uint64
 	inflight                  float64
 	envelope                  []byte
@@ -164,16 +165,31 @@ func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		for {
-			var p packet.Packet
-			pl.Stamp(&p, telemetry.HopRecord{})
-			if _, news, _ := pl.HopStats(); news > 0 {
-				break // past the adopted hop slabs
-			}
+		reclaim := func(p *packet.Packet) {
 			if blocks[&p.Hops[0]] {
 				t.Fatalf("hop block %p reclaimed twice", &p.Hops[0])
 			}
 			blocks[&p.Hops[0]] = true
+		}
+		for { // first blocks
+			var p packet.Packet
+			pl.Stamp(&p, telemetry.HopRecord{})
+			if _, news, _ := pl.HopStats(); news > 0 {
+				break // past the adopted first-block slabs
+			}
+			reclaim(&p)
+		}
+		for { // round-trip blocks: the fifth stamp moves the stack into one
+			var p packet.Packet
+			for i := 0; i < 4; i++ {
+				pl.Stamp(&p, telemetry.HopRecord{})
+			}
+			_, before, _ := pl.HopStats()
+			pl.Stamp(&p, telemetry.HopRecord{})
+			if _, news, _ := pl.HopStats(); news > before {
+				break // past the adopted round-trip slabs
+			}
+			reclaim(&p)
 		}
 	}
 	if second.live == 0 || uint64(len(seen)) < second.live {
@@ -224,7 +240,7 @@ try:
 					between[i].Name, len(parked.scratch.slabs), len(parked.scratch.engs), shards)
 			}
 			if i == 1 && (parked.gets == 0 || parked.hopGets == 0 || parked.news != 0 || parked.hopNews != 0) {
-				t.Fatalf("the rotor lab made %d Gets and %d first stamps and carved %d packets and %d hop blocks, want traffic and no carving",
+				t.Fatalf("the rotor lab made %d Gets, attached %d hop blocks and carved %d packets and %d hop blocks, want traffic and no carving",
 					parked.gets, parked.hopGets, parked.news, parked.hopNews)
 			}
 		}
@@ -241,7 +257,7 @@ try:
 				t.Errorf("pass %d: carved %d packets over %d Gets (pass 1 made %d Gets), want 0", i+2, p.news, p.gets, first.gets)
 			}
 			if p.hopGets != first.hopGets || p.hopNews != 0 {
-				t.Errorf("pass %d: carved %d hop blocks over %d first stamps, want 0", i+2, p.hopNews, p.hopGets)
+				t.Errorf("pass %d: carved %d hop blocks over %d attached, want 0", i+2, p.hopNews, p.hopGets)
 			}
 			if p.engEntries != first.engEntries || p.engNodes != first.engNodes {
 				t.Errorf("pass %d: shard engines hold %d entries and %d nodes, pass 1 left %d and %d",
@@ -257,8 +273,9 @@ try:
 
 // TestHopBlocksFollowStamps is the footprint claim in counts: on a
 // 256-host permutation fabric cut at 20 µs a packet holds hop storage
-// only from its first switch egress until its ACK is consumed, so the
-// pools carve fewer blocks than packets.
+// only from its first switch egress until its ACK is consumed — a
+// first block, then at most one round-trip block — so the pools carve
+// fewer blocks than packets.
 func TestHopBlocksFollowStamps(t *testing.T) {
 	for _, parts := range []int{1, 2} {
 		sc := cutShort(parts)
@@ -277,17 +294,17 @@ func TestHopBlocksFollowStamps(t *testing.T) {
 		// NIC have met no switch, and an ACK consumed returned its block.
 		held := p.hopGets - p.hopPuts
 		if p.hopPuts == 0 || p.hopGets >= p.gets {
-			t.Fatalf("parts=%d: %d first stamps over %d Gets, %d blocks returned; the cut exercises nothing", parts, p.hopGets, p.gets, p.hopPuts)
+			t.Fatalf("parts=%d: %d blocks attached over %d Gets, %d returned; the cut exercises nothing", parts, p.hopGets, p.gets, p.hopPuts)
 		}
 		if p.hopNews < held {
 			t.Fatalf("parts=%d: %d blocks carved but %d held at the cut", parts, p.hopNews, held)
 		}
 		// One pool reuses every returned block before it carves another
-		// (LIFO, and at this cut the free list is empty): blocks carved =
-		// first stamps − ACKs consumed. Across a cut a block can wait in
-		// one partition's list while the other carves.
+		// (LIFO, and at this cut both free lists are empty): blocks carved
+		// = blocks attached − blocks returned. Across a cut a block can
+		// wait in one partition's list while the other carves.
 		if parts == 1 && p.hopNews != held {
-			t.Errorf("parts=1: %d blocks carved, want first stamps %d − returned %d = %d", p.hopNews, p.hopGets, p.hopPuts, held)
+			t.Errorf("parts=1: %d blocks carved, want attached %d − returned %d = %d", p.hopNews, p.hopGets, p.hopPuts, held)
 		}
 		if p.hopNews >= p.news {
 			t.Errorf("parts=%d: %d blocks carved for %d packets carved, want fewer", parts, p.hopNews, p.news)

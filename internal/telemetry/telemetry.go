@@ -38,12 +38,12 @@ type HopRecord struct {
 // for four 8-byte hop records (§5 of the paper notes the same limit).
 const MaxHops = 4
 
-// PathHopCap is the hop capacity of the block a packet pool attaches to
-// a packet at its first stamp; a packet no switch has stamped holds
-// none. The simulator's native (non-wire) mode stamps one record per
-// switch egress over the whole round trip; the deepest path in the
-// repository's topologies — fat-tree host→ToR→agg→core→agg→ToR→host and
-// back — stamps 10, so 12 leaves slack without wasting memory.
+// PathHopCap is the hop capacity of the round-trip block a packet pool
+// moves a packet's stack into when it outgrows the small block its first
+// stamp attached. The simulator's native (non-wire) mode stamps one
+// record per switch egress over the whole round trip; the deepest path
+// in the repository's topologies — fat-tree host→ToR→agg→core→agg→ToR→
+// host and back — stamps 10, so 12 leaves slack without wasting memory.
 const PathHopCap = 12
 
 // Wire format constants.

@@ -79,7 +79,6 @@ func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
 		id:    id,
 		eng:   eng,
 		cfg:   cfg,
-		pool:  packet.NewPool(),
 		flows: map[packet.FlowID]*Flow{},
 		rcv:   map[packet.FlowID]*rcvState{},
 	}
@@ -88,21 +87,24 @@ func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
 // ID returns the host's node ID.
 func (h *Host) ID() packet.NodeID { return h.id }
 
-// SetUplink attaches the NIC egress port.
-func (h *Host) SetUplink(p *link.Port) { h.nic = p }
+// SetUplink attaches the NIC egress port. A host that has no shared
+// packet pool by then gets a private one, so standalone use needs no
+// setup.
+func (h *Host) SetUplink(p *link.Port) {
+	h.nic = p
+	if h.pool == nil {
+		h.pool = packet.NewPool()
+	}
+}
 
 // SetPool shares an engine-wide packet free list with the host (topology
-// builders call this so every endpoint and switch recycles through one
-// pool). Hosts start with a private pool, so standalone use needs no
-// setup.
+// builders call this, before SetUplink, so every endpoint and switch
+// recycles through one pool).
 func (h *Host) SetPool(pl *packet.Pool) {
 	if pl != nil {
 		h.pool = pl
 	}
 }
-
-// Pool returns the host's packet free list (benchmark instrumentation).
-func (h *Host) Pool() *packet.Pool { return h.pool }
 
 // NIC returns the host's egress port.
 func (h *Host) NIC() *link.Port { return h.nic }
