@@ -21,7 +21,8 @@
 //	curl -s localhost:8080/v1/stats
 //
 // SIGTERM/SIGINT drain gracefully: admission stops (503), in-flight
-// runs finish, the cache index is flushed, then the listener closes.
+// runs finish, then the listener closes. Every cache entry is already on
+// disk by then: each is written as it is made.
 package main
 
 import (
@@ -100,7 +101,7 @@ func run() error {
 	}
 	log.Printf("powersimd draining")
 	if err := srv.Drain(); err != nil {
-		log.Printf("powersimd: cache index flush failed: %v", err)
+		log.Printf("powersimd: drain failed: %v", err)
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), *graceFlag)
 	defer cancel()

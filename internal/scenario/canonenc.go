@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -56,67 +55,64 @@ func compilePlan(t reflect.Type) *plan {
 	return p
 }
 
-// canonWriter appends canonical bytes to b; err is the first value JSON cannot carry.
-type canonWriter struct {
-	b   []byte
-	err error
-}
-
-func (w *canonWriter) value(p *plan, v reflect.Value) {
+// appendValue appends v's canonical bytes to b; err is the first value JSON
+// cannot carry. b goes in and comes out by value, never through a pointer,
+// so a caller's stack buffer stays on the stack.
+func appendValue(b []byte, p *plan, v reflect.Value) (_ []byte, err error) {
 	switch p.kind {
 	case reflect.Bool:
-		w.b = strconv.AppendBool(w.b, v.Bool())
+		b = strconv.AppendBool(b, v.Bool())
 	case reflect.Int64:
-		w.b = strconv.AppendInt(w.b, v.Int(), 10)
+		b = strconv.AppendInt(b, v.Int(), 10)
 	case reflect.Float64:
-		w.float(v.Float())
+		b, err = appendFloat(b, v.Float())
 	case reflect.String:
-		w.b = appendString(w.b, v.String())
+		b = appendString(b, v.String())
 	case reflect.Pointer, reflect.Slice:
 		switch {
 		case v.IsNil():
-			w.b = append(w.b, "null"...)
+			b = append(b, "null"...)
 		case p.kind == reflect.Pointer:
-			w.value(&p.sub[0], v.Elem())
+			b, err = appendValue(b, &p.sub[0], v.Elem())
 		default:
-			w.b = append(w.b, '[')
-			for i, n := 0, v.Len(); i < n; i++ {
+			b = append(b, '[')
+			for i, n := 0, v.Len(); i < n && err == nil; i++ {
 				if i > 0 {
-					w.b = append(w.b, ',')
+					b = append(b, ',')
 				}
-				w.value(&p.sub[0], v.Index(i))
+				b, err = appendValue(b, &p.sub[0], v.Index(i))
 			}
-			w.b = append(w.b, ']')
+			b = append(b, ']')
 		}
 	case reflect.Struct:
-		w.b = append(w.b, '{')
-		open := len(w.b)
-		for i := range p.sub {
+		b = append(b, '{')
+		open := len(b)
+		for i := 0; i < len(p.sub) && err == nil; i++ {
 			f := &p.sub[i]
 			fv := v.Field(f.index)
 			// encoding/json's empty: false, 0, nil, a string or slice of no length.
 			if f.omitEmpty && (fv.IsZero() || f.kind == reflect.Slice && fv.Len() == 0) {
 				continue
 			}
-			if len(w.b) > open {
-				w.b = append(w.b, ',')
+			if len(b) > open {
+				b = append(b, ',')
 			}
-			w.b = append(w.b, f.key...)
-			w.value(f, fv)
+			b = append(b, f.key...)
+			b, err = appendValue(b, f, fv)
 		}
-		w.b = append(w.b, '}')
+		b = append(b, '}')
 	}
+	return b, err
 }
 
-// float writes the shortest digits that read back as f; outside [1e-6, 1e21)
+// appendFloat writes the shortest digits that read back as f; outside [1e-6, 1e21)
 // encoding/json is asked, for its exponent form and its refusal of NaN and ±Inf.
-func (w *canonWriter) float(f float64) {
+func appendFloat(b []byte, f float64) ([]byte, error) {
 	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
-		w.b = strconv.AppendFloat(w.b, f, 'f', -1, 64)
-		return
+		return strconv.AppendFloat(b, f, 'f', -1, 64), nil
 	}
 	q, err := json.Marshal(f)
-	w.b, w.err = append(w.b, q...), cmp.Or(w.err, err)
+	return append(b, q...), err
 }
 
 // appendString writes s quoted. Printable ASCII that neither JSON nor its HTML

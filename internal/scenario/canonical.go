@@ -76,12 +76,11 @@ func appendCanonical(b []byte, sp *Spec) ([]byte, error) {
 	} else if sp.V != SpecVersion {
 		return nil, fmt.Errorf("scenario: cannot canonicalize spec version %d (current %d)", sp.V, SpecVersion)
 	}
-	w := canonWriter{b: b}
-	w.value(specPlan(), reflect.ValueOf(sp).Elem())
-	if w.err != nil {
-		return nil, fmt.Errorf("scenario: marshaling spec: %w", w.err)
+	b, err := appendValue(b, specPlan(), reflect.ValueOf(sp).Elem())
+	if err != nil {
+		return nil, fmt.Errorf("scenario: marshaling spec: %w", err)
 	}
-	return w.b, nil
+	return b, nil
 }
 
 // DecodeSpec parses canonical (or hand-written) Spec JSON strictly:
@@ -118,15 +117,23 @@ func DecodeSpec(data []byte) (*Spec, error) {
 // determinism contract, but a distinct supervised run worth its own
 // cache slot while budgets are partition-aware).
 func SpecKey(sp *Spec, seed int64, parts int) (string, error) {
+	key, _, err := SpecKeyOf(sp, seed, parts, nil)
+	return key, err
+}
+
+// SpecKeyOf is SpecKey that also reports whether body is exactly sp's
+// canonical bytes, compared against the bytes the key is hashed from.
+func SpecKeyOf(sp *Spec, seed int64, parts int, body []byte) (key string, canonical bool, err error) {
 	var scratch [canonScratch]byte
 	b, err := appendCanonical(scratch[:0], sp)
 	if err != nil {
-		return "", err
+		return "", false, err
 	}
+	canonical = bytes.Equal(b, body)
 	b = binary.BigEndian.AppendUint64(b, uint64(seed))
 	b = binary.BigEndian.AppendUint64(b, uint64(parts))
 	sum := sha256.Sum256(b)
-	var key [2 * sha256.Size]byte
-	hex.Encode(key[:], sum[:])
-	return string(key[:]), nil
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:]), canonical, nil
 }

@@ -3,7 +3,9 @@
 // Result envelopes addressed by their content key. Identical submissions
 // never recompute — the (canonical spec, seed, parts) hash is the cache
 // key, and simulation determinism guarantees the cached envelope is
-// byte-identical to a fresh run.
+// byte-identical to a fresh run. A body that is byte for byte the
+// canonical form of a spec already answered from the cache is not even
+// decoded again: its sha256 and parts name the entry directly.
 //
 // The package deliberately lives OUTSIDE the simulation-path
 // determinism contract (see internal/analysis): admission control,
@@ -14,6 +16,8 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -82,6 +86,10 @@ type Server struct {
 
 	mu    sync.Mutex
 	cache map[string][]byte // key → envelope bytes
+	// bodies maps a request body to the cache entry it was answered with.
+	// Only a canonical body answered by a hit is recorded, so there is at
+	// most one per entry, and a body sent once takes no room.
+	bodies map[bodyKey]entry
 
 	requests  atomic.Uint64
 	cacheHits atomic.Uint64
@@ -107,6 +115,7 @@ func New(cfg Config) (*Server, error) {
 		admit:   make(chan struct{}, cfg.Workers+cfg.Queue),
 		workers: make(chan struct{}, cfg.Workers),
 		cache:   make(map[string][]byte),
+		bodies:  make(map[bodyKey]entry),
 	}
 	sup := &guard.Supervisor{Budget: cfg.Budget, ReproDir: cfg.ReproDir}
 	s.run = sup.RunSpec
@@ -155,11 +164,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST a scenario Spec", "method")
 		return
 	}
-	sp, parts, ok := s.decodeRequest(w, r)
+	parts, ok := partsParam(w, r)
 	if !ok {
 		return
 	}
-	_, env, hit, err := s.resolve(sp, parts)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	_, env, hit, err := s.answer(body, parts)
 	if err != nil {
 		s.writeRunError(w, err)
 		return
@@ -205,21 +218,16 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	out := make([]slot, len(raws))
 	var wg sync.WaitGroup
 	for i, raw := range raws {
-		sp, err := scenario.DecodeSpec(raw)
-		if err != nil {
-			out[i].Error = &errorBody{Error: err.Error(), Kind: "decode"}
-			continue
-		}
 		wg.Add(1)
-		go func(i int, sp *scenario.Spec) {
+		go func() {
 			defer wg.Done()
-			key, env, _, err := s.resolve(sp, parts)
+			key, env, _, err := s.answer(raw, parts)
 			if err != nil {
 				out[i].Error = runErrorBody(err)
 				return
 			}
 			out[i] = slot{Key: key, Result: env}
-		}(i, sp)
+		}()
 	}
 	wg.Wait()
 	w.Header().Set("Content-Type", "application/json")
@@ -251,25 +259,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// decodeRequest parses the parts parameter and strict Spec body,
-// answering the request itself on failure.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*scenario.Spec, int, bool) {
-	parts, ok := partsParam(w, r)
-	if !ok {
-		return nil, 0, false
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return nil, 0, false
-	}
-	sp, err := scenario.DecodeSpec(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error(), "decode")
-		return nil, 0, false
-	}
-	return sp, parts, true
-}
-
 // maxBodyBytes bounds a request body, a suite's too; the largest preset is 451.
 const maxBodyBytes = 1 << 20
 
@@ -284,9 +273,11 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	} else {
 		body, err = io.ReadAll(rd)
 	}
-	if errors.As(err, new(*http.MaxBytesError)) {
+	switch {
+	case err == nil:
+	case errors.As(err, new(*http.MaxBytesError)): // the target escapes: only on a failed read
 		httpError(w, http.StatusRequestEntityTooLarge, err.Error(), "too_large")
-	} else if err != nil {
+	default:
 		httpError(w, http.StatusBadRequest, err.Error(), "read")
 	}
 	return body, err == nil
@@ -305,21 +296,64 @@ func partsParam(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return parts, true
 }
 
-// resolve answers one (spec, parts) submission with its content key and
-// envelope: cache first, then a supervised run behind admission control.
-// The returned envelope bytes for a given key are identical forever —
-// cold runs store exactly what later hits return.
-func (s *Server) resolve(sp *scenario.Spec, parts int) (key string, env []byte, hit bool, err error) {
-	key, err = scenario.SpecKey(sp, sp.Seed, parts)
+// entry is one cache entry: a content key and the envelope it names.
+type entry struct {
+	key string
+	env []byte
+}
+
+// bodyKey names a request exactly: its body's sha256 and its parts.
+type bodyKey struct {
+	sum   [sha256.Size]byte
+	parts int
+}
+
+// answer resolves one request body, a /v1/run body or a /v1/suite
+// element, to its content key and envelope. A body recorded in bodies is
+// a digest and a map read. That is exact: the key is a pure function of
+// (body, parts), and the envelope of a key never changes (resolve). Any
+// other body is decoded and keyed, and recorded when it is canonical and
+// resolve answers it from the cache.
+func (s *Server) answer(body []byte, parts int) (key string, env []byte, hit bool, err error) {
+	bk := bodyKey{sha256.Sum256(body), parts}
+	s.mu.Lock()
+	e, ok := s.bodies[bk]
+	s.mu.Unlock()
+	if ok {
+		s.cacheHits.Add(1)
+		return e.key, e.env, true, nil
+	}
+	sp, err := scenario.DecodeSpec(body)
 	if err != nil {
 		return "", nil, false, &requestError{status: http.StatusBadRequest, kind: "decode", msg: err.Error()}
 	}
+	key, canonical, err := scenario.SpecKeyOf(sp, sp.Seed, parts, body)
+	if err != nil {
+		return "", nil, false, &requestError{status: http.StatusBadRequest, kind: "decode", msg: err.Error()}
+	}
+	env, hit, err = s.resolve(sp, key, parts)
+	if err != nil {
+		return "", nil, false, err
+	}
+	if hit && canonical {
+		s.mu.Lock()
+		s.bodies[bk] = entry{key, env}
+		s.mu.Unlock()
+	}
+	return key, env, hit, nil
+}
+
+// resolve answers one (spec, parts) submission under its content key:
+// cache first, then a supervised run behind admission control. The
+// returned envelope bytes for a given key are identical forever — cold
+// runs store exactly what later hits return.
+func (s *Server) resolve(sp *scenario.Spec, key string, parts int) (env []byte, hit bool, err error) {
 	if env := s.lookup(key); env != nil {
 		s.cacheHits.Add(1)
-		return key, env, true, nil
+		return env, true, nil
 	}
 	if err := s.acquire(); err != nil {
-		return "", nil, false, err
+		return nil, false, err
 	}
 	defer s.release()
 
@@ -327,7 +361,7 @@ func (s *Server) resolve(sp *scenario.Spec, parts int) (key string, env []byte, 
 	// submission may have landed the entry meanwhile.
 	if env := s.lookup(key); env != nil {
 		s.cacheHits.Add(1)
-		return key, env, true, nil
+		return env, true, nil
 	}
 	s.runs.Add(1)
 	res, err := s.run(sp, parts)
@@ -336,10 +370,10 @@ func (s *Server) resolve(sp *scenario.Spec, parts int) (key string, env []byte, 
 	}
 	if err != nil {
 		s.failures.Add(1)
-		return "", nil, false, err
+		return nil, false, err
 	}
 	s.store(key, env)
-	return key, env, false, nil
+	return env, false, nil
 }
 
 // requestError carries an HTTP status decided before any run happened.
@@ -431,7 +465,8 @@ func encodeEnvelope(key string, seed int64, parts int, res *scenario.Result) ([]
 }
 
 // lookup checks memory first, then the disk cache (promoting a disk hit
-// into memory).
+// into memory). A disk file whose envelope names another key is not an
+// entry: it is not served, and the run that follows overwrites it.
 func (s *Server) lookup(key string) []byte {
 	s.mu.Lock()
 	env, ok := s.cache[key]
@@ -443,7 +478,7 @@ func (s *Server) lookup(key string) []byte {
 		return nil
 	}
 	b, err := os.ReadFile(s.entryPath(key))
-	if err != nil {
+	if err != nil || !namesKey(b, key) {
 		return nil
 	}
 	s.mu.Lock()
@@ -472,9 +507,11 @@ func (s *Server) entryPath(key string) string {
 }
 
 // loadCache repopulates the in-memory map from CacheDir. Only names of
-// the shape entryPath writes — a 64-hex-digit SpecKey + ".json" — are
-// entries; anything else (an interrupted store's .tmp, an index.json
-// left by an older daemon, a stray file) is not loaded under a bogus key.
+// the shape entryPath writes — a 64-hex-digit SpecKey + ".json" — whose
+// envelope carries that same key are entries; anything else (an
+// interrupted store's .tmp, an index.json left by an older daemon, a
+// stray file, an envelope copied under another key's name) is not loaded
+// under a bogus key.
 func (s *Server) loadCache() error {
 	if err := os.MkdirAll(s.cfg.CacheDir, 0o755); err != nil {
 		return err
@@ -493,10 +530,21 @@ func (s *Server) loadCache() error {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(s.cfg.CacheDir, name))
-		if err != nil {
+		if err != nil || !namesKey(b, key) {
 			continue
 		}
 		s.cache[key] = b
 	}
 	return nil
+}
+
+// namesKey reports whether env begins with the head encodeEnvelope
+// writes for key: {"v":N,"key":"<key>".
+func namesKey(env []byte, key string) bool {
+	rest, ok := bytes.CutPrefix(env, []byte(`{"v":`))
+	if !ok {
+		return false
+	}
+	rest, ok = bytes.CutPrefix(bytes.TrimLeft(rest, "0123456789"), []byte(`,"key":"`))
+	return ok && len(rest) > len(key) && string(rest[:len(key)]) == key && rest[len(key)] == '"'
 }
