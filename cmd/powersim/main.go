@@ -57,7 +57,7 @@ func defineFlags(fs *flag.FlagSet) {
 	expFlag = fs.String("exp", "incast", "experiment name from the registry; 'list' prints all")
 	scenarioFlag = fs.String("scenario", "", "run a composed scenario instead of a registry experiment; 'list' prints all")
 	fidelityFlag = fs.String("fidelity", "", "background fidelity for scenarios that take it: packet (default) or fluid (hybrid co-simulation)")
-	schemeFlag = fs.String("scheme", "powertcp", "CC scheme (powertcp, theta-powertcp, hpcc, timely, dcqcn, swift, dctcp, reno, cubic, homa, homa-oc<N>, retcp-<µs>)")
+	schemeFlag = fs.String("scheme", "powertcp", "CC scheme (dcqcn, dctcp, homa, hpcc, powertcp, reno, theta-powertcp, timely, homa-oc<N>, retcp-<µs>)")
 	fanInFlag = fs.Int("fanin", 0, "incast fan-in")
 	loadFlag = fs.Float64("load", 0, "websearch ToR-uplink load")
 	serversFlag = fs.Int("servers", 0, "servers per ToR (32 = paper scale)")

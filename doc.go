@@ -34,11 +34,12 @@
 //   - internal/transport and internal/homa: the sender-based reliable
 //     transport the cc algorithms drive, and the receiver-driven HOMA
 //     transport.
-//   - internal/core and internal/cc: PowerTCP/θ-PowerTCP and every
-//     baseline (HPCC, TIMELY, DCQCN, Swift, DCTCP, Reno, Cubic).
+//   - internal/core and internal/cc: PowerTCP/θ-PowerTCP and the
+//     baselines (HPCC, TIMELY, DCQCN, plus DCTCP and Reno as
+//     references).
 //   - internal/scenario: the composition layer — a run is a Scenario
-//     value (Topology × Traffic × Events × Probes) — with the scheme
-//     registry and the result envelope.
+//     value (Topology × Traffic × Events × Probes) — with the closed
+//     scheme table and the result envelope.
 //   - internal/exp: the paper's figures as eight typed presets that
 //     build Scenarios, and the parallel suite runner behind every
 //     figure.

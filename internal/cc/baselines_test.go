@@ -174,36 +174,3 @@ func TestDCQCNAlphaDecays(t *testing.T) {
 	}
 	d.Stop()
 }
-
-func TestSwiftAIMD(t *testing.T) {
-	s := NewSwift()
-	s.Init(lims())
-	s.cwnd = 100_000
-	// Below target: additive increase.
-	s.OnAck(Ack{Now: 0, RTT: 20 * sim.Microsecond, NewlyAcked: 1000})
-	if s.Cwnd() <= 100_000 {
-		t.Fatalf("Swift did not increase below target: %v", s.Cwnd())
-	}
-	// Far above target: multiplicative decrease, bounded by MaxMDF.
-	w := s.Cwnd()
-	s.OnAck(Ack{Now: 1000, RTT: 200 * sim.Microsecond, NewlyAcked: 1000})
-	if s.Cwnd() >= w {
-		t.Fatal("Swift did not decrease above target")
-	}
-	if s.Cwnd() < w*(1-s.MaxMDF)-1 {
-		t.Fatalf("Swift decrease exceeded MaxMDF: %v → %v", w, s.Cwnd())
-	}
-}
-
-func TestSwiftOneDecreasePerRTT(t *testing.T) {
-	s := NewSwift()
-	s.Init(lims())
-	s.cwnd = 100_000
-	s.OnAck(Ack{Now: 0, RTT: 100 * sim.Microsecond, NewlyAcked: 1000})
-	w := s.Cwnd()
-	// Immediately after (same RTT): no second cut.
-	s.OnAck(Ack{Now: sim.Time(sim.Microsecond), RTT: 100 * sim.Microsecond, NewlyAcked: 1000})
-	if s.Cwnd() < w {
-		t.Fatalf("Swift cut twice in one RTT: %v → %v", w, s.Cwnd())
-	}
-}

@@ -1,6 +1,7 @@
 // Package cc defines the congestion-control interface shared by every
 // algorithm in the repository and implements the sender-based baselines
-// the paper compares against: HPCC, TIMELY, DCQCN and Swift, plus a
+// the paper compares against: HPCC, TIMELY and DCQCN, plus DCTCP (the
+// Fig. 1 taxonomy's ECN reference), Reno (a loss-based reference) and a
 // fixed-window reference. The paper's own contribution — PowerTCP and
 // θ-PowerTCP — lives in internal/core and implements the same interface.
 //
@@ -91,7 +92,7 @@ func windowRate(cwnd float64, baseRTT sim.Duration, lineRate units.BitRate) unit
 }
 
 // FixedWindow is a reference algorithm with a constant window, used by
-// tests and by reTCP's packet-network mode.
+// tests and by the benchmark's transport ladder.
 type FixedWindow struct {
 	Window float64 // bytes; 0 means one BDP
 	lim    Limits

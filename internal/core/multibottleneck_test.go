@@ -12,13 +12,12 @@ import (
 
 // parkingLot builds a 3-switch chain (2 inter-switch 25G links) with a
 // through pair and a cross pair per link.
-func parkingLot(quantized bool) *topo.Network {
+func parkingLot() *topo.Network {
 	return topo.ParkingLot(topo.ParkingLotConfig{
 		Switches: 3,
 		Opts: topo.Options{
-			Hosts:       topo.TransportHosts(transport.Config{BaseRTT: 20 * sim.Microsecond}),
-			INT:         true,
-			QuantizeINT: quantized,
+			Hosts: topo.TransportHosts(transport.Config{BaseRTT: 20 * sim.Microsecond}),
+			INT:   true,
 		},
 	})
 }
@@ -28,7 +27,7 @@ func parkingLot(quantized bool) *topo.Network {
 // each link; fair share of each 25G link is 12.5G, and the through flow
 // must neither starve nor overrun it.
 func TestPowerTCPMultiBottleneckShare(t *testing.T) {
-	net := parkingLot(false)
+	net := parkingLot()
 	through := net.TransportHost(0)
 	thrDst := net.TransportHost(1)
 	through.StartFlow(net.NextFlowID(), thrDst.ID(), transport.Unbounded,
@@ -77,30 +76,5 @@ func TestPowerTCPTracksWorstHop(t *testing.T) {
 	q0 := net.Switches[0].Ports()[0].QueueBytes()
 	if q0 > 100_000 {
 		t.Fatalf("queue piled on the uncongested hop: %dB", q0)
-	}
-}
-
-// PowerTCP must keep converging when the INT records are quantized to
-// the 64-bit wire format (what a real switch pipeline exports).
-func TestPowerTCPWithQuantizedINT(t *testing.T) {
-	net := topo.Dumbbell(topo.DumbbellConfig{
-		Left: 1, Right: 1,
-		HostRate:       100 * units.Gbps,
-		BottleneckRate: 25 * units.Gbps,
-		Opts: topo.Options{
-			Hosts:       topo.TransportHosts(transport.Config{BaseRTT: 16 * sim.Microsecond}),
-			INT:         true,
-			QuantizeINT: true,
-		},
-	})
-	dst := net.TransportHost(1)
-	net.TransportHost(0).StartFlow(net.NextFlowID(), dst.ID(), transport.Unbounded,
-		core.New(core.Config{}), 0)
-	rate := goodput(net, dst, 3*sim.Millisecond, 6*sim.Millisecond)
-	if rate < 21*units.Gbps {
-		t.Fatalf("quantized INT broke convergence: %v", rate)
-	}
-	if q := net.BottleneckPort().QueueBytes(); q > 150_000 {
-		t.Fatalf("quantized INT standing queue = %dB", q)
 	}
 }

@@ -47,7 +47,6 @@ var jainFloors = map[string]float64{
 	"powertcp": 0.9,
 	"hpcc":     0.9,
 	"dctcp":    0.9,
-	"swift":    0.9,
 	"timely":   0.9,
 	"dcqcn":    0.9,
 	"homa":     0.9,

@@ -63,6 +63,22 @@ func TestGeneratorSmoke(t *testing.T) {
 	}
 }
 
+// TestGeneratorSchemesResolve holds every scheme name the generator and
+// the Jain check carry to the scheme table: a law deleted from the
+// table must leave the generator in the same change, not linger until
+// a nightly seed happens to draw it.
+func TestGeneratorSchemesResolve(t *testing.T) {
+	names := append(append([]string{}, BaseSchemes...), overrideSchemes...)
+	for name := range jainFloors {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if _, err := scenario.ResolveScheme(name); err != nil {
+			t.Errorf("generator scheme %q does not resolve: %v", name, err)
+		}
+	}
+}
+
 // TestSeededViolationCaughtAndShrunk proves the lab catches a planted
 // fabric bug and minimizes its repro: a tampered Result simulating a
 // drop counter that undercounts by one packet must break conservation,

@@ -7,16 +7,16 @@ import (
 )
 
 // BaseSchemes is the pool the generator draws base schemes from — every
-// registered family that runs on switched topologies.
+// scheme that runs on switched topologies.
 var BaseSchemes = []string{
-	"powertcp", "hpcc", "dctcp", "swift", "timely", "reno", "dcqcn", "homa",
+	"powertcp", "hpcc", "dctcp", "timely", "reno", "dcqcn", "homa",
 }
 
 // overrideSchemes are the per-component overrides safe on any
 // window-transport base: they need no INT and no ECN marking, so
 // resolveOverride accepts them regardless of the fabric the base scheme
 // built. HOMA bases take no overrides at all.
-var overrideSchemes = []string{"reno", "cubic", "swift", "timely"}
+var overrideSchemes = []string{"reno", "timely"}
 
 // fabricInfo mirrors the geometry the generated topology will resolve
 // to, so component generation can respect selector bounds without

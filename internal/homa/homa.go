@@ -29,7 +29,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/units"
 )
 
 // Config carries host-wide HOMA parameters.
@@ -437,8 +436,3 @@ var _ interface {
 	SetUplink(*link.Port)
 	NIC() *link.Port
 } = (*Host)(nil)
-
-// rttBytesFor is exported for experiments configuring RTTBytes.
-func RTTBytesFor(rate units.BitRate, baseRTT sim.Duration) int64 {
-	return rate.BDP(baseRTT)
-}

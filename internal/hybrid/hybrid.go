@@ -179,9 +179,6 @@ func (c *Coupler) LinkFor(pt *link.Port, tmpl fluid.System) *LinkFluid {
 	return lf
 }
 
-// Links returns the coupled links in creation order.
-func (c *Coupler) Links() []*LinkFluid { return c.links }
-
 // Totals sums the ledger across all coupled links. By construction
 // emitted − delivered − backlog ≡ 0.
 func (c *Coupler) Totals() (emitted, delivered, backlog int64) {

@@ -131,10 +131,6 @@ func (pt *Port) PayloadAccepted() uint64 { return pt.plAccepted }
 // admission (shared-buffer drops).
 func (pt *Port) PayloadDropped() uint64 { return pt.plDropped }
 
-// PayloadDelivered returns the cumulative payload bytes handed to the
-// peer, whichever side of a partition cut counted them.
-func (pt *Port) PayloadDelivered() uint64 { return pt.plDelivered + pt.remotePlDelivered }
-
 // PayloadLost returns the cumulative payload bytes discarded on the
 // downed wire — at transmit time, at the local delivery instant, or by
 // the remote side of a partition cut.
@@ -196,10 +192,6 @@ func (pt *Port) Resume() {
 	pt.paused = false
 	pt.kick()
 }
-
-// Kick re-evaluates the serializer; devices call it after making new
-// packets drainable (e.g. a VOQ class becoming active).
-func (pt *Port) Kick() { pt.kick() }
 
 // SetDown cuts (or restores) the wire — the data-plane half of a link
 // failure (see internal/route). While down the serializer keeps

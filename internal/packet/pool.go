@@ -19,9 +19,6 @@ func init() { poolingEnabled.Store(true) }
 // pooling on.
 func SetPooling(on bool) { poolingEnabled.Store(on) }
 
-// PoolingEnabled reports whether packet pooling is active.
-func PoolingEnabled() bool { return poolingEnabled.Load() }
-
 // slabPackets is the number of elements per slab, of any kind. 128 puts
 // every kind on an exact Go allocation size: 128 Packets and 128 first
 // blocks are 16,384 bytes each (a size class), and 128 round-trip blocks

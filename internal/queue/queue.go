@@ -153,9 +153,6 @@ func NewClass(classify func(p *packet.Packet) int) *Class {
 // SetActive selects which class Pop serves; -1 disables draining.
 func (q *Class) SetActive(class int) { q.active = class }
 
-// Active returns the currently drainable class.
-func (q *Class) Active() int { return q.active }
-
 // Push enqueues p in its class.
 func (q *Class) Push(p *packet.Packet) {
 	c := q.Classify(p)

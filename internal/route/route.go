@@ -26,7 +26,6 @@ package route
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/link"
 	"repro/internal/packet"
@@ -180,9 +179,6 @@ func gcd(a, b int64) int64 {
 	}
 	return a
 }
-
-// Strategies lists the registered strategy names, sorted.
-func Strategies() []string { return []string{"ecmp", "single", "wecmp"} }
 
 // StrategyByName resolves a strategy name ("single", "ecmp", "wecmp").
 // The empty name resolves to ECMP, the fabric default.
@@ -403,23 +399,4 @@ func (r *Router) Rebuild() {
 			}
 		}
 	}
-}
-
-// PathSpread reports, for the given switch, how many distinct egress
-// ports its installed table uses across all destinations — a quick
-// diagnostic that multipath is actually engaged (tests use it to catch
-// silent single-path fallbacks).
-func PathSpread(table func(dst packet.NodeID) []int, dsts []packet.NodeID) []int {
-	used := map[int]bool{}
-	for _, d := range dsts {
-		for _, p := range table(d) {
-			used[p] = true
-		}
-	}
-	out := make([]int, 0, len(used))
-	for p := range used {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -86,8 +86,9 @@ func appendCanonical(b []byte, sp *Spec) ([]byte, error) {
 // DecodeSpec parses canonical (or hand-written) Spec JSON strictly:
 // unknown fields are rejected, and the document's version must be
 // SpecVersion, a still-supported legacy version, or absent/zero
-// (accepted for pre-versioning documents). The returned Spec has V
-// normalized to SpecVersion.
+// (accepted for pre-versioning documents), and its scheme must be one
+// ResolveScheme knows. The returned Spec has V normalized to
+// SpecVersion.
 func DecodeSpec(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -105,6 +106,9 @@ func DecodeSpec(data []byte) (*Spec, error) {
 		sp.V = SpecVersion
 	default:
 		return nil, fmt.Errorf("scenario: unsupported spec version %d (current %d)", sp.V, SpecVersion)
+	}
+	if _, err := baseScheme(sp.Scheme); err != nil {
+		return nil, err
 	}
 	return &sp, nil
 }

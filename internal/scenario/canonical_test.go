@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -126,6 +127,25 @@ func TestDecodeSpecStrict(t *testing.T) {
 	} {
 		if _, err := DecodeSpec([]byte(doc)); err == nil {
 			t.Errorf("%s accepted, want error", name)
+		}
+	}
+}
+
+// TestDecodeSpecRejectsUnknownScheme: a scheme outside the table is a
+// decoding error, so powersimd answers it 400 before any run; the two
+// parameterized families decode.
+func TestDecodeSpecRejectsUnknownScheme(t *testing.T) {
+	for scheme, wantErr := range map[string]string{
+		"swift":     "unknown scheme",
+		"cubic":     "unknown scheme",
+		"homa-ocx":  "malformed HOMA",
+		"homa-oc3":  "",
+		"retcp-600": "",
+	} {
+		doc := `{"v":2,"seed":1,"scheme":"` + scheme + `","topo":{"kind":"star","hosts":4},"horizon_us":100}`
+		_, err := DecodeSpec([]byte(doc))
+		if (wantErr == "" && err != nil) || (wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr))) {
+			t.Errorf("scheme %q: err = %v, want %q", scheme, err, wantErr)
 		}
 	}
 }

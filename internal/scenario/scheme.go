@@ -7,17 +7,15 @@ import (
 	"repro/internal/swtch"
 )
 
-// Scheme names accepted by the registry (matching the paper's legends).
+// Scheme names ResolveScheme accepts (matching the paper's legends).
 const (
 	PowerTCP      = "powertcp"
 	ThetaPowerTCP = "theta-powertcp"
 	HPCC          = "hpcc"
 	Timely        = "timely"
 	DCQCN         = "dcqcn"
-	Swift         = "swift"
 	DCTCP         = "dctcp" // taxonomy reference (Fig. 1), ablations
 	Reno          = "reno"  // loss-based reference, ablations
-	Cubic         = "cubic" // loss-based WAN reference, ablations
 	Homa          = "homa"  // overcommitment 1; "homa-oc<N>" selects N
 )
 

@@ -2,10 +2,8 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -19,70 +17,39 @@ import (
 // panicking.
 type SchemeOption func(*Scheme) error
 
-// SchemeFactory produces the base Scheme for a registered name.
-type SchemeFactory func(name string) (Scheme, error)
-
-var (
-	schemeMu       sync.RWMutex
-	schemeExact    = map[string]SchemeFactory{}
-	schemeFamilies = map[string]SchemeFactory{} // keyed by name prefix
-)
-
-// RegisterScheme adds a scheme under an exact name. It errors on
-// duplicates so two packages cannot silently fight over a name.
-func RegisterScheme(name string, build SchemeFactory) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("scenario: RegisterScheme needs a name and a factory")
-	}
-	schemeMu.Lock()
-	defer schemeMu.Unlock()
-	if _, dup := schemeExact[name]; dup {
-		return fmt.Errorf("scenario: scheme %q already registered", name)
-	}
-	schemeExact[name] = build
-	return nil
+// schemeTable holds every fixed scheme, sorted by name. The two
+// parameterized families (homa-oc<N>, retcp-<µs>) are parsed by
+// baseScheme instead.
+var schemeTable = []struct {
+	name   string
+	scheme Scheme
+}{
+	{DCQCN, Scheme{Kind: KindCC, ECN: DCQCNECN, Alg: cc.DCQCNBuilder()}},
+	{DCTCP, Scheme{Kind: KindCC, ECN: DCTCPECN, Alg: cc.DCTCPBuilder()}},
+	{Homa, Scheme{Kind: KindHoma, PrioQueues: true, Overcommit: 1}},
+	{HPCC, Scheme{Kind: KindCC, INT: true, Alg: cc.HPCCBuilder()}},
+	{PowerTCP, Scheme{Kind: KindPowerTCP, INT: true}},
+	{Reno, Scheme{Kind: KindCC, Alg: cc.RenoBuilder()}},
+	{ThetaPowerTCP, Scheme{Kind: KindTheta}},
+	{Timely, Scheme{Kind: KindCC, Alg: cc.TimelyBuilder()}},
 }
 
-// RegisterSchemeFamily adds a parameterized scheme family resolved by
-// name prefix (e.g. "homa-oc" covers "homa-oc3"). The factory receives
-// the full name and parses its parameter.
-func RegisterSchemeFamily(prefix string, build SchemeFactory) error {
-	if prefix == "" || build == nil {
-		return fmt.Errorf("scenario: RegisterSchemeFamily needs a prefix and a factory")
-	}
-	schemeMu.Lock()
-	defer schemeMu.Unlock()
-	if _, dup := schemeFamilies[prefix]; dup {
-		return fmt.Errorf("scenario: scheme family %q already registered", prefix)
-	}
-	schemeFamilies[prefix] = build
-	return nil
-}
-
-func mustRegisterScheme(name string, build SchemeFactory) {
-	if err := RegisterScheme(name, build); err != nil {
-		panic(err)
-	}
-}
-
-// SchemeNames returns the exactly-registered scheme names, sorted.
-// Parameterized families (homa-oc<N>, retcp-<µs>) are not enumerable and
-// therefore not listed.
+// SchemeNames returns the fixed scheme names, sorted. Parameterized
+// families (homa-oc<N>, retcp-<µs>) are not enumerable and therefore
+// not listed.
 func SchemeNames() []string {
-	schemeMu.RLock()
-	defer schemeMu.RUnlock()
-	return schemeNamesLocked()
+	names := make([]string, len(schemeTable))
+	for i, e := range schemeTable {
+		names[i] = e.name
+	}
+	return names
 }
 
 // ResolveScheme resolves a scheme name and composes the given options
 // onto it. Unknown names, malformed family parameters (homa-oc0) and
 // options applied to the wrong scheme all return errors.
 func ResolveScheme(name string, opts ...SchemeOption) (Scheme, error) {
-	build, err := lookupScheme(name)
-	if err != nil {
-		return Scheme{}, err
-	}
-	s, err := build(name)
+	s, err := baseScheme(name)
 	if err != nil {
 		return Scheme{}, err
 	}
@@ -96,35 +63,37 @@ func ResolveScheme(name string, opts ...SchemeOption) (Scheme, error) {
 	return s, nil
 }
 
-func lookupScheme(name string) (SchemeFactory, error) {
-	schemeMu.RLock()
-	defer schemeMu.RUnlock()
-	if build, ok := schemeExact[name]; ok {
-		return build, nil
-	}
-	// Match families in sorted prefix order: if a name ever matches two
-	// prefixes, the winner must not depend on map iteration order.
-	prefixes := make([]string, 0, len(schemeFamilies))
-	for prefix := range schemeFamilies {
-		prefixes = append(prefixes, prefix)
-	}
-	sort.Strings(prefixes)
-	for _, prefix := range prefixes {
-		if strings.HasPrefix(name, prefix) {
-			return schemeFamilies[prefix], nil
+// baseScheme returns the unnamed Scheme a name selects: a table entry,
+// or a family member with its parameter composed from the name.
+func baseScheme(name string) (Scheme, error) {
+	for _, e := range schemeTable {
+		if e.name == name {
+			return e.scheme, nil
 		}
 	}
-	return nil, fmt.Errorf("scenario: unknown scheme %q (known: %s, plus the homa-oc<N> and retcp-<µs> families)",
-		name, strings.Join(schemeNamesLocked(), ", "))
-}
-
-func schemeNamesLocked() []string {
-	names := make([]string, 0, len(schemeExact))
-	for n := range schemeExact {
-		names = append(names, n)
+	var s Scheme
+	var opt SchemeOption
+	switch {
+	case strings.HasPrefix(name, "homa-oc"):
+		n, err := strconv.Atoi(strings.TrimPrefix(name, "homa-oc"))
+		if err != nil {
+			return Scheme{}, fmt.Errorf("scenario: malformed HOMA overcommit scheme %q", name)
+		}
+		s, opt = Scheme{Kind: KindHoma, PrioQueues: true}, Overcommit(n)
+	case strings.HasPrefix(name, "retcp-"):
+		us, err := strconv.Atoi(strings.TrimPrefix(name, "retcp-"))
+		if err != nil {
+			return Scheme{}, fmt.Errorf("scenario: malformed reTCP scheme %q", name)
+		}
+		s, opt = Scheme{Kind: KindReTCP}, Prebuffer(sim.Duration(us)*sim.Microsecond)
+	default:
+		return Scheme{}, fmt.Errorf("scenario: unknown scheme %q (known: %s, plus the homa-oc<N> and retcp-<µs> families)",
+			name, strings.Join(SchemeNames(), ", "))
 	}
-	sort.Strings(names)
-	return names
+	if err := opt(&s); err != nil {
+		return Scheme{}, fmt.Errorf("scenario: scheme %q: %w", name, err)
+	}
+	return s, nil
 }
 
 // materialize rebuilds the algorithm builder for schemes whose
@@ -204,54 +173,5 @@ func Prebuffer(d sim.Duration) SchemeOption {
 		}
 		s.PrebufferFor = d
 		return nil
-	}
-}
-
-// Built-in schemes.
-
-func fixedScheme(proto Scheme) SchemeFactory {
-	return func(string) (Scheme, error) { return proto, nil }
-}
-
-func init() {
-	mustRegisterScheme(PowerTCP, fixedScheme(Scheme{Kind: KindPowerTCP, INT: true}))
-	mustRegisterScheme(ThetaPowerTCP, fixedScheme(Scheme{Kind: KindTheta}))
-	mustRegisterScheme(HPCC, fixedScheme(Scheme{Kind: KindCC, INT: true, Alg: cc.HPCCBuilder()}))
-	mustRegisterScheme(Timely, fixedScheme(Scheme{Kind: KindCC, Alg: cc.TimelyBuilder()}))
-	mustRegisterScheme(DCQCN, fixedScheme(Scheme{Kind: KindCC, ECN: DCQCNECN, Alg: cc.DCQCNBuilder()}))
-	mustRegisterScheme(Swift, fixedScheme(Scheme{Kind: KindCC, Alg: cc.SwiftBuilder()}))
-	mustRegisterScheme(DCTCP, fixedScheme(Scheme{Kind: KindCC, ECN: DCTCPECN, Alg: cc.DCTCPBuilder()}))
-	mustRegisterScheme(Reno, fixedScheme(Scheme{Kind: KindCC, Alg: cc.RenoBuilder()}))
-	mustRegisterScheme(Cubic, fixedScheme(Scheme{Kind: KindCC, Alg: cc.CubicBuilder()}))
-	mustRegisterScheme(Homa, fixedScheme(Scheme{Kind: KindHoma, PrioQueues: true, Overcommit: 1}))
-
-	// homa-oc<N>: overcommitment composed from the name.
-	if err := RegisterSchemeFamily("homa-oc", func(name string) (Scheme, error) {
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "homa-oc"))
-		if err != nil {
-			return Scheme{}, fmt.Errorf("scenario: malformed HOMA overcommit scheme %q", name)
-		}
-		s := Scheme{Kind: KindHoma, PrioQueues: true}
-		if err := Overcommit(n)(&s); err != nil {
-			return Scheme{}, fmt.Errorf("scenario: scheme %q: %w", name, err)
-		}
-		return s, nil
-	}); err != nil {
-		panic(err)
-	}
-
-	// retcp-<µs>: prebuffering composed from the name.
-	if err := RegisterSchemeFamily("retcp-", func(name string) (Scheme, error) {
-		us, err := strconv.Atoi(strings.TrimPrefix(name, "retcp-"))
-		if err != nil {
-			return Scheme{}, fmt.Errorf("scenario: malformed reTCP scheme %q", name)
-		}
-		s := Scheme{Kind: KindReTCP}
-		if err := Prebuffer(sim.Duration(us) * sim.Microsecond)(&s); err != nil {
-			return Scheme{}, fmt.Errorf("scenario: scheme %q: %w", name, err)
-		}
-		return s, nil
-	}); err != nil {
-		panic(err)
 	}
 }

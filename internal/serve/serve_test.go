@@ -156,6 +156,8 @@ func TestBadRequests(t *testing.T) {
 		"bad parts":      {"/v1/run?parts=0", `{}`, 400, "decode"},
 		"non-int parts":  {"/v1/run?parts=x", `{}`, 400, "decode"},
 		"suite not list": {"/v1/suite", `{"v":1}`, 400, "decode"},
+		"swift scheme":   {"/v1/run", `{"v":2,"seed":1,"scheme":"swift","topo":{"kind":"star","hosts":4},"horizon_us":50}`, 400, "decode"},
+		"cubic scheme":   {"/v1/run", `{"v":2,"seed":1,"scheme":"cubic","topo":{"kind":"star","hosts":4},"horizon_us":50}`, 400, "decode"},
 		"huge run":       {"/v1/run", huge, 413, "too_large"},
 		"huge suite":     {"/v1/suite", huge, 413, "too_large"},
 	} {

@@ -48,9 +48,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // Micros returns d as floating-point microseconds.
 func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 
-// Std converts d to a time.Duration (nanosecond resolution, truncating).
-func (d Duration) Std() time.Duration { return time.Duration(d / Nanosecond) }
-
 // String formats the duration using Go's standard duration syntax at
 // nanosecond resolution; sub-nanosecond remainders are printed as "+Nps".
 func (d Duration) String() string {
@@ -70,6 +67,3 @@ func Micros(us float64) Duration { return Duration(us * float64(Microsecond)) }
 
 // Millis builds a Duration from floating-point milliseconds.
 func Millis(ms float64) Duration { return Duration(ms * float64(Millisecond)) }
-
-// Nanos builds a Duration from integer nanoseconds.
-func Nanos(ns int64) Duration { return Duration(ns) * Nanosecond }

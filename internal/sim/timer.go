@@ -46,9 +46,6 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 // Armed reports whether the timer is set to fire.
 func (t *Timer) Armed() bool { return t.armed }
 
-// Deadline returns the instant the timer will fire; valid while Armed.
-func (t *Timer) Deadline() Time { return t.at }
-
 // Arm schedules the callback for absolute time at, replacing any earlier
 // deadline. Arming for the past fires at the current instant, after the
 // callbacks already queued there.

@@ -40,11 +40,6 @@ type Config struct {
 	Alpha float64
 	// INT enables telemetry stamping at dequeue.
 	INT bool
-	// QuantizeINT stamps records as they would survive the wire format
-	// (64 B queue units, wrapping counters — telemetry.Quantize), i.e.
-	// what a real Tofino pipeline exports rather than exact simulator
-	// state. Algorithms must tolerate it; tests assert they do.
-	QuantizeINT bool
 	// ECN configures RED marking of ECN-capable packets.
 	ECN ECNConfig
 	// Seed feeds the marking RNG so runs stay deterministic.
@@ -139,16 +134,12 @@ func (s *Switch) onDequeue(pt *link.Port, p *packet.Packet) {
 		p.CE = true
 	}
 	if s.cfg.INT {
-		h := telemetry.HopRecord{
+		s.cfg.Pool.Stamp(p, telemetry.HopRecord{
 			QLen:    qlen,
 			TxBytes: pt.TxBytes(),
 			TS:      s.eng.Now(),
 			Rate:    pt.Rate,
-		}
-		if s.cfg.QuantizeINT {
-			h = h.Quantize()
-		}
-		s.cfg.Pool.Stamp(p, h)
+		})
 	}
 }
 

@@ -46,9 +46,6 @@ type Options struct {
 	Alpha float64
 	// INT enables telemetry stamping on every switch.
 	INT bool
-	// QuantizeINT stamps wire-accurate (quantized) records; see
-	// swtch.Config.QuantizeINT.
-	QuantizeINT bool
 	// ECN configures RED marking (DCQCN runs).
 	ECN swtch.ECNConfig
 	// Queues builds the per-port queue discipline; nil means FIFO.
@@ -245,12 +242,11 @@ func (n *Network) addSwitch(opts Options) int {
 	id := packet.NodeID(1<<16 + len(n.Switches))
 	part := n.switchPart(len(n.Switches))
 	s := swtch.New(n.engFor(part), id, swtch.Config{
-		Alpha:       opts.Alpha,
-		INT:         opts.INT,
-		QuantizeINT: opts.QuantizeINT,
-		ECN:         opts.ECN,
-		Seed:        opts.Seed,
-		Pool:        n.poolFor(part),
+		Alpha: opts.Alpha,
+		INT:   opts.INT,
+		ECN:   opts.ECN,
+		Seed:  opts.Seed,
+		Pool:  n.poolFor(part),
 	})
 	n.Switches = append(n.Switches, s)
 	n.swPeers = append(n.swPeers, nil)
@@ -283,16 +279,6 @@ func (n *Network) wireHost(hi, si int, rate units.BitRate, delay sim.Duration, o
 		n.hostTor = append(n.hostTor, -1)
 	}
 	n.hostTor[hi] = si
-}
-
-// HostTor returns the index of the switch host hi's NIC points at, or
-// -1 for a host wired directly to another host (no topology builder
-// does that today).
-func (n *Network) HostTor(hi int) int {
-	if hi >= len(n.hostTor) {
-		return -1
-	}
-	return n.hostTor[hi]
 }
 
 // WalkRoutes traverses every port a flow from host src to host dst can

@@ -212,6 +212,17 @@ func TestTorUplinkPortsFaceAggregation(t *testing.T) {
 	}
 }
 
+// pathSpread returns the distinct egress ports, sorted, that a switch's
+// installed table uses across dsts.
+func pathSpread(table func(dst packet.NodeID) []int, dsts []packet.NodeID) []int {
+	var used []int
+	for _, d := range dsts {
+		used = append(used, table(d)...)
+	}
+	slices.Sort(used)
+	return slices.Compact(used)
+}
+
 // Every ToR's installed ECMP tables must cover all of its uplinks for
 // remote-pod destinations — the "no silent single-path fallback" guard.
 func TestFatTreeECMPTablesCoverAllUplinks(t *testing.T) {
@@ -225,7 +236,7 @@ func TestFatTreeECMPTablesCoverAllUplinks(t *testing.T) {
 				remote = append(remote, net.HostID(hi))
 			}
 		}
-		spread := route.PathSpread(net.Switches[tor].Route, remote)
+		spread := pathSpread(net.Switches[tor].Route, remote)
 		up := net.TorUplinkPorts(tor)
 		if len(spread) != len(up) {
 			t.Fatalf("ToR %d tables use ports %v, want all uplinks %v", tor, spread, up)

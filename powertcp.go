@@ -56,10 +56,8 @@ var (
 	NewHPCC   = cc.NewHPCC
 	NewTimely = cc.NewTimely
 	NewDCQCN  = cc.NewDCQCN
-	NewSwift  = cc.NewSwift
 	NewDCTCP  = cc.NewDCTCP
 	NewReno   = cc.NewReno
-	NewCubic  = cc.NewCubic
 )
 
 // Unbounded marks a flow with no end (background traffic).
@@ -165,7 +163,6 @@ var (
 	NewSuite        = exp.NewSuite
 	RunSuite        = exp.RunSuite
 	ResolveScheme   = scenario.ResolveScheme
-	RegisterScheme  = scenario.RegisterScheme
 	ExperimentNames = exp.ExperimentNames
 	SchemeNames     = scenario.SchemeNames
 )
@@ -179,7 +176,7 @@ var (
 	Prebuffer  = scenario.Prebuffer
 )
 
-// Scheme names accepted by the scheme registry. The parameterized
+// Scheme names ResolveScheme accepts. The parameterized
 // families "homa-oc<N>" (overcommitment) and "retcp-<µs>" (prebuffering)
 // are resolvable too.
 const (
@@ -188,10 +185,8 @@ const (
 	SchemeHPCC          = scenario.HPCC
 	SchemeTimely        = scenario.Timely
 	SchemeDCQCN         = scenario.DCQCN
-	SchemeSwift         = scenario.Swift
 	SchemeDCTCP         = scenario.DCTCP
 	SchemeReno          = scenario.Reno
-	SchemeCubic         = scenario.Cubic
 	SchemeHoma          = scenario.Homa
 	SchemeReTCP600      = scenario.ReTCP600
 	SchemeReTCP1800     = scenario.ReTCP1800
