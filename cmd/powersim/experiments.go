@@ -23,65 +23,53 @@ type expRow struct {
 
 var expRows = map[string]expRow{
 	"incast": {
-		flags: map[string]string{"FanIn": "fanin", "FlowSize": "", "ServersPerTor": "servers",
-			"Partitions": "parts", "Window": "ms", "Warmup": "", "SamplePeriod": ""},
+		flags: map[string]string{"FanIn": "fanin", "ServersPerTor": "servers", "Partitions": "parts",
+			"Window": "ms"},
 		preset: func() exp.Preset {
 			return exp.Incast{FanIn: *fanInFlag, ServersPerTor: *serversFlag,
 				Partitions: *partsFlag, Window: sim.Millis(*durFlag)}
 		},
 	},
 	"fairness": {
-		flags: map[string]string{"Flows": "flows", "Stagger": "", "Sizes": "", "Window": "ms", "SamplePeriod": ""},
+		flags: map[string]string{"Flows": "flows", "Window": "ms"},
 		preset: func() exp.Preset {
 			return exp.Fairness{Flows: *flowsFlag, Window: sim.Millis(*durFlag)}
 		},
 	},
 	"websearch": {
 		flags: map[string]string{"ServersPerTor": "servers", "Load": "load", "IncastRate": "icrate",
-			"IncastSize": "icmb", "IncastFanIn": "", "SampleBuffers": "", "Duration": "ms", "Drain": "",
-			"SamplePeriod": ""},
+			"IncastSize": "icmb", "SampleBuffers": "", "Duration": "ms", "Drain": ""},
 		preset: func() exp.Preset {
 			return exp.WebSearch{ServersPerTor: *serversFlag, Load: *loadFlag,
 				IncastRate: *icRateFlag, IncastSize: *icSizeFlag << 20,
 				SampleBuffers: true, Duration: sim.Millis(*durFlag)}
 		},
 	},
-	"load-sweep": {
-		flags: map[string]string{"Loads": "", "ServersPerTor": "servers", "IncastRate": "icrate",
-			"IncastSize": "icmb", "IncastFanIn": "", "SampleBuffers": "", "Duration": "ms", "Drain": "",
-			"SamplePeriod": ""},
-		preset: func() exp.Preset {
-			return exp.LoadSweep{ServersPerTor: *serversFlag,
-				IncastRate: *icRateFlag, IncastSize: *icSizeFlag << 20,
-				Duration: sim.Millis(*durFlag)}
-		},
-	},
 	"rdcn": {
 		flags: map[string]string{"Tors": "", "ServersPerTor": "servers", "PacketRate": "pktgbps",
-			"Weeks": "", "SamplePeriod": ""},
+			"Weeks": ""},
 		preset: func() exp.Preset {
 			return exp.RDCN{ServersPerTor: *serversFlag, PacketRate: units.BitRate(*pktGbps) * units.Gbps}
 		},
 	},
 	"permutation": {
 		flags: map[string]string{"ServersPerTor": "servers", "Partitions": "parts", "Routing": "route",
-			"Window": "ms", "SamplePeriod": ""},
+			"Window": "ms"},
 		preset: func() exp.Preset {
 			return exp.Permutation{ServersPerTor: *serversFlag, Partitions: *partsFlag,
 				Routing: *routeFlag, Window: sim.Millis(*durFlag)}
 		},
 	},
 	"asymmetry": {
-		flags: map[string]string{"Tors": "", "Spines": "", "ServersPerTor": "servers", "SpineRates": "",
-			"Routing": "route", "Window": "ms"},
+		flags: map[string]string{"ServersPerTor": "servers", "Routing": "route", "Window": "ms"},
 		preset: func() exp.Preset {
 			return exp.Asymmetry{ServersPerTor: *serversFlag, Routing: *routeFlag, Window: sim.Millis(*durFlag)}
 		},
 	},
 	"failover": {
-		flags: map[string]string{"Tors": "", "Spines": "", "ServersPerTor": "servers", "Partitions": "parts",
-			"SpineRates": "", "Flows": "flows", "Routing": "route", "FailAfter": "failms",
-			"RestoreAfter": "restorems", "Reconverge": "reconvms", "Window": "ms", "SamplePeriod": ""},
+		flags: map[string]string{"ServersPerTor": "servers", "Partitions": "parts", "Flows": "flows",
+			"Routing": "route", "FailAfter": "failms", "RestoreAfter": "restorems", "Reconverge": "reconvms",
+			"Window": "ms"},
 		preset: func() exp.Preset {
 			restore := sim.Millis(*restoreMs)
 			if *restoreMs < 0 {

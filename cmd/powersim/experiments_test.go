@@ -21,12 +21,12 @@ var experimentFlags = map[string]string{
 }
 
 // msField is where -ms lands: the observation window of the experiments
-// that have one, the workload horizon of the web-search pair, nowhere on
+// that have one, the workload horizon of websearch, nowhere on
 // rdcn (whose horizon is Weeks).
 var msField = map[string]string{
 	"incast": "Window", "fairness": "Window", "permutation": "Window",
 	"asymmetry": "Window", "failover": "Window",
-	"websearch": "Duration", "load-sweep": "Duration", "rdcn": "",
+	"websearch": "Duration", "rdcn": "",
 }
 
 func parseExperiment(t *testing.T, args ...string) (exp.Spec, error) {
@@ -109,8 +109,12 @@ func TestExperimentRows(t *testing.T) {
 			t.Errorf("-exp incast %s accepted", fl)
 		}
 	}
-	if _, err := parseExperiment(t, "-exp", "bogus"); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
-		t.Errorf("-exp bogus: err = %v", err)
+	// Fig. 7a/7b's load sweep is a suite of websearch cells (figures
+	// -fig 7), not an experiment.
+	for _, name := range []string{"bogus", "load-sweep"} {
+		if _, err := parseExperiment(t, "-exp", name); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-exp %s: err = %v", name, err)
+		}
 	}
 	if spec, err := parseExperiment(t, "-exp", "failover", "-restorems", "-1"); err != nil ||
 		spec.Preset.(exp.Failover).RestoreAfter != exp.KeepLinkDown {

@@ -40,7 +40,7 @@
 //   - internal/scenario: the composition layer — a run is a Scenario
 //     value (Topology × Traffic × Events × Probes) — with the closed
 //     scheme table and the result envelope.
-//   - internal/exp: the paper's figures as eight typed presets that
+//   - internal/exp: the paper's figures as seven typed presets that
 //     build Scenarios, and the parallel suite runner behind every
 //     figure.
 //

@@ -10,19 +10,19 @@ import "testing"
 // suppression syntax for each analyzer.
 
 func TestDetrangeFixture(t *testing.T) {
-	RunFixture(t, Detrange, "detrange")
+	runFixture(t, Detrange, "detrange")
 }
 
 func TestSimclockFixture(t *testing.T) {
-	RunFixture(t, Simclock, "simclock")
+	runFixture(t, Simclock, "simclock")
 }
 
 func TestPooluseFixture(t *testing.T) {
-	RunFixture(t, Pooluse, "pooluse")
+	runFixture(t, Pooluse, "pooluse")
 }
 
 func TestResultorderFixture(t *testing.T) {
-	RunFixture(t, Resultorder, "resultorder")
+	runFixture(t, Resultorder, "resultorder")
 }
 
 // TestSuiteCleanOnRealPackages is the in-process version of the CI

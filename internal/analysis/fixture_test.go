@@ -6,15 +6,8 @@ import (
 	"go/token"
 	"path/filepath"
 	"regexp"
+	"testing"
 )
-
-// TB is the subset of *testing.T the fixture runner needs, kept as an
-// interface so this file stays out of the test binary's import graph.
-type TB interface {
-	Helper()
-	Errorf(format string, args ...any)
-	Fatalf(format string, args ...any)
-}
 
 // expectation is one parsed want/suppressed marker.
 type expectation struct {
@@ -29,7 +22,7 @@ type expectation struct {
 // (double-quoted or backquoted, as in x/tools analysistest).
 var markerRE = regexp.MustCompile("//\\s*(want|suppressed)\\s+(?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`)")
 
-// RunFixture loads testdata/src/<fixture>, runs one analyzer over it,
+// runFixture loads testdata/src/<fixture>, runs one analyzer over it,
 // and compares the diagnostics against the fixture's inline markers —
 // the same contract as x/tools' analysistest:
 //
@@ -44,7 +37,7 @@ var markerRE = regexp.MustCompile("//\\s*(want|suppressed)\\s+(?:\"((?:[^\"\\\\]
 // expects the finding to fire but be silenced by a justified
 // directive. Every diagnostic must be expected and every expectation
 // must be matched; anything else fails the test.
-func RunFixture(t TB, a *Analyzer, fixture string) {
+func runFixture(t testing.TB, a *Analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
 	loader := NewLoader()

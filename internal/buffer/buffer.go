@@ -18,8 +18,7 @@ type Shared struct {
 	Total int64   // total shared memory in bytes
 	Alpha float64 // DT scaling factor (datacenter switches default to 1)
 
-	used  int64
-	drops uint64
+	used int64
 }
 
 // NewShared returns a DT-managed pool of total bytes with factor alpha.
@@ -29,17 +28,6 @@ func NewShared(total int64, alpha float64) *Shared {
 
 // Used returns the bytes currently occupied across all queues.
 func (s *Shared) Used() int64 { return s.used }
-
-// Free returns the unoccupied bytes (0 for unbounded pools).
-func (s *Shared) Free() int64 {
-	if s.Total <= 0 {
-		return 0
-	}
-	return s.Total - s.used
-}
-
-// Drops returns the number of packets rejected by Admit.
-func (s *Shared) Drops() uint64 { return s.drops }
 
 // Threshold returns the current DT admission threshold α·(B−Σ).
 func (s *Shared) Threshold() float64 {
@@ -55,7 +43,6 @@ func (s *Shared) Admit(qlen, n int64) bool {
 		return true
 	}
 	if s.used+n > s.Total || float64(qlen) >= s.Threshold() {
-		s.drops++
 		return false
 	}
 	s.used += n

@@ -177,9 +177,6 @@ func (d *DCQCN) raise() {
 	d.rate = units.MinRate((d.rate+d.target)/2, d.lim.HostRate)
 }
 
-// Alpha exposes α for tests.
-func (d *DCQCN) Alpha() float64 { return d.alpha }
-
 // Stop cancels the algorithm's timers (flow teardown in long sweeps).
 func (d *DCQCN) Stop() {
 	if d.alphaTimer != nil {

@@ -99,6 +99,3 @@ func (d *DCTCP) clamp() {
 	// BDP (the standing queue of §2.2 is the point of the comparison).
 	d.cwnd = clamp(d.cwnd, d.MinCwnd, 4*d.lim.BDP())
 }
-
-// Alpha exposes the marking-fraction EWMA (tests).
-func (d *DCTCP) Alpha() float64 { return d.alpha }

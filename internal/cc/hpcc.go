@@ -161,6 +161,3 @@ func (h *HPCC) measure(hops []telemetry.HopRecord) (u float64, dt sim.Duration, 
 	}
 	return best, bestDT, true
 }
-
-// Util exposes the smoothed utilization estimate (tests).
-func (h *HPCC) Util() float64 { return h.u }

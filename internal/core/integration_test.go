@@ -12,6 +12,14 @@ import (
 	"repro/internal/units"
 )
 
+// rateFromBytes returns the rate that sends n bytes in d.
+func rateFromBytes(n int64, d sim.Duration) units.BitRate {
+	if d <= 0 {
+		return 0
+	}
+	return units.BitRate(float64(n) * 8 / d.Seconds())
+}
+
 // dumbbell builds senders→25G bottleneck→receivers with INT, 100G hosts.
 func dumbbell(senders int) *topo.Network {
 	return topo.Dumbbell(topo.DumbbellConfig{
@@ -31,7 +39,7 @@ func goodput(net *topo.Network, rx *transport.Host, from, to sim.Duration) units
 	net.Eng.RunUntil(sim.Time(from))
 	start := rx.ReceivedTotal()
 	net.Eng.RunUntil(sim.Time(to))
-	return units.RateFromBytes(rx.ReceivedTotal()-start, to-from)
+	return rateFromBytes(rx.ReceivedTotal()-start, to-from)
 }
 
 func TestPowerTCPConvergesOnBottleneck(t *testing.T) {
@@ -74,7 +82,7 @@ func TestPowerTCPFairnessTwoFlows(t *testing.T) {
 		t.Fatalf("unfair split: %v vs %v bytes", a, b)
 	}
 	// Aggregate should still fill the bottleneck.
-	if got := units.RateFromBytes(int64(sum), 2*sim.Millisecond); got < 21*units.Gbps {
+	if got := rateFromBytes(int64(sum), 2*sim.Millisecond); got < 21*units.Gbps {
 		t.Fatalf("aggregate goodput = %v", got)
 	}
 }

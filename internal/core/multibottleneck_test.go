@@ -41,7 +41,7 @@ func TestPowerTCPMultiBottleneckShare(t *testing.T) {
 	net.Eng.RunUntil(sim.Time(4 * sim.Millisecond))
 	start := thrDst.ReceivedTotal()
 	net.Eng.RunUntil(sim.Time(7 * sim.Millisecond))
-	rate := units.RateFromBytes(thrDst.ReceivedTotal()-start, 3*sim.Millisecond)
+	rate := rateFromBytes(thrDst.ReceivedTotal()-start, 3*sim.Millisecond)
 	if rate < 7*units.Gbps || rate > 16*units.Gbps {
 		t.Fatalf("through flow rate = %v, want ≈12.5G fair share", rate)
 	}

@@ -221,9 +221,6 @@ func (p *PowerTCP) setCwnd(w float64) {
 	p.rate = rateFor(p.cwnd, p.lim)
 }
 
-// NormPowerSmoothed exposes Γ_smooth for tests and instrumentation.
-func (p *PowerTCP) NormPowerSmoothed() float64 { return p.smooth }
-
 func clampF(w, lo, hi float64) float64 {
 	if w < lo {
 		return lo

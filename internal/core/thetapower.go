@@ -121,6 +121,3 @@ func (p *ThetaPowerTCP) setCwnd(w float64) {
 	p.cwnd = clampF(w, p.cfg.MinCwnd, p.cfg.MaxCwnd)
 	p.rate = rateFor(p.cwnd, p.lim)
 }
-
-// NormPowerSmoothed exposes Γ_smooth for tests and instrumentation.
-func (p *ThetaPowerTCP) NormPowerSmoothed() float64 { return p.smooth }

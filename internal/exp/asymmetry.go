@@ -11,36 +11,25 @@ import (
 )
 
 // Asymmetry is the supplementary multipath-lab comparison of ECMP and
-// WCMP across unequal spine capacities: one long flow from every server
-// on the first leaf to its counterpart on the last leaf, so all traffic
-// crosses the spines. Plain ECMP hashes flows uniformly and overloads
-// the slow spine; weighted ECMP shares in proportion to capacity.
+// WCMP across unequal spine capacities on two leaves and two spines,
+// one at full rate and one at half (100G + 50G): the classic
+// heterogeneous-upgrade fabric WCMP papers target. One long flow runs
+// from every server on the first leaf to its counterpart on the second,
+// so all traffic crosses the spines. Plain ECMP hashes flows uniformly
+// and overloads the slow spine; weighted ECMP shares in proportion to
+// capacity.
 type Asymmetry struct {
-	Tors          int // leaves; default 2
-	Spines        int // default 2
-	ServersPerTor int // default 8
-	// SpineRates are the per-spine fabric rates. The default is one
-	// full-rate spine and one at half rate (100G + 50G): the classic
-	// heterogeneous-upgrade fabric WCMP papers target.
-	SpineRates []units.BitRate
-	Routing    string       // "", "ecmp", "single", "wecmp"
-	Window     sim.Duration // default 4 ms
+	ServersPerTor int          // default 8
+	Routing       string       // "", "ecmp", "single", "wecmp"
+	Window        sim.Duration // default 4 ms
 }
 
 // Name returns "asymmetry".
 func (Asymmetry) Name() string { return "asymmetry" }
 
 func (p Asymmetry) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
-	p.Tors = cmp.Or(p.Tors, 2)
-	p.Spines = cmp.Or(p.Spines, 2)
 	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
 	p.Window = cmp.Or(p.Window, 4*sim.Millisecond)
-	if len(p.SpineRates) == 0 {
-		p.SpineRates = []units.BitRate{100 * units.Gbps, 50 * units.Gbps}
-	}
-	if p.Tors < 2 {
-		return nil, fmt.Errorf("asymmetry needs ≥2 leaves, got Tors %d", p.Tors)
-	}
 	if err := checkSpans(span{"Window", p.Window}); err != nil {
 		return nil, err
 	}
@@ -49,15 +38,15 @@ func (p Asymmetry) run(seed int64, scheme scenario.Scheme) (*scenario.Result, er
 		Scheme: scheme,
 		Seed:   seed,
 		Topology: scenario.LeafSpineTopology{
-			Leaves:         p.Tors,
-			Spines:         p.Spines,
+			Leaves:         2,
+			Spines:         2,
 			ServersPerLeaf: p.ServersPerTor,
-			SpineRates:     p.SpineRates,
+			SpineRates:     []units.BitRate{100 * units.Gbps, 50 * units.Gbps},
 			Routing:        p.Routing,
 		},
 		Traffic: []scenario.Traffic{scenario.RackPairs{
 			FromRack: scenario.RackStart(0),
-			ToRack:   scenario.RackStart(p.Tors - 1),
+			ToRack:   scenario.RackStart(1),
 		}},
 		Probes: []scenario.Probe{&asymmetryPanel{window: p.Window}},
 		Until:  p.Window,

@@ -14,9 +14,9 @@ import (
 // the Preset value, so a knob an experiment does not read cannot be
 // written down.
 type Spec struct {
-	// Preset is one of the eight experiment parameter structs (Incast,
-	// Fairness, WebSearch, LoadSweep, RDCN, Permutation, Asymmetry,
-	// Failover); its zero fields take that experiment's defaults.
+	// Preset is one of the seven experiment parameter structs (Incast,
+	// Fairness, WebSearch, RDCN, Permutation, Asymmetry, Failover); its
+	// zero fields take that experiment's defaults.
 	Preset Preset
 	Scheme string
 	// SchemeOpts composes ablation options (scenario.Gamma, Alpha,
@@ -42,7 +42,7 @@ type Preset interface {
 // defaults.
 var presets = []Preset{
 	Asymmetry{}, Failover{}, Fairness{}, Incast{},
-	LoadSweep{}, Permutation{}, RDCN{}, WebSearch{},
+	Permutation{}, RDCN{}, WebSearch{},
 }
 
 // ExperimentNames returns the registered experiment names, sorted.
@@ -88,10 +88,10 @@ type span struct {
 	d    sim.Duration
 }
 
-// checkSpans rejects a negative Window, Drain or SamplePeriod. The
-// presets add these into the run horizon and hand them to their own
-// panel probes, so no scenario component sees the raw value; every
-// other parameter is checked by the scenario component that reads it.
+// checkSpans rejects a negative Window or Drain. The presets add these
+// into the run horizon and hand them to their own panel probes, so no
+// scenario component sees the raw value; every other parameter is
+// checked by the scenario component that reads it.
 func checkSpans(spans ...span) error {
 	for _, s := range spans {
 		if s.d < 0 {

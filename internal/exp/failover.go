@@ -7,25 +7,23 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/units"
 )
 
 // KeepLinkDown, as Failover.RestoreAfter, leaves the failed link down
 // for the rest of the run.
 const KeepLinkDown sim.Duration = -1
 
-// Failover is the supplementary multipath-lab link failure: the first
-// leaf's link to spine 0 is cut mid-run. Flows hashed onto the dead path
-// black-hole until the control plane reconverges (Reconverge later),
-// then recover at the pace the scheme's loss detection allows; the link
-// comes back at RestoreAfter.
+// Failover is the supplementary multipath-lab link failure on two
+// leaves and two equal spines: the first leaf's link to spine 0 is cut
+// mid-run. Flows hashed onto the dead path black-hole until the control
+// plane reconverges onto the other spine (Reconverge later), then
+// recover at the pace the scheme's loss detection allows; the link comes
+// back at RestoreAfter. Goodput and the leaf's uplink queue are sampled
+// every 20 µs.
 type Failover struct {
-	Tors          int // leaves; default 2
-	Spines        int // default 2, and at least 2 so there is a path to reroute onto
 	ServersPerTor int // default 8
 	// Partitions is scenario.LeafSpineTopology.Partitions.
 	Partitions int
-	SpineRates []units.BitRate
 	// Flows is the cross-fabric flow count, capped at ServersPerTor. The
 	// default 4 is sized so the surviving spines can still carry the whole
 	// offered load: recovery measures rerouting + loss repair, not a
@@ -38,26 +36,19 @@ type Failover struct {
 	RestoreAfter sim.Duration
 	Reconverge   sim.Duration // control-plane delay; default 200 µs
 	Window       sim.Duration // default 5 ms
-	SamplePeriod sim.Duration // default 20 µs
 }
 
 // Name returns "failover".
 func (Failover) Name() string { return "failover" }
 
 func (p Failover) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
-	p.Tors = cmp.Or(p.Tors, 2)
-	p.Spines = cmp.Or(p.Spines, 2)
 	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
 	p.Flows = min(cmp.Or(p.Flows, 4), p.ServersPerTor)
 	p.Window = cmp.Or(p.Window, 5*sim.Millisecond)
 	p.FailAfter = cmp.Or(p.FailAfter, sim.Millisecond)
 	p.RestoreAfter = cmp.Or(p.RestoreAfter, p.FailAfter+2*sim.Millisecond)
 	p.Reconverge = cmp.Or(p.Reconverge, 200*sim.Microsecond)
-	p.SamplePeriod = cmp.Or(p.SamplePeriod, 20*sim.Microsecond)
-	if p.Spines < 2 {
-		return nil, fmt.Errorf("failover needs ≥2 Spines to reroute, got %d", p.Spines)
-	}
-	if err := checkSpans(span{"Window", p.Window}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+	if err := checkSpans(span{"Window", p.Window}); err != nil {
 		return nil, err
 	}
 	events := []scenario.Event{
@@ -79,22 +70,20 @@ func (p Failover) run(seed int64, scheme scenario.Scheme) (*scenario.Result, err
 		Scheme: scheme,
 		Seed:   seed,
 		Topology: scenario.LeafSpineTopology{
-			Leaves:         p.Tors,
-			Spines:         p.Spines,
+			Leaves:         2,
+			Spines:         2,
 			ServersPerLeaf: p.ServersPerTor,
-			SpineRates:     p.SpineRates,
 			Routing:        p.Routing,
 			Partitions:     p.Partitions,
 		},
 		Traffic: []scenario.Traffic{scenario.RackPairs{
 			FromRack: scenario.RackStart(0),
-			ToRack:   scenario.RackStart(p.Tors - 1),
+			ToRack:   scenario.RackStart(1),
 			Count:    p.Flows,
 		}},
 		Events: scenario.Timeline{Events: events, Reconverge: p.Reconverge},
 		Probes: []scenario.Probe{
 			&failoverPanel{
-				period:    p.SamplePeriod,
 				window:    p.Window,
 				failAt:    p.FailAfter,
 				restoreAt: restoreAt,
@@ -105,6 +94,9 @@ func (p Failover) run(seed int64, scheme scenario.Scheme) (*scenario.Result, err
 		Until: p.Window,
 	})
 }
+
+// failoverPeriod is the goodput and queue sampling period.
+const failoverPeriod = 20 * sim.Microsecond
 
 // failoverPanel samples aggregate goodput and the sending leaf's worst
 // uplink queue (the series goodput_gbps and queue_kb), then summarizes
@@ -118,7 +110,6 @@ func (p Failover) run(seed int64, scheme scenario.Scheme) (*scenario.Result, err
 //   - lost_packets: packets black-holed on downed wires;
 //   - route_rebuilds.
 type failoverPanel struct {
-	period    sim.Duration
 	window    sim.Duration
 	failAt    sim.Duration
 	restoreAt sim.Duration // 0 means the link stays down
@@ -136,7 +127,7 @@ func (p *failoverPanel) Install(env *scenario.Env) error {
 	perLeaf := ls.ServersPerLeaf
 	rxBase := (ls.Leaves - 1) * perLeaf
 	uplinks := net.Switches[ls.LeafSwitch(0)].Ports()[perLeaf : perLeaf+ls.Spines]
-	scenario.SampleEvery(net.Eng, p.period, env.Horizon, func(now sim.Time) {
+	scenario.SampleEvery(net.Eng, failoverPeriod, env.Horizon, func(now sim.Time) {
 		var cur int64
 		for i := 0; i < p.flows; i++ {
 			cur += env.Lab.ReceivedTotal(rxBase + i)
@@ -148,7 +139,7 @@ func (p *failoverPanel) Install(env *scenario.Env) error {
 			}
 		}
 		p.t = append(p.t, now)
-		p.gbps = append(p.gbps, stats.Gbps(cur-p.lastBytes, p.period))
+		p.gbps = append(p.gbps, stats.Gbps(cur-p.lastBytes, failoverPeriod))
 		p.queueKB = append(p.queueKB, float64(q)/1024)
 		p.lastBytes = cur
 	})

@@ -10,17 +10,14 @@ import (
 )
 
 // Fairness is Figure 5 (staggered arrivals) and Figure 9 (HOMA
-// overcommitment): Flows staggered senders to one receiver over a single
-// 25G bottleneck.
+// overcommitment): Flows senders to one receiver over a single 25G
+// bottleneck, arriving 1 ms apart. The first four send 9, 6, 4 and
+// 2 MiB and any more 2 MiB, so at 25G fair sharing the flows finish in
+// arrival order, giving the arrive-and-leave staircase of Fig. 5. Each
+// flow's receive rate is sampled every 50 µs.
 type Fairness struct {
-	Flows   int          // default 4
-	Stagger sim.Duration // arrival spacing; default 1 ms
-	// Sizes are the transfer sizes in arrival order. The default is chosen
-	// so at 25G fair sharing the flows finish in arrival order, giving the
-	// arrive-and-leave staircase of Fig. 5.
-	Sizes        []int64
-	Window       sim.Duration // default 8 ms
-	SamplePeriod sim.Duration // default 50 µs
+	Flows  int          // default 4
+	Window sim.Duration // default 8 ms
 }
 
 // Name returns "fairness".
@@ -28,16 +25,12 @@ func (Fairness) Name() string { return "fairness" }
 
 func (p Fairness) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
 	p.Flows = cmp.Or(p.Flows, 4)
-	p.Stagger = cmp.Or(p.Stagger, sim.Millisecond)
 	p.Window = cmp.Or(p.Window, 8*sim.Millisecond)
-	p.SamplePeriod = cmp.Or(p.SamplePeriod, 50*sim.Microsecond)
-	if len(p.Sizes) == 0 {
-		p.Sizes = []int64{9 << 20, 6 << 20, 4 << 20, 2 << 20}[:max(0, min(p.Flows, 4))]
-		for len(p.Sizes) < p.Flows {
-			p.Sizes = append(p.Sizes, 2<<20)
-		}
+	sizes := []int64{9 << 20, 6 << 20, 4 << 20, 2 << 20}[:max(0, min(p.Flows, 4))]
+	for len(sizes) < p.Flows {
+		sizes = append(sizes, 2<<20)
 	}
-	if err := checkSpans(span{"Window", p.Window}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+	if err := checkSpans(span{"Window", p.Window}); err != nil {
 		return nil, err
 	}
 	return scenario.Run(scenario.Scenario{
@@ -49,13 +42,16 @@ func (p Fairness) run(seed int64, scheme scenario.Scheme) (*scenario.Result, err
 			Receiver:    scenario.Host(0),
 			FirstSender: scenario.Host(1),
 			Count:       p.Flows,
-			Stagger:     p.Stagger,
-			Sizes:       p.Sizes,
+			Stagger:     sim.Millisecond,
+			Sizes:       sizes,
 		}},
-		Probes: []scenario.Probe{&fairnessPanel{receiver: 0, period: p.SamplePeriod}},
+		Probes: []scenario.Probe{&fairnessPanel{receiver: 0}},
 		Until:  p.Window,
 	})
 }
+
+// fairnessPeriod is the rate-sampling period.
+const fairnessPeriod = 50 * sim.Microsecond
 
 // fairnessPanel samples every launched flow's receive rate (Figure 5,
 // and Figure 9 for HOMA's overcommitment levels) and writes one
@@ -63,7 +59,6 @@ func (p Fairness) run(seed int64, scheme scenario.Scheme) (*scenario.Result, err
 // fairness index over samples with ≥2 active flows.
 type fairnessPanel struct {
 	receiver int
-	period   sim.Duration
 
 	t       []sim.Time
 	per     [][]float64 // per[i][k]: flow i's Gbps at sample k
@@ -76,13 +71,13 @@ func (p *fairnessPanel) Install(env *scenario.Env) error {
 	flows := len(env.Launched)
 	p.per = make([][]float64, flows)
 	p.last = make([]int64, flows)
-	scenario.SampleEvery(env.Eng(), p.period, env.Horizon, func(now sim.Time) {
+	scenario.SampleEvery(env.Eng(), fairnessPeriod, env.Horizon, func(now sim.Time) {
 		p.t = append(p.t, now)
 		var sum, sumSq float64
 		active := 0
 		for i := 0; i < flows; i++ {
 			cur := env.Lab.ReceivedBytes(p.receiver, env.Launched[i].ID)
-			g := stats.Gbps(cur-p.last[i], p.period)
+			g := stats.Gbps(cur-p.last[i], fairnessPeriod)
 			p.last[i] = cur
 			p.per[i] = append(p.per[i], g)
 			if g > 0.5 {

@@ -26,9 +26,6 @@ func goldenSpecs() []Spec {
 		Spec{Preset: WebSearch{Load: 0.15, ServersPerTor: 4, Duration: 2 * sim.Millisecond,
 			Drain: sim.Millisecond},
 			Scheme: scenario.PowerTCP, Seed: 1},
-		Spec{Preset: LoadSweep{Loads: []float64{0.1, 0.2}, ServersPerTor: 4,
-			Duration: sim.Millisecond, Drain: sim.Millisecond},
-			Scheme: scenario.PowerTCP, Seed: 1},
 		Spec{Preset: RDCN{Tors: 4, Weeks: 2, PacketRate: 25 * units.Gbps},
 			Scheme: scenario.PowerTCP, Seed: 1},
 		Spec{Preset: Permutation{Routing: "ecmp", ServersPerTor: 4, Window: sim.Millisecond},

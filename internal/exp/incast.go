@@ -9,21 +9,28 @@ import (
 )
 
 // Incast is one panel of Figure 4 (10:1 and 255:1) and of Figures 10–11
-// (HOMA overcommitment): a long flow into the receiver, then at Warmup
-// a FanIn:1 incast pulse from senders in other racks hits it.
+// (HOMA overcommitment): a long flow into the receiver, then after a
+// 500 µs head start a FanIn:1 incast pulse of 500 KB per responder from
+// senders in other racks hits it. Receiver throughput and the bottleneck
+// queue are sampled every 20 µs.
 type Incast struct {
-	FanIn    int   // default 10
-	FlowSize int64 // bytes per responder; default 500 KB
+	FanIn int // default 10
 	// ServersPerTor scales the fat-tree (default 8; 32 is the paper's
 	// §4.1 fabric).
 	ServersPerTor int
 	// Partitions is scenario.FatTreeTopology.Partitions: output is
 	// byte-identical at any count.
-	Partitions   int
-	Window       sim.Duration // observation window after Warmup; default 4 ms
-	Warmup       sim.Duration // long-flow head start; default 500 µs
-	SamplePeriod sim.Duration // default 20 µs
+	Partitions int
+	Window     sim.Duration // observation window after the head start; default 4 ms
 }
+
+// The pulse's bytes per responder, the long flow's head start and the
+// sampling period.
+const (
+	incastFlowSize = 500_000
+	incastWarmup   = 500 * sim.Microsecond
+	incastPeriod   = 20 * sim.Microsecond
+)
 
 // Name returns "incast".
 func (Incast) Name() string { return "incast" }
@@ -31,11 +38,8 @@ func (Incast) Name() string { return "incast" }
 func (p Incast) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
 	p.FanIn = cmp.Or(p.FanIn, 10)
 	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
-	p.FlowSize = cmp.Or(p.FlowSize, 500_000)
 	p.Window = cmp.Or(p.Window, 4*sim.Millisecond)
-	p.Warmup = cmp.Or(p.Warmup, 500*sim.Microsecond)
-	p.SamplePeriod = cmp.Or(p.SamplePeriod, 20*sim.Microsecond)
-	if err := checkSpans(span{"Window", p.Window}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+	if err := checkSpans(span{"Window", p.Window}); err != nil {
 		return nil, err
 	}
 	return scenario.Run(scenario.Scenario{
@@ -48,21 +52,22 @@ func (p Incast) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error
 			scenario.Flows{List: []scenario.FlowSpec{{
 				Src: scenario.HostFromEnd(1), Dst: scenario.Host(0), Size: scenario.Unbounded,
 			}}},
-			// FanIn cross-rack senders fire together at Warmup. The span
-			// excludes the long flow's sender at the end of the host range.
+			// FanIn cross-rack senders fire together after the head
+			// start. The span excludes the long flow's sender at the end
+			// of the host range.
 			scenario.IncastPulse{
-				At:       p.Warmup,
+				At:       incastWarmup,
 				Receiver: scenario.Host(0),
 				FanIn:    p.FanIn,
-				FlowSize: p.FlowSize,
+				FlowSize: incastFlowSize,
 				Senders:  scenario.Span{From: scenario.RackStart(1), To: scenario.HostFromEnd(1)},
 			},
 		},
 		Probes: []scenario.Probe{
-			&incastPanel{receiver: 0, flowSize: p.FlowSize, period: p.SamplePeriod},
+			&incastPanel{receiver: 0},
 			scenario.AccountingProbe{},
 		},
-		Until: p.Warmup + p.Window,
+		Until: incastWarmup + p.Window,
 	})
 }
 
@@ -80,8 +85,6 @@ func (p Incast) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error
 //   - completed: incast flows finished inside the window.
 type incastPanel struct {
 	receiver int
-	flowSize int64
-	period   sim.Duration
 
 	fanIn     int
 	t         []sim.Time
@@ -97,21 +100,21 @@ func (p *incastPanel) Install(env *scenario.Env) error {
 	perRack := env.Fabric.HostsPerRack
 	port := net.Switches[p.receiver/perRack].Ports()[p.receiver%perRack]
 
-	// The incast fan-in actually launched: pulse flows carry FlowSize.
+	// The incast fan-in actually launched: pulse flows carry incastFlowSize.
 	for _, f := range env.Launched {
-		if f.Size == p.flowSize {
+		if f.Size == incastFlowSize {
 			p.fanIn++
 		}
 	}
 
 	// The sampler runs at a fixed period from t=0 to the fixed horizon,
 	// so the series length is run metadata: allocate the samples once.
-	n := int(env.Horizon.Duration()/p.period) + 2
+	n := int(env.Horizon.Duration()/incastPeriod) + 2
 	p.t, p.gbps, p.queueKB = make([]sim.Time, 0, n), make([]float64, 0, n), make([]float64, 0, n)
-	scenario.SampleEvery(net.Eng, p.period, env.Horizon, func(now sim.Time) {
+	scenario.SampleEvery(net.Eng, incastPeriod, env.Horizon, func(now sim.Time) {
 		cur := env.Lab.ReceivedTotal(p.receiver)
 		p.t = append(p.t, now)
-		p.gbps = append(p.gbps, stats.Gbps(cur-p.lastBytes, p.period))
+		p.gbps = append(p.gbps, stats.Gbps(cur-p.lastBytes, incastPeriod))
 		p.queueKB = append(p.queueKB, float64(port.QueueBytes())/1024)
 		p.lastBytes = cur
 	})
@@ -139,7 +142,7 @@ func (p *incastPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	}
 	completed := 0
 	for _, r := range env.Lab.Records {
-		if r.Size == p.flowSize {
+		if r.Size == incastFlowSize {
 			completed++
 		}
 	}

@@ -31,7 +31,7 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 		// overflow heap and Reset's discard path on every engine.
 		"failover": func(parts int) Spec {
 			return Spec{Preset: Failover{Partitions: parts, ServersPerTor: 4, Flows: 2,
-				Spines: 2, FailAfter: 2 * sim.Millisecond, RestoreAfter: 12 * sim.Millisecond, Window: 20 * sim.Millisecond},
+				FailAfter: 2 * sim.Millisecond, RestoreAfter: 12 * sim.Millisecond, Window: 20 * sim.Millisecond},
 				Scheme: scenario.PowerTCP, Seed: 21}
 		},
 	}

@@ -16,9 +16,8 @@ type Permutation struct {
 	// Partitions is scenario.FatTreeTopology.Partitions.
 	Partitions int
 	// Routing names the multipath strategy ("", "ecmp", "single", "wecmp").
-	Routing      string
-	Window       sim.Duration // default 4 ms
-	SamplePeriod sim.Duration // default 50 µs
+	Routing string
+	Window  sim.Duration // default 4 ms
 }
 
 // Name returns "permutation".
@@ -27,8 +26,7 @@ func (Permutation) Name() string { return "permutation" }
 func (p Permutation) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) {
 	p.ServersPerTor = cmp.Or(p.ServersPerTor, 8)
 	p.Window = cmp.Or(p.Window, 4*sim.Millisecond)
-	p.SamplePeriod = cmp.Or(p.SamplePeriod, 50*sim.Microsecond)
-	if err := checkSpans(span{"Window", p.Window}, span{"SamplePeriod", p.SamplePeriod}); err != nil {
+	if err := checkSpans(span{"Window", p.Window}); err != nil {
 		return nil, err
 	}
 	return scenario.Run(scenario.Scenario{
@@ -37,10 +35,13 @@ func (p Permutation) run(seed int64, scheme scenario.Scheme) (*scenario.Result, 
 		Seed:     seed,
 		Topology: scenario.FatTreeTopology{ServersPerTor: p.ServersPerTor, Routing: p.Routing, Partitions: p.Partitions},
 		Traffic:  []scenario.Traffic{scenario.Permutation{}},
-		Probes:   []scenario.Probe{&permutationPanel{period: p.SamplePeriod, window: p.Window}},
+		Probes:   []scenario.Probe{&permutationPanel{window: p.Window}},
 		Until:    p.Window,
 	})
 }
+
+// permutationPeriod is the aggregate-rate sampling period.
+const permutationPeriod = 50 * sim.Microsecond
 
 // permutationPanel samples the aggregate receive rate, then summarizes
 // per-flow goodput fairness and the ToR-uplink load spread. It writes
@@ -53,7 +54,6 @@ func (p Permutation) run(seed int64, scheme scenario.Scheme) (*scenario.Result, 
 //     uplinks_total across all ToRs;
 //   - uplink_imbalance: max/mean bytes across the used ToR uplinks.
 type permutationPanel struct {
-	period sim.Duration
 	window sim.Duration
 
 	t       []sim.Time
@@ -67,7 +67,7 @@ func (p *permutationPanel) Install(env *scenario.Env) error {
 	n := len(net.Hosts)
 	p.last = make([]int64, n)
 	p.perFlow = make([]int64, n)
-	scenario.SampleEvery(net.Eng, p.period, env.Horizon, func(now sim.Time) {
+	scenario.SampleEvery(net.Eng, permutationPeriod, env.Horizon, func(now sim.Time) {
 		var delta int64
 		for i := 0; i < n; i++ {
 			cur := env.Lab.ReceivedTotal(i)
@@ -76,7 +76,7 @@ func (p *permutationPanel) Install(env *scenario.Env) error {
 			p.last[i] = cur
 		}
 		p.t = append(p.t, now)
-		p.aggGbps = append(p.aggGbps, stats.Gbps(delta, p.period))
+		p.aggGbps = append(p.aggGbps, stats.Gbps(delta, permutationPeriod))
 	})
 	return nil
 }

@@ -22,7 +22,6 @@ type RDCN struct {
 	ServersPerTor int           // default 4
 	PacketRate    units.BitRate // packet-network bandwidth (Fig. 8b); default 25 Gbps
 	Weeks         int           // simulated rotor weeks; default 3
-	SamplePeriod  sim.Duration  // default 10 µs
 }
 
 // Name returns "rdcn".
@@ -33,10 +32,6 @@ func (p RDCN) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) 
 	p.ServersPerTor = cmp.Or(p.ServersPerTor, 4)
 	p.PacketRate = cmp.Or(p.PacketRate, 25*units.Gbps)
 	p.Weeks = cmp.Or(p.Weeks, 3)
-	p.SamplePeriod = cmp.Or(p.SamplePeriod, 10*sim.Microsecond)
-	if err := checkSpans(span{"SamplePeriod", p.SamplePeriod}); err != nil {
-		return nil, err
-	}
 	return scenario.Run(scenario.Scenario{
 		Name:   "rdcn",
 		Scheme: scheme,
@@ -52,10 +47,13 @@ func (p RDCN) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) 
 			ToRack:   scenario.RackStart(1),
 		}},
 		Probes: []scenario.Probe{&rotorPanel{
-			srcTor: 0, dstTor: 1, weeks: p.Weeks, period: p.SamplePeriod,
+			srcTor: 0, dstTor: 1, weeks: p.Weeks,
 		}},
 	})
 }
+
+// rotorPeriod is the throughput and VOQ sampling period.
+const rotorPeriod = 10 * sim.Microsecond
 
 // rotorPanel is the Figure 8 probe: throughput and VOQ series for the
 // monitored ToR pair, per-packet queuing delays at the receiving rack,
@@ -71,7 +69,6 @@ func (p RDCN) run(seed int64, scheme scenario.Scheme) (*scenario.Result, error) 
 type rotorPanel struct {
 	srcTor, dstTor int
 	weeks          int
-	period         sim.Duration
 
 	t          []sim.Time
 	throughput []float64
@@ -104,10 +101,10 @@ func (p *rotorPanel) Install(env *scenario.Env) error {
 		}
 	}
 
-	scenario.SampleEvery(eng, p.period, env.Horizon, func(now sim.Time) {
+	scenario.SampleEvery(eng, rotorPeriod, env.Horizon, func(now sim.Time) {
 		cur := p.rxTotal(env)
 		p.t = append(p.t, now)
-		p.throughput = append(p.throughput, stats.Gbps(cur-p.lastRx, p.period))
+		p.throughput = append(p.throughput, stats.Gbps(cur-p.lastRx, rotorPeriod))
 		p.voqKB = append(p.voqKB, float64(rot.VOQBytes(p.srcTor, p.dstTor))/1024)
 		p.lastRx = cur
 	})

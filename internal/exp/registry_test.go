@@ -122,7 +122,7 @@ func TestGammaOptionChangesRun(t *testing.T) {
 // no per-flow algorithm builder; every other experiment must reject it
 // with an error rather than crash on the nil builder.
 func TestNonRDCNExperimentsRejectReTCP(t *testing.T) {
-	for _, p := range []Preset{Incast{}, Fairness{}, WebSearch{}, LoadSweep{}} {
+	for _, p := range []Preset{Incast{}, Fairness{}, WebSearch{}} {
 		_, err := Run(Spec{Preset: p, Scheme: scenario.ReTCP600})
 		if err == nil || !strings.Contains(err.Error(), "does not support") {
 			t.Fatalf("%s accepted retcp-600: %v", p.Name(), err)
@@ -144,10 +144,10 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// The registry is the eight presets, listed once each in name order.
+// The registry is the seven presets, listed once each in name order.
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{"asymmetry", "failover", "fairness", "incast",
-		"load-sweep", "permutation", "rdcn", "websearch"}
+		"permutation", "rdcn", "websearch"}
 	if got := ExperimentNames(); !slices.Equal(got, want) {
 		t.Fatalf("ExperimentNames() = %v, want %v", got, want)
 	}

@@ -61,21 +61,3 @@ func TestResultTSVLayout(t *testing.T) {
 		t.Fatal("scalars not sorted")
 	}
 }
-
-func TestEncodeResultSets(t *testing.T) {
-	rs := []*scenario.Result{sampleResult(), sampleResult()}
-	var tsv, js bytes.Buffer
-	if err := scenario.EncodeTSVResults(&tsv, rs); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(tsv.String(), "# experiment=incast"); got != 2 {
-		t.Fatalf("TSV set has %d blocks", got)
-	}
-	if err := scenario.EncodeJSONResults(&js, rs); err != nil {
-		t.Fatal(err)
-	}
-	var back []scenario.Result
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil || len(back) != 2 {
-		t.Fatalf("JSON set round-trip: %v, %d", err, len(back))
-	}
-}

@@ -23,12 +23,6 @@ type Suite struct {
 // NewSuite builds a suite from specs.
 func NewSuite(specs ...Spec) *Suite { return &Suite{Specs: specs} }
 
-// Add appends specs and returns the suite for chaining.
-func (su *Suite) Add(specs ...Spec) *Suite {
-	su.Specs = append(su.Specs, specs...)
-	return su
-}
-
 // Run executes every spec and returns results in spec order. Failed
 // specs leave a nil slot; the joined error names each failure. The
 // remaining specs still run to completion — a spec whose experiment

@@ -13,9 +13,9 @@ import (
 // outOfDomain assigns, per preset field name, one value outside its
 // domain on a preset that has the field. want is how the rejecting layer
 // names the value: the preset's own field where the preset consumes it,
-// the scenario component's field where it is handed down (FlowSize and
-// Sizes become flow sizes, Flows a RackPairs Count, Warmup a start time,
-// Duration a generation Horizon, the Incast* overlay an IncastRequests).
+// the scenario component's field where it is handed down (Flows becomes
+// a RackPairs Count, Duration a generation Horizon, the Incast* overlay
+// an IncastRequests, Tors the rotor topology's ToR count).
 // SampleBuffers is the one field with no possible invalid value (a
 // bool), so it is deliberately absent; the coverage loop below pins
 // that every other field has a negative case here.
@@ -25,31 +25,22 @@ var outOfDomain = []struct {
 	want   string
 }{
 	{"ServersPerTor", Incast{ServersPerTor: -4}, "ServersPerTor -4"},
-	{"Tors", Asymmetry{Tors: -1}, "Tors -1"},
+	{"Tors", RDCN{Tors: -1}, "ToRs (0 keeps the default), got -1"},
 	{"Partitions", Incast{Partitions: -2}, "Partitions -2"},
 	{"FanIn", Incast{FanIn: -8}, "FanIn"},
-	{"FlowSize", Incast{FlowSize: -1000}, "size -1000"},
 	{"Flows", Failover{Flows: -2}, "Count -2"},
-	{"Stagger", Fairness{Stagger: -sim.Millisecond}, "Stagger"},
-	{"Sizes", Fairness{Sizes: []int64{1 << 20, -5}}, "size -5"},
 	{"Load", WebSearch{Load: 1.5}, "Load 1.5"},
-	{"Loads", LoadSweep{Loads: []float64{0.2, -0.4}}, "Load -0.4"},
 	{"IncastRate", WebSearch{IncastRate: -100, IncastSize: 1 << 20}, "RequestRate -100"},
 	{"IncastSize", WebSearch{IncastRate: 100, IncastSize: -1}, "RequestSize -1"},
-	{"IncastFanIn", WebSearch{IncastRate: 100, IncastSize: 1 << 20, IncastFanIn: -8}, "FanIn"},
 	{"PacketRate", RDCN{PacketRate: -10 * units.Gbps}, "packet rate"},
 	{"Weeks", RDCN{Weeks: -1}, "Weeks"},
 	{"Routing", Permutation{Routing: "spray"}, "spray"},
-	{"Spines", Asymmetry{Spines: -2}, "Spines -2"},
-	{"SpineRates", Asymmetry{SpineRates: []units.BitRate{100 * units.Gbps, -units.Gbps}}, "SpineRates[1]"},
 	{"FailAfter", Failover{FailAfter: -sim.Millisecond}, "failure at negative time"},
 	{"RestoreAfter", Failover{RestoreAfter: -2 * sim.Millisecond}, "restore at negative time"},
 	{"Reconverge", Failover{Reconverge: -sim.Microsecond}, "reconvergence"},
 	{"Window", Incast{Window: -sim.Millisecond}, "Window"},
-	{"Warmup", Incast{Warmup: -sim.Microsecond}, "negative time"},
 	{"Duration", WebSearch{Duration: -sim.Millisecond}, "Horizon"},
 	{"Drain", WebSearch{Drain: -sim.Millisecond}, "Drain"},
-	{"SamplePeriod", Incast{SamplePeriod: -sim.Microsecond}, "SamplePeriod"},
 }
 
 // TestValidateRejectsOutOfDomainValues pins a negative case for every

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/scenario"
 )
@@ -48,36 +46,4 @@ func WriteRepro(dir string, sp *scenario.Spec) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// LoadCorpus reads every *.json spec under dir, sorted by filename so
-// iteration order is stable. Each spec's Name is set to its file stem.
-func LoadCorpus(dir string) ([]scenario.Spec, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	specs := make([]scenario.Spec, 0, len(names))
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		// Strict decode: a corpus file with a misspelled field would
-		// otherwise silently pin a different scenario than it names.
-		sp, err := scenario.DecodeSpec(b)
-		if err != nil {
-			return nil, fmt.Errorf("fuzzlab: corpus file %s: %w", n, err)
-		}
-		sp.Name = strings.TrimSuffix(n, ".json")
-		specs = append(specs, *sp)
-	}
-	return specs, nil
 }

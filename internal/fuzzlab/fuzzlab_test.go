@@ -3,9 +3,12 @@ package fuzzlab
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -17,7 +20,7 @@ import (
 // lands here because it once minimized a violation; this test is the
 // permanent regression gate keeping each one fixed.
 func TestPinnedCorpus(t *testing.T) {
-	specs, err := LoadCorpus(filepath.Join("testdata", "corpus"))
+	specs, err := loadCorpus(filepath.Join("testdata", "corpus"))
 	if err != nil {
 		t.Fatalf("loading corpus: %v", err)
 	}
@@ -217,4 +220,36 @@ type testWriter struct{ t *testing.T }
 func (w testWriter) Write(p []byte) (int, error) {
 	w.t.Logf("%s", bytes.TrimRight(p, "\n"))
 	return len(p), nil
+}
+
+// loadCorpus reads every *.json spec under dir, sorted by filename so
+// iteration order is stable. Each spec's Name is set to its file stem.
+func loadCorpus(dir string) ([]scenario.Spec, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	specs := make([]scenario.Spec, 0, len(names))
+	for _, n := range names {
+		b, err := os.ReadFile(filepath.Join(dir, n))
+		if err != nil {
+			return nil, err
+		}
+		// Strict decode: a corpus file with a misspelled field would
+		// otherwise silently pin a different scenario than it names.
+		sp, err := scenario.DecodeSpec(b)
+		if err != nil {
+			return nil, fmt.Errorf("fuzzlab: corpus file %s: %w", n, err)
+		}
+		sp.Name = strings.TrimSuffix(n, ".json")
+		specs = append(specs, *sp)
+	}
+	return specs, nil
 }

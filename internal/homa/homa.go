@@ -89,9 +89,6 @@ type Msg struct {
 	done      bool
 }
 
-// Done reports sender-side completion (receiver confirmed all bytes).
-func (m *Msg) Done() bool { return m.done }
-
 type recvMsg struct {
 	id      uint64
 	flow    packet.FlowID
@@ -190,10 +187,6 @@ func (h *Host) rttBytes() int64 {
 	}
 	return h.nic.Rate.BDP(h.cfg.BaseRTT)
 }
-
-// UnschedPriority returns the unscheduled priority class for a message of
-// the given size (exposed for tests and experiment instrumentation).
-func (h *Host) UnschedPriority(size int64) uint8 { return h.unschedPrio(size) }
 
 func (h *Host) unschedPrio(size int64) uint8 {
 	for i, c := range h.cfg.UnschedCutoffs {

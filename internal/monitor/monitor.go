@@ -7,10 +7,6 @@
 package monitor
 
 import (
-	"fmt"
-	"io"
-	"slices"
-
 	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -42,25 +38,6 @@ type CC struct {
 // Wrap returns a recording wrapper around alg.
 func Wrap(alg cc.Algorithm, every sim.Duration) *CC {
 	return &CC{Inner: alg, Every: every}
-}
-
-// Presize grows the sample buffer to hold n records without further
-// allocation. Callers that know the run horizon and sampling period —
-// expected samples ≈ horizon/Every — size the monitor once so recording
-// stays off the allocator during the run.
-func (m *CC) Presize(n int) {
-	if n > len(m.Samples) {
-		m.Samples = slices.Grow(m.Samples, n-len(m.Samples))
-	}
-}
-
-// Reset drops the recorded trajectory while keeping the buffer, so a
-// monitor can be reused across suite repetitions without reallocating.
-func (m *CC) Reset() {
-	m.Samples = m.Samples[:0]
-	m.losses = 0
-	m.lastAt = 0
-	m.haveAny = false
 }
 
 // Name implements cc.Algorithm.
@@ -116,19 +93,4 @@ func (m *CC) OnAck(a cc.Ack) {
 		Losses:   m.losses,
 		HopCount: len(a.Hops),
 	})
-}
-
-// WriteCSV dumps the samples as CSV.
-func (m *CC) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time_us,cwnd_bytes,rate_gbps,rtt_us,ack_seq,losses"); err != nil {
-		return err
-	}
-	for _, s := range m.Samples {
-		if _, err := fmt.Fprintf(w, "%.2f,%.0f,%.3f,%.2f,%d,%d\n",
-			float64(s.At)/float64(sim.Microsecond), s.Cwnd,
-			float64(s.Rate)/1e9, s.RTT.Micros(), s.AckSeq, s.Losses); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package monitor_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -50,13 +49,6 @@ func TestCCMonitorRecordsAndIsTransparent(t *testing.T) {
 	// Per-ACK sampling: one sample per received ACK (500 packets).
 	if n < 400 {
 		t.Fatalf("only %d samples", n)
-	}
-	var buf bytes.Buffer
-	if err := mon.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "time_us,") || strings.Count(buf.String(), "\n") < n {
-		t.Fatal("CSV dump malformed")
 	}
 }
 

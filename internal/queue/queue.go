@@ -128,9 +128,6 @@ func (q *Prio) Len() int { return q.n }
 // Bytes returns the total wire bytes queued across all levels.
 func (q *Prio) Bytes() int64 { return q.bytes }
 
-// LevelBytes returns the bytes queued at one priority level.
-func (q *Prio) LevelBytes(lvl int) int64 { return q.levels[lvl].Bytes() }
-
 // Class is a queue partitioned into classes (e.g. per-destination VOQs)
 // of which exactly one — the active class — is drainable at a time.
 // Pushes go to the class chosen by the classifier; Pop serves only the

@@ -218,11 +218,10 @@ type Router struct {
 	installers []Installer // same order as graph
 	strategy   Strategy
 
-	edges     []edge          // switches with hosts attached, in switch order
-	dsts      []packet.NodeID // every host's node ID, grouped by edge
-	access    []int           // access[k]: the edge's port facing dsts[k]
-	downLinks int
-	rebuilds  int
+	edges    []edge          // switches with hosts attached, in switch order
+	dsts     []packet.NodeID // every host's node ID, grouped by edge
+	access   []int           // access[k]: the edge's port facing dsts[k]
+	rebuilds int
 
 	// Scratch reused across rebuilds.
 	dist     []int
@@ -275,37 +274,25 @@ func NewRouter(eng *sim.Engine, graph [][]PortRef, installers []Installer, strat
 // Rebuilds counts control-plane table recomputations (1 after build).
 func (r *Router) Rebuilds() int { return r.rebuilds }
 
-// DownLinks returns the number of currently-failed links.
-func (r *Router) DownLinks() int { return r.downLinks }
-
 // FailLink cuts the link between switches a and b in both directions:
 // packets already serialized onto it are lost at delivery time and new
 // transmissions are discarded. Routing tables are NOT recomputed —
 // callers model control-plane reconvergence by calling Rebuild later
 // (or by using Schedule, which does both with a delay).
-func (r *Router) FailLink(a, b int) {
-	if r.setLinkDown(a, b, true) {
-		r.downLinks++
-	}
-}
+func (r *Router) FailLink(a, b int) { r.setLinkDown(a, b, true) }
 
 // RestoreLink re-activates a failed link. As with FailLink, tables are
 // recomputed only by an explicit Rebuild.
-func (r *Router) RestoreLink(a, b int) {
-	if r.setLinkDown(a, b, false) {
-		r.downLinks--
-	}
-}
+func (r *Router) RestoreLink(a, b int) { r.setLinkDown(a, b, false) }
 
 // setLinkDown sets the state of every port between a and b, in both
-// directions, and reports whether that changed the link's state.
-func (r *Router) setLinkDown(a, b int, down bool) (changed bool) {
+// directions.
+func (r *Router) setLinkDown(a, b int, down bool) {
 	cut := 0
 	for _, pair := range [2][2]int{{a, b}, {b, a}} {
 		refs := r.graph[pair[0]]
 		for pi := range refs {
 			if ref := &refs[pi]; !ref.ToHost && ref.Peer == pair[1] {
-				changed = changed || ref.down != down
 				ref.down = down
 				ref.Link.SetDown(down)
 				cut++
@@ -318,7 +305,6 @@ func (r *Router) setLinkDown(a, b int, down bool) (changed bool) {
 		// loudly beats measuring an intact network as if it were cut.
 		panic(fmt.Sprintf("route: switches %d and %d share no link", a, b))
 	}
-	return changed
 }
 
 // LinkEvent is one scheduled link state change between two switches.

@@ -1,10 +1,11 @@
 package scenario
 
-// SpecPresets returns one small, fully specified Spec per registered
-// experiment family (internal/exp's registry: asymmetry, failover,
-// fairness, incast, load-sweep, permutation, rdcn, websearch) plus the
-// hybrid co-simulation preset (fluid background under packet
-// foreground), sorted by name. They serve three masters:
+// SpecPresets returns one small, fully specified Spec per experiment
+// family of the evaluation (internal/exp's seven presets: asymmetry,
+// failover, fairness, incast, permutation, rdcn, websearch; and
+// load-sweep, Fig. 7a/7b's family, which internal/exp runs as a suite
+// of websearch cells) plus the hybrid co-simulation preset (fluid
+// background under packet foreground), sorted by name. They serve three masters:
 //
 //   - The canonical-encoding golden test pins each preset's canonical
 //     bytes and SpecKey, so the cache-key encoding cannot drift

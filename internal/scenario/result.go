@@ -146,25 +146,3 @@ func (r *Result) EncodeTSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// EncodeJSONResults writes a whole result set as one JSON array.
-func EncodeJSONResults(w io.Writer, rs []*Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rs)
-}
-
-// EncodeTSVResults writes a whole result set as consecutive TSV blocks.
-func EncodeTSVResults(w io.Writer, rs []*Result) error {
-	for i, r := range rs {
-		if i > 0 {
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-		}
-		if err := r.EncodeTSV(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -90,33 +90,3 @@ func TestResultLookup(t *testing.T) {
 		}
 	}
 }
-
-// TestResultSetEncodingByteDeterministic covers the suite-level
-// encoders the figure pipeline uses.
-func TestResultSetEncodingByteDeterministic(t *testing.T) {
-	rs := []*Result{
-		buildResult([]string{"a", "b", "c"}),
-		buildResult([]string{"c", "b", "a"}),
-	}
-	var first, second bytes.Buffer
-	if err := EncodeJSONResults(&first, rs); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeJSONResults(&second, rs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Error("EncodeJSONResults is not byte-deterministic")
-	}
-	first.Reset()
-	second.Reset()
-	if err := EncodeTSVResults(&first, rs); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeTSVResults(&second, rs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Error("EncodeTSVResults is not byte-deterministic")
-	}
-}

@@ -311,19 +311,6 @@ func (t RackPairs) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 	return out, nil
 }
 
-// Custom wraps an arbitrary generator function, the escape hatch for
-// traffic shapes the typed components do not cover.
-type Custom struct {
-	Generate func(f Fabric, seed int64) []workload.Flow
-}
-
-func (t Custom) generate(f Fabric, seed int64) ([]workload.Flow, error) {
-	if t.Generate == nil {
-		return nil, fmt.Errorf("scenario: Custom traffic needs a Generate function")
-	}
-	return t.Generate(f, seed), nil
-}
-
 // WithScheme runs a traffic component's flows under their own
 // congestion-control scheme, so one scenario can mix traffic classes
 // (e.g. a Reno background under a PowerTCP incast). The override must

@@ -295,10 +295,6 @@ func (e *Engine) Now() Time { return e.now }
 // reporting simulator throughput in benchmarks).
 func (e *Engine) Steps() uint64 { return e.nSteps }
 
-// Pending returns the number of queue entries waiting, including
-// cancelled instances that have not been reaped yet.
-func (e *Engine) Pending() int { return e.pending }
-
 // Capacity reports what the engine keeps across Reset: how many entries
 // its wheel chunks (in slots or spare), firing batch and overflow heap
 // have room for, and how many event nodes it owns, free or scheduled. A

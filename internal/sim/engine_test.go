@@ -178,12 +178,6 @@ func TestTimeFormatting(t *testing.T) {
 	if s := (Duration(1500)).String(); s != "1ns+500ps" {
 		t.Errorf("1500ps = %q", s)
 	}
-	if got := Seconds(0.001); got != Millisecond {
-		t.Errorf("Seconds(0.001) = %v", got)
-	}
-	if got := Micros(20); got != 20*Microsecond {
-		t.Errorf("Micros(20) = %v", got)
-	}
 }
 
 // Property: for any schedule of events, execution order is sorted by

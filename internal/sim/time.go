@@ -59,11 +59,5 @@ func (d Duration) String() string {
 	return fmt.Sprintf("%s+%dps", time.Duration(ns), ps)
 }
 
-// Seconds builds a Duration from floating-point seconds.
-func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
-
-// Micros builds a Duration from floating-point microseconds.
-func Micros(us float64) Duration { return Duration(us * float64(Microsecond)) }
-
 // Millis builds a Duration from floating-point milliseconds.
 func Millis(ms float64) Duration { return Duration(ms * float64(Millisecond)) }

@@ -39,34 +39,6 @@ func (d *Dist) Presize(n int) {
 	}
 }
 
-// Reset empties the distribution while keeping its backing array, so a
-// recycled Dist accumulates the next run's samples allocation-free.
-func (d *Dist) Reset() {
-	d.vals = d.vals[:0]
-	d.sorted = false
-}
-
-// Mean returns the sample mean (0 when empty).
-func (d *Dist) Mean() float64 {
-	if len(d.vals) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range d.vals {
-		s += v
-	}
-	return s / float64(len(d.vals))
-}
-
-// Max returns the largest sample (0 when empty).
-func (d *Dist) Max() float64 {
-	if len(d.vals) == 0 {
-		return 0
-	}
-	d.sortIfNeeded()
-	return d.vals[len(d.vals)-1]
-}
-
 func (d *Dist) sortIfNeeded() {
 	if !d.sorted {
 		sort.Float64s(d.vals)
@@ -118,65 +90,6 @@ func (d *Dist) CDF(n int) []CDFPoint {
 		out = append(out, CDFPoint{V: d.vals[idx], F: f})
 	}
 	return out
-}
-
-// TimeSeries records (time, value) pairs.
-type TimeSeries struct {
-	T []sim.Time
-	V []float64
-}
-
-// Add appends a point.
-func (ts *TimeSeries) Add(t sim.Time, v float64) {
-	ts.T = append(ts.T, t)
-	ts.V = append(ts.V, v)
-}
-
-// Len returns the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.T) }
-
-// Presize grows both columns to hold n points without further
-// allocation (see Dist.Presize).
-func (ts *TimeSeries) Presize(n int) {
-	if n > len(ts.T) {
-		ts.T = slices.Grow(ts.T, n-len(ts.T))
-	}
-	if n > len(ts.V) {
-		ts.V = slices.Grow(ts.V, n-len(ts.V))
-	}
-}
-
-// Reset empties the series while keeping both backing arrays.
-func (ts *TimeSeries) Reset() {
-	ts.T = ts.T[:0]
-	ts.V = ts.V[:0]
-}
-
-// Max returns the maximum value (0 when empty).
-func (ts *TimeSeries) Max() float64 {
-	m := 0.0
-	for _, v := range ts.V {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MeanFrom averages values at times ≥ from.
-func (ts *TimeSeries) MeanFrom(from sim.Time) float64 {
-	var s float64
-	var n int
-	for i, t := range ts.T {
-		if t >= from {
-			s += ts.V[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
 }
 
 // IdealFCT is the completion time of a flow of the given size on an idle

@@ -160,19 +160,6 @@ func TestBinnedSlowdowns(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(0, 1)
-	ts.Add(sim.Time(sim.Millisecond), 5)
-	ts.Add(sim.Time(2*sim.Millisecond), 3)
-	if ts.Max() != 5 || ts.Len() != 3 {
-		t.Fatalf("max=%v len=%d", ts.Max(), ts.Len())
-	}
-	if got := ts.MeanFrom(sim.Time(sim.Millisecond)); got != 4 {
-		t.Fatalf("MeanFrom = %v", got)
-	}
-}
-
 func TestGbps(t *testing.T) {
 	// 12.5 MB in 1 ms = 100 Gbps.
 	if got := Gbps(12_500_000, sim.Millisecond); got < 99.9 || got > 100.1 {
@@ -205,25 +192,5 @@ func TestDistPresizeResetAllocs(t *testing.T) {
 	d.Presize(1024)
 	if d.Count() != 2 || d.Mean() != 1.5 {
 		t.Fatalf("Presize lost samples: count=%d mean=%v", d.Count(), d.Mean())
-	}
-}
-
-func TestTimeSeriesPresizeResetAllocs(t *testing.T) {
-	var ts TimeSeries
-	ts.Presize(256)
-	allocs := testing.AllocsPerRun(10, func() {
-		ts.Reset()
-		for i := 0; i < 256; i++ {
-			ts.Add(sim.Time(i), float64(i))
-		}
-	})
-	if allocs > 0.5 {
-		t.Fatalf("presized TimeSeries allocates %.2f per run, want 0", allocs)
-	}
-	ts.Reset()
-	ts.Add(1, 10)
-	ts.Presize(1024)
-	if ts.Len() != 1 || ts.V[0] != 10 {
-		t.Fatalf("Presize lost points: %+v", ts)
 	}
 }

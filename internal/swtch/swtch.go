@@ -84,9 +84,6 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config) *Switch {
 	}
 }
 
-// ID returns the switch's node ID.
-func (s *Switch) ID() packet.NodeID { return s.id }
-
 // Shared exposes the buffer pool (metrics).
 func (s *Switch) Shared() *buffer.Shared { return s.share }
 

@@ -362,13 +362,6 @@ func (c FatTreeConfig) Racks() int {
 	return c.Pods * c.TorsPerPod
 }
 
-// TorOf returns the ToR switch index serving host hi in a FatTree built
-// with the given config.
-func TorOf(cfg FatTreeConfig, hi int) int {
-	cfg.fillDefaults()
-	return hi / cfg.ServersPerTor
-}
-
 // TorUplinkPorts returns the port indexes on ToR t that face the
 // aggregation layer (the load metric of §4.1 is offered on ToR uplinks).
 func (n *Network) TorUplinkPorts(t int) []int {

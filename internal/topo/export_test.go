@@ -1,0 +1,13 @@
+package topo
+
+import "repro/internal/link"
+
+// TorOf returns the ToR switch index serving host hi in a FatTree built
+// with the given config.
+func TorOf(cfg FatTreeConfig, hi int) int {
+	cfg.fillDefaults()
+	return hi / cfg.ServersPerTor
+}
+
+// PacketPort exposes ToR t's packet-core-facing port.
+func (r *Rotor) PacketPort(t int) *link.Port { return r.net.Switches[t].Ports()[r.viaPacket[0]] }

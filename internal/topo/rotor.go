@@ -97,9 +97,6 @@ func (r *Rotor) VOQBytes(src, dst int) int64 { return r.voq[src].ClassBytes(dst)
 // CircuitPort exposes ToR t's circuit-facing port (utilization metrics).
 func (r *Rotor) CircuitPort(t int) *link.Port { return r.net.Switches[t].Ports()[r.viaCircuit[0]] }
 
-// PacketPort exposes ToR t's packet-core-facing port.
-func (r *Rotor) PacketPort(t int) *link.Port { return r.net.Switches[t].Ports()[r.viaPacket[0]] }
-
 // RotorFabric wires the RDCN on the common port layer and starts the
 // rotor. Servers [t·ServersPerTor, (t+1)·ServersPerTor) share ToR t;
 // Switches lists the ToRs, then the packet core. The router sees the

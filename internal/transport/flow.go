@@ -85,12 +85,6 @@ func (f *Flow) remaining() int64 {
 // Inflight returns the bytes sent but not yet cumulatively acknowledged.
 func (f *Flow) Inflight() int64 { return f.sndNxt - f.sndUna }
 
-// SndUna returns the cumulative acknowledgment point.
-func (f *Flow) SndUna() int64 { return f.sndUna }
-
-// SndNxt returns the next sequence to send.
-func (f *Flow) SndNxt() int64 { return f.sndNxt }
-
 // FCT returns the flow completion time; valid once Done.
 func (f *Flow) FCT() sim.Duration { return f.FinishAt.Sub(f.StartAt) }
 

@@ -109,12 +109,6 @@ func (h *Host) SetPool(pl *packet.Pool) {
 // NIC returns the host's egress port.
 func (h *Host) NIC() *link.Port { return h.nic }
 
-// Engine returns the simulation engine the host runs on.
-func (h *Host) Engine() *sim.Engine { return h.eng }
-
-// Config returns the host transport configuration.
-func (h *Host) Config() Config { return h.cfg }
-
 // ReceivedBytes returns the payload bytes received for one flow.
 func (h *Host) ReceivedBytes(id packet.FlowID) int64 {
 	if rs := h.rcv[id]; rs != nil {

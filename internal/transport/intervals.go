@@ -76,6 +76,3 @@ func (s *IntervalSet) Bytes() int64 {
 	}
 	return n
 }
-
-// Spans returns the number of disjoint ranges held (diagnostics).
-func (s *IntervalSet) Spans() int { return len(s.iv) }

@@ -75,15 +75,6 @@ func (r BitRate) Bytes(d sim.Duration) int64 {
 // BDP returns the bandwidth-delay product in bytes for round-trip rtt.
 func (r BitRate) BDP(rtt sim.Duration) int64 { return r.Bytes(rtt) }
 
-// RateFromBytes returns the rate that sends n bytes in d. It is the
-// inverse of Bytes and is used for pacing (rate = cwnd/τ).
-func RateFromBytes(n int64, d sim.Duration) BitRate {
-	if d <= 0 {
-		return 0
-	}
-	return BitRate(float64(n) * 8 / d.Seconds())
-}
-
 // MinRate/MaxRate clamp helpers.
 func MinRate(a, b BitRate) BitRate {
 	if a < b {

@@ -37,14 +37,6 @@ func TestBDP(t *testing.T) {
 	}
 }
 
-func TestRateFromBytes(t *testing.T) {
-	// cwnd = BDP, τ = 20µs → rate = line rate.
-	r := RateFromBytes(250000, 20*sim.Microsecond)
-	if r < 100*Gbps-Mbps || r > 100*Gbps+Mbps {
-		t.Fatalf("RateFromBytes = %v, want ≈100Gbps", r)
-	}
-}
-
 func TestString(t *testing.T) {
 	for _, c := range []struct {
 		r BitRate
@@ -99,8 +91,5 @@ func TestZeroAndNegativeDurations(t *testing.T) {
 	}
 	if got := (25 * Gbps).Bytes(-sim.Microsecond); got != 0 {
 		t.Errorf("Bytes(<0) = %d", got)
-	}
-	if got := RateFromBytes(100, 0); got != 0 {
-		t.Errorf("RateFromBytes(_, 0) = %v", got)
 	}
 }

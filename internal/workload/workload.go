@@ -94,11 +94,6 @@ func WebSearch() *CDFDist {
 			0.8, 0.9, 0.95, 0.99, 1.0})
 }
 
-// Fixed returns a degenerate distribution (tests, incast responses).
-func Fixed(size int64) *CDFDist {
-	return NewCDF("fixed", []int64{size}, []float64{1})
-}
-
 // Flow is one generated transfer.
 type Flow struct {
 	Start sim.Time

@@ -56,8 +56,9 @@ func TestCDFMeanConsistent(t *testing.T) {
 	}
 }
 
+// A one-point CDF is degenerate: every sample lies in (0, size].
 func TestFixedDist(t *testing.T) {
-	d := Fixed(5000)
+	d := NewCDF("fixed", []int64{5000}, []float64{1})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
 		if got := d.Sample(rng); got < 1 || got > 5000 {

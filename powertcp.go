@@ -120,11 +120,11 @@ var Monitor = monitor.Wrap
 func Hosts(cfg HostConfig) topo.HostFactory { return topo.TransportHosts(cfg) }
 
 // Experiments: the paper's evaluation scenarios (incast, fairness,
-// websearch, load-sweep, rdcn) and the multipath lab (permutation,
-// asymmetry, failover) as typed presets. An ExperimentSpec names a
-// preset value — its zero fields take the experiment's defaults — a
-// scheme and a seed; run it with RunExperiment, or many concurrently
-// with a Suite. See EXPERIMENTS.md for the experiment↔figure index and
+// websearch, rdcn) and the multipath lab (permutation, asymmetry,
+// failover) as typed presets. An ExperimentSpec names a preset value —
+// its zero fields take the experiment's defaults — a scheme and a seed;
+// run it with RunExperiment, or many concurrently with a Suite (Fig.
+// 7a/7b's load sweep is a Suite of WebSearch cells, one per load). See EXPERIMENTS.md for the experiment↔figure index and
 // the paper-vs-measured record.
 type (
 	// ExperimentSpec is the identity of one run: Preset, Scheme,
@@ -134,7 +134,6 @@ type (
 	Incast      = exp.Incast
 	Fairness    = exp.Fairness
 	WebSearch   = exp.WebSearch
-	LoadSweep   = exp.LoadSweep
 	RDCN        = exp.RDCN
 	Permutation = exp.Permutation
 	Asymmetry   = exp.Asymmetry
@@ -231,7 +230,6 @@ type (
 	IncastRequests     = scenario.IncastRequests
 	PermutationTraffic = scenario.Permutation
 	RackPairs          = scenario.RackPairs
-	CustomTraffic      = scenario.Custom
 
 	// Events axis.
 	LinkFail      = scenario.LinkFail
