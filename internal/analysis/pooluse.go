@@ -30,9 +30,15 @@ import (
 // `p.Hops = append(p.Hops, …)` outside internal/packet is flagged — on a
 // packet from Get it allocates a slice the pool never reclaims. Stamp
 // sites call packet.Pool.Stamp.
+//
+// And it keeps queue links in the queues: a packet waits in at most one
+// queue, which links it through Packet.Next, so a write to Next outside
+// internal/queue and internal/packet — an assignment or a composite
+// literal key — is flagged; it would splice the packet into, or cut it
+// out of, a queue behind the queue's back.
 var Pooluse = &Analyzer{
 	Name:      "pooluse",
-	Doc:       "flags use-after-Put/double-Put of pooled packets, use of cancelled event handles, and INT stamps that bypass the pool",
+	Doc:       "flags use-after-Put/double-Put of pooled packets, use of cancelled event handles, INT stamps that bypass the pool, and queue links written outside the queues",
 	Directive: "pool",
 	Run:       runPooluse,
 }
@@ -55,6 +61,7 @@ var releaseFuncs = map[releaseSig]struct {
 
 func runPooluse(pass *Pass) {
 	checkHopAppends(pass)
+	checkQueueLinks(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -244,7 +251,10 @@ func relArgIndex(info *types.Info, call *ast.CallExpr) int {
 	return 0
 }
 
-const packetPkgPath = "repro/internal/packet"
+const (
+	packetPkgPath = "repro/internal/packet"
+	queuePkgPath  = "repro/internal/queue"
+)
 
 // checkHopAppends flags every assignment of an append call to the Hops
 // field of a packet.Packet, except in the packet package itself, whose
@@ -261,7 +271,7 @@ func checkHopAppends(pass *Pass) {
 			}
 			for i, lhs := range as.Lhs {
 				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-				if !ok || !isPacketHops(pass.Info, sel) {
+				if !ok || !isPacketField(pass.Info, sel, "Hops") {
 					continue
 				}
 				call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
@@ -277,14 +287,55 @@ func checkHopAppends(pass *Pass) {
 	}
 }
 
-// isPacketHops reports whether sel selects the Hops field of a
+// checkQueueLinks flags every write to the Next field of a
+// packet.Packet — an assignment to it, or a Next key in a composite
+// literal — except in the queue package, which links packets, and the
+// packet package, which declares the field.
+func checkQueueLinks(pass *Pass) {
+	if p := pass.Pkg.Path(); p == packetPkgPath || p == queuePkgPath {
+		return
+	}
+	report := func(n ast.Node, what string) {
+		pass.Reportf(n.Pos(), "write to %s outside internal/queue: a packet is linked into a queue only by queue.FIFO, and unlinked by its Pop", what)
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && isPacketField(pass.Info, sel, "Next") {
+						report(n, types.ExprString(sel))
+					}
+				}
+			case *ast.CompositeLit:
+				if !isPacket(pass.Info.TypeOf(n)) {
+					return true
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Next" {
+							report(kv, "Packet.Next")
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isPacketField reports whether sel selects the named field of a
 // packet.Packet, through a pointer or not.
-func isPacketHops(info *types.Info, sel *ast.SelectorExpr) bool {
+func isPacketField(info *types.Info, sel *ast.SelectorExpr, field string) bool {
 	s := info.Selections[sel]
-	if s == nil || s.Kind() != types.FieldVal || s.Obj().Name() != "Hops" {
+	return s != nil && s.Kind() == types.FieldVal && s.Obj().Name() == field && isPacket(s.Recv())
+}
+
+// isPacket reports whether t is packet.Packet or a pointer to it.
+func isPacket(t types.Type) bool {
+	if t == nil {
 		return false
 	}
-	t := s.Recv()
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}

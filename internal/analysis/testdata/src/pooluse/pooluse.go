@@ -1,8 +1,8 @@
 // Package pooluse is the analysistest fixture for the pooluse
 // analyzer: use-after-Put and double-Put of pooled packets, stale
 // sim.Event handles after Cancel, kills by reassignment, the
-// block-local boundary of the analysis, and INT stamps that bypass the
-// pool.
+// block-local boundary of the analysis, INT stamps that bypass the
+// pool, and queue links written outside the queues.
 package pooluse
 
 import (
@@ -35,6 +35,27 @@ func otherHops(h telemetry.HopRecord) int {
 	var ack struct{ Hops []telemetry.HopRecord }
 	ack.Hops = append(ack.Hops, h)
 	return len(ack.Hops)
+}
+
+// linkBypassesQueue threads packets by hand: only queue.FIFO links a
+// packet, and only its Pop unlinks one.
+func linkBypassesQueue(pl *packet.Pool) {
+	p, q := pl.Get(), pl.Get()
+	p.Next = q                  // want `write to p.Next outside internal/queue`
+	q.Next, p.Seq = nil, 1      // want `write to q.Next outside internal/queue`
+	_ = &packet.Packet{Next: p} // want `write to Packet.Next outside internal/queue`
+}
+
+// readLinks is clean: reading a link, or writing another type's Next,
+// leaves every queue as it was.
+func readLinks(p *packet.Packet) int {
+	var node struct{ Next *packet.Packet }
+	node.Next = p.Next
+	n := 0
+	for ; p != nil; p = p.Next {
+		n++
+	}
+	return n
 }
 
 // useAfterPut touches a recycled packet.

@@ -106,7 +106,8 @@ type Port struct {
 	deliverFn func(any)
 }
 
-// NewPort builds a port with a fresh FIFO queue.
+// NewPort builds a port with an empty queue.FIFO, which links the
+// packets it holds through their Next fields.
 func NewPort(eng *sim.Engine, rate units.BitRate, delay sim.Duration, peer Receiver) *Port {
 	return &Port{Eng: eng, Rate: rate, Delay: delay, Peer: peer, Q: queue.NewFIFO()}
 }

@@ -1,7 +1,7 @@
 // Package packet defines the packet model shared by hosts, switches and
-// transports. Packets are plain structs passed by pointer through the
-// simulator; the INT header rides along as native values (see
-// internal/telemetry for the wire codec used by the deployment path).
+// transports, and the pool that recycles packets and their INT storage.
+// Packets are plain structs passed by pointer through the simulator; the
+// INT header rides along as native telemetry.HopRecord values.
 package packet
 
 import (
@@ -62,7 +62,8 @@ const (
 // Packet is one simulated packet: 128 bytes, two cache lines. The first
 // line holds what every hop reads — forwarding hashes Flow, Src and Dst,
 // WireLen reads PayloadLen and len(Hops), queues and switches read the
-// class and ECN bytes — and the second what only the endpoints touch.
+// class and ECN bytes, and a queue links the packet through Next — and
+// the second what only the endpoints touch.
 // A field not relevant to a packet's Kind is zero. TestPacketLayout pins
 // the size and the split.
 type Packet struct {
@@ -82,11 +83,14 @@ type Packet struct {
 	Priority uint8 // strict-priority class (0 = highest)
 	ECT      bool  // ECN-capable transport
 	CE       bool  // congestion experienced (set by switches)
-	TTL      uint8
 
 	Rtx         bool // Data: retransmission (excluded from goodput accounting)
 	EchoECN     bool // Ack: the acknowledged data packet arrived CE-marked
 	Unscheduled bool // HOMA Data: part of the unscheduled burst
+
+	// Next links the packet into the one queue it waits in (queue.FIFO);
+	// nil when it waits in none. Only internal/queue sets it.
+	Next *Packet
 
 	Seq int64 // Transport (Data): first byte carried
 
@@ -98,7 +102,6 @@ type Packet struct {
 	// Transport (Ack).
 	AckSeq   int64    // cumulative: receiver has everything below AckSeq
 	EchoSent sim.Time // SentAt of the data packet being acknowledged
-	AckedNew int64    // bytes newly acknowledged (filled by the sender side)
 
 	// HOMA.
 	MsgID       uint64

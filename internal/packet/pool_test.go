@@ -484,10 +484,11 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestPacketLayout pins the arithmetic behind Packet's field order and
-// slabPackets. A packet is two cache lines with everything a hop reads
-// in the first; both kinds of slab must be sizes the Go allocator hands
-// out without rounding up, or every slab wastes the difference and live
-// heap rises. If Packet or HopRecord changes size, pick slabPackets anew.
+// slabPackets. A packet is two cache lines with everything a hop reads,
+// and the queue link, in the first; every kind of slab must be a size
+// the Go allocator hands out without rounding up, or every slab wastes
+// the difference and live heap rises. If Packet or HopRecord changes
+// size, pick slabPackets anew.
 func TestPacketLayout(t *testing.T) {
 	var p Packet
 	if got := unsafe.Sizeof(p); got != 128 {
@@ -503,8 +504,8 @@ func TestPacketLayout(t *testing.T) {
 		"Priority":   unsafe.Offsetof(p.Priority),
 		"ECT":        unsafe.Offsetof(p.ECT),
 		"CE":         unsafe.Offsetof(p.CE),
-		"TTL":        unsafe.Offsetof(p.TTL),
 		"Rtx":        unsafe.Offsetof(p.Rtx),
+		"Next":       unsafe.Offsetof(p.Next),
 	} {
 		if off >= 64 {
 			t.Errorf("%s sits at offset %d, outside the first cache line", name, off)

@@ -1,7 +1,9 @@
 // Package queue provides the egress-queue disciplines used by switch
 // ports: a plain FIFO, an 8-level strict-priority queue (HOMA), and a
 // class queue with an externally selected active class (the
-// per-destination virtual output queues of the RDCN case study).
+// per-destination virtual output queues of the RDCN case study). All
+// three are FIFOs underneath, and a FIFO links its packets through
+// packet.Packet.Next, so a queue costs a few words however deep it gets.
 package queue
 
 import "repro/internal/packet"
@@ -16,61 +18,49 @@ type Queue interface {
 	Bytes() int64
 }
 
-// FIFO is a first-in-first-out packet queue backed by a growable ring.
-// The ring's capacity is always a power of two so index wrapping is a
-// bit-mask instead of a modulo — this is the innermost loop of every
-// port's drain path. The zero value is an empty queue ready for use.
+// FIFO is a first-in-first-out packet queue linked through the packets'
+// own Next fields, so it holds no storage of its own whatever its depth:
+// a packet waits in at most one queue at a time. Push links at the tail
+// and Pop unlinks the head, clearing its Next. The zero value is an
+// empty queue ready for use.
 type FIFO struct {
-	buf   []*packet.Packet
-	head  int
-	n     int
-	bytes int64
+	head, tail *packet.Packet
+	n          int
+	bytes      int64
 }
 
 // NewFIFO returns an empty FIFO.
 func NewFIFO() *FIFO { return &FIFO{} }
 
-// Push appends p.
+// Push appends p, which must wait in no other queue.
 func (q *FIFO) Push(p *packet.Packet) {
-	if q.n == len(q.buf) {
-		q.grow()
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.Next = p
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.tail = p
 	q.n++
 	q.bytes += p.WireLen()
 }
 
-func (q *FIFO) grow() {
-	// 8 and doubling keep the capacity a power of two.
-	next := make([]*packet.Packet, max(8, 2*len(q.buf)))
-	mask := len(q.buf) - 1
-	for i := 0; i < q.n; i++ {
-		next[i] = q.buf[(q.head+i)&mask]
-	}
-	q.buf = next
-	q.head = 0
-}
-
-// Pop removes and returns the oldest packet, or nil if empty.
+// Pop removes and returns the oldest packet, unlinked, or nil if empty.
 func (q *FIFO) Pop() *packet.Packet {
-	if q.n == 0 {
+	p := q.head
+	if p == nil {
 		return nil
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.head, p.Next = p.Next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
 	q.n--
 	q.bytes -= p.WireLen()
 	return p
 }
 
 // Peek returns the oldest packet without removing it, or nil if empty.
-func (q *FIFO) Peek() *packet.Packet {
-	if q.n == 0 {
-		return nil
-	}
-	return q.buf[q.head]
-}
+func (q *FIFO) Peek() *packet.Packet { return q.head }
 
 // Len returns the number of queued packets.
 func (q *FIFO) Len() int { return q.n }

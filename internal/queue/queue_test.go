@@ -33,10 +33,11 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestFIFOWrapAround(t *testing.T) {
+func TestFIFOInterleavedOrder(t *testing.T) {
 	q := NewFIFO()
 	id := uint64(0)
-	// Interleave pushes and pops to force the ring head to wrap.
+	// Interleave pushes and pops: packets join the tail while others
+	// leave the head, and the queue never runs empty.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 7; i++ {
 			q.Push(mkPkt(id, 10, 0))
@@ -49,12 +50,61 @@ func TestFIFOWrapAround(t *testing.T) {
 	want := uint64(50 * 5)
 	for p := q.Pop(); p != nil; p = q.Pop() {
 		if p.ID != want {
-			t.Fatalf("wrap order broke: got %d, want %d", p.ID, want)
+			t.Fatalf("interleaved order broke: got %d, want %d", p.ID, want)
 		}
 		want++
 	}
 	if want != id {
 		t.Fatalf("drained to %d, want %d", want, id)
+	}
+}
+
+// TestFIFOHoldsNoStorage pins that a FIFO links its packets rather than
+// holding them: a cold queue that takes 4,096 packets and drains them
+// allocates nothing.
+func TestFIFOHoldsNoStorage(t *testing.T) {
+	pkts := make([]packet.Packet, 4096)
+	if a := testing.AllocsPerRun(10, func() {
+		var q FIFO
+		for i := range pkts {
+			q.Push(&pkts[i])
+		}
+		for q.Pop() != nil {
+		}
+	}); a != 0 {
+		t.Fatalf("a FIFO of 4,096 packets allocates %v times", a)
+	}
+}
+
+// TestFIFOPopUnlinks pins the one-queue invariant's other half: Pop
+// hands a packet back unlinked, so it can wait in another queue while
+// the first keeps its order, and Peek leaves the link alone.
+func TestFIFOPopUnlinks(t *testing.T) {
+	var a, b FIFO
+	for i := uint64(0); i < 4; i++ {
+		a.Push(mkPkt(i, 10, 0))
+	}
+	if p := a.Peek(); p.ID != 0 || p.Next == nil || p.Next.ID != 1 {
+		t.Fatalf("Peek unlinked the head or returned the wrong packet: %v", p)
+	}
+	p := a.Pop()
+	if p.Next != nil {
+		t.Fatalf("popped packet %d still links to %v", p.ID, p.Next)
+	}
+	b.Push(p)
+	b.Push(a.Pop())
+	for want := uint64(2); want < 4; want++ {
+		if p := a.Pop(); p == nil || p.ID != want {
+			t.Fatalf("first queue after re-queueing: got %v, want %d", p, want)
+		}
+	}
+	for want := uint64(0); want < 2; want++ {
+		if p := b.Pop(); p == nil || p.ID != want || p.Next != nil {
+			t.Fatalf("second queue: got %v, want %d unlinked", p, want)
+		}
+	}
+	if a.Len() != 0 || b.Len() != 0 || a.Peek() != nil || b.Peek() != nil {
+		t.Fatal("queues not empty after draining")
 	}
 }
 

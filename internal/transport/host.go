@@ -210,8 +210,7 @@ func (h *Host) pktID() uint64 {
 	return h.nextID
 }
 
-// Flows returns the host's sending flows (stable iteration not needed by
-// the simulator; experiment code indexes by ID).
+// Flow returns the host's sending flow with the given ID, or nil.
 func (h *Host) Flow(id packet.FlowID) *Flow { return h.flows[id] }
 
 // String implements fmt.Stringer.
