@@ -14,11 +14,10 @@
 //   - pooluse: no use-after-Put or double-Put of packet.Pool packets,
 //     and no use of a sim.Event handle after Engine.Cancel, within a
 //     basic block (the bug class PERF.md's pooling invariants document);
-//     no append to a packet's Hops outside internal/packet — INT is
-//     stamped through packet.Pool.Stamp, which owns the hop storage —
 //     and no write to a packet's Next outside internal/queue and
 //     internal/packet — a packet is linked into its one queue by
-//     queue.FIFO alone.
+//     queue.FIFO alone. (A packet's hop storage is unexported, so the
+//     compiler keeps INT stamping on packet.Pool.Stamp.)
 //   - resultorder: a slice collected from map iteration must be sorted
 //     before it is ranged over or handed to an encoder — the rule that
 //     keeps Result envelopes byte-identical at fixed seeds.

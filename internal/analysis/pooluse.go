@@ -24,21 +24,14 @@ import (
 // or across loop iterations are out of scope — the runtime
 // pooled-vs-unpooled determinism suite still covers those.
 //
-// It also keeps INT stamping on the pool: a packet's hop storage is a
-// block the pool attaches at the first stamp, swaps for a round-trip
-// block at the fifth and takes back at Put, so
-// `p.Hops = append(p.Hops, …)` outside internal/packet is flagged — on a
-// packet from Get it allocates a slice the pool never reclaims. Stamp
-// sites call packet.Pool.Stamp.
-//
-// And it keeps queue links in the queues: a packet waits in at most one
+// It also keeps queue links in the queues: a packet waits in at most one
 // queue, which links it through Packet.Next, so a write to Next outside
 // internal/queue and internal/packet — an assignment or a composite
 // literal key — is flagged; it would splice the packet into, or cut it
 // out of, a queue behind the queue's back.
 var Pooluse = &Analyzer{
 	Name:      "pooluse",
-	Doc:       "flags use-after-Put/double-Put of pooled packets, use of cancelled event handles, INT stamps that bypass the pool, and queue links written outside the queues",
+	Doc:       "flags use-after-Put/double-Put of pooled packets, use of cancelled event handles, and queue links written outside the queues",
 	Directive: "pool",
 	Run:       runPooluse,
 }
@@ -60,7 +53,6 @@ var releaseFuncs = map[releaseSig]struct {
 }
 
 func runPooluse(pass *Pass) {
-	checkHopAppends(pass)
 	checkQueueLinks(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -255,37 +247,6 @@ const (
 	packetPkgPath = "repro/internal/packet"
 	queuePkgPath  = "repro/internal/queue"
 )
-
-// checkHopAppends flags every assignment of an append call to the Hops
-// field of a packet.Packet, except in the packet package itself, whose
-// Stamp is the one place that grows a stack.
-func checkHopAppends(pass *Pass) {
-	if pass.Pkg.Path() == packetPkgPath {
-		return
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-				if !ok || !isPacketField(pass.Info, sel, "Hops") {
-					continue
-				}
-				call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && pass.Info.Uses[id] == types.Universe.Lookup("append") {
-					pass.Reportf(as.Pos(), "append to %s bypasses the packet pool's hop blocks; stamp through packet.Pool.Stamp", types.ExprString(sel))
-				}
-			}
-			return true
-		})
-	}
-}
 
 // checkQueueLinks flags every write to the Next field of a
 // packet.Packet — an assignment to it, or a Next key in a composite

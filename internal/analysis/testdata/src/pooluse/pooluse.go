@@ -1,8 +1,8 @@
 // Package pooluse is the analysistest fixture for the pooluse
 // analyzer: use-after-Put and double-Put of pooled packets, stale
 // sim.Event handles after Cancel, kills by reassignment, the
-// block-local boundary of the analysis, INT stamps that bypass the
-// pool, and queue links written outside the queues.
+// block-local boundary of the analysis, and queue links written outside
+// the queues.
 package pooluse
 
 import (
@@ -11,30 +11,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// stampBypassesPool grows a pooled packet's INT stack by hand: the
-// slice it allocates is not a block the pool takes back.
-func stampBypassesPool(pl *packet.Pool, h telemetry.HopRecord) {
-	p := pl.Get()
-	p.Hops = append(p.Hops, h) // want `append to p.Hops bypasses the packet pool`
-	var v packet.Packet
-	v.Hops = append(v.Hops[:0], h) // want `append to v.Hops bypasses the packet pool`
-}
-
 // stampThroughPool is the sanctioned stamp, and the ACK's takeover of a
 // data packet's stack is a move, not an append.
 func stampThroughPool(pl *packet.Pool, h telemetry.HopRecord) {
 	data, ack := pl.Get(), pl.Get()
 	pl.Stamp(data, h)
-	ack.Hops, data.Hops = data.Hops, nil
+	ack.TakeHops(data)
 	pl.Put(data)
 	pl.Put(ack)
-}
-
-// otherHops is clean: the rule is about packet.Packet, not the name.
-func otherHops(h telemetry.HopRecord) int {
-	var ack struct{ Hops []telemetry.HopRecord }
-	ack.Hops = append(ack.Hops, h)
-	return len(ack.Hops)
 }
 
 // linkBypassesQueue threads packets by hand: only queue.FIFO links a
@@ -42,7 +26,7 @@ func otherHops(h telemetry.HopRecord) int {
 func linkBypassesQueue(pl *packet.Pool) {
 	p, q := pl.Get(), pl.Get()
 	p.Next = q                  // want `write to p.Next outside internal/queue`
-	q.Next, p.Seq = nil, 1      // want `write to q.Next outside internal/queue`
+	q.Next, p.Src = nil, 1      // want `write to q.Next outside internal/queue`
 	_ = &packet.Packet{Next: p} // want `write to Packet.Next outside internal/queue`
 }
 
@@ -62,7 +46,7 @@ func readLinks(p *packet.Packet) int {
 func useAfterPut(pl *packet.Pool) int64 {
 	p := pl.Get()
 	pl.Put(p)
-	return p.Seq // want `use of packet p after it was released`
+	return p.Seq() // want `use of packet p after it was released`
 }
 
 // doublePut releases the same packet twice.
@@ -77,7 +61,7 @@ func reassignmentKills(pl *packet.Pool) int64 {
 	p := pl.Get()
 	pl.Put(p)
 	p = pl.Get()
-	return p.Seq
+	return p.Seq()
 }
 
 // conditionalPut is clean for the analyzer: the release does not
@@ -89,7 +73,7 @@ func conditionalPut(pl *packet.Pool, drop bool) int64 {
 		pl.Put(p)
 		return 0
 	}
-	return p.Seq
+	return p.Seq()
 }
 
 // nestedUse is flagged: the release is unconditional, the later use
@@ -98,7 +82,7 @@ func nestedUse(pl *packet.Pool, log bool) int64 {
 	p := pl.Get()
 	pl.Put(p)
 	if log {
-		return p.Seq // want `use of packet p after it was released`
+		return p.Seq() // want `use of packet p after it was released`
 	}
 	return 0
 }
@@ -106,7 +90,7 @@ func nestedUse(pl *packet.Pool, log bool) int64 {
 // copyBeforePut is the sanctioned pattern: take what you need first.
 func copyBeforePut(pl *packet.Pool) int64 {
 	p := pl.Get()
-	seq := p.Seq
+	seq := p.Seq()
 	pl.Put(p)
 	return seq
 }
@@ -139,5 +123,5 @@ func justified(pl *packet.Pool) int64 {
 	p := pl.Get()
 	pl.Put(p)
 	//powervet:pool fixture justification: reading a field of a just-recycled packet for a diagnostic
-	return p.Seq // suppressed `use of packet p after it was released`
+	return p.Seq() // suppressed `use of packet p after it was released`
 }

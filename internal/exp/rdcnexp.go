@@ -97,7 +97,7 @@ func (p *rotorPanel) Install(env *scenario.Env) error {
 	spt := env.Fabric.HostsPerRack
 	for i := p.dstTor * spt; i < (p.dstTor+1)*spt; i++ {
 		net.TransportHost(i).OnData = func(pkt *packet.Packet) {
-			p.delays.Add(eng.Now().Sub(pkt.SentAt).Seconds())
+			p.delays.Add(eng.Now().Sub(pkt.SentAt()).Seconds())
 		}
 	}
 

@@ -114,10 +114,9 @@ type Host struct {
 	nic  *link.Port
 	pool *packet.Pool
 
-	sendQ     map[uint64]*Msg
-	recvQ     map[uint64]*recvMsg
-	nextID    uint64
-	nextPktID uint64
+	sendQ  map[uint64]*Msg
+	recvQ  map[uint64]*recvMsg
+	nextID uint64
 
 	// OnMessageDone fires at the *receiver* when a message's last byte
 	// arrives (HOMA completion is receiver-observed).
@@ -222,33 +221,24 @@ func (h *Host) pump(m *Msg) {
 		if !unsched {
 			prio = m.schedPrio
 		}
-		h.emit(m, m.sent, n, prio, unsched)
+		h.emit(m, m.sent, n, prio)
 		m.sent += n
 	}
 }
 
-func (h *Host) emit(m *Msg, seq, n int64, prio uint8, unsched bool) {
+func (h *Host) emit(m *Msg, seq, n int64, prio uint8) {
 	p := h.pool.Get()
-	p.ID = h.pktID()
 	p.Kind = packet.Data
 	p.Flow = m.Flow
 	p.Src = h.id
 	p.Dst = m.Dst
-	p.Seq = seq
+	p.SetSeq(seq)
 	p.PayloadLen = int32(n)
 	p.MsgID = m.ID
-	p.MsgLen = m.Size
+	p.SetMsgLen(m.Size)
 	p.Priority = prio
-	p.Unscheduled = unsched
-	p.SentAt = h.eng.Now()
+	p.SetSentAt(h.eng.Now())
 	h.nic.Send(p)
-}
-
-// pktID is per-host (not a package global) so concurrent simulations in
-// a parallel experiment suite stay race-free and deterministic.
-func (h *Host) pktID() uint64 {
-	h.nextPktID++
-	return h.nextPktID<<16 | uint64(h.id&0xFFFF)
 }
 
 // Receive implements link.Receiver. Data and grant packets are fully
@@ -275,18 +265,18 @@ func (h *Host) onGrant(p *packet.Packet) {
 	if m == nil || m.done {
 		return
 	}
-	if p.Seq == msgComplete {
+	if p.Seq() == msgComplete {
 		m.done = true // completion notification
 		delete(h.sendQ, p.MsgID)
 		return
 	}
 	m.schedPrio = p.Priority
-	if p.Seq >= 0 && p.PayloadLen > 0 {
+	if p.Seq() >= 0 && p.PayloadLen > 0 {
 		// Resend request for [Seq, Seq+PayloadLen).
-		h.emit(m, p.Seq, int64(p.PayloadLen), p.Priority, false)
+		h.emit(m, p.Seq(), int64(p.PayloadLen), p.Priority)
 	}
-	if p.GrantOffset > m.granted {
-		m.granted = min64(p.GrantOffset, m.Size)
+	if p.GrantOffset() > m.granted {
+		m.granted = min64(p.GrantOffset(), m.Size)
 		h.pump(m)
 	}
 }
@@ -296,20 +286,20 @@ func (h *Host) onData(p *packet.Packet) {
 	m := h.recvQ[p.MsgID]
 	if m == nil {
 		m = &recvMsg{
-			id: p.MsgID, flow: p.Flow, src: p.Src, size: p.MsgLen,
-			granted: min64(p.MsgLen, h.rttBytes()),
-			start:   p.SentAt,
+			id: p.MsgID, flow: p.Flow, src: p.Src, size: p.MsgLen(),
+			granted: min64(p.MsgLen(), h.rttBytes()),
+			start:   p.SentAt(),
 		}
 		h.recvQ[p.MsgID] = m
 	}
 	if m.done {
 		return
 	}
-	if p.SentAt < m.start {
-		m.start = p.SentAt
+	if p.SentAt() < m.start {
+		m.start = p.SentAt()
 	}
 	before := m.received()
-	m.got.Add(p.Seq, p.Seq+int64(p.PayloadLen))
+	m.got.Add(p.Seq(), p.End())
 	h.rcvdTotal += m.received() - before
 	m.lastHit = h.eng.Now()
 
@@ -371,17 +361,15 @@ func (h *Host) schedule() {
 // retransmission of [resendSeq, resendSeq+resendLen).
 func (h *Host) sendGrant(m *recvMsg, offset int64, prio uint8, resendSeq int64, resendLen int32) {
 	p := h.pool.Get()
-	p.ID = h.pktID()
 	p.Kind = packet.Grant
 	p.Flow = m.flow
 	p.Src = h.id
 	p.Dst = m.src
 	p.MsgID = m.id
-	p.GrantOffset = offset
+	p.SetGrantOffset(offset)
 	p.Priority = prio
-	p.Seq = resendSeq
+	p.SetSeq(resendSeq)
 	p.PayloadLen = resendLen
-	p.SentAt = h.eng.Now()
 	h.nic.Send(p)
 }
 

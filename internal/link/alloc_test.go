@@ -34,7 +34,7 @@ func TestPortZeroAllocSteadyState(t *testing.T) {
 	send := func(n int) {
 		for i := 0; i < n; i++ {
 			p := pool.Get()
-			p.ID = uint64(i)
+			p.Flow = packet.FlowID(i)
 			p.Kind = packet.Data
 			p.PayloadLen = 1000
 			pt.Send(p)

@@ -19,8 +19,8 @@ func (s *sink) Receive(p *packet.Packet) {
 	s.at = append(s.at, s.eng.Now())
 }
 
-func mk(id uint64, payload int32) *packet.Packet {
-	return &packet.Packet{ID: id, Kind: packet.Data, PayloadLen: payload}
+func mk(flow packet.FlowID, payload int32) *packet.Packet {
+	return &packet.Packet{Flow: flow, Kind: packet.Data, PayloadLen: payload}
 }
 
 func TestPortTiming(t *testing.T) {
@@ -63,13 +63,13 @@ func TestPortAdmissionDrop(t *testing.T) {
 	dst := &sink{eng: eng}
 	pt := NewPort(eng, 100*units.Gbps, 0, dst)
 	var dropped []*packet.Packet
-	pt.Admit = func(p *packet.Packet) bool { return p.ID != 2 }
+	pt.Admit = func(p *packet.Packet) bool { return p.Flow != 2 }
 	pt.OnDrop = func(p *packet.Packet) { dropped = append(dropped, p) }
 	pt.Send(mk(1, 100))
 	pt.Send(mk(2, 100))
 	pt.Send(mk(3, 100))
 	eng.Run()
-	if len(dst.pkts) != 2 || pt.Drops() != 1 || len(dropped) != 1 || dropped[0].ID != 2 {
+	if len(dst.pkts) != 2 || pt.Drops() != 1 || len(dropped) != 1 || dropped[0].Flow != 2 {
 		t.Fatalf("delivered=%d drops=%d", len(dst.pkts), pt.Drops())
 	}
 }
@@ -117,13 +117,13 @@ func TestPortFIFOOrderPreserved(t *testing.T) {
 	eng := sim.New()
 	dst := &sink{eng: eng}
 	pt := NewPort(eng, 25*units.Gbps, sim.Microsecond, dst)
-	for i := uint64(0); i < 50; i++ {
+	for i := packet.FlowID(0); i < 50; i++ {
 		pt.Send(mk(i, 500))
 	}
 	eng.Run()
 	for i, p := range dst.pkts {
-		if p.ID != uint64(i) {
-			t.Fatalf("reordered: pkt %d has ID %d", i, p.ID)
+		if p.Flow != packet.FlowID(i) {
+			t.Fatalf("reordered: pkt %d has flow %d", i, p.Flow)
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestWireLen(t *testing.T) {
 		t.Fatalf("ack wire len = %d", got)
 	}
 	// INT grows the packet by the option size.
-	p.Hops = []telemetry.HopRecord{{Rate: 25 * units.Gbps}, {Rate: 100 * units.Gbps}}
+	literalStack(p, []telemetry.HopRecord{{Rate: 25 * units.Gbps}, {Rate: 100 * units.Gbps}})
 	want := int64(1048 + telemetry.WireLen(2))
 	if got := p.WireLen(); got != want {
 		t.Fatalf("with 2 hops = %d, want %d", got, want)
@@ -26,7 +26,8 @@ func TestWireLen(t *testing.T) {
 }
 
 func TestEnd(t *testing.T) {
-	p := &Packet{Seq: 5000, PayloadLen: 1000}
+	p := &Packet{PayloadLen: 1000}
+	p.SetSeq(5000)
 	if p.End() != 6000 {
 		t.Fatalf("End = %d", p.End())
 	}
@@ -46,11 +47,13 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestPacketString(t *testing.T) {
-	d := &Packet{Kind: Data, Flow: 7, Seq: 100, PayloadLen: 50, Src: 1, Dst: 2}
+	d := &Packet{Kind: Data, Flow: 7, PayloadLen: 50, Src: 1, Dst: 2}
+	d.SetSeq(100)
 	if s := d.String(); !strings.Contains(s, "[100,150)") || !strings.Contains(s, "flow=7") {
 		t.Errorf("data string = %q", s)
 	}
-	a := &Packet{Kind: Ack, Flow: 7, AckSeq: 150}
+	a := &Packet{Kind: Ack, Flow: 7}
+	a.SetAckSeq(150)
 	if s := a.String(); !strings.Contains(s, "ack=150") {
 		t.Errorf("ack string = %q", s)
 	}

@@ -1,8 +1,10 @@
 package packet
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/telemetry"
 )
@@ -20,9 +22,10 @@ func init() { poolingEnabled.Store(true) }
 func SetPooling(on bool) { poolingEnabled.Store(on) }
 
 // slabPackets is the number of elements per slab, of any kind. 128 puts
-// every kind on an exact Go allocation size: 128 Packets and 128 first
-// blocks are 16,384 bytes each (a size class), and 128 round-trip blocks
-// are 49,152 bytes (six pages), so slabs round up to nothing.
+// every kind on an exact Go allocation size on a 64-bit host: 128
+// Packets are 10,240 bytes and 128 first blocks 16,384 bytes (both size
+// classes), and 128 round-trip blocks are 49,152 bytes (six pages), so
+// slabs round up to nothing.
 const slabPackets = 128
 
 // firstHops is the capacity of the block a packet's first stamp
@@ -147,14 +150,14 @@ func (s *store[T]) drain() []*T {
 // flight.
 //
 // Invariants (see PERF.md):
-//   - A packet from Get has Hops == nil. Outside this package Hops grows
-//     only through Stamp (powervet's pooluse flags an append), and moves
-//     between packets only whole: the taker gets the slice and the
-//     donor's Hops is set to nil in the same statement.
-//   - A block is in exactly one place: one packet's Hops, or its kind's
+//   - A packet from Get holds no INT stack. A stack grows only through
+//     Stamp and moves between packets only whole, through TakeHops; the
+//     storage is unexported, so the compiler keeps every other package
+//     to those two.
+//   - A block is in exactly one place: one packet's stack, or its kind's
 //     free list, or not yet carved.
-//   - After Put(p) the caller must not touch p or p.Hops again: both are
-//     recycled and will be handed to unrelated senders.
+//   - After Put(p) the caller must not touch p or a view p.Hops returned
+//     again: both are recycled and will be handed to unrelated senders.
 //   - A packet may be Put at most once per Get.
 //   - After Drain no packet this pool ever handed out may be touched.
 //   - Pools are engine-local and therefore goroutine-local; they are NOT
@@ -171,9 +174,9 @@ type Pool struct {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns a zeroed packet. Its Hops is nil: hop storage is attached
-// by the first Stamp, so a packet that never meets a switch never holds
-// any.
+// Get returns a zeroed packet. It holds no INT stack: hop storage is
+// attached by the first Stamp, so a packet that never meets a switch
+// never holds any.
 func (pl *Pool) Get() *Packet {
 	if pl == nil || !poolingEnabled.Load() {
 		return &Packet{}
@@ -188,30 +191,35 @@ func (pl *Pool) Get() *Packet {
 // block, returning the first block; the rest land in place, so
 // steady-state stamping allocates nothing. A stack deeper than
 // telemetry.PathHopCap, and every stack under a nil pool or with pooling
-// disabled, grows by plain append.
+// disabled, grows onto the heap the way append grows a slice.
 func (pl *Pool) Stamp(p *Packet, h telemetry.HopRecord) {
-	if len(p.Hops) == cap(p.Hops) { // kept this small so Stamp inlines
+	if p.nhops == p.hopCap { // kept this small so Stamp inlines
 		pl.makeRoom(p)
 	}
-	p.Hops = append(p.Hops, h)
+	unsafe.Slice(p.hops, p.hopCap)[p.nhops] = h
+	p.nhops++
 }
 
 // makeRoom gives a full stack a block with room: a first block to a
 // stack with none, a round-trip block, records copied, to a full first
-// block. A full round-trip block, or any stack under a nil pool or with
-// pooling disabled, is left for append to grow.
+// block. A full round-trip block, and any stack under a nil pool or with
+// pooling disabled, moves to heap storage instead.
 func (pl *Pool) makeRoom(p *Packet) {
-	if pl == nil || !poolingEnabled.Load() {
-		return
-	}
+	pooled := pl != nil && poolingEnabled.Load()
 	switch {
-	case p.Hops == nil:
-		p.Hops = pl.firsts.take()[:0]
-	case cap(p.Hops) == firstHops:
+	case pooled && p.hops == nil:
+		p.hops, p.hopCap = &pl.firsts.take()[0], firstHops
+	case pooled && p.hopCap == firstHops:
 		trip := pl.trips.take()
-		copy(trip[:], p.Hops)
-		pl.firsts.put((*firstBlock)(p.Hops))
-		p.Hops = trip[:firstHops]
+		copy(trip[:], p.Hops())
+		pl.firsts.put((*firstBlock)(unsafe.Pointer(p.hops)))
+		p.hops, p.hopCap = &trip[0], telemetry.PathHopCap
+	default:
+		if p.nhops == math.MaxUint8 {
+			panic("packet: INT stack deeper than 255 records")
+		}
+		s := append(p.Hops(), telemetry.HopRecord{})
+		p.hops, p.hopCap = &s[0], uint8(min(cap(s), math.MaxUint8))
 	}
 }
 
@@ -222,17 +230,17 @@ func (pl *Pool) makeRoom(p *Packet) {
 // pools) or from a plain allocation circulates like any other — it is
 // reclaimed with the slab that owns it, or by the garbage collector if
 // none does. Hop storage of any other capacity than a block's (a stack
-// that outgrew its round-trip block, a literal slice) is left to the
-// garbage collector.
+// that outgrew its round-trip block, say) is left to the garbage
+// collector.
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil || p == nil || !poolingEnabled.Load() {
 		return
 	}
-	switch cap(p.Hops) {
+	switch p.hopCap {
 	case firstHops:
-		pl.firsts.put((*firstBlock)(p.Hops[:firstHops]))
+		pl.firsts.put((*firstBlock)(unsafe.Pointer(p.hops)))
 	case telemetry.PathHopCap:
-		pl.trips.put((*tripBlock)(p.Hops[:telemetry.PathHopCap]))
+		pl.trips.put((*tripBlock)(unsafe.Pointer(p.hops)))
 	}
 	pl.pkts.put(p)
 }

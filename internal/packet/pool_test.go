@@ -6,13 +6,23 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
+
+// literalStack gives p a stack built the way a test builds one, outside
+// any pool: recs's storage, at recs's capacity.
+func literalStack(p *Packet, recs []telemetry.HopRecord) {
+	p.hops, p.nhops, p.hopCap = &recs[0], uint8(len(recs)), uint8(cap(recs))
+}
 
 // dirty writes into every part of a packet a later owner could observe,
 // stamping two records through pl.
 func dirty(pl *Pool, p *Packet, i int) {
-	p.ID, p.Kind, p.Flow, p.Seq, p.CE = uint64(i+1), Ack, FlowID(i+1), int64(i), true
+	p.Kind, p.Flow, p.CE, p.EchoECN, p.MsgID = Ack, FlowID(i+1), true, true, uint64(i+1)
+	p.SetAckSeq(int64(i + 1))
+	p.SetEchoSent(sim.Time(i + 1))
+	p.SetGrantOffset(int64(i + 1))
 	pl.Stamp(p, telemetry.HopRecord{QLen: int64(i + 1)})
 	pl.Stamp(p, telemetry.HopRecord{TxBytes: 7})
 }
@@ -21,8 +31,8 @@ func dirty(pl *Pool, p *Packet, i int) {
 // which holds no hop storage.
 func checkFresh(t *testing.T, p *Packet) {
 	t.Helper()
-	if p.Hops != nil {
-		t.Fatalf("Hops len %d cap %d, want nil", len(p.Hops), cap(p.Hops))
+	if p.Hops() != nil {
+		t.Fatalf("Hops len %d cap %d, want nil", len(p.Hops()), cap(p.Hops()))
 	}
 	if !reflect.DeepEqual(*p, Packet{}) {
 		t.Fatalf("packet not zero: %+v", *p)
@@ -41,10 +51,10 @@ func tripOf(t *testing.T, p *Packet) *telemetry.HopRecord {
 
 func blockOfCap(t *testing.T, p *Packet, want int) *telemetry.HopRecord {
 	t.Helper()
-	if cap(p.Hops) != want {
-		t.Fatalf("Hops cap %d, want a %d-record block", cap(p.Hops), want)
+	if int(p.hopCap) != want {
+		t.Fatalf("hop storage has room for %d records, want a %d-record block", p.hopCap, want)
 	}
-	return &p.Hops[:1][0]
+	return p.hops
 }
 
 // getDistinct takes n packets and stamps each, failing if any packet or
@@ -59,8 +69,8 @@ func getDistinct(t *testing.T, pl *Pool, n int, seen map[*Packet]bool, blocks ma
 		seen[p] = true
 		checkFresh(t, p)
 		dirty(pl, p, i)
-		if len(p.Hops) != 2 || p.Hops[0].QLen != int64(i+1) || p.Hops[1].TxBytes != 7 {
-			t.Fatalf("stamped stack = %+v", p.Hops)
+		if len(p.Hops()) != 2 || p.Hops()[0].QLen != int64(i+1) || p.Hops()[1].TxBytes != 7 {
+			t.Fatalf("stamped stack = %+v", p.Hops())
 		}
 		b := blockOf(t, p)
 		if blocks[b] {
@@ -82,8 +92,8 @@ func TestStampAttachesOnceAndReusesLIFO(t *testing.T) {
 	for i := 2; i <= firstHops; i++ {
 		pl.Stamp(a, telemetry.HopRecord{QLen: int64(i)})
 	}
-	if blockOf(t, a) != blkA || len(a.Hops) != firstHops {
-		t.Fatalf("stack moved or mis-sized while filling its block: len %d", len(a.Hops))
+	if blockOf(t, a) != blkA || len(a.Hops()) != firstHops {
+		t.Fatalf("stack moved or mis-sized while filling its block: len %d", len(a.Hops()))
 	}
 	pl.Stamp(b, telemetry.HopRecord{QLen: 100})
 	blkB := blockOf(t, b)
@@ -100,8 +110,8 @@ func TestStampAttachesOnceAndReusesLIFO(t *testing.T) {
 	if blockOf(t, d) != blkB || blockOf(t, c) != blkA {
 		t.Fatal("returned blocks were not reused last in, first out")
 	}
-	if len(d.Hops) != 1 || d.Hops[0].QLen != 5 {
-		t.Fatalf("reused block shows its last owner's records: %+v", d.Hops)
+	if len(d.Hops()) != 1 || d.Hops()[0].QLen != 5 {
+		t.Fatalf("reused block shows its last owner's records: %+v", d.Hops())
 	}
 	if gets, news, puts := pl.HopStats(); gets != 4 || news != 2 || puts != 2 {
 		t.Fatalf("hop stats = %d/%d/%d, want 4/2/2", gets, news, puts)
@@ -122,7 +132,7 @@ func TestHopRoomFollowsStamps(t *testing.T) {
 	first := blockOf(t, p)
 	pl.Stamp(p, telemetry.HopRecord{QLen: firstHops + 1})
 	trip := tripOf(t, p)
-	for i, h := range p.Hops {
+	for i, h := range p.Hops() {
 		if h.QLen != int64(i+1) {
 			t.Fatalf("record %d reads QLen %d after the move, want %d", i, h.QLen, i+1)
 		}
@@ -140,15 +150,15 @@ func TestHopRoomFollowsStamps(t *testing.T) {
 	for i := firstHops + 2; i <= telemetry.PathHopCap; i++ {
 		pl.Stamp(p, telemetry.HopRecord{QLen: int64(i)})
 	}
-	if tripOf(t, p) != trip || len(p.Hops) != telemetry.PathHopCap {
-		t.Fatalf("stack moved again or mis-sized while filling its round-trip block: len %d", len(p.Hops))
+	if tripOf(t, p) != trip || len(p.Hops()) != telemetry.PathHopCap {
+		t.Fatalf("stack moved again or mis-sized while filling its round-trip block: len %d", len(p.Hops()))
 	}
 	if gets, _, _ := pl.HopStats(); gets != 3 {
 		t.Fatalf("%d blocks attached, want 3: two first stamps and one move", gets)
 	}
 	pl.Stamp(p, telemetry.HopRecord{})
-	if len(p.Hops) != telemetry.PathHopCap+1 || cap(p.Hops) == telemetry.PathHopCap {
-		t.Fatalf("overflowing stack has %d records in %d of room", len(p.Hops), cap(p.Hops))
+	if len(p.Hops()) != telemetry.PathHopCap+1 || p.hopCap == telemetry.PathHopCap {
+		t.Fatalf("overflowing stack has %d records in %d of room", len(p.Hops()), p.hopCap)
 	}
 	pl.Put(p)
 	pl.Put(q)
@@ -166,11 +176,14 @@ func TestTakeoverReturnsOneBlock(t *testing.T) {
 	data, ack := pl.Get(), pl.Get()
 	pl.Stamp(data, telemetry.HopRecord{QLen: 1})
 	blk := blockOf(t, data)
-	ack.Hops, data.Hops = data.Hops, nil
+	ack.TakeHops(data)
+	if data.Hops() != nil || data.hopCap != 0 {
+		t.Fatalf("data packet kept %d records in %d of room after the takeover", len(data.Hops()), data.hopCap)
+	}
 	pl.Put(data)
 	pl.Stamp(ack, telemetry.HopRecord{QLen: 2}) // the return path keeps collecting
-	if blockOf(t, ack) != blk || len(ack.Hops) != 2 || ack.Hops[0].QLen != 1 {
-		t.Fatalf("ACK stack after takeover = %+v", ack.Hops)
+	if blockOf(t, ack) != blk || len(ack.Hops()) != 2 || ack.Hops()[0].QLen != 1 {
+		t.Fatalf("ACK stack after takeover = %+v", ack.Hops())
 	}
 	if gets, _, puts := pl.HopStats(); gets != 1 || puts != 0 {
 		t.Fatalf("hop stats after the data Put = %d attached, %d returned, want 1 and 0", gets, puts)
@@ -382,9 +395,10 @@ func TestCrossPoolPutReclaimedOnce(t *testing.T) {
 // for a block, and neither is part of what Drain hands on.
 func TestPutOfForeignPacket(t *testing.T) {
 	pl := NewPool()
-	foreign := &Packet{ID: 9, PayloadLen: 1000, Hops: []telemetry.HopRecord{{QLen: 1}}}
+	foreign := &Packet{Flow: 9, PayloadLen: 1000}
+	literalStack(foreign, []telemetry.HopRecord{{QLen: 1}})
 	pl.Put(foreign)
-	if got := pl.Get(); got != foreign || got.ID != 0 || got.Hops != nil {
+	if got := pl.Get(); got != foreign || got.Flow != 0 || got.Hops() != nil {
 		t.Fatalf("Get after foreign Put = %p %+v, want the zeroed %p", got, *got, foreign)
 	}
 	if gets, news, puts := pl.Stats(); gets != 1 || news != 0 || puts != 1 {
@@ -405,8 +419,8 @@ func TestPoolEdges(t *testing.T) {
 	p := nilPool.Get()
 	checkFresh(t, p)
 	nilPool.Stamp(p, telemetry.HopRecord{QLen: 3})
-	if len(p.Hops) != 1 || p.Hops[0].QLen != 3 {
-		t.Fatalf("nil pool stamp = %+v", p.Hops)
+	if len(p.Hops()) != 1 || p.Hops()[0].QLen != 3 {
+		t.Fatalf("nil pool stamp = %+v", p.Hops())
 	}
 	nilPool.Put(p)
 	nilPool.Adopt(make([]Slab, 1))
@@ -425,8 +439,8 @@ func TestPoolEdges(t *testing.T) {
 	p = pl.Get()
 	checkFresh(t, p)
 	dirty(pl, p, 4)
-	if len(p.Hops) != 2 || p.Hops[0].QLen != 5 {
-		t.Fatalf("disabled pool stamp = %+v", p.Hops)
+	if len(p.Hops()) != 2 || p.Hops()[0].QLen != 5 {
+		t.Fatalf("disabled pool stamp = %+v", p.Hops())
 	}
 	pl.Put(p)
 	hg, hn, hp := pl.HopStats()
@@ -484,18 +498,23 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestPacketLayout pins the arithmetic behind Packet's field order and
-// slabPackets. A packet is two cache lines with everything a hop reads,
-// and the queue link, in the first; every kind of slab must be a size
-// the Go allocator hands out without rounding up, or every slab wastes
-// the difference and live heap rises. If Packet or HopRecord changes
-// size, pick slabPackets anew.
+// slabPackets. On a 64-bit host a packet is 80 bytes: what every kind
+// carries and every hop reads, the queue link included, in the first
+// 48, and the words a kind owns after them. Every kind of slab must be
+// a size the Go allocator hands out without rounding up, or every slab
+// wastes the difference and live heap rises. If Packet or HopRecord
+// changes size, pick slabPackets anew. On a 32-bit host pointers are
+// half as wide: the packet is smaller and its common part still ends
+// below offset 48, but its slab size is not pinned.
 func TestPacketLayout(t *testing.T) {
+	const wide = unsafe.Sizeof(uintptr(0)) == 8
 	var p Packet
-	if got := unsafe.Sizeof(p); got != 128 {
-		t.Errorf("Packet is %d bytes, want 128", got)
+	if got := unsafe.Sizeof(p); got > 80 || (wide && got != 80) {
+		t.Errorf("Packet is %d bytes, want 80 on a 64-bit host and at most that elsewhere", got)
 	}
 	for name, off := range map[string]uintptr{
-		"Hops":       unsafe.Offsetof(p.Hops),
+		"hops":       unsafe.Offsetof(p.hops),
+		"Next":       unsafe.Offsetof(p.Next),
 		"Flow":       unsafe.Offsetof(p.Flow),
 		"Src":        unsafe.Offsetof(p.Src),
 		"Dst":        unsafe.Offsetof(p.Dst),
@@ -504,21 +523,71 @@ func TestPacketLayout(t *testing.T) {
 		"Priority":   unsafe.Offsetof(p.Priority),
 		"ECT":        unsafe.Offsetof(p.ECT),
 		"CE":         unsafe.Offsetof(p.CE),
-		"Rtx":        unsafe.Offsetof(p.Rtx),
-		"Next":       unsafe.Offsetof(p.Next),
+		"EchoECN":    unsafe.Offsetof(p.EchoECN),
+		"nhops":      unsafe.Offsetof(p.nhops),
+		"hopCap":     unsafe.Offsetof(p.hopCap),
 	} {
-		if off >= 64 {
-			t.Errorf("%s sits at offset %d, outside the first cache line", name, off)
+		if off >= 48 {
+			t.Errorf("%s sits at offset %d, past the 48 bytes every kind carries", name, off)
 		}
 	}
-	if got := unsafe.Sizeof([slabPackets]Packet{}); got != 16384 { // a malloc size class
-		t.Errorf("a packet slab is %d bytes, want 16384", got)
+	if got := unsafe.Sizeof([slabPackets]Packet{}); wide && got != 10240 { // a malloc size class
+		t.Errorf("a packet slab is %d bytes, want 10240", got)
 	}
 	if got := unsafe.Sizeof([slabPackets]firstBlock{}); got != 16384 {
 		t.Errorf("a first-block slab is %d bytes, want 16384", got)
 	}
 	if got := unsafe.Sizeof([slabPackets]tripBlock{}); got != 49152 || got%8192 != 0 { // large object: whole pages
 		t.Errorf("a round-trip block slab is %d bytes, want 49152, a whole number of pages", got)
+	}
+}
+
+// TestKindWords: every accessor a kind owns reads back what its setter
+// wrote, so no two words a kind uses share storage.
+func TestKindWords(t *testing.T) {
+	var d Packet // Data: Seq, SentAt and, on HOMA, MsgID and MsgLen
+	d.Kind, d.PayloadLen, d.MsgID = Data, 1000, 99
+	d.SetSeq(5000)
+	d.SetSentAt(sim.Time(7))
+	d.SetMsgLen(1 << 20)
+	if d.Seq() != 5000 || d.End() != 6000 || d.SentAt() != 7 || d.MsgID != 99 || d.MsgLen() != 1<<20 {
+		t.Errorf("data words read Seq %d End %d SentAt %d MsgID %d MsgLen %d", d.Seq(), d.End(), d.SentAt(), d.MsgID, d.MsgLen())
+	}
+
+	var a Packet // Ack: AckSeq and EchoSent
+	a.Kind = Ack
+	a.SetAckSeq(150)
+	a.SetEchoSent(sim.Time(11))
+	if a.AckSeq() != 150 || a.EchoSent() != 11 {
+		t.Errorf("ack words read AckSeq %d EchoSent %d", a.AckSeq(), a.EchoSent())
+	}
+
+	var g Packet // Grant: Seq, MsgID and GrantOffset
+	g.Kind, g.MsgID = Grant, 42
+	g.SetSeq(-2)
+	g.SetGrantOffset(64000)
+	if g.Seq() != -2 || g.MsgID != 42 || g.GrantOffset() != 64000 {
+		t.Errorf("grant words read Seq %d MsgID %d GrantOffset %d", g.Seq(), g.MsgID, g.GrantOffset())
+	}
+}
+
+// TestRecycledAckIsZero: the words an ACK writes are the words a data
+// packet reads, so a recycled ACK must come out of Get with both zero,
+// whichever kind's accessor reads them.
+func TestRecycledAckIsZero(t *testing.T) {
+	pl := NewPool()
+	ack := pl.Get()
+	ack.Kind = Ack
+	ack.SetAckSeq(150)
+	ack.SetEchoSent(sim.Time(11))
+	pl.Put(ack)
+	p := pl.Get()
+	if p != ack {
+		t.Fatal("Get did not hand back the ACK just returned")
+	}
+	if p.AckSeq() != 0 || p.EchoSent() != 0 || p.Seq() != 0 || p.SentAt() != 0 {
+		t.Fatalf("recycled ACK reads AckSeq %d EchoSent %d (Seq %d SentAt %d), want zeros",
+			p.AckSeq(), p.EchoSent(), p.Seq(), p.SentAt())
 	}
 }
 

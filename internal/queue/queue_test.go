@@ -8,24 +8,24 @@ import (
 	"repro/internal/packet"
 )
 
-func mkPkt(id uint64, payload int32, prio uint8) *packet.Packet {
-	return &packet.Packet{ID: id, Kind: packet.Data, PayloadLen: payload, Priority: prio}
+func mkPkt(flow packet.FlowID, payload int32, prio uint8) *packet.Packet {
+	return &packet.Packet{Flow: flow, Kind: packet.Data, PayloadLen: payload, Priority: prio}
 }
 
 func TestFIFOOrder(t *testing.T) {
 	q := NewFIFO()
-	for i := uint64(0); i < 100; i++ {
+	for i := packet.FlowID(0); i < 100; i++ {
 		q.Push(mkPkt(i, 100, 0))
 	}
 	if q.Len() != 100 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	for i := uint64(0); i < 100; i++ {
-		if p := q.Peek(); p.ID != i {
-			t.Fatalf("Peek = %d, want %d", p.ID, i)
+	for i := packet.FlowID(0); i < 100; i++ {
+		if p := q.Peek(); p.Flow != i {
+			t.Fatalf("Peek = %d, want %d", p.Flow, i)
 		}
-		if p := q.Pop(); p.ID != i {
-			t.Fatalf("Pop = %d, want %d", p.ID, i)
+		if p := q.Pop(); p.Flow != i {
+			t.Fatalf("Pop = %d, want %d", p.Flow, i)
 		}
 	}
 	if q.Pop() != nil || q.Peek() != nil {
@@ -35,7 +35,7 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestFIFOInterleavedOrder(t *testing.T) {
 	q := NewFIFO()
-	id := uint64(0)
+	id := packet.FlowID(0)
 	// Interleave pushes and pops: packets join the tail while others
 	// leave the head, and the queue never runs empty.
 	for round := 0; round < 50; round++ {
@@ -47,10 +47,10 @@ func TestFIFOInterleavedOrder(t *testing.T) {
 			q.Pop()
 		}
 	}
-	want := uint64(50 * 5)
+	want := packet.FlowID(50 * 5)
 	for p := q.Pop(); p != nil; p = q.Pop() {
-		if p.ID != want {
-			t.Fatalf("interleaved order broke: got %d, want %d", p.ID, want)
+		if p.Flow != want {
+			t.Fatalf("interleaved order broke: got %d, want %d", p.Flow, want)
 		}
 		want++
 	}
@@ -81,25 +81,25 @@ func TestFIFOHoldsNoStorage(t *testing.T) {
 // the first keeps its order, and Peek leaves the link alone.
 func TestFIFOPopUnlinks(t *testing.T) {
 	var a, b FIFO
-	for i := uint64(0); i < 4; i++ {
+	for i := packet.FlowID(0); i < 4; i++ {
 		a.Push(mkPkt(i, 10, 0))
 	}
-	if p := a.Peek(); p.ID != 0 || p.Next == nil || p.Next.ID != 1 {
+	if p := a.Peek(); p.Flow != 0 || p.Next == nil || p.Next.Flow != 1 {
 		t.Fatalf("Peek unlinked the head or returned the wrong packet: %v", p)
 	}
 	p := a.Pop()
 	if p.Next != nil {
-		t.Fatalf("popped packet %d still links to %v", p.ID, p.Next)
+		t.Fatalf("popped packet %d still links to %v", p.Flow, p.Next)
 	}
 	b.Push(p)
 	b.Push(a.Pop())
-	for want := uint64(2); want < 4; want++ {
-		if p := a.Pop(); p == nil || p.ID != want {
+	for want := packet.FlowID(2); want < 4; want++ {
+		if p := a.Pop(); p == nil || p.Flow != want {
 			t.Fatalf("first queue after re-queueing: got %v, want %d", p, want)
 		}
 	}
-	for want := uint64(0); want < 2; want++ {
-		if p := b.Pop(); p == nil || p.ID != want || p.Next != nil {
+	for want := packet.FlowID(0); want < 2; want++ {
+		if p := b.Pop(); p == nil || p.Flow != want || p.Next != nil {
 			t.Fatalf("second queue: got %v, want %d unlinked", p, want)
 		}
 	}
@@ -130,9 +130,9 @@ func TestPrioStrictOrder(t *testing.T) {
 	q.Push(mkPkt(3, 10, 5))
 	q.Push(mkPkt(4, 10, 7))
 	q.Push(mkPkt(5, 10, 0))
-	wantOrder := []uint64{2, 5, 1, 3, 4}
+	wantOrder := []packet.FlowID{2, 5, 1, 3, 4}
 	for _, want := range wantOrder {
-		if p := q.Pop(); p == nil || p.ID != want {
+		if p := q.Pop(); p == nil || p.Flow != want {
 			t.Fatalf("Pop = %v, want %d", p, want)
 		}
 	}
@@ -142,8 +142,8 @@ func TestPrioClampsPriority(t *testing.T) {
 	q := NewPrio()
 	q.Push(mkPkt(1, 10, 200)) // clamped to MaxPriority
 	q.Push(mkPkt(2, 10, packet.MaxPriority))
-	if p := q.Pop(); p.ID != 1 {
-		t.Fatalf("clamped packet not at MaxPriority level; got %d", p.ID)
+	if p := q.Pop(); p.Flow != 1 {
+		t.Fatalf("clamped packet not at MaxPriority level; got %d", p.Flow)
 	}
 	if q.LevelBytes(packet.MaxPriority) == 0 {
 		t.Fatal("LevelBytes empty after clamped push")
@@ -152,7 +152,7 @@ func TestPrioClampsPriority(t *testing.T) {
 
 func TestClassQueueActiveSwitching(t *testing.T) {
 	q := NewClass(func(p *packet.Packet) int { return int(p.Dst) })
-	push := func(id uint64, dst int32) {
+	push := func(id packet.FlowID, dst int32) {
 		p := mkPkt(id, 10, 0)
 		p.Dst = packet.NodeID(dst)
 		q.Push(p)
@@ -164,14 +164,14 @@ func TestClassQueueActiveSwitching(t *testing.T) {
 		t.Fatal("inactive class queue popped a packet")
 	}
 	q.SetActive(7)
-	if p := q.Pop(); p.ID != 1 {
+	if p := q.Pop(); p.Flow != 1 {
 		t.Fatalf("active class 7: got %v", p)
 	}
 	if got := q.ClassBytes(9); got == 0 {
 		t.Fatal("class 9 should still hold bytes")
 	}
 	q.SetActive(9)
-	if p := q.Pop(); p.ID != 2 {
+	if p := q.Pop(); p.Flow != 2 {
 		t.Fatalf("active class 9: got %v", p)
 	}
 	q.SetActive(-1)
@@ -196,7 +196,7 @@ func TestConservationProperty(t *testing.T) {
 		case 1:
 			q = NewPrio()
 		default:
-			cq := NewClass(func(p *packet.Packet) int { return int(p.ID % 4) })
+			cq := NewClass(func(p *packet.Packet) int { return int(p.Flow % 4) })
 			cq.SetActive(rng.Intn(4))
 			q = cq
 		}
@@ -204,7 +204,7 @@ func TestConservationProperty(t *testing.T) {
 		count := 0
 		for i := 0; i < 200; i++ {
 			if rng.Intn(3) > 0 {
-				p := mkPkt(uint64(i), int32(rng.Intn(1500)), uint8(rng.Intn(8)))
+				p := mkPkt(packet.FlowID(i), int32(rng.Intn(1500)), uint8(rng.Intn(8)))
 				q.Push(p)
 				inside += p.WireLen()
 				count++

@@ -166,10 +166,10 @@ func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 			seen[p] = true
 		}
 		reclaim := func(p *packet.Packet) {
-			if blocks[&p.Hops[0]] {
-				t.Fatalf("hop block %p reclaimed twice", &p.Hops[0])
+			if blocks[&p.Hops()[0]] {
+				t.Fatalf("hop block %p reclaimed twice", &p.Hops()[0])
 			}
-			blocks[&p.Hops[0]] = true
+			blocks[&p.Hops()[0]] = true
 		}
 		for { // first blocks
 			var p packet.Packet

@@ -30,10 +30,10 @@ func TestForwardingAndINT(t *testing.T) {
 		t.Fatalf("forwarded %d packets", len(dst.pkts))
 	}
 	p := dst.pkts[0]
-	if len(p.Hops) != 1 {
-		t.Fatalf("INT hops = %d, want 1", len(p.Hops))
+	if len(p.Hops()) != 1 {
+		t.Fatalf("INT hops = %d, want 1", len(p.Hops()))
 	}
-	h := p.Hops[0]
+	h := p.Hops()[0]
 	if h.Rate != 100*units.Gbps || h.QLen != 0 {
 		t.Fatalf("hop = %+v", h)
 	}
@@ -47,7 +47,7 @@ func TestINTDisabled(t *testing.T) {
 	sw.SetRoute(7, []int{0})
 	sw.Receive(data(1, 7, 1000))
 	eng.Run()
-	if len(dst.pkts[0].Hops) != 0 {
+	if len(dst.pkts[0].Hops()) != 0 {
 		t.Fatal("INT stamped while disabled")
 	}
 }
@@ -260,7 +260,7 @@ func TestINTTxBytesMonotonic(t *testing.T) {
 	eng.Run()
 	var last uint64
 	for i, p := range dst.pkts {
-		tx := p.Hops[0].TxBytes
+		tx := p.Hops()[0].TxBytes
 		if i > 0 && tx <= last {
 			t.Fatalf("txBytes not increasing: %d then %d", last, tx)
 		}

@@ -17,13 +17,15 @@
 //     needs and recycles them into the engine's pool. Hooks (OnData,
 //     OnFlowDone) must not retain packet pointers.
 //   - A packet's Hops may be nil: hop storage is attached by the first
-//     switch that stamps the packet, through packet.Pool.Stamp, never by
-//     append. The ACK takes the data packet's stack over whole, so by
+//     switch that stamps the packet, through packet.Pool.Stamp. The ACK
+//     takes the data packet's stack over whole (Packet.TakeHops), so by
 //     the time OnData runs the data packet's Hops is nil.
 //   - Pacing and RTO run on pre-bound sim.Timers; the steady-state send
 //     path allocates nothing beyond pool misses.
 //   - A flow with Size = Unbounded never finishes on its own —
 //     background traffic for windows measured by the experiment.
-//   - Retransmissions are excluded from goodput accounting (Rtx flag),
-//     so receiver-side ReceivedBytes measures useful bytes only.
+//   - Receiver-side byte counts (ReceivedBytes, ReceivedTotal) count raw
+//     payload arrivals: a retransmitted range that had already arrived
+//     counts again. Nothing on the wire marks a retransmission, so
+//     goodput read from these counters includes duplicates.
 package transport

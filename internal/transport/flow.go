@@ -123,17 +123,16 @@ func (f *Flow) emit(seq, n int64, rtx bool) {
 		f.maxSent = seq + n
 	}
 	p := f.Src.pool.Get()
-	p.ID = f.Src.pktID()
 	p.Kind = packet.Data
 	p.Flow = f.ID
 	p.Src = f.Src.id
 	p.Dst = f.Dst
-	p.Seq = seq
+	p.SetSeq(seq)
 	p.PayloadLen = int32(n)
-	p.Rtx = rtx
 	p.Priority = f.Priority
 	p.ECT = f.ect
-	f.Src.send(p)
+	p.SetSentAt(f.Src.eng.Now())
+	f.Src.nic.Send(p)
 	if rtx {
 		f.Retransmits++
 	}
@@ -154,9 +153,9 @@ func (f *Flow) onAck(p *packet.Packet) {
 	now := f.Src.eng.Now()
 	newly := int64(0)
 	switch {
-	case p.AckSeq > f.sndUna:
-		newly = p.AckSeq - f.sndUna
-		f.sndUna = p.AckSeq
+	case p.AckSeq() > f.sndUna:
+		newly = p.AckSeq() - f.sndUna
+		f.sndUna = p.AckSeq()
 		f.dupAcks = 0
 		f.resetRTO()
 		if f.inRecovery {
@@ -167,7 +166,7 @@ func (f *Flow) onAck(p *packet.Packet) {
 				f.retransmitHead()
 			}
 		}
-	case p.AckSeq == f.sndUna && f.Inflight() > 0:
+	case p.AckSeq() == f.sndUna && f.Inflight() > 0:
 		f.dupAcks++
 		thresh := f.Src.cfg.DupAckThreshold
 		if thresh > 0 && f.dupAcks == thresh && !f.inRecovery {
@@ -180,12 +179,12 @@ func (f *Flow) onAck(p *packet.Packet) {
 
 	f.CC.OnAck(cc.Ack{
 		Now:        now,
-		AckSeq:     p.AckSeq,
+		AckSeq:     p.AckSeq(),
 		NewlyAcked: newly,
 		SndNxt:     f.sndNxt,
-		RTT:        now.Sub(p.EchoSent),
+		RTT:        now.Sub(p.EchoSent()),
 		ECNEcho:    p.EchoECN,
-		Hops:       p.Hops,
+		Hops:       p.Hops(),
 	})
 
 	if f.Size != Unbounded && f.sndUna >= f.Size {

@@ -48,16 +48,15 @@ type Host struct {
 	nic  *link.Port
 	pool *packet.Pool
 
-	flows  map[packet.FlowID]*Flow
-	rcv    map[packet.FlowID]*rcvState
-	nextID uint64
+	flows map[packet.FlowID]*Flow
+	rcv   map[packet.FlowID]*rcvState
 
 	// OnFlowDone is invoked when a sized flow is fully acknowledged.
 	OnFlowDone func(*Flow)
 	// OnData observes every data packet delivered to this host, after
 	// receiver bookkeeping (experiment instrumentation: per-packet
 	// latency, CE fractions, ...). The packet's INT stack has moved to
-	// its ACK by then: Hops is nil.
+	// its ACK by then: Hops() is nil.
 	OnData func(p *packet.Packet)
 
 	rcvdTotal int64 // payload bytes received across all flows
@@ -109,7 +108,9 @@ func (h *Host) SetPool(pl *packet.Pool) {
 // NIC returns the host's egress port.
 func (h *Host) NIC() *link.Port { return h.nic }
 
-// ReceivedBytes returns the payload bytes received for one flow.
+// ReceivedBytes returns the payload bytes received for one flow,
+// counted on arrival: a retransmitted range that had already arrived
+// counts again, so this is not deduplicated goodput.
 func (h *Host) ReceivedBytes(id packet.FlowID) int64 {
 	if rs := h.rcv[id]; rs != nil {
 		return rs.bytes
@@ -156,7 +157,7 @@ func (h *Host) onData(p *packet.Packet) {
 		rs = &rcvState{}
 		h.rcv[p.Flow] = rs
 	}
-	rs.got.Add(p.Seq, p.End())
+	rs.got.Add(p.Seq(), p.End())
 	rs.bytes += int64(p.PayloadLen)
 	h.rcvdTotal += int64(p.PayloadLen)
 
@@ -168,46 +169,36 @@ func (h *Host) onData(p *packet.Packet) {
 			rs.lastCNP = now
 			rs.sawCNP = true
 			cnp := h.pool.Get()
-			cnp.ID = h.pktID()
 			cnp.Kind = packet.CNP
 			cnp.Flow = p.Flow
 			cnp.Src = h.id
 			cnp.Dst = p.Src
 			cnp.Priority = h.cfg.AckPriority
-			h.send(cnp)
+			h.nic.Send(cnp)
 		}
 	}
 
 	ack := h.pool.Get()
-	ack.ID = h.pktID()
 	ack.Kind = packet.Ack
 	ack.Flow = p.Flow
 	ack.Src = h.id
 	ack.Dst = p.Src
-	ack.AckSeq = rs.got.CumulativeFrom(0)
-	ack.EchoSent = p.SentAt
+	ack.SetAckSeq(rs.got.CumulativeFrom(0))
+	ack.SetEchoSent(p.SentAt())
 	ack.EchoECN = p.CE
 	ack.Priority = h.cfg.AckPriority
 	// The ACK carries the INT records collected on the data path and
 	// keeps collecting on the return path (§3.3: the sender receives
 	// metadata from all switches along the round trip). It takes the data
 	// packet's stack over whole, storage included; p is consumed here and
-	// nothing reads its Hops again.
-	ack.Hops, p.Hops = p.Hops, nil
-	h.send(ack)
+	// nothing reads its stack again.
+	ack.TakeHops(p)
+	// No SentAt: its word holds EchoSent on an ACK, and nothing reads a
+	// send time off an ACK or a CNP.
+	h.nic.Send(ack)
 	if h.OnData != nil {
 		h.OnData(p)
 	}
-}
-
-func (h *Host) send(p *packet.Packet) {
-	p.SentAt = h.eng.Now()
-	h.nic.Send(p)
-}
-
-func (h *Host) pktID() uint64 {
-	h.nextID++
-	return h.nextID
 }
 
 // Flow returns the host's sending flow with the given ID, or nil.
