@@ -10,9 +10,9 @@
 //
 // Usage:
 //
-//	figures -fig 4            # one figure (2,3,4,5,6,7,8,9,mp,fluid,theory)
-//	figures -fig fluid        # the fluid-model artifacts (2a–c + 3)
-//	figures -fig all          # everything, runs across all cores
+//	figures -fig 4            # one figure (2,3,4,5,6,7,8,9,mp,theory,gamma)
+//	figures -fig gamma        # the §3.3 γ parameter study
+//	figures -fig all          # everything, in that order, across all cores
 //	figures -fig 6 -full      # paper-scale topology (much slower)
 //	figures -workers 4        # cap the worker pool
 package main
@@ -31,54 +31,35 @@ import (
 )
 
 var (
-	figFlag     = flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,7,8,9,mp,fluid,theory,all")
+	figFlag     = flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,7,8,9,mp,theory,gamma,all")
 	fullFlag    = flag.Bool("full", false, "paper-scale topology (256 servers / 25 ToRs); slow")
 	seedFlag    = flag.Int64("seed", 1, "base RNG seed")
 	workersFlag = flag.Int("workers", 0, "suite worker pool size (0 = GOMAXPROCS)")
 )
 
+// figure is one -fig case.
+type figure struct {
+	name string
+	run  func()
+}
+
+// figures lists every -fig case in the order -fig all prints them. A
+// case appended here leaves the bytes of every earlier one unchanged.
+var figures = []figure{
+	{"2", fig2}, {"3", fig3}, {"4", fig4}, {"5", fig5}, {"6", fig6}, {"7", fig7},
+	{"8", fig8}, {"9", fig9}, {"mp", figMultipath}, {"theory", theory}, {"gamma", gamma},
+}
+
 func main() {
 	flag.Parse()
-	switch *figFlag {
-	case "2":
-		fig2()
-	case "3":
-		fig3()
-	case "4":
-		fig4()
-	case "5":
-		fig5()
-	case "6":
-		fig6()
-	case "7":
-		fig7()
-	case "8":
-		fig8()
-	case "9":
-		fig9()
-	case "mp":
-		figMultipath()
-	case "fluid":
-		// The fluid-model artifacts as one unit: the §2 response
-		// surfaces (2a–c) and the phase-plot trajectories (Fig 3) — the
-		// same internal/fluid laws the hybrid co-simulation integrates
-		// per link.
-		fig2()
-		fig3()
-	case "theory":
-		theory()
-	case "all":
-		fig2()
-		fig3()
-		fig4()
-		fig5()
-		fig6()
-		fig7()
-		fig8()
-		fig9()
-		figMultipath()
-		theory()
-	default:
+	ran := false
+	for _, f := range figures {
+		if *figFlag == "all" || *figFlag == f.name {
+			f.run()
+			ran = true
+		}
+	}
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figFlag)
 		os.Exit(2)
 	}
@@ -395,9 +376,6 @@ func fig8() {
 
 func fig9() {
 	spt255 := serversPerTor()
-	if *fullFlag {
-		spt255 = 32
-	}
 	var specs []exp.Spec
 	for oc := 1; oc <= 6; oc++ {
 		sc := fmt.Sprintf("homa-oc%d", oc)
@@ -496,4 +474,34 @@ func theory() {
 	fmt.Printf("measured=%.3gs\tpredicted=%.3gs\n", tc, s.Dt.Seconds()/s.Gamma)
 	eq, _ := s.Equilibrium()
 	fmt.Printf("# Equilibrium: w_e=%.0fB (bτ+β̂), q_e=%.0fB (β̂)\n\n", eq.W, eq.Q)
+}
+
+// gamma is the parameter study behind the paper's γ = 0.9 recommendation
+// (§3.3): every γ runs an incast (reaction speed), the staggered
+// fairness flows and a steady websearch load (noise sensitivity), all
+// under that γ, as one suite.
+func gamma() {
+	gammas := []float64{0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0}
+	var specs []exp.Spec
+	for _, g := range gammas {
+		for _, p := range []exp.Preset{
+			exp.Incast{FanIn: 16, Window: 3 * sim.Millisecond},
+			exp.Fairness{Window: 6 * sim.Millisecond},
+			exp.WebSearch{Load: 0.6, Duration: 8 * sim.Millisecond, Drain: 4 * sim.Millisecond},
+		} {
+			s := spec(p, scenario.PowerTCP)
+			s.SchemeOpts = []scenario.SchemeOption{scenario.Gamma(g)}
+			specs = append(specs, s)
+		}
+	}
+	results := runSuite(specs)
+	fmt.Println("# §3.3 γ sweep: reaction speed (incast) vs noise sensitivity (websearch)")
+	fmt.Println("# gamma\tincast_peak_kb\tincast_tail_kb\tgoodput_gbps\tjain\tws_short_p999\tws_long_p999")
+	for i, g := range gammas {
+		ic, fr, ws := results[3*i], results[3*i+1], results[3*i+2]
+		fmt.Printf("%.2f\t%.0f\t%.1f\t%.1f\t%.3f\t%.1f\t%.1f\n", g,
+			scalar(ic, "peak_queue_kb"), scalar(ic, "tail_mean_queue_kb"), scalar(ic, "avg_goodput_gbps"),
+			scalar(fr, "jain"), scalar(ws, "short_p999"), scalar(ws, "long_p999"))
+	}
+	fmt.Println()
 }

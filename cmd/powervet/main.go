@@ -11,7 +11,7 @@
 //	go run ./cmd/powervet -list          # describe the analyzers
 //	go run ./cmd/powervet -v ./...       # also list justified suppressions
 //
-// Packages outside the simulation path (examples, excluded internal
+// Packages outside the simulation path (benchmark, excluded internal
 // packages such as serve) are skipped; the skip reasons are part of
 // internal/analysis.ExcludedPackages and printed under -v. A finding is
 // suppressed in source with a `//powervet:<directive> <justification>`

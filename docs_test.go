@@ -1,7 +1,7 @@
 package powertcp_test
 
 // The docs gate: CI runs `go test -run TestDocs .` so the front-door
-// documentation cannot rot. It enforces four properties:
+// documentation cannot rot. It enforces five properties:
 //
 //  1. Every package under internal/ and cmd/ (and the root package)
 //     carries a godoc package comment.
@@ -12,6 +12,8 @@ package powertcp_test
 //     directory is mentioned in the README.
 //  4. Every test name a CI step selects with `go test -run '…|…'`
 //     exists in a package that step lists.
+//  5. Every `go run ./X` command in README.md is run by a CI step, or X
+//     has tests of its own: what a reader is told to run, something runs.
 
 import (
 	"go/ast"
@@ -210,6 +212,32 @@ func TestDocsReadmeSnippetsBuild(t *testing.T) {
 	for _, dir := range cmds {
 		if !strings.Contains(string(readme), dir) {
 			t.Errorf("README.md never mentions %s — document what it is for", dir)
+		}
+	}
+}
+
+// TestDocsReadmeCommandsRun holds property 5.
+func TestDocsReadmeCommandsRun(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goRunRE := regexp.MustCompile(`go run (\./[\w/-]+)`)
+	inCI := map[string]bool{}
+	for _, m := range goRunRE.FindAllStringSubmatch(string(ci), -1) {
+		inCI[m[1]] = true
+	}
+	for _, m := range goRunRE.FindAllStringSubmatch(string(readme), -1) {
+		tests, err := filepath.Glob(filepath.Join(m[1], "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !inCI[m[1]] && len(tests) == 0 {
+			t.Errorf("README.md tells readers to %s, but no CI step runs it and %s has no tests", m[0], m[1])
 		}
 	}
 }

@@ -69,8 +69,8 @@ func TestAnalyzerScoping(t *testing.T) {
 	if got := AnalyzersFor("repro/internal/serve"); got != nil {
 		t.Errorf("serve is excluded but gets %d analyzers", len(got))
 	}
-	if got := AnalyzersFor("repro/examples/quickstart"); got != nil {
-		t.Errorf("examples are out of scope but get %d analyzers", len(got))
+	if got := AnalyzersFor("repro/benchmark"); got != nil {
+		t.Errorf("benchmark is out of scope but gets %d analyzers", len(got))
 	}
 	if got := AnalyzersFor("repro"); len(got) != 3 {
 		t.Errorf("root package gets %d analyzers, want 3", len(got))

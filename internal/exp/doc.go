@@ -48,8 +48,8 @@
 //     pooled and pool-disabled runs encode to identical bytes
 //     (TestSuitePooledMatchesUnpooled).
 //
-// cmd/figures renders figures from suites; cmd/sweep runs the γ study
-// as one suite; cmd/powersim runs a single spec — or a composed
+// cmd/figures renders figures, and the γ study, from suites;
+// cmd/powersim runs a single spec — or a composed
 // scenario — from flags; EXPERIMENTS.md records the experiment↔figure
 // index and paper-vs-measured numbers.
 package exp

@@ -45,9 +45,6 @@ func (t Time) String() string { return Duration(t).String() }
 // Seconds returns d as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Micros returns d as floating-point microseconds.
-func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
 // String formats the duration using Go's standard duration syntax at
 // nanosecond resolution; sub-nanosecond remainders are printed as "+Nps".
 func (d Duration) String() string {
