@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/fuzzlab"
+	"repro/internal/guard"
 	"repro/internal/scenario"
 )
 
@@ -18,7 +21,7 @@ import (
 //	powersim -fuzz -seed 7                 # one seed: generate, print, check
 //	powersim -fuzz -seeds 200              # sweep 200 seeds from -seed
 //	powersim -fuzz -deep -minutes 30       # sweep until the wall-clock budget
-//	powersim -fuzz -replay repro.json      # re-check a pinned spec, emit its result
+//	powersim -replay repro.json            # re-check a pinned spec or repro bundle, emit its result
 //
 // Violating seeds are shrunk automatically; the minimal repro prints to
 // stdout and, with -pin DIR, is written there ready to commit under
@@ -72,30 +75,11 @@ func runFuzz() {
 }
 
 // replaySpec re-checks one pinned spec file through the full invariant
-// battery and emits its serial Result in the selected format — the way
-// to inspect what a corpus entry actually measures.
+// battery and emits its Result in the selected format — the way to
+// inspect what a corpus entry actually measures, or to rerun a
+// supervised failure from its repro bundle.
 func replaySpec(path string) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
-		os.Exit(2)
-	}
-	var sp scenario.Spec
-	if err := json.Unmarshal(b, &sp); err != nil {
-		fmt.Fprintf(os.Stderr, "powersim: parsing %s: %v\n", path, err)
-		os.Exit(2)
-	}
-	vs, err := fuzzlab.Check(&sp, fuzzlab.Options{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
-		os.Exit(2)
-	}
-	sc, err := sp.Build(1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
-		os.Exit(2)
-	}
-	r, err := scenario.Run(sc)
+	r, vs, err := replay(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "powersim: %v\n", err)
 		os.Exit(2)
@@ -107,6 +91,59 @@ func replaySpec(path string) {
 	if len(vs) > 0 {
 		os.Exit(1)
 	}
+}
+
+// replay reads a replay file, checks it through the full invariant
+// battery and runs it.
+func replay(path string) (*scenario.Result, []fuzzlab.Violation, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	sp, parts, axis, err := decodeReplay(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	vs, err := fuzzlab.Check(sp, fuzzlab.Options{Parts: axis})
+	if err != nil {
+		return nil, nil, err
+	}
+	sc, err := sp.Build(parts)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := scenario.Run(sc)
+	return r, vs, err
+}
+
+// decodeReplay decodes a replay file: a guard.ReproBundle, run at the
+// seed and partition count it records, or else a bare canonical spec (a
+// fuzz corpus entry), run at one partition. axis is the partition counts
+// the serial run is compared with: the spec's own, plus a bundle's.
+func decodeReplay(b []byte) (sp *scenario.Spec, parts int, axis []int, err error) {
+	var bundle guard.ReproBundle
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&bundle) != nil || bundle.Spec == nil {
+		sp, err := scenario.DecodeSpec(b)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		return sp, 1, sp.PartsAxis(), nil
+	}
+	if bundle.V != scenario.SpecVersion {
+		return nil, 0, nil, fmt.Errorf("unsupported bundle version %d (current %d)", bundle.V, scenario.SpecVersion)
+	}
+	if sp, err = scenario.DecodeSpec(bundle.Spec); err != nil {
+		return nil, 0, nil, err
+	}
+	sp.Seed, parts = bundle.Seed, max(1, bundle.Parts)
+	axis = sp.PartsAxis()
+	if !slices.Contains(axis, parts) {
+		axis = append(axis, parts)
+	}
+	fmt.Fprintf(os.Stderr, "powersim: bundle at seed %d, %d partition(s), recorded error: %s\n", sp.Seed, parts, bundle.Error)
+	return sp, parts, axis, nil
 }
 
 // seedsSet reports whether -seeds was given explicitly (the deep sweep

@@ -13,7 +13,8 @@
 //
 // The -fuzz mode drives internal/fuzzlab outside `go test`: generate a
 // scenario from a seed, run the invariant battery over it, sweep seed
-// bands (time-budgeted with -deep), or -replay a pinned corpus spec.
+// bands (time-budgeted with -deep), or -replay a pinned corpus spec or a
+// repro bundle.
 //
 // Examples:
 //
@@ -63,7 +64,7 @@ func defineFlags(fs *flag.FlagSet) {
 	serversFlag = fs.Int("servers", 0, "servers per ToR (32 = paper scale)")
 	durFlag = fs.Float64("ms", 0, "override experiment duration (milliseconds)")
 	seedFlag = fs.Int64("seed", 1, "RNG seed")
-	partsFlag = fs.Int("parts", 0, "shard the fabric across N parallel engines (byte-identical results)")
+	partsFlag = fs.Int("parts", 0, "step the fabric's own shards (one a pod or leaf) on N workers; byte-identical results")
 	pktGbps = fs.Int64("pktgbps", 0, "RDCN packet-network bandwidth (Gbps)")
 	icRateFlag = fs.Float64("icrate", 0, "websearch incast request rate (req/s)")
 	icSizeFlag = fs.Int64("icmb", 2, "websearch incast request size (MB)")
@@ -81,7 +82,7 @@ func defineFlags(fs *flag.FlagSet) {
 	deepFlag = fs.Bool("deep", false, "fuzz: sweep seeds until the -minutes wall-clock budget instead of a fixed count")
 	minutesFlag = fs.Float64("minutes", 10, "fuzz: wall-clock budget of a -deep sweep")
 	seedsFlag = fs.Int("seeds", 1, "fuzz: how many consecutive seeds to check, starting at -seed")
-	replayFlag = fs.String("replay", "", "fuzz: re-check a pinned spec JSON file and emit its result")
+	replayFlag = fs.String("replay", "", "fuzz: re-check a pinned spec JSON file or guard repro bundle and emit its result")
 	pinFlag = fs.String("pin", "", "fuzz: directory to write shrunk repros into (ready for testdata/corpus)")
 }
 

@@ -10,8 +10,9 @@ package powertcp_test
 //  3. Every `go run ./cmd/...` command in README.md, PERF.md or
 //     EXPERIMENTS.md points at a real main package, and every cmd/
 //     directory is mentioned in the README.
-//  4. Every test name a CI step selects with `go test -run '…|…'`
-//     exists in a package that step lists.
+//  4. Every test name a CI step selects with `go test -run '…|…'`, or
+//     with `-run "$NAME"` from the workflow's env, exists in a package
+//     that step lists.
 //  5. Every `go run ./X` command in README.md is run by a CI step, or X
 //     has tests of its own: what a reader is told to run, something runs.
 
@@ -243,20 +244,30 @@ func TestDocsReadmeCommandsRun(t *testing.T) {
 }
 
 // TestDocsCIRunPatternsResolve reads the CI workflow and fails if an
-// alternative of a `go test -run '…|…'` pattern matches no test function
-// in the packages its step lists: a test that was renamed, moved or
-// deleted would otherwise silently drop out of the race steps that name
-// it.
+// alternative of a `go test -run '…|…'` pattern — or of a `-run "$NAME"`
+// pattern held in the workflow's env — matches no test function in the
+// packages its step lists: a test that was renamed, moved or deleted
+// would otherwise silently drop out of the race steps that name it.
 func TestDocsCIRunPatternsResolve(t *testing.T) {
 	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runRE := regexp.MustCompile(`go test([^\n&]*?)-run '([^']+)'([^\n&]*)`)
+	env := map[string]string{}
+	for _, m := range regexp.MustCompile(`(?m)^\s+([A-Z_]+): "([^"]+)"$`).FindAllStringSubmatch(string(ci), -1) {
+		env[m[1]] = m[2]
+	}
+	runRE := regexp.MustCompile(`go test([^\n&]*?)-run (?:'([^']+)'|"\$([A-Z_]+)")([^\n&]*)`)
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
 	names := 0
 	for _, m := range runRE.FindAllStringSubmatch(string(ci), -1) {
-		args := m[1] + m[3]
+		args, pattern := m[1]+m[4], m[2]
+		if m[3] != "" {
+			if pattern = env[m[3]]; pattern == "" {
+				t.Errorf("ci.yml: -run \"$%s\" names no env value", m[3])
+				continue
+			}
+		}
 		if strings.Contains(args, "-bench") {
 			continue // `-run '^$'` there selects no test on purpose
 		}
@@ -279,7 +290,7 @@ func TestDocsCIRunPatternsResolve(t *testing.T) {
 				}
 			}
 		}
-		for _, alt := range strings.Split(m[2], "|") {
+		for _, alt := range strings.Split(pattern, "|") {
 			re, err := regexp.Compile(alt)
 			if err != nil {
 				t.Errorf("ci.yml: -run alternative %q: %v", alt, err)

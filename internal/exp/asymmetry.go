@@ -110,7 +110,7 @@ func (p *asymmetryPanel) Finalize(env *scenario.Env, res *scenario.Result) error
 	res.SetScalar("agg_goodput_gbps", agg)
 	res.SetScalar("jain", jain)
 	res.SetScalar("efficiency", efficiency)
-	res.SetScalar("engine_steps", float64(net.Steps()))
+	res.SetScalar("engine_steps", float64(env.Steps()))
 	res.AddSeries(spineSeries)
 	return nil
 }

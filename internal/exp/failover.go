@@ -22,7 +22,8 @@ const KeepLinkDown sim.Duration = -1
 // every 20 µs.
 type Failover struct {
 	ServersPerTor int // default 8
-	// Partitions is scenario.LeafSpineTopology.Partitions.
+	// Partitions is scenario.LeafSpineTopology.Partitions, a worker count
+	// over the fabric's leaf shards.
 	Partitions int
 	// Flows is the cross-fabric flow count, capped at ServersPerTor. The
 	// default 4 is sized so the surviving spines can still carry the whole
@@ -213,7 +214,7 @@ func (p *failoverPanel) Finalize(env *scenario.Env, res *scenario.Result) error 
 	res.SetScalar("queue_spike_kb", spike)
 	res.SetScalar("lost_packets", float64(lost))
 	res.SetScalar("route_rebuilds", float64(net.Router.Rebuilds()))
-	res.SetScalar("engine_steps", float64(net.Steps()))
+	res.SetScalar("engine_steps", float64(env.Steps()))
 	res.AddSeries(scenario.TimeSeries("goodput_gbps", p.t, p.gbps))
 	res.AddSeries(scenario.TimeSeries("queue_kb", p.t, p.queueKB))
 	return nil

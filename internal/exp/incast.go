@@ -18,8 +18,8 @@ type Incast struct {
 	// ServersPerTor scales the fat-tree (default 8; 32 is the paper's
 	// §4.1 fabric).
 	ServersPerTor int
-	// Partitions is scenario.FatTreeTopology.Partitions: output is
-	// byte-identical at any count.
+	// Partitions is scenario.FatTreeTopology.Partitions, a worker count
+	// over the fabric's pod shards: output is byte-identical at any count.
 	Partitions int
 	Window     sim.Duration // observation window after the head start; default 4 ms
 }

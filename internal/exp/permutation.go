@@ -13,7 +13,8 @@ import (
 // and ToR-uplink load imbalance under ECMP hashing.
 type Permutation struct {
 	ServersPerTor int // default 8
-	// Partitions is scenario.FatTreeTopology.Partitions.
+	// Partitions is scenario.FatTreeTopology.Partitions, a worker count
+	// over the fabric's pod shards.
 	Partitions int
 	// Routing names the multipath strategy ("", "ecmp", "single", "wecmp").
 	Routing string
@@ -133,7 +134,7 @@ func (p *permutationPanel) Finalize(env *scenario.Env, res *scenario.Result) err
 	res.SetScalar("uplinks_used", float64(used))
 	res.SetScalar("uplinks_total", float64(nUp))
 	res.SetScalar("uplink_imbalance", imbalance)
-	res.SetScalar("engine_steps", float64(net.Steps()))
+	res.SetScalar("engine_steps", float64(env.Steps()))
 	res.AddSeries(scenario.TimeSeries("agg_goodput_gbps", p.t, p.aggGbps))
 	res.AddSeries(flowSeries)
 	return nil

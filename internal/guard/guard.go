@@ -46,7 +46,7 @@
 // When a supervised run fails and the input is Spec-shaped, the
 // supervisor writes a repro bundle — the canonical Spec JSON plus seed,
 // partition count, and the error — under ReproDir, and the typed error
-// carries the bundle path. `powersim fuzz -replay` or a three-line test
+// carries the bundle path. `powersim -replay <bundle>` or a three-line test
 // can re-run the exact failing input.
 package guard
 
@@ -307,7 +307,7 @@ func tripError(tr *sim.Trip, aggSteps uint64) error {
 
 // ReproBundle is the replayable record of a supervised failure: the
 // exact run input plus the error that stopped it. Spec is embedded in
-// canonical form, so `scenario.DecodeSpec` (or powersim fuzz -replay)
+// canonical form, so `scenario.DecodeSpec` (or `powersim -replay <bundle>`)
 // reproduces the identical cache key and run.
 type ReproBundle struct {
 	V     int             `json:"v"`

@@ -20,7 +20,9 @@
 // feature (PERF.md "PR 19"). Every cut link i→j carries a lookahead
 // L(i,j) = the minimum latency of any message crossing it (propagation
 // delay plus minimum serialization time) — a hard physical lower bound
-// on how far in the future a send from i can affect j.
+// on how far in the future a send from i can affect j. One shard is a
+// plan too: a fabric whose only shard is the control engine itself is
+// a serial run, and Run is then one RunUntil on that engine.
 //
 // Cross-partition packet deliveries become mailbox messages: the
 // sending port consumes a causal child slot on its engine
@@ -115,18 +117,18 @@ type Fabric struct {
 	in      [][]edge   // in[i]: incoming cut edges of partition i
 	boxes   []*Mailbox // drained in creation order — deterministic
 	bounds  []sim.Key  // this round's bound per partition
-
-	steps uint64 // filled by Run: total events fired across all engines
 }
 
 // New returns a fabric over the given control engine and partition
-// engines, stepped by the given number of workers: at most one a
-// partition, which is also what zero asks for. Cut edges and mailboxes
-// are registered before Run.
+// engines, stepped by the given number of workers, at least one; there
+// are never more workers than partitions. A single partition may be the
+// control engine itself. Cut edges and mailboxes are registered before
+// Run.
 func New(ctrl *sim.Engine, parts []*sim.Engine, workers int) *Fabric {
-	if workers <= 0 || workers > len(parts) {
-		workers = max(1, len(parts))
+	if workers < 1 {
+		panic("psim: a fabric needs a worker")
 	}
+	workers = min(workers, len(parts))
 	return &Fabric{
 		ctrl: ctrl, parts: parts, workers: workers,
 		in: make([][]edge, len(parts)), bounds: make([]sim.Key, len(parts)),
@@ -156,10 +158,18 @@ func (f *Fabric) NewMailbox(dst int, deliver func(any)) *Mailbox {
 	return m
 }
 
-// Steps reports the total number of events executed across the control
-// and partition engines by the last Run — by construction equal to the
-// serial engine's step count for the same scenario.
-func (f *Fabric) Steps() uint64 { return f.steps }
+// Steps reports the total number of events executed so far across the
+// control and partition engines, each counted once — by construction
+// equal to the serial engine's step count for the same scenario.
+func (f *Fabric) Steps() uint64 {
+	n := f.ctrl.Steps()
+	for _, e := range f.parts {
+		if e != f.ctrl {
+			n += e.Steps()
+		}
+	}
+	return n
+}
 
 // Tripped reports whether any engine in the fabric hit an in-loop limit
 // (sim.Engine.SetLimits), returning the trip whose refused event orders
@@ -189,12 +199,15 @@ func (f *Fabric) Tripped() *sim.Trip {
 // equivalent of sim.Engine.RunUntil(horizon) on a serial engine.
 func (f *Fabric) Run(horizon sim.Time) {
 	p := len(f.parts)
+	if p == 1 && f.parts[0] == f.ctrl {
+		// One engine holds everything: no bound, no round, no mailbox.
+		f.ctrl.RunUntil(horizon)
+		return
+	}
 	end := sim.KeyAtEnd(horizon)
 
-	// A fabric left tripped by an earlier Run slice stays frozen; the
-	// step tally is still refreshed so callers see the watermark.
+	// A fabric left tripped by an earlier Run slice stays frozen.
 	if f.Tripped() != nil {
-		f.tally()
 		return
 	}
 
@@ -246,7 +259,6 @@ func (f *Fabric) Run(horizon sim.Time) {
 		// the whole fabric at the first trip instead. Undelivered mailbox
 		// posts are left buffered — a tripped run never resumes.
 		if f.Tripped() != nil {
-			f.tally()
 			return
 		}
 
@@ -295,7 +307,6 @@ func (f *Fabric) Run(horizon sim.Time) {
 					// The control engine refused the event: without this
 					// break the due-but-unfired control key would spin the
 					// coordinator forever.
-					f.tally()
 					return
 				}
 			}
@@ -322,8 +333,6 @@ func (f *Fabric) Run(horizon sim.Time) {
 
 	// Leave the control clock at the horizon, like a serial RunUntil.
 	f.ctrl.RunUntil(horizon)
-
-	f.tally()
 }
 
 // stepShards advances worker w's partitions — w, w+W, w+2W, … — to
@@ -375,12 +384,4 @@ func (h *helpers) stop() {
 		close(c)
 	}
 	h.exited.Wait()
-}
-
-// tally refreshes the cross-engine step count.
-func (f *Fabric) tally() {
-	f.steps = f.ctrl.Steps()
-	for _, e := range f.parts {
-		f.steps += e.Steps()
-	}
 }

@@ -117,9 +117,10 @@ func DecodeSpec(data []byte) (*Spec, error) {
 // hex(sha256(canonical(spec) ‖ seed ‖ parts)). Seed and partition count
 // are hashed alongside the spec because both are run inputs the Spec
 // body does not fully pin down (the service may override the seed, and
-// parts selects the execution fabric — identical Results by the
-// determinism contract, but a distinct supervised run worth its own
-// cache slot while budgets are partition-aware).
+// parts is the worker count over the fabric's shards — identical Results
+// by the determinism contract, but a distinct supervised run worth its
+// own cache slot while budgets are partition-aware). The key is a
+// contract with caches already written, so parts stays in it.
 func SpecKey(sp *Spec, seed int64, parts int) (string, error) {
 	key, _, err := SpecKeyOf(sp, seed, parts, nil)
 	return key, err

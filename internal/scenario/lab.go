@@ -36,7 +36,7 @@ const (
 )
 
 // keyedRecord is a FlowRecord tagged with the canonical key of the
-// event that produced it, for the cross-partition merge.
+// event that produced it, for the cross-shard merge.
 type keyedRecord struct {
 	key sim.Key
 	rec FlowRecord
@@ -53,10 +53,10 @@ type Lab struct {
 
 	started int
 	scratch *runScratch
-	// partRecs holds per-partition keyed record buffers on a partitioned
-	// network (nil when serial): each partition's completion callbacks
-	// append only to their own buffer, race-free, and mergeRecords
-	// rebuilds the exact serial append order from the canonical keys.
+	// partRecs holds per-shard keyed record buffers on a fabric of several
+	// shards (nil on one): each shard's completion callbacks append only
+	// to their own buffer, race-free, and mergeRecords rebuilds the exact
+	// serial append order from the canonical keys.
 	partRecs [][]keyedRecord
 }
 
@@ -101,74 +101,50 @@ func (l *Lab) wireCollectors() {
 	// Pool i takes what pool i of the last run of this shape held. Lists
 	// beyond the lab's pools stay in the scratch for the next lab that has
 	// a pool for them.
-	sc, pools := l.scratch, l.pools()
+	sc, pools := l.scratch, l.Net.Pools
 	for i := range min(len(pools), len(sc.slabs)) {
 		pools[i].Adopt(sc.slabs[i])
 		sc.slabs[i] = nil
 	}
 	l.Records, sc.records = sc.records, nil
-	if l.Net.Part != nil {
-		l.partRecs = make([][]keyedRecord, l.Net.Part.Parts)
+	if parts := l.Net.Part.Parts; parts > 1 {
+		l.partRecs = make([][]keyedRecord, parts)
 	}
 	for i, n := range l.Net.Hosts {
-		if l.partRecs != nil {
-			// Partitioned: completions land in the owning partition's
-			// buffer tagged with the producing event's canonical key.
-			p := l.Net.Part.HostPart[i]
-			eng := l.Net.Engs[p]
-			switch h := n.(type) {
-			case *transport.Host:
-				h.OnFlowDone = func(f *transport.Flow) { l.recordPart(p, eng, f.Size, f.FCT()) }
-			case *homa.Host:
-				h.OnMessageDone = func(_ uint64, size int64, fct sim.Duration) {
-					l.recordPart(p, eng, size, fct)
-				}
-			}
-			continue
-		}
+		p := l.Net.Part.HostPart[i]
 		switch h := n.(type) {
 		case *transport.Host:
-			h.OnFlowDone = func(f *transport.Flow) { l.record(f.Size, f.FCT()) }
+			h.OnFlowDone = func(f *transport.Flow) { l.record(p, f.Size, f.FCT()) }
 		case *homa.Host:
-			h.OnMessageDone = func(_ uint64, size int64, fct sim.Duration) {
-				l.record(size, fct)
-			}
+			h.OnMessageDone = func(_ uint64, size int64, fct sim.Duration) { l.record(p, size, fct) }
 		}
 	}
 }
 
-func (l *Lab) record(size int64, fct sim.Duration) {
-	l.Records = append(l.Records, FlowRecord{
+// record files a completion on shard p. One shard fires its events in
+// the serial order, so there the record goes straight to Records; on
+// several it goes to the shard's own buffer, keyed by the canonical
+// position of the completing event.
+func (l *Lab) record(p int, size int64, fct sim.Duration) {
+	rec := FlowRecord{
 		Size:     size,
 		FCT:      fct,
 		Slowdown: stats.Slowdown(fct, size, l.Net.HostRate, l.Net.BaseRTT),
-	})
-}
-
-// recordPart is record for a partitioned run: called only from
-// partition p's goroutine, it appends to that partition's own buffer,
-// keyed by the canonical position of the completing event.
-func (l *Lab) recordPart(p int, eng *sim.Engine, size int64, fct sim.Duration) {
-	l.partRecs[p] = append(l.partRecs[p], keyedRecord{
-		key: eng.ExecKey(),
-		rec: FlowRecord{
-			Size:     size,
-			FCT:      fct,
-			Slowdown: stats.Slowdown(fct, size, l.Net.HostRate, l.Net.BaseRTT),
-		},
-	})
-}
-
-// mergeRecords rebuilds Records from the per-partition buffers after a
-// partitioned run. Each buffer is already ascending in canonical key
-// (a partition fires its events in the serial sub-order), so a k-way
-// merge by key reproduces the exact serial append order: the global
-// firing order is the canonical order, and every record's key is its
-// producing event's position in it.
-func (l *Lab) mergeRecords() {
+	}
 	if l.partRecs == nil {
+		l.Records = append(l.Records, rec)
 		return
 	}
+	l.partRecs[p] = append(l.partRecs[p], keyedRecord{key: l.Net.Engs[p].ExecKey(), rec: rec})
+}
+
+// mergeRecords appends the shards' buffers to Records after the run.
+// Each buffer is already ascending in canonical key (a shard fires its
+// events in the serial sub-order), so a k-way merge by key reproduces
+// the exact serial append order: the global firing order is the
+// canonical order, and every record's key is its producing event's
+// position in it. A one-shard fabric has no buffer to merge.
+func (l *Lab) mergeRecords() {
 	idx := make([]int, len(l.partRecs))
 	for {
 		best := -1

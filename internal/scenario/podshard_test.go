@@ -89,8 +89,8 @@ func TestPodShardedMatchesSingleEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref.Env().Lab.Net.PSim != nil {
-				t.Fatal("the reference leg is sharded")
+			if n := len(ref.Env().Lab.Net.Engs); n != 1 {
+				t.Fatalf("the reference leg is sharded over %d engines", n)
 			}
 			ref.DriveTo(ref.Horizon())
 			res, err := ref.Finish()
@@ -110,7 +110,7 @@ func TestPodShardedMatchesSingleEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				fab := p.Env().Lab.Net.PSim
-				if fab == nil || len(p.Env().Lab.Net.Engs) != 4 || fab.Workers() != workers {
+				if len(p.Env().Lab.Net.Engs) != 4 || fab.Workers() != workers {
 					t.Fatalf("Partitions %d: want 4 pod shards on %d workers", workers, workers)
 				}
 				p.DriveTo(p.Horizon())
@@ -129,35 +129,74 @@ func TestPodShardedMatchesSingleEngine(t *testing.T) {
 
 // The rule's boundary: one host short of it a fat-tree asked for one
 // partition is one engine, at it the fabric has an engine a pod and the
-// caller for its only worker.
+// caller for its only worker. Below it Partitions > 1 counts workers over
+// the same shards, whatever the count: a 16-host, 4-pod fat-tree is 4
+// engines on min(P, 4) workers at P = 2, 8 and 4,096, with the bytes of
+// the one-engine run, and a 3-leaf leaf-spine is 3 engines at P = 2.
 func TestPodShardBoundary(t *testing.T) {
-	build := func(topo scenario.FatTreeTopology) *scenario.Prepared {
+	prepare := func(topo scenario.Topology, until sim.Duration) *scenario.Prepared {
 		t.Helper()
 		p, err := scenario.Prepare(scenario.Scenario{
-			Scheme: scheme(t, scenario.PowerTCP), Topology: topo,
-			Traffic: []scenario.Traffic{scenario.Permutation{}}, Until: sim.Microsecond,
+			Scheme: scheme(t, scenario.PowerTCP), Seed: 3, Topology: topo,
+			Traffic: []scenario.Traffic{scenario.Permutation{}},
+			Probes:  []scenario.Probe{scenario.AccountingProbe{}},
+			Until:   until,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	below := build(scenario.FatTreeTopology{Pods: 7, TorsPerPod: 1, AggsPerPod: 1, ServersPerTor: 73})
+	below := prepare(scenario.FatTreeTopology{Pods: 7, TorsPerPod: 1, AggsPerPod: 1, ServersPerTor: 73}, sim.Microsecond)
 	defer below.Release()
 	if n := below.Env().Fabric.Hosts; n != scenario.PodShardHosts-1 {
 		t.Fatalf("the fabric below the rule has %d hosts, want %d: pick a new shape", n, scenario.PodShardHosts-1)
 	}
-	if below.Env().Lab.Net.PSim != nil {
-		t.Errorf("a %d-host fat-tree built a psim.Fabric", scenario.PodShardHosts-1)
+	if n := len(below.Env().Lab.Net.Engs); n != 1 {
+		t.Errorf("a %d-host fat-tree built %d engines", scenario.PodShardHosts-1, n)
 	}
-	at := build(scenario.FatTreeTopology{Pods: 8, TorsPerPod: 1, AggsPerPod: 1, ServersPerTor: 64})
+	at := prepare(scenario.FatTreeTopology{Pods: 8, TorsPerPod: 1, AggsPerPod: 1, ServersPerTor: 64}, sim.Microsecond)
 	defer at.Release()
 	if n := at.Env().Fabric.Hosts; n != scenario.PodShardHosts {
 		t.Fatalf("the fabric at the rule has %d hosts, want %d: pick a new shape", n, scenario.PodShardHosts)
 	}
 	net := at.Env().Lab.Net
-	if net.PSim == nil || len(net.Engs) != 8 || net.PSim.Workers() != 1 {
+	if len(net.Engs) != 8 || net.PSim.Workers() != 1 {
 		t.Errorf("a %d-host, 8-pod fat-tree: want 8 shards on 1 worker, got %d engines", scenario.PodShardHosts, len(net.Engs))
+	}
+
+	var want []byte
+	for _, parts := range []int{1, 2, 8, 4096} {
+		p := prepare(scenario.FatTreeTopology{ServersPerTor: 2, Partitions: parts}, 60*sim.Microsecond)
+		engines, workers := 4, min(parts, 4)
+		if parts == 1 {
+			engines = 1
+		}
+		if net := p.Env().Lab.Net; len(net.Engs) != engines || net.PSim.Workers() != workers {
+			t.Errorf("a 16-host, 4-pod fat-tree at Partitions %d: %d engines on %d workers, want %d on %d",
+				parts, len(net.Engs), net.PSim.Workers(), engines, workers)
+		}
+		p.DriveTo(p.Horizon())
+		res, err := p.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := encode(t, res)
+		p.Release()
+		if parts == 1 {
+			if res.Scalar("bytes_delivered") <= 0 {
+				t.Fatal("the 16-host run delivered nothing; it tests nothing")
+			}
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("Partitions %d diverged from Partitions 1\none:  %.300s\nmany: %.300s", parts, want, got)
+		}
+	}
+
+	ls := prepare(scenario.LeafSpineTopology{Leaves: 3, Spines: 2, ServersPerLeaf: 2, Partitions: 2}, sim.Microsecond)
+	defer ls.Release()
+	if net := ls.Env().Lab.Net; len(net.Engs) != 3 || net.PSim.Workers() != 2 {
+		t.Errorf("a 3-leaf leaf-spine at Partitions 2: %d engines on %d workers, want 3 on 2", len(net.Engs), net.PSim.Workers())
 	}
 }
 
@@ -194,7 +233,7 @@ func TestFluidRunsOnPodShards(t *testing.T) {
 		if n := p.Env().Fabric.Hosts; n < scenario.PodShardHosts {
 			t.Fatalf("the fabric has %d hosts, under the rule's %d", n, scenario.PodShardHosts)
 		}
-		if fab := p.Env().Lab.Net.PSim; fab == nil || fab.Workers() != workers {
+		if fab := p.Env().Lab.Net.PSim; len(p.Env().Lab.Net.Engs) != 4 || fab.Workers() != workers {
 			t.Fatalf("W=%d: a fabric with a fluid component was not sharded on %d workers", workers, workers)
 		}
 		p.DriveTo(p.Horizon())

@@ -37,15 +37,13 @@ type Env struct {
 	wrapAlg func(i int, alg cc.Algorithm) cc.Algorithm
 }
 
-// Eng returns the simulation engine of the built fabric — on a
-// partitioned network, the control engine probes and routing events
-// schedule on.
+// Eng returns the control engine of the built fabric, the one probes and
+// routing events schedule on (on a one-shard fabric, the only engine).
 func (env *Env) Eng() *sim.Engine { return env.Lab.Net.Eng }
 
 // Steps reports the total events executed by the run across every
-// engine driving the fabric (one engine serially; control plus
-// partition engines — an identical total — when partitioned).
-func (env *Env) Steps() uint64 { return env.Lab.Net.Steps() }
+// engine driving the fabric — the same total however it is sharded.
+func (env *Env) Steps() uint64 { return env.Lab.Net.PSim.Steps() }
 
 // TrafficPreparer is an optional Probe refinement: BeforeTraffic runs
 // after the fabric is built but before any flow launches, the hook
@@ -192,37 +190,28 @@ func (p *Prepared) Horizon() sim.Time { return p.env.Horizon }
 func (p *Prepared) Env() *Env { return p.env }
 
 // DriveTo advances the simulation to time t (clamped at the horizon).
-// Driving in slices is byte-identical to one call at the horizon: on a
-// serial engine consecutive RunUntil calls compose exactly, and the
-// partitioned fabric's barrier protocol terminates each slice with
-// every engine's clock at the slice end, so the next slice resumes the
+// The fabric's psim.Fabric does the stepping: one RunUntil when its only
+// shard is the control engine, otherwise the shard engines window by
+// window — on this goroutine alone when it has one worker — and the
+// control engine between slices; per-shard completion records merge
+// back into the exact serial append order in Finish. Driving in slices
+// is byte-identical to one call at the horizon: each slice ends with
+// every engine's clock at the slice end, so the next resumes the
 // identical event order. A tripped run (Trip non-nil) stops advancing.
 func (p *Prepared) DriveTo(t sim.Time) {
-	if t > p.env.Horizon {
-		t = p.env.Horizon
-	}
-	if p.env.Lab.Net.PSim != nil {
-		// Sharded: the conservative-sync fabric steps the shard engines
-		// window by window — on this goroutine alone when it has one
-		// worker — and the control engine between slices; the per-shard
-		// completion records merge back into the exact serial append
-		// order in Finish.
-		p.env.Lab.Net.PSim.Run(t)
-	} else {
-		p.env.Eng().RunUntil(t)
-	}
+	p.env.Lab.Net.PSim.Run(min(t, p.env.Horizon))
 }
 
 // ArmLimits installs in-loop engine limits (sim.Engine.SetLimits) on
-// every engine driving the fabric: the control/serial engine and, when
-// partitioned, each partition engine. stopSteps is a PER-ENGINE hard
-// backstop — deterministic but partition-dependent — so supervised
-// budget accounting compares aggregate Steps() at sim-time checkpoints
-// instead and sets this cap far above the real budget (see
-// internal/guard). The livelock run is counted per engine too: a shard
-// counts its own consecutive events at one instant, not its neighbours'.
-// A stuck model trips at the same instant however the fabric is sharded
-// — and a large fat-tree is sharded by its pods at any Partitions — but
+// every engine driving the fabric: the control engine and each partition
+// engine. stopSteps is a PER-ENGINE hard backstop — deterministic but
+// shard-dependent — so supervised budget accounting compares aggregate
+// Steps() at sim-time checkpoints instead and sets this cap far above
+// the real budget (see internal/guard). The livelock run is counted per
+// engine too: a shard counts its own consecutive events at one instant,
+// not its neighbours'. A stuck model trips at the same instant however
+// the fabric is sharded — and a large fat-tree is sharded by its pods at
+// any Partitions — but
 // the refused event and the SameRun that guard.LivelockError reports are
 // the stuck shard's, and may differ from what one engine, with every
 // shard's events of that instant in one run, would have reported.
@@ -234,15 +223,10 @@ func (p *Prepared) ArmLimits(stopSteps, maxSameInstant uint64) {
 }
 
 // Trip reports the in-loop limit stop that froze the run, or nil while
-// it is healthy. On a partitioned fabric the earliest refused event in
+// it is healthy. On a sharded fabric the earliest refused event in
 // canonical order is returned (deterministic even when several
 // partitions trip in one barrier round).
-func (p *Prepared) Trip() *sim.Trip {
-	if p.env.Lab.Net.PSim != nil {
-		return p.env.Lab.Net.PSim.Tripped()
-	}
-	return p.env.Eng().Tripped()
-}
+func (p *Prepared) Trip() *sim.Trip { return p.env.Lab.Net.PSim.Tripped() }
 
 // Steps reports the events executed so far across every engine driving
 // the fabric. At a given sim-time checkpoint the total is
@@ -257,21 +241,19 @@ func (p *Prepared) Steps() uint64 { return p.env.Steps() }
 // a test-only mode — pools count nothing and this reports zero.)
 func (p *Prepared) LivePackets() uint64 {
 	var n uint64
-	for _, pl := range p.env.Lab.pools() {
+	for _, pl := range p.env.Lab.Net.Pools {
 		n += pl.Live()
 	}
 	return n
 }
 
-// Finish merges partitioned completion records and finalizes every
+// Finish merges the shards' completion records and finalizes every
 // probe into the Result envelope. Call it once, after the final
 // DriveTo.
 func (p *Prepared) Finish() (*Result, error) {
 	env := p.env
 	sc := env.Scenario
-	if env.Lab.Net.PSim != nil {
-		env.Lab.mergeRecords()
-	}
+	env.Lab.mergeRecords()
 	res := &Result{Experiment: sc.Name, Scheme: sc.Scheme.Name, Seed: sc.Seed}
 	for _, pr := range sc.Probes {
 		if err := pr.Finalize(env, res); err != nil {

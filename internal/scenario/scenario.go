@@ -224,14 +224,12 @@ type FatTreeTopology struct {
 	// Routing selects the multipath strategy by name ("", "ecmp",
 	// "single", "wecmp"); empty keeps per-flow ECMP.
 	Routing string
-	// Partitions is how many workers drive the fabric; output is
-	// byte-identical at any count. On a fabric of podShardHosts hosts or
-	// more the shards are the fabric's own — one engine a pod
-	// (internal/psim) — and Partitions workers step them: 0 or 1 is the
-	// calling goroutine alone, going round the pods a lookahead window at
-	// a time, and W > 1 deals the pods to W goroutines. Below that size
-	// Partitions is also the shard count, as it always was: 0 or 1 is one
-	// engine, W > 1 is W engines along pod cuts on W goroutines.
+	// Partitions is how many workers drive the fabric (see shardPlan);
+	// output is byte-identical at any count. The shards are the fabric's
+	// own, one engine a pod (internal/psim). A fabric of podShardHosts
+	// hosts or more runs on them at any count, a smaller one when
+	// Partitions > 1. 0 or 1 is the calling goroutine alone; W > 1 deals
+	// the pods to W goroutines, never more than there are pods.
 	Partitions int
 	// Pods, TorsPerPod, AggsPerPod and Cores override the paper's 4-pod
 	// structure (0 keeps each default) — the scale benchmarks build
@@ -248,9 +246,10 @@ type FatTreeTopology struct {
 }
 
 // podShardHosts is the size from which a fat-tree runs pod by pod
-// whatever Partitions says. One time-ordered queue makes consecutive
-// events touch unrelated hosts, so a large fabric's ports, FIFOs, packets
-// and table rows are cycled through the cache once per packet time; one
+// whatever Partitions says (shardPlan). One time-ordered queue makes
+// consecutive events touch unrelated hosts, so a large fabric's ports,
+// FIFOs, packets and table rows are cycled through the cache once per
+// packet time; one
 // engine a pod, each advanced a lookahead window (a core link's 5 µs) at a
 // time, lets a pod's events run together. On one core a 10,240-host
 // fabric's events, the same ones in the same canonical order, cost
@@ -267,6 +266,21 @@ type FatTreeTopology struct {
 // hosts, a fifth at 384, a tenth at 512. Leaf-spine and star fabrics are
 // left alone: no workload in the repository has a large one to sweep.
 const podShardHosts = 512
+
+// shardPlan is the one place a run's shards are decided. A fabric runs
+// on its own plan when it is large (a fat-tree of podShardHosts hosts or
+// more) or when partitions asks for more than one worker; otherwise it
+// runs on one engine (nil, the one-shard plan). On its plan,
+// max(1, partitions) workers step the shards, never more than there are
+// shards (internal/psim). The shard count is the fabric's alone.
+func shardPlan(large bool, partitions int, plan func() *topo.Plan) *topo.Plan {
+	if !large && partitions <= 1 {
+		return nil
+	}
+	pl := plan()
+	pl.Workers = max(1, partitions)
+	return pl
+}
 
 func (t FatTreeTopology) build(env *Env) error {
 	// Structural dims are validated here, not panicked on downstream: the
@@ -297,19 +311,14 @@ func (t FatTreeTopology) build(env *Env) error {
 		AggsPerPod:    t.AggsPerPod,
 		Cores:         t.Cores,
 		ServersPerTor: spt,
-		Parts:         t.Partitions,
 	}.WithDefaults()
-	switch {
-	case t.singleEngine:
-		cfg.Parts = 0
-	case cfg.Pods >= 2 && cfg.Racks()*cfg.ServersPerTor >= podShardHosts:
-		plan := cfg.Partitions(cfg.Pods)
-		plan.Workers = max(1, t.Partitions)
-		cfg.Opts.Partition = plan
+	var plan *topo.Plan
+	if !t.singleEngine {
+		plan = shardPlan(cfg.Racks()*cfg.ServersPerTor >= podShardHosts, t.Partitions, cfg.Partitions)
 	}
 	env.Lab = newLab(env.Scheme, env.Seed, strategy, transport.Config{BaseRTT: 30 * sim.Microsecond},
 		func(o topo.Options) *topo.Network {
-			o.Partition = cfg.Opts.Partition // the lab's options, plus the plan chosen above
+			o.Partition = plan
 			cfg.Opts = o
 			return topo.FatTree(cfg)
 		})
@@ -370,10 +379,11 @@ type LeafSpineTopology struct {
 	// Routing selects the multipath strategy by name; empty keeps
 	// per-flow ECMP.
 	Routing string
-	// Partitions > 1 runs the fabric sharded across that many parallel
-	// engines along leaf/spine cuts (internal/psim); output is
-	// byte-identical to the serial run at any count. 0 or 1 runs
-	// serially.
+	// Partitions is how many workers drive the fabric (see shardPlan);
+	// output is byte-identical at any count. 0 or 1 is one engine on the
+	// calling goroutine; W > 1 runs the fabric's own shards, one engine a
+	// leaf with the spines dealt round them (internal/psim), on W
+	// goroutines, never more than there are leaves.
 	Partitions int
 }
 
@@ -403,10 +413,11 @@ func (t LeafSpineTopology) build(env *Env) error {
 		Spines:         t.Spines,
 		ServersPerLeaf: t.ServersPerLeaf,
 		SpineRates:     t.SpineRates,
-		Parts:          t.Partitions,
 	}
+	plan := shardPlan(false, t.Partitions, cfg.Partitions)
 	env.Lab = newLab(env.Scheme, env.Seed, strategy, transport.Config{BaseRTT: 16 * sim.Microsecond},
 		func(o topo.Options) *topo.Network {
+			o.Partition = plan
 			cfg.Opts = o
 			return topo.LeafSpine(cfg)
 		})

@@ -16,9 +16,9 @@ import (
 // wheel slot; run memory is a one-time cost.
 //
 // A lab uses of the scratch what its own shape has a place for — the
-// serial or control engine, and one shard engine and one slab list per
-// pool — and leaves the rest where it lies; Release writes back over the
-// places the lab used. So a scratch that alternates between a
+// control engine, a shard engine per shard when it has several, and one
+// slab list per pool — and leaves the rest where it lies; Release writes
+// back over the places the lab used. So a scratch that alternates between a
 // sixteen-shard fabric and a two-host star (the benchmark parks one
 // between passes; powersimd serves both kinds) keeps sixteen engines and
 // sixteen slab lists, and the fabric finds every shard as well supplied
@@ -31,7 +31,7 @@ import (
 // determinism suites pin this. The sync.Pool keeps scratches per-P, so
 // concurrent suite workers never contend or share a live scratch.
 type runScratch struct {
-	eng     *sim.Engine     // the serial engine, or a sharded run's control engine
+	eng     *sim.Engine     // the control engine, a one-shard run's only engine
 	engs    []*sim.Engine   // shard engines
 	slabs   [][]packet.Slab // one list per pool
 	records []FlowRecord
@@ -40,15 +40,6 @@ type runScratch struct {
 var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 
 func getScratch() *runScratch { return scratchPool.Get().(*runScratch) }
-
-// pools lists the fabric's packet pools: one per partition, or the
-// single shared pool of a serial network.
-func (l *Lab) pools() []*packet.Pool {
-	if l.Net.Pools != nil {
-		return l.Net.Pools
-	}
-	return []*packet.Pool{l.Net.Pool}
-}
 
 // Release ends the lab and returns its run memory to the scratch pool.
 // It is the only point where packets are reclaimed, and it reclaims all
@@ -69,15 +60,19 @@ func (l *Lab) Release() {
 	// as well supplied as it left it. A packet sent across a cut sits in
 	// another pool's free list, but it still belongs to the slab that
 	// made it, so collecting slabs hands each packet on exactly once.
-	for i, pl := range l.pools() {
+	for i, pl := range l.Net.Pools {
 		if i == len(sc.slabs) {
 			sc.slabs = append(sc.slabs, nil)
 		}
 		sc.slabs[i] = pl.Drain()
 	}
 	// The shard engines the scratch lent are still in their places; those
-	// the builder made join behind them.
+	// the builder made join behind them. A one-shard fabric's shard is the
+	// control engine, which goes back as that.
 	for i, e := range l.Net.Engs {
+		if e == l.Net.Eng {
+			break
+		}
 		e.Reset()
 		if i == len(sc.engs) {
 			sc.engs = append(sc.engs, e)

@@ -56,7 +56,7 @@ func runScratchPass(t *testing.T, sc Scenario) scratchPass {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pl := range lab.pools() {
+	for _, pl := range lab.Net.Pools {
 		gets, news, _ := pl.Stats()
 		out.gets += gets
 		out.news += news
@@ -142,14 +142,16 @@ func TestPartitionedReleaseReclaimsEachPacketOnce(t *testing.T) {
 		_, second = warmPair(t, 2)
 		sc = getScratch()
 	}
-	// The run's two pools wrote the first two lists; a scratch that once
-	// served a wider fabric keeps that fabric's other lists behind them.
-	if len(sc.slabs) < 2 {
-		t.Fatalf("scratch holds %d slab lists after a 2-partition run", len(sc.slabs))
+	// The run's four pools, one a pod, wrote the first four lists; a
+	// scratch that once served a wider fabric keeps that fabric's other
+	// lists behind them.
+	const pods = 4
+	if len(sc.slabs) < pods {
+		t.Fatalf("scratch holds %d slab lists after a %d-pod run", len(sc.slabs), pods)
 	}
 	seen := map[*packet.Packet]bool{}
 	blocks := map[*telemetry.HopRecord]bool{}
-	for i, slabs := range sc.slabs[:2] {
+	for i, slabs := range sc.slabs[:pods] {
 		if len(slabs) == 0 {
 			t.Fatalf("partition %d handed on no slabs", i)
 		}

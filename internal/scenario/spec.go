@@ -343,10 +343,11 @@ func (s *Spec) HasFailures() bool {
 	return false
 }
 
-// Build compiles the Spec into a fresh single-use Scenario sharded
-// across parts partition engines (1 runs serially), instrumented with
-// the accounting and FCT probes the invariant checker and the serving
-// path read.
+// Build compiles the Spec into a fresh single-use Scenario run by parts
+// workers over the fabric's own shards (see shardPlan; 1 is the calling
+// goroutine), instrumented with the accounting and FCT probes the
+// invariant checker and the serving path read. The Result is
+// byte-identical at any count.
 func (s *Spec) Build(parts int) (Scenario, error) {
 	topo, err := s.buildTopology(parts)
 	if err != nil {

@@ -133,6 +133,10 @@ func New(cfg Config) (*Server, error) {
 //	POST /v1/suite?parts=N JSON array of Specs → array of envelopes/errors
 //	GET  /v1/stats         counters snapshot
 //	GET  /healthz          200 while serving, 503 while draining
+//
+// parts (default 1) is the worker count a run steps the fabric's own
+// shards on — one a pod or a leaf — so it never multiplies engines;
+// results are byte-identical at any value, and the cache key includes it.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
@@ -283,6 +287,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	return body, err == nil
 }
 
+// partsParam reads ?parts=N, the run's worker count (see Handler).
 func partsParam(w http.ResponseWriter, r *http.Request) (int, bool) {
 	parts := 1
 	if v := r.URL.Query().Get("parts"); v != "" {

@@ -22,7 +22,7 @@ func Star(cfg StarConfig) *Network {
 	if cfg.LinkDelay == 0 {
 		cfg.LinkDelay = sim.Microsecond
 	}
-	n := newNetwork(cfg.HostRate, cfg.Opts)
+	n := newNetwork(cfg.HostRate, cfg.Hosts, 1, cfg.Opts)
 	si := n.addSwitch(cfg.Opts)
 	for i := 0; i < cfg.Hosts; i++ {
 		hi := n.addHost(cfg.Opts.Hosts)
@@ -60,7 +60,7 @@ func Dumbbell(cfg DumbbellConfig) *Network {
 	if cfg.BottleneckDelay == 0 {
 		cfg.BottleneckDelay = 4 * sim.Microsecond
 	}
-	n := newNetwork(cfg.HostRate, cfg.Opts)
+	n := newNetwork(cfg.HostRate, cfg.Left+cfg.Right, 2, cfg.Opts)
 	l := n.addSwitch(cfg.Opts)
 	r := n.addSwitch(cfg.Opts)
 	n.wireSwitches(l, r, cfg.BottleneckRate, cfg.BottleneckDelay, cfg.Opts)
@@ -102,11 +102,7 @@ type LeafSpineConfig struct {
 	// experiments stress. Shorter slices leave later spines at FabricRate.
 	SpineRates []units.BitRate
 	LinkDelay  sim.Duration // default 1 µs
-	// Parts > 1 shards the fabric for parallel execution using the
-	// rack-aligned plan from Partitions (ignored when Opts.Partition is
-	// already set).
-	Parts int
-	Opts  Options
+	Opts       Options
 }
 
 func (c *LeafSpineConfig) fillDefaults() {
@@ -160,10 +156,7 @@ func (c LeafSpineConfig) SpineSwitch(s int) int {
 // (l+1)·ServersPerLeaf) share leaf l; Switches lists leaves then spines.
 func LeafSpine(cfg LeafSpineConfig) *Network {
 	cfg.fillDefaults()
-	if cfg.Parts > 1 && cfg.Opts.Partition == nil {
-		cfg.Opts.Partition = cfg.Partitions(cfg.Parts)
-	}
-	n := newNetwork(cfg.HostRate, cfg.Opts)
+	n := newNetwork(cfg.HostRate, cfg.Leaves*cfg.ServersPerLeaf, cfg.Leaves+cfg.Spines, cfg.Opts)
 	leaves := make([]int, cfg.Leaves)
 	spines := make([]int, cfg.Spines)
 	for i := range leaves {
@@ -219,7 +212,7 @@ func ParkingLot(cfg ParkingLotConfig) *Network {
 	if cfg.LinkDelay == 0 {
 		cfg.LinkDelay = sim.Microsecond
 	}
-	n := newNetwork(cfg.HostRate, cfg.Opts)
+	n := newNetwork(cfg.HostRate, 2*cfg.Switches, cfg.Switches, cfg.Opts)
 	sw := make([]int, cfg.Switches)
 	for i := range sw {
 		sw[i] = n.addSwitch(cfg.Opts)
@@ -259,11 +252,7 @@ type FatTreeConfig struct {
 	FabricRate    units.BitRate // default 100 Gbps
 	EdgeDelay     sim.Duration  // default 1 µs (server and intra-pod links)
 	CoreDelay     sim.Duration  // default 5 µs (links to core)
-	// Parts > 1 shards the fabric for parallel execution using the
-	// pod-aligned plan from Partitions (ignored when Opts.Partition is
-	// already set).
-	Parts int
-	Opts  Options
+	Opts          Options
 }
 
 // WithDefaults returns the config with every zero field replaced by the
@@ -308,13 +297,9 @@ func (c *FatTreeConfig) fillDefaults() {
 // Switches[0..Pods·TorsPerPod), then aggregations, then cores.
 func FatTree(cfg FatTreeConfig) *Network {
 	cfg.fillDefaults()
-	if cfg.Parts > 1 && cfg.Opts.Partition == nil {
-		cfg.Opts.Partition = cfg.Partitions(cfg.Parts)
-	}
-	n := newNetwork(cfg.HostRate, cfg.Opts)
-
 	nTors := cfg.Pods * cfg.TorsPerPod
 	nAggs := cfg.Pods * cfg.AggsPerPod
+	n := newNetwork(cfg.HostRate, nTors*cfg.ServersPerTor, nTors+nAggs+cfg.Cores, cfg.Opts)
 	tors := make([]int, nTors)
 	aggs := make([]int, nAggs)
 	cores := make([]int, cfg.Cores)

@@ -32,7 +32,12 @@
 //   - Host and switch port creation order is deterministic and
 //     documented per builder (servers first, then fabric ports in peer
 //     order), so tests and experiments may index ports structurally.
-//   - Every endpoint and switch shares the Network's packet free list;
-//     BaseRTT is computed from the built topology so transports can use
+//   - Every network runs on a Plan (Options.Partition): each host and
+//     switch on its partition's engine and packet free list. The shards
+//     are the fabric's own — FatTreeConfig.Partitions is one a pod,
+//     LeafSpineConfig.Partitions one a leaf — and with no plan a fabric
+//     is one shard on the control engine (Network.Eng), which is a
+//     serial run. Plan.Workers only says how many goroutines step them.
+//   - BaseRTT is computed from the built topology so transports can use
 //     the fabric's true τ.
 package topo

@@ -104,7 +104,7 @@ func (r *Rotor) CircuitPort(t int) *link.Port { return r.net.Switches[t].Ports()
 // out of the graph, and the rotor moves routes onto it.
 func RotorFabric(cfg RotorConfig) *Network {
 	cfg = cfg.WithDefaults()
-	n := newNetwork(cfg.HostRate, cfg.Opts)
+	n := newNetwork(cfg.HostRate, cfg.Tors*cfg.ServersPerTor, cfg.Tors+1, cfg.Opts)
 	n.BaseRTT = cfg.BaseRTT()
 	r := &Rotor{
 		Cfg: cfg, Sched: cfg.Schedule(), net: n,

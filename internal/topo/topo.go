@@ -60,18 +60,18 @@ type Options struct {
 	// the seam suite harnesses use to hand a Reset() engine (warmed slot
 	// rings and node free list) from one run to the next. Nil builds a
 	// fresh engine. The engine must be at time zero with no pending
-	// events. Under a partition plan this engine becomes the control
-	// engine (probes, routing events).
+	// events. It is the control engine (probes, routing events), and on a
+	// one-shard plan the shard's engine as well.
 	Engine *sim.Engine
-	// ShardEngines are recycled engines for a partition plan, under the
-	// same conditions as Engine: partition i runs on ShardEngines[i], and
-	// partitions beyond the slice get fresh engines.
+	// ShardEngines are recycled engines for a plan of several partitions,
+	// under the same conditions as Engine: partition i runs on
+	// ShardEngines[i], and partitions beyond the slice get fresh engines.
 	ShardEngines []*sim.Engine
-	// Partition, when non-nil with Parts > 1, shards the fabric
-	// (internal/psim): every host and switch runs on its partition's
-	// engine and packet pool, cut links deliver through mailboxes, and
-	// the built Network carries a ready psim.Fabric.
-	// Plans come from FatTreeConfig.Partitions / LeafSpineConfig.Partitions.
+	// Partition is the plan the fabric runs on (internal/psim): every host
+	// and switch runs on its partition's engine and packet pool, and cut
+	// links deliver through mailboxes. Plans come from
+	// FatTreeConfig.Partitions / LeafSpineConfig.Partitions; nil is the
+	// one-shard plan.
 	Partition *Plan
 }
 
@@ -80,24 +80,24 @@ const TofinoBufferPerGbps int64 = 10 * 1024
 
 // Network is a wired topology ready to run experiments on.
 type Network struct {
-	// Eng is the engine a serial network runs on. Under a partition plan
-	// it is the control engine: probes and routing events live here and
+	// Eng is the control engine: probes and routing events live here and
 	// fire single-threaded between partition slices (see internal/psim).
+	// On a one-shard plan it is also the shard's engine, and the network
+	// runs on it alone.
 	Eng      *sim.Engine
 	Hosts    []Node
 	Switches []*swtch.Switch
 	BaseRTT  sim.Duration
 	HostRate units.BitRate
-	// Pool is the engine-wide packet free list every endpoint and switch
-	// recycles through. Under a partition plan it aliases Pools[0].
+	// Pool is partition 0's packet free list — on a one-shard plan the
+	// one every endpoint and switch recycles through.
 	Pool *packet.Pool
 	// Router is the routing control plane: it computed the installed
 	// tables and can fail/restore links and reconverge (internal/route).
 	Router *route.Router
 
-	// Partitioned-execution state, nil/empty on a serial network: the
-	// per-partition engines and packet pools, the plan that placed every
-	// entity, and the conservative-sync fabric that runs them.
+	// The plan that placed every entity, the per-partition engines and
+	// packet pools, and the conservative-sync fabric that runs them.
 	Engs  []*sim.Engine
 	Pools []*packet.Pool
 	Part  *Plan
@@ -137,87 +137,48 @@ func (n *Network) TransportHost(i int) *transport.Host {
 // HostID returns the node ID of host i.
 func (n *Network) HostID(i int) packet.NodeID { return n.Hosts[i].ID() }
 
-// newNetwork allocates the shell all builders fill in. Under a
-// partition plan it also spins up the per-partition engines and pools
-// and the psim fabric with one bidirectional sync edge per cut.
-func newNetwork(hostRate units.BitRate, opts Options) *Network {
+// newNetwork allocates the shell all builders fill in for a fabric of
+// the given host and switch counts: the plan's engines and pools and the
+// psim fabric with one bidirectional sync edge per cut. A one-shard
+// plan's engine is the control engine.
+func newNetwork(hostRate units.BitRate, hosts, switches int, opts Options) *Network {
 	eng := opts.Engine
 	if eng == nil {
 		eng = sim.New()
 	}
-	n := &Network{Eng: eng, HostRate: hostRate, Pool: packet.NewPool()}
-	if pl := opts.Partition; pl != nil && pl.Parts > 1 {
-		pl.validate()
-		n.Part = pl
-		n.Engs = make([]*sim.Engine, pl.Parts)
-		n.Pools = make([]*packet.Pool, pl.Parts)
+	pl := opts.Partition
+	if pl == nil {
+		pl = onePart(hosts, switches)
+	}
+	pl.validate(hosts, switches)
+	n := &Network{
+		Eng: eng, HostRate: hostRate, Part: pl,
+		Engs: make([]*sim.Engine, pl.Parts), Pools: make([]*packet.Pool, pl.Parts),
+	}
+	if pl.Parts == 1 {
+		n.Engs[0] = eng
+	} else {
 		copy(n.Engs, opts.ShardEngines)
-		for i := range n.Engs {
-			if n.Engs[i] == nil {
-				n.Engs[i] = sim.New()
-			}
-			n.Pools[i] = packet.NewPool()
+	}
+	for i := range n.Engs {
+		if n.Engs[i] == nil {
+			n.Engs[i] = sim.New()
 		}
-		// Partition 0's pool is the network-wide one, so code that only
-		// knows Pool reaches a pool that is in use.
-		n.Pools[0] = n.Pool
-		n.PSim = psim.New(eng, n.Engs, pl.Workers)
-		for _, c := range pl.Cuts {
-			pa, pb := pl.SwitchPart[c.A], pl.SwitchPart[c.B]
-			n.PSim.AddEdge(pa, pb, c.Lookahead)
-			n.PSim.AddEdge(pb, pa, c.Lookahead)
-		}
+		n.Pools[i] = packet.NewPool()
+	}
+	n.Pool = n.Pools[0]
+	n.PSim = psim.New(eng, n.Engs, pl.Workers)
+	for _, c := range pl.Cuts {
+		pa, pb := pl.SwitchPart[c.A], pl.SwitchPart[c.B]
+		n.PSim.AddEdge(pa, pb, c.Lookahead)
+		n.PSim.AddEdge(pb, pa, c.Lookahead)
 	}
 	return n
 }
 
-// hostPart returns the partition owning host hi (0 when serial).
-func (n *Network) hostPart(hi int) int {
-	if n.Part == nil {
-		return 0
-	}
-	return n.Part.HostPart[hi]
-}
-
-// switchPart returns the partition owning switch si (0 when serial).
-func (n *Network) switchPart(si int) int {
-	if n.Part == nil {
-		return 0
-	}
-	return n.Part.SwitchPart[si]
-}
-
-// engFor returns partition part's engine (the shared engine when serial).
-func (n *Network) engFor(part int) *sim.Engine {
-	if n.Engs == nil {
-		return n.Eng
-	}
-	return n.Engs[part]
-}
-
-// poolFor returns partition part's packet pool (the shared pool when
-// serial).
-func (n *Network) poolFor(part int) *packet.Pool {
-	if n.Pools == nil {
-		return n.Pool
-	}
-	return n.Pools[part]
-}
-
-// HostEngine returns the engine host hi runs on: the shared engine on
-// a serial network, the owning partition's engine otherwise. Setup code
-// that schedules on a host's behalf (flow launches) must use it.
-func (n *Network) HostEngine(hi int) *sim.Engine { return n.engFor(n.hostPart(hi)) }
-
-// Steps reports the total number of events executed: the single
-// engine's count on a serial network, the sum over control and
-// partition engines after a partitioned run — equal by construction.
-func (n *Network) Steps() uint64 {
-	if n.PSim != nil {
-		return n.PSim.Steps()
-	}
-	return n.Eng.Steps()
-}
+// HostEngine returns the engine host hi runs on, its partition's. Setup
+// code that schedules on a host's behalf (flow launches) must use it.
+func (n *Network) HostEngine(hi int) *sim.Engine { return n.Engs[n.Part.HostPart[hi]] }
 
 // poolUser lets endpoints opt into the network-wide packet free list
 // without widening the HostFactory signature.
@@ -227,10 +188,10 @@ type poolUser interface {
 
 func (n *Network) addHost(f HostFactory) int {
 	id := packet.NodeID(len(n.Hosts))
-	part := n.hostPart(len(n.Hosts))
-	h := f(n.engFor(part), id)
+	part := n.Part.HostPart[len(n.Hosts)]
+	h := f(n.Engs[part], id)
 	if pu, ok := h.(poolUser); ok {
-		pu.SetPool(n.poolFor(part))
+		pu.SetPool(n.Pools[part])
 	}
 	n.Hosts = append(n.Hosts, h)
 	return len(n.Hosts) - 1
@@ -240,13 +201,13 @@ func (n *Network) addSwitch(opts Options) int {
 	// Switch node IDs live above host IDs; they only matter for debug
 	// output since routing is table-driven.
 	id := packet.NodeID(1<<16 + len(n.Switches))
-	part := n.switchPart(len(n.Switches))
-	s := swtch.New(n.engFor(part), id, swtch.Config{
+	part := n.Part.SwitchPart[len(n.Switches)]
+	s := swtch.New(n.Engs[part], id, swtch.Config{
 		Alpha: opts.Alpha,
 		INT:   opts.INT,
 		ECN:   opts.ECN,
 		Seed:  opts.Seed,
-		Pool:  n.poolFor(part),
+		Pool:  n.Pools[part],
 	})
 	n.Switches = append(n.Switches, s)
 	n.swPeers = append(n.swPeers, nil)
@@ -260,18 +221,18 @@ func (n *Network) qFor(opts Options) queue.Queue {
 	return nil
 }
 
-// wireHost connects host hi and switch si bidirectionally. Under a
-// partition plan host and switch must be co-partitioned — plans keep
-// racks whole, so host links are never cuts.
+// wireHost connects host hi and switch si bidirectionally. Host and
+// switch must be co-partitioned — plans keep racks whole, so host links
+// are never cuts.
 func (n *Network) wireHost(hi, si int, rate units.BitRate, delay sim.Duration, opts Options) {
-	part := n.hostPart(hi)
-	if sp := n.switchPart(si); sp != part {
+	part := n.Part.HostPart[hi]
+	if sp := n.Part.SwitchPart[si]; sp != part {
 		panic(fmt.Sprintf("topo: host %d (partition %d) wired to switch %d (partition %d)", hi, part, si, sp))
 	}
 	h := n.Hosts[hi]
 	s := n.Switches[si]
-	up := link.NewPort(n.engFor(part), rate, delay, s)
-	up.Pool = n.poolFor(part)
+	up := link.NewPort(n.Engs[part], rate, delay, s)
+	up.Pool = n.Pools[part]
 	h.SetUplink(up)
 	s.AddPort(rate, delay, h, n.qFor(opts))
 	n.swPeers[si] = append(n.swPeers[si], peerRef{isHost: true, idx: hi})
@@ -325,7 +286,7 @@ func (n *Network) wireSwitches(ai, bi int, rate units.BitRate, delay sim.Duratio
 	n.swPeers[ai] = append(n.swPeers[ai], peerRef{idx: bi})
 	pb := n.Switches[bi].AddPort(rate, delay, n.Switches[ai], n.qFor(opts))
 	n.swPeers[bi] = append(n.swPeers[bi], peerRef{idx: ai})
-	if wa, wb := n.switchPart(ai), n.switchPart(bi); wa != wb {
+	if wa, wb := n.Part.SwitchPart[ai], n.Part.SwitchPart[bi]; wa != wb {
 		n.crossWire(n.Switches[ai].Ports()[pa], wb, n.Switches[bi])
 		n.crossWire(n.Switches[bi].Ports()[pb], wa, n.Switches[ai])
 	}
@@ -340,7 +301,7 @@ func (n *Network) wireSwitches(ai, bi int, rate units.BitRate, delay sim.Duratio
 // side, with losses counted on the port's remote counter and the
 // packet recycled into the receiver's pool.
 func (n *Network) crossWire(pt *link.Port, dst int, peer link.Receiver) {
-	pool := n.poolFor(dst)
+	pool := n.Pools[dst]
 	mb := n.PSim.NewMailbox(dst, func(arg any) {
 		p := arg.(*packet.Packet)
 		if pt.IsDown() {
