@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"bytes"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 // Every registered scheme must survive the incast scenario end-to-end:
@@ -12,6 +15,12 @@ import (
 // deterministic enough to summarize. This guards the whole
 // scheme-to-switch-feature wiring (INT, ECN, priority queues). The runs
 // execute as one parallel suite — the same path cmd/figures uses.
+//
+// Each scheme's encoded Result is also pinned byte for byte in
+// testdata/golden/schemes/<scheme>.json, so a wrong constant in any
+// law fails here; reTCP, which runs only on the rotor fabric, is pinned
+// through one small RDCN cell. Regenerate with POWERTCP_UPDATE_GOLDEN=1,
+// only when a change is meant to alter a law's output.
 func TestEverySchemeRunsIncast(t *testing.T) {
 	schemes := append([]string{}, scenario.Schemes...)
 	schemes = append(schemes, scenario.DCTCP, scenario.Reno, "homa-oc3")
@@ -22,6 +31,8 @@ func TestEverySchemeRunsIncast(t *testing.T) {
 		specs = append(specs, Spec{Preset: Incast{FanIn: 6, Window: 8 * sim.Millisecond},
 			Scheme: sc, Seed: 11})
 	}
+	specs = append(specs, Spec{Preset: RDCN{Tors: 4, Weeks: 2, PacketRate: 25 * units.Gbps},
+		Scheme: scenario.ReTCP600, Seed: 11})
 	results, err := NewSuite(specs...).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -37,5 +48,12 @@ func TestEverySchemeRunsIncast(t *testing.T) {
 		if len(points(t, r, "queue_kb")) == 0 {
 			t.Fatalf("%s: no samples", sc)
 		}
+	}
+	for i, spec := range specs {
+		var buf bytes.Buffer
+		if err := results[i].EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, filepath.Join("testdata", "golden", "schemes", spec.Scheme+".json"), buf.Bytes())
 	}
 }

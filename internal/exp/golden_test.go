@@ -45,7 +45,6 @@ func goldenSpecs() []Spec {
 // powersimd serves is the whole result, so a figure drawn from it is
 // the figure drawn in process.
 func TestGoldenCompatibility(t *testing.T) {
-	update := os.Getenv("POWERTCP_UPDATE_GOLDEN") != ""
 	specs := goldenSpecs()
 
 	// Every registered experiment must be covered, so a new experiment
@@ -70,30 +69,41 @@ func TestGoldenCompatibility(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join("testdata", "golden", spec.Preset.Name()+".json")
-		if update {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if !checkGolden(t, path, buf.Bytes()) {
 			continue
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: missing golden (run with POWERTCP_UPDATE_GOLDEN=1): %v",
-				spec.Preset.Name(), err)
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Errorf("%s: seed-1 output differs from recorded golden %s (%d vs %d bytes)",
-				spec.Preset.Name(), path, len(buf.Bytes()), len(want))
-		}
 		var served scenario.Result
-		if err := json.Unmarshal(want, &served); err != nil {
+		if err := json.Unmarshal(buf.Bytes(), &served); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		if !reflect.DeepEqual(&served, r) {
 			t.Errorf("%s: the decoded golden is not the in-process Result", spec.Preset.Name())
 		}
 	}
+}
+
+// checkGolden compares got byte for byte with the golden file at path,
+// or writes it there under POWERTCP_UPDATE_GOLDEN. It reports whether
+// the golden was compared (false: written, missing or different).
+func checkGolden(t *testing.T, path string, got []byte) bool {
+	t.Helper()
+	if os.Getenv("POWERTCP_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return false
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Errorf("missing golden (run with POWERTCP_UPDATE_GOLDEN=1): %v", err)
+		return false
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("seed output differs from recorded golden %s (%d vs %d bytes)", path, len(got), len(want))
+		return false
+	}
+	return true
 }
