@@ -17,22 +17,6 @@ import (
 // mark tells the sender *that* a queue exceeded a threshold, not how fast
 // it is growing (§2, Fig. 2).
 type DCQCN struct {
-	// G is the α-update gain g (default 1/256).
-	G float64
-	// RateAI / RateHAI are the additive and hyper increase steps
-	// (defaults 40 Mbps / 400 Mbps).
-	RateAI, RateHAI units.BitRate
-	// AlphaTimer is the α-decay period without CNPs (default 55 µs).
-	AlphaTimer sim.Duration
-	// IncTimer is the rate-increase timer period (default 55 µs).
-	IncTimer sim.Duration
-	// IncBytes is the byte-counter stage size (default 10 MB).
-	IncBytes int64
-	// F is the fast-recovery stage count (default 5).
-	F int
-	// MinRate floors the sending rate (default 40 Mbps).
-	MinRate units.BitRate
-
 	lim Limits
 
 	rate   units.BitRate // RC
@@ -46,6 +30,21 @@ type DCQCN struct {
 	alphaTimer *sim.Timer
 	incTimer   *sim.Timer
 }
+
+// DCQCN's reaction-point parameters, the DCQCN paper's published
+// settings (Zhu et al., SIGCOMM 2015).
+const (
+	dcqcnG float64 = 1.0 / 256 // α-update gain g
+
+	dcqcnRateAI  = 40 * units.Mbps  // additive increase step R_AI
+	dcqcnRateHAI = 400 * units.Mbps // hyper increase step R_HAI
+
+	dcqcnAlphaTimer = 55 * sim.Microsecond // α-decay period without CNPs
+	dcqcnIncTimer   = 55 * sim.Microsecond // rate-increase timer period
+	dcqcnIncBytes   = 10 << 20             // byte-counter stage size B
+	dcqcnF          = 5                    // fast-recovery stage count F
+	dcqcnMinRate    = 40 * units.Mbps      // sending-rate floor
+)
 
 // NewDCQCN returns a DCQCN reaction point with published defaults.
 func NewDCQCN() *DCQCN { return &DCQCN{} }
@@ -62,30 +61,6 @@ func (d *DCQCN) ECT() bool { return true }
 // Init implements Algorithm.
 func (d *DCQCN) Init(lim Limits) {
 	d.lim = lim
-	if d.G == 0 {
-		d.G = 1.0 / 256
-	}
-	if d.RateAI == 0 {
-		d.RateAI = 40 * units.Mbps
-	}
-	if d.RateHAI == 0 {
-		d.RateHAI = 400 * units.Mbps
-	}
-	if d.AlphaTimer == 0 {
-		d.AlphaTimer = 55 * sim.Microsecond
-	}
-	if d.IncTimer == 0 {
-		d.IncTimer = 55 * sim.Microsecond
-	}
-	if d.IncBytes == 0 {
-		d.IncBytes = 10 << 20
-	}
-	if d.F == 0 {
-		d.F = 5
-	}
-	if d.MinRate == 0 {
-		d.MinRate = 40 * units.Mbps
-	}
 	d.rate = lim.HostRate
 	d.target = lim.HostRate
 	d.alpha = 1
@@ -93,7 +68,7 @@ func (d *DCQCN) Init(lim Limits) {
 		// Pre-bound, reschedulable timers: the per-CNP α-timer reset and
 		// the periodic increase both re-arm without allocating.
 		d.alphaTimer = lim.Engine.NewTimer(func() {
-			d.alpha *= 1 - d.G
+			d.alpha *= 1 - dcqcnG
 			d.armAlphaTimer()
 		})
 		d.incTimer = lim.Engine.NewTimer(func() {
@@ -121,8 +96,8 @@ func (d *DCQCN) Rate() units.BitRate { return d.rate }
 // OnAck implements Algorithm: advances the byte counter.
 func (d *DCQCN) OnAck(a Ack) {
 	d.byteAcc += a.NewlyAcked
-	for d.byteAcc >= d.IncBytes {
-		d.byteAcc -= d.IncBytes
+	for d.byteAcc >= dcqcnIncBytes {
+		d.byteAcc -= dcqcnIncBytes
 		d.byteStage++
 		d.raise()
 	}
@@ -132,15 +107,15 @@ func (d *DCQCN) OnAck(a Ack) {
 // serious event; halve like a CNP with α=1.
 func (d *DCQCN) OnLoss(sim.Time) {
 	d.target = d.rate
-	d.rate = units.MaxRate(d.rate/2, d.MinRate)
+	d.rate = units.MaxRate(d.rate/2, dcqcnMinRate)
 	d.resetIncrease()
 }
 
 // OnCNP implements CNPHandler: the DCQCN rate cut.
 func (d *DCQCN) OnCNP(sim.Time) {
 	d.target = d.rate
-	d.rate = units.MaxRate(units.BitRate(float64(d.rate)*(1-d.alpha/2)), d.MinRate)
-	d.alpha = (1-d.G)*d.alpha + d.G
+	d.rate = units.MaxRate(units.BitRate(float64(d.rate)*(1-d.alpha/2)), dcqcnMinRate)
+	d.alpha = (1-dcqcnG)*d.alpha + dcqcnG
 	d.resetIncrease()
 	d.armAlphaTimer()
 }
@@ -154,13 +129,13 @@ func (d *DCQCN) resetIncrease() {
 
 func (d *DCQCN) armAlphaTimer() {
 	if d.alphaTimer != nil {
-		d.alphaTimer.ArmAfter(d.AlphaTimer)
+		d.alphaTimer.ArmAfter(dcqcnAlphaTimer)
 	}
 }
 
 func (d *DCQCN) armIncTimer() {
 	if d.incTimer != nil {
-		d.incTimer.ArmAfter(d.IncTimer)
+		d.incTimer.ArmAfter(dcqcnIncTimer)
 	}
 }
 
@@ -169,10 +144,10 @@ func (d *DCQCN) armIncTimer() {
 // increase once both counters pass F.
 func (d *DCQCN) raise() {
 	switch {
-	case d.timerStage > d.F && d.byteStage > d.F:
-		d.target = units.MinRate(d.target+d.RateHAI, d.lim.HostRate)
-	case d.timerStage > d.F || d.byteStage > d.F:
-		d.target = units.MinRate(d.target+d.RateAI, d.lim.HostRate)
+	case d.timerStage > dcqcnF && d.byteStage > dcqcnF:
+		d.target = units.MinRate(d.target+dcqcnRateHAI, d.lim.HostRate)
+	case d.timerStage > dcqcnF || d.byteStage > dcqcnF:
+		d.target = units.MinRate(d.target+dcqcnRateAI, d.lim.HostRate)
 	}
 	d.rate = units.MinRate((d.rate+d.target)/2, d.lim.HostRate)
 }

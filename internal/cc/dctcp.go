@@ -15,11 +15,6 @@ import (
 // window, so the queue oscillates around K (which must exceed b·τ/7)
 // instead of draining to zero.
 type DCTCP struct {
-	// G is the α estimation gain (default 1/16).
-	G float64
-	// MinCwnd floors the window (default one MSS).
-	MinCwnd float64
-
 	lim Limits
 
 	cwnd  float64
@@ -29,6 +24,10 @@ type DCTCP struct {
 	markedBytes int64 // of which carried an ECN echo
 	windowEnd   int64 // sequence ending the observation window
 }
+
+// dctcpG is DCTCP's α estimation gain g, the DCTCP paper's 1/16. The
+// window floors at one MSS.
+const dctcpG float64 = 1.0 / 16
 
 // NewDCTCP returns a DCTCP instance with published defaults.
 func NewDCTCP() *DCTCP { return &DCTCP{} }
@@ -45,12 +44,6 @@ func (d *DCTCP) ECT() bool { return true }
 // Init implements Algorithm.
 func (d *DCTCP) Init(lim Limits) {
 	d.lim = lim
-	if d.G == 0 {
-		d.G = 1.0 / 16
-	}
-	if d.MinCwnd == 0 {
-		d.MinCwnd = float64(lim.MSS)
-	}
 	d.cwnd = lim.BDP()
 }
 
@@ -64,7 +57,7 @@ func (d *DCTCP) Rate() units.BitRate { return 0 }
 
 // OnLoss implements Algorithm: classic halving.
 func (d *DCTCP) OnLoss(sim.Time) {
-	d.cwnd = math.Max(d.cwnd/2, d.MinCwnd)
+	d.cwnd = math.Max(d.cwnd/2, float64(d.lim.MSS))
 }
 
 // OnAck implements Algorithm.
@@ -83,7 +76,7 @@ func (d *DCTCP) OnAck(a Ack) {
 	// One observation window (≈ one RTT of data) completed.
 	if d.ackedBytes > 0 {
 		frac := float64(d.markedBytes) / float64(d.ackedBytes)
-		d.alpha = (1-d.G)*d.alpha + d.G*frac
+		d.alpha = (1-dctcpG)*d.alpha + dctcpG*frac
 		if d.markedBytes > 0 {
 			d.cwnd *= 1 - d.alpha/2
 		}
@@ -97,5 +90,5 @@ func (d *DCTCP) clamp() {
 	// DCTCP must be able to push the queue up to the marking threshold
 	// K, so unlike the near-zero-queue laws its cap sits well above one
 	// BDP (the standing queue of §2.2 is the point of the comparison).
-	d.cwnd = clamp(d.cwnd, d.MinCwnd, 4*d.lim.BDP())
+	d.cwnd = clamp(d.cwnd, float64(d.lim.MSS), 4*d.lim.BDP())
 }

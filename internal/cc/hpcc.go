@@ -24,15 +24,6 @@ import (
 // below target (the paper's classification: a voltage-based law — it
 // reacts to inflight state, not to its trend).
 type HPCC struct {
-	// Eta is the target utilization η (default 0.95).
-	Eta float64
-	// MaxStage bounds consecutive additive-increase stages (default 5).
-	MaxStage int
-	// ExpectedFlows sets W_AI = Winit·(1−η)/N (default 10).
-	ExpectedFlows int
-	// MinCwnd floors the window in bytes (default 100).
-	MinCwnd float64
-
 	lim   Limits
 	wai   float64
 	winit float64
@@ -46,6 +37,16 @@ type HPCC struct {
 	havePrev bool
 }
 
+// HPCC's parameters, the HPCC paper's published settings (Li et al.,
+// SIGCOMM 2019). hpccEta is typed so that W_AI's constant factor (1−η)
+// rounds as it does at run time.
+const (
+	hpccEta           float64 = 0.95 // target utilization η
+	hpccMaxStage              = 5    // consecutive additive-increase stages
+	hpccExpectedFlows         = 10   // N in W_AI = Winit·(1−η)/N
+	hpccMinCwnd       float64 = 100  // window floor, bytes
+)
+
 // NewHPCC returns an HPCC instance with the published defaults.
 func NewHPCC() *HPCC { return &HPCC{} }
 
@@ -58,20 +59,8 @@ func (h *HPCC) Name() string { return "hpcc" }
 // Init implements Algorithm.
 func (h *HPCC) Init(lim Limits) {
 	h.lim = lim
-	if h.Eta == 0 {
-		h.Eta = 0.95
-	}
-	if h.MaxStage == 0 {
-		h.MaxStage = 5
-	}
-	if h.ExpectedFlows == 0 {
-		h.ExpectedFlows = 10
-	}
-	if h.MinCwnd == 0 {
-		h.MinCwnd = 100
-	}
 	h.winit = lim.BDP()
-	h.wai = h.winit * (1 - h.Eta) / float64(h.ExpectedFlows)
+	h.wai = h.winit * (1 - hpccEta) / hpccExpectedFlows
 	h.cwnd = h.winit
 	h.wc = h.winit
 	h.u = 1
@@ -91,7 +80,7 @@ func (h *HPCC) Rate() units.BitRate {
 
 // OnLoss implements Algorithm.
 func (h *HPCC) OnLoss(sim.Time) {
-	h.cwnd = math.Max(h.cwnd/2, h.MinCwnd)
+	h.cwnd = math.Max(h.cwnd/2, hpccMinCwnd)
 	h.wc = math.Min(h.wc, h.cwnd)
 }
 
@@ -119,8 +108,8 @@ func (h *HPCC) OnAck(a Ack) {
 
 	updateWc := a.AckSeq >= h.lastSeq
 	var w float64
-	if h.u >= h.Eta || h.incStage >= h.MaxStage {
-		w = h.wc/(h.u/h.Eta) + h.wai
+	if h.u >= hpccEta || h.incStage >= hpccMaxStage {
+		w = h.wc/(h.u/hpccEta) + h.wai
 		if updateWc {
 			h.incStage = 0
 			h.wc = w
@@ -134,7 +123,7 @@ func (h *HPCC) OnAck(a Ack) {
 			h.lastSeq = a.SndNxt
 		}
 	}
-	h.cwnd = clamp(w, h.MinCwnd, h.winit)
+	h.cwnd = clamp(w, hpccMinCwnd, h.winit)
 }
 
 // measure returns max_j U_j and the Δt of the maximizing hop.

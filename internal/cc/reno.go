@@ -14,9 +14,6 @@ import (
 // maximum before reacting; the standing-queue ablation benchmark shows
 // exactly that against PowerTCP.
 type Reno struct {
-	// MinCwnd floors the window (default one MSS).
-	MinCwnd float64
-
 	lim      Limits
 	cwnd     float64
 	ssthresh float64
@@ -34,9 +31,6 @@ func (r *Reno) Name() string { return "reno" }
 // Init implements Algorithm: slow start from a small window.
 func (r *Reno) Init(lim Limits) {
 	r.lim = lim
-	if r.MinCwnd == 0 {
-		r.MinCwnd = float64(lim.MSS)
-	}
 	r.cwnd = 10 * float64(lim.MSS) // RFC 6928 initial window
 	r.ssthresh = math.Inf(1)
 }
@@ -64,5 +58,5 @@ func (r *Reno) OnAck(a Ack) {
 // OnLoss implements Algorithm: multiplicative decrease.
 func (r *Reno) OnLoss(sim.Time) {
 	r.ssthresh = math.Max(r.cwnd/2, 2*float64(r.lim.MSS))
-	r.cwnd = math.Max(r.ssthresh, r.MinCwnd)
+	r.cwnd = r.ssthresh
 }

@@ -12,21 +12,6 @@ import (
 // on inflight data. As §2.2 shows, the gradient signal reacts fast but
 // admits no unique equilibrium queue length.
 type Timely struct {
-	// EWMAAlpha weighs new RTT-difference samples (default 0.875).
-	EWMAAlpha float64
-	// Beta is the multiplicative-decrease factor (default 0.8).
-	Beta float64
-	// TLow/THigh are the RTT guard thresholds (defaults 50 µs / 500 µs,
-	// as in the TIMELY paper's datacenter configuration).
-	TLow, THigh sim.Duration
-	// AddStep δ is the additive rate increment (default 30 Mbps).
-	AddStep units.BitRate
-	// HAIThresh is the consecutive-negative-gradient count that triggers
-	// hyperactive increase (default 5).
-	HAIThresh int
-	// MinRate floors the sending rate (default 10 Mbps).
-	MinRate units.BitRate
-
 	lim Limits
 
 	rate      units.BitRate
@@ -36,6 +21,20 @@ type Timely struct {
 	negStreak int
 	lastSeq   int64 // once-per-RTT update gate
 }
+
+// TIMELY's parameters: the TIMELY paper's datacenter configuration
+// (Mittal et al., SIGCOMM 2015).
+const (
+	timelyEWMAAlpha float64 = 0.875 // weight of a new RTT-difference sample
+	timelyBeta      float64 = 0.8   // multiplicative-decrease factor β
+
+	timelyTLow  = 50 * sim.Microsecond  // below T_low: always increase
+	timelyTHigh = 500 * sim.Microsecond // above T_high: decrease toward it
+
+	timelyAddStep   = 30 * units.Mbps // additive rate increment δ
+	timelyHAIThresh = 5               // negative gradients before hyperactive increase
+	timelyMinRate   = 10 * units.Mbps // sending-rate floor
+)
 
 // NewTimely returns a TIMELY instance with published defaults.
 func NewTimely() *Timely { return &Timely{} }
@@ -49,27 +48,6 @@ func (t *Timely) Name() string { return "timely" }
 // Init implements Algorithm.
 func (t *Timely) Init(lim Limits) {
 	t.lim = lim
-	if t.EWMAAlpha == 0 {
-		t.EWMAAlpha = 0.875
-	}
-	if t.Beta == 0 {
-		t.Beta = 0.8
-	}
-	if t.TLow == 0 {
-		t.TLow = 50 * sim.Microsecond
-	}
-	if t.THigh == 0 {
-		t.THigh = 500 * sim.Microsecond
-	}
-	if t.AddStep == 0 {
-		t.AddStep = 30 * units.Mbps
-	}
-	if t.HAIThresh == 0 {
-		t.HAIThresh = 5
-	}
-	if t.MinRate == 0 {
-		t.MinRate = 10 * units.Mbps
-	}
 	t.rate = lim.HostRate
 }
 
@@ -88,7 +66,7 @@ func (t *Timely) Rate() units.BitRate { return t.rate }
 
 // OnLoss implements Algorithm.
 func (t *Timely) OnLoss(sim.Time) {
-	t.rate = units.MaxRate(t.rate/2, t.MinRate)
+	t.rate = units.MaxRate(t.rate/2, timelyMinRate)
 }
 
 // OnAck implements Algorithm. Updates run once per RTT, matching the
@@ -109,34 +87,34 @@ func (t *Timely) OnAck(a Ack) {
 
 	newDiff := float64(a.RTT-t.prevRTT) / float64(sim.Second)
 	t.prevRTT = a.RTT
-	t.rttDiff = (1-t.EWMAAlpha)*t.rttDiff + t.EWMAAlpha*newDiff
+	t.rttDiff = (1-timelyEWMAAlpha)*t.rttDiff + timelyEWMAAlpha*newDiff
 	normGrad := t.rttDiff / t.lim.BaseRTT.Seconds()
 
 	switch {
-	case a.RTT < t.TLow:
+	case a.RTT < timelyTLow:
 		t.increase(1)
-	case a.RTT > t.THigh:
+	case a.RTT > timelyTHigh:
 		// Proportional decrease toward THigh.
-		f := 1 - t.Beta*(1-float64(t.THigh)/float64(a.RTT))
+		f := 1 - timelyBeta*(1-float64(timelyTHigh)/float64(a.RTT))
 		t.decreaseTo(float64(t.rate) * f)
 	case normGrad <= 0:
 		t.negStreak++
 		n := 1
-		if t.negStreak >= t.HAIThresh {
+		if t.negStreak >= timelyHAIThresh {
 			n = 5 // hyperactive increase
 		}
 		t.increase(n)
 	default:
 		t.negStreak = 0
-		t.decreaseTo(float64(t.rate) * (1 - t.Beta*normGrad))
+		t.decreaseTo(float64(t.rate) * (1 - timelyBeta*normGrad))
 	}
 }
 
 func (t *Timely) increase(n int) {
-	t.rate = units.MinRate(t.rate+units.BitRate(n)*t.AddStep, t.lim.HostRate)
+	t.rate = units.MinRate(t.rate+units.BitRate(n)*timelyAddStep, t.lim.HostRate)
 }
 
 func (t *Timely) decreaseTo(r float64) {
 	t.negStreak = 0
-	t.rate = units.MaxRate(units.BitRate(r), t.MinRate)
+	t.rate = units.MaxRate(units.BitRate(r), timelyMinRate)
 }

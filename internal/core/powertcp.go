@@ -27,47 +27,40 @@ import (
 	"repro/internal/units"
 )
 
-// Config parameterizes both PowerTCP variants. The zero value yields the
-// paper's recommended settings.
+// Config parameterizes both PowerTCP variants: the two settings the
+// paper varies. The zero value yields its recommended ones.
 type Config struct {
 	// Gamma is the EWMA weight γ ∈ (0,1] for window updates; the paper
 	// recommends 0.9 from a parameter sweep (§3.3).
 	Gamma float64
-	// Beta is the additive increase in bytes. Zero derives the paper's
-	// β = HostBw·τ/ExpectedFlows at Init time.
-	Beta float64
-	// ExpectedFlows is N in β = HostBw·τ/N, the flows expected to share
-	// the host NIC (§3.3 "Parameters"). Default 10.
-	ExpectedFlows int
 	// UpdatePerRTT limits window updates to once per RTT, the
 	// configuration used for the RDCN case study's fair comparison with
 	// reTCP (§5). Default: update on every ACK (θ-PowerTCP always
 	// updates once per RTT, per Algorithm 2).
 	UpdatePerRTT bool
-	// MinCwnd floors the window (bytes) so pacing never reaches zero.
-	// Default 100 bytes (large incasts need sub-MSS windows).
-	MinCwnd float64
-	// MaxCwnd caps the window in bytes; 0 defaults to the host BDP, the
-	// paper's cwnd_init (flows start at line rate, §3.3).
-	MaxCwnd float64
 }
 
-func (c *Config) fillDefaults(lim cc.Limits) {
+// The window law's fixed parameters (§3.3 "Parameters"). The additive
+// increase is β = HostBw·τ/expectedFlows, and the window is capped at
+// the host BDP, the paper's cwnd_init (flows start at line rate).
+const (
+	// expectedFlows is N, the flows expected to share the host NIC.
+	expectedFlows = 10
+	// minCwnd floors the window (bytes) so pacing never reaches zero;
+	// large incasts need sub-MSS windows.
+	minCwnd float64 = 100
+)
+
+func (c *Config) fillDefaults() {
 	if c.Gamma == 0 {
 		c.Gamma = 0.9
 	}
-	if c.ExpectedFlows == 0 {
-		c.ExpectedFlows = 10
-	}
-	if c.Beta == 0 {
-		c.Beta = lim.BDP() / float64(c.ExpectedFlows)
-	}
-	if c.MinCwnd == 0 {
-		c.MinCwnd = 100
-	}
-	if c.MaxCwnd == 0 {
-		c.MaxCwnd = lim.BDP()
-	}
+}
+
+// bounds returns the additive increase β and the window cap for a
+// flow's limits.
+func bounds(lim cc.Limits) (beta, maxCwnd float64) {
+	return lim.BDP() / expectedFlows, lim.BDP()
 }
 
 // minNormPower floors the normalized power before dividing, so a
@@ -80,6 +73,8 @@ type PowerTCP struct {
 	cfg Config
 	lim cc.Limits
 
+	beta    float64 // additive increase β, bytes
+	maxCwnd float64
 	cwnd    float64
 	rate    units.BitRate
 	oldCwnd float64 // cwnd snapshot from one RTT ago
@@ -115,7 +110,8 @@ func (p *PowerTCP) Name() string { return "powertcp" }
 // cwnd_init = HostBw·τ.
 func (p *PowerTCP) Init(lim cc.Limits) {
 	p.lim = lim
-	p.cfg.fillDefaults(lim)
+	p.cfg.fillDefaults()
+	p.beta, p.maxCwnd = bounds(lim)
 	p.cwnd = lim.BDP()
 	p.oldCwnd = p.cwnd
 	p.rate = lim.HostRate
@@ -206,7 +202,7 @@ func (p *PowerTCP) smoothPower(norm float64, dt sim.Duration) {
 func (p *PowerTCP) updateWindow(a cc.Ack) {
 	norm := math.Max(p.smooth, minNormPower)
 	g := p.cfg.Gamma
-	p.setCwnd(g*(p.oldCwnd/norm+p.cfg.Beta) + (1-g)*p.cwnd)
+	p.setCwnd(g*(p.oldCwnd/norm+p.beta) + (1-g)*p.cwnd)
 	if a.AckSeq >= p.snapSeq { // one RTT has passed since the snapshot
 		p.oldCwnd = p.cwnd
 		p.snapSeq = a.SndNxt
@@ -217,7 +213,7 @@ func (p *PowerTCP) setCwnd(w float64) {
 	if math.IsNaN(w) || math.IsInf(w, 0) {
 		return
 	}
-	p.cwnd = clampF(w, p.cfg.MinCwnd, p.cfg.MaxCwnd)
+	p.cwnd = clampF(w, minCwnd, p.maxCwnd)
 	p.rate = rateFor(p.cwnd, p.lim)
 }
 

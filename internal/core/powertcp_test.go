@@ -71,8 +71,9 @@ func TestReactsToQueueBuildup(t *testing.T) {
 
 func TestReactsToQueueDrainWithSpareCapacity(t *testing.T) {
 	// Queue draining and link under-utilized: power below base → window
-	// grows (multiplicative increase toward the freed bandwidth).
-	p := New(Config{MaxCwnd: 1e9})
+	// grows (multiplicative increase toward the freed bandwidth), up to
+	// the BDP cap.
+	p := New(Config{})
 	p.Init(limits())
 	p.setCwnd(50_000) // start well below BDP
 	p.oldCwnd = 50_000
@@ -82,6 +83,9 @@ func TestReactsToQueueDrainWithSpareCapacity(t *testing.T) {
 	p.OnAck(cc.Ack{AckSeq: 2000, SndNxt: 3000, Hops: []telemetry.HopRecord{hop(0, half, dt)}})
 	if p.Cwnd() <= 50_000 {
 		t.Fatalf("cwnd did not grow with spare capacity: %v", p.Cwnd())
+	}
+	if p.Cwnd() > 250_000 {
+		t.Fatalf("cwnd %v grew past the BDP cap 250000", p.Cwnd())
 	}
 }
 
@@ -192,7 +196,7 @@ func TestGammaZeroDefaultsApplied(t *testing.T) {
 		t.Fatalf("γ default = %v, want 0.9", p.cfg.Gamma)
 	}
 	wantBeta := 250_000.0 / 10
-	if p.cfg.Beta != wantBeta {
-		t.Fatalf("β default = %v, want %v", p.cfg.Beta, wantBeta)
+	if p.beta != wantBeta {
+		t.Fatalf("β default = %v, want %v", p.beta, wantBeta)
 	}
 }

@@ -24,6 +24,8 @@ type ThetaPowerTCP struct {
 	cfg Config
 	lim cc.Limits
 
+	beta    float64
+	maxCwnd float64
 	cwnd    float64
 	rate    units.BitRate
 	oldCwnd float64
@@ -56,7 +58,8 @@ func (p *ThetaPowerTCP) Name() string { return "theta-powertcp" }
 // Init implements cc.Algorithm.
 func (p *ThetaPowerTCP) Init(lim cc.Limits) {
 	p.lim = lim
-	p.cfg.fillDefaults(lim)
+	p.cfg.fillDefaults()
+	p.beta, p.maxCwnd = bounds(lim)
 	p.cwnd = lim.BDP()
 	p.oldCwnd = p.cwnd
 	p.rate = lim.HostRate
@@ -106,7 +109,7 @@ func (p *ThetaPowerTCP) OnAck(a cc.Ack) {
 	}
 	g := p.cfg.Gamma
 	normS := math.Max(p.smooth, minNormPower)
-	p.setCwnd(g*(p.oldCwnd/normS+p.cfg.Beta) + (1-g)*p.cwnd)
+	p.setCwnd(g*(p.oldCwnd/normS+p.beta) + (1-g)*p.cwnd)
 	p.lastUpdated = a.SndNxt // lastUpdated = snd_nxt (line 22)
 	if a.AckSeq >= p.snapSeq {
 		p.oldCwnd = p.cwnd
@@ -118,6 +121,6 @@ func (p *ThetaPowerTCP) setCwnd(w float64) {
 	if math.IsNaN(w) || math.IsInf(w, 0) {
 		return
 	}
-	p.cwnd = clampF(w, p.cfg.MinCwnd, p.cfg.MaxCwnd)
+	p.cwnd = clampF(w, minCwnd, p.maxCwnd)
 	p.rate = rateFor(p.cwnd, p.lim)
 }

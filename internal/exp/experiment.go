@@ -19,8 +19,8 @@ type Spec struct {
 	// zero fields take that experiment's defaults.
 	Preset Preset
 	Scheme string
-	// SchemeOpts composes ablation options (scenario.Gamma, Alpha,
-	// Overcommit, PerRTT, Prebuffer) onto the scheme at resolution time.
+	// SchemeOpts composes ablation options (scenario.Gamma, Alpha) onto
+	// the scheme at resolution time.
 	SchemeOpts []scenario.SchemeOption
 	// Seed drives workload and switch randomness.
 	Seed int64

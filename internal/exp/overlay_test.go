@@ -50,11 +50,10 @@ func TestLoadSweepShapes(t *testing.T) {
 }
 
 func TestFairnessHomaOvercommitRuns(t *testing.T) {
-	for _, oc := range []int{1, 4} {
-		res := mustRun(t, Spec{Preset: Fairness{Window: 4 * sim.Millisecond},
-			Scheme: scenario.Homa, SchemeOpts: []scenario.SchemeOption{scenario.Overcommit(oc)}, Seed: 3})
+	for _, sc := range []string{"homa-oc1", "homa-oc4"} {
+		res := mustRun(t, Spec{Preset: Fairness{Window: 4 * sim.Millisecond}, Scheme: sc, Seed: 3})
 		if len(points(t, res, "flow1_gbps")) == 0 {
-			t.Fatalf("oc %d: empty series", oc)
+			t.Fatalf("%s: empty series", sc)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package exp
 
 import (
 	"cmp"
+
 	"repro/internal/packet"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/topo"
 	"repro/internal/units"
 )
 
@@ -127,7 +129,7 @@ func (p *rotorPanel) Finalize(env *scenario.Env, res *scenario.Result) error {
 	rot := env.Lab.Net.Rotor
 
 	// Circuit utilization across monitored days.
-	cap := rot.Cfg.CircuitRate.Bytes(rot.Sched.Day)
+	cap := topo.RotorCircuitRate.Bytes(rot.Sched.Day)
 	var used int64
 	for _, b := range p.dayBytes {
 		used += b

@@ -41,15 +41,6 @@ func TestSchemeOptionsRejectWrongTarget(t *testing.T) {
 	if _, err := scenario.ResolveScheme(scenario.Homa, scenario.Gamma(0.5)); err == nil {
 		t.Fatal("γ accepted on HOMA")
 	}
-	if _, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Overcommit(2)); err == nil {
-		t.Fatal("overcommit accepted on PowerTCP")
-	}
-	if _, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Prebuffer(sim.Millisecond)); err == nil {
-		t.Fatal("prebuffer accepted on PowerTCP")
-	}
-	if _, err := scenario.ResolveScheme(scenario.Timely, scenario.PerRTT(true)); err == nil {
-		t.Fatal("per-RTT accepted on TIMELY")
-	}
 	if _, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Gamma(1.5)); err == nil {
 		t.Fatal("γ > 1 accepted")
 	}
@@ -58,10 +49,11 @@ func TestSchemeOptionsRejectWrongTarget(t *testing.T) {
 	}
 }
 
-// Composed γ / per-RTT overrides must reach the algorithm the scheme
-// builds, and α must reach the scheme's buffer configuration.
+// A composed γ override must reach the algorithm the scheme builds, α
+// must reach the scheme's buffer configuration, and a family name's
+// parameter must reach the scheme.
 func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
-	s, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Gamma(0.55), scenario.PerRTT(true), scenario.Alpha(2))
+	s, err := scenario.ResolveScheme(scenario.PowerTCP, scenario.Gamma(0.55), scenario.Alpha(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +61,8 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 	if !ok {
 		t.Fatalf("powertcp built %T", s.Alg())
 	}
-	if cfg := alg.Config(); cfg.Gamma != 0.55 || !cfg.UpdatePerRTT {
-		t.Fatalf("built config = %+v, want γ=0.55 perRTT=true", cfg)
+	if cfg := alg.Config(); cfg.Gamma != 0.55 {
+		t.Fatalf("built config = %+v, want γ=0.55", cfg)
 	}
 	if s.DTAlpha != 2 {
 		t.Fatalf("DT α = %v, want 2", s.DTAlpha)
@@ -88,7 +80,7 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 		t.Fatalf("theta built config = %+v, want γ=0.4", cfg)
 	}
 
-	ho, err := scenario.ResolveScheme(scenario.Homa, scenario.Overcommit(5))
+	ho, err := scenario.ResolveScheme("homa-oc5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +88,7 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 		t.Fatalf("homa overcommit = %d", ho.Overcommit)
 	}
 
-	re, err := scenario.ResolveScheme(scenario.ReTCP600, scenario.Prebuffer(900*sim.Microsecond))
+	re, err := scenario.ResolveScheme("retcp-900")
 	if err != nil {
 		t.Fatal(err)
 	}

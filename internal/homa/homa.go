@@ -31,49 +31,27 @@ import (
 	"repro/internal/transport"
 )
 
-// Config carries host-wide HOMA parameters.
+// Config carries host-wide HOMA parameters. Packets carry packet.MSS
+// payload bytes; the unscheduled window RTTBytes is the host's HostBw·τ
+// (the paper's RTTBytes configuration, §4.1); and a stalled message's
+// hole-repair request waits transport.RTO(BaseRTT).
 type Config struct {
 	BaseRTT sim.Duration
 	// Overcommit is the number of messages granted concurrently (the
 	// paper sweeps 1–6; its main results use 1, Appendix D the rest).
+	// Default 1.
 	Overcommit int
-	// RTTBytes is the unscheduled window; 0 derives HostBw·τ at runtime
-	// (the paper's RTTBytes configuration, §4.1).
-	RTTBytes int64
-	// MSS is the payload per packet (default packet.MSS).
-	MSS int64
-	// UnschedCutoffs maps message size to unscheduled priority: size ≤
-	// Cutoffs[i] → priority i. Defaults fit the web-search workload.
-	UnschedCutoffs []int64
-	// SchedBase is the first (best) priority level used for scheduled
-	// data; ranks map to SchedBase..packet.MaxPriority. Default: one past
-	// the unscheduled levels.
-	SchedBase uint8
-	// ResendTimeout triggers hole-repair requests (default 40×BaseRTT,
-	// min 1 ms, like the transport RTO).
-	ResendTimeout sim.Duration
 }
 
-func (c *Config) fillDefaults() {
-	if c.Overcommit == 0 {
-		c.Overcommit = 1
-	}
-	if c.MSS == 0 {
-		c.MSS = packet.MSS
-	}
-	if len(c.UnschedCutoffs) == 0 {
-		c.UnschedCutoffs = []int64{3_000, 30_000, 300_000, 1 << 62}
-	}
-	if c.SchedBase == 0 {
-		c.SchedBase = uint8(len(c.UnschedCutoffs))
-	}
-	if c.ResendTimeout == 0 {
-		c.ResendTimeout = 40 * c.BaseRTT
-		if c.ResendTimeout < sim.Millisecond {
-			c.ResendTimeout = sim.Millisecond
-		}
-	}
-}
+// unschedCutoffs maps message size to unscheduled priority: size ≤
+// unschedCutoffs[i] → priority i. The cutoffs fit the web-search
+// workload.
+var unschedCutoffs = [...]int64{3_000, 30_000, 300_000, 1 << 62}
+
+// schedBase is the first (best) priority level used for scheduled data,
+// one past the unscheduled levels; ranks map to
+// schedBase..packet.MaxPriority.
+const schedBase = uint8(len(unschedCutoffs))
 
 // Msg is one sender-side message.
 type Msg struct {
@@ -114,6 +92,8 @@ type Host struct {
 	nic  *link.Port
 	pool *packet.Pool
 
+	resendAfter sim.Duration // hole-repair timeout, transport.RTO(BaseRTT)
+
 	sendQ  map[uint64]*Msg
 	recvQ  map[uint64]*recvMsg
 	nextID uint64
@@ -128,9 +108,11 @@ type Host struct {
 
 // NewHost builds a HOMA host.
 func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
-	cfg.fillDefaults()
+	if cfg.Overcommit == 0 {
+		cfg.Overcommit = 1
+	}
 	return &Host{
-		id: id, eng: eng, cfg: cfg,
+		id: id, eng: eng, cfg: cfg, resendAfter: transport.RTO(cfg.BaseRTT),
 		sendQ: map[uint64]*Msg{},
 		recvQ: map[uint64]*recvMsg{},
 	}
@@ -180,20 +162,15 @@ func (h *Host) ReceivedBytes(flow packet.FlowID) int64 {
 	return n
 }
 
-func (h *Host) rttBytes() int64 {
-	if h.cfg.RTTBytes > 0 {
-		return h.cfg.RTTBytes
-	}
-	return h.nic.Rate.BDP(h.cfg.BaseRTT)
-}
+func (h *Host) rttBytes() int64 { return h.nic.Rate.BDP(h.cfg.BaseRTT) }
 
 func (h *Host) unschedPrio(size int64) uint8 {
-	for i, c := range h.cfg.UnschedCutoffs {
+	for i, c := range unschedCutoffs {
 		if size <= c {
 			return uint8(i)
 		}
 	}
-	return uint8(len(h.cfg.UnschedCutoffs) - 1)
+	return uint8(len(unschedCutoffs) - 1)
 }
 
 // Send starts a new message of size bytes toward dst at time `at`.
@@ -215,7 +192,7 @@ func (h *Host) Send(flow packet.FlowID, dst packet.NodeID, size int64, at sim.Ti
 func (h *Host) pump(m *Msg) {
 	rtt := h.rttBytes()
 	for m.sent < m.granted {
-		n := min64(h.cfg.MSS, m.granted-m.sent)
+		n := min64(packet.MSS, m.granted-m.sent)
 		unsched := m.sent < rtt
 		prio := h.unschedPrio(m.Size)
 		if !unsched {
@@ -344,7 +321,7 @@ func (h *Host) schedule() {
 	rtt := h.rttBytes()
 	for rank := 0; rank < k; rank++ {
 		m := active[rank]
-		prio := h.cfg.SchedBase + uint8(rank)
+		prio := schedBase + uint8(rank)
 		if prio > packet.MaxPriority {
 			prio = packet.MaxPriority
 		}
@@ -380,20 +357,20 @@ func (h *Host) armResend(m *recvMsg) {
 	if m.resend.Armed() {
 		return
 	}
-	m.resend.ArmAfter(h.cfg.ResendTimeout)
+	m.resend.ArmAfter(h.resendAfter)
 }
 
 func (h *Host) onResendTimeout(m *recvMsg) {
 	if m.done {
 		return
 	}
-	if h.eng.Now().Sub(m.lastHit) < h.cfg.ResendTimeout {
+	if h.eng.Now().Sub(m.lastHit) < h.resendAfter {
 		h.armResend(m)
 		return
 	}
 	// Request the first hole below the granted boundary.
 	holeStart := m.got.CumulativeFrom(0)
-	n := min64(h.cfg.MSS, m.granted-holeStart)
+	n := min64(packet.MSS, m.granted-holeStart)
 	if n > 0 {
 		h.sendGrant(m, m.granted, m.prio, holeStart, int32(n))
 	}

@@ -72,6 +72,7 @@ package psim
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -114,9 +115,10 @@ type Fabric struct {
 	ctrl    *sim.Engine
 	parts   []*sim.Engine
 	workers int
-	in      [][]edge   // in[i]: incoming cut edges of partition i
-	boxes   []*Mailbox // drained in creation order — deterministic
-	bounds  []sim.Key  // this round's bound per partition
+	in      [][]edge     // in[i]: incoming cut edges of partition i
+	boxes   []*Mailbox   // drained in creation order — deterministic
+	bounds  []sim.Key    // this round's bound per partition
+	helping atomic.Int32 // helper goroutines started and not yet returned
 }
 
 // New returns a fabric over the given control engine and partition
@@ -357,10 +359,12 @@ type helpers struct {
 func (f *Fabric) startHelpers() *helpers {
 	h := &helpers{start: make([]chan struct{}, f.workers-1)}
 	h.exited.Add(len(h.start))
+	f.helping.Add(int32(len(h.start)))
 	for i := range h.start {
 		h.start[i] = make(chan struct{})
 		go func(start <-chan struct{}, w int) {
 			defer h.exited.Done()
+			defer f.helping.Add(-1)
 			for range start {
 				f.stepShards(w)
 				h.round.Done()

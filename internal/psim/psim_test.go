@@ -3,7 +3,6 @@ package psim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -370,16 +369,15 @@ func TestRunStartsWorkersNotShards(t *testing.T) {
 		for i := range engs {
 			fab.AddEdge(i, (i+1)%len(engs), sim.Microsecond)
 		}
-		before := runtime.NumGoroutine()
 		during := 0
 		ctrl.SetOrigin(1)
-		ctrl.At(sim.Time(3*sim.Microsecond), func() { during = runtime.NumGoroutine() })
+		ctrl.At(sim.Time(3*sim.Microsecond), func() { during = fab.Helping() })
 		fab.Run(sim.Time(5 * sim.Microsecond))
-		if got := during - before; got != workers-1 {
-			t.Errorf("W=%d over 6 shards: %d goroutines started, want %d", workers, got, workers-1)
+		if during != workers-1 {
+			t.Errorf("W=%d over 6 shards: %d helpers started, want %d", workers, during, workers-1)
 		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Errorf("W=%d: %d goroutines outlive Run", workers, after-before)
+		if after := fab.Helping(); after != 0 {
+			t.Errorf("W=%d: %d helpers outlive Run", workers, after)
 		}
 	}
 }

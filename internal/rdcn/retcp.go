@@ -29,19 +29,20 @@ type ReTCP struct {
 	DstTor int
 	// Prebuffer is Δ: how long before a day the window ramps.
 	Prebuffer sim.Duration
-	// PktWindow and CircuitWindow are the two operating points in bytes.
-	// Zero values derive: PktWindow = PacketRate·τ/flows and
-	// CircuitWindow = CircuitRate·τ/flows via the Shares fields.
-	PktWindow, CircuitWindow float64
-	// PacketRate/CircuitRate/FlowsSharing derive the default windows.
+	// PacketRate/CircuitRate/FlowsSharing derive the two operating
+	// points: a window of PacketRate·τ/FlowsSharing on the packet
+	// network (at least one MSS) and CircuitRate·τ/FlowsSharing while
+	// the circuit is up. FlowsSharing defaults to 1.
 	PacketRate, CircuitRate units.BitRate
 	FlowsSharing            int
 
-	lim     cc.Limits
-	cwnd    float64
-	boosted bool
-	timer   *sim.Timer // pre-bound ramp timer; alternates up/down phases
-	dayEnd  sim.Time   // end of the day being ridden while boosted
+	lim           cc.Limits
+	pktWindow     float64
+	circuitWindow float64
+	cwnd          float64
+	boosted       bool
+	timer         *sim.Timer // pre-bound ramp timer; alternates up/down phases
+	dayEnd        sim.Time   // end of the day being ridden while boosted
 }
 
 // Name implements cc.Algorithm.
@@ -54,16 +55,9 @@ func (r *ReTCP) Init(lim cc.Limits) {
 	if r.FlowsSharing == 0 {
 		r.FlowsSharing = 1
 	}
-	if r.PktWindow == 0 {
-		r.PktWindow = float64(r.PacketRate.BDP(lim.BaseRTT)) / float64(r.FlowsSharing)
-	}
-	if r.CircuitWindow == 0 {
-		r.CircuitWindow = float64(r.CircuitRate.BDP(lim.BaseRTT)) / float64(r.FlowsSharing)
-	}
-	if r.PktWindow < float64(lim.MSS) {
-		r.PktWindow = float64(lim.MSS)
-	}
-	r.cwnd = r.PktWindow
+	r.pktWindow = max(float64(r.PacketRate.BDP(lim.BaseRTT))/float64(r.FlowsSharing), float64(lim.MSS))
+	r.circuitWindow = float64(r.CircuitRate.BDP(lim.BaseRTT)) / float64(r.FlowsSharing)
+	r.cwnd = r.pktWindow
 	if lim.Engine != nil && r.Sched != nil {
 		r.timer = lim.Engine.NewTimer(r.onTimer)
 	}
@@ -91,12 +85,12 @@ func (r *ReTCP) schedule() {
 func (r *ReTCP) onTimer() {
 	if !r.boosted {
 		r.boosted = true
-		r.cwnd = r.CircuitWindow
+		r.cwnd = r.circuitWindow
 		r.timer.Arm(r.dayEnd)
 		return
 	}
 	r.boosted = false
-	r.cwnd = r.PktWindow
+	r.cwnd = r.pktWindow
 	r.schedule()
 }
 

@@ -38,9 +38,6 @@ func TestRunRejectsMalformedScenarios(t *testing.T) {
 		{"no topology", func(sc *Scenario) { sc.Topology = nil }, "no topology"},
 		{"no horizon", func(sc *Scenario) { sc.Until = 0 }, "no run horizon"},
 		{"star too small", func(sc *Scenario) { sc.Topology = StarTopology{Hosts: 1} }, "≥2 hosts"},
-		{"star negative rate", func(sc *Scenario) {
-			sc.Topology = StarTopology{Hosts: 4, HostRate: -units.Gbps}
-		}, "negative"},
 		{"fat-tree negative servers", func(sc *Scenario) {
 			sc.Topology = FatTreeTopology{ServersPerTor: -1}
 		}, "ServersPerTor -1 is negative"},

@@ -384,7 +384,7 @@ func rotorAlg(scheme Scheme, rotor *topo.Rotor, srcTor, dstTor, flowsSharing int
 			DstTor:       dstTor,
 			Prebuffer:    scheme.PrebufferFor,
 			PacketRate:   rotor.Cfg.PacketRate,
-			CircuitRate:  rotor.Cfg.CircuitRate,
+			CircuitRate:  topo.RotorCircuitRate,
 			FlowsSharing: flowsSharing,
 		}
 	default: // hpcc

@@ -184,22 +184,18 @@ func resolveRouting(name string) (route.Strategy, error) {
 }
 
 // StarTopology is n hosts on one switch — the minimal shared-bottleneck
-// fabric (fairness, microbenchmarks).
+// fabric (fairness, microbenchmarks) — at topo.Star's 25 Gbps.
 type StarTopology struct {
-	Hosts    int
-	HostRate units.BitRate // default 25 Gbps
+	Hosts int
 }
 
 func (t StarTopology) build(env *Env) error {
 	if t.Hosts < 2 {
 		return fmt.Errorf("scenario: star topology needs ≥2 hosts, got %d", t.Hosts)
 	}
-	if t.HostRate < 0 {
-		return fmt.Errorf("scenario: star topology host rate %v is negative", t.HostRate)
-	}
 	env.Lab = newLab(env.Scheme, env.Seed, nil, transport.Config{BaseRTT: 12 * sim.Microsecond},
 		func(o topo.Options) *topo.Network {
-			return topo.Star(topo.StarConfig{Hosts: t.Hosts, HostRate: t.HostRate, Opts: o})
+			return topo.Star(topo.StarConfig{Hosts: t.Hosts, Opts: o})
 		})
 	env.Fabric = Fabric{
 		Hosts:         t.Hosts,

@@ -36,7 +36,7 @@ const (
 	// KindCC is a plain sender-based algorithm with a fixed builder.
 	KindCC Kind = iota
 	// KindPowerTCP and KindTheta rebuild their cc.Builder from the
-	// scheme's composed core.Config (γ, per-RTT updates).
+	// scheme's composed core.Config (γ).
 	KindPowerTCP
 	KindTheta
 	// KindHoma uses the receiver-driven HOMA transport.
@@ -47,9 +47,9 @@ const (
 
 // Scheme bundles a congestion-control choice with the switch features it
 // needs: INT stamping for the telemetry-driven laws, RED/ECN for DCQCN,
-// and strict-priority queues for HOMA. Ablation knobs (Gamma, PerRTT,
-// DTAlpha, Overcommit, PrebufferFor) are composed by SchemeOptions at
-// resolution time.
+// and strict-priority queues for HOMA. Overcommit and PrebufferFor come
+// from the scheme name (homa-oc<N>, retcp-<µs>); the ablation knobs
+// Gamma and DTAlpha are composed by SchemeOptions at resolution time.
 type Scheme struct {
 	Name string
 	Kind Kind
@@ -67,8 +67,6 @@ type Scheme struct {
 	Overcommit int
 	// Gamma overrides PowerTCP's EWMA weight (ablations); 0 = default.
 	Gamma float64
-	// PerRTT limits PowerTCP updates to once per RTT (§5).
-	PerRTT bool
 	// DTAlpha overrides the switches' Dynamic-Thresholds factor
 	// (0 keeps the default α=1) for buffer-management ablations.
 	DTAlpha float64

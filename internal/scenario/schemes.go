@@ -10,11 +10,11 @@ import (
 	"repro/internal/sim"
 )
 
-// SchemeOption composes an ablation variant onto a resolved Scheme:
-// γ and per-RTT updates for the PowerTCP family, overcommitment for
-// HOMA, prebuffering for reTCP, and the Dynamic-Thresholds α for any
-// scheme. Options validate their target and return errors instead of
-// panicking.
+// SchemeOption composes an ablation variant onto a resolved Scheme: γ
+// for the PowerTCP family and the Dynamic-Thresholds α for any scheme.
+// HOMA's overcommitment and reTCP's prebuffering are spelled in the
+// scheme name (homa-oc<N>, retcp-<µs>). Options validate their target
+// and return errors instead of panicking.
 type SchemeOption func(*Scheme) error
 
 // schemeTable holds every fixed scheme, sorted by name. The two
@@ -71,35 +71,34 @@ func baseScheme(name string) (Scheme, error) {
 			return e.scheme, nil
 		}
 	}
-	var s Scheme
-	var opt SchemeOption
 	switch {
 	case strings.HasPrefix(name, "homa-oc"):
 		n, err := strconv.Atoi(strings.TrimPrefix(name, "homa-oc"))
 		if err != nil {
 			return Scheme{}, fmt.Errorf("scenario: malformed HOMA overcommit scheme %q", name)
 		}
-		s, opt = Scheme{Kind: KindHoma, PrioQueues: true}, Overcommit(n)
+		if n < 1 {
+			return Scheme{}, fmt.Errorf("scenario: scheme %q: overcommit %d must be ≥1", name, n)
+		}
+		return Scheme{Kind: KindHoma, PrioQueues: true, Overcommit: n}, nil
 	case strings.HasPrefix(name, "retcp-"):
 		us, err := strconv.Atoi(strings.TrimPrefix(name, "retcp-"))
 		if err != nil {
 			return Scheme{}, fmt.Errorf("scenario: malformed reTCP scheme %q", name)
 		}
-		s, opt = Scheme{Kind: KindReTCP}, Prebuffer(sim.Duration(us)*sim.Microsecond)
-	default:
-		return Scheme{}, fmt.Errorf("scenario: unknown scheme %q (known: %s, plus the homa-oc<N> and retcp-<µs> families)",
-			name, strings.Join(SchemeNames(), ", "))
+		if us <= 0 {
+			return Scheme{}, fmt.Errorf("scenario: scheme %q: prebuffer %d µs must be positive", name, us)
+		}
+		return Scheme{Kind: KindReTCP, PrebufferFor: sim.Duration(us) * sim.Microsecond}, nil
 	}
-	if err := opt(&s); err != nil {
-		return Scheme{}, fmt.Errorf("scenario: scheme %q: %w", name, err)
-	}
-	return s, nil
+	return Scheme{}, fmt.Errorf("scenario: unknown scheme %q (known: %s, plus the homa-oc<N> and retcp-<µs> families)",
+		name, strings.Join(SchemeNames(), ", "))
 }
 
 // materialize rebuilds the algorithm builder for schemes whose
 // configuration is composed from options (the PowerTCP family).
 func (s *Scheme) materialize() {
-	cfg := core.Config{Gamma: s.Gamma, UpdatePerRTT: s.PerRTT}
+	cfg := core.Config{Gamma: s.Gamma}
 	switch s.Kind {
 	case KindPowerTCP:
 		s.Alg = cfg.Builder()
@@ -124,18 +123,6 @@ func Gamma(g float64) SchemeOption {
 	}
 }
 
-// PerRTT limits PowerTCP-family window updates to once per RTT, the
-// RDCN case study's configuration (§5).
-func PerRTT(on bool) SchemeOption {
-	return func(s *Scheme) error {
-		if s.Kind != KindPowerTCP && s.Kind != KindTheta {
-			return fmt.Errorf("scenario: per-RTT updates do not apply to scheme %q", s.Name)
-		}
-		s.PerRTT = on
-		return nil
-	}
-}
-
 // Alpha overrides the switches' Dynamic-Thresholds factor α (buffer
 // management ablations; any scheme).
 func Alpha(a float64) SchemeOption {
@@ -144,34 +131,6 @@ func Alpha(a float64) SchemeOption {
 			return fmt.Errorf("scenario: DT α = %v must be positive", a)
 		}
 		s.DTAlpha = a
-		return nil
-	}
-}
-
-// Overcommit sets HOMA's concurrent-grant degree (≥1).
-func Overcommit(n int) SchemeOption {
-	return func(s *Scheme) error {
-		if s.Kind != KindHoma {
-			return fmt.Errorf("scenario: overcommitment does not apply to scheme %q", s.Name)
-		}
-		if n < 1 {
-			return fmt.Errorf("scenario: overcommit %d must be ≥1", n)
-		}
-		s.Overcommit = n
-		return nil
-	}
-}
-
-// Prebuffer sets reTCP's circuit-day prebuffering lead time (§5).
-func Prebuffer(d sim.Duration) SchemeOption {
-	return func(s *Scheme) error {
-		if s.Kind != KindReTCP {
-			return fmt.Errorf("scenario: prebuffering does not apply to scheme %q", s.Name)
-		}
-		if d <= 0 {
-			return fmt.Errorf("scenario: prebuffer %v must be positive", d)
-		}
-		s.PrebufferFor = d
 		return nil
 	}
 }

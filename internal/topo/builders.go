@@ -5,46 +5,56 @@ import (
 	"repro/internal/units"
 )
 
+// The paper's fabric (§4.1): 25 Gbps server links, 100 Gbps fabric
+// links, and 1 µs of propagation on server and intra-pod links, 5 µs on
+// links to the core. Every builder takes the rates and delays its
+// config does not carry from here.
+const (
+	hostRate   = 25 * units.Gbps
+	fabricRate = 100 * units.Gbps
+	edgeDelay  = sim.Microsecond
+	coreDelay  = 5 * sim.Microsecond
+)
+
 // StarConfig is N hosts on a single switch — the minimal incast fabric
-// used by unit tests and the quickstart example.
+// used by unit tests and the quickstart example. Links have 1 µs of
+// propagation.
 type StarConfig struct {
-	Hosts     int
-	HostRate  units.BitRate
-	LinkDelay sim.Duration
-	Opts      Options
+	Hosts    int
+	HostRate units.BitRate // default 25 Gbps
+	Opts     Options
 }
 
 // Star builds a single-switch topology.
 func Star(cfg StarConfig) *Network {
 	if cfg.HostRate == 0 {
-		cfg.HostRate = 25 * units.Gbps
-	}
-	if cfg.LinkDelay == 0 {
-		cfg.LinkDelay = sim.Microsecond
+		cfg.HostRate = hostRate
 	}
 	n := newNetwork(cfg.HostRate, cfg.Hosts, 1, cfg.Opts)
 	si := n.addSwitch(cfg.Opts)
 	for i := 0; i < cfg.Hosts; i++ {
 		hi := n.addHost(cfg.Opts.Hosts)
-		n.wireHost(hi, si, cfg.HostRate, cfg.LinkDelay, cfg.Opts)
+		n.wireHost(hi, si, cfg.HostRate, edgeDelay, cfg.Opts)
 	}
 	// RTT: host→switch→host and back = 4 link delays, plus serialization
 	// headroom of roughly two MSS packets at the host rate.
-	n.BaseRTT = 4*cfg.LinkDelay + 2*cfg.HostRate.TxTime(1048) + 2*sim.Microsecond
+	n.BaseRTT = 4*edgeDelay + 2*cfg.HostRate.TxTime(1048) + 2*sim.Microsecond
 	n.finish(cfg.Opts)
 	return n
 }
 
 // DumbbellConfig is the classic shared-bottleneck microbenchmark: Left
-// senders and Right receivers joined by one bottleneck link.
+// senders and Right receivers joined by one bottleneck link. Host links
+// have 1 µs of propagation, the bottleneck 4 µs.
 type DumbbellConfig struct {
-	Left, Right     int
-	HostRate        units.BitRate
-	BottleneckRate  units.BitRate
-	HostDelay       sim.Duration
-	BottleneckDelay sim.Duration
-	Opts            Options
+	Left, Right    int
+	HostRate       units.BitRate // default 100 Gbps
+	BottleneckRate units.BitRate // default 100 Gbps
+	Opts           Options
 }
+
+// bottleneckDelay is the propagation delay of a Dumbbell's bottleneck.
+const bottleneckDelay = 4 * sim.Microsecond
 
 // Dumbbell builds a two-switch topology with a single bottleneck.
 func Dumbbell(cfg DumbbellConfig) *Network {
@@ -54,25 +64,19 @@ func Dumbbell(cfg DumbbellConfig) *Network {
 	if cfg.BottleneckRate == 0 {
 		cfg.BottleneckRate = 100 * units.Gbps
 	}
-	if cfg.HostDelay == 0 {
-		cfg.HostDelay = sim.Microsecond
-	}
-	if cfg.BottleneckDelay == 0 {
-		cfg.BottleneckDelay = 4 * sim.Microsecond
-	}
 	n := newNetwork(cfg.HostRate, cfg.Left+cfg.Right, 2, cfg.Opts)
 	l := n.addSwitch(cfg.Opts)
 	r := n.addSwitch(cfg.Opts)
-	n.wireSwitches(l, r, cfg.BottleneckRate, cfg.BottleneckDelay, cfg.Opts)
+	n.wireSwitches(l, r, cfg.BottleneckRate, bottleneckDelay, cfg.Opts)
 	for i := 0; i < cfg.Left; i++ {
 		hi := n.addHost(cfg.Opts.Hosts)
-		n.wireHost(hi, l, cfg.HostRate, cfg.HostDelay, cfg.Opts)
+		n.wireHost(hi, l, cfg.HostRate, edgeDelay, cfg.Opts)
 	}
 	for i := 0; i < cfg.Right; i++ {
 		hi := n.addHost(cfg.Opts.Hosts)
-		n.wireHost(hi, r, cfg.HostRate, cfg.HostDelay, cfg.Opts)
+		n.wireHost(hi, r, cfg.HostRate, edgeDelay, cfg.Opts)
 	}
-	n.BaseRTT = 2*(2*cfg.HostDelay+cfg.BottleneckDelay) +
+	n.BaseRTT = 2*(2*edgeDelay+bottleneckDelay) +
 		4*cfg.BottleneckRate.TxTime(1048) + 2*sim.Microsecond
 	n.finish(cfg.Opts)
 	return n
@@ -90,18 +94,17 @@ func (n *Network) BottleneckPort() interface {
 // LeafSpineConfig is the two-tier Clos fabric of the incast literature
 // the paper's synthetic workload cites (Alizadeh & Edsall 2013): every
 // leaf connects to every spine. Unlike the pod-structured fat-tree, any
-// leaf pair is two hops apart with Spines-way ECMP.
+// leaf pair is two hops apart with Spines-way ECMP. Servers attach at
+// 25 Gbps, spines at 100 Gbps, and every link has 1 µs of propagation.
 type LeafSpineConfig struct {
-	Leaves         int           // default 4
-	Spines         int           // default 2
-	ServersPerLeaf int           // default 8
-	HostRate       units.BitRate // default 25 Gbps
-	FabricRate     units.BitRate // default 100 Gbps
-	// SpineRates overrides FabricRate per spine (spine i's leaf links run
-	// at SpineRates[i]) — the asymmetric-capacity fabric the multipath
-	// experiments stress. Shorter slices leave later spines at FabricRate.
+	Leaves         int // default 4
+	Spines         int // default 2
+	ServersPerLeaf int // default 8
+	// SpineRates overrides the fabric rate per spine (spine i's leaf
+	// links run at SpineRates[i]) — the asymmetric-capacity fabric the
+	// multipath experiments stress. Shorter slices leave later spines at
+	// 100 Gbps.
 	SpineRates []units.BitRate
-	LinkDelay  sim.Duration // default 1 µs
 	Opts       Options
 }
 
@@ -114,15 +117,6 @@ func (c *LeafSpineConfig) fillDefaults() {
 	}
 	if c.ServersPerLeaf == 0 {
 		c.ServersPerLeaf = 8
-	}
-	if c.HostRate == 0 {
-		c.HostRate = 25 * units.Gbps
-	}
-	if c.FabricRate == 0 {
-		c.FabricRate = 100 * units.Gbps
-	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = sim.Microsecond
 	}
 }
 
@@ -137,13 +131,13 @@ func (c LeafSpineConfig) WithDefaults() LeafSpineConfig {
 func (c LeafSpineConfig) LeafSwitch(l int) int { return l }
 
 // SpineRate returns the effective leaf-link rate of spine sp: its
-// SpineRates override when set, FabricRate otherwise. Builders and
+// SpineRates override when set, fabricRate otherwise. Builders and
 // experiments share this rule.
 func (c LeafSpineConfig) SpineRate(sp int) units.BitRate {
 	if sp < len(c.SpineRates) && c.SpineRates[sp] > 0 {
 		return c.SpineRates[sp]
 	}
-	return c.FabricRate
+	return fabricRate
 }
 
 // SpineSwitch returns the switch index of spine s (after the leaves).
@@ -156,7 +150,7 @@ func (c LeafSpineConfig) SpineSwitch(s int) int {
 // (l+1)·ServersPerLeaf) share leaf l; Switches lists leaves then spines.
 func LeafSpine(cfg LeafSpineConfig) *Network {
 	cfg.fillDefaults()
-	n := newNetwork(cfg.HostRate, cfg.Leaves*cfg.ServersPerLeaf, cfg.Leaves+cfg.Spines, cfg.Opts)
+	n := newNetwork(hostRate, cfg.Leaves*cfg.ServersPerLeaf, cfg.Leaves+cfg.Spines, cfg.Opts)
 	leaves := make([]int, cfg.Leaves)
 	spines := make([]int, cfg.Spines)
 	for i := range leaves {
@@ -168,15 +162,15 @@ func LeafSpine(cfg LeafSpineConfig) *Network {
 	for l := range leaves {
 		for s := 0; s < cfg.ServersPerLeaf; s++ {
 			hi := n.addHost(cfg.Opts.Hosts)
-			n.wireHost(hi, leaves[l], cfg.HostRate, cfg.LinkDelay, cfg.Opts)
+			n.wireHost(hi, leaves[l], hostRate, edgeDelay, cfg.Opts)
 		}
 		for sp := range spines {
-			n.wireSwitches(leaves[l], spines[sp], cfg.SpineRate(sp), cfg.LinkDelay, cfg.Opts)
+			n.wireSwitches(leaves[l], spines[sp], cfg.SpineRate(sp), edgeDelay, cfg.Opts)
 		}
 	}
 	// Cross-leaf path: host→leaf→spine→leaf→host.
-	n.BaseRTT = 8*cfg.LinkDelay + 2*cfg.HostRate.TxTime(1048) +
-		2*cfg.FabricRate.TxTime(1048) + 2*sim.Microsecond
+	n.BaseRTT = 8*edgeDelay + 2*hostRate.TxTime(1048) +
+		2*fabricRate.TxTime(1048) + 2*sim.Microsecond
 	n.finish(cfg.Opts)
 	return n
 }
@@ -186,14 +180,17 @@ func LeafSpine(cfg LeafSpineConfig) *Network {
 // head and receiver at the tail. The through flow crosses every link;
 // cross flows each load one link. §3.5 uses this structure to explain
 // why INT (which sees the *most* bottlenecked hop) beats RTT (which sees
-// the *sum* of queuing delays) on multi-bottleneck paths.
+// the *sum* of queuing delays) on multi-bottleneck paths. Hosts attach
+// at 100 Gbps, and every link has 1 µs of propagation.
 type ParkingLotConfig struct {
-	Switches  int           // chain length (≥2)
-	HostRate  units.BitRate // default 100 Gbps
-	LinkRate  units.BitRate // switch-switch, default 25 Gbps
-	LinkDelay sim.Duration  // default 1 µs
-	Opts      Options
+	Switches int           // chain length (≥2)
+	LinkRate units.BitRate // switch-switch, default 25 Gbps
+	Opts     Options
 }
+
+// parkingLotHostRate is a ParkingLot's host link rate, 4× the default
+// chain rate.
+const parkingLotHostRate = 100 * units.Gbps
 
 // ParkingLot builds the chain. Hosts: 0 = through sender, 1 = through
 // receiver (on the last switch), then one cross sender + receiver pair
@@ -203,37 +200,31 @@ func ParkingLot(cfg ParkingLotConfig) *Network {
 	if cfg.Switches < 2 {
 		cfg.Switches = 2
 	}
-	if cfg.HostRate == 0 {
-		cfg.HostRate = 100 * units.Gbps
-	}
 	if cfg.LinkRate == 0 {
 		cfg.LinkRate = 25 * units.Gbps
 	}
-	if cfg.LinkDelay == 0 {
-		cfg.LinkDelay = sim.Microsecond
-	}
-	n := newNetwork(cfg.HostRate, 2*cfg.Switches, cfg.Switches, cfg.Opts)
+	n := newNetwork(parkingLotHostRate, 2*cfg.Switches, cfg.Switches, cfg.Opts)
 	sw := make([]int, cfg.Switches)
 	for i := range sw {
 		sw[i] = n.addSwitch(cfg.Opts)
 	}
 	for i := 0; i+1 < len(sw); i++ {
-		n.wireSwitches(sw[i], sw[i+1], cfg.LinkRate, cfg.LinkDelay, cfg.Opts)
+		n.wireSwitches(sw[i], sw[i+1], cfg.LinkRate, edgeDelay, cfg.Opts)
 	}
 	// Through pair.
 	h := n.addHost(cfg.Opts.Hosts)
-	n.wireHost(h, sw[0], cfg.HostRate, cfg.LinkDelay, cfg.Opts)
+	n.wireHost(h, sw[0], parkingLotHostRate, edgeDelay, cfg.Opts)
 	h = n.addHost(cfg.Opts.Hosts)
-	n.wireHost(h, sw[len(sw)-1], cfg.HostRate, cfg.LinkDelay, cfg.Opts)
+	n.wireHost(h, sw[len(sw)-1], parkingLotHostRate, edgeDelay, cfg.Opts)
 	// Cross pairs, one per inter-switch link.
 	for i := 0; i+1 < len(sw); i++ {
 		h = n.addHost(cfg.Opts.Hosts)
-		n.wireHost(h, sw[i], cfg.HostRate, cfg.LinkDelay, cfg.Opts)
+		n.wireHost(h, sw[i], parkingLotHostRate, edgeDelay, cfg.Opts)
 		h = n.addHost(cfg.Opts.Hosts)
-		n.wireHost(h, sw[i+1], cfg.HostRate, cfg.LinkDelay, cfg.Opts)
+		n.wireHost(h, sw[i+1], parkingLotHostRate, edgeDelay, cfg.Opts)
 	}
 	// Worst-case RTT: the through path.
-	oneWay := sim.Duration(cfg.Switches+1) * cfg.LinkDelay
+	oneWay := sim.Duration(cfg.Switches+1) * edgeDelay
 	n.BaseRTT = 2*oneWay + sim.Duration(cfg.Switches)*2*cfg.LinkRate.TxTime(1048) + 2*sim.Microsecond
 	n.finish(cfg.Opts)
 	return n
@@ -242,16 +233,15 @@ func ParkingLot(cfg ParkingLotConfig) *Network {
 // FatTreeConfig describes the paper's evaluation topology (§4.1). The
 // zero value scaled by ServersPerTor reproduces it exactly; smaller
 // ServersPerTor values keep the same structure at lower cost for tests.
+// Servers attach at 25 Gbps; server and intra-pod links have 1 µs of
+// propagation, links to the core 5 µs.
 type FatTreeConfig struct {
 	Pods          int           // default 4
 	TorsPerPod    int           // default 2
 	AggsPerPod    int           // default 2
 	Cores         int           // default 2
 	ServersPerTor int           // default 32 (gives 256 servers)
-	HostRate      units.BitRate // default 25 Gbps
 	FabricRate    units.BitRate // default 100 Gbps
-	EdgeDelay     sim.Duration  // default 1 µs (server and intra-pod links)
-	CoreDelay     sim.Duration  // default 5 µs (links to core)
 	Opts          Options
 }
 
@@ -278,17 +268,8 @@ func (c *FatTreeConfig) fillDefaults() {
 	if c.ServersPerTor == 0 {
 		c.ServersPerTor = 32
 	}
-	if c.HostRate == 0 {
-		c.HostRate = 25 * units.Gbps
-	}
 	if c.FabricRate == 0 {
-		c.FabricRate = 100 * units.Gbps
-	}
-	if c.EdgeDelay == 0 {
-		c.EdgeDelay = sim.Microsecond
-	}
-	if c.CoreDelay == 0 {
-		c.CoreDelay = 5 * sim.Microsecond
+		c.FabricRate = fabricRate
 	}
 }
 
@@ -299,7 +280,7 @@ func FatTree(cfg FatTreeConfig) *Network {
 	cfg.fillDefaults()
 	nTors := cfg.Pods * cfg.TorsPerPod
 	nAggs := cfg.Pods * cfg.AggsPerPod
-	n := newNetwork(cfg.HostRate, nTors*cfg.ServersPerTor, nTors+nAggs+cfg.Cores, cfg.Opts)
+	n := newNetwork(hostRate, nTors*cfg.ServersPerTor, nTors+nAggs+cfg.Cores, cfg.Opts)
 	tors := make([]int, nTors)
 	aggs := make([]int, nAggs)
 	cores := make([]int, cfg.Cores)
@@ -316,27 +297,27 @@ func FatTree(cfg FatTreeConfig) *Network {
 	for t := 0; t < nTors; t++ {
 		for s := 0; s < cfg.ServersPerTor; s++ {
 			hi := n.addHost(cfg.Opts.Hosts)
-			n.wireHost(hi, tors[t], cfg.HostRate, cfg.EdgeDelay, cfg.Opts)
+			n.wireHost(hi, tors[t], hostRate, edgeDelay, cfg.Opts)
 		}
 	}
 	for p := 0; p < cfg.Pods; p++ {
 		for t := 0; t < cfg.TorsPerPod; t++ {
 			for a := 0; a < cfg.AggsPerPod; a++ {
 				n.wireSwitches(tors[p*cfg.TorsPerPod+t], aggs[p*cfg.AggsPerPod+a],
-					cfg.FabricRate, cfg.EdgeDelay, cfg.Opts)
+					cfg.FabricRate, edgeDelay, cfg.Opts)
 			}
 		}
 	}
 	for a := 0; a < nAggs; a++ {
 		for c := 0; c < cfg.Cores; c++ {
-			n.wireSwitches(aggs[a], cores[c], cfg.FabricRate, cfg.CoreDelay, cfg.Opts)
+			n.wireSwitches(aggs[a], cores[c], cfg.FabricRate, coreDelay, cfg.Opts)
 		}
 	}
 
 	// Longest round trip: 2×(2·edge (host,tor-agg) + core + core + 2·edge)
 	// of propagation plus serialization headroom.
-	oneWay := 4*cfg.EdgeDelay + 2*cfg.CoreDelay
-	n.BaseRTT = 2*oneWay + 2*cfg.HostRate.TxTime(1048) + 4*cfg.FabricRate.TxTime(1048) + sim.Microsecond
+	oneWay := 4*edgeDelay + 2*coreDelay
+	n.BaseRTT = 2*oneWay + 2*hostRate.TxTime(1048) + 4*cfg.FabricRate.TxTime(1048) + sim.Microsecond
 	n.finish(cfg.Opts)
 	return n
 }

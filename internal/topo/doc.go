@@ -40,4 +40,11 @@
 //     serial run. Plan.Workers only says how many goroutines step them.
 //   - BaseRTT is computed from the built topology so transports can use
 //     the fabric's true τ.
+//   - A config carries only what some caller varies: fabric shape, and
+//     the rates that tests or experiments sweep (Star and Dumbbell host
+//     rates, FatTreeConfig.FabricRate, SpineRates, ParkingLotConfig's
+//     LinkRate, RotorConfig.PacketRate). Every other rate and delay is
+//     one of the package's §4.1 constants — 25 Gbps server links,
+//     100 Gbps fabric links, 1 µs edge and 5 µs core propagation — or
+//     RotorCircuitRate, so the builders share one set of wires.
 package topo

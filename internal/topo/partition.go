@@ -91,7 +91,7 @@ func minWireTx(rate units.BitRate) sim.Duration {
 // partition c mod Pods. Intra-pod links (host–ToR, ToR–agg) therefore
 // never cross a boundary; the only cuts are agg–core links whose
 // endpoints landed on different partitions, and every one of them
-// carries CoreDelay of propagation — the longest wires in the fabric
+// carries the core's 5 µs of propagation — the longest wires in the fabric
 // make the natural cut, maximizing the conservative-sync window.
 func (c FatTreeConfig) Partitions() *Plan {
 	c.fillDefaults()
@@ -114,7 +114,7 @@ func (c FatTreeConfig) Partitions() *Plan {
 	for a := 0; a < nAggs; a++ {
 		pl.SwitchPart[nTors+a] = a / c.AggsPerPod
 	}
-	look := c.CoreDelay + minWireTx(c.FabricRate)
+	look := coreDelay + minWireTx(c.FabricRate)
 	for co := 0; co < c.Cores; co++ {
 		part := co % p
 		pl.SwitchPart[nTors+nAggs+co] = part
@@ -130,8 +130,8 @@ func (c FatTreeConfig) Partitions() *Plan {
 // Partitions returns the leaf-spine fabric's plan: one partition per
 // leaf with all its hosts, and spine s on partition s mod Leaves.
 // Host–leaf links never cross a boundary; the cuts are exactly the
-// leaf–spine links whose endpoints differ, each with lookahead LinkDelay
-// plus the minimum serialization time at that spine's effective link
+// leaf–spine links whose endpoints differ, each with lookahead 1 µs of
+// propagation plus the minimum serialization time at that spine's link
 // rate.
 func (c LeafSpineConfig) Partitions() *Plan {
 	c.fillDefaults()
@@ -151,7 +151,7 @@ func (c LeafSpineConfig) Partitions() *Plan {
 	for sp := 0; sp < c.Spines; sp++ {
 		part := sp % p
 		pl.SwitchPart[c.Leaves+sp] = part
-		look := c.LinkDelay + minWireTx(c.SpineRate(sp))
+		look := edgeDelay + minWireTx(c.SpineRate(sp))
 		for l := 0; l < c.Leaves; l++ {
 			if pl.SwitchPart[l] != part {
 				pl.Cuts = append(pl.Cuts, Cut{A: l, B: c.Leaves + sp, Lookahead: look})

@@ -48,7 +48,7 @@ func TestFatTreePartitions(t *testing.T) {
 		}
 		// Reconstruct the expected cut set from the physical adjacency:
 		// every agg wires to every core.
-		wantLook := cfg.CoreDelay + cfg.FabricRate.TxTime(48)
+		wantLook := coreDelay + cfg.FabricRate.TxTime(48)
 		cuts := map[[2]int]bool{}
 		for _, c := range pl.Cuts {
 			if c.Lookahead != wantLook {
@@ -106,7 +106,7 @@ func TestLeafSpinePartitions(t *testing.T) {
 		}
 		cuts := map[[2]int]bool{}
 		for _, c := range pl.Cuts {
-			want := cfg.LinkDelay + cfg.SpineRate(c.B-cfg.Leaves).TxTime(48)
+			want := edgeDelay + cfg.SpineRate(c.B-cfg.Leaves).TxTime(48)
 			if c.Lookahead != want {
 				t.Fatalf("%d leaves: cut %d–%d lookahead %v, want %v", p, c.A, c.B, c.Lookahead, want)
 			}

@@ -16,24 +16,25 @@ import (
 // rotor circuit switch that gives every ToR a circuit to one other ToR
 // at a time. The zero value reproduces the paper's setup (25 ToRs × 10
 // servers, 25 Gbps packet links, 100 Gbps circuits, 225 µs days, 20 µs
-// nights, base RTT 24 µs).
+// nights, base RTT 24 µs). Servers attach at 25 Gbps over 1 µs links;
+// core links and circuits have 5 µs of propagation, and circuits run at
+// RotorCircuitRate.
 type RotorConfig struct {
 	Tors          int
 	ServersPerTor int
-	HostRate      units.BitRate // server ↔ ToR
 	PacketRate    units.BitRate // ToR ↔ packet core (Fig. 8b sweeps this)
-	CircuitRate   units.BitRate // ToR ↔ rotor
 	Day           sim.Duration  // time a matching stays installed
 	Night         sim.Duration  // reconfiguration gap, circuits dark
 	// Prebuffer routes packets into the circuit VOQ this long before
 	// their circuit day begins (reTCP's prebuffering; 0 for PowerTCP and
 	// HPCC runs, which use the circuit only while it is up).
 	Prebuffer sim.Duration
-	// EdgeDelay/CoreDelay are propagation delays (defaults 1 µs / 5 µs);
-	// circuits and core links both run at CoreDelay.
-	EdgeDelay, CoreDelay sim.Duration
-	Opts                 Options
+	Opts      Options
 }
+
+// RotorCircuitRate is the rate of a rotor fabric's ToR ↔ rotor circuits
+// (§5).
+const RotorCircuitRate = 100 * units.Gbps
 
 // WithDefaults returns the config with every zero field replaced by the
 // paper's §5 value and Prebuffer clamped to the schedule, so callers can
@@ -41,13 +42,9 @@ type RotorConfig struct {
 func (c RotorConfig) WithDefaults() RotorConfig {
 	c.Tors = cmp.Or(c.Tors, 25)
 	c.ServersPerTor = cmp.Or(c.ServersPerTor, 10)
-	c.HostRate = cmp.Or(c.HostRate, 25*units.Gbps)
 	c.PacketRate = cmp.Or(c.PacketRate, 25*units.Gbps)
-	c.CircuitRate = cmp.Or(c.CircuitRate, 100*units.Gbps)
 	c.Day = cmp.Or(c.Day, 225*sim.Microsecond)
 	c.Night = cmp.Or(c.Night, 20*sim.Microsecond)
-	c.EdgeDelay = cmp.Or(c.EdgeDelay, sim.Microsecond)
-	c.CoreDelay = cmp.Or(c.CoreDelay, 5*sim.Microsecond)
 	// A prebuffer lead approaching the rotor week would classify every
 	// destination as "upcoming" and starve the packet path (including
 	// ACKs). Clamp it so at least two slots of each cycle stay packet-
@@ -67,8 +64,8 @@ func (c RotorConfig) Schedule() *rdcn.Schedule {
 // longest — edge+core+core+edge one way — which is the paper's 24 µs at
 // 1 µs / 5 µs delays.
 func (c RotorConfig) BaseRTT() sim.Duration {
-	return 2*(2*c.EdgeDelay+2*c.CoreDelay) +
-		2*c.HostRate.TxTime(1048) + 2*c.PacketRate.TxTime(1048)
+	return 2*(2*edgeDelay+2*coreDelay) +
+		2*hostRate.TxTime(1048) + 2*c.PacketRate.TxTime(1048)
 }
 
 // Rotor is the circuit switch of a rotor fabric: it owns the slot
@@ -104,7 +101,7 @@ func (r *Rotor) CircuitPort(t int) *link.Port { return r.net.Switches[t].Ports()
 // out of the graph, and the rotor moves routes onto it.
 func RotorFabric(cfg RotorConfig) *Network {
 	cfg = cfg.WithDefaults()
-	n := newNetwork(cfg.HostRate, cfg.Tors*cfg.ServersPerTor, cfg.Tors+1, cfg.Opts)
+	n := newNetwork(hostRate, cfg.Tors*cfg.ServersPerTor, cfg.Tors+1, cfg.Opts)
 	n.BaseRTT = cfg.BaseRTT()
 	r := &Rotor{
 		Cfg: cfg, Sched: cfg.Schedule(), net: n,
@@ -121,11 +118,11 @@ func RotorFabric(cfg RotorConfig) *Network {
 		var ids []packet.NodeID
 		for range cfg.ServersPerTor {
 			hi := n.addHost(cfg.Opts.Hosts)
-			n.wireHost(hi, t, cfg.HostRate, cfg.EdgeDelay, cfg.Opts)
+			n.wireHost(hi, t, hostRate, edgeDelay, cfg.Opts)
 			ids = append(ids, n.HostID(hi))
 		}
 		r.racks = append(r.racks, ids)
-		n.wireSwitches(t, core, cfg.PacketRate, cfg.CoreDelay, cfg.Opts)
+		n.wireSwitches(t, core, cfg.PacketRate, coreDelay, cfg.Opts)
 	}
 	n.finish(cfg.Opts)
 	for t := range cfg.Tors {
@@ -133,7 +130,7 @@ func RotorFabric(cfg RotorConfig) *Network {
 		// at each day start.
 		voq := queue.NewClass(func(p *packet.Packet) int { return int(p.Dst) / cfg.ServersPerTor })
 		r.voq = append(r.voq, voq)
-		n.Switches[t].AddPort(cfg.CircuitRate, cfg.CoreDelay, nil, voq)
+		n.Switches[t].AddPort(RotorCircuitRate, coreDelay, nil, voq)
 		r.CircuitPort(t).Pause()
 	}
 	r.day(0)
@@ -156,7 +153,7 @@ func RotorFabric(cfg RotorConfig) *Network {
 //
 // A circuit port's Peer is re-pointed here and not at day end: the VOQ
 // only drains the matched rack's class, and a packet still on the
-// circuit when the day ends lands within CoreDelay plus one
+// circuit when the day ends lands within coreDelay plus one
 // transmission, far inside the Night, so every delivery has read Peer
 // before the next day start overwrites it.
 func (r *Rotor) day(k int) {

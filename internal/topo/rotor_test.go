@@ -91,7 +91,7 @@ func TestReTCPWindowFollowsCalendar(t *testing.T) {
 		Sched: net.Rotor.Sched, SrcTor: 0, DstTor: 2,
 		Prebuffer:   30 * sim.Microsecond,
 		PacketRate:  net.Rotor.Cfg.PacketRate,
-		CircuitRate: net.Rotor.Cfg.CircuitRate,
+		CircuitRate: topo.RotorCircuitRate,
 	}
 	net.TransportHost(0).StartFlow(net.NextFlowID(), net.HostID(4), transport.Unbounded, r, 0)
 	// Day for 0→2 is [110µs, 210µs); prebuffer from 80µs.
@@ -116,7 +116,7 @@ func TestPrebufferFillsVOQBeforeDay(t *testing.T) {
 		Sched: net.Rotor.Sched, SrcTor: 0, DstTor: 2,
 		Prebuffer:   cfg.Prebuffer,
 		PacketRate:  net.Rotor.Cfg.PacketRate,
-		CircuitRate: net.Rotor.Cfg.CircuitRate,
+		CircuitRate: topo.RotorCircuitRate,
 	}
 	net.TransportHost(0).StartFlow(net.NextFlowID(), net.HostID(4), transport.Unbounded, r, 0)
 	// Day for 0→2 starts at 110µs; from 60µs packets steer to the VOQ.

@@ -28,14 +28,16 @@ func (b *blackhole) Receive(p *packet.Packet) {
 }
 
 func TestRTORecoversFromBlackhole(t *testing.T) {
+	// 40·τ is 400 µs here, so the RTO is its 1 ms floor: the 2 ms
+	// blackhole below spans two timeouts.
+	if rto := transport.RTO(10 * sim.Microsecond); rto != sim.Millisecond {
+		t.Fatalf("RTO at τ = 10 µs is %v, want the 1 ms floor", rto)
+	}
 	net := topo.Star(topo.StarConfig{
 		Hosts:    2,
 		HostRate: 25 * units.Gbps,
 		Opts: topo.Options{
-			Hosts: topo.TransportHosts(transport.Config{
-				BaseRTT: 10 * sim.Microsecond,
-				RTO:     500 * sim.Microsecond,
-			}),
+			Hosts: topo.TransportHosts(transport.Config{BaseRTT: 10 * sim.Microsecond}),
 		},
 	})
 	src, dst := net.TransportHost(0), net.TransportHost(1)

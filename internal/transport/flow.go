@@ -65,7 +65,7 @@ func (f *Flow) start() {
 	f.CC.Init(cc.Limits{
 		BaseRTT:  f.Src.cfg.BaseRTT,
 		HostRate: f.Src.nic.Rate,
-		MSS:      f.Src.cfg.MSS,
+		MSS:      packet.MSS,
 		Engine:   f.Src.eng,
 	})
 	f.ect = cc.WantsECT(f.CC)
@@ -95,7 +95,7 @@ func (f *Flow) trySend() {
 	eng := f.Src.eng
 	now := eng.Now()
 	for f.remaining() > 0 && float64(f.Inflight()) < f.CC.Cwnd() && now >= f.nextSendAt {
-		n := f.Src.cfg.MSS
+		n := int64(packet.MSS)
 		if r := f.remaining(); r < n {
 			n = r
 		}
@@ -195,7 +195,7 @@ func (f *Flow) onAck(p *packet.Packet) {
 }
 
 func (f *Flow) retransmitHead() {
-	n := f.Src.cfg.MSS
+	n := int64(packet.MSS)
 	if f.Size != Unbounded && f.Size-f.sndUna < n {
 		n = f.Size - f.sndUna
 	}
@@ -223,7 +223,7 @@ func (f *Flow) armRTO() {
 		return
 	}
 	if !f.rto.Armed() {
-		f.rto.ArmAfter(f.Src.cfg.RTO)
+		f.rto.ArmAfter(f.Src.rto)
 	}
 }
 
@@ -235,7 +235,7 @@ func (f *Flow) resetRTO() {
 		f.rto.Stop()
 		return
 	}
-	f.rto.ArmAfter(f.Src.cfg.RTO)
+	f.rto.ArmAfter(f.Src.rto)
 }
 
 func (f *Flow) onRTO() {

@@ -9,35 +9,25 @@ import (
 	"repro/internal/sim"
 )
 
-// Config carries host-wide transport parameters.
+// Config carries host-wide transport parameters. Segments carry
+// packet.MSS payload bytes, and ACKs and CNPs travel in the highest
+// priority class (0).
 type Config struct {
-	BaseRTT     sim.Duration // τ: maximum base RTT of the topology (§4.1)
-	MSS         int64        // payload bytes per packet; defaults to packet.MSS
-	RTO         sim.Duration // retransmission timeout; defaults to 40×BaseRTT, min 1 ms
-	CNPInterval sim.Duration // min gap between DCQCN CNPs per flow; defaults to 50 µs
-	AckPriority uint8        // priority class for ACKs
+	BaseRTT sim.Duration // τ: maximum base RTT of the topology (§4.1)
 	// DupAckThreshold triggers fast retransmit (default 3). Negative
 	// disables fast retransmit entirely — used on circuit networks where
 	// day/night path switches reorder packets routinely.
 	DupAckThreshold int
 }
 
-func (c *Config) fillDefaults() {
-	if c.MSS == 0 {
-		c.MSS = packet.MSS
-	}
-	if c.RTO == 0 {
-		c.RTO = 40 * c.BaseRTT
-		if c.RTO < sim.Millisecond {
-			c.RTO = sim.Millisecond
-		}
-	}
-	if c.CNPInterval == 0 {
-		c.CNPInterval = 50 * sim.Microsecond
-	}
-	if c.DupAckThreshold == 0 {
-		c.DupAckThreshold = 3
-	}
+// cnpInterval is the DCQCN notification point's minimum gap between
+// CNPs of one flow (Zhu et al., SIGCOMM 2015).
+const cnpInterval = 50 * sim.Microsecond
+
+// RTO is the retransmission timeout for a fabric of base RTT τ: 40·τ,
+// at least 1 ms. HOMA's resend timer uses the same rule.
+func RTO(baseRTT sim.Duration) sim.Duration {
+	return max(40*baseRTT, sim.Millisecond)
 }
 
 // Host is a server endpoint running the window transport.
@@ -45,6 +35,7 @@ type Host struct {
 	id   packet.NodeID
 	eng  *sim.Engine
 	cfg  Config
+	rto  sim.Duration
 	nic  *link.Port
 	pool *packet.Pool
 
@@ -73,11 +64,14 @@ type rcvState struct {
 // NewHost creates a transport host. The NIC uplink is attached later by
 // the topology builder via SetUplink.
 func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
-	cfg.fillDefaults()
+	if cfg.DupAckThreshold == 0 {
+		cfg.DupAckThreshold = 3
+	}
 	return &Host{
 		id:    id,
 		eng:   eng,
 		cfg:   cfg,
+		rto:   RTO(cfg.BaseRTT),
 		flows: map[packet.FlowID]*Flow{},
 		rcv:   map[packet.FlowID]*rcvState{},
 	}
@@ -161,11 +155,11 @@ func (h *Host) onData(p *packet.Packet) {
 	rs.bytes += int64(p.PayloadLen)
 	h.rcvdTotal += int64(p.PayloadLen)
 
-	// DCQCN NP side: at most one CNP per flow per CNPInterval while CE
+	// DCQCN NP side: at most one CNP per flow per cnpInterval while CE
 	// marks keep arriving.
 	if p.CE && p.ECT {
 		now := h.eng.Now()
-		if !rs.sawCNP || now.Sub(rs.lastCNP) >= h.cfg.CNPInterval {
+		if !rs.sawCNP || now.Sub(rs.lastCNP) >= cnpInterval {
 			rs.lastCNP = now
 			rs.sawCNP = true
 			cnp := h.pool.Get()
@@ -173,7 +167,6 @@ func (h *Host) onData(p *packet.Packet) {
 			cnp.Flow = p.Flow
 			cnp.Src = h.id
 			cnp.Dst = p.Src
-			cnp.Priority = h.cfg.AckPriority
 			h.nic.Send(cnp)
 		}
 	}
@@ -186,7 +179,6 @@ func (h *Host) onData(p *packet.Packet) {
 	ack.SetAckSeq(rs.got.CumulativeFrom(0))
 	ack.SetEchoSent(p.SentAt())
 	ack.EchoECN = p.CE
-	ack.Priority = h.cfg.AckPriority
 	// The ACK carries the INT records collected on the data path and
 	// keeps collecting on the return path (§3.3: the sender receives
 	// metadata from all switches along the round trip). It takes the data

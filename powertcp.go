@@ -38,9 +38,13 @@ const (
 type (
 	// Algorithm is the per-flow congestion-control interface.
 	Algorithm = cc.Algorithm
-	// Config parameterizes PowerTCP and θ-PowerTCP.
+	// Config parameterizes PowerTCP and θ-PowerTCP: γ and per-RTT
+	// updates. β = HostBw·τ/10, the window bounds and every baseline's
+	// parameters are the papers' constants (EXPERIMENTS.md).
 	Config = core.Config
-	// HostConfig parameterizes the reliable transport on each host.
+	// HostConfig parameterizes the reliable transport on each host: the
+	// base RTT τ and the fast-retransmit threshold. Segments carry 1000
+	// payload bytes, and the RTO is 40·τ, at least 1 ms.
 	HostConfig = transport.Config
 )
 
@@ -148,7 +152,7 @@ type (
 	ExperimentSuite = exp.Suite
 	// Scheme bundles a congestion-control choice with the switch
 	// features it needs; SchemeOption composes ablation variants
-	// (Gamma, Alpha, Overcommit, PerRTT, Prebuffer) onto it.
+	// (Gamma, Alpha) onto it.
 	Scheme       = scenario.Scheme
 	SchemeOption = scenario.SchemeOption
 )
@@ -167,12 +171,11 @@ var (
 )
 
 // Scheme options (ablation variants composed at resolution time).
+// HOMA's overcommitment and reTCP's prebuffering are spelled in the
+// scheme name instead: "homa-oc<N>", "retcp-<µs>".
 var (
-	Gamma      = scenario.Gamma
-	Alpha      = scenario.Alpha
-	Overcommit = scenario.Overcommit
-	PerRTT     = scenario.PerRTT
-	Prebuffer  = scenario.Prebuffer
+	Gamma = scenario.Gamma
+	Alpha = scenario.Alpha
 )
 
 // Scheme names ResolveScheme accepts. The parameterized
