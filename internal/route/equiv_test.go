@@ -74,7 +74,7 @@ func runEquivalenceScript(t *testing.T, build func(*graphBuilder), strategy Stra
 		t.Helper()
 		for si := range b.g {
 			for _, dst := range ref.hostIDs {
-				got, want := stubs[si].routes[dst], ref.tables[si][dst]
+				got, want := stubs[si].route(dst), ref.tables[si][dst]
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d, %s: switch %d → %d: router %v, reference %v", seed, when, si, dst, got, want)
 				}

@@ -12,11 +12,15 @@
 // configurable control-plane delay, so schemes see the realistic
 // black-holing window between a cut and the reroute.
 //
-// Tables are computed per edge switch, not per host: every host behind
-// one edge switch is reached over the same next hops from anywhere else,
-// so a rebuild runs one BFS per edge switch and hands each other switch
-// one candidate group for all of that edge's hosts. Switches store the
-// group once however many destinations share it.
+// Tables are computed and kept per edge switch, not per host: every host
+// behind one edge switch is reached over the same next hops from
+// anywhere else, so a rebuild runs one BFS per edge switch and installs
+// one candidate list on each other switch for all of that edge's hosts.
+// The Router numbers the fabric once (Addressing): each host's edge
+// ordinal and its slot behind that edge. A switch's table has one entry
+// per edge plus one per host of its own, as two-level fat-tree tables do
+// (Al-Fares et al., SIGCOMM 2008), and its lookup reads the host's
+// address, then one entry.
 //
 // Determinism: path choice hashes the flow key (FlowHash) with no RNG,
 // rebuilds walk switches and ports in index order, and failure events
@@ -45,12 +49,69 @@ type PortRef struct {
 	Peer   int // peer switch index (!ToHost)
 }
 
-// Installer receives one computed candidate port list for a set of
-// destination nodes that share it. ports belongs to the router and is
-// valid only during the call: the installer copies what it keeps.
-// *swtch.Switch implements it.
+// Installer is a switch's forwarding table as the Router fills it.
+// Attach comes once, before any Install: it hands over the fabric's
+// Addressing and the switch's own edge ordinal (-1 for a switch with no
+// hosts), which fix the table's indexes (Addressing.Index) and its
+// length (Addressing.TableLen). Install sets entry i to a candidate port
+// list; ports belongs to the router and is valid only during the call,
+// so the installer copies what it keeps. *swtch.Switch implements it.
 type Installer interface {
-	SetRoutes(dsts []packet.NodeID, ports []int)
+	Attach(a *Addressing, own int)
+	Install(i int, ports []int)
+}
+
+// Addr is a host's place in a fabric, packed in one word: 1 + the
+// ordinal of its edge switch in the high half, its slot among that
+// edge's hosts in the low half. The zero Addr names no host.
+type Addr uint32
+
+// maxPacked is both the most edges and the most hosts on one edge an
+// Addr holds.
+const maxPacked = 1<<16 - 1
+
+// Edge returns the ordinal of the host's edge switch, -1 for no host.
+func (a Addr) Edge() int { return int(a>>16) - 1 }
+
+// Slot returns the host's place among its edge's hosts.
+func (a Addr) Slot() int { return int(a & 0xFFFF) }
+
+// Addressing is a fabric's host numbering: edges are the switches with
+// hosts attached, in switch order, and each host is its edge's ordinal
+// and its slot behind that edge, in port order. NewRouter writes it once;
+// after that it is read only, by every switch of every shard.
+type Addressing struct {
+	addr  []Addr // by host node ID
+	edges []edge // by edge ordinal
+}
+
+// Of returns the address of node dst, the zero Addr if dst is no host.
+func (a *Addressing) Of(dst packet.NodeID) Addr {
+	if d := uint(uint32(dst)); d < uint(len(a.addr)) { // a negative ID wraps past the end
+		return a.addr[d]
+	}
+	return 0
+}
+
+// Index returns dst's entry in the table of the switch whose edge
+// ordinal is own: dst's edge ordinal when dst sits behind another edge,
+// the number of edges + its slot when it is one of own's hosts, and -1
+// when dst is no host.
+func (a *Addressing) Index(dst packet.NodeID, own int) int {
+	v := a.Of(dst)
+	if e := v.Edge(); e != own || v == 0 { // the zero Addr's edge is -1
+		return e
+	}
+	return len(a.edges) + v.Slot()
+}
+
+// TableLen returns the length of the table of the switch whose edge
+// ordinal is own: one entry per edge, plus one per host of its own.
+func (a *Addressing) TableLen(own int) int {
+	if own < 0 {
+		return len(a.edges)
+	}
+	return len(a.edges) + a.edges[own].hi - a.edges[own].lo
 }
 
 // Candidate is one equal-cost next hop offered to a Strategy.
@@ -218,9 +279,8 @@ type Router struct {
 	installers []Installer // same order as graph
 	strategy   Strategy
 
-	edges    []edge          // switches with hosts attached, in switch order
-	dsts     []packet.NodeID // every host's node ID, grouped by edge
-	access   []int           // access[k]: the edge's port facing dsts[k]
+	addr     Addressing
+	access   []int // every host's access port, grouped by edge in slot order
 	rebuilds int
 
 	// Scratch reused across rebuilds.
@@ -232,10 +292,11 @@ type Router struct {
 }
 
 // edge is one switch with hosts attached — the unit tables are computed
-// for. Its hosts are Router.dsts[lo:hi], behind ports Router.access[lo:hi].
+// for. Its hosts sit behind ports Router.access[lo:hi], slot k at lo+k.
 type edge struct{ sw, lo, hi int }
 
-// NewRouter builds a router over the graph and installs the initial
+// NewRouter builds a router over the graph, numbers the fabric's hosts
+// (Addressing), attaches every installer and installs the initial
 // tables. graph[i] lists switch i's egress ports in port order;
 // installers[i] is the switch itself. Every host hangs off exactly one
 // switch port — the per-edge grouping relies on it.
@@ -250,26 +311,53 @@ func NewRouter(eng *sim.Engine, graph [][]PortRef, installers []Installer, strat
 		strategy:   strategy,
 		dist:       make([]int, len(graph)),
 	}
-	attached := map[int]int{} // host index → its edge switch
+	hosts, maxID := 0, packet.NodeID(-1)
+	for _, ports := range graph {
+		for _, ref := range ports {
+			if ref.ToHost {
+				hosts++
+				maxID = max(maxID, ref.HostID)
+			}
+		}
+	}
+	r.addr.addr = make([]Addr, maxID+1)
+	r.access = make([]int, 0, hosts)
+	own := make([]int, len(graph))
 	for si, ports := range graph {
-		lo := len(r.dsts)
+		own[si] = -1
+		e, lo := len(r.addr.edges), len(r.access)
 		for pi, ref := range ports {
 			if !ref.ToHost {
 				continue
 			}
-			if other, dup := attached[ref.Host]; dup {
+			if v := r.addr.addr[ref.HostID]; v != 0 {
+				other := si
+				if v.Edge() < e {
+					other = r.addr.edges[v.Edge()].sw
+				}
 				panic(fmt.Sprintf("route: host %d is wired to switch %d and to switch %d; a host has one access port", ref.Host, other, si))
 			}
-			attached[ref.Host] = si
-			r.dsts, r.access = append(r.dsts, ref.HostID), append(r.access, pi)
+			slot := len(r.access) - lo
+			if e >= maxPacked || slot >= maxPacked {
+				panic(fmt.Sprintf("route: switch %d is edge %d with host slot %d; addresses hold %d edges of %[4]d hosts", si, e, slot, maxPacked))
+			}
+			r.addr.addr[ref.HostID] = Addr(e+1)<<16 | Addr(slot)
+			r.access = append(r.access, pi)
 		}
-		if hi := len(r.dsts); hi > lo {
-			r.edges = append(r.edges, edge{sw: si, lo: lo, hi: hi})
+		if hi := len(r.access); hi > lo {
+			own[si] = e
+			r.addr.edges = append(r.addr.edges, edge{sw: si, lo: lo, hi: hi})
 		}
+	}
+	for si, in := range installers {
+		in.Attach(&r.addr, own[si])
 	}
 	r.Rebuild()
 	return r
 }
+
+// Addressing returns the fabric's host numbering.
+func (r *Router) Addressing() *Addressing { return &r.addr }
 
 // Rebuilds counts control-plane table recomputations (1 after build).
 func (r *Router) Rebuilds() int { return r.rebuilds }
@@ -335,15 +423,16 @@ func (r *Router) Schedule(events []LinkEvent, reconverge sim.Duration) {
 // Rebuild recomputes every routing table from the current link state: a
 // BFS per edge switch over the switch graph (skipping failed links), the
 // equal-cost candidates at every other switch expanded by the strategy
-// once and installed for all of that edge's hosts; the edge switch gets
-// each host's own port. Switches left with no path to an edge keep their
-// stale entries — pointing at a dead port that drops — mirroring a real
-// partition rather than pretending the packet was never sent.
+// and installed once, in that switch's entry for the edge; the edge
+// switch gets each host's own port in the host's slot entry. Switches
+// left with no path to an edge keep their stale entries — pointing at a
+// dead port that drops — mirroring a real partition rather than
+// pretending the packet was never sent.
 func (r *Router) Rebuild() {
 	r.rebuilds++
 	const inf = int(1e9)
-	for _, e := range r.edges {
-		dsts, access := r.dsts[e.lo:e.hi], r.access[e.lo:e.hi]
+	for ei, e := range r.addr.edges {
+		access := r.access[e.lo:e.hi]
 		for i := range r.dist {
 			r.dist[i] = inf
 		}
@@ -366,8 +455,8 @@ func (r *Router) Rebuild() {
 		}
 		r.frontier, r.next = frontier[:0], next[:0]
 
-		for k := range dsts {
-			r.installers[e.sw].SetRoutes(dsts[k:k+1], access[k:k+1])
+		for k := range access {
+			r.installers[e.sw].Install(len(r.addr.edges)+k, access[k:k+1])
 		}
 		for si, refs := range r.graph {
 			if si == e.sw || r.dist[si] == inf {
@@ -381,7 +470,7 @@ func (r *Router) Rebuild() {
 			}
 			r.ports = r.strategy.Expand(r.cand, r.ports[:0])
 			if len(r.ports) > 0 {
-				r.installers[si].SetRoutes(dsts, r.ports)
+				r.installers[si].Install(ei, r.ports)
 			}
 		}
 	}

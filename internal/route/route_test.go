@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/link"
@@ -94,17 +95,27 @@ func TestFlowHashDeterministicAndSpreads(t *testing.T) {
 	}
 }
 
-// tableStub records installed routes like a switch would.
-type tableStub struct{ routes map[packet.NodeID][]int }
-
-func newTableStub() *tableStub { return &tableStub{routes: map[packet.NodeID][]int{}} }
-
-func (ts *tableStub) SetRoutes(dsts []packet.NodeID, ports []int) {
-	kept := append([]int(nil), ports...) // ports is the router's scratch
-	for _, dst := range dsts {
-		ts.routes[dst] = kept
-	}
+// tableStub records installed routes like a switch would: by table
+// index, resolved per destination through the fabric's Addressing.
+type tableStub struct {
+	addr    *Addressing
+	own     int
+	entries map[int][]int
 }
+
+func newTableStub() *tableStub { return &tableStub{entries: map[int][]int{}} }
+
+func (ts *tableStub) Attach(a *Addressing, own int) { ts.addr, ts.own = a, own }
+
+func (ts *tableStub) Install(i int, ports []int) {
+	if i < 0 || i >= ts.addr.TableLen(ts.own) {
+		panic(fmt.Sprintf("install at %d outside a table of %d", i, ts.addr.TableLen(ts.own)))
+	}
+	ts.entries[i] = append([]int(nil), ports...) // ports is the router's scratch
+}
+
+// route returns the installed candidate list for dst.
+func (ts *tableStub) route(dst packet.NodeID) []int { return ts.entries[ts.addr.Index(dst, ts.own)] }
 
 // diamond builds the minimal multipath graph: host 0 on switch 0, host 1
 // on switch 3, two disjoint two-hop paths 0-1-3 and 0-2-3.
@@ -147,10 +158,10 @@ func TestRouterInstallsECMPAndReconverges(t *testing.T) {
 	g, stubs := diamond(eng)
 	r := NewRouter(eng, g, installers(stubs), ECMP{})
 
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := stubs[0].route(101); len(got) != 2 {
 		t.Fatalf("switch 0 ECMP candidates for host 1 = %v, want 2", got)
 	}
-	if got := stubs[0].routes[100]; len(got) != 1 || got[0] != 0 {
+	if got := stubs[0].route(100); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("switch 0 direct route = %v, want [0]", got)
 	}
 
@@ -159,21 +170,21 @@ func TestRouterInstallsECMPAndReconverges(t *testing.T) {
 	if !g[0][1].Link.IsDown() || !g[1][0].Link.IsDown() {
 		t.Fatal("failed link's ports are not down in both directions")
 	}
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := stubs[0].route(101); len(got) != 2 {
 		t.Fatalf("tables changed before reconvergence: %v", got)
 	}
 	r.Rebuild()
-	if got := stubs[0].routes[101]; len(got) != 1 || got[0] != 2 {
+	if got := stubs[0].route(101); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("post-failure route = %v, want [2] (via switch 2)", got)
 	}
 	// Switch 1 is still reachable from switch 3's side and keeps a path.
-	if got := stubs[1].routes[101]; len(got) != 1 || got[0] != 1 {
+	if got := stubs[1].route(101); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("switch 1 route after failure = %v", got)
 	}
 
 	r.RestoreLink(0, 1)
 	r.Rebuild()
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := stubs[0].route(101); len(got) != 2 {
 		t.Fatalf("restored route = %v, want 2 candidates", got)
 	}
 	if g[0][1].Link.IsDown() {
@@ -194,7 +205,7 @@ func TestRouterPartitionKeepsStaleRoute(t *testing.T) {
 	r.Rebuild()
 	// The stale entry remains — packets black-hole on the dead port
 	// instead of panicking on a missing route.
-	if got := stubs[0].routes[101]; len(got) == 0 {
+	if got := stubs[0].route(101); len(got) == 0 {
 		t.Fatal("partition erased the stale route")
 	}
 	if r.DownLinks() != 2 {
@@ -216,18 +227,18 @@ func TestRouterScheduleRunsOnEngine(t *testing.T) {
 	if !g[0][1].Link.IsDown() {
 		t.Fatal("link not cut at its scheduled time")
 	}
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := stubs[0].route(101); len(got) != 2 {
 		t.Fatal("tables reconverged before the control-plane delay")
 	}
 	eng.RunUntil(sim.Time(200 * sim.Microsecond))
-	if got := stubs[0].routes[101]; len(got) != 1 {
+	if got := stubs[0].route(101); len(got) != 1 {
 		t.Fatalf("tables did not reconverge after the delay: %v", got)
 	}
 	eng.RunUntil(sim.Time(400 * sim.Microsecond))
 	if g[0][1].Link.IsDown() {
 		t.Fatal("link not restored")
 	}
-	if got := stubs[0].routes[101]; len(got) != 2 {
+	if got := stubs[0].route(101); len(got) != 2 {
 		t.Fatalf("tables did not reconverge after restore: %v", got)
 	}
 }
@@ -239,7 +250,7 @@ func TestWeightedStrategyInstallsReplicatedTables(t *testing.T) {
 	g[0][1].Link.Rate = 50 * units.Gbps
 	g[0][2].Link.Rate = 100 * units.Gbps
 	NewRouter(eng, g, installers(stubs), WeightedECMP{})
-	got := stubs[0].routes[101]
+	got := stubs[0].route(101)
 	n1, n2 := 0, 0
 	for _, p := range got {
 		switch p {
@@ -280,4 +291,48 @@ func TestMultiHomedHostPanics(t *testing.T) {
 		}
 	}()
 	NewRouter(eng, g, installers(stubs), ECMP{})
+}
+
+// nopInstaller takes tables and keeps nothing.
+type nopInstaller struct{}
+
+func (nopInstaller) Attach(*Addressing, int) {}
+func (nopInstaller) Install(int, []int)      {}
+
+// An address packs the edge ordinal and the slot in 16 bits each: a
+// fabric wider than that is refused at build, by name, rather than
+// aliasing two hosts onto one table entry.
+func TestAddressWidthPanics(t *testing.T) {
+	eng := sim.New()
+	hostPorts := func(first, n int) []PortRef {
+		refs := make([]PortRef, n)
+		for i := range refs {
+			refs[i] = PortRef{ToHost: true, Host: first + i, HostID: packet.NodeID(first + i)}
+		}
+		return refs
+	}
+	build := func(g [][]PortRef) (msg any) {
+		defer func() { msg = recover() }()
+		ins := make([]Installer, len(g))
+		for i := range ins {
+			ins[i] = nopInstaller{}
+		}
+		NewRouter(eng, g, ins, ECMP{})
+		return nil
+	}
+	if msg := build([][]PortRef{hostPorts(0, maxPacked)}); msg != nil {
+		t.Fatalf("%d hosts on one edge panicked: %v", maxPacked, msg)
+	}
+	want := "route: switch 0 is edge 0 with host slot 65535; addresses hold 65535 edges of 65535 hosts"
+	if msg := build([][]PortRef{hostPorts(0, maxPacked+1)}); msg != want {
+		t.Fatalf("%d hosts on one edge panicked with %v, want %q", maxPacked+1, msg, want)
+	}
+	wide := make([][]PortRef, maxPacked+1)
+	for si := range wide {
+		wide[si] = hostPorts(si, 1)
+	}
+	want = "route: switch 65535 is edge 65535 with host slot 0; addresses hold 65535 edges of 65535 hosts"
+	if msg := build(wide); msg != want {
+		t.Fatalf("%d edges panicked with %v, want %q", len(wide), msg, want)
+	}
 }

@@ -59,13 +59,19 @@ type Switch struct {
 	ports []*link.Port
 	rng   *rand.Rand // marking RNG, built by the first probabilistic mark
 
-	// Forwarding state. table is indexed by destination node ID and holds
-	// 1 + an index into groups, 0 for "no route"; groups are the distinct
-	// candidate port lists installed so far, each stored once however
-	// many destinations share it and never modified, carved from store.
+	// Forwarding state. table holds 1 + an index into groups, 0 for "no
+	// route"; groups are the distinct candidate port lists installed so
+	// far, each stored once however many entries share it and never
+	// modified, carved from store. A fabric switch's table is keyed by
+	// destination edge switch, plus one entry per host of its own: addr
+	// maps a destination to its entry (route.Addressing.Index) and own is
+	// the switch's edge ordinal. A switch given no addressing (addr nil)
+	// is keyed by destination node ID.
 	table  []uint32
 	groups [][]int
 	store  []int
+	addr   *route.Addressing
+	own    int
 
 	marked  uint64
 	dropped uint64
@@ -158,19 +164,33 @@ func (s *Switch) shouldMark(qlen int64) bool {
 	}
 }
 
-// SetRoute installs the ECMP candidate ports for a destination.
+// SetRoute installs the ECMP candidate ports for destination dst on a
+// switch with no fabric addressing, whose table is keyed by node ID. A
+// fabric switch's entries are per edge and its router installs them.
 func (s *Switch) SetRoute(dst packet.NodeID, portIdx []int) {
-	s.set(dst, s.intern(portIdx))
+	if dst < 0 {
+		panic(fmt.Sprintf("swtch: switch %d: negative destination %d", s.id, dst))
+	}
+	if s.addr != nil {
+		panic(fmt.Sprintf("swtch: switch %d: SetRoute(%d) on a switch keyed by edge", s.id, dst))
+	}
+	s.PresizeRoutes(int(dst) + 1)
+	s.table[dst] = s.intern(portIdx)
 }
 
-// SetRoutes implements route.Installer: one candidate port list for
-// every destination in dsts. portIdx is copied if it is new to the
-// switch, so the caller may reuse it.
-func (s *Switch) SetRoutes(dsts []packet.NodeID, portIdx []int) {
-	g := s.intern(portIdx)
-	for _, dst := range dsts {
-		s.set(dst, g)
-	}
+// Attach implements route.Installer: from here on the table is keyed by
+// the fabric's addressing, one entry per edge plus one per own host.
+func (s *Switch) Attach(a *route.Addressing, own int) {
+	s.addr, s.own = a, own
+	s.table = make([]uint32, a.TableLen(own))
+}
+
+// Install implements route.Installer: table entry i gets the candidate
+// port list portIdx, which is copied if it is new to the switch, so the
+// caller may reuse it. On a switch with no fabric addressing entry i is
+// node i, inside the presized table.
+func (s *Switch) Install(i int, portIdx []int) {
+	s.table[i] = s.intern(portIdx)
 }
 
 // intern returns the table value for a candidate list: 1 + the index of
@@ -200,16 +220,9 @@ func (s *Switch) intern(portIdx []int) uint32 {
 	return uint32(len(s.groups))
 }
 
-func (s *Switch) set(dst packet.NodeID, group uint32) {
-	if dst < 0 {
-		panic(fmt.Sprintf("swtch: switch %d: negative destination %d", s.id, dst))
-	}
-	s.PresizeRoutes(int(dst) + 1)
-	s.table[dst] = group
-}
-
-// PresizeRoutes makes the table cover destinations 0..destinations-1, so
-// the control plane fills it without regrowing it.
+// PresizeRoutes makes the node-ID table of a switch with no fabric
+// addressing cover destinations 0..destinations-1, so SetRoute fills it
+// without regrowing it.
 func (s *Switch) PresizeRoutes(destinations int) {
 	if n := destinations - len(s.table); n > 0 {
 		s.table = append(s.table, make([]uint32, n)...)
@@ -217,11 +230,15 @@ func (s *Switch) PresizeRoutes(destinations int) {
 }
 
 // Route returns the candidate egress ports for dst, nil if none is
-// installed. The slice is shared between destinations: read only.
+// installed or dst names no host. The slice is shared between
+// destinations: read only.
 func (s *Switch) Route(dst packet.NodeID) []int {
-	d := uint(uint32(dst)) // a negative ID wraps past any table length
-	if t := s.table; d < uint(len(t)) && t[d] != 0 {
-		return s.groups[t[d]-1]
+	i := uint(uint32(dst)) // a negative ID wraps past any table length
+	if s.addr != nil {
+		i = uint(s.addr.Index(dst, s.own)) // -1 wraps the same way
+	}
+	if t := s.table; i < uint(len(t)) && t[i] != 0 {
+		return s.groups[t[i]-1]
 	}
 	return nil
 }
@@ -229,8 +246,8 @@ func (s *Switch) Route(dst packet.NodeID) []int {
 // Receive implements link.Receiver: forward the packet toward its
 // destination, hashing the flow's addressing tuple over the candidate
 // ports the routing control plane installed (see internal/route). The
-// path is a table index, a group load and one hash — no map, no
-// allocation per packet.
+// path is an address load, a table index, a group load and one hash —
+// no map, no allocation per packet.
 func (s *Switch) Receive(p *packet.Packet) {
 	cand := s.Route(p.Dst)
 	if len(cand) == 0 {

@@ -217,8 +217,13 @@ func TestCandidateGroupsAreSharedAndStable(t *testing.T) {
 	}
 	sw.PresizeRoutes(64)
 	rack := []packet.NodeID{8, 9, 10, 11}
+	setRoutes := func(ports []int) { // a switch keyed by node ID: entry i is node i
+		for _, dst := range rack {
+			sw.Install(int(dst), ports)
+		}
+	}
 	scratch := []int{2, 3}
-	sw.SetRoutes(rack, scratch)
+	setRoutes(scratch)
 	scratch[0] = 0 // the router reuses its scratch; the switch kept a copy
 	for _, dst := range rack {
 		if got := sw.Route(dst); !slices.Equal(got, []int{2, 3}) {
@@ -235,8 +240,8 @@ func TestCandidateGroupsAreSharedAndStable(t *testing.T) {
 
 	healthy, degraded := []int{2, 3}, []int{3}
 	flip := func() {
-		sw.SetRoutes(rack, degraded)
-		sw.SetRoutes(rack, healthy)
+		setRoutes(degraded)
+		setRoutes(healthy)
 	}
 	flip()
 	groups := len(sw.groups)

@@ -77,9 +77,8 @@ type Rotor struct {
 	Cfg   RotorConfig
 	Sched *rdcn.Schedule
 
-	net   *Network
-	voq   []*queue.Class    // per ToR: the circuit port's per-destination VOQs
-	racks [][]packet.NodeID // per ToR: its servers' node IDs
+	net *Network
+	voq []*queue.Class // per ToR: the circuit port's per-destination VOQs
 	// onCircuit[src*Tors+dst]: src's routes to rack dst point at the
 	// circuit port. Every ToR has the same port layout — servers, then
 	// the packet uplink, then the circuit — so two one-port candidate
@@ -115,13 +114,10 @@ func RotorFabric(cfg RotorConfig) *Network {
 	}
 	core := n.addSwitch(cfg.Opts)
 	for t := range cfg.Tors {
-		var ids []packet.NodeID
 		for range cfg.ServersPerTor {
 			hi := n.addHost(cfg.Opts.Hosts)
 			n.wireHost(hi, t, hostRate, edgeDelay, cfg.Opts)
-			ids = append(ids, n.HostID(hi))
 		}
-		r.racks = append(r.racks, ids)
 		n.wireSwitches(t, core, cfg.PacketRate, coreDelay, cfg.Opts)
 	}
 	n.finish(cfg.Opts)
@@ -183,8 +179,10 @@ func (r *Rotor) day(k int) {
 // Prebuffer before a day start — ahead of any packet event of that
 // instant (it was scheduled earlier), and after the first week it
 // touches only tables: the switch has both candidate lists interned.
+// A rack's routes are one table entry, its ToR's.
 func (r *Rotor) reroute() {
 	now, n := r.net.Eng.Now(), r.Cfg.Tors
+	addr := r.net.Router.Addressing()
 	for src := range n {
 		for dst := range n {
 			on := r.Sched.ActiveOrUpcoming(src, dst, now, r.Cfg.Prebuffer)
@@ -196,7 +194,8 @@ func (r *Rotor) reroute() {
 			if on {
 				via = r.viaCircuit
 			}
-			r.net.Switches[src].SetRoutes(r.racks[dst], via)
+			rack := addr.Of(r.net.HostID(dst * r.Cfg.ServersPerTor)).Edge()
+			r.net.Switches[src].Install(rack, via)
 		}
 	}
 }

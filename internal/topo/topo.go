@@ -318,8 +318,10 @@ func (n *Network) crossWire(pt *link.Port, dst int, peer link.Receiver) {
 }
 
 // finish sizes the shared buffers and hands the wired graph to the
-// routing control plane, which computes and installs the tables under
-// the configured strategy (per-flow ECMP by default).
+// routing control plane, which numbers the hosts by edge switch, sizes
+// every switch's table to one entry per edge plus one per own host, and
+// computes and installs the tables under the configured strategy
+// (per-flow ECMP by default).
 func (n *Network) finish(opts Options) {
 	if opts.BufferPerGbps > 0 {
 		for _, s := range n.Switches {
@@ -333,7 +335,6 @@ func (n *Network) finish(opts Options) {
 	graph := make([][]route.PortRef, len(n.Switches))
 	installers := make([]route.Installer, len(n.Switches))
 	for si, s := range n.Switches {
-		s.PresizeRoutes(len(n.Hosts)) // host IDs are 0..len(Hosts)-1 (addHost)
 		installers[si] = s
 		ports := s.Ports()
 		refs := make([]route.PortRef, len(n.swPeers[si]))
