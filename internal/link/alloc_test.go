@@ -64,7 +64,7 @@ func TestPortDropRecycles(t *testing.T) {
 	dst := &recycler{pool: pool}
 	pt := NewPort(eng, 100*units.Gbps, 0, dst)
 	pt.Pool = pool
-	pt.Admit = func(p *packet.Packet) bool { return false }
+	pt.Dev = &device{admit: func(*packet.Packet) bool { return false }}
 
 	p := pool.Get()
 	pt.Send(p)

@@ -3,17 +3,22 @@
 // delay (store-and-forward, as in ns-3's point-to-point model the paper
 // evaluates on).
 //
-// Ports expose hooks that the owning device uses to implement INT
-// stamping, ECN marking, and shared-buffer accounting at dequeue time,
+// A port calls one Device, its owner, to admit packets and to act at
+// dequeue time (INT stamping, ECN marking, shared-buffer accounting),
 // mirroring where a real traffic manager takes those actions.
 //
-// The drain loop is allocation-free in steady state: the serializer is a
-// pre-bound sim.Timer, and each delivery is an argument-carrying engine
-// event (sim.Engine.AtCall) whose callback is bound once per port —
-// kick() schedules zero new objects per packet. Scheduling the delivery
-// at dequeue time (rather than chaining deliveries off one timer) keeps
-// same-instant cross-port event ordering identical to a per-closure
-// implementation, which the determinism suite relies on.
+// A port allocates nothing of its own past itself: its FIFO and its
+// serializer's sim.Timer are fields, and a Block carves many ports from
+// one array. The drain loop is allocation-free: each delivery is an
+// argument-carrying engine event (sim.Engine.AtCall) whose argument is
+// the port and whose callback is one package-level function. A wire
+// delivers in send order — each transmission starts after the previous
+// serialization ends, the delay is fixed, and serialization time is
+// positive — so the delivery pops the oldest packet of the port's wire
+// list. Scheduling each delivery at dequeue time (rather than chaining
+// deliveries off one timer) keeps same-instant cross-port event
+// ordering identical to a per-closure implementation, which the
+// determinism suite relies on.
 package link
 
 import (
@@ -28,6 +33,17 @@ type Receiver interface {
 	Receive(p *packet.Packet)
 }
 
+// Device is the owner a port consults: a switch fills it with itself.
+type Device interface {
+	// Admit is consulted before enqueueing; returning false drops the
+	// packet (shared-buffer admission).
+	Admit(pt *Port, p *packet.Packet) bool
+	// OnDequeue runs when a packet is scheduled for transmission, before
+	// its serialization time is computed; devices use it to stamp INT,
+	// mark ECN, and release shared-buffer memory.
+	OnDequeue(pt *Port, p *packet.Packet)
+}
+
 // Port is one egress port: queue + serializer + wire.
 type Port struct {
 	Eng   *sim.Engine
@@ -36,15 +52,9 @@ type Port struct {
 	Peer  Receiver
 	Q     queue.Queue
 
-	// Admit is consulted before enqueueing; returning false drops the
-	// packet (shared-buffer admission). Nil admits everything.
-	Admit func(p *packet.Packet) bool
-	// OnDequeue runs when a packet is scheduled for transmission, before
-	// its serialization time is computed; devices use it to stamp INT,
-	// mark ECN, and release shared-buffer memory.
-	OnDequeue func(p *packet.Packet)
-	// OnDrop observes admission drops (for metrics).
-	OnDrop func(p *packet.Packet)
+	// Dev admits and dequeues on the owner's behalf; nil admits
+	// everything and does nothing at dequeue (a host NIC).
+	Dev Device
 	// Pool, when set, recycles admission-dropped packets (the
 	// NIC/switch-side Put point of the engine's packet free list).
 	Pool *packet.Pool
@@ -99,17 +109,58 @@ type Port struct {
 	paused bool
 	down   bool
 
-	// Reusable transmit state, bound lazily on first kick: the timer that
-	// ends the current serialization and the delivery callback shared by
-	// every packet this port puts on the wire.
-	txDone    *sim.Timer
-	deliverFn func(any)
+	txDone sim.Timer  // ends the current serialization
+	fifo   queue.FIFO // Q unless the owner installs another discipline
+	// wire holds the packets serialized onto the local wire and not yet
+	// delivered, oldest first, linked through Packet.Next like any queue.
+	wire queue.FIFO
 }
 
-// NewPort builds a port with an empty queue.FIFO, which links the
+// NewPort builds a port whose queue is an empty FIFO, which links the
 // packets it holds through their Next fields.
 func NewPort(eng *sim.Engine, rate units.BitRate, delay sim.Duration, peer Receiver) *Port {
-	return &Port{Eng: eng, Rate: rate, Delay: delay, Peer: peer, Q: queue.NewFIFO()}
+	pt := new(Port)
+	pt.init(eng, rate, delay, peer)
+	return pt
+}
+
+func (pt *Port) init(eng *sim.Engine, rate units.BitRate, delay sim.Duration, peer Receiver) {
+	pt.Eng, pt.Rate, pt.Delay, pt.Peer = eng, rate, delay, peer
+	pt.Q = &pt.fifo
+	pt.txDone.Bind(eng, txDone, pt)
+}
+
+// Block carves ports from arrays: a fabric's thousands of ports cost one
+// allocation per array, not one each. The zero value is empty; a nil
+// *Block builds each port alone, as NewPort does.
+type Block struct{ free []Port }
+
+// blockLen is how many ports an exhausted block grows by.
+const blockLen = 64
+
+// Reserve makes room for n more ports in one array.
+func (b *Block) Reserve(n int) {
+	if n > len(b.free) {
+		b.free = make([]Port, n)
+	}
+}
+
+// Spare returns how many ports the block holds room for and has not
+// handed out.
+func (b *Block) Spare() int { return len(b.free) }
+
+// NewPort is NewPort for a port carved from the block.
+func (b *Block) NewPort(eng *sim.Engine, rate units.BitRate, delay sim.Duration, peer Receiver) *Port {
+	if b == nil {
+		return NewPort(eng, rate, delay, peer)
+	}
+	if len(b.free) == 0 {
+		b.free = make([]Port, blockLen)
+	}
+	pt := &b.free[0]
+	b.free = b.free[1:]
+	pt.init(eng, rate, delay, peer)
+	return pt
 }
 
 // TxBytes returns the cumulative bytes transmitted (the INT txBytes field).
@@ -167,12 +218,9 @@ func (pt *Port) VirtualBacklog() int64 { return pt.vBacklog }
 // Send enqueues p for transmission, subject to admission control, and
 // starts the serializer if idle.
 func (pt *Port) Send(p *packet.Packet) {
-	if pt.Admit != nil && !pt.Admit(p) {
+	if pt.Dev != nil && !pt.Dev.Admit(pt, p) {
 		pt.drops++
 		pt.plDropped += uint64(p.PayloadLen)
-		if pt.OnDrop != nil {
-			pt.OnDrop(p)
-		}
 		pt.Pool.Put(p)
 		return
 	}
@@ -233,8 +281,8 @@ func (pt *Port) kick() {
 	if p == nil {
 		return
 	}
-	if pt.OnDequeue != nil {
-		pt.OnDequeue(p)
+	if pt.Dev != nil {
+		pt.Dev.OnDequeue(pt, p)
 	}
 	wire := p.WireLen() // after OnDequeue: includes any freshly stamped INT hop
 	pt.txBytes += uint64(wire)
@@ -248,10 +296,6 @@ func (pt *Port) kick() {
 		tx = sim.Duration(float64(tx) / (1 - pt.vShare))
 	}
 	pt.busy = true
-	if pt.txDone == nil {
-		pt.txDone = pt.Eng.NewTimer(pt.onTxDone)
-		pt.deliverFn = pt.deliver
-	}
 	now := pt.Eng.Now()
 	pt.txDone.Arm(now.Add(tx))
 	if pt.down {
@@ -267,21 +311,25 @@ func (pt *Port) kick() {
 		pt.X(at, p)
 		return
 	}
-	pt.Eng.AtCall(at, pt.deliverFn, p)
+	pt.wire.Push(p)
+	pt.Eng.AtCall(at, deliver, pt)
 }
 
-func (pt *Port) onTxDone() {
+// txDone is every port's serializer callback: the wire is free.
+func txDone(arg any) {
+	pt := arg.(*Port)
 	pt.busy = false
 	pt.kick()
 }
 
-// deliver hands one packet to the peer; it is the shared AtCall callback
-// for every delivery this port schedules. Packets already in flight
-// when a cut lands are lost here, at what would have been their
-// delivery instant (packets transmitted while the wire was down never
-// get a delivery scheduled — see kick).
-func (pt *Port) deliver(arg any) {
-	p := arg.(*packet.Packet)
+// deliver hands the port's oldest packet on the wire to the peer; it is
+// the AtCall callback of every delivery every port schedules. Packets
+// already in flight when a cut lands are lost here, at what would have
+// been their delivery instant (packets transmitted while the wire was
+// down never join the wire list or get a delivery — see kick).
+func deliver(arg any) {
+	pt := arg.(*Port)
+	p := pt.wire.Pop()
 	if pt.down {
 		pt.lost++
 		pt.plLostRx += uint64(p.PayloadLen)

@@ -107,16 +107,24 @@ func (l *Lab) wireCollectors() {
 		sc.slabs[i] = nil
 	}
 	l.Records, sc.records = sc.records, nil
-	if parts := l.Net.Part.Parts; parts > 1 {
+	parts := l.Net.Part.Parts
+	if parts > 1 {
 		l.partRecs = make([][]keyedRecord, parts)
+	}
+	// One callback of each kind per shard, shared by the shard's hosts.
+	flowDone := make([]func(*transport.Flow), parts)
+	msgDone := make([]func(uint64, int64, sim.Duration), parts)
+	for p := range parts {
+		flowDone[p] = func(f *transport.Flow) { l.record(p, f.Size, f.FCT()) }
+		msgDone[p] = func(_ uint64, size int64, fct sim.Duration) { l.record(p, size, fct) }
 	}
 	for i, n := range l.Net.Hosts {
 		p := l.Net.Part.HostPart[i]
 		switch h := n.(type) {
 		case *transport.Host:
-			h.OnFlowDone = func(f *transport.Flow) { l.record(p, f.Size, f.FCT()) }
+			h.OnFlowDone = flowDone[p]
 		case *homa.Host:
-			h.OnMessageDone = func(_ uint64, size int64, fct sim.Duration) { l.record(p, size, fct) }
+			h.OnMessageDone = msgDone[p]
 		}
 	}
 }

@@ -35,9 +35,10 @@
 //   - Once an event has fired or been reaped its handle is inert:
 //     Scheduled and Cancelled report false and Cancel is a no-op.
 //   - Timer is the re-armable variant for long-lived callbacks (pacing,
-//     RTO, serializers): allocated once, deadline extensions are lazy
-//     field writes — wheel-granularity-agnostic, because the extension
-//     never moves the queued entry — never a delete + insert.
+//     RTO, serializers): a field of its owner, bound once to a static
+//     callback and an argument; deadline extensions are lazy field
+//     writes — wheel-granularity-agnostic, because the extension never
+//     moves the queued entry — never a delete + insert.
 //
 // See PERF.md at the repository root for the wheel layout, the
 // determinism argument, and the full pooling contract.

@@ -323,7 +323,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 }
 
 // AtCall schedules fn(arg) at absolute time t. It is the hot-path variant
-// of At for per-packet work: the callback is a long-lived pre-bound
+// of At for per-packet work: the callback is a long-lived package-level
 // function and the per-event payload rides in arg, so scheduling
 // allocates nothing (a pointer in an interface does not escape). Same
 // past-scheduling panic and ordering semantics as At.

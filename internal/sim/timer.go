@@ -1,11 +1,14 @@
 package sim
 
-// Timer is a reschedulable, pre-bound callback: the callback closure is
-// captured once at construction, and arming, deferring, or stopping the
-// timer allocates nothing in steady state. It is the tool for every
-// "schedule-per-packet" or "reset-per-ACK" pattern that would otherwise
-// heap-allocate a fresh closure and event each time (link serializers,
-// transport pacing and RTO, HOMA resend, DCQCN rate timers).
+// Timer is a reschedulable callback that its owner embeds as a field:
+// Bind ties it once to an engine, a package-level func(any) and an
+// argument (typically a pointer to the owner), and the timer fires
+// through AtCall, so neither binding, arming, deferring nor stopping it
+// allocates. It is the tool for every "schedule-per-packet" or
+// "reset-per-ACK" pattern that would otherwise heap-allocate a fresh
+// closure and event each time (link serializers, transport pacing and
+// RTO, HOMA resend, DCQCN rate timers). NewTimer is the standalone form
+// for callers that hold a func(): the same type, bound to it.
 //
 // A Timer pushes deadline extensions lazily: re-arming an armed timer for
 // a *later* instant just records the new deadline — the already-queued
@@ -23,25 +26,38 @@ package sim
 // replace the queued instance (a lazy early move would run the callback
 // at the stale instant), which stays a cancel plus an O(1) wheel insert.
 //
+// A Timer must not be copied once bound: the queued event points at it.
 // Timers are not safe for concurrent use, like the Engine they run on.
 type Timer struct {
 	eng   *Engine
-	fn    func() // user callback
-	fire  func() // pre-bound onFire, allocated once
-	ev    Event  // underlying queue instance, if any
-	at    Time   // logical deadline while armed
-	qat   Time   // when the queued instance fires (≤ at after lazy extension)
+	fn    func(any) // callback, run as fn(arg)
+	arg   any
+	ev    Event // underlying queue instance, if any
+	at    Time  // logical deadline while armed
+	qat   Time  // when the queued instance fires (≤ at after lazy extension)
 	armed bool
 }
 
-// NewTimer returns an unarmed timer that will run fn when it expires.
-// The two closure allocations here (fn's capture and the bound onFire)
-// are the timer's only allocations, ever.
+// Bind sets the engine the timer runs on and the callback it runs,
+// fn(arg). Bind an unarmed timer only; a pointer arg allocates nothing.
+func (t *Timer) Bind(e *Engine, fn func(any), arg any) {
+	t.eng, t.fn, t.arg = e, fn, arg
+}
+
+// NewTimer returns an unarmed timer that will run fn when it expires:
+// one allocation, the Timer (fn's own capture is the caller's).
 func (e *Engine) NewTimer(fn func()) *Timer {
-	t := &Timer{eng: e, fn: fn}
-	t.fire = t.onFire
+	t := &Timer{}
+	t.Bind(e, callFunc, fn)
 	return t
 }
+
+// callFunc is NewTimer's callback: a func value is one pointer, so it
+// rides in the argument without allocating.
+func callFunc(arg any) { arg.(func())() }
+
+// fireTimer is the engine callback of every timer's queued instance.
+func fireTimer(arg any) { arg.(*Timer).onFire() }
 
 // Armed reports whether the timer is set to fire.
 func (t *Timer) Armed() bool { return t.armed }
@@ -61,7 +77,7 @@ func (t *Timer) Arm(at Time) {
 		}
 		t.eng.Cancel(t.ev) // need to fire earlier than what is queued
 	}
-	t.ev = t.eng.At(at, t.fire)
+	t.ev = t.eng.AtCall(at, fireTimer, t)
 	t.qat = at
 }
 
@@ -90,10 +106,10 @@ func (t *Timer) onFire() {
 		return
 	}
 	if t.at > t.eng.now {
-		t.ev = t.eng.At(t.at, t.fire)
+		t.ev = t.eng.AtCall(t.at, fireTimer, t)
 		t.qat = t.at
 		return
 	}
 	t.armed = false
-	t.fn()
+	t.fn(t.arg)
 }

@@ -73,8 +73,7 @@ type Switch struct {
 	addr   *route.Addressing
 	own    int
 
-	marked  uint64
-	dropped uint64
+	marked uint64
 }
 
 // New creates a switch.
@@ -99,29 +98,46 @@ func (s *Switch) Ports() []*link.Port { return s.ports }
 // Marked returns the number of CE marks applied.
 func (s *Switch) Marked() uint64 { return s.marked }
 
-// Dropped returns the number of admission drops.
-func (s *Switch) Dropped() uint64 { return s.dropped }
+// Dropped returns the number of admission drops, summed over the ports,
+// which count them.
+func (s *Switch) Dropped() uint64 {
+	var n uint64
+	for _, pt := range s.ports {
+		n += pt.Drops()
+	}
+	return n
+}
 
 // AddPort creates an egress port toward peer with the given line rate,
-// propagation delay, and queue discipline (nil for a FIFO), and wires the
-// shared-buffer accounting, ECN, and INT hooks. It returns the port's
-// index for routing tables.
+// propagation delay, and queue discipline (nil for a FIFO), whose
+// device is the switch: the port admits into the shared buffer and
+// stamps ECN and INT at dequeue through Admit and OnDequeue. It returns
+// the port's index for routing tables.
 func (s *Switch) AddPort(rate units.BitRate, delay sim.Duration, peer link.Receiver, q queue.Queue) int {
-	pt := link.NewPort(s.eng, rate, delay, peer)
+	return s.AddPortFrom(nil, rate, delay, peer, q)
+}
+
+// AddPortFrom is AddPort with the port carved from b (see link.Block).
+func (s *Switch) AddPortFrom(b *link.Block, rate units.BitRate, delay sim.Duration, peer link.Receiver, q queue.Queue) int {
+	pt := b.NewPort(s.eng, rate, delay, peer)
 	pt.Pool = s.cfg.Pool
 	if q != nil {
 		pt.Q = q
 	}
-	pt.Admit = func(p *packet.Packet) bool {
-		return s.share.Admit(pt.Q.Bytes(), p.WireLen())
-	}
-	pt.OnDrop = func(*packet.Packet) { s.dropped++ }
-	pt.OnDequeue = func(p *packet.Packet) { s.onDequeue(pt, p) }
+	pt.Dev = s
 	s.ports = append(s.ports, pt)
 	return len(s.ports) - 1
 }
 
-func (s *Switch) onDequeue(pt *link.Port, p *packet.Packet) {
+// Admit implements link.Device: a packet enters pt's queue if the
+// shared buffer's Dynamic Threshold lets that queue grow by it.
+func (s *Switch) Admit(pt *link.Port, p *packet.Packet) bool {
+	return s.share.Admit(pt.Q.Bytes(), p.WireLen())
+}
+
+// OnDequeue implements link.Device: release the packet's buffer share,
+// then mark ECN and stamp INT from pt's state.
+func (s *Switch) OnDequeue(pt *link.Port, p *packet.Packet) {
 	// Release the memory reserved at admission before stamping grows the
 	// packet's wire size.
 	s.share.Release(p.WireLen())

@@ -121,6 +121,38 @@ func TestSharedBufferDropsAndReleases(t *testing.T) {
 	}
 }
 
+// The switch counts no drops of its own: Dropped is the sum of its
+// ports' admission drops, and each dropped packet went back to the pool.
+func TestDroppedIsPortsDrops(t *testing.T) {
+	eng := sim.New()
+	pool := packet.NewPool()
+	sw := New(eng, 1, Config{BufferBytes: 8000, Alpha: 100, Pool: pool})
+	a, b := &sink{}, &sink{}
+	sw.AddPort(1*units.Gbps, 0, a, nil)
+	sw.AddPort(1*units.Gbps, 0, b, nil)
+	sw.SetRoute(7, []int{0})
+	sw.SetRoute(8, []int{1})
+	for i := 0; i < 20; i++ { // 20×1048B into 8000B, over both ports
+		p := pool.Get()
+		p.Kind, p.Flow, p.Dst, p.PayloadLen = packet.Data, 1, packet.NodeID(7+i%2), 1000
+		sw.Receive(p)
+	}
+	pa, pb := sw.Ports()[0].Drops(), sw.Ports()[1].Drops()
+	if pa == 0 || pb == 0 {
+		t.Fatalf("port drops %d and %d, want both ports to overflow", pa, pb)
+	}
+	if sw.Dropped() != pa+pb {
+		t.Fatalf("Dropped() = %d, ports dropped %d + %d", sw.Dropped(), pa, pb)
+	}
+	if _, _, puts := pool.Stats(); puts != sw.Dropped() {
+		t.Fatalf("pool took back %d packets, %d were dropped", puts, sw.Dropped())
+	}
+	eng.Run()
+	if got := uint64(len(a.pkts) + len(b.pkts)); got+sw.Dropped() != 20 {
+		t.Fatalf("delivered %d + dropped %d != 20", got, sw.Dropped())
+	}
+}
+
 func TestECMPIsPerFlowConsistent(t *testing.T) {
 	eng := sim.New()
 	sw := New(eng, 1, Config{})

@@ -30,7 +30,7 @@ func Star(cfg StarConfig) *Network {
 	if cfg.HostRate == 0 {
 		cfg.HostRate = hostRate
 	}
-	n := newNetwork(cfg.HostRate, cfg.Hosts, 1, cfg.Opts)
+	n := newNetwork(cfg.HostRate, cfg.Hosts, 1, 2*cfg.Hosts, cfg.Opts)
 	si := n.addSwitch(cfg.Opts)
 	for i := 0; i < cfg.Hosts; i++ {
 		hi := n.addHost(cfg.Opts.Hosts)
@@ -64,7 +64,7 @@ func Dumbbell(cfg DumbbellConfig) *Network {
 	if cfg.BottleneckRate == 0 {
 		cfg.BottleneckRate = 100 * units.Gbps
 	}
-	n := newNetwork(cfg.HostRate, cfg.Left+cfg.Right, 2, cfg.Opts)
+	n := newNetwork(cfg.HostRate, cfg.Left+cfg.Right, 2, 2*(cfg.Left+cfg.Right+1), cfg.Opts)
 	l := n.addSwitch(cfg.Opts)
 	r := n.addSwitch(cfg.Opts)
 	n.wireSwitches(l, r, cfg.BottleneckRate, bottleneckDelay, cfg.Opts)
@@ -150,7 +150,8 @@ func (c LeafSpineConfig) SpineSwitch(s int) int {
 // (l+1)·ServersPerLeaf) share leaf l; Switches lists leaves then spines.
 func LeafSpine(cfg LeafSpineConfig) *Network {
 	cfg.fillDefaults()
-	n := newNetwork(hostRate, cfg.Leaves*cfg.ServersPerLeaf, cfg.Leaves+cfg.Spines, cfg.Opts)
+	hosts := cfg.Leaves * cfg.ServersPerLeaf
+	n := newNetwork(hostRate, hosts, cfg.Leaves+cfg.Spines, 2*(hosts+cfg.Leaves*cfg.Spines), cfg.Opts)
 	leaves := make([]int, cfg.Leaves)
 	spines := make([]int, cfg.Spines)
 	for i := range leaves {
@@ -203,7 +204,7 @@ func ParkingLot(cfg ParkingLotConfig) *Network {
 	if cfg.LinkRate == 0 {
 		cfg.LinkRate = 25 * units.Gbps
 	}
-	n := newNetwork(parkingLotHostRate, 2*cfg.Switches, cfg.Switches, cfg.Opts)
+	n := newNetwork(parkingLotHostRate, 2*cfg.Switches, cfg.Switches, 2*(3*cfg.Switches-1), cfg.Opts)
 	sw := make([]int, cfg.Switches)
 	for i := range sw {
 		sw[i] = n.addSwitch(cfg.Opts)
@@ -280,7 +281,9 @@ func FatTree(cfg FatTreeConfig) *Network {
 	cfg.fillDefaults()
 	nTors := cfg.Pods * cfg.TorsPerPod
 	nAggs := cfg.Pods * cfg.AggsPerPod
-	n := newNetwork(hostRate, nTors*cfg.ServersPerTor, nTors+nAggs+cfg.Cores, cfg.Opts)
+	hosts := nTors * cfg.ServersPerTor
+	n := newNetwork(hostRate, hosts, nTors+nAggs+cfg.Cores,
+		2*(hosts+nTors*cfg.AggsPerPod+nAggs*cfg.Cores), cfg.Opts)
 	tors := make([]int, nTors)
 	aggs := make([]int, nAggs)
 	cores := make([]int, cfg.Cores)

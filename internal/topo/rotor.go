@@ -100,7 +100,9 @@ func (r *Rotor) CircuitPort(t int) *link.Port { return r.net.Switches[t].Ports()
 // out of the graph, and the rotor moves routes onto it.
 func RotorFabric(cfg RotorConfig) *Network {
 	cfg = cfg.WithDefaults()
-	n := newNetwork(hostRate, cfg.Tors*cfg.ServersPerTor, cfg.Tors+1, cfg.Opts)
+	// Two ports a link (hosts, ToR uplinks) and each ToR's circuit port.
+	hosts := cfg.Tors * cfg.ServersPerTor
+	n := newNetwork(hostRate, hosts, cfg.Tors+1, 2*(hosts+cfg.Tors)+cfg.Tors, cfg.Opts)
 	n.BaseRTT = cfg.BaseRTT()
 	r := &Rotor{
 		Cfg: cfg, Sched: cfg.Schedule(), net: n,
@@ -126,7 +128,7 @@ func RotorFabric(cfg RotorConfig) *Network {
 		// at each day start.
 		voq := queue.NewClass(func(p *packet.Packet) int { return int(p.Dst) / cfg.ServersPerTor })
 		r.voq = append(r.voq, voq)
-		n.Switches[t].AddPort(RotorCircuitRate, coreDelay, nil, voq)
+		n.Switches[t].AddPortFrom(&n.ports, RotorCircuitRate, coreDelay, nil, voq)
 		r.CircuitPort(t).Pause()
 	}
 	r.day(0)

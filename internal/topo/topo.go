@@ -111,6 +111,7 @@ type Network struct {
 	nextFlow uint64
 	swPeers  [][]peerRef // per switch, per port: what the port points at
 	hostTor  []int       // per host: index of the switch its NIC points at
+	ports    link.Block  // every NIC and switch port, carved in wiring order
 }
 
 type peerRef struct {
@@ -138,10 +139,11 @@ func (n *Network) TransportHost(i int) *transport.Host {
 func (n *Network) HostID(i int) packet.NodeID { return n.Hosts[i].ID() }
 
 // newNetwork allocates the shell all builders fill in for a fabric of
-// the given host and switch counts: the plan's engines and pools and the
-// psim fabric with one bidirectional sync edge per cut. A one-shard
-// plan's engine is the control engine.
-func newNetwork(hostRate units.BitRate, hosts, switches int, opts Options) *Network {
+// the given host, switch and port counts: the plan's engines and pools,
+// the psim fabric with one bidirectional sync edge per cut, and one
+// block for all the ports (two per link, plus any one-way port). A
+// one-shard plan's engine is the control engine.
+func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options) *Network {
 	eng := opts.Engine
 	if eng == nil {
 		eng = sim.New()
@@ -167,6 +169,7 @@ func newNetwork(hostRate units.BitRate, hosts, switches int, opts Options) *Netw
 		n.Pools[i] = packet.NewPool()
 	}
 	n.Pool = n.Pools[0]
+	n.ports.Reserve(ports)
 	n.PSim = psim.New(eng, n.Engs, pl.Workers)
 	for _, c := range pl.Cuts {
 		pa, pb := pl.SwitchPart[c.A], pl.SwitchPart[c.B]
@@ -231,10 +234,10 @@ func (n *Network) wireHost(hi, si int, rate units.BitRate, delay sim.Duration, o
 	}
 	h := n.Hosts[hi]
 	s := n.Switches[si]
-	up := link.NewPort(n.Engs[part], rate, delay, s)
+	up := n.ports.NewPort(n.Engs[part], rate, delay, s)
 	up.Pool = n.Pools[part]
 	h.SetUplink(up)
-	s.AddPort(rate, delay, h, n.qFor(opts))
+	s.AddPortFrom(&n.ports, rate, delay, h, n.qFor(opts))
 	n.swPeers[si] = append(n.swPeers[si], peerRef{isHost: true, idx: hi})
 	for len(n.hostTor) <= hi {
 		n.hostTor = append(n.hostTor, -1)
@@ -282,9 +285,9 @@ func (n *Network) WalkRoutes(src, dst int, visit func(pt *link.Port, fraction fl
 // two ends live on different partitions, each direction's deliveries
 // are rerouted through a psim mailbox instead of a local engine event.
 func (n *Network) wireSwitches(ai, bi int, rate units.BitRate, delay sim.Duration, opts Options) {
-	pa := n.Switches[ai].AddPort(rate, delay, n.Switches[bi], n.qFor(opts))
+	pa := n.Switches[ai].AddPortFrom(&n.ports, rate, delay, n.Switches[bi], n.qFor(opts))
 	n.swPeers[ai] = append(n.swPeers[ai], peerRef{idx: bi})
-	pb := n.Switches[bi].AddPort(rate, delay, n.Switches[ai], n.qFor(opts))
+	pb := n.Switches[bi].AddPortFrom(&n.ports, rate, delay, n.Switches[ai], n.qFor(opts))
 	n.swPeers[bi] = append(n.swPeers[bi], peerRef{idx: ai})
 	if wa, wb := n.Part.SwitchPart[ai], n.Part.SwitchPart[bi]; wa != wb {
 		n.crossWire(n.Switches[ai].Ports()[pa], wb, n.Switches[bi])
@@ -296,7 +299,7 @@ func (n *Network) wireSwitches(ai, bi int, rate units.BitRate, delay sim.Duratio
 // dst. The sender consumes a causal child slot at transmit time
 // (ChildKey) exactly where a local AtCall would have, so the injected
 // delivery carries the canonical key the serial engine would have
-// assigned; the delivery callback replicates Port.deliver — the
+// assigned; the delivery callback replicates link's deliver — the
 // wire-down check happens at the arrival instant, on the receiving
 // side, with losses counted on the port's remote counter and the
 // packet recycled into the receiver's pool.

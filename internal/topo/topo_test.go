@@ -395,3 +395,28 @@ func TestPartitionedSwitchKeepsStaleRouteAndLosesPackets(t *testing.T) {
 		t.Fatalf("host 1 received %d bytes across a partition", got)
 	}
 }
+
+// Every builder counts its ports exactly: the block reserved up front
+// holds every NIC and switch port, with none left over and none carved
+// from a second array.
+func TestBuildersReserveExactPorts(t *testing.T) {
+	for name, build := range map[string]func() *topo.Network{
+		"star":     func() *topo.Network { return topo.Star(topo.StarConfig{Hosts: 5, Opts: opts()}) },
+		"dumbbell": func() *topo.Network { return topo.Dumbbell(topo.DumbbellConfig{Left: 3, Right: 2, Opts: opts()}) },
+		"leafspine": func() *topo.Network {
+			return topo.LeafSpine(topo.LeafSpineConfig{Leaves: 3, Spines: 2, ServersPerLeaf: 2, Opts: opts()})
+		},
+		"parkinglot": func() *topo.Network { return topo.ParkingLot(topo.ParkingLotConfig{Switches: 4, Opts: opts()}) },
+		"fattree":    func() *topo.Network { net, _ := smallFatTree(); return net },
+		"rotor":      func() *topo.Network { return topo.RotorFabric(smallRotor()) },
+	} {
+		net := build()
+		ports := len(net.Hosts)
+		for _, s := range net.Switches {
+			ports += len(s.Ports())
+		}
+		if spare := topo.SparePorts(net); spare != 0 {
+			t.Errorf("%s: %d ports built, %d reserved and never used", name, ports, spare)
+		}
+	}
+}

@@ -32,10 +32,11 @@ type Flow struct {
 	recover    int64
 	nextSendAt sim.Time
 
-	// Pre-bound timers: pacing credit arrival and retransmission timeout.
-	// Both are armed and re-armed without allocating (see sim.Timer).
-	pacer *sim.Timer
-	rto   *sim.Timer
+	// Timers bound once in StartFlow: pacing credit arrival and
+	// retransmission timeout. Both are armed and re-armed without
+	// allocating (see sim.Timer).
+	pacer sim.Timer
+	rto   sim.Timer
 
 	Retransmits uint64
 	started     bool
@@ -44,6 +45,9 @@ type Flow struct {
 
 // StartFlow registers a new flow on h toward dst and schedules its first
 // transmission at 'at'. alg becomes the flow's congestion controller.
+// No callback is allocated: the timers are fields of the flow, and they
+// and the start event run package-level functions with the flow as
+// argument.
 func (h *Host) StartFlow(id packet.FlowID, dst packet.NodeID, size int64, alg cc.Algorithm, at sim.Time) *Flow {
 	f := &Flow{
 		ID:      id,
@@ -53,12 +57,16 @@ func (h *Host) StartFlow(id packet.FlowID, dst packet.NodeID, size int64, alg cc
 		CC:      alg,
 		StartAt: at,
 	}
-	f.pacer = h.eng.NewTimer(f.trySend)
-	f.rto = h.eng.NewTimer(f.onRTO)
+	f.pacer.Bind(h.eng, trySend, f)
+	f.rto.Bind(h.eng, onRTO, f)
 	h.flows[id] = f
-	h.eng.At(at, f.start)
+	h.eng.AtCall(at, start, f)
 	return f
 }
+
+func start(arg any)   { arg.(*Flow).start() }
+func trySend(arg any) { arg.(*Flow).trySend() }
+func onRTO(arg any)   { arg.(*Flow).onRTO() }
 
 func (f *Flow) start() {
 	f.started = true
