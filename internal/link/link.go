@@ -19,10 +19,19 @@
 // deliveries off one timer) keeps same-instant cross-port event
 // ordering identical to a per-closure implementation, which the
 // determinism suite relies on.
+//
+// A wire may end on another shard of a partitioned run (internal/psim).
+// The port is the same port: its transmission is posted, under the key
+// the local delivery would have had, to the mailbox of its shard pair
+// (Out), and at the next barrier Arrive puts the packet on the wire list
+// and schedules the same delivery on the far shard's engine. Each word
+// of the port's ledger has one writer — Send and the serializer on the
+// port's shard, the delivery on the far one — so neither side locks.
 package link
 
 import (
 	"repro/internal/packet"
+	"repro/internal/psim"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -55,44 +64,39 @@ type Port struct {
 	// Dev admits and dequeues on the owner's behalf; nil admits
 	// everything and does nothing at dequeue (a host NIC).
 	Dev Device
-	// Pool, when set, recycles admission-dropped packets (the
-	// NIC/switch-side Put point of the engine's packet free list).
+	// Pool, when set, recycles the packets dropped at admission or
+	// serialized onto a downed wire (the NIC/switch-side Put point of
+	// the engine's packet free list), and those lost at delivery unless
+	// the wire ends on another shard.
 	Pool *packet.Pool
-	// X, when set, replaces direct delivery scheduling: instead of an
-	// engine event invoking Peer.Receive, the packet and its computed
-	// arrival instant are handed to X (a cross-partition mailbox post —
-	// see internal/topo's cut wiring and internal/psim). The wire-down
-	// check that deliver would have performed moves to the mailbox's
-	// delivery callback on the receiving side.
-	X func(at sim.Time, p *packet.Packet)
+	// Out, when set, is the mailbox of the shard pair the wire crosses
+	// (internal/psim): each transmission is posted there instead of
+	// scheduled on Eng, and the far shard's engine delivers it (Arrive).
+	// FarPool is that shard's packet free list, which takes back a
+	// packet lost at delivery.
+	Out     *psim.Mailbox
+	FarPool *packet.Pool
 
-	txBytes uint64 // cumulative wire bytes transmitted
-	txPkts  uint64
-	drops   uint64
-	lost    uint64 // packets lost on a downed wire (local delivery path)
-	// remoteLost counts packets lost on a downed cut wire, counted by the
-	// receiving partition's delivery callback. It is a separate word from
-	// lost because the two are written by different goroutines (sender
-	// partition at transmit time, receiver partition at delivery time);
-	// the psim barrier orders each against the final read in Lost.
-	remoteLost uint64
-
-	// Payload-byte ledger. Each word is updated at exactly one point of
-	// the packet's life through this port, so the network-wide sums form
-	// an exact conservation identity (the fuzzlab invariant): everything
-	// accepted is eventually transmitted or still queued; everything
-	// transmitted is delivered, lost on a downed wire, or still on the
-	// wire. The pl* words are written by the port's own engine; the
-	// remotePl* words only by the receiving partition's mailbox callback
-	// on a cut (same discipline as remoteLost).
-	plAccepted        uint64 // admitted into the queue
-	plDropped         uint64 // rejected at admission
-	plTx              uint64 // dequeued for transmission
-	plLostTx          uint64 // serialized onto a downed wire
-	plDelivered       uint64 // handed to Peer (local delivery path)
-	plLostRx          uint64 // lost at the delivery instant (local path)
-	remotePlDelivered uint64 // handed to Peer across a partition cut
-	remotePlLost      uint64 // lost at delivery across a partition cut
+	// The ledger: packets and payload bytes, each word updated at exactly
+	// one point of a packet's life through this port and by one writer.
+	// Send and kick write theirs on Eng; deliver writes lostRx, plLostRx
+	// and plDelivered on the engine the wire ends on, which is Eng unless
+	// the wire crosses shards (the psim barrier orders both against the
+	// reads). The payload sums form an exact conservation identity (the
+	// fuzzlab invariant): everything accepted is eventually transmitted
+	// or still queued; everything transmitted is delivered, lost on a
+	// downed wire, or still on the wire.
+	txBytes     uint64 // cumulative wire bytes transmitted
+	txPkts      uint64
+	drops       uint64
+	lostTx      uint64 // packets serialized onto a downed wire
+	lostRx      uint64 // packets lost at the delivery instant
+	plAccepted  uint64 // admitted into the queue
+	plDropped   uint64 // rejected at admission
+	plTx        uint64 // dequeued for transmission
+	plLostTx    uint64 // serialized onto a downed wire
+	plDelivered uint64 // handed to Peer
+	plLostRx    uint64 // lost at the delivery instant
 
 	// Virtual fluid load (hybrid co-simulation, internal/hybrid). The
 	// coupler folds each fluid component's analytic backlog into the
@@ -111,8 +115,9 @@ type Port struct {
 
 	txDone sim.Timer  // ends the current serialization
 	fifo   queue.FIFO // Q unless the owner installs another discipline
-	// wire holds the packets serialized onto the local wire and not yet
-	// delivered, oldest first, linked through Packet.Next like any queue.
+	// wire holds the packets serialized onto the wire and not yet
+	// delivered, oldest first, linked through Packet.Next like any queue;
+	// on a wire that crosses shards it holds those that have arrived.
 	wire queue.FIFO
 }
 
@@ -184,19 +189,18 @@ func (pt *Port) PayloadAccepted() uint64 { return pt.plAccepted }
 func (pt *Port) PayloadDropped() uint64 { return pt.plDropped }
 
 // PayloadLost returns the cumulative payload bytes discarded on the
-// downed wire — at transmit time, at the local delivery instant, or by
-// the remote side of a partition cut.
-func (pt *Port) PayloadLost() uint64 { return pt.plLostTx + pt.plLostRx + pt.remotePlLost }
+// downed wire, at transmit time or at the delivery instant.
+func (pt *Port) PayloadLost() uint64 { return pt.plLostTx + pt.plLostRx }
 
 // PayloadQueued returns the payload bytes currently sitting in the
 // queue (accepted but not yet dequeued for transmission).
 func (pt *Port) PayloadQueued() uint64 { return pt.plAccepted - pt.plTx }
 
 // PayloadOnWire returns the payload bytes transmitted but not yet
-// delivered, lost, or consumed by the remote side of a cut — in-flight
-// on the wire (or parked in a cross-partition mailbox) at read time.
+// delivered or lost — in flight on the wire (or parked in a
+// cross-partition mailbox) at read time.
 func (pt *Port) PayloadOnWire() uint64 {
-	return pt.plTx - pt.plLostTx - pt.plDelivered - pt.plLostRx - pt.remotePlDelivered - pt.remotePlLost
+	return pt.plTx - pt.plLostTx - pt.plDelivered - pt.plLostRx
 }
 
 // SetVirtualLoad installs the fluid load the hybrid coupler computed
@@ -255,23 +259,9 @@ func (pt *Port) SetDown(down bool) { pt.down = down }
 // IsDown reports whether the wire is currently cut.
 func (pt *Port) IsDown() bool { return pt.down }
 
-// Lost returns the number of packets discarded on the downed wire,
-// whichever side of a partition cut counted them.
-func (pt *Port) Lost() uint64 { return pt.lost + pt.remoteLost }
-
-// NoteRemoteLost records a packet (and its payload bytes) lost at its
-// delivery instant on a cut crossing a partition boundary. Called only
-// by the receiving partition's mailbox delivery callback — never by the
-// port's own goroutine — keeping it race-free against the local lost
-// counter.
-func (pt *Port) NoteRemoteLost(payload int32) {
-	pt.remoteLost++
-	pt.remotePlLost += uint64(payload)
-}
-
-// NoteRemoteDelivered records payload bytes handed to the peer across a
-// partition cut. Same single-writer discipline as NoteRemoteLost.
-func (pt *Port) NoteRemoteDelivered(payload int32) { pt.remotePlDelivered += uint64(payload) }
+// Lost returns the number of packets discarded on the downed wire, at
+// transmit time or at the delivery instant.
+func (pt *Port) Lost() uint64 { return pt.lostTx + pt.lostRx }
 
 func (pt *Port) kick() {
 	if pt.busy || pt.paused {
@@ -301,18 +291,29 @@ func (pt *Port) kick() {
 	if pt.down {
 		// Serialized into a cut cable: lost immediately, whatever the
 		// wire's state by the time a delivery would have fired.
-		pt.lost++
+		pt.lostTx++
 		pt.plLostTx += uint64(p.PayloadLen)
 		pt.Pool.Put(p)
 		return
 	}
 	at := now.Add(tx + pt.Delay)
-	if pt.X != nil {
-		pt.X(at, p)
+	if pt.Out != nil {
+		// The key a local delivery would get, drawn here, where the
+		// serial run would have scheduled it.
+		pt.Out.Post(pt.Eng.ChildKey(at), pt, p)
 		return
 	}
 	pt.wire.Push(p)
 	pt.Eng.AtCall(at, deliver, pt)
+}
+
+// Arrive is the far half of a transmission onto a wire that crosses
+// shards (psim.Arriver): at the barrier after kick posted it, the packet
+// joins the wire list and its delivery is scheduled on the far shard's
+// engine under the key kick drew.
+func (pt *Port) Arrive(eng *sim.Engine, k sim.Key, arg any) {
+	pt.wire.Push(arg.(*packet.Packet))
+	eng.InjectKey(k, deliver, pt)
 }
 
 // txDone is every port's serializer callback: the wire is free.
@@ -323,17 +324,22 @@ func txDone(arg any) {
 }
 
 // deliver hands the port's oldest packet on the wire to the peer; it is
-// the AtCall callback of every delivery every port schedules. Packets
-// already in flight when a cut lands are lost here, at what would have
-// been their delivery instant (packets transmitted while the wire was
-// down never join the wire list or get a delivery — see kick).
+// the callback of every delivery every port schedules, on the engine the
+// wire ends on. Packets already in flight when a cut lands are lost
+// here, at what would have been their delivery instant, into that
+// engine's pool (packets transmitted while the wire was down never join
+// the wire list or get a delivery — see kick).
 func deliver(arg any) {
 	pt := arg.(*Port)
 	p := pt.wire.Pop()
 	if pt.down {
-		pt.lost++
+		pt.lostRx++
 		pt.plLostRx += uint64(p.PayloadLen)
-		pt.Pool.Put(p)
+		if pt.Out != nil {
+			pt.FarPool.Put(p)
+		} else {
+			pt.Pool.Put(p)
+		}
 		return
 	}
 	pt.plDelivered += uint64(p.PayloadLen)

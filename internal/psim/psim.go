@@ -17,30 +17,34 @@
 // goroutine, and sharding is then a scheduling policy — a shard's
 // events run together, in windows of one lookahead, so the hosts,
 // ports and packets they touch stay in cache — not a concurrency
-// feature (PERF.md "PR 19"). Every cut link i→j carries a lookahead
-// L(i,j) = the minimum latency of any message crossing it (propagation
-// delay plus minimum serialization time) — a hard physical lower bound
-// on how far in the future a send from i can affect j. One shard is a
-// plan too: a fabric whose only shard is the control engine itself is
-// a serial run, and Run is then one RunUntil on that engine.
+// feature (PERF.md "PR 19"). Every ordered pair of shards that a cut
+// link joins has one sync edge i→j (AddEdge), whose lookahead L(i,j) is
+// the minimum latency of any message crossing from i to j — for a link,
+// propagation delay plus minimum serialization time, least over the
+// pair's links — a hard physical lower bound on how far in the future a
+// send from i can affect j. One shard is a plan too: a fabric whose only
+// shard is the control engine itself is a serial run, and Run is then
+// one RunUntil on that engine.
 //
-// Cross-partition packet deliveries become mailbox messages: the
-// sending port consumes a causal child slot on its engine
-// (sim.Engine.ChildKey), ships the resulting canonical key with the
-// packet, and the coordinator injects it into the destination engine
-// (sim.Engine.InjectKey) at the next barrier. The injected entry is
-// bit-identical to the one a serial run would have scheduled, so the
-// canonical order (at, dsched, phash, k) — a pure function of the
-// causal tree, independent of which engine executes which branch —
-// makes every partition fire its events in exactly the serial
-// sub-order.
+// Cross-partition packet deliveries become mailbox messages, one mailbox
+// an edge: the sending port consumes a causal child slot on its engine
+// (sim.Engine.ChildKey) and posts the resulting canonical key with the
+// packet into its shard pair's mailbox. At the next barrier the
+// coordinator hands each message to its Arriver, the port, which puts
+// the packet on its wire and injects the same delivery event a local
+// wire schedules into the destination engine (sim.Engine.InjectKey).
+// The injected entry is bit-identical to the one a serial run would
+// have scheduled, so the canonical order (at, dsched, phash, k) — a
+// pure function of the causal tree, independent of which engine
+// executes which branch — makes every partition fire its events in
+// exactly the serial sub-order.
 //
 // # Synchronization
 //
 // The coordinator advances the run in barrier rounds. In each round a
 // partition may execute up to (exclusively) the canonical key
 // min(KeyBefore(safe_i), nextCtrl), where safe_i = min over incoming
-// cut edges j→i of clock_j + L(j,i): no message that a neighbor has
+// sync edges j→i of clock_j + L(j,i): no message that a neighbor has
 // yet to send can arrive before safe_i, so everything earlier is
 // causally settled. Events shared by the whole fabric — probe
 // samplers, routing changes — live on a separate control engine that
@@ -77,46 +81,52 @@ import (
 	"repro/internal/sim"
 )
 
-// msg is one cross-partition delivery: the canonical key the serial
-// engine would have given the delivery event, plus the callback
-// argument (the packet).
+// An Arriver is where a message lands on its destination shard: Arrive
+// schedules the message's effect on that shard's engine under the key
+// the sender drew for it (sim.Engine.InjectKey). A link.Port whose wire
+// ends on another shard is one.
+type Arriver interface {
+	Arrive(eng *sim.Engine, k sim.Key, arg any)
+}
+
+// msg is one cross-shard message: the canonical key the serial engine
+// would have given its event, where it lands, and the argument (the
+// packet).
 type msg struct {
 	key sim.Key
+	to  Arriver
 	arg any
 }
 
-// Mailbox buffers deliveries for one directed cut link. Exactly one
-// sending partition posts into a given mailbox (a mailbox belongs to
-// one boundary port), and the coordinator drains it only between
+// Mailbox buffers the messages one shard sends another: there is one per
+// sync edge, so one per ordered shard pair (AddEdge). Only the sending
+// shard posts into it, and the coordinator drains it only between
 // barrier rounds, so no lock is needed: the round barrier's
 // happens-before edge publishes the buffer (and with one worker there
 // is one goroutine).
-type Mailbox struct {
-	dst     int
-	deliver func(any)
-	buf     []msg
+type Mailbox struct{ buf []msg }
+
+// Post enqueues a message for to under its pre-computed canonical key.
+// Called by the sending shard only, during its run slice.
+func (m *Mailbox) Post(k sim.Key, to Arriver, arg any) {
+	m.buf = append(m.buf, msg{key: k, to: to, arg: arg})
 }
 
-// Post enqueues a delivery under its pre-computed canonical key. Called
-// by the owning sender partition only, during its run slice.
-func (m *Mailbox) Post(k sim.Key, arg any) {
-	m.buf = append(m.buf, msg{key: k, arg: arg})
-}
-
-// edge is one directed cut with its lookahead.
+// edge is the sync edge from one shard into another: its lookahead and
+// the mailbox of the messages crossing it.
 type edge struct {
 	from int
 	look sim.Duration
+	box  Mailbox
 }
 
-// Fabric couples the partition engines, the control engine, the cut
-// topology and the mailboxes into one runnable parallel simulation.
+// Fabric couples the partition engines, the control engine and the sync
+// edges with their mailboxes into one runnable parallel simulation.
 type Fabric struct {
 	ctrl    *sim.Engine
 	parts   []*sim.Engine
 	workers int
-	in      [][]edge     // in[i]: incoming cut edges of partition i
-	boxes   []*Mailbox   // drained in creation order — deterministic
+	in      [][]*edge    // in[i]: edges into partition i, drained in this order
 	bounds  []sim.Key    // this round's bound per partition
 	helping atomic.Int32 // helper goroutines started and not yet returned
 }
@@ -124,8 +134,7 @@ type Fabric struct {
 // New returns a fabric over the given control engine and partition
 // engines, stepped by the given number of workers, at least one; there
 // are never more workers than partitions. A single partition may be the
-// control engine itself. Cut edges and mailboxes are registered before
-// Run.
+// control engine itself. Sync edges are registered before Run.
 func New(ctrl *sim.Engine, parts []*sim.Engine, workers int) *Fabric {
 	if workers < 1 {
 		panic("psim: a fabric needs a worker")
@@ -133,31 +142,42 @@ func New(ctrl *sim.Engine, parts []*sim.Engine, workers int) *Fabric {
 	workers = min(workers, len(parts))
 	return &Fabric{
 		ctrl: ctrl, parts: parts, workers: workers,
-		in: make([][]edge, len(parts)), bounds: make([]sim.Key, len(parts)),
+		in: make([][]*edge, len(parts)), bounds: make([]sim.Key, len(parts)),
 	}
 }
 
 // Workers reports how many workers step the fabric's partitions.
 func (f *Fabric) Workers() int { return f.workers }
 
-// AddEdge declares a directed cut from partition `from` to partition
-// `to` with the given lookahead (minimum latency of any crossing
-// message). Multiple edges between the same pair simply all constrain
-// the bound; the minimum governs.
-func (f *Fabric) AddEdge(from, to int, look sim.Duration) {
+// AddEdge declares that messages flow from partition `from` to partition
+// `to`, none arriving sooner than look after it is sent, and returns the
+// pair's mailbox. An ordered pair has one edge and one mailbox however
+// often it is declared — once per cut link, say — and the edge keeps the
+// least lookahead declared, which bounds every message across it.
+func (f *Fabric) AddEdge(from, to int, look sim.Duration) *Mailbox {
 	if look <= 0 {
 		panic("psim: cut lookahead must be positive")
 	}
-	f.in[to] = append(f.in[to], edge{from: from, look: look})
+	for _, e := range f.in[to] {
+		if e.from == from {
+			e.look = min(e.look, look)
+			return &e.box
+		}
+	}
+	e := &edge{from: from, look: look}
+	f.in[to] = append(f.in[to], e)
+	return &e.box
 }
 
-// NewMailbox registers a mailbox delivering into partition dst via the
-// given callback (invoked through InjectKey with the posted argument).
-// Registration order fixes drain order.
-func (f *Fabric) NewMailbox(dst int, deliver func(any)) *Mailbox {
-	m := &Mailbox{dst: dst, deliver: deliver}
-	f.boxes = append(f.boxes, m)
-	return m
+// Lookahead reports the lookahead of the edge from partition `from` to
+// partition `to`, and whether there is one.
+func (f *Fabric) Lookahead(from, to int) (sim.Duration, bool) {
+	for _, e := range f.in[to] {
+		if e.from == from {
+			return e.look, true
+		}
+	}
+	return 0, false
 }
 
 // Steps reports the total number of events executed so far across the
@@ -264,22 +284,26 @@ func (f *Fabric) Run(horizon sim.Time) {
 			return
 		}
 
-		// Drain mailboxes in creation order; within a mailbox, in post
-		// order. Injection order cannot affect firing order — the
-		// canonical key decides — but a fixed order keeps the whole
-		// coordinator deterministic.
+		// Drain each partition's incoming edges in registration order;
+		// within a mailbox, in post order. Injection order cannot affect
+		// firing order — the canonical key decides — but a fixed order
+		// keeps the whole coordinator deterministic, and post order is
+		// what lets a wire keep its packets in send order.
 		delivered := false
-		for _, m := range f.boxes {
-			if len(m.buf) == 0 {
-				continue
+		for i, in := range f.in {
+			eng := f.parts[i]
+			for _, e := range in {
+				m := &e.box
+				if len(m.buf) == 0 {
+					continue
+				}
+				delivered = true
+				for _, d := range m.buf {
+					d.to.Arrive(eng, d.key, d.arg)
+				}
+				clear(m.buf)
+				m.buf = m.buf[:0]
 			}
-			delivered = true
-			eng := f.parts[m.dst]
-			for _, d := range m.buf {
-				eng.InjectKey(d.key, m.deliver, d.arg)
-			}
-			clear(m.buf)
-			m.buf = m.buf[:0]
 		}
 		if delivered {
 			// New arrivals may order before this round's control key or

@@ -30,6 +30,11 @@ type cut struct {
 	mb       *Mailbox // nil on the serial world
 }
 
+// inbox is a shard's Arriver: a message's effect is one delivery event.
+type inbox func(any)
+
+func (in inbox) Arrive(eng *sim.Engine, k sim.Key, arg any) { eng.InjectKey(k, in, arg) }
+
 type note struct {
 	id    uint64
 	depth int
@@ -47,7 +52,7 @@ type world struct {
 	ctrl    *sim.Engine
 	engs    []*sim.Engine
 	out     [][]*cut
-	deliver []func(any) // per destination shard
+	deliver []inbox // per destination shard
 	logs    [][]rec
 	salt    []uint64
 	shots   []snapshot
@@ -112,7 +117,7 @@ func drawScript(rng *rand.Rand) script {
 func (s script) build(workers int) (*world, *Fabric) {
 	w := &world{
 		ctrl: sim.New(), engs: make([]*sim.Engine, s.shards), out: make([][]*cut, s.shards),
-		deliver: make([]func(any), s.shards), logs: make([][]rec, s.shards), salt: make([]uint64, s.shards),
+		deliver: make([]inbox, s.shards), logs: make([][]rec, s.shards), salt: make([]uint64, s.shards),
 		serial: workers == 0,
 	}
 	for i := range w.engs {
@@ -129,8 +134,7 @@ func (s script) build(workers int) (*world, *Fabric) {
 	for i := range s.cuts {
 		c := s.cuts[i]
 		if fab != nil {
-			fab.AddEdge(c.from, c.to, c.look)
-			c.mb = fab.NewMailbox(c.to, w.deliver[c.to])
+			c.mb = fab.AddEdge(c.from, c.to, c.look)
 		}
 		w.out[c.from] = append(w.out[c.from], &c)
 	}
@@ -186,7 +190,7 @@ func (w *world) fire(i int, id uint64, depth int) {
 		at := eng.Now().Add(c.look + sim.Duration(h>>24%3*(h>>32%20))*grain)
 		m := &note{id: splitmix(id + 7), depth: depth + 1}
 		if c.mb != nil {
-			c.mb.Post(eng.ChildKey(at), m)
+			c.mb.Post(eng.ChildKey(at), w.deliver[c.to], m)
 		} else {
 			eng.AtCall(at, w.deliver[c.to], m)
 		}
@@ -266,6 +270,31 @@ func TestFabricMatchesOneEngine(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// An ordered shard pair has one edge and one mailbox, however many links
+// declare it, at the least lookahead declared; the reverse pair is an
+// edge of its own, and a pair no link joins has none.
+func TestAddEdgeOnePerPair(t *testing.T) {
+	fab := New(sim.New(), []*sim.Engine{sim.New(), sim.New(), sim.New()}, 1)
+	mb := fab.AddEdge(0, 1, 5*sim.Microsecond)
+	for _, look := range []sim.Duration{3 * sim.Microsecond, 4 * sim.Microsecond} {
+		if got := fab.AddEdge(0, 1, look); got != mb {
+			t.Fatalf("a second link from 0 to 1 made a second mailbox")
+		}
+	}
+	if look, ok := fab.Lookahead(0, 1); !ok || look != 3*sim.Microsecond {
+		t.Fatalf("edge 0→1 has lookahead %v (present %v), want the least declared, 3µs", look, ok)
+	}
+	if back := fab.AddEdge(1, 0, 5*sim.Microsecond); back == mb {
+		t.Fatalf("edge 1→0 shares edge 0→1's mailbox")
+	}
+	if look, ok := fab.Lookahead(1, 0); !ok || look != 5*sim.Microsecond {
+		t.Fatalf("edge 1→0 has lookahead %v (present %v), want 5µs", look, ok)
+	}
+	if _, ok := fab.Lookahead(0, 2); ok {
+		t.Fatalf("an edge from 0 to 2, which no link joins")
 	}
 }
 

@@ -257,7 +257,7 @@ type FatTreeTopology struct {
 // is faster pod by pod from 256 hosts up, by a fifth and more from 512;
 // web-search traffic, which keeps few busy at once, cannot tell the two
 // apart through 640 hosts on four pods and gains from 1,280. What a
-// shard costs is fixed — an engine's wheel, a mailbox a cut link — so
+// shard costs is fixed — an engine's wheel, a mailbox a shard pair — so
 // against what a pass allocates it falls with size: a half more at 128
 // hosts, a fifth at 384, a tenth at 512. Leaf-spine and star fabrics are
 // left alone: no workload in the repository has a large one to sweep.

@@ -12,8 +12,7 @@ import (
 // the generation they were issued with, so a handle to a recycled node
 // goes stale instead of aliasing whatever the node holds next.
 type node struct {
-	fn        func()
-	afn       func(any) // argument-carrying callback (AtCall); nil for At
+	fn        func(any) // run as fn(arg); At's fn rides in arg (callFunc)
 	arg       any
 	gen       uint64
 	cancelled bool
@@ -311,25 +310,18 @@ func (e *Engine) Capacity() (entries, nodes int) {
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) panics: it always indicates a model bug, and silently
-// reordering time would destroy determinism.
-func (e *Engine) At(t Time, fn func()) Event {
-	n := e.take(t)
-	n.fn = fn
-	e.pending++
-	hi, lo := packKey(e.curHash, satDelta(t, e.now), e.childIdx)
-	e.place(entry{at: t, hi: hi, lo: lo, n: n})
-	e.childIdx++
-	return Event{n: n, gen: n.gen}
-}
+// reordering time would destroy determinism. It is AtCall with fn as
+// the argument of callFunc.
+func (e *Engine) At(t Time, fn func()) Event { return e.AtCall(t, callFunc, fn) }
 
-// AtCall schedules fn(arg) at absolute time t. It is the hot-path variant
-// of At for per-packet work: the callback is a long-lived package-level
-// function and the per-event payload rides in arg, so scheduling
-// allocates nothing (a pointer in an interface does not escape). Same
-// past-scheduling panic and ordering semantics as At.
+// AtCall schedules fn(arg) at absolute time t, the one way an event is
+// scheduled. For per-packet work the callback is a long-lived
+// package-level function and the per-event payload rides in arg, so
+// scheduling allocates nothing (a pointer in an interface does not
+// escape).
 func (e *Engine) AtCall(t Time, fn func(any), arg any) Event {
 	n := e.take(t)
-	n.afn = fn
+	n.fn = fn
 	n.arg = arg
 	e.pending++
 	hi, lo := packKey(e.curHash, satDelta(t, e.now), e.childIdx)
@@ -377,7 +369,6 @@ func (e *Engine) Cancel(ev Event) {
 // reap recycles a node whose queue entry has been consumed.
 func (e *Engine) reap(n *node) {
 	n.fn = nil
-	n.afn = nil
 	n.arg = nil
 	n.cancelled = false
 	n.gen++
@@ -755,13 +746,9 @@ func (e *Engine) Step() bool {
 			e.execHi, e.execLo = ent.hi, ent.lo
 			e.curHash = mix64(ent.phash(), ent.lo&0xFFFFFFFF)
 			e.childIdx = 0
-			fn, afn, arg := n.fn, n.afn, n.arg
+			fn, arg := n.fn, n.arg
 			e.reap(n)
-			if afn != nil {
-				afn(arg)
-			} else {
-				fn()
-			}
+			fn(arg)
 			return true
 		}
 		if !e.advance() {

@@ -122,7 +122,7 @@ func (e *Engine) ChildKey(t Time) Key {
 // violation panics just like past scheduling in At.
 func (e *Engine) InjectKey(k Key, fn func(any), arg any) Event {
 	n := e.take(k.At)
-	n.afn = fn
+	n.fn = fn
 	n.arg = arg
 	e.pending++
 	hi, lo := packKey(k.PHash, k.DSched, k.K)

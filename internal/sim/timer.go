@@ -52,8 +52,8 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 	return t
 }
 
-// callFunc is NewTimer's callback: a func value is one pointer, so it
-// rides in the argument without allocating.
+// callFunc is the callback of At's events and NewTimer's timers: a func
+// value is one pointer, so it rides in the argument without allocating.
 func callFunc(arg any) { arg.(func())() }
 
 // fireTimer is the engine callback of every timer's queued instance.

@@ -8,25 +8,14 @@ import (
 	"repro/internal/units"
 )
 
-// Cut is one switch-switch link crossing a partition boundary. A and B
-// are switch indices; Lookahead is the minimum latency of any packet
-// crossing the link in either direction — propagation delay plus the
-// serialization time of the smallest possible wire frame (a bare
-// header) at the link rate. It lower-bounds how far ahead of the
-// sender's clock a crossing delivery can land, which is exactly the
-// conservative-sync window internal/psim needs.
-type Cut struct {
-	A, B      int
-	Lookahead sim.Duration
-}
-
 // Plan assigns every host and switch of a topology to one of Parts
-// partitions (shards) and lists every cut link. Builders consume it (via
-// Options.Partition) to place each entity on its partition's engine and
-// packet pool and to wire cut links through mailboxes. The shards are
-// the fabric's: FatTreeConfig.Partitions and LeafSpineConfig.Partitions
-// give the topology-natural plans, and a builder given no plan runs on
-// the one-shard plan, whose shard is the control engine.
+// partitions (shards). Builders consume it (via Options.Partition) to
+// place each entity on its partition's engine and packet pool; which
+// links cross partitions, and the sync edges they need, follow from the
+// wiring (Network.wireSwitches). The shards are the fabric's:
+// FatTreeConfig.Partitions and LeafSpineConfig.Partitions give the
+// topology-natural plans, and a builder given no plan runs on the
+// one-shard plan, whose shard is the control engine.
 type Plan struct {
 	Parts int
 	// Workers is how many goroutines step the partitions (internal/psim):
@@ -37,20 +26,19 @@ type Plan struct {
 	Workers    int
 	HostPart   []int
 	SwitchPart []int
-	Cuts       []Cut
 }
 
 // onePart is the plan of a fabric that runs on one engine: every host
-// and switch on partition 0, no cut, one worker.
+// and switch on partition 0, one worker.
 func onePart(hosts, switches int) *Plan {
 	return &Plan{Parts: 1, Workers: 1, HostPart: make([]int, hosts), SwitchPart: make([]int, switches)}
 }
 
 // validate panics on a plan that does not fit the fabric being built or
 // is internally inconsistent — a size that is not the fabric's, a
-// partition index out of range, a cut that does not cross partitions, no
-// worker. Builders call it so a hand-written plan fails at construction,
-// not as a determinism divergence later.
+// partition index out of range, no worker. Builders call it so a
+// hand-written plan fails at construction, not as a determinism
+// divergence later.
 func (pl *Plan) validate(hosts, switches int) {
 	if len(pl.HostPart) != hosts || len(pl.SwitchPart) != switches {
 		panic(fmt.Sprintf("topo: plan places %d hosts and %d switches on a fabric of %d and %d",
@@ -67,14 +55,6 @@ func (pl *Plan) validate(hosts, switches int) {
 	for i, p := range pl.SwitchPart {
 		if p < 0 || p >= pl.Parts {
 			panic(fmt.Sprintf("topo: switch %d assigned to partition %d of %d", i, p, pl.Parts))
-		}
-	}
-	for _, c := range pl.Cuts {
-		if pl.SwitchPart[c.A] == pl.SwitchPart[c.B] {
-			panic(fmt.Sprintf("topo: cut %d–%d does not cross partitions", c.A, c.B))
-		}
-		if c.Lookahead <= 0 {
-			panic(fmt.Sprintf("topo: cut %d–%d has non-positive lookahead", c.A, c.B))
 		}
 	}
 }
@@ -114,15 +94,8 @@ func (c FatTreeConfig) Partitions() *Plan {
 	for a := 0; a < nAggs; a++ {
 		pl.SwitchPart[nTors+a] = a / c.AggsPerPod
 	}
-	look := coreDelay + minWireTx(c.FabricRate)
 	for co := 0; co < c.Cores; co++ {
-		part := co % p
-		pl.SwitchPart[nTors+nAggs+co] = part
-		for a := 0; a < nAggs; a++ {
-			if pl.SwitchPart[nTors+a] != part {
-				pl.Cuts = append(pl.Cuts, Cut{A: nTors + a, B: nTors + nAggs + co, Lookahead: look})
-			}
-		}
+		pl.SwitchPart[nTors+nAggs+co] = co % p
 	}
 	return pl
 }
@@ -149,14 +122,7 @@ func (c LeafSpineConfig) Partitions() *Plan {
 		}
 	}
 	for sp := 0; sp < c.Spines; sp++ {
-		part := sp % p
-		pl.SwitchPart[c.Leaves+sp] = part
-		look := edgeDelay + minWireTx(c.SpineRate(sp))
-		for l := 0; l < c.Leaves; l++ {
-			if pl.SwitchPart[l] != part {
-				pl.Cuts = append(pl.Cuts, Cut{A: l, B: c.Leaves + sp, Lookahead: look})
-			}
-		}
+		pl.SwitchPart[c.Leaves+sp] = sp % p
 	}
 	return pl
 }

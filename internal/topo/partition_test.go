@@ -1,8 +1,13 @@
 package topo
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/units"
@@ -10,12 +15,25 @@ import (
 
 // Every host and switch of a fat-tree plan lands in exactly one valid
 // partition, hosts follow their ToR, ToRs and aggs follow their pod —
-// one partition per pod — cores are dealt round the pods, and the cut
-// list is exactly the agg–core pairs whose partitions differ (the
-// fabric wires every agg to every core).
+// one partition per pod — cores are dealt round the pods, and the built
+// fabric's sync edges are exactly the ordered partition pairs an
+// agg–core link joins (the fabric wires every agg to every core), each
+// at that link's delay plus a bare header's serialization. At the
+// benchmark's 10,240-host shape (16 pods of 16 ToRs and 8 aggs, 16
+// cores, 40 servers a ToR) the 3,840 directed agg–core cuts join 240
+// ordered pod pairs: 240 edges and 240 mailboxes, not one of each a cut.
 func TestFatTreePartitions(t *testing.T) {
-	for _, cfg := range []FatTreeConfig{{}, {Pods: 3, Cores: 5, ServersPerTor: 2}, {Pods: 1, ServersPerTor: 2}} {
-		cfg = cfg.WithDefaults()
+	hosts := TransportHosts(transport.Config{BaseRTT: 30 * sim.Microsecond})
+	for _, c := range []struct {
+		cfg   FatTreeConfig
+		edges int
+	}{
+		{FatTreeConfig{}, 10},
+		{FatTreeConfig{Pods: 3, Cores: 5, ServersPerTor: 2}, 6},
+		{FatTreeConfig{Pods: 1, ServersPerTor: 2}, 0},
+		{FatTreeConfig{Pods: 16, TorsPerPod: 16, AggsPerPod: 8, Cores: 16, ServersPerTor: 40}, 240},
+	} {
+		cfg := c.cfg.WithDefaults()
 		p := cfg.Pods
 		nTors := cfg.Pods * cfg.TorsPerPod
 		nAggs := cfg.Pods * cfg.AggsPerPod
@@ -46,37 +64,46 @@ func TestFatTreePartitions(t *testing.T) {
 				t.Fatalf("%d pods: core %d in partition %d, want %d", p, co, got, co%p)
 			}
 		}
-		// Reconstruct the expected cut set from the physical adjacency:
+		// Reconstruct the expected edges from the physical adjacency:
 		// every agg wires to every core.
-		wantLook := coreDelay + cfg.FabricRate.TxTime(48)
-		cuts := map[[2]int]bool{}
-		for _, c := range pl.Cuts {
-			if c.Lookahead != wantLook {
-				t.Fatalf("%d pods: cut %d–%d lookahead %v, want %v", p, c.A, c.B, c.Lookahead, wantLook)
-			}
-			if cuts[[2]int{c.A, c.B}] {
-				t.Fatalf("%d pods: duplicate cut %d–%d", p, c.A, c.B)
-			}
-			cuts[[2]int{c.A, c.B}] = true
-		}
+		want := map[[2]int]sim.Duration{}
 		for a := 0; a < nAggs; a++ {
 			for co := 0; co < cfg.Cores; co++ {
-				ai, ci := nTors+a, nTors+nAggs+co
-				crosses := pl.SwitchPart[ai] != pl.SwitchPart[ci]
-				if crosses != cuts[[2]int{ai, ci}] {
-					t.Fatalf("%d pods: agg %d – core %d crossing=%v but cut listed=%v",
-						p, a, co, crosses, cuts[[2]int{ai, ci}])
+				pa, pc := pl.SwitchPart[nTors+a], pl.SwitchPart[nTors+nAggs+co]
+				if pa != pc {
+					want[[2]int{pa, pc}] = coreDelay + cfg.FabricRate.TxTime(48)
+					want[[2]int{pc, pa}] = coreDelay + cfg.FabricRate.TxTime(48)
 				}
 			}
 		}
+		if len(want) != c.edges {
+			t.Fatalf("%d pods: agg–core links join %d ordered pod pairs, want %d", p, len(want), c.edges)
+		}
+		cfg.Opts.Hosts, cfg.Opts.Partition = hosts, pl
+		n := FatTree(cfg)
+		checkEdges(t, fmt.Sprintf("%d pods", p), n, want)
 	}
 }
 
-// The leaf-spine plan is one partition per leaf with all its hosts,
-// deals the spines round the leaves, and lists exactly the crossing
-// leaf–spine links as cuts — with per-spine lookahead when SpineRates
-// are set.
+// checkEdges fails unless n's sync edges are exactly want, and its cut
+// ports post into one mailbox an edge.
+func checkEdges(t *testing.T, name string, n *Network, want map[[2]int]sim.Duration) {
+	t.Helper()
+	if got := Edges(n); !maps.Equal(got, want) {
+		t.Fatalf("%s: sync edges %v, want %v", name, got, want)
+	}
+	if got := Mailboxes(n); got != len(want) {
+		t.Fatalf("%s: cut ports post into %d mailboxes, want one for each of %d edges", name, got, len(want))
+	}
+}
+
+// The leaf-spine plan is one partition per leaf with all its hosts and
+// deals the spines round the leaves; the built fabric's sync edges are
+// exactly the ordered partition pairs a crossing leaf–spine link joins,
+// at the least of their links' lookaheads — per spine when SpineRates
+// differ.
 func TestLeafSpinePartitions(t *testing.T) {
+	hosts := TransportHosts(transport.Config{BaseRTT: 30 * sim.Microsecond})
 	for _, cfg := range []LeafSpineConfig{
 		{Leaves: 4, Spines: 3, SpineRates: []units.BitRate{40 * units.Gbps}},
 		{Leaves: 2, Spines: 5},
@@ -104,23 +131,24 @@ func TestLeafSpinePartitions(t *testing.T) {
 				t.Fatalf("%d leaves: spine %d in partition %d, want %d", p, sp, got, sp%p)
 			}
 		}
-		cuts := map[[2]int]bool{}
-		for _, c := range pl.Cuts {
-			want := edgeDelay + cfg.SpineRate(c.B-cfg.Leaves).TxTime(48)
-			if c.Lookahead != want {
-				t.Fatalf("%d leaves: cut %d–%d lookahead %v, want %v", p, c.A, c.B, c.Lookahead, want)
-			}
-			cuts[[2]int{c.A, c.B}] = true
-		}
+		want := map[[2]int]sim.Duration{}
 		for l := 0; l < cfg.Leaves; l++ {
 			for sp := 0; sp < cfg.Spines; sp++ {
-				crosses := pl.SwitchPart[l] != pl.SwitchPart[cfg.Leaves+sp]
-				if crosses != cuts[[2]int{l, cfg.Leaves + sp}] {
-					t.Fatalf("%d leaves: leaf %d – spine %d crossing=%v but cut listed=%v",
-						p, l, sp, crosses, cuts[[2]int{l, cfg.Leaves + sp}])
+				leaf, spine := pl.SwitchPart[l], pl.SwitchPart[cfg.Leaves+sp]
+				if leaf == spine {
+					continue
+				}
+				look := edgeDelay + cfg.SpineRate(sp).TxTime(48)
+				for _, pair := range [][2]int{{leaf, spine}, {spine, leaf}} {
+					if old, ok := want[pair]; !ok || look < old {
+						want[pair] = look
+					}
 				}
 			}
 		}
+		cfg.Opts.Hosts, cfg.Opts.Partition = hosts, pl
+		n := LeafSpine(cfg)
+		checkEdges(t, fmt.Sprintf("%d leaves", p), n, want)
 	}
 }
 
@@ -191,5 +219,91 @@ func TestShardEnginesAndWorkers(t *testing.T) {
 	if len(n.Engs) != 1 || n.Engs[0] != n.Eng || len(n.Pools) != 1 || n.Pools[0] != n.Pool || n.PSim.Workers() != 1 {
 		t.Fatalf("no plan: %d engines (the control engine's: %v) and %d pools on %d workers, want one shard on the control engine",
 			len(n.Engs), n.Engs[0] == n.Eng, len(n.Pools), n.PSim.Workers())
+	}
+}
+
+// recorder is a wire's far end: it notes the key each packet arrives
+// under on the engine it runs on.
+type recorder struct {
+	eng  *sim.Engine
+	keys []sim.Key
+}
+
+func (r *recorder) Receive(*packet.Packet) { r.keys = append(r.keys, r.eng.ExecKey()) }
+
+// A port whose wire crosses shards is an ordinary port. On a two-leaf
+// leaf-spine's leaf plan, leaf 0's port to spine 1 crosses from shard 0
+// to shard 1: a packet sent across it arrives on shard 1's engine under
+// the key it has on one engine; a packet in flight when the wire goes
+// down is lost at its arrival instant into shard 1's pool; and the
+// port's Lost, PayloadLost and PayloadOnWire read as they do on one
+// engine — at one worker and at two.
+func TestCutPortDeliversLikeLocal(t *testing.T) {
+	type outcome struct {
+		arrived               []sim.Key
+		midWire, endWire      uint64 // PayloadOnWire while the second packet flies, and at the end
+		lost, plLost, farPuts uint64
+	}
+	us := func(n int64) sim.Time { return sim.Time(n) * sim.Time(sim.Microsecond) }
+	run := func(workers int) outcome {
+		cfg := LeafSpineConfig{Leaves: 2, Spines: 2, ServersPerLeaf: 1}
+		cfg.Opts.Hosts = TransportHosts(transport.Config{BaseRTT: 30 * sim.Microsecond})
+		if workers > 0 {
+			cfg.Opts.Partition = cfg.Partitions()
+			cfg.Opts.Partition.Workers = workers
+		}
+		n := LeafSpine(cfg)
+		pt := n.Switches[cfg.LeafSwitch(0)].Ports()[2] // its host, spine 0, spine 1
+		far := n.Part.SwitchPart[cfg.SpineSwitch(1)]
+		if crosses := pt.Out != nil; crosses != (workers > 0) || (far == 1) != crosses {
+			t.Fatalf("W=%d: leaf 0's port to spine 1 crosses shards: %v, spine 1 on shard %d", workers, crosses, far)
+		}
+		rec := &recorder{eng: n.Engs[far]}
+		pt.Peer = rec
+		src := n.Engs[n.Part.SwitchPart[cfg.LeafSwitch(0)]]
+		src.SetOrigin(1)
+		for _, at := range []sim.Time{0, us(10)} {
+			src.At(at, func() {
+				p := n.Pools[0].Get()
+				p.PayloadLen = 1000
+				pt.Send(p)
+			})
+		}
+		var out outcome
+		// After the second packet has left the serializer, before it lands.
+		n.Eng.SetOrigin(2)
+		n.Eng.At(us(10)+sim.Time(500*sim.Nanosecond), func() {
+			out.midWire = pt.PayloadOnWire()
+			pt.SetDown(true)
+		})
+		_, _, puts0 := n.Pools[far].Stats()
+		_, _, srcPuts0 := n.Pools[0].Stats()
+		n.PSim.Run(us(20))
+		_, _, puts := n.Pools[far].Stats()
+		if _, _, srcPuts := n.Pools[0].Stats(); far != 0 && srcPuts != srcPuts0 {
+			t.Fatalf("W=%d: the lost packet went back to the sending shard's pool", workers)
+		}
+		out.arrived, out.endWire = rec.keys, pt.PayloadOnWire()
+		out.lost, out.plLost, out.farPuts = pt.Lost(), pt.PayloadLost(), puts-puts0
+		return out
+	}
+
+	want := run(0)
+	arrival := sim.Time(0).Add(fabricRate.TxTime(packet.HeaderSize+1000) + edgeDelay)
+	if len(want.arrived) != 1 || want.arrived[0].At != arrival {
+		t.Fatalf("one engine: arrivals %v, want one at %v", want.arrived, arrival)
+	}
+	if want.midWire != 1000 || want.endWire != 0 || want.lost != 1 || want.plLost != 1000 || want.farPuts != 1 {
+		t.Fatalf("one engine: %+v; want 1000 payload bytes on the wire when it goes down, one packet and 1000 bytes lost into the pool, none left on the wire", want)
+	}
+	for _, workers := range []int{1, 2} {
+		got := run(workers)
+		if !slices.Equal(got.arrived, want.arrived) {
+			t.Fatalf("W=%d: arrivals %v, one engine's %v", workers, got.arrived, want.arrived)
+		}
+		got.arrived = want.arrived
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("W=%d: %+v, one engine's %+v", workers, got, want)
+		}
 	}
 }

@@ -68,8 +68,9 @@ type Options struct {
 	// ShardEngines[i], and partitions beyond the slice get fresh engines.
 	ShardEngines []*sim.Engine
 	// Partition is the plan the fabric runs on (internal/psim): every host
-	// and switch runs on its partition's engine and packet pool, and cut
-	// links deliver through mailboxes. Plans come from
+	// and switch runs on its partition's engine and packet pool, and a
+	// link whose ends land on different partitions delivers through its
+	// shard pair's mailbox. Plans come from
 	// FatTreeConfig.Partitions / LeafSpineConfig.Partitions; nil is the
 	// one-shard plan.
 	Partition *Plan
@@ -140,9 +141,9 @@ func (n *Network) HostID(i int) packet.NodeID { return n.Hosts[i].ID() }
 
 // newNetwork allocates the shell all builders fill in for a fabric of
 // the given host, switch and port counts: the plan's engines and pools,
-// the psim fabric with one bidirectional sync edge per cut, and one
-// block for all the ports (two per link, plus any one-way port). A
-// one-shard plan's engine is the control engine.
+// the psim fabric (its sync edges come with the links that cross, see
+// wireSwitches), and one block for all the ports (two per link, plus any
+// one-way port). A one-shard plan's engine is the control engine.
 func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options) *Network {
 	eng := opts.Engine
 	if eng == nil {
@@ -171,11 +172,6 @@ func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options
 	n.Pool = n.Pools[0]
 	n.ports.Reserve(ports)
 	n.PSim = psim.New(eng, n.Engs, pl.Workers)
-	for _, c := range pl.Cuts {
-		pa, pb := pl.SwitchPart[c.A], pl.SwitchPart[c.B]
-		n.PSim.AddEdge(pa, pb, c.Lookahead)
-		n.PSim.AddEdge(pb, pa, c.Lookahead)
-	}
 	return n
 }
 
@@ -282,41 +278,20 @@ func (n *Network) WalkRoutes(src, dst int, visit func(pt *link.Port, fraction fl
 }
 
 // wireSwitches connects switches ai and bi bidirectionally. When the
-// two ends live on different partitions, each direction's deliveries
-// are rerouted through a psim mailbox instead of a local engine event.
+// two ends live on different partitions the link is a cut: each port
+// posts its transmissions to the mailbox of its shard pair's sync edge,
+// whose lookahead the link bounds by its delay plus the serialization
+// of the smallest frame — the least latency any packet can cross it in.
 func (n *Network) wireSwitches(ai, bi int, rate units.BitRate, delay sim.Duration, opts Options) {
 	pa := n.Switches[ai].AddPortFrom(&n.ports, rate, delay, n.Switches[bi], n.qFor(opts))
 	n.swPeers[ai] = append(n.swPeers[ai], peerRef{idx: bi})
 	pb := n.Switches[bi].AddPortFrom(&n.ports, rate, delay, n.Switches[ai], n.qFor(opts))
 	n.swPeers[bi] = append(n.swPeers[bi], peerRef{idx: ai})
 	if wa, wb := n.Part.SwitchPart[ai], n.Part.SwitchPart[bi]; wa != wb {
-		n.crossWire(n.Switches[ai].Ports()[pa], wb, n.Switches[bi])
-		n.crossWire(n.Switches[bi].Ports()[pb], wa, n.Switches[ai])
-	}
-}
-
-// crossWire reroutes pt's deliveries through a mailbox into partition
-// dst. The sender consumes a causal child slot at transmit time
-// (ChildKey) exactly where a local AtCall would have, so the injected
-// delivery carries the canonical key the serial engine would have
-// assigned; the delivery callback replicates link's deliver — the
-// wire-down check happens at the arrival instant, on the receiving
-// side, with losses counted on the port's remote counter and the
-// packet recycled into the receiver's pool.
-func (n *Network) crossWire(pt *link.Port, dst int, peer link.Receiver) {
-	pool := n.Pools[dst]
-	mb := n.PSim.NewMailbox(dst, func(arg any) {
-		p := arg.(*packet.Packet)
-		if pt.IsDown() {
-			pt.NoteRemoteLost(p.PayloadLen)
-			pool.Put(p)
-			return
-		}
-		pt.NoteRemoteDelivered(p.PayloadLen)
-		peer.Receive(p)
-	})
-	pt.X = func(at sim.Time, p *packet.Packet) {
-		mb.Post(pt.Eng.ChildKey(at), p)
+		look := delay + minWireTx(rate)
+		a, b := n.Switches[ai].Ports()[pa], n.Switches[bi].Ports()[pb]
+		a.Out, a.FarPool = n.PSim.AddEdge(wa, wb, look), n.Pools[wb]
+		b.Out, b.FarPool = n.PSim.AddEdge(wb, wa, look), n.Pools[wa]
 	}
 }
 
