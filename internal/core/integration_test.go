@@ -173,7 +173,7 @@ func TestPowerTCPDrainsIncastQuickly(t *testing.T) {
 	done := 0
 	for i := 1; i < 9; i++ {
 		h := net.TransportHost(i)
-		h.OnFlowDone = func(*transport.Flow) { done++ }
+		h.OnFlowDone = func(transport.Completion) { done++ }
 		h.StartFlow(net.NextFlowID(), net.HostID(0), 500_000, core.New(core.Config{}), 0)
 	}
 	net.Eng.Run()

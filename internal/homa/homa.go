@@ -15,6 +15,11 @@
 //     stalled message; needed because the paper runs HOMA on switches
 //     with finite, Dynamic-Thresholds-managed buffers (§4.2).
 //
+// Each message is a flow of its own, found at both ends by its FlowID in
+// the network's packet.FlowTable. A receiver ranks only its live
+// messages; a finished one keeps its slot, marked done, so a late
+// duplicate is recognised and dropped.
+//
 // The paper's finding — HOMA cannot control congestion on the
 // oversubscribed ToR uplinks of a 4:1 fat-tree, and limited buffers hurt
 // its incast behaviour — is an emergent property of exactly these
@@ -22,8 +27,8 @@
 package homa
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/link"
 	"repro/internal/packet"
@@ -53,21 +58,23 @@ var unschedCutoffs = [...]int64{3_000, 30_000, 300_000, 1 << 62}
 // schedBase..packet.MaxPriority.
 const schedBase = uint8(len(unschedCutoffs))
 
-// Msg is one sender-side message.
+// Msg is one sender-side message: the send half of its flow's slot.
 type Msg struct {
-	ID      uint64
-	Flow    packet.FlowID
-	Dst     packet.NodeID
-	Size    int64
-	StartAt sim.Time
+	ID   uint64
+	Flow packet.FlowID
+	Dst  packet.NodeID
+	Size int64
 
+	src       *Host
 	sent      int64 // bytes handed to the NIC
 	granted   int64 // receiver permission boundary
 	schedPrio uint8 // priority assigned by the latest grant
 	done      bool
 }
 
+// recvMsg is one receiver-side message, set up by its first packet.
 type recvMsg struct {
+	at      *Host // the receiving host, once a packet has arrived
 	id      uint64
 	flow    packet.FlowID
 	src     packet.NodeID
@@ -77,8 +84,14 @@ type recvMsg struct {
 	granted int64
 	start   sim.Time // SentAt of the earliest packet seen
 	lastHit sim.Time
-	resend  *sim.Timer // hole-repair timer, bound once per message
+	resend  sim.Timer // hole-repair timer, bound by the first packet
 	done    bool
+}
+
+// slot is one message in the flow table.
+type slot struct {
+	snd Msg
+	rcv recvMsg
 }
 
 func (m *recvMsg) received() int64  { return m.got.Bytes() }
@@ -94,13 +107,13 @@ type Host struct {
 
 	resendAfter sim.Duration // hole-repair timeout, transport.RTO(BaseRTT)
 
-	sendQ  map[uint64]*Msg
-	recvQ  map[uint64]*recvMsg
+	flows  *packet.FlowTable[slot] // the network's, or the host's own
+	live   []*recvMsg              // incomplete messages this host receives
 	nextID uint64
 
 	// OnMessageDone fires at the *receiver* when a message's last byte
 	// arrives (HOMA completion is receiver-observed).
-	OnMessageDone func(id uint64, size int64, fct sim.Duration)
+	OnMessageDone func(transport.Completion)
 
 	rcvdTotal int64
 	rcvdRaw   int64
@@ -111,23 +124,29 @@ func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
 	if cfg.Overcommit == 0 {
 		cfg.Overcommit = 1
 	}
-	return &Host{
-		id: id, eng: eng, cfg: cfg, resendAfter: transport.RTO(cfg.BaseRTT),
-		sendQ: map[uint64]*Msg{},
-		recvQ: map[uint64]*recvMsg{},
-	}
+	return &Host{id: id, eng: eng, cfg: cfg, resendAfter: transport.RTO(cfg.BaseRTT)}
 }
 
 // ID implements topo.Node.
 func (h *Host) ID() packet.NodeID { return h.id }
 
-// SetUplink implements topo.Node. A host with no shared packet pool by
-// then gets a private one (see transport.Host.SetUplink).
+// SetUplink implements topo.Node. A host with no shared packet pool or
+// flow table by then gets a private one (see transport.Host.SetUplink).
 func (h *Host) SetUplink(p *link.Port) {
 	h.nic = p
 	if h.pool == nil {
 		h.pool = packet.NewPool()
 	}
+	if h.flows == nil {
+		h.flows = new(packet.FlowTable[slot])
+	}
+}
+
+// ShareFlows adopts the network's flow table (see
+// transport.Host.ShareFlows).
+func (h *Host) ShareFlows(t any) any {
+	h.flows = packet.ShareTable[slot](t)
+	return h.flows
 }
 
 // SetPool shares an engine-wide packet free list (see transport.Host.SetPool).
@@ -150,16 +169,13 @@ func (h *Host) ReceivedTotal() int64 { return h.rcvdTotal }
 // the wire actually carried here.
 func (h *Host) DeliveredPayload() int64 { return h.rcvdRaw }
 
-// ReceivedBytes returns payload bytes received for one flow.
+// ReceivedBytes returns payload bytes received for one flow,
+// deduplicated.
 func (h *Host) ReceivedBytes(flow packet.FlowID) int64 {
-	var n int64
-	//powervet:ordered commutative int64 sum over a pure accessor; no output ordering depends on visit order
-	for _, m := range h.recvQ {
-		if m.flow == flow {
-			n += m.received()
-		}
+	if s := h.flows.Lookup(flow); s != nil && s.rcv.at == h {
+		return s.rcv.received()
 	}
-	return n
+	return 0
 }
 
 func (h *Host) rttBytes() int64 { return h.nic.Rate.BDP(h.cfg.BaseRTT) }
@@ -173,17 +189,20 @@ func (h *Host) unschedPrio(size int64) uint8 {
 	return uint8(len(unschedCutoffs) - 1)
 }
 
-// Send starts a new message of size bytes toward dst at time `at`.
+// Send starts a new message of size bytes toward dst at time `at`, as
+// flow flow: a message is a flow of its own.
 func (h *Host) Send(flow packet.FlowID, dst packet.NodeID, size int64, at sim.Time) *Msg {
 	h.nextID++
-	m := &Msg{ID: h.nextID<<16 | uint64(h.id&0xFFFF), Flow: flow, Dst: dst, Size: size}
-	h.sendQ[m.ID] = m
-	h.eng.At(at, func() {
-		m.StartAt = h.eng.Now()
-		m.granted = min64(size, h.rttBytes())
-		h.pump(m)
-	})
+	m := &h.flows.Slot(flow).snd
+	*m = Msg{ID: h.nextID<<16 | uint64(h.id&0xFFFF), Flow: flow, Dst: dst, Size: size, src: h}
+	h.eng.AtCall(at, launch, m)
 	return m
+}
+
+func launch(arg any) {
+	m := arg.(*Msg)
+	m.granted = min(m.Size, m.src.rttBytes())
+	m.src.pump(m)
 }
 
 // pump transmits every byte the message is currently allowed to send.
@@ -192,7 +211,7 @@ func (h *Host) Send(flow packet.FlowID, dst packet.NodeID, size int64, at sim.Ti
 func (h *Host) pump(m *Msg) {
 	rtt := h.rttBytes()
 	for m.sent < m.granted {
-		n := min64(packet.MSS, m.granted-m.sent)
+		n := min(packet.MSS, m.granted-m.sent)
 		unsched := m.sent < rtt
 		prio := h.unschedPrio(m.Size)
 		if !unsched {
@@ -238,13 +257,13 @@ const (
 )
 
 func (h *Host) onGrant(p *packet.Packet) {
-	m := h.sendQ[p.MsgID]
-	if m == nil || m.done {
+	s := h.flows.Lookup(p.Flow)
+	if s == nil || s.snd.src != h || s.snd.done {
 		return
 	}
+	m := &s.snd
 	if p.Seq() == msgComplete {
 		m.done = true // completion notification
-		delete(h.sendQ, p.MsgID)
 		return
 	}
 	m.schedPrio = p.Priority
@@ -253,21 +272,19 @@ func (h *Host) onGrant(p *packet.Packet) {
 		h.emit(m, p.Seq(), int64(p.PayloadLen), p.Priority)
 	}
 	if p.GrantOffset() > m.granted {
-		m.granted = min64(p.GrantOffset(), m.Size)
+		m.granted = min(p.GrantOffset(), m.Size)
 		h.pump(m)
 	}
 }
 
 func (h *Host) onData(p *packet.Packet) {
 	h.rcvdRaw += int64(p.PayloadLen)
-	m := h.recvQ[p.MsgID]
-	if m == nil {
-		m = &recvMsg{
-			id: p.MsgID, flow: p.Flow, src: p.Src, size: p.MsgLen(),
-			granted: min64(p.MsgLen(), h.rttBytes()),
-			start:   p.SentAt(),
-		}
-		h.recvQ[p.MsgID] = m
+	m := &h.flows.Slot(p.Flow).rcv
+	if m.at == nil {
+		m.at, m.id, m.flow, m.src, m.size, m.start = h, p.MsgID, p.Flow, p.Src, p.MsgLen(), p.SentAt()
+		m.granted = min(m.size, h.rttBytes())
+		m.resend.Bind(h.eng, onResend, m)
+		h.live = append(h.live, m)
 	}
 	if m.done {
 		return
@@ -282,14 +299,16 @@ func (h *Host) onData(p *packet.Packet) {
 
 	if m.remaining() <= 0 {
 		m.done = true
-		if m.resend != nil {
-			m.resend.Stop()
-		}
-		fct := h.eng.Now().Sub(m.start)
+		m.resend.Stop()
+		i := slices.Index(h.live, m) // retire the message: schedule ranks live ones only
+		h.live = slices.Delete(h.live, i, i+1)
 		// Completion notice releases sender state.
 		h.sendGrant(m, m.size, 0, msgComplete, 0)
 		if h.OnMessageDone != nil {
-			h.OnMessageDone(m.id, m.size, fct)
+			h.OnMessageDone(transport.Completion{
+				ID: m.flow, Src: m.src, Dst: h.id, Size: m.size,
+				Start: m.start, FCT: h.eng.Now().Sub(m.start),
+			})
 		}
 	} else {
 		h.armResend(m)
@@ -297,40 +316,37 @@ func (h *Host) onData(p *packet.Packet) {
 	h.schedule()
 }
 
-// schedule is the receiver's SRPT grant machinery.
+// bySRPT orders messages by remaining bytes, then by message ID.
+func bySRPT(a, b *recvMsg) int {
+	return cmp.Or(cmp.Compare(a.remaining(), b.remaining()), cmp.Compare(a.id, b.id))
+}
+
+// schedule is the receiver's SRPT grant machinery. It ranks the live
+// messages that still wait for grants and grants the top Overcommit one
+// RTTBytes ahead of what has arrived; sorting the live list in place
+// allocates nothing.
 func (h *Host) schedule() {
-	var active []*recvMsg
-	for _, m := range h.recvQ {
-		if !m.done && m.size > m.granted {
-			active = append(active, m)
-		}
-	}
-	if len(active) == 0 {
-		return
-	}
-	sort.Slice(active, func(i, j int) bool {
-		if active[i].remaining() != active[j].remaining() {
-			return active[i].remaining() < active[j].remaining()
-		}
-		return active[i].id < active[j].id
-	})
-	k := h.cfg.Overcommit
-	if k > len(active) {
-		k = len(active)
-	}
+	slices.SortFunc(h.live, bySRPT)
 	rtt := h.rttBytes()
-	for rank := 0; rank < k; rank++ {
-		m := active[rank]
+	rank := 0
+	for _, m := range h.live {
+		if rank == h.cfg.Overcommit {
+			break
+		}
+		if m.size <= m.granted {
+			continue
+		}
 		prio := schedBase + uint8(rank)
 		if prio > packet.MaxPriority {
 			prio = packet.MaxPriority
 		}
 		m.prio = prio
-		want := min64(m.received()+rtt, m.size)
+		want := min(m.received()+rtt, m.size)
 		if want > m.granted {
 			m.granted = want
 			h.sendGrant(m, want, prio, plainGrant, 0)
 		}
+		rank++
 	}
 }
 
@@ -351,46 +367,26 @@ func (h *Host) sendGrant(m *recvMsg, offset int64, prio uint8, resendSeq int64, 
 }
 
 func (h *Host) armResend(m *recvMsg) {
-	if m.resend == nil {
-		m.resend = h.eng.NewTimer(func() { h.onResendTimeout(m) })
+	if !m.resend.Armed() {
+		m.resend.ArmAfter(h.resendAfter)
 	}
-	if m.resend.Armed() {
-		return
-	}
-	m.resend.ArmAfter(h.resendAfter)
 }
 
-func (h *Host) onResendTimeout(m *recvMsg) {
+func onResend(arg any) {
+	m := arg.(*recvMsg)
 	if m.done {
 		return
 	}
+	h := m.at
 	if h.eng.Now().Sub(m.lastHit) < h.resendAfter {
 		h.armResend(m)
 		return
 	}
 	// Request the first hole below the granted boundary.
 	holeStart := m.got.CumulativeFrom(0)
-	n := min64(packet.MSS, m.granted-holeStart)
+	n := min(packet.MSS, m.granted-holeStart)
 	if n > 0 {
 		h.sendGrant(m, m.granted, m.prio, holeStart, int32(n))
 	}
 	h.armResend(m)
 }
-
-// String implements fmt.Stringer.
-func (h *Host) String() string { return fmt.Sprintf("homa-%d", h.id) }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Verify interface compliance at compile time.
-var _ interface {
-	link.Receiver
-	ID() packet.NodeID
-	SetUplink(*link.Port)
-	NIC() *link.Port
-} = (*Host)(nil)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/transport"
 	"repro/internal/units"
 )
 
@@ -33,7 +34,7 @@ func TestSmallMessageUnscheduledOnly(t *testing.T) {
 	src, dst := hostAt(net, 0), hostAt(net, 1)
 	var fct sim.Duration
 	done := 0
-	dst.OnMessageDone = func(_ uint64, size int64, d sim.Duration) { done++; fct = d }
+	dst.OnMessageDone = func(c transport.Completion) { done++; fct = c.FCT }
 	src.Send(net.NextFlowID(), dst.ID(), 5_000, 0) // 5KB < RTTBytes: pure unscheduled
 	net.Eng.Run()
 	if done != 1 {
@@ -50,10 +51,10 @@ func TestLargeMessageUsesGrants(t *testing.T) {
 	src, dst := hostAt(net, 0), hostAt(net, 1)
 	size := int64(1 << 20) // 1MiB ≫ RTTBytes (37.5KB at 25G×12µs)
 	done := 0
-	dst.OnMessageDone = func(_ uint64, got int64, _ sim.Duration) {
+	dst.OnMessageDone = func(c transport.Completion) {
 		done++
-		if got != size {
-			t.Errorf("completed size = %d", got)
+		if c.Size != size {
+			t.Errorf("completed size = %d", c.Size)
 		}
 	}
 	m := src.Send(net.NextFlowID(), dst.ID(), size, 0)
@@ -75,8 +76,8 @@ func TestSRPTPreference(t *testing.T) {
 	net := homaStar(3, 1, 0)
 	long, short, dst := hostAt(net, 0), hostAt(net, 1), hostAt(net, 2)
 	finish := map[int64]sim.Time{}
-	dst.OnMessageDone = func(_ uint64, size int64, _ sim.Duration) {
-		finish[size] = net.Eng.Now()
+	dst.OnMessageDone = func(c transport.Completion) {
+		finish[c.Size] = net.Eng.Now()
 	}
 	long.Send(net.NextFlowID(), dst.ID(), 4<<20, 0)
 	short.Send(net.NextFlowID(), dst.ID(), 100_000, sim.Time(100*sim.Microsecond))
@@ -94,7 +95,7 @@ func TestIncastWithOvercommit(t *testing.T) {
 		net := homaStar(9, oc, 0)
 		dst := hostAt(net, 0)
 		done := 0
-		dst.OnMessageDone = func(uint64, int64, sim.Duration) { done++ }
+		dst.OnMessageDone = func(transport.Completion) { done++ }
 		for i := 1; i < 9; i++ {
 			hostAt(net, i).Send(net.NextFlowID(), dst.ID(), 400_000, 0)
 		}
@@ -111,7 +112,7 @@ func TestResendRepairsDrops(t *testing.T) {
 	net := homaStar(9, 2, 256) // 25G port → ~6.4KB shared buffer
 	dst := hostAt(net, 0)
 	done := 0
-	dst.OnMessageDone = func(uint64, int64, sim.Duration) { done++ }
+	dst.OnMessageDone = func(transport.Completion) { done++ }
 	for i := 1; i < 9; i++ {
 		hostAt(net, i).Send(net.NextFlowID(), dst.ID(), 200_000, 0)
 	}
@@ -136,5 +137,69 @@ func TestUnschedPriorityBySize(t *testing.T) {
 	}
 	if huge > packet.MaxPriority {
 		t.Fatalf("priority %d out of range", huge)
+	}
+}
+
+// dataPacket is a copy of the first packet of message m, as the network
+// would deliver it to m's destination.
+func dataPacket(net *topo.Network, src packet.NodeID, m *homa.Msg) *packet.Packet {
+	p := net.Pool.Get()
+	p.Kind = packet.Data
+	p.Flow, p.Src, p.Dst, p.MsgID = m.Flow, src, m.Dst, m.ID
+	p.SetSeq(0)
+	p.PayloadLen = packet.MSS
+	p.SetMsgLen(m.Size)
+	return p
+}
+
+// A finished message keeps its slot marked done: a late duplicate of it
+// counts among the raw bytes delivered, not the deduplicated ones, and
+// completes nothing twice.
+func TestLateDuplicateOfFinishedMessage(t *testing.T) {
+	net := homaStar(2, 1, 0)
+	src, dst := hostAt(net, 0), hostAt(net, 1)
+	done := 0
+	dst.OnMessageDone = func(transport.Completion) { done++ }
+	m := src.Send(net.NextFlowID(), dst.ID(), 100_000, 0)
+	net.Eng.Run()
+	if done != 1 || dst.Live() != 0 {
+		t.Fatalf("%d completions, %d live messages; want 1 and 0", done, dst.Live())
+	}
+	total, raw := dst.ReceivedTotal(), dst.DeliveredPayload()
+	dst.Receive(dataPacket(net, src.ID(), m))
+	if got := dst.ReceivedTotal(); got != total {
+		t.Fatalf("ReceivedTotal %d after a late duplicate, want %d", got, total)
+	}
+	if got := dst.DeliveredPayload(); got != raw+packet.MSS {
+		t.Fatalf("DeliveredPayload %d after a late duplicate, want %d", got, raw+packet.MSS)
+	}
+	if got := dst.ReceivedBytes(m.Flow); got != m.Size {
+		t.Fatalf("ReceivedBytes %d, want %d", got, m.Size)
+	}
+	if done != 1 || dst.Live() != 0 {
+		t.Fatalf("%d completions, %d live messages after the duplicate", done, dst.Live())
+	}
+}
+
+// Once warm, a data packet costs the receiver's scheduler no allocation:
+// it sorts the live messages in place.
+func TestScheduleAllocatesNothing(t *testing.T) {
+	net := homaStar(9, 2, 0)
+	dst := hostAt(net, 0)
+	var msgs []*homa.Msg
+	for i := 1; i < 9; i++ {
+		msgs = append(msgs, hostAt(net, i).Send(net.NextFlowID(), dst.ID(), 1<<20, 0))
+	}
+	net.Eng.RunUntil(sim.Time(20 * sim.Microsecond))
+	if dst.Live() != len(msgs) {
+		t.Fatalf("%d live messages, want %d", dst.Live(), len(msgs))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		dst.Receive(dataPacket(net, hostAt(net, 1+i%8).ID(), msgs[i%8]))
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a data packet allocates %.1f times", allocs)
 	}
 }

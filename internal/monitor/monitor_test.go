@@ -1,7 +1,6 @@
 package monitor_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -77,7 +76,4 @@ func TestCCMonitorForwardsExtensions(t *testing.T) {
 		t.Fatal("CNP not forwarded to DCQCN")
 	}
 	m.Stop()
-	if got := m.Name(); !strings.Contains(got, "dcqcn") {
-		t.Fatalf("name = %q", got)
-	}
 }

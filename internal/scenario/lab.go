@@ -12,10 +12,11 @@ import (
 	"repro/internal/workload"
 )
 
-// FlowRecord is one completed transfer.
+// FlowRecord is one completed transfer: which flow it was (ID, and end
+// hosts' node IDs, which are their host indices), its size, the instant
+// its FCT counts from, the FCT (transport.Completion), and its slowdown.
 type FlowRecord struct {
-	Size     int64
-	FCT      sim.Duration
+	transport.Completion
 	Slowdown float64
 }
 
@@ -111,20 +112,18 @@ func (l *Lab) wireCollectors() {
 	if parts > 1 {
 		l.partRecs = make([][]keyedRecord, parts)
 	}
-	// One callback of each kind per shard, shared by the shard's hosts.
-	flowDone := make([]func(*transport.Flow), parts)
-	msgDone := make([]func(uint64, int64, sim.Duration), parts)
+	// One callback per shard, shared by the shard's hosts.
+	done := make([]func(transport.Completion), parts)
 	for p := range parts {
-		flowDone[p] = func(f *transport.Flow) { l.record(p, f.Size, f.FCT()) }
-		msgDone[p] = func(_ uint64, size int64, fct sim.Duration) { l.record(p, size, fct) }
+		done[p] = func(c transport.Completion) { l.record(p, c) }
 	}
 	for i, n := range l.Net.Hosts {
 		p := l.Net.Part.HostPart[i]
 		switch h := n.(type) {
 		case *transport.Host:
-			h.OnFlowDone = flowDone[p]
+			h.OnFlowDone = done[p]
 		case *homa.Host:
-			h.OnMessageDone = msgDone[p]
+			h.OnMessageDone = done[p]
 		}
 	}
 }
@@ -133,12 +132,8 @@ func (l *Lab) wireCollectors() {
 // the serial order, so there the record goes straight to Records; on
 // several it goes to the shard's own buffer, keyed by the canonical
 // position of the completing event.
-func (l *Lab) record(p int, size int64, fct sim.Duration) {
-	rec := FlowRecord{
-		Size:     size,
-		FCT:      fct,
-		Slowdown: stats.Slowdown(fct, size, l.Net.HostRate, l.Net.BaseRTT),
-	}
+func (l *Lab) record(p int, c transport.Completion) {
+	rec := FlowRecord{c, stats.Slowdown(c.FCT, c.Size, l.Net.HostRate, l.Net.BaseRTT)}
 	if l.partRecs == nil {
 		l.Records = append(l.Records, rec)
 		return
@@ -216,39 +211,24 @@ func (l *Lab) LaunchAlg(f workload.Flow, alg cc.Algorithm) packet.FlowID {
 // Started returns the number of launched flows.
 func (l *Lab) Started() int { return l.started }
 
-// ReceivedTotal returns the payload bytes received by host i.
-func (l *Lab) ReceivedTotal(i int) int64 {
-	switch h := l.Net.Hosts[i].(type) {
-	case *transport.Host:
-		return h.ReceivedTotal()
-	case *homa.Host:
-		return h.ReceivedTotal()
-	}
-	return 0
+// receiver is what the lab reads of a host, whichever transport it runs.
+type receiver interface {
+	ReceivedTotal() int64
+	DeliveredPayload() int64
+	ReceivedBytes(packet.FlowID) int64
 }
+
+// ReceivedTotal returns the payload bytes received by host i.
+func (l *Lab) ReceivedTotal(i int) int64 { return l.Net.Hosts[i].(receiver).ReceivedTotal() }
 
 // DeliveredPayload returns the raw payload bytes delivered to host i,
 // retransmitted duplicates included — the endpoint-side word of the
 // byte-conservation identity (ReceivedTotal deduplicates under HOMA).
-func (l *Lab) DeliveredPayload(i int) int64 {
-	switch h := l.Net.Hosts[i].(type) {
-	case *transport.Host:
-		return h.DeliveredPayload()
-	case *homa.Host:
-		return h.DeliveredPayload()
-	}
-	return 0
-}
+func (l *Lab) DeliveredPayload(i int) int64 { return l.Net.Hosts[i].(receiver).DeliveredPayload() }
 
 // ReceivedBytes returns the payload bytes host i received on one flow.
 func (l *Lab) ReceivedBytes(i int, id packet.FlowID) int64 {
-	switch h := l.Net.Hosts[i].(type) {
-	case *transport.Host:
-		return h.ReceivedBytes(id)
-	case *homa.Host:
-		return h.ReceivedBytes(id)
-	}
-	return 0
+	return l.Net.Hosts[i].(receiver).ReceivedBytes(id)
 }
 
 // SampleEvery invokes fn(now) at the given period until the horizon.

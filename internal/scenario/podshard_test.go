@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/guard"
@@ -77,11 +78,31 @@ func encode(t *testing.T, res *scenario.Result) []byte {
 	return buf.Bytes()
 }
 
+// flowSlots returns the slots of the network's flow table.
+func flowSlots(p *scenario.Prepared) int {
+	return p.Env().Lab.Net.Flows.(interface{ Len() int }).Len()
+}
+
+// drive runs p to its horizon and checks that no flow table grew on the
+// way: every slot is reserved at launch, before any shard runs.
+func drive(t *testing.T, p *scenario.Prepared) {
+	t.Helper()
+	slots := flowSlots(p)
+	if slots <= p.Env().Lab.Started() {
+		t.Fatalf("%d flows launched into a table of %d slots", p.Env().Lab.Started(), slots)
+	}
+	p.DriveTo(p.Horizon())
+	if got := flowSlots(p); got != slots {
+		t.Fatalf("the flow table grew from %d to %d slots during the drive", slots, got)
+	}
+}
+
 // The determinism suites' large-fabric leg. "Partitions: 1" on this
 // fabric is four shards on the caller's goroutine, so the reference is
 // forced onto one engine; one worker and two must both reproduce its
-// bytes, under a window transport with INT, one with ECN marking, and
-// HOMA's receiver-driven priorities.
+// bytes and its completion records, flow by flow, under a window
+// transport with INT, one with ECN marking, and HOMA's receiver-driven
+// priorities.
 func TestPodShardedMatchesSingleEngine(t *testing.T) {
 	for _, name := range []string{scenario.PowerTCP, scenario.DCQCN, scenario.Homa} {
 		t.Run(name, func(t *testing.T) {
@@ -92,13 +113,19 @@ func TestPodShardedMatchesSingleEngine(t *testing.T) {
 			if n := len(ref.Env().Lab.Net.Engs); n != 1 {
 				t.Fatalf("the reference leg is sharded over %d engines", n)
 			}
-			ref.DriveTo(ref.Horizon())
+			drive(t, ref)
 			res, err := ref.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := encode(t, res)
+			wantRecs := slices.Clone(ref.Env().Lab.Records)
 			ref.Release()
+			for _, r := range wantRecs {
+				if r.ID == 0 || r.Src == r.Dst || r.FCT <= 0 || r.Start < 0 {
+					t.Fatalf("record %+v does not name its flow", r)
+				}
+			}
 			if res.Scalar("completed") < 12 || res.Scalar("engine_steps") < 100_000 {
 				t.Fatalf("%v flows completed over %v events; the run tests nothing",
 					res.Scalar("completed"), res.Scalar("engine_steps"))
@@ -113,13 +140,16 @@ func TestPodShardedMatchesSingleEngine(t *testing.T) {
 				if len(p.Env().Lab.Net.Engs) != 4 || fab.Workers() != workers {
 					t.Fatalf("Partitions %d: want 4 pod shards on %d workers", workers, workers)
 				}
-				p.DriveTo(p.Horizon())
+				drive(t, p)
 				res, err := p.Finish()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := encode(t, res); !bytes.Equal(got, want) {
 					t.Fatalf("W=%d diverged from the single engine\nsingle:  %.300s\nsharded: %.300s", workers, want, got)
+				}
+				if got := p.Env().Lab.Records; !slices.Equal(got, wantRecs) {
+					t.Fatalf("W=%d: %d records differ from the single engine's %d", workers, len(got), len(wantRecs))
 				}
 				p.Release()
 			}

@@ -54,7 +54,7 @@ func TestRDCNDeliversOverCircuitAndPacket(t *testing.T) {
 	src := net.TransportHost(0) // tor 0
 	dst := net.TransportHost(6) // tor 3
 	var done bool
-	src.OnFlowDone = func(*transport.Flow) { done = true }
+	src.OnFlowDone = func(transport.Completion) { done = true }
 	src.StartFlow(net.NextFlowID(), dst.ID(), 2<<20,
 		core.New(core.Config{}), 0)
 	net.Eng.RunUntil(sim.Time(20 * sim.Millisecond))

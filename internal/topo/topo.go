@@ -108,6 +108,8 @@ type Network struct {
 	// every other: the one component that rewrites routes on a timeline
 	// of its own.
 	Rotor *Rotor
+	// Flows is the *packet.FlowTable every host shares, if they keep one.
+	Flows any
 
 	nextFlow uint64
 	swPeers  [][]peerRef // per switch, per port: what the port points at
@@ -179,18 +181,22 @@ func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options
 // code that schedules on a host's behalf (flow launches) must use it.
 func (n *Network) HostEngine(hi int) *sim.Engine { return n.Engs[n.Part.HostPart[hi]] }
 
-// poolUser lets endpoints opt into the network-wide packet free list
-// without widening the HostFactory signature.
-type poolUser interface {
+// sharer lets endpoints join their partition's packet free list and the
+// network's flow table without widening the HostFactory signature. The
+// table is the network's, never the factory's: one factory may build
+// several networks, each numbering its flows from 1.
+type sharer interface {
 	SetPool(*packet.Pool)
+	ShareFlows(any) any
 }
 
 func (n *Network) addHost(f HostFactory) int {
 	id := packet.NodeID(len(n.Hosts))
 	part := n.Part.HostPart[len(n.Hosts)]
 	h := f(n.Engs[part], id)
-	if pu, ok := h.(poolUser); ok {
-		pu.SetPool(n.Pools[part])
+	if s, ok := h.(sharer); ok {
+		s.SetPool(n.Pools[part])
+		n.Flows = s.ShareFlows(n.Flows)
 	}
 	n.Hosts = append(n.Hosts, h)
 	return len(n.Hosts) - 1

@@ -86,7 +86,7 @@ func TestFatTreeEndToEnd(t *testing.T) {
 		t.Fatal("test hosts share a rack")
 	}
 	var done bool
-	src.OnFlowDone = func(*transport.Flow) { done = true }
+	src.OnFlowDone = func(transport.Completion) { done = true }
 	src.StartFlow(net.NextFlowID(), dst.ID(), 1<<20, &cc.FixedWindow{}, 0)
 	net.Eng.Run()
 	if !done {
@@ -399,17 +399,20 @@ func TestPartitionedSwitchKeepsStaleRouteAndLosesPackets(t *testing.T) {
 // Every builder counts its ports exactly: the block reserved up front
 // holds every NIC and switch port, with none left over and none carved
 // from a second array.
+// builders builds one small network of each kind.
+var builders = map[string]func() *topo.Network{
+	"star":     func() *topo.Network { return topo.Star(topo.StarConfig{Hosts: 5, Opts: opts()}) },
+	"dumbbell": func() *topo.Network { return topo.Dumbbell(topo.DumbbellConfig{Left: 3, Right: 2, Opts: opts()}) },
+	"leafspine": func() *topo.Network {
+		return topo.LeafSpine(topo.LeafSpineConfig{Leaves: 3, Spines: 2, ServersPerLeaf: 2, Opts: opts()})
+	},
+	"parkinglot": func() *topo.Network { return topo.ParkingLot(topo.ParkingLotConfig{Switches: 4, Opts: opts()}) },
+	"fattree":    func() *topo.Network { net, _ := smallFatTree(); return net },
+	"rotor":      func() *topo.Network { return topo.RotorFabric(smallRotor()) },
+}
+
 func TestBuildersReserveExactPorts(t *testing.T) {
-	for name, build := range map[string]func() *topo.Network{
-		"star":     func() *topo.Network { return topo.Star(topo.StarConfig{Hosts: 5, Opts: opts()}) },
-		"dumbbell": func() *topo.Network { return topo.Dumbbell(topo.DumbbellConfig{Left: 3, Right: 2, Opts: opts()}) },
-		"leafspine": func() *topo.Network {
-			return topo.LeafSpine(topo.LeafSpineConfig{Leaves: 3, Spines: 2, ServersPerLeaf: 2, Opts: opts()})
-		},
-		"parkinglot": func() *topo.Network { return topo.ParkingLot(topo.ParkingLotConfig{Switches: 4, Opts: opts()}) },
-		"fattree":    func() *topo.Network { net, _ := smallFatTree(); return net },
-		"rotor":      func() *topo.Network { return topo.RotorFabric(smallRotor()) },
-	} {
+	for name, build := range builders {
 		net := build()
 		ports := len(net.Hosts)
 		for _, s := range net.Switches {
@@ -417,6 +420,23 @@ func TestBuildersReserveExactPorts(t *testing.T) {
 		}
 		if spare := topo.SparePorts(net); spare != 0 {
 			t.Errorf("%s: %d ports built, %d reserved and never used", name, ports, spare)
+		}
+	}
+}
+
+// Every builder hands all its hosts the network's one flow table: host
+// i's flow, numbered past every slot the hosts before it reserved, grows
+// the table the network holds, so no host reserves its slots in a table
+// of its own.
+func TestBuildersShareOneFlowTable(t *testing.T) {
+	for name, build := range builders {
+		net := build()
+		for i := range net.Hosts {
+			id := packet.FlowID(64*i + 1)
+			net.TransportHost(i).StartFlow(id, net.HostID((i+1)%len(net.Hosts)), 1_000, &cc.FixedWindow{}, 0)
+			if slots := net.Flows.(interface{ Len() int }).Len(); slots <= int(id) {
+				t.Fatalf("%s: host %d started flow %d, and the network's table holds %d slots", name, i, id, slots)
+			}
 		}
 	}
 }

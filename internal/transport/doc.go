@@ -11,6 +11,10 @@
 // (internal/exp) attach a cc.Algorithm per flow; the algorithms never
 // see the transport, only OnAck/OnLoss-style signals.
 //
+// A flow is its slot in the network's packet.FlowTable, found by FlowID:
+// the Flow at its source, the receiver's bookkeeping at its destination.
+// Both transports report a finished flow as a Completion.
+//
 // # Invariants
 //
 //   - Packets handed to Receive are consumed: the host copies what it

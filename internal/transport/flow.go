@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"repro/internal/cc"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -13,12 +11,11 @@ const Unbounded int64 = -1
 
 // Flow is one sender-side transport connection.
 type Flow struct {
-	ID       packet.FlowID
-	Src      *Host
-	Dst      packet.NodeID
-	Size     int64 // bytes to transfer, or Unbounded
-	CC       cc.Algorithm
-	Priority uint8
+	ID   packet.FlowID
+	Src  *Host
+	Dst  packet.NodeID
+	Size int64 // bytes to transfer, or Unbounded
+	CC   cc.Algorithm
 
 	StartAt  sim.Time
 	FinishAt sim.Time
@@ -45,11 +42,13 @@ type Flow struct {
 
 // StartFlow registers a new flow on h toward dst and schedules its first
 // transmission at 'at'. alg becomes the flow's congestion controller.
-// No callback is allocated: the timers are fields of the flow, and they
+// The flow is the send half of its slot in the flow table, so it costs
+// no allocation of its own: the timers are fields of the flow, and they
 // and the start event run package-level functions with the flow as
 // argument.
 func (h *Host) StartFlow(id packet.FlowID, dst packet.NodeID, size int64, alg cc.Algorithm, at sim.Time) *Flow {
-	f := &Flow{
+	f := &h.flows.Slot(id).snd
+	*f = Flow{
 		ID:      id,
 		Src:     h,
 		Dst:     dst,
@@ -59,7 +58,6 @@ func (h *Host) StartFlow(id packet.FlowID, dst packet.NodeID, size int64, alg cc
 	}
 	f.pacer.Bind(h.eng, trySend, f)
 	f.rto.Bind(h.eng, onRTO, f)
-	h.flows[id] = f
 	h.eng.AtCall(at, start, f)
 	return f
 }
@@ -137,7 +135,6 @@ func (f *Flow) emit(seq, n int64, rtx bool) {
 	p.Dst = f.Dst
 	p.SetSeq(seq)
 	p.PayloadLen = int32(n)
-	p.Priority = f.Priority
 	p.ECT = f.ect
 	p.SetSentAt(f.Src.eng.Now())
 	f.Src.nic.Send(p)
@@ -222,7 +219,7 @@ func (f *Flow) finish(now sim.Time) {
 		s.Stop() // timer-driven algorithms must release their timers
 	}
 	if f.Src.OnFlowDone != nil {
-		f.Src.OnFlowDone(f)
+		f.Src.OnFlowDone(Completion{ID: f.ID, Src: f.Src.id, Dst: f.Dst, Size: f.Size, Start: f.StartAt, FCT: f.FCT()})
 	}
 }
 
@@ -258,9 +255,4 @@ func (f *Flow) onRTO() {
 	f.CC.OnLoss(f.Src.eng.Now())
 	f.nextSendAt = f.Src.eng.Now()
 	f.trySend()
-}
-
-// String implements fmt.Stringer.
-func (f *Flow) String() string {
-	return fmt.Sprintf("flow-%d %d→%d size=%d", f.ID, f.Src.id, f.Dst, f.Size)
 }

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"repro/internal/cc"
 	"repro/internal/link"
 	"repro/internal/packet"
@@ -30,20 +28,29 @@ func RTO(baseRTT sim.Duration) sim.Duration {
 	return max(40*baseRTT, sim.Millisecond)
 }
 
+// Completion is a finished flow, as either transport reports it: a
+// window flow when its last byte is acknowledged, a HOMA message when its
+// last byte arrives. FCT counts from Start.
+type Completion struct {
+	ID       packet.FlowID
+	Src, Dst packet.NodeID
+	Size     int64
+	Start    sim.Time
+	FCT      sim.Duration
+}
+
 // Host is a server endpoint running the window transport.
 type Host struct {
-	id   packet.NodeID
-	eng  *sim.Engine
-	cfg  Config
-	rto  sim.Duration
-	nic  *link.Port
-	pool *packet.Pool
-
-	flows map[packet.FlowID]*Flow
-	rcv   map[packet.FlowID]*rcvState
+	id    packet.NodeID
+	eng   *sim.Engine
+	cfg   Config
+	rto   sim.Duration
+	nic   *link.Port
+	pool  *packet.Pool
+	flows *packet.FlowTable[slot] // the network's, or the host's own
 
 	// OnFlowDone is invoked when a sized flow is fully acknowledged.
-	OnFlowDone func(*Flow)
+	OnFlowDone func(Completion)
 	// OnData observes every data packet delivered to this host, after
 	// receiver bookkeeping (experiment instrumentation: per-packet
 	// latency, CE fractions, ...). The packet's INT stack has moved to
@@ -53,8 +60,16 @@ type Host struct {
 	rcvdTotal int64 // payload bytes received across all flows
 }
 
+// slot is one flow in the flow table: the sending half, written at the
+// flow's source, and the receiving half, written at its destination.
+type slot struct {
+	snd Flow
+	rcv rcvState
+}
+
 // rcvState is per-flow receiver bookkeeping.
 type rcvState struct {
+	at      *Host // the receiving host, once a packet has arrived
 	got     IntervalSet
 	bytes   int64 // payload bytes received (including retransmits)
 	lastCNP sim.Time
@@ -67,27 +82,30 @@ func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
 	if cfg.DupAckThreshold == 0 {
 		cfg.DupAckThreshold = 3
 	}
-	return &Host{
-		id:    id,
-		eng:   eng,
-		cfg:   cfg,
-		rto:   RTO(cfg.BaseRTT),
-		flows: map[packet.FlowID]*Flow{},
-		rcv:   map[packet.FlowID]*rcvState{},
-	}
+	return &Host{id: id, eng: eng, cfg: cfg, rto: RTO(cfg.BaseRTT)}
 }
 
 // ID returns the host's node ID.
 func (h *Host) ID() packet.NodeID { return h.id }
 
 // SetUplink attaches the NIC egress port. A host that has no shared
-// packet pool by then gets a private one, so standalone use needs no
-// setup.
+// packet pool or flow table by then gets a private one, so standalone use
+// needs no setup.
 func (h *Host) SetUplink(p *link.Port) {
 	h.nic = p
 	if h.pool == nil {
 		h.pool = packet.NewPool()
 	}
+	if h.flows == nil {
+		h.flows = new(packet.FlowTable[slot])
+	}
+}
+
+// ShareFlows adopts t, its network's flow table, and returns it; the
+// network's first host, handed nil, starts it (see packet.ShareTable).
+func (h *Host) ShareFlows(t any) any {
+	h.flows = packet.ShareTable[slot](t)
+	return h.flows
 }
 
 // SetPool shares an engine-wide packet free list with the host (topology
@@ -106,8 +124,8 @@ func (h *Host) NIC() *link.Port { return h.nic }
 // counted on arrival: a retransmitted range that had already arrived
 // counts again, so this is not deduplicated goodput.
 func (h *Host) ReceivedBytes(id packet.FlowID) int64 {
-	if rs := h.rcv[id]; rs != nil {
-		return rs.bytes
+	if s := h.flows.Lookup(id); s != nil && s.rcv.at == h {
+		return s.rcv.bytes
 	}
 	return 0
 }
@@ -132,11 +150,11 @@ func (h *Host) Receive(p *packet.Packet) {
 	case packet.Data:
 		h.onData(p)
 	case packet.Ack:
-		if f := h.flows[p.Flow]; f != nil {
+		if f := h.Flow(p.Flow); f != nil {
 			f.onAck(p)
 		}
 	case packet.CNP:
-		if f := h.flows[p.Flow]; f != nil {
+		if f := h.Flow(p.Flow); f != nil {
 			if n, ok := f.CC.(cc.CNPHandler); ok {
 				n.OnCNP(h.eng.Now())
 			}
@@ -146,11 +164,8 @@ func (h *Host) Receive(p *packet.Packet) {
 }
 
 func (h *Host) onData(p *packet.Packet) {
-	rs := h.rcv[p.Flow]
-	if rs == nil {
-		rs = &rcvState{}
-		h.rcv[p.Flow] = rs
-	}
+	rs := &h.flows.Slot(p.Flow).rcv
+	rs.at = h
 	rs.got.Add(p.Seq(), p.End())
 	rs.bytes += int64(p.PayloadLen)
 	h.rcvdTotal += int64(p.PayloadLen)
@@ -194,7 +209,9 @@ func (h *Host) onData(p *packet.Packet) {
 }
 
 // Flow returns the host's sending flow with the given ID, or nil.
-func (h *Host) Flow(id packet.FlowID) *Flow { return h.flows[id] }
-
-// String implements fmt.Stringer.
-func (h *Host) String() string { return fmt.Sprintf("host-%d", h.id) }
+func (h *Host) Flow(id packet.FlowID) *Flow {
+	if s := h.flows.Lookup(id); s != nil && s.snd.Src == h {
+		return &s.snd
+	}
+	return nil
+}

@@ -26,13 +26,17 @@ func star(n int, bufPerGbps int64) *topo.Network {
 func TestSingleFlowCompletes(t *testing.T) {
 	net := star(2, 0)
 	src, dst := net.TransportHost(0), net.TransportHost(1)
-	var done *transport.Flow
-	src.OnFlowDone = func(f *transport.Flow) { done = f }
+	var done transport.Completion
+	src.OnFlowDone = func(c transport.Completion) { done = c }
 	size := int64(1 << 20)
 	f := src.StartFlow(net.NextFlowID(), dst.ID(), size, &cc.FixedWindow{}, 0)
 	net.Eng.Run()
-	if done != f || !f.Done {
+	if !f.Done {
 		t.Fatal("flow did not complete")
+	}
+	want := transport.Completion{ID: f.ID, Src: src.ID(), Dst: dst.ID(), Size: size, Start: f.StartAt, FCT: f.FCT()}
+	if done != want {
+		t.Fatalf("completion %+v, want %+v", done, want)
 	}
 	if got := dst.ReceivedBytes(f.ID); got != size {
 		t.Fatalf("receiver got %d bytes, want %d", got, size)
@@ -54,7 +58,7 @@ func TestManyFlowsAllComplete(t *testing.T) {
 	size := int64(200_000)
 	for i := 1; i < 8; i++ {
 		src := net.TransportHost(i)
-		src.OnFlowDone = func(*transport.Flow) { finished++ }
+		src.OnFlowDone = func(transport.Completion) { finished++ }
 		src.StartFlow(net.NextFlowID(), net.HostID(0), size, &cc.FixedWindow{}, 0)
 	}
 	net.Eng.Run()
@@ -72,13 +76,17 @@ func TestLossRecoveryUnderTinyBuffer(t *testing.T) {
 	// retransmit / RTO.
 	net := star(9, 512) // 512B per Gbps → 25G port ≈ 13KB shared
 	var finished int
-	var rtx uint64
+	var flows []*transport.Flow
 	for i := 1; i < 9; i++ {
 		src := net.TransportHost(i)
-		src.OnFlowDone = func(f *transport.Flow) { finished++; rtx += f.Retransmits }
-		src.StartFlow(net.NextFlowID(), net.HostID(0), 300_000, &cc.FixedWindow{}, 0)
+		src.OnFlowDone = func(transport.Completion) { finished++ }
+		flows = append(flows, src.StartFlow(net.NextFlowID(), net.HostID(0), 300_000, &cc.FixedWindow{}, 0))
 	}
 	net.Eng.Run()
+	var rtx uint64
+	for _, f := range flows {
+		rtx += f.Retransmits
+	}
 	if finished != 8 {
 		t.Fatalf("finished = %d, want 8", finished)
 	}
@@ -141,7 +149,7 @@ func TestFlowPacingSpacesPackets(t *testing.T) {
 	src, dst := net.TransportHost(0), net.TransportHost(1)
 	halfBDP := float64((25 * units.Gbps).BDP(10*sim.Microsecond)) / 2
 	var fct sim.Duration
-	src.OnFlowDone = func(f *transport.Flow) { fct = f.FCT() }
+	src.OnFlowDone = func(c transport.Completion) { fct = c.FCT }
 	src.StartFlow(net.NextFlowID(), dst.ID(), 100_000, &cc.FixedWindow{Window: halfBDP}, 0)
 	net.Eng.Run()
 	lineTime := (25 * units.Gbps).TxTime(100_000)
