@@ -43,6 +43,8 @@ type Ack struct {
 // Algorithm is a congestion-control law. Implementations are per-flow and
 // not safe for concurrent use (the simulator is single-threaded).
 type Algorithm interface {
+	// Name identifies the algorithm in experiment output.
+	Name() string
 	// Init is called once before any traffic with the flow's limits.
 	Init(lim Limits)
 	// OnAck processes one acknowledgment.
@@ -95,6 +97,9 @@ type FixedWindow struct {
 	Window float64 // bytes; 0 means one BDP
 	lim    Limits
 }
+
+// Name implements Algorithm.
+func (f *FixedWindow) Name() string { return "fixed" }
 
 // Init implements Algorithm.
 func (f *FixedWindow) Init(lim Limits) {

@@ -52,6 +52,9 @@ func NewDCQCN() *DCQCN { return &DCQCN{} }
 // DCQCNBuilder adapts NewDCQCN to Builder.
 func DCQCNBuilder() Builder { return func() Algorithm { return NewDCQCN() } }
 
+// Name implements Algorithm.
+func (d *DCQCN) Name() string { return "dcqcn" }
+
 // ECT marks DCQCN data packets ECN-capable (see WantsECT).
 func (d *DCQCN) ECT() bool { return true }
 

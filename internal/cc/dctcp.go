@@ -35,6 +35,9 @@ func NewDCTCP() *DCTCP { return &DCTCP{} }
 // DCTCPBuilder adapts NewDCTCP to Builder.
 func DCTCPBuilder() Builder { return func() Algorithm { return NewDCTCP() } }
 
+// Name implements Algorithm.
+func (d *DCTCP) Name() string { return "dctcp" }
+
 // ECT marks DCTCP traffic ECN-capable.
 func (d *DCTCP) ECT() bool { return true }
 

@@ -25,6 +25,9 @@ func NewReno() *Reno { return &Reno{} }
 // RenoBuilder adapts NewReno to Builder.
 func RenoBuilder() Builder { return func() Algorithm { return NewReno() } }
 
+// Name implements Algorithm.
+func (r *Reno) Name() string { return "reno" }
+
 // Init implements Algorithm: slow start from a small window.
 func (r *Reno) Init(lim Limits) {
 	r.lim = lim

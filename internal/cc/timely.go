@@ -42,6 +42,9 @@ func NewTimely() *Timely { return &Timely{} }
 // TimelyBuilder adapts NewTimely to Builder.
 func TimelyBuilder() Builder { return func() Algorithm { return NewTimely() } }
 
+// Name implements Algorithm.
+func (t *Timely) Name() string { return "timely" }
+
 // Init implements Algorithm.
 func (t *Timely) Init(lim Limits) {
 	t.lim = lim

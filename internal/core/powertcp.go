@@ -103,6 +103,9 @@ func (c Config) Builder() cc.Builder { return Builder(c) }
 // options actually reached the built algorithm.
 func (p *PowerTCP) Config() Config { return p.cfg }
 
+// Name implements cc.Algorithm.
+func (p *PowerTCP) Name() string { return "powertcp" }
+
 // Init implements cc.Algorithm: flows start at line rate with
 // cwnd_init = HostBw·τ.
 func (p *PowerTCP) Init(lim cc.Limits) {

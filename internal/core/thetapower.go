@@ -52,6 +52,9 @@ func (c Config) ThetaBuilder() cc.Builder { return ThetaBuilder(c) }
 // Config returns the instance's configuration (see PowerTCP.Config).
 func (p *ThetaPowerTCP) Config() Config { return p.cfg }
 
+// Name implements cc.Algorithm.
+func (p *ThetaPowerTCP) Name() string { return "theta-powertcp" }
+
 // Init implements cc.Algorithm.
 func (p *ThetaPowerTCP) Init(lim cc.Limits) {
 	p.lim = lim

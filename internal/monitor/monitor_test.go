@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -76,4 +77,7 @@ func TestCCMonitorForwardsExtensions(t *testing.T) {
 		t.Fatal("CNP not forwarded to DCQCN")
 	}
 	m.Stop()
+	if got := m.Name(); !strings.Contains(got, "dcqcn") {
+		t.Fatalf("name = %q", got)
+	}
 }

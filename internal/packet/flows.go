@@ -1,5 +1,7 @@
 package packet
 
+import "fmt"
+
 // FlowTable is per-flow state indexed by the dense FlowID a network hands
 // out, shared by the network's hosts: a transport's slot holds a send
 // half, written on the source's engine, and a receive half, written on
@@ -28,14 +30,24 @@ func (t *FlowTable[T]) Lookup(id FlowID) *T {
 	return &t.blocks[id/flowBlock][id%flowBlock]
 }
 
-// Len returns the number of slots the table holds.
+// Len returns the number of slots the table holds. Tests read it to
+// check that a run grows no table.
 func (t *FlowTable[T]) Len() int { return len(t.blocks) * flowBlock }
 
-// ShareTable returns t if it is a table of T, else a new one: a host
-// adopts its network's table, and the first host, handed nil, starts it.
-func ShareTable[T any](t any) *FlowTable[T] {
-	if tab, ok := t.(*FlowTable[T]); ok {
-		return tab
+// Table is a FlowTable of any slot type, as a network holds it.
+type Table interface{ Len() int }
+
+// ShareTable returns t, the table a host's network shares, as a table of
+// T; the network's first host, handed nil, starts it. A network whose
+// hosts keep different slot types cannot share one table, so t of another
+// type panics.
+func ShareTable[T any](t Table) *FlowTable[T] {
+	if t == nil {
+		return new(FlowTable[T])
 	}
-	return new(FlowTable[T])
+	tab, ok := t.(*FlowTable[T])
+	if !ok {
+		panic(fmt.Sprintf("packet: a host keeping %T cannot share a network's %T", tab, t))
+	}
+	return tab
 }

@@ -80,7 +80,7 @@ func encode(t *testing.T, res *scenario.Result) []byte {
 
 // flowSlots returns the slots of the network's flow table.
 func flowSlots(p *scenario.Prepared) int {
-	return p.Env().Lab.Net.Flows.(interface{ Len() int }).Len()
+	return p.Env().Lab.Net.Flows.Len()
 }
 
 // drive runs p to its horizon and checks that no flow table grew on the

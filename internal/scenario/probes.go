@@ -19,6 +19,10 @@ type Probe interface {
 	Finalize(env *Env, res *Result) error
 }
 
+// ReceivedTotal returns the payload bytes received by host i on any
+// fabric.
+func (env *Env) ReceivedTotal(i int) int64 { return env.Lab.ReceivedTotal(i) }
+
 // until resolves a probe's sampling end: 0 means the run horizon.
 func (env *Env) until(d sim.Duration) sim.Time {
 	if d > 0 {
@@ -65,7 +69,7 @@ func (p *GoodputProbe) Install(env *Env) error {
 	SampleEvery(env.Eng(), p.Period, env.until(p.Until), func(now sim.Time) {
 		var cur int64
 		for _, h := range p.hosts {
-			cur += env.Lab.ReceivedTotal(h)
+			cur += env.ReceivedTotal(h)
 		}
 		p.t = append(p.t, now)
 		p.gbps = append(p.gbps, stats.Gbps(cur-last, p.Period))

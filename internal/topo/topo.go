@@ -108,8 +108,8 @@ type Network struct {
 	// every other: the one component that rewrites routes on a timeline
 	// of its own.
 	Rotor *Rotor
-	// Flows is the *packet.FlowTable every host shares, if they keep one.
-	Flows any
+	// Flows is the packet.FlowTable every host shares, if they keep one.
+	Flows packet.Table
 
 	nextFlow uint64
 	swPeers  [][]peerRef // per switch, per port: what the port points at
@@ -187,7 +187,7 @@ func (n *Network) HostEngine(hi int) *sim.Engine { return n.Engs[n.Part.HostPart
 // several networks, each numbering its flows from 1.
 type sharer interface {
 	SetPool(*packet.Pool)
-	ShareFlows(any) any
+	ShareFlows(packet.Table) packet.Table
 }
 
 func (n *Network) addHost(f HostFactory) int {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/homa"
 	"repro/internal/packet"
 	"repro/internal/route"
 	"repro/internal/sim"
@@ -434,9 +435,27 @@ func TestBuildersShareOneFlowTable(t *testing.T) {
 		for i := range net.Hosts {
 			id := packet.FlowID(64*i + 1)
 			net.TransportHost(i).StartFlow(id, net.HostID((i+1)%len(net.Hosts)), 1_000, &cc.FixedWindow{}, 0)
-			if slots := net.Flows.(interface{ Len() int }).Len(); slots <= int(id) {
+			if slots := net.Flows.Len(); slots <= int(id) {
 				t.Fatalf("%s: host %d started flow %d, and the network's table holds %d slots", name, i, id, slots)
 			}
 		}
 	}
+}
+
+// Hosts whose slots differ cannot share a network's flow table: building
+// a network of window and HOMA hosts panics rather than handing some of
+// them tables of their own.
+func TestMixedHostsCannotShareFlowTable(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a network of window and HOMA hosts built without a panic")
+		}
+	}()
+	hosts := func(eng *sim.Engine, id packet.NodeID) topo.Node {
+		if id%2 == 0 {
+			return transport.NewHost(eng, id, transport.Config{})
+		}
+		return homa.NewHost(eng, id, homa.Config{})
+	}
+	topo.Star(topo.StarConfig{Hosts: 2, Opts: topo.Options{Hosts: hosts}})
 }

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+
 	"repro/internal/cc"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -11,11 +13,12 @@ const Unbounded int64 = -1
 
 // Flow is one sender-side transport connection.
 type Flow struct {
-	ID   packet.FlowID
-	Src  *Host
-	Dst  packet.NodeID
-	Size int64 // bytes to transfer, or Unbounded
-	CC   cc.Algorithm
+	ID       packet.FlowID
+	Src      *Host
+	Dst      packet.NodeID
+	Size     int64 // bytes to transfer, or Unbounded
+	CC       cc.Algorithm
+	Priority uint8
 
 	StartAt  sim.Time
 	FinishAt sim.Time
@@ -135,6 +138,7 @@ func (f *Flow) emit(seq, n int64, rtx bool) {
 	p.Dst = f.Dst
 	p.SetSeq(seq)
 	p.PayloadLen = int32(n)
+	p.Priority = f.Priority
 	p.ECT = f.ect
 	p.SetSentAt(f.Src.eng.Now())
 	f.Src.nic.Send(p)
@@ -255,4 +259,9 @@ func (f *Flow) onRTO() {
 	f.CC.OnLoss(f.Src.eng.Now())
 	f.nextSendAt = f.Src.eng.Now()
 	f.trySend()
+}
+
+// String implements fmt.Stringer.
+func (f *Flow) String() string {
+	return fmt.Sprintf("flow-%d %d→%d size=%d", f.ID, f.Src.id, f.Dst, f.Size)
 }

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+
 	"repro/internal/cc"
 	"repro/internal/link"
 	"repro/internal/packet"
@@ -103,7 +105,7 @@ func (h *Host) SetUplink(p *link.Port) {
 
 // ShareFlows adopts t, its network's flow table, and returns it; the
 // network's first host, handed nil, starts it (see packet.ShareTable).
-func (h *Host) ShareFlows(t any) any {
+func (h *Host) ShareFlows(t packet.Table) packet.Table {
 	h.flows = packet.ShareTable[slot](t)
 	return h.flows
 }
@@ -165,7 +167,9 @@ func (h *Host) Receive(p *packet.Packet) {
 
 func (h *Host) onData(p *packet.Packet) {
 	rs := &h.flows.Slot(p.Flow).rcv
-	rs.at = h
+	if rs.at == nil {
+		rs.at = h
+	}
 	rs.got.Add(p.Seq(), p.End())
 	rs.bytes += int64(p.PayloadLen)
 	h.rcvdTotal += int64(p.PayloadLen)
@@ -215,3 +219,6 @@ func (h *Host) Flow(id packet.FlowID) *Flow {
 	}
 	return nil
 }
+
+// String implements fmt.Stringer.
+func (h *Host) String() string { return fmt.Sprintf("host-%d", h.id) }
