@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/fuzzlab"
 	"repro/internal/guard"
 	"repro/internal/scenario"
 )
@@ -47,6 +49,17 @@ func TestReplayBundle(t *testing.T) {
 		return buf.Bytes()
 	}
 	drift := filepath.Join("..", "..", "internal", "fuzzlab", "testdata", "corpus", "partition-step-drift.json")
+	// -pin writes a shrunk spec with fuzzlab.WriteRepro; -replay reads it
+	// back as a bare corpus spec, named by its seed when it has no name.
+	unnamed := mustDecode(t, raw)
+	unnamed.Name = ""
+	pinned, err := fuzzlab.WriteRepro(t.TempDir(), unnamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Base(pinned) != fmt.Sprintf("seed-%d.json", unnamed.Seed) {
+		t.Errorf("pinned as %s, want seed-%d.json", pinned, unnamed.Seed)
+	}
 	for _, c := range []struct {
 		file  string
 		parts int
@@ -55,6 +68,7 @@ func TestReplayBundle(t *testing.T) {
 		{path, parts, []int{1, 2, 4, 8, parts}},
 		{corpus, 1, []int{1, 2, 4, 8}},
 		{drift, 1, []int{1, 2, 4, 8}},
+		{pinned, 1, []int{1, 2, 4, 8}},
 	} {
 		b, err := os.ReadFile(c.file)
 		if err != nil {

@@ -1,6 +1,9 @@
 package analysis
 
-import "testing"
+import (
+	"go/token"
+	"testing"
+)
 
 // The four analyzer fixtures follow the x/tools analysistest contract:
 // every `// want` marker must be matched by an active diagnostic, every
@@ -50,5 +53,14 @@ func TestSuiteCleanOnRealPackages(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A finding prints as the compiler prints an error: position, then the
+// analyzer and its message (powervet's output line).
+func TestDiagnosticString(t *testing.T) {
+	d := Diagnostic{Pos: token.Position{Filename: "a.go", Line: 3, Column: 7}, Analyzer: "detrange", Message: "unordered map range"}
+	if got, want := d.String(), "a.go:3:7: detrange: unordered map range"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }

@@ -349,19 +349,3 @@ func hasCall(e ast.Expr) bool {
 	})
 	return found
 }
-
-// mentionsObject reports whether e references obj.
-func mentionsObject(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if obj == nil || e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}

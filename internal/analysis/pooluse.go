@@ -11,7 +11,7 @@ import (
 // unrelated future sender, so touching p — or Putting it a second time
 // — corrupts simulation state in a way that only surfaces later as an
 // impossible packet. Likewise a sim.Event handle is stale after
-// Engine.Cancel: further Scheduled/Cancelled/Cancel calls on it answer
+// Engine.Cancel: further Scheduled/Cancel calls on it answer
 // for a recycled node and always report the constant no-event answer,
 // which almost always means the code meant to track a new handle.
 //

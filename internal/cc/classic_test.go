@@ -99,3 +99,18 @@ func TestRenoLossFloor(t *testing.T) {
 		t.Fatalf("repeated loss drove cwnd to %v", r.Cwnd())
 	}
 }
+
+func TestDCTCPLossHalvesToMSSFloor(t *testing.T) {
+	d := NewDCTCP()
+	d.Init(lims())
+	d.OnLoss(0)
+	if d.Cwnd() != 125_000 { // half of 100G × 20µs
+		t.Fatalf("cwnd after loss = %v, want 125000", d.Cwnd())
+	}
+	for i := 0; i < 30; i++ {
+		d.OnLoss(sim.Time(i))
+	}
+	if d.Cwnd() != 1000 {
+		t.Fatalf("repeated loss left cwnd %v, want the 1000-byte MSS floor", d.Cwnd())
+	}
+}

@@ -53,9 +53,6 @@ func NewHPCC() *HPCC { return &HPCC{} }
 // HPCCBuilder adapts NewHPCC to Builder.
 func HPCCBuilder() Builder { return func() Algorithm { return NewHPCC() } }
 
-// Name implements Algorithm.
-func (h *HPCC) Name() string { return "hpcc" }
-
 // Init implements Algorithm.
 func (h *HPCC) Init(lim Limits) {
 	h.lim = lim

@@ -98,14 +98,6 @@ func Builder(cfg Config) cc.Builder {
 // experiment scheme registry uses to materialize registered configs.
 func (c Config) Builder() cc.Builder { return Builder(c) }
 
-// Config returns the instance's configuration (post-Init it includes the
-// derived defaults). Experiment tests use it to verify that scheme
-// options actually reached the built algorithm.
-func (p *PowerTCP) Config() Config { return p.cfg }
-
-// Name implements cc.Algorithm.
-func (p *PowerTCP) Name() string { return "powertcp" }
-
 // Init implements cc.Algorithm: flows start at line rate with
 // cwnd_init = HostBw·τ.
 func (p *PowerTCP) Init(lim cc.Limits) {

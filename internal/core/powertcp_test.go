@@ -126,11 +126,18 @@ func TestPerRTTGate(t *testing.T) {
 }
 
 func TestLossHalvesWindow(t *testing.T) {
-	p := New(Config{})
-	p.Init(limits())
-	p.OnLoss(0)
-	if p.Cwnd() != 125_000 {
-		t.Fatalf("cwnd after loss = %v, want 125000", p.Cwnd())
+	for _, p := range []cc.Algorithm{New(Config{}), NewTheta(Config{})} {
+		p.Init(limits())
+		p.OnLoss(0)
+		if p.Cwnd() != 125_000 {
+			t.Fatalf("%T: cwnd after loss = %v, want 125000", p, p.Cwnd())
+		}
+		for i := 0; i < 30; i++ {
+			p.OnLoss(sim.Time(i))
+		}
+		if p.Cwnd() != minCwnd {
+			t.Fatalf("%T: repeated loss left cwnd %v, want the %v-byte floor", p, p.Cwnd(), minCwnd)
+		}
 	}
 }
 

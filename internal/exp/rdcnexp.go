@@ -85,7 +85,7 @@ func (p *rotorPanel) rxTotal(env *scenario.Env) int64 {
 	var n int64
 	spt := env.Fabric.HostsPerRack
 	for i := p.dstTor * spt; i < (p.dstTor+1)*spt; i++ {
-		n += env.ReceivedTotal(i)
+		n += env.Lab.ReceivedTotal(i)
 	}
 	return n
 }

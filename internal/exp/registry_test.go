@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -61,8 +62,9 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 	if !ok {
 		t.Fatalf("powertcp built %T", s.Alg())
 	}
-	if cfg := alg.Config(); cfg.Gamma != 0.55 {
-		t.Fatalf("built config = %+v, want γ=0.55", cfg)
+	// The law keeps its configuration unexported; %+v prints it.
+	if built := fmt.Sprintf("%+v", *alg); !strings.Contains(built, "Gamma:0.55 ") {
+		t.Fatalf("built law = %s, want γ=0.55", built)
 	}
 	if s.DTAlpha != 2 {
 		t.Fatalf("DT α = %v, want 2", s.DTAlpha)
@@ -76,8 +78,8 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 	if !ok {
 		t.Fatalf("theta-powertcp built %T", th.Alg())
 	}
-	if cfg := talg.Config(); cfg.Gamma != 0.4 {
-		t.Fatalf("theta built config = %+v, want γ=0.4", cfg)
+	if built := fmt.Sprintf("%+v", *talg); !strings.Contains(built, "Gamma:0.4 ") {
+		t.Fatalf("theta built law = %s, want γ=0.4", built)
 	}
 
 	ho, err := scenario.ResolveScheme("homa-oc5")

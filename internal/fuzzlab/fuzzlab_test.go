@@ -253,3 +253,21 @@ func loadCorpus(dir string) ([]scenario.Spec, error) {
 	}
 	return specs, nil
 }
+
+// A violation and a serial-vs-partitioned divergence print the numbers
+// a reader needs: the invariant and partition count, and the first line
+// where the two Result documents part (or their lengths).
+func TestViolationAndDivergenceMessages(t *testing.T) {
+	v := Violation{Invariant: "conservation", Parts: 4, Detail: "sent 10 != delivered 9"}
+	if got, want := v.String(), "conservation (parts=4): sent 10 != delivered 9"; got != want {
+		t.Errorf("Violation.String() = %q, want %q", got, want)
+	}
+	if got, want := diffJSON([]byte("{\n\"a\": 1\n}"), []byte("{\n\"a\": 2\n}")),
+		`results diverge at line 2: serial "\"a\": 1" vs partitioned "\"a\": 2"`; got != want {
+		t.Errorf("diffJSON = %q, want %q", got, want)
+	}
+	if got, want := diffJSON([]byte("{\n}"), []byte("{\n}\n")),
+		"results diverge in length: serial 2 lines vs partitioned 3"; got != want {
+		t.Errorf("diffJSON = %q, want %q", got, want)
+	}
+}

@@ -3,6 +3,7 @@ package guard
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,6 +86,9 @@ func TestInjection(t *testing.T) {
 				}
 				if le.At != sim.Time(0).Add(50*sim.Microsecond) {
 					t.Fatalf("stuck instant %v, want 50µs", le.At)
+				}
+				if msg, at := le.Error(), fmt.Sprint(le.At); !strings.HasPrefix(msg, "guard: livelock: clock stuck at "+at+" after ") {
+					t.Fatalf("message %q does not name the stuck instant %s", msg, at)
 				}
 			},
 		},

@@ -28,7 +28,6 @@ package homa
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/link"
@@ -61,11 +60,10 @@ const schedBase = uint8(len(unschedCutoffs))
 
 // Msg is one sender-side message: the send half of its flow's slot.
 type Msg struct {
-	ID      uint64
-	Flow    packet.FlowID
-	Dst     packet.NodeID
-	Size    int64
-	StartAt sim.Time
+	ID   uint64
+	Flow packet.FlowID
+	Dst  packet.NodeID
+	Size int64
 
 	src       *Host
 	sent      int64 // bytes handed to the NIC
@@ -203,8 +201,7 @@ func (h *Host) Send(flow packet.FlowID, dst packet.NodeID, size int64, at sim.Ti
 
 func launch(arg any) {
 	m := arg.(*Msg)
-	m.StartAt = m.src.eng.Now()
-	m.granted = min64(m.Size, m.src.rttBytes())
+	m.granted = min(m.Size, m.src.rttBytes())
 	m.src.pump(m)
 }
 
@@ -214,7 +211,7 @@ func launch(arg any) {
 func (h *Host) pump(m *Msg) {
 	rtt := h.rttBytes()
 	for m.sent < m.granted {
-		n := min64(packet.MSS, m.granted-m.sent)
+		n := min(packet.MSS, m.granted-m.sent)
 		unsched := m.sent < rtt
 		prio := h.unschedPrio(m.Size)
 		if !unsched {
@@ -275,7 +272,7 @@ func (h *Host) onGrant(p *packet.Packet) {
 		h.emit(m, p.Seq(), int64(p.PayloadLen), p.Priority)
 	}
 	if p.GrantOffset() > m.granted {
-		m.granted = min64(p.GrantOffset(), m.Size)
+		m.granted = min(p.GrantOffset(), m.Size)
 		h.pump(m)
 	}
 }
@@ -285,7 +282,7 @@ func (h *Host) onData(p *packet.Packet) {
 	m := &h.flows.Slot(p.Flow).rcv
 	if m.at == nil {
 		m.at, m.id, m.flow, m.src, m.size, m.start = h, p.MsgID, p.Flow, p.Src, p.MsgLen(), p.SentAt()
-		m.granted = min64(m.size, h.rttBytes())
+		m.granted = min(m.size, h.rttBytes())
 		m.resend.Bind(h.eng, onResend, m)
 		h.live = append(h.live, m)
 	}
@@ -344,7 +341,7 @@ func (h *Host) schedule() {
 			prio = packet.MaxPriority
 		}
 		m.prio = prio
-		want := min64(m.received()+rtt, m.size)
+		want := min(m.received()+rtt, m.size)
 		if want > m.granted {
 			m.granted = want
 			h.sendGrant(m, want, prio, plainGrant, 0)
@@ -387,27 +384,9 @@ func onResend(arg any) {
 	}
 	// Request the first hole below the granted boundary.
 	holeStart := m.got.CumulativeFrom(0)
-	n := min64(packet.MSS, m.granted-holeStart)
+	n := min(packet.MSS, m.granted-holeStart)
 	if n > 0 {
 		h.sendGrant(m, m.granted, m.prio, holeStart, int32(n))
 	}
 	h.armResend(m)
 }
-
-// String implements fmt.Stringer.
-func (h *Host) String() string { return fmt.Sprintf("homa-%d", h.id) }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Verify interface compliance at compile time.
-var _ interface {
-	link.Receiver
-	ID() packet.NodeID
-	SetUplink(*link.Port)
-	NIC() *link.Port
-} = (*Host)(nil)

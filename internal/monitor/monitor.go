@@ -40,9 +40,6 @@ func Wrap(alg cc.Algorithm, every sim.Duration) *CC {
 	return &CC{Inner: alg, Every: every}
 }
 
-// Name implements cc.Algorithm.
-func (m *CC) Name() string { return m.Inner.Name() + "+monitor" }
-
 // Init implements cc.Algorithm.
 func (m *CC) Init(lim cc.Limits) { m.Inner.Init(lim) }
 

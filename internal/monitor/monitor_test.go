@@ -1,7 +1,6 @@
 package monitor_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -76,8 +75,14 @@ func TestCCMonitorForwardsExtensions(t *testing.T) {
 	if m.Rate() >= before {
 		t.Fatal("CNP not forwarded to DCQCN")
 	}
-	m.Stop()
-	if got := m.Name(); !strings.Contains(got, "dcqcn") {
-		t.Fatalf("name = %q", got)
+	before = m.Rate()
+	m.OnLoss(0)
+	if m.Rate() >= before {
+		t.Fatal("loss not forwarded to DCQCN")
 	}
+	m.OnAck(cc.Ack{Now: 1})
+	if got := m.Samples[len(m.Samples)-1].Losses; got != 1 {
+		t.Fatalf("sample counts %d losses, want 1", got)
+	}
+	m.Stop()
 }

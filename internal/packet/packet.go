@@ -5,7 +5,6 @@
 package packet
 
 import (
-	"fmt"
 	"unsafe"
 
 	"repro/internal/sim"
@@ -30,23 +29,6 @@ const (
 	Grant               // HOMA grant
 	Request             // application-level request (incast trigger)
 )
-
-func (k Kind) String() string {
-	switch k {
-	case Data:
-		return "DATA"
-	case Ack:
-		return "ACK"
-	case CNP:
-		return "CNP"
-	case Grant:
-		return "GRANT"
-	case Request:
-		return "REQ"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
 
 // Standard sizes in bytes. MSS plus HeaderSize matches the 25G RDMA
 // configuration used by the HPCC/PowerTCP simulations (1000 B payload,
@@ -174,15 +156,3 @@ func (p *Packet) WireLen() int64 {
 
 // End returns the byte offset just past a data packet's payload.
 func (p *Packet) End() int64 { return p.seq + int64(p.PayloadLen) }
-
-// String renders a compact debugging description.
-func (p *Packet) String() string {
-	switch p.Kind {
-	case Data:
-		return fmt.Sprintf("%v flow=%d [%d,%d) %d→%d", p.Kind, p.Flow, p.Seq(), p.End(), p.Src, p.Dst)
-	case Ack:
-		return fmt.Sprintf("%v flow=%d ack=%d %d→%d", p.Kind, p.Flow, p.AckSeq(), p.Src, p.Dst)
-	default:
-		return fmt.Sprintf("%v flow=%d %d→%d", p.Kind, p.Flow, p.Src, p.Dst)
-	}
-}

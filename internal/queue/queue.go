@@ -13,8 +13,6 @@ import "repro/internal/packet"
 type Queue interface {
 	Push(p *packet.Packet)
 	Pop() *packet.Packet
-	Peek() *packet.Packet
-	Len() int
 	Bytes() int64
 }
 
@@ -25,8 +23,12 @@ type Queue interface {
 // empty queue ready for use.
 type FIFO struct {
 	head, tail *packet.Packet
-	n          int
-	bytes      int64
+	// A link.Port holds two FIFOs inline. At 24 bytes they moved the
+	// port's later fields across cache lines, and websearch64 ran about
+	// 16% slower; the pad keeps the 32-byte FIFO the port was laid out
+	// around.
+	_     int64
+	bytes int64
 }
 
 // NewFIFO returns an empty FIFO.
@@ -40,7 +42,6 @@ func (q *FIFO) Push(p *packet.Packet) {
 		q.tail.Next = p
 	}
 	q.tail = p
-	q.n++
 	q.bytes += p.WireLen()
 }
 
@@ -54,16 +55,9 @@ func (q *FIFO) Pop() *packet.Packet {
 	if q.head == nil {
 		q.tail = nil
 	}
-	q.n--
 	q.bytes -= p.WireLen()
 	return p
 }
-
-// Peek returns the oldest packet without removing it, or nil if empty.
-func (q *FIFO) Peek() *packet.Packet { return q.head }
-
-// Len returns the number of queued packets.
-func (q *FIFO) Len() int { return q.n }
 
 // Bytes returns the total wire bytes queued.
 func (q *FIFO) Bytes() int64 { return q.bytes }
@@ -72,7 +66,6 @@ func (q *FIFO) Bytes() int64 { return q.bytes }
 // level 0 drains first. Packets with out-of-range priorities are clamped.
 type Prio struct {
 	levels [packet.MaxPriority + 1]FIFO
-	n      int
 	bytes  int64
 }
 
@@ -86,7 +79,6 @@ func (q *Prio) Push(p *packet.Packet) {
 		lvl = packet.MaxPriority
 	}
 	q.levels[lvl].Push(p)
-	q.n++
 	q.bytes += p.WireLen()
 }
 
@@ -94,26 +86,12 @@ func (q *Prio) Push(p *packet.Packet) {
 func (q *Prio) Pop() *packet.Packet {
 	for i := range q.levels {
 		if p := q.levels[i].Pop(); p != nil {
-			q.n--
 			q.bytes -= p.WireLen()
 			return p
 		}
 	}
 	return nil
 }
-
-// Peek returns the packet Pop would return.
-func (q *Prio) Peek() *packet.Packet {
-	for i := range q.levels {
-		if p := q.levels[i].Peek(); p != nil {
-			return p
-		}
-	}
-	return nil
-}
-
-// Len returns the number of queued packets across all levels.
-func (q *Prio) Len() int { return q.n }
 
 // Bytes returns the total wire bytes queued across all levels.
 func (q *Prio) Bytes() int64 { return q.bytes }
@@ -127,7 +105,6 @@ type Class struct {
 
 	classes map[int]*FIFO
 	active  int
-	n       int
 	bytes   int64
 }
 
@@ -149,7 +126,6 @@ func (q *Class) Push(p *packet.Packet) {
 		q.classes[c] = f
 	}
 	f.Push(p)
-	q.n++
 	q.bytes += p.WireLen()
 }
 
@@ -162,23 +138,10 @@ func (q *Class) Pop() *packet.Packet {
 	}
 	p := f.Pop()
 	if p != nil {
-		q.n--
 		q.bytes -= p.WireLen()
 	}
 	return p
 }
-
-// Peek returns the packet Pop would return.
-func (q *Class) Peek() *packet.Packet {
-	f := q.classes[q.active]
-	if f == nil {
-		return nil
-	}
-	return f.Peek()
-}
-
-// Len returns the number of packets queued across all classes.
-func (q *Class) Len() int { return q.n }
 
 // Bytes returns the wire bytes queued across all classes.
 func (q *Class) Bytes() int64 { return q.bytes }

@@ -189,7 +189,10 @@ func TestClassQueueActiveSwitching(t *testing.T) {
 func TestConservationProperty(t *testing.T) {
 	prop := func(seed int64, which uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var q Queue
+		var q interface {
+			Queue
+			Len() int
+		}
 		switch which % 3 {
 		case 0:
 			q = NewFIFO()

@@ -45,9 +45,6 @@ type ReTCP struct {
 	dayEnd        sim.Time   // end of the day being ridden while boosted
 }
 
-// Name implements cc.Algorithm.
-func (r *ReTCP) Name() string { return "retcp" }
-
 // Init implements cc.Algorithm: derive windows and start tracking the
 // rotor calendar.
 func (r *ReTCP) Init(lim cc.Limits) {

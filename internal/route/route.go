@@ -128,7 +128,6 @@ type Candidate struct {
 // slice it reuses, and the installer keeps its own copy of each distinct
 // list. The data plane only indexes the installed slice.
 type Strategy interface {
-	Name() string
 	Expand(cand []Candidate, out []int) []int
 }
 
@@ -136,9 +135,6 @@ type Strategy interface {
 // deterministic shortest-path baseline that concentrates every flow of a
 // destination onto one uplink.
 type SinglePath struct{}
-
-// Name implements Strategy.
-func (SinglePath) Name() string { return "single" }
 
 // Expand implements Strategy.
 func (SinglePath) Expand(cand []Candidate, out []int) []int {
@@ -159,9 +155,6 @@ func (SinglePath) Expand(cand []Candidate, out []int) []int {
 // of leaf-spine fabrics, hash imbalance included.
 type ECMP struct{}
 
-// Name implements Strategy.
-func (ECMP) Name() string { return "ecmp" }
-
 // Expand implements Strategy.
 func (ECMP) Expand(cand []Candidate, out []int) []int {
 	for _, c := range cand {
@@ -181,9 +174,6 @@ type WeightedECMP struct {
 	// MaxReplicas bounds the per-candidate replication factor; 0 means 16.
 	MaxReplicas int
 }
-
-// Name implements Strategy.
-func (WeightedECMP) Name() string { return "wecmp" }
 
 // Expand implements Strategy.
 func (w WeightedECMP) Expand(cand []Candidate, out []int) []int {

@@ -11,15 +11,15 @@ import (
 )
 
 func TestStrategyByName(t *testing.T) {
-	for name, want := range map[string]string{
-		"": "ecmp", "ecmp": "ecmp", "single": "single", "wecmp": "wecmp",
+	for name, want := range map[string]Strategy{
+		"": ECMP{}, "ecmp": ECMP{}, "single": SinglePath{}, "wecmp": WeightedECMP{},
 	} {
 		s, err := StrategyByName(name)
 		if err != nil {
 			t.Fatalf("StrategyByName(%q): %v", name, err)
 		}
-		if s.Name() != want {
-			t.Fatalf("StrategyByName(%q).Name() = %q, want %q", name, s.Name(), want)
+		if s != want {
+			t.Fatalf("StrategyByName(%q) = %#v, want %#v", name, s, want)
 		}
 	}
 	if _, err := StrategyByName("bogus"); err == nil {

@@ -318,16 +318,14 @@ func (t RackPairs) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 // ECN marking) must already be enabled by the scenario's base scheme —
 // the fabric is built once.
 func WithScheme(scheme string, t Traffic) Traffic {
-	return classed{scheme: scheme, inner: t}
+	return classed{scheme, t}
 }
 
+// classed and fidelitied generate their inner component's flows; only
+// unwrapTraffic reads what they add.
 type classed struct {
 	scheme string
-	inner  Traffic
-}
-
-func (t classed) generate(f Fabric, seed int64) ([]workload.Flow, error) {
-	return t.inner.generate(f, seed)
+	Traffic
 }
 
 // Fidelity selects how a traffic component is simulated: packet by
@@ -353,16 +351,12 @@ const (
 // too big to packet-simulate"). WithFidelity(Packet, t) is t's default
 // behavior.
 func WithFidelity(fd Fidelity, t Traffic) Traffic {
-	return fidelitied{fd: fd, inner: t}
+	return fidelitied{fd, t}
 }
 
 type fidelitied struct {
-	fd    Fidelity
-	inner Traffic
-}
-
-func (t fidelitied) generate(f Fabric, seed int64) ([]workload.Flow, error) {
-	return t.inner.generate(f, seed)
+	fd Fidelity
+	Traffic
 }
 
 // unwrapTraffic strips the wrapper chain off a component, collecting
@@ -375,12 +369,12 @@ func unwrapTraffic(tr Traffic) (inner Traffic, scheme string, hasScheme bool, fd
 			if !hasScheme {
 				scheme, hasScheme = t.scheme, true
 			}
-			tr = t.inner
+			tr = t.Traffic
 		case fidelitied:
 			if fd == Packet {
 				fd = t.fd
 			}
-			tr = t.inner
+			tr = t.Traffic
 		default:
 			return tr, scheme, hasScheme, fd
 		}

@@ -704,3 +704,17 @@ func TestDiskEntryNamesItsKey(t *testing.T) {
 		}
 	}
 }
+
+// A request refused before any run is an error whose text is the body's
+// message, the same whether it is read as an error or as a body.
+func TestRequestErrorCarriesItsMessage(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	s.draining.Store(true)
+	err := s.acquire()
+	if err == nil || err.Error() != "server is draining" {
+		t.Fatalf("acquire while draining = %v, want \"server is draining\"", err)
+	}
+	if body := runErrorBody(err); body.Error != err.Error() || body.Kind != "draining" {
+		t.Fatalf("body = %+v, want the error's message under kind draining", body)
+	}
+}

@@ -33,7 +33,7 @@
 //     O(log n) sifts: a slot's 64-entry chunks come from one engine-wide
 //     spare list and go back to it when the slot drains or cascades.
 //   - Once an event has fired or been reaped its handle is inert:
-//     Scheduled and Cancelled report false and Cancel is a no-op.
+//     Scheduled reports false and Cancel is a no-op.
 //   - Timer is the re-armable variant for long-lived callbacks (pacing,
 //     RTO, serializers): a field of its owner, bound once to a static
 //     callback and an argument; deadline extensions are lazy field

@@ -26,10 +26,10 @@ type node struct {
 //
 //   - Scheduled() is true from At/After until the instance fires or is
 //     cancelled.
-//   - Cancelled() is true from Cancel until the engine reaps the dead
-//     instance (lazily, when its slot is drained for firing).
+//   - A cancelled instance stays queued, marked dead, until the engine
+//     reaps it (lazily, when its slot is drained for firing).
 //   - Once an instance has fired or been reaped the handle is stale:
-//     Scheduled and Cancelled both report false, and Cancel is a no-op.
+//     Scheduled reports false, and Cancel is a no-op.
 //     In particular, cancelling an already-fired event does NOT mark it
 //     cancelled — post-fire Cancel has no effect of any kind.
 //
@@ -43,12 +43,6 @@ type Event struct {
 // Scheduled reports whether the event instance is still pending.
 func (ev Event) Scheduled() bool {
 	return ev.n != nil && ev.n.gen == ev.gen && !ev.n.cancelled
-}
-
-// Cancelled reports whether this instance was cancelled and has not yet
-// been reaped. Stale handles (fired or reaped instances) report false.
-func (ev Event) Cancelled() bool {
-	return ev.n != nil && ev.n.gen == ev.gen && ev.n.cancelled
 }
 
 // entry is one element of the event queue. Entries are stored by value in

@@ -19,8 +19,8 @@ func TestStepCapTrips(t *testing.T) {
 		t.Fatalf("fired %d events, want 4", fired)
 	}
 	tr := e.Tripped()
-	if tr == nil || tr.Reason != TripSteps {
-		t.Fatalf("Tripped() = %+v, want TripSteps", tr)
+	if tr == nil || tr.Reason != TripSteps || tr.Reason.String() != "step-cap" {
+		t.Fatalf("Tripped() = %+v, want TripSteps (step-cap)", tr)
 	}
 	if tr.At != 4000 || tr.Steps != 4 {
 		t.Fatalf("trip watermark = at %v steps %d, want at 4000 steps 4", tr.At, tr.Steps)
@@ -64,8 +64,8 @@ func TestLivelockTrips(t *testing.T) {
 	e.RunUntil(Time(1_000_000))
 
 	tr := e.Tripped()
-	if tr == nil || tr.Reason != TripLivelock {
-		t.Fatalf("Tripped() = %+v, want TripLivelock", tr)
+	if tr == nil || tr.Reason != TripLivelock || tr.Reason.String() != "livelock" {
+		t.Fatalf("Tripped() = %+v, want TripLivelock (livelock)", tr)
 	}
 	if tr.At != 500 {
 		t.Fatalf("stuck instant = %v, want 500", tr.At)

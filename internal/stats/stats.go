@@ -146,15 +146,6 @@ func (b *BinnedSlowdowns) Row(p float64) []float64 {
 	return out
 }
 
-// String renders a compact table of the 99.9p row.
-func (b *BinnedSlowdowns) String() string {
-	s := ""
-	for i, v := range b.Row(99.9) {
-		s += fmt.Sprintf("≤%s:%.1f ", SizeLabel(FlowSizeBins[i]), v)
-	}
-	return s
-}
-
 // SizeLabel renders 5_000 → "5K", 5_000_000 → "5M".
 func SizeLabel(n int64) string {
 	switch {

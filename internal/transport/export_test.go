@@ -8,3 +8,13 @@ func (f *Flow) SndNxt() int64 { return f.sndNxt }
 
 // Spans returns the number of disjoint ranges held.
 func (s *IntervalSet) Spans() int { return len(s.iv) }
+
+// Contains reports whether every byte of [start, end) has been received.
+func (s *IntervalSet) Contains(start, end int64) bool {
+	for _, iv := range s.iv {
+		if iv.start <= start && end <= iv.end {
+			return true
+		}
+	}
+	return end <= start
+}

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"repro/internal/cc"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -13,12 +11,11 @@ const Unbounded int64 = -1
 
 // Flow is one sender-side transport connection.
 type Flow struct {
-	ID       packet.FlowID
-	Src      *Host
-	Dst      packet.NodeID
-	Size     int64 // bytes to transfer, or Unbounded
-	CC       cc.Algorithm
-	Priority uint8
+	ID   packet.FlowID
+	Src  *Host
+	Dst  packet.NodeID
+	Size int64 // bytes to transfer, or Unbounded
+	CC   cc.Algorithm
 
 	StartAt  sim.Time
 	FinishAt sim.Time
@@ -138,7 +135,6 @@ func (f *Flow) emit(seq, n int64, rtx bool) {
 	p.Dst = f.Dst
 	p.SetSeq(seq)
 	p.PayloadLen = int32(n)
-	p.Priority = f.Priority
 	p.ECT = f.ect
 	p.SetSentAt(f.Src.eng.Now())
 	f.Src.nic.Send(p)
@@ -259,9 +255,4 @@ func (f *Flow) onRTO() {
 	f.CC.OnLoss(f.Src.eng.Now())
 	f.nextSendAt = f.Src.eng.Now()
 	f.trySend()
-}
-
-// String implements fmt.Stringer.
-func (f *Flow) String() string {
-	return fmt.Sprintf("flow-%d %d→%d size=%d", f.ID, f.Src.id, f.Dst, f.Size)
 }

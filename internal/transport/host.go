@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"repro/internal/cc"
 	"repro/internal/link"
 	"repro/internal/packet"
@@ -219,6 +217,3 @@ func (h *Host) Flow(id packet.FlowID) *Flow {
 	}
 	return nil
 }
-
-// String implements fmt.Stringer.
-func (h *Host) String() string { return fmt.Sprintf("host-%d", h.id) }

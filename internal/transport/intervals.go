@@ -58,16 +58,6 @@ func (s *IntervalSet) CumulativeFrom(base int64) int64 {
 	return base
 }
 
-// Contains reports whether every byte of [start, end) has been received.
-func (s *IntervalSet) Contains(start, end int64) bool {
-	for _, iv := range s.iv {
-		if iv.start <= start && end <= iv.end {
-			return true
-		}
-	}
-	return end <= start
-}
-
 // Bytes returns the total number of bytes covered.
 func (s *IntervalSet) Bytes() int64 {
 	var n int64

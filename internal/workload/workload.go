@@ -18,7 +18,6 @@ import (
 type SizeDist interface {
 	Sample(rng *rand.Rand) int64
 	Mean() float64
-	Name() string
 }
 
 // cdfPoint is a knot of an empirical CDF.
@@ -29,18 +28,17 @@ type cdfPoint struct {
 
 // CDFDist samples by inverse-transform over a piecewise-linear CDF.
 type CDFDist struct {
-	name string
 	pts  []cdfPoint
 	mean float64
 }
 
 // NewCDF builds a distribution from (size, cumulative-probability) knots.
 // The first knot's probability mass is uniform on (0, size0].
-func NewCDF(name string, sizes []int64, probs []float64) *CDFDist {
+func NewCDF(sizes []int64, probs []float64) *CDFDist {
 	if len(sizes) != len(probs) || len(sizes) == 0 {
 		panic("workload: bad CDF spec")
 	}
-	d := &CDFDist{name: name}
+	d := &CDFDist{}
 	for i := range sizes {
 		d.pts = append(d.pts, cdfPoint{sizes[i], probs[i]})
 	}
@@ -54,9 +52,6 @@ func NewCDF(name string, sizes []int64, probs []float64) *CDFDist {
 	}
 	return d
 }
-
-// Name implements SizeDist.
-func (d *CDFDist) Name() string { return d.name }
 
 // Mean implements SizeDist.
 func (d *CDFDist) Mean() float64 { return d.mean }
@@ -87,7 +82,7 @@ func (d *CDFDist) Sample(rng *rand.Rand) int64 {
 // study as used by the HPCC/PowerTCP simulations: heavy-tailed, ~30% of
 // flows under 10 KB, ~1.6 MB mean, 30 MB max.
 func WebSearch() *CDFDist {
-	return NewCDF("websearch",
+	return NewCDF(
 		[]int64{6_000, 13_000, 19_000, 33_000, 53_000, 133_000, 667_000,
 			1_333_000, 3_333_000, 6_667_000, 20_000_000, 30_000_000},
 		[]float64{0.15, 0.2, 0.3, 0.4, 0.53, 0.6, 0.7,
