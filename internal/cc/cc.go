@@ -68,8 +68,25 @@ func WantsECT(a Algorithm) bool {
 	return ok && e.ECT()
 }
 
-// Builder constructs a fresh per-flow Algorithm instance.
-type Builder func() Algorithm
+// Builder constructs n fresh per-flow algorithms at once: the laws of a
+// whole traffic component.
+type Builder func(n int) []Algorithm
+
+// Carve returns n copies of law handed out as Algorithms, carved from
+// one array of the concrete type: a component's laws cost two
+// allocations, not one a flow.
+func Carve[T any, P interface {
+	*T
+	Algorithm
+}](n int, law T) []Algorithm {
+	laws := make([]T, n)
+	algs := make([]Algorithm, n)
+	for i := range laws {
+		laws[i] = law
+		algs[i] = P(&laws[i])
+	}
+	return algs
+}
 
 // clamp bounds a window to [lo, hi].
 func clamp(w, lo, hi float64) float64 {

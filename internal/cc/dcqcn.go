@@ -49,8 +49,8 @@ const (
 // NewDCQCN returns a DCQCN reaction point with published defaults.
 func NewDCQCN() *DCQCN { return &DCQCN{} }
 
-// DCQCNBuilder adapts NewDCQCN to Builder.
-func DCQCNBuilder() Builder { return func() Algorithm { return NewDCQCN() } }
+// DCQCNBuilder builds DCQCN laws carved from one array.
+func DCQCNBuilder() Builder { return func(n int) []Algorithm { return Carve(n, DCQCN{}) } }
 
 // ECT marks DCQCN data packets ECN-capable (see WantsECT).
 func (d *DCQCN) ECT() bool { return true }

@@ -32,8 +32,8 @@ const dctcpG float64 = 1.0 / 16
 // NewDCTCP returns a DCTCP instance with published defaults.
 func NewDCTCP() *DCTCP { return &DCTCP{} }
 
-// DCTCPBuilder adapts NewDCTCP to Builder.
-func DCTCPBuilder() Builder { return func() Algorithm { return NewDCTCP() } }
+// DCTCPBuilder builds DCTCP laws carved from one array.
+func DCTCPBuilder() Builder { return func(n int) []Algorithm { return Carve(n, DCTCP{}) } }
 
 // ECT marks DCTCP traffic ECN-capable.
 func (d *DCTCP) ECT() bool { return true }

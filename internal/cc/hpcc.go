@@ -50,8 +50,8 @@ const (
 // NewHPCC returns an HPCC instance with the published defaults.
 func NewHPCC() *HPCC { return &HPCC{} }
 
-// HPCCBuilder adapts NewHPCC to Builder.
-func HPCCBuilder() Builder { return func() Algorithm { return NewHPCC() } }
+// HPCCBuilder builds HPCC laws carved from one array.
+func HPCCBuilder() Builder { return func(n int) []Algorithm { return Carve(n, HPCC{}) } }
 
 // Init implements Algorithm.
 func (h *HPCC) Init(lim Limits) {

@@ -22,8 +22,8 @@ type Reno struct {
 // NewReno returns a NewReno instance.
 func NewReno() *Reno { return &Reno{} }
 
-// RenoBuilder adapts NewReno to Builder.
-func RenoBuilder() Builder { return func() Algorithm { return NewReno() } }
+// RenoBuilder builds Reno laws carved from one array.
+func RenoBuilder() Builder { return func(n int) []Algorithm { return Carve(n, Reno{}) } }
 
 // Init implements Algorithm: slow start from a small window.
 func (r *Reno) Init(lim Limits) {

@@ -39,8 +39,8 @@ const (
 // NewTimely returns a TIMELY instance with published defaults.
 func NewTimely() *Timely { return &Timely{} }
 
-// TimelyBuilder adapts NewTimely to Builder.
-func TimelyBuilder() Builder { return func() Algorithm { return NewTimely() } }
+// TimelyBuilder builds Timely laws carved from one array.
+func TimelyBuilder() Builder { return func(n int) []Algorithm { return Carve(n, Timely{}) } }
 
 // Init implements Algorithm.
 func (t *Timely) Init(lim Limits) {

@@ -89,14 +89,12 @@ type PowerTCP struct {
 // New returns a PowerTCP instance with the given configuration.
 func New(cfg Config) *PowerTCP { return &PowerTCP{cfg: cfg} }
 
-// Builder adapts New to the cc.Builder registry shape.
-func Builder(cfg Config) cc.Builder {
-	return func() cc.Algorithm { return New(cfg) }
+// Builder builds PowerTCP laws of this configuration carved from one
+// array — the hook the experiment scheme registry uses to materialize
+// registered configs.
+func (c Config) Builder() cc.Builder {
+	return func(n int) []cc.Algorithm { return cc.Carve(n, PowerTCP{cfg: c}) }
 }
-
-// Builder adapts the configuration to cc.Builder — the hook the
-// experiment scheme registry uses to materialize registered configs.
-func (c Config) Builder() cc.Builder { return Builder(c) }
 
 // Init implements cc.Algorithm: flows start at line rate with
 // cwnd_init = HostBw·τ.

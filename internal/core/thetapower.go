@@ -41,13 +41,10 @@ type ThetaPowerTCP struct {
 // NewTheta returns a θ-PowerTCP instance.
 func NewTheta(cfg Config) *ThetaPowerTCP { return &ThetaPowerTCP{cfg: cfg} }
 
-// ThetaBuilder adapts NewTheta to cc.Builder.
-func ThetaBuilder(cfg Config) cc.Builder {
-	return func() cc.Algorithm { return NewTheta(cfg) }
+// ThetaBuilder is Builder for the θ variant.
+func (c Config) ThetaBuilder() cc.Builder {
+	return func(n int) []cc.Algorithm { return cc.Carve(n, ThetaPowerTCP{cfg: c}) }
 }
-
-// ThetaBuilder adapts the configuration to cc.Builder for the θ variant.
-func (c Config) ThetaBuilder() cc.Builder { return ThetaBuilder(c) }
 
 // Init implements cc.Algorithm.
 func (p *ThetaPowerTCP) Init(lim cc.Limits) {

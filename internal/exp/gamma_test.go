@@ -37,9 +37,8 @@ func TestGammaOptionBuilders(t *testing.T) {
 		if s.Gamma != 0.5 || s.Alg == nil {
 			t.Fatalf("ResolveScheme(%s, Gamma(0.5)) = %+v", name, s)
 		}
-		alg := s.Alg()
-		if alg == nil {
-			t.Fatal("builder returned nil")
+		if algs := s.Alg(2); len(algs) != 2 || algs[0] == nil || algs[0] == algs[1] {
+			t.Fatalf("builder returned %v, want two distinct laws", algs)
 		}
 	}
 }

@@ -58,9 +58,9 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg, ok := s.Alg().(*core.PowerTCP)
+	alg, ok := s.Alg(1)[0].(*core.PowerTCP)
 	if !ok {
-		t.Fatalf("powertcp built %T", s.Alg())
+		t.Fatalf("powertcp built %T", s.Alg(1)[0])
 	}
 	// The law keeps its configuration unexported; %+v prints it.
 	if built := fmt.Sprintf("%+v", *alg); !strings.Contains(built, "Gamma:0.55 ") {
@@ -74,9 +74,9 @@ func TestSchemeOptionCompositionReachesAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	talg, ok := th.Alg().(*core.ThetaPowerTCP)
+	talg, ok := th.Alg(1)[0].(*core.ThetaPowerTCP)
 	if !ok {
-		t.Fatalf("theta-powertcp built %T", th.Alg())
+		t.Fatalf("theta-powertcp built %T", th.Alg(1)[0])
 	}
 	if built := fmt.Sprintf("%+v", *talg); !strings.Contains(built, "Gamma:0.4 ") {
 		t.Fatalf("theta built law = %s, want γ=0.4", built)

@@ -121,10 +121,18 @@ type Host struct {
 
 // NewHost builds a HOMA host.
 func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
+	h := new(Host)
+	h.Init(eng, id, cfg)
+	return h
+}
+
+// Init makes h the host NewHost would build, in place (see
+// transport.Host.Init).
+func (h *Host) Init(eng *sim.Engine, id packet.NodeID, cfg Config) {
 	if cfg.Overcommit == 0 {
 		cfg.Overcommit = 1
 	}
-	return &Host{id: id, eng: eng, cfg: cfg, resendAfter: transport.RTO(cfg.BaseRTT)}
+	*h = Host{id: id, eng: eng, cfg: cfg, resendAfter: transport.RTO(cfg.BaseRTT)}
 }
 
 // ID implements topo.Node.
@@ -383,7 +391,7 @@ func onResend(arg any) {
 		return
 	}
 	// Request the first hole below the granted boundary.
-	holeStart := m.got.CumulativeFrom(0)
+	holeStart := m.got.Cumulative()
 	n := min(packet.MSS, m.granted-holeStart)
 	if n > 0 {
 		h.sendGrant(m, m.granted, m.prio, holeStart, int32(n))

@@ -22,7 +22,7 @@ func homaStar(n, overcommit int, bufPerGbps int64) *topo.Network {
 				return homa.NewHost(eng, id, cfg)
 			},
 			BufferPerGbps: bufPerGbps,
-			Queues:        func() queue.Queue { return queue.NewPrio() },
+			Queues:        queue.NewPrios,
 		},
 	})
 }

@@ -127,6 +127,8 @@ type Fabric struct {
 	parts   []*sim.Engine
 	workers int
 	in      [][]*edge    // in[i]: edges into partition i, drained in this order
+	edges   []*edge      // every edge, in the order AddEdge made them
+	spare   []Mailbox    // what an earlier fabric's edges left (Adopt)
 	bounds  []sim.Key    // this round's bound per partition
 	helping atomic.Int32 // helper goroutines started and not yet returned
 }
@@ -165,8 +167,36 @@ func (f *Fabric) AddEdge(from, to int, look sim.Duration) *Mailbox {
 		}
 	}
 	e := &edge{from: from, look: look}
+	if i := len(f.edges); i < len(f.spare) {
+		e.box = f.spare[i]
+	}
 	f.in[to] = append(f.in[to], e)
+	f.edges = append(f.edges, e)
 	return &e.box
+}
+
+// Adopt hands the fabric the mailboxes a finished fabric gave up
+// (Mailboxes): the i-th edge AddEdge makes takes the i-th one, so a
+// repeat of a run finds each mailbox's buffer as large as it left it.
+// Call it before the first AddEdge.
+func (f *Fabric) Adopt(boxes []Mailbox) { f.spare = boxes }
+
+// Mailboxes writes the fabric's mailboxes, emptied, over the first
+// places of boxes in the order AddEdge made their edges, appends those
+// beyond its end, and returns it; places past the fabric's edges keep
+// what they held. The fabric must not run again.
+func (f *Fabric) Mailboxes(boxes []Mailbox) []Mailbox {
+	for i, e := range f.edges {
+		m := e.box
+		clear(m.buf) // a tripped run leaves its posts buffered
+		m.buf = m.buf[:0]
+		if i == len(boxes) {
+			boxes = append(boxes, m)
+		} else {
+			boxes[i] = m
+		}
+	}
+	return boxes
 }
 
 // Lookahead reports the lookahead of the edge from partition `from` to

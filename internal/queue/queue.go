@@ -69,8 +69,15 @@ type Prio struct {
 	bytes  int64
 }
 
-// NewPrio returns an empty strict-priority queue.
-func NewPrio() *Prio { return &Prio{} }
+// NewPrios returns n empty strict-priority queues carved from one array.
+func NewPrios(n int) []Queue {
+	prios := make([]Prio, n)
+	qs := make([]Queue, n)
+	for i := range prios {
+		qs[i] = &prios[i]
+	}
+	return qs
+}
 
 // Push enqueues p at its priority level.
 func (q *Prio) Push(p *packet.Packet) {

@@ -124,7 +124,7 @@ func TestFIFOBytes(t *testing.T) {
 }
 
 func TestPrioStrictOrder(t *testing.T) {
-	q := NewPrio()
+	q := new(Prio)
 	q.Push(mkPkt(1, 10, 5))
 	q.Push(mkPkt(2, 10, 0))
 	q.Push(mkPkt(3, 10, 5))
@@ -139,7 +139,7 @@ func TestPrioStrictOrder(t *testing.T) {
 }
 
 func TestPrioClampsPriority(t *testing.T) {
-	q := NewPrio()
+	q := new(Prio)
 	q.Push(mkPkt(1, 10, 200)) // clamped to MaxPriority
 	q.Push(mkPkt(2, 10, packet.MaxPriority))
 	if p := q.Pop(); p.Flow != 1 {
@@ -197,7 +197,7 @@ func TestConservationProperty(t *testing.T) {
 		case 0:
 			q = NewFIFO()
 		case 1:
-			q = NewPrio()
+			q = new(Prio)
 		default:
 			cq := NewClass(func(p *packet.Packet) int { return int(p.Flow % 4) })
 			cq.SetActive(rng.Intn(4))

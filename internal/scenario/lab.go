@@ -63,14 +63,30 @@ type Lab struct {
 
 // newLab builds a lab of any shape: it claims a recycled scratch, hands
 // build the switch/buffer options every lab shares — with the scratch's
-// warmed engines (if any) and scheme-appropriate hosts configured by
-// host, whose BaseRTT is the fabric's maximum RTT (the paper's τ) — and
-// wires the collectors onto the network build returns. The scheme's
-// DTAlpha (composed via the Alpha scheme option) overrides the Dynamic
-// Thresholds factor; 0 keeps the default α=1. build adds what is the
-// fabric's own (a partition plan, the rotor's INT and buffer rules).
-func newLab(scheme Scheme, seed int64, routing route.Strategy, host transport.Config, build func(topo.Options) *topo.Network) *Lab {
+// warmed engines and mailboxes (if any) and scheme-appropriate hosts
+// configured by host, whose BaseRTT is the fabric's maximum RTT (the
+// paper's τ) — and wires the collectors onto the network build returns.
+// The scheme's DTAlpha (composed via the Alpha scheme option) overrides
+// the Dynamic Thresholds factor; 0 keeps the default α=1. build adds
+// what is the fabric's own (a partition plan, the rotor's INT and buffer
+// rules). The fabric has hosts hosts, carved from one array.
+func newLab(scheme Scheme, seed int64, routing route.Strategy, host transport.Config, hosts int, build func(topo.Options) *topo.Network) *Lab {
 	l := &Lab{Scheme: scheme, scratch: getScratch()}
+	var node topo.HostFactory
+	if scheme.IsHoma() {
+		cfg := homa.Config{BaseRTT: host.BaseRTT, Overcommit: scheme.Overcommit}
+		all := make([]homa.Host, hosts)
+		node = func(eng *sim.Engine, id packet.NodeID) topo.Node {
+			all[id].Init(eng, id, cfg)
+			return &all[id]
+		}
+	} else {
+		all := make([]transport.Host, hosts)
+		node = func(eng *sim.Engine, id packet.NodeID) topo.Node {
+			all[id].Init(eng, id, host)
+			return &all[id]
+		}
+	}
 	l.Net = build(topo.Options{
 		BufferPerGbps: topo.TofinoBufferPerGbps,
 		Alpha:         scheme.DTAlpha,
@@ -81,15 +97,8 @@ func newLab(scheme Scheme, seed int64, routing route.Strategy, host transport.Co
 		Routing:       routing,
 		Engine:        l.scratch.eng,
 		ShardEngines:  l.scratch.engs,
-		Hosts: func(eng *sim.Engine, id packet.NodeID) topo.Node {
-			if scheme.IsHoma() {
-				return homa.NewHost(eng, id, homa.Config{
-					BaseRTT:    host.BaseRTT,
-					Overcommit: scheme.Overcommit,
-				})
-			}
-			return transport.NewHost(eng, id, host)
-		},
+		Mailboxes:     l.scratch.boxes,
+		Hosts:         node,
 	})
 	l.wireCollectors()
 	return l
@@ -181,11 +190,9 @@ func (l *Lab) UnboundedSize() int64 {
 }
 
 // LaunchAlg starts one workload flow (transport flow or HOMA message)
-// and returns the flow ID it was assigned. alg is an explicit per-flow
-// algorithm — the seam scenario traffic classes use to run components
-// under their own scheme, and the rotor to build reTCP against its
-// calendar. nil keeps the lab scheme's algorithm; HOMA messages carry no
-// per-flow algorithm and ignore it.
+// and returns the flow ID it was assigned. alg is the flow's algorithm,
+// built for it by its traffic component's scheme (or against the rotor's
+// calendar); HOMA messages carry no per-flow algorithm and ignore it.
 func (l *Lab) LaunchAlg(f workload.Flow, alg cc.Algorithm) packet.FlowID {
 	l.started++
 	id := l.Net.NextFlowID()
@@ -198,9 +205,6 @@ func (l *Lab) LaunchAlg(f workload.Flow, alg cc.Algorithm) packet.FlowID {
 	l.Net.HostEngine(f.Src).SetOrigin(originFlowKey | uint64(l.started))
 	switch h := l.Net.Hosts[f.Src].(type) {
 	case *transport.Host:
-		if alg == nil {
-			alg = l.Scheme.Alg()
-		}
 		h.StartFlow(id, dst, f.Size, alg, f.Start)
 	case *homa.Host:
 		h.Send(id, dst, f.Size, f.Start)

@@ -322,8 +322,18 @@ func (env *Env) launchComponent(wrapped Traffic, shift sim.Duration) error {
 			return fmt.Errorf("scenario: flow %d→%d starts at negative time %v", f.Src, f.Dst, f.Start)
 		}
 	}
+	// The component's laws come at once, one array of its scheme's law;
+	// HOMA messages carry none, and the rotor builds each flow's below.
+	var laws []cc.Algorithm
+	switch {
+	case rotor != nil:
+	case hasOverride:
+		laws = override.Alg(len(flows))
+	case !env.Scheme.IsHoma():
+		laws = env.Scheme.Alg(len(flows))
+	}
 	spt := env.Fabric.HostsPerRack
-	for _, f := range flows {
+	for i, f := range flows {
 		launch := f
 		if launch.Size == Unbounded {
 			launch.Size = env.Fabric.UnboundedSize
@@ -337,10 +347,8 @@ func (env *Env) launchComponent(wrapped Traffic, shift sim.Duration) error {
 				return fmt.Errorf("scenario: rotor flows must cross racks (src %d, dst %d)", f.Src, f.Dst)
 			}
 			alg = rotorAlg(env.Scheme, rotor, f.Src/spt, f.Dst/spt, len(flows))
-		case hasOverride:
-			alg = override.Alg()
-		case env.wrapAlg != nil && !env.Scheme.IsHoma():
-			alg = env.Scheme.Alg()
+		case laws != nil:
+			alg = laws[i]
 		}
 		if alg != nil && env.wrapAlg != nil {
 			alg = env.wrapAlg(len(env.Launched), alg)

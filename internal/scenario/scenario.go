@@ -193,7 +193,7 @@ func (t StarTopology) build(env *Env) error {
 	if t.Hosts < 2 {
 		return fmt.Errorf("scenario: star topology needs ≥2 hosts, got %d", t.Hosts)
 	}
-	env.Lab = newLab(env.Scheme, env.Seed, nil, transport.Config{BaseRTT: 12 * sim.Microsecond},
+	env.Lab = newLab(env.Scheme, env.Seed, nil, transport.Config{BaseRTT: 12 * sim.Microsecond}, t.Hosts,
 		func(o topo.Options) *topo.Network {
 			return topo.Star(topo.StarConfig{Hosts: t.Hosts, Opts: o})
 		})
@@ -313,7 +313,7 @@ func (t FatTreeTopology) build(env *Env) error {
 		plan = shardPlan(cfg.Racks()*cfg.ServersPerTor >= podShardHosts, t.Partitions, cfg.Partitions)
 	}
 	env.Lab = newLab(env.Scheme, env.Seed, strategy, transport.Config{BaseRTT: 30 * sim.Microsecond},
-		func(o topo.Options) *topo.Network {
+		cfg.Racks()*cfg.ServersPerTor, func(o topo.Options) *topo.Network {
 			o.Partition = plan
 			cfg.Opts = o
 			return topo.FatTree(cfg)
@@ -411,13 +411,13 @@ func (t LeafSpineTopology) build(env *Env) error {
 		SpineRates:     t.SpineRates,
 	}
 	plan := shardPlan(false, t.Partitions, cfg.Partitions)
+	ls := cfg.WithDefaults()
 	env.Lab = newLab(env.Scheme, env.Seed, strategy, transport.Config{BaseRTT: 16 * sim.Microsecond},
-		func(o topo.Options) *topo.Network {
+		ls.Leaves*ls.ServersPerLeaf, func(o topo.Options) *topo.Network {
 			o.Partition = plan
 			cfg.Opts = o
 			return topo.LeafSpine(cfg)
 		})
-	ls := cfg.WithDefaults()
 	env.Lab.LSCfg = ls
 	var uplink units.BitRate
 	for sp := 0; sp < ls.Spines; sp++ {
@@ -493,7 +493,7 @@ func (t RotorTopology) build(env *Env) error {
 	// Circuit day/night path flapping reorders packets: no fast
 	// retransmit, rely on the RTO.
 	host := transport.Config{BaseRTT: cfg.BaseRTT(), DupAckThreshold: -1}
-	env.Lab = newLab(env.Scheme, env.Seed, nil, host, func(o topo.Options) *topo.Network {
+	env.Lab = newLab(env.Scheme, env.Seed, nil, host, cfg.Tors*cfg.ServersPerTor, func(o topo.Options) *topo.Network {
 		// The Fig. 8 fabric stamps INT at every egress whatever the scheme
 		// — reTCP's packets would otherwise be shorter by their hop records
 		// — and its ToR buffers are unbounded: a Tofino-sized pool under

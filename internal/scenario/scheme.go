@@ -53,8 +53,9 @@ const (
 type Scheme struct {
 	Name string
 	Kind Kind
-	// Alg builds a per-flow algorithm; nil for HOMA (its own transport)
-	// and reTCP (built per-network by the RDCN runner).
+	// Alg builds a traffic component's per-flow algorithms, one array of
+	// the concrete law; nil for HOMA (its own transport) and reTCP (built
+	// per flow against the rotor's calendar).
 	Alg cc.Builder
 	// INT enables telemetry stamping on the switches.
 	INT bool
@@ -85,10 +86,11 @@ var DCQCNECN = swtch.ECNConfig{KMin: 100 << 10, KMax: 400 << 10, PMax: 0.2}
 // flows oscillate around K > b·τ/7, §2.2).
 var DCTCPECN = swtch.ECNConfig{KMin: 65 << 10, KMax: 65<<10 + 1, PMax: 1}
 
-// queueFactory returns the per-port queue constructor for the scheme.
-func (s Scheme) queueFactory() func() queue.Queue {
+// queueFactory returns the switch ports' queue constructor for the
+// scheme.
+func (s Scheme) queueFactory() func(n int) []queue.Queue {
 	if s.PrioQueues {
-		return func() queue.Queue { return queue.NewPrio() }
+		return queue.NewPrios
 	}
 	return nil
 }

@@ -4,20 +4,23 @@ import (
 	"sync"
 
 	"repro/internal/packet"
+	"repro/internal/psim"
 	"repro/internal/sim"
 )
 
 // runScratch carries the memory a finished run owned to the next one:
 // the event engines (Reset keeps their slot arrays, overflow backing, and
-// node free lists), every packet slab the run's pools made or adopted,
-// and the lab's flow-record accumulator. Suites repeat near-identical
+// node free lists), the sync edges' mailboxes with their buffers, every
+// packet slab the run's pools made or adopted, and the lab's flow-record
+// accumulator. Suites repeat near-identical
 // runs — every figure is b.N repetitions or a panel of same-scale specs
 // — so a warm run, sharded or not, allocates no packets and grows no
 // wheel slot; run memory is a one-time cost.
 //
 // A lab uses of the scratch what its own shape has a place for — the
-// control engine, a shard engine per shard when it has several, and one
-// slab list per pool — and leaves the rest where it lies; Release writes
+// control engine, a shard engine per shard when it has several, a
+// mailbox per sync edge, and one slab list per pool — and leaves the
+// rest where it lies; Release writes
 // back over the places the lab used. So a scratch that alternates between a
 // sixteen-shard fabric and a two-host star (the benchmark parks one
 // between passes; powersimd serves both kinds) keeps sixteen engines and
@@ -33,6 +36,7 @@ import (
 type runScratch struct {
 	eng     *sim.Engine     // the control engine, a one-shard run's only engine
 	engs    []*sim.Engine   // shard engines
+	boxes   []psim.Mailbox  // the sync edges' mailboxes, in the order they were made
 	slabs   [][]packet.Slab // one list per pool
 	records []FlowRecord
 }
@@ -80,6 +84,7 @@ func (l *Lab) Release() {
 	}
 	l.Net.Eng.Reset()
 	sc.eng = l.Net.Eng
+	sc.boxes = l.Net.PSim.Mailboxes(sc.boxes)
 	sc.records = l.Records[:0]
 	l.Records = nil
 	scratchPool.Put(sc)

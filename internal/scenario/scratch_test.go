@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/psim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -270,6 +272,70 @@ try:
 			}
 		}
 		return
+	}
+}
+
+// boxBuffer is where a mailbox's buffer lives and how many messages it
+// has room for.
+type boxBuffer struct {
+	at   uintptr
+	room int
+}
+
+// boxBuffers reads the buffers of the scratch's carried mailboxes (psim
+// keeps them unexported; reflect may look).
+func boxBuffers(boxes []psim.Mailbox) []boxBuffer {
+	out := make([]boxBuffer, len(boxes))
+	for i := range boxes {
+		buf := reflect.ValueOf(&boxes[i]).Elem().Field(0)
+		out[i] = boxBuffer{buf.Pointer(), buf.Cap()}
+	}
+	return out
+}
+
+// A pod-sharded fabric's sync-edge mailboxes travel with the scratch:
+// after a pass the scratch holds one mailbox per edge, and the next pass
+// of that fabric on it — right after, or after a star lab, which has no
+// edge, ran on it in between — adopts their buffers, builds no fresh ones
+// next to them and grows none, and its Result does not change by a byte.
+func TestCarriedMailboxesDoNotGrow(t *testing.T) {
+	star := Scenario{
+		Name: "park", Scheme: mustScheme(PowerTCP),
+		Topology: StarTopology{Hosts: 2}, Until: sim.Nanosecond,
+	}
+	const shards = 4
+	for _, between := range []*Scenario{nil, &star} {
+	try:
+		for try := 0; ; try++ {
+			if try == 40 {
+				t.Fatal("the scratch never survived from one pass to the next") // see warmPair
+			}
+			first := runScratchPass(t, cutShort(shards))
+			carried := boxBuffers(first.scratch.boxes)
+			if between != nil {
+				if parked := runScratchPass(t, *between); parked.scratch != first.scratch {
+					continue try
+				}
+			}
+			second := runScratchPass(t, cutShort(shards))
+			if second.scratch != first.scratch {
+				continue try
+			}
+			var room int
+			for _, b := range carried {
+				room += b.room
+			}
+			if len(carried) == 0 || room == 0 {
+				t.Fatalf("pass 1 left %d mailboxes with room for %d messages; the scenario tests nothing", len(carried), room)
+			}
+			if !bytes.Equal(second.envelope, first.envelope) {
+				t.Fatal("pass 2: Result differs from pass 1")
+			}
+			if got := boxBuffers(second.scratch.boxes); !reflect.DeepEqual(got, carried) {
+				t.Fatalf("pass 2 left mailbox buffers %v, pass 1 %v; want the same buffers, none grown", got, carried)
+			}
+			break
+		}
 	}
 }
 

@@ -48,6 +48,10 @@ type Config struct {
 	// engine's shared packet free list and supplies the hop blocks INT
 	// stamping attaches.
 	Pool *packet.Pool
+	// Ports, when it has room, is where the port list grows: a fabric
+	// hands each switch an empty slice of one array, as long as the
+	// switch's degree, so no switch grows a list of its own.
+	Ports []*link.Port
 }
 
 // Switch is one switch instance. It implements link.Receiver.
@@ -81,11 +85,14 @@ func New(eng *sim.Engine, id packet.NodeID, cfg Config) *Switch {
 	if cfg.Alpha == 0 {
 		cfg.Alpha = 1
 	}
+	ports := cfg.Ports[:0]
+	cfg.Ports = nil
 	return &Switch{
 		id:    id,
 		eng:   eng,
 		cfg:   cfg,
 		share: buffer.NewShared(cfg.BufferBytes, cfg.Alpha),
+		ports: ports,
 	}
 }
 

@@ -31,7 +31,7 @@ func Star(cfg StarConfig) *Network {
 		cfg.HostRate = hostRate
 	}
 	n := newNetwork(cfg.HostRate, cfg.Hosts, 1, 2*cfg.Hosts, cfg.Opts)
-	si := n.addSwitch(cfg.Opts)
+	si := n.addSwitch(cfg.Opts, cfg.Hosts)
 	for i := 0; i < cfg.Hosts; i++ {
 		hi := n.addHost(cfg.Opts.Hosts)
 		n.wireHost(hi, si, cfg.HostRate, edgeDelay, cfg.Opts)
@@ -65,8 +65,8 @@ func Dumbbell(cfg DumbbellConfig) *Network {
 		cfg.BottleneckRate = 100 * units.Gbps
 	}
 	n := newNetwork(cfg.HostRate, cfg.Left+cfg.Right, 2, 2*(cfg.Left+cfg.Right+1), cfg.Opts)
-	l := n.addSwitch(cfg.Opts)
-	r := n.addSwitch(cfg.Opts)
+	l := n.addSwitch(cfg.Opts, 1+cfg.Left)
+	r := n.addSwitch(cfg.Opts, 1+cfg.Right)
 	n.wireSwitches(l, r, cfg.BottleneckRate, bottleneckDelay, cfg.Opts)
 	for i := 0; i < cfg.Left; i++ {
 		hi := n.addHost(cfg.Opts.Hosts)
@@ -155,10 +155,10 @@ func LeafSpine(cfg LeafSpineConfig) *Network {
 	leaves := make([]int, cfg.Leaves)
 	spines := make([]int, cfg.Spines)
 	for i := range leaves {
-		leaves[i] = n.addSwitch(cfg.Opts)
+		leaves[i] = n.addSwitch(cfg.Opts, cfg.ServersPerLeaf+cfg.Spines)
 	}
 	for i := range spines {
-		spines[i] = n.addSwitch(cfg.Opts)
+		spines[i] = n.addSwitch(cfg.Opts, cfg.Leaves)
 	}
 	for l := range leaves {
 		for s := 0; s < cfg.ServersPerLeaf; s++ {
@@ -207,7 +207,12 @@ func ParkingLot(cfg ParkingLotConfig) *Network {
 	n := newNetwork(parkingLotHostRate, 2*cfg.Switches, cfg.Switches, 2*(3*cfg.Switches-1), cfg.Opts)
 	sw := make([]int, cfg.Switches)
 	for i := range sw {
-		sw[i] = n.addSwitch(cfg.Opts)
+		// Two hosts each, and a link to each neighbour in the chain.
+		degree := 4
+		if i == 0 || i == len(sw)-1 {
+			degree = 3
+		}
+		sw[i] = n.addSwitch(cfg.Opts, degree)
 	}
 	for i := 0; i+1 < len(sw); i++ {
 		n.wireSwitches(sw[i], sw[i+1], cfg.LinkRate, edgeDelay, cfg.Opts)
@@ -288,13 +293,13 @@ func FatTree(cfg FatTreeConfig) *Network {
 	aggs := make([]int, nAggs)
 	cores := make([]int, cfg.Cores)
 	for i := range tors {
-		tors[i] = n.addSwitch(cfg.Opts)
+		tors[i] = n.addSwitch(cfg.Opts, cfg.ServersPerTor+cfg.AggsPerPod)
 	}
 	for i := range aggs {
-		aggs[i] = n.addSwitch(cfg.Opts)
+		aggs[i] = n.addSwitch(cfg.Opts, cfg.TorsPerPod+cfg.Cores)
 	}
 	for i := range cores {
-		cores[i] = n.addSwitch(cfg.Opts)
+		cores[i] = n.addSwitch(cfg.Opts, nAggs)
 	}
 
 	for t := 0; t < nTors; t++ {

@@ -47,3 +47,7 @@ func Mailboxes(n *Network) int {
 	}
 	return len(boxes)
 }
+
+// SpareLists returns the room for switch port lists and peer lists the
+// network reserved and never carved (addSwitch).
+func SpareLists(n *Network) (ports, peers int) { return len(n.swPorts), len(n.peers) }

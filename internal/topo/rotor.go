@@ -112,9 +112,10 @@ func RotorFabric(cfg RotorConfig) *Network {
 	}
 	n.Rotor = r
 	for range cfg.Tors {
-		n.addSwitch(cfg.Opts)
+		// Its servers, the packet core and the circuit.
+		n.addSwitch(cfg.Opts, cfg.ServersPerTor+2)
 	}
-	core := n.addSwitch(cfg.Opts)
+	core := n.addSwitch(cfg.Opts, cfg.Tors)
 	for t := range cfg.Tors {
 		for range cfg.ServersPerTor {
 			hi := n.addHost(cfg.Opts.Hosts)

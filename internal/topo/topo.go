@@ -48,8 +48,9 @@ type Options struct {
 	INT bool
 	// ECN configures RED marking (DCQCN runs).
 	ECN swtch.ECNConfig
-	// Queues builds the per-port queue discipline; nil means FIFO.
-	Queues func() queue.Queue
+	// Queues builds the queue disciplines of n switch ports at once, all
+	// a fabric's; nil means FIFO.
+	Queues func(n int) []queue.Queue
 	// Seed feeds all deterministic randomness derived from the topology.
 	Seed int64
 	// Routing selects the multipath strategy the control plane installs
@@ -67,6 +68,10 @@ type Options struct {
 	// under the same conditions as Engine: partition i runs on
 	// ShardEngines[i], and partitions beyond the slice get fresh engines.
 	ShardEngines []*sim.Engine
+	// Mailboxes are recycled psim mailboxes, under the same conditions:
+	// the i-th sync edge the fabric declares takes Mailboxes[i]
+	// (psim.Fabric.Adopt), and edges beyond the slice get fresh ones.
+	Mailboxes []psim.Mailbox
 	// Partition is the plan the fabric runs on (internal/psim): every host
 	// and switch runs on its partition's engine and packet pool, and a
 	// link whose ends land on different partitions delivers through its
@@ -115,6 +120,12 @@ type Network struct {
 	swPeers  [][]peerRef // per switch, per port: what the port points at
 	hostTor  []int       // per host: index of the switch its NIC points at
 	ports    link.Block  // every NIC and switch port, carved in wiring order
+
+	// Room for every switch's port list and peer list, carved by degree
+	// as switches are added (addSwitch).
+	swPorts []*link.Port
+	peers   []peerRef
+	queues  []queue.Queue // switch port disciplines not yet handed out (qFor)
 }
 
 type peerRef struct {
@@ -144,8 +155,10 @@ func (n *Network) HostID(i int) packet.NodeID { return n.Hosts[i].ID() }
 // newNetwork allocates the shell all builders fill in for a fabric of
 // the given host, switch and port counts: the plan's engines and pools,
 // the psim fabric (its sync edges come with the links that cross, see
-// wireSwitches), and one block for all the ports (two per link, plus any
-// one-way port). A one-shard plan's engine is the control engine.
+// wireSwitches), one block for all the ports (two per link, plus any
+// one-way port), and the lists that name them, each sized once. Every
+// port but a host's NIC is a switch's. A one-shard plan's engine is the
+// control engine.
 func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options) *Network {
 	eng := opts.Engine
 	if eng == nil {
@@ -159,6 +172,9 @@ func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options
 	n := &Network{
 		Eng: eng, HostRate: hostRate, Part: pl,
 		Engs: make([]*sim.Engine, pl.Parts), Pools: make([]*packet.Pool, pl.Parts),
+		Hosts: make([]Node, 0, hosts), Switches: make([]*swtch.Switch, 0, switches),
+		swPeers: make([][]peerRef, 0, switches), hostTor: make([]int, hosts),
+		swPorts: make([]*link.Port, ports-hosts), peers: make([]peerRef, ports-hosts),
 	}
 	if pl.Parts == 1 {
 		n.Engs[0] = eng
@@ -173,7 +189,11 @@ func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options
 	}
 	n.Pool = n.Pools[0]
 	n.ports.Reserve(ports)
+	if opts.Queues != nil {
+		n.queues = opts.Queues(ports - hosts)
+	}
 	n.PSim = psim.New(eng, n.Engs, pl.Workers)
+	n.PSim.Adopt(opts.Mailboxes)
 	return n
 }
 
@@ -202,7 +222,8 @@ func (n *Network) addHost(f HostFactory) int {
 	return len(n.Hosts) - 1
 }
 
-func (n *Network) addSwitch(opts Options) int {
+// addSwitch adds a switch that will have degree ports.
+func (n *Network) addSwitch(opts Options, degree int) int {
 	// Switch node IDs live above host IDs; they only matter for debug
 	// output since routing is table-driven.
 	id := packet.NodeID(1<<16 + len(n.Switches))
@@ -213,17 +234,36 @@ func (n *Network) addSwitch(opts Options) int {
 		ECN:   opts.ECN,
 		Seed:  opts.Seed,
 		Pool:  n.Pools[part],
+		Ports: carve(&n.swPorts, degree),
 	})
 	n.Switches = append(n.Switches, s)
-	n.swPeers = append(n.swPeers, nil)
+	n.swPeers = append(n.swPeers, carve(&n.peers, degree))
 	return len(n.Switches) - 1
 }
 
-func (n *Network) qFor(opts Options) queue.Queue {
-	if opts.Queues != nil {
-		return opts.Queues()
+// carve cuts an empty slice with room for d elements off the front of
+// *room; capped at d, it never grows into the next one's. Room that has
+// run short is made anew.
+func carve[T any](room *[]T, d int) []T {
+	if len(*room) < d {
+		*room = make([]T, d)
 	}
-	return nil
+	s := (*room)[:0:d]
+	*room = (*room)[d:]
+	return s
+}
+
+// qFor returns the next switch port's queue discipline, nil for a FIFO.
+func (n *Network) qFor(opts Options) queue.Queue {
+	if opts.Queues == nil {
+		return nil
+	}
+	if len(n.queues) == 0 {
+		n.queues = opts.Queues(1)
+	}
+	q := n.queues[0]
+	n.queues = n.queues[1:]
+	return q
 }
 
 // wireHost connects host hi and switch si bidirectionally. Host and
@@ -241,9 +281,6 @@ func (n *Network) wireHost(hi, si int, rate units.BitRate, delay sim.Duration, o
 	h.SetUplink(up)
 	s.AddPortFrom(&n.ports, rate, delay, h, n.qFor(opts))
 	n.swPeers[si] = append(n.swPeers[si], peerRef{isHost: true, idx: hi})
-	for len(n.hostTor) <= hi {
-		n.hostTor = append(n.hostTor, -1)
-	}
 	n.hostTor[hi] = si
 }
 
@@ -318,10 +355,16 @@ func (n *Network) finish(opts Options) {
 	}
 	graph := make([][]route.PortRef, len(n.Switches))
 	installers := make([]route.Installer, len(n.Switches))
+	var links int
+	for _, peers := range n.swPeers {
+		links += len(peers)
+	}
+	all := make([]route.PortRef, links)
 	for si, s := range n.Switches {
 		installers[si] = s
 		ports := s.Ports()
-		refs := make([]route.PortRef, len(n.swPeers[si]))
+		refs := all[:len(n.swPeers[si]):len(n.swPeers[si])]
+		all = all[len(refs):]
 		for pi, peer := range n.swPeers[si] {
 			refs[pi] = route.PortRef{Link: ports[pi]}
 			if peer.isHost {

@@ -422,6 +422,15 @@ func TestBuildersReserveExactPorts(t *testing.T) {
 		if spare := topo.SparePorts(net); spare != 0 {
 			t.Errorf("%s: %d ports built, %d reserved and never used", name, ports, spare)
 		}
+		// Each switch's port list fills the room its degree carved for it.
+		for si, s := range net.Switches {
+			if n, room := len(s.Ports()), cap(s.Ports()); n != room {
+				t.Errorf("%s: switch %d has %d ports in a list carved for %d", name, si, n, room)
+			}
+		}
+		if ports, peers := topo.SpareLists(net); ports != 0 || peers != 0 {
+			t.Errorf("%s: room for %d port list and %d peer list entries reserved and never carved", name, ports, peers)
+		}
 	}
 }
 

@@ -79,10 +79,18 @@ type rcvState struct {
 // NewHost creates a transport host. The NIC uplink is attached later by
 // the topology builder via SetUplink.
 func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
+	h := new(Host)
+	h.Init(eng, id, cfg)
+	return h
+}
+
+// Init makes h the host NewHost would build, in place: a fabric's hosts
+// can then come in one array, not one allocation each.
+func (h *Host) Init(eng *sim.Engine, id packet.NodeID, cfg Config) {
 	if cfg.DupAckThreshold == 0 {
 		cfg.DupAckThreshold = 3
 	}
-	return &Host{id: id, eng: eng, cfg: cfg, rto: RTO(cfg.BaseRTT)}
+	*h = Host{id: id, eng: eng, cfg: cfg, rto: RTO(cfg.BaseRTT)}
 }
 
 // ID returns the host's node ID.
@@ -193,7 +201,7 @@ func (h *Host) onData(p *packet.Packet) {
 	ack.Flow = p.Flow
 	ack.Src = h.id
 	ack.Dst = p.Src
-	ack.SetAckSeq(rs.got.CumulativeFrom(0))
+	ack.SetAckSeq(rs.got.Cumulative())
 	ack.SetEchoSent(p.SentAt())
 	ack.EchoECN = p.CE
 	// The ACK carries the INT records collected on the data path and

@@ -2,9 +2,14 @@ package transport
 
 // IntervalSet tracks received byte ranges on the receiver side and yields
 // the cumulative acknowledgment point. Ranges are half-open [start, end)
-// and kept sorted and disjoint; insertion merges neighbours.
+// of offsets from 0. The in-order prefix [0, cum) is a number; only the
+// ranges above it are spans in iv, kept sorted, disjoint and apart from
+// each other and from the prefix, so insertion merges neighbours. A
+// receiver whose data arrives in order therefore never allocates, and the
+// cumulative point is a field read.
 type IntervalSet struct {
-	iv []interval
+	cum int64
+	iv  []interval
 }
 
 type interval struct{ start, end int64 }
@@ -12,7 +17,20 @@ type interval struct{ start, end int64 }
 // Add records the range [start, end). Overlapping or adjacent ranges are
 // merged. Empty or inverted ranges are ignored.
 func (s *IntervalSet) Add(start, end int64) {
-	if end <= start {
+	if end <= start || end <= s.cum {
+		return
+	}
+	if start <= s.cum {
+		// The prefix grows, and takes in every span it now reaches.
+		s.cum = end
+		i := 0
+		for i < len(s.iv) && s.iv[i].start <= s.cum {
+			s.cum = max(s.cum, s.iv[i].end)
+			i++
+		}
+		if i > 0 {
+			s.iv = append(s.iv[:0], s.iv[i:]...)
+		}
 		return
 	}
 	// Find insertion point: first interval with iv.end >= start.
@@ -44,23 +62,13 @@ func (s *IntervalSet) Add(start, end int64) {
 	}
 }
 
-// CumulativeFrom returns the highest offset c ≥ base such that every byte
-// in [base, c) has been received.
-func (s *IntervalSet) CumulativeFrom(base int64) int64 {
-	for _, iv := range s.iv {
-		if iv.start > base {
-			break
-		}
-		if iv.end > base {
-			base = iv.end
-		}
-	}
-	return base
-}
+// Cumulative returns the highest offset c such that every byte in
+// [0, c) has been received.
+func (s *IntervalSet) Cumulative() int64 { return s.cum }
 
 // Bytes returns the total number of bytes covered.
 func (s *IntervalSet) Bytes() int64 {
-	var n int64
+	n := s.cum
 	for _, iv := range s.iv {
 		n += iv.end - iv.start
 	}

@@ -9,15 +9,15 @@ import (
 func TestIntervalBasics(t *testing.T) {
 	var s IntervalSet
 	s.Add(0, 1000)
-	if got := s.CumulativeFrom(0); got != 1000 {
+	if got := s.Cumulative(); got != 1000 {
 		t.Fatalf("cum = %d, want 1000", got)
 	}
 	s.Add(2000, 3000) // hole at [1000,2000)
-	if got := s.CumulativeFrom(0); got != 1000 {
+	if got := s.Cumulative(); got != 1000 {
 		t.Fatalf("cum with hole = %d", got)
 	}
 	s.Add(1000, 2000) // fill the hole
-	if got := s.CumulativeFrom(0); got != 3000 {
+	if got := s.Cumulative(); got != 3000 {
 		t.Fatalf("cum after fill = %d", got)
 	}
 	if s.Spans() != 1 {
@@ -74,15 +74,30 @@ func TestIntervalIgnoresEmpty(t *testing.T) {
 }
 
 // Property: against a brute-force bitmap model, IntervalSet agrees on
-// cumulative point, total bytes, and span disjointness.
+// cumulative point, total bytes, and span disjointness. Half the
+// sequences are mostly in order, as a receiver sees them: each range
+// starts where the model's prefix ends, now and then skipping ahead to
+// leave a hole or reaching back to repeat received bytes.
 func TestIntervalSetModelProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const space = 500
 		var s IntervalSet
 		model := make([]bool, space)
+		inOrder := seed%2 == 0
 		for op := 0; op < 60; op++ {
 			a := int64(rng.Intn(space))
+			if inOrder {
+				for a = 0; a < space && model[a]; a++ {
+				}
+				switch r := rng.Intn(8); {
+				case r == 0:
+					a += int64(rng.Intn(40))
+				case r == 1:
+					a -= int64(rng.Intn(40))
+				}
+				a = min(max(a, 0), space)
+			}
 			b := a + int64(rng.Intn(50))
 			if b > space {
 				b = space
@@ -97,8 +112,16 @@ func TestIntervalSetModelProperty(t *testing.T) {
 		for cum < space && model[cum] {
 			cum++
 		}
-		if s.CumulativeFrom(0) != cum {
+		if s.Cumulative() != cum {
 			return false
+		}
+		// disjointness: the spans above the prefix are sorted and apart
+		last := s.cum
+		for _, iv := range s.iv {
+			if iv.start <= last || iv.end <= iv.start {
+				return false
+			}
+			last = iv.end
 		}
 		// total bytes
 		var total int64
@@ -132,5 +155,30 @@ func TestIntervalSetModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An in-order receiver's set is a number: a fresh set taking a flow's
+// ranges in order, each starting where the last ended and some repeated,
+// never allocates.
+func TestIntervalInOrderAddsDoNotAllocate(t *testing.T) {
+	const size = 100_000
+	var spans int
+	n := testing.AllocsPerRun(100, func() {
+		var s IntervalSet
+		for off := int64(0); off < size; off += 1000 {
+			s.Add(off, off+1000)
+			s.Add(off+200, off+700) // a repeat of received bytes
+		}
+		if s.Cumulative() != size {
+			t.Fatalf("cumulative %d, want %d", s.Cumulative(), size)
+		}
+		spans = s.Spans()
+	})
+	if n != 0 {
+		t.Fatalf("a flow of in-order Adds allocated %.1f times, want 0", n)
+	}
+	if spans != 1 {
+		t.Fatalf("%d spans, want 1", spans)
 	}
 }
