@@ -119,15 +119,8 @@ type Host struct {
 	rcvdRaw   int64
 }
 
-// NewHost builds a HOMA host.
-func NewHost(eng *sim.Engine, id packet.NodeID, cfg Config) *Host {
-	h := new(Host)
-	h.Init(eng, id, cfg)
-	return h
-}
-
-// Init makes h the host NewHost would build, in place (see
-// transport.Host.Init).
+// Init makes h a HOMA host, in place: a fabric's hosts come in one
+// array, not one allocation each.
 func (h *Host) Init(eng *sim.Engine, id packet.NodeID, cfg Config) {
 	if cfg.Overcommit == 0 {
 		cfg.Overcommit = 1

@@ -19,7 +19,9 @@ func homaStar(n, overcommit int, bufPerGbps int64) *topo.Network {
 		HostRate: 25 * units.Gbps,
 		Opts: topo.Options{
 			Hosts: func(eng *sim.Engine, id packet.NodeID) topo.Node {
-				return homa.NewHost(eng, id, cfg)
+				h := new(homa.Host)
+				h.Init(eng, id, cfg)
+				return h
 			},
 			BufferPerGbps: bufPerGbps,
 			Queues:        queue.NewPrios,
@@ -128,7 +130,8 @@ func TestResendRepairsDrops(t *testing.T) {
 func TestUnschedPriorityBySize(t *testing.T) {
 	// The size→class mapping must be monotone: smaller messages get a
 	// higher-preference (numerically lower) unscheduled priority.
-	h := homa.NewHost(sim.New(), 1, homa.Config{BaseRTT: 12 * sim.Microsecond})
+	h := new(homa.Host)
+	h.Init(sim.New(), 1, homa.Config{BaseRTT: 12 * sim.Microsecond})
 	tiny := h.UnschedPriority(1_000)
 	mid := h.UnschedPriority(100_000)
 	huge := h.UnschedPriority(10 << 20)

@@ -464,7 +464,9 @@ func TestMixedHostsCannotShareFlowTable(t *testing.T) {
 		if id%2 == 0 {
 			return transport.NewHost(eng, id, transport.Config{})
 		}
-		return homa.NewHost(eng, id, homa.Config{})
+		h := new(homa.Host)
+		h.Init(eng, id, homa.Config{})
+		return h
 	}
 	topo.Star(topo.StarConfig{Hosts: 2, Opts: topo.Options{Hosts: hosts}})
 }
