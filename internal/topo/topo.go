@@ -242,12 +242,8 @@ func (n *Network) addSwitch(opts Options, degree int) int {
 }
 
 // carve cuts an empty slice with room for d elements off the front of
-// *room; capped at d, it never grows into the next one's. Room that has
-// run short is made anew.
+// *room; capped at d, it never grows into the next one's.
 func carve[T any](room *[]T, d int) []T {
-	if len(*room) < d {
-		*room = make([]T, d)
-	}
 	s := (*room)[:0:d]
 	*room = (*room)[d:]
 	return s
@@ -257,9 +253,6 @@ func carve[T any](room *[]T, d int) []T {
 func (n *Network) qFor(opts Options) queue.Queue {
 	if opts.Queues == nil {
 		return nil
-	}
-	if len(n.queues) == 0 {
-		n.queues = opts.Queues(1)
 	}
 	q := n.queues[0]
 	n.queues = n.queues[1:]
