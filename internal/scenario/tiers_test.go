@@ -55,3 +55,56 @@ func TestSpecSwitchTiers(t *testing.T) {
 		})
 	}
 }
+
+// Each of the Spec's four host-reference kinds decodes to its
+// constructor's HostRef and resolves to that host on a fat-tree; an
+// unknown kind and a flows entry without a source are rejected.
+func TestSpecHostRefs(t *testing.T) {
+	const fatTree = `{"kind":"fattree","servers_per_tor":2}` // 8 ToRs of 2 servers: 16 hosts
+	cases := []struct {
+		name, src string // src is the flows entry's source field, empty for none
+		want      HostRef
+		wantHost  int
+		wantErr   string
+	}{
+		{"host", `,"src":{"kind":"host","i":3}`, Host(3), 3, ""},
+		{"from_end", `,"src":{"kind":"from_end","i":1}`, HostFromEnd(1), 15, ""},
+		{"rack_start", `,"src":{"kind":"rack_start","rack":2}`, RackStart(2), 4, ""},
+		{"rack_host", `,"src":{"kind":"rack_host","rack":5,"i":1}`, RackHost(5, 1), 11, ""},
+		{"unknown kind", `,"src":{"kind":"pod","i":1}`, HostRef{}, 0, `unknown host reference kind "pod"`},
+		{"no src", ``, HostRef{}, 0, "host reference"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			body := fmt.Sprintf(`{"v":2,"name":"refs","seed":1,"scheme":"powertcp","horizon_us":40,"topo":%s,`+
+				`"traffic":[{"kind":"flows","flows":[{"dst":{"kind":"host"}%s,"size":10000}]}]}`, fatTree, c.src)
+			sp, err := DecodeSpec([]byte(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := sp.Build(1)
+			if err == nil && c.wantErr == "" {
+				if got := sc.Traffic[0].(Flows).List[0].Src; got != c.want {
+					t.Fatalf("decoded %+v, want %+v", got, c.want)
+				}
+			}
+			var p *Prepared
+			if err == nil {
+				p, err = Prepare(sc)
+			}
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want one naming %q", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Release()
+			if got := p.Env().Launched[0].Src; got != c.wantHost {
+				t.Fatalf("resolved to host %d, want %d", got, c.wantHost)
+			}
+		})
+	}
+}
