@@ -104,7 +104,7 @@ func (p *permutationPanel) Finalize(env *scenario.Env, res *scenario.Result) err
 	}
 
 	// Uplink spread: walk every ToR's aggregation-facing ports.
-	nTors := env.Lab.FTCfg.Racks()
+	nTors := env.Fabric.Racks
 	var used int
 	var maxB, totB uint64
 	var nUp int

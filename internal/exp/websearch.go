@@ -100,7 +100,7 @@ func (p *webSearchPanel) Install(env *scenario.Env) error {
 		return nil
 	}
 	net := env.Lab.Net
-	tors := env.Lab.FTCfg.Racks()
+	tors := env.Fabric.Racks
 	// Run metadata fixes the sample count: one sweep of every ToR per
 	// period over the generation horizon. Size the distribution once.
 	p.bufSamples.Presize((int(p.duration/webSearchPeriod) + 2) * tors)

@@ -96,18 +96,18 @@ func TestSeededViolationCaughtAndShrunk(t *testing.T) {
 		Scheme: "powertcp",
 		Topo:   scenario.TopoSpec{Kind: "leafspine", Leaves: 2, Spines: 2, ServersPerLeaf: 2},
 		Traffic: []scenario.TrafficSpec{
-			{Kind: "pulse", Receiver: &scenario.RefSpec{Kind: "host", I: 0}, FanIn: 2, FlowSize: 30_000},
+			{Kind: "pulse", Receiver: &scenario.HostRef{Kind: "host", I: 0}, FanIn: 2, FlowSize: 30_000},
 			{Kind: "flows", Flows: []scenario.FlowEntry{
-				{Src: &scenario.RefSpec{Kind: "host", I: 1}, Dst: &scenario.RefSpec{Kind: "host", I: 3}, Size: 20_000},
-				{Src: &scenario.RefSpec{Kind: "host", I: 2}, Dst: &scenario.RefSpec{Kind: "host", I: 0}, Size: 15_000, StartUS: 10},
+				{Src: &scenario.HostRef{Kind: "host", I: 1}, Dst: &scenario.HostRef{Kind: "host", I: 3}, Size: 20_000},
+				{Src: &scenario.HostRef{Kind: "host", I: 2}, Dst: &scenario.HostRef{Kind: "host", I: 0}, Size: 15_000, StartUS: 10},
 			}},
-			{Kind: "rackpairs", FromRack: &scenario.RefSpec{Kind: "rack_start", Rack: 1},
-				ToRack: &scenario.RefSpec{Kind: "rack_start", Rack: 0}, Count: 2, Size: 25_000},
+			{Kind: "rackpairs", FromRack: &scenario.HostRef{Kind: "rack_start", Rack: 1},
+				ToRack: &scenario.HostRef{Kind: "rack_start", Rack: 0}, Count: 2, Size: 25_000},
 		},
 		Events: []scenario.EventSpec{
-			{Kind: "fail", AtUS: 40, A: &scenario.SwitchRefSpec{Tier: "leaf", I: 0}, B: &scenario.SwitchRefSpec{Tier: "spine", I: 1}},
+			{Kind: "fail", AtUS: 40, A: &scenario.SwitchRef{Tier: "leaf", I: 0}, B: &scenario.SwitchRef{Tier: "spine", I: 1}},
 			{Kind: "inject", AtUS: 50, Inject: &scenario.TrafficSpec{Kind: "flows", Flows: []scenario.FlowEntry{
-				{Src: &scenario.RefSpec{Kind: "host", I: 3}, Dst: &scenario.RefSpec{Kind: "host", I: 1}, Size: 10_000},
+				{Src: &scenario.HostRef{Kind: "host", I: 3}, Dst: &scenario.HostRef{Kind: "host", I: 1}, Size: 10_000},
 			}}},
 		},
 		ReconvergeUS: 15,

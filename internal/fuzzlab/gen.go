@@ -96,16 +96,16 @@ func Generate(seed int64) scenario.Spec {
 	if f.multiRack() && !hasFluid && rng.Float64() < 0.5 {
 		h := sp.HorizonUS
 		failAt := h/5 + rng.Int63n(h/2-h/5+1)
-		var a, b scenario.SwitchRefSpec
+		var a, b scenario.SwitchRef
 		if sp.Topo.Kind == "leafspine" {
-			a = scenario.SwitchRefSpec{Tier: "leaf", I: rng.Intn(sp.Topo.Leaves)}
-			b = scenario.SwitchRefSpec{Tier: "spine", I: rng.Intn(sp.Topo.Spines)}
+			a = scenario.Leaf(rng.Intn(sp.Topo.Leaves))
+			b = scenario.Spine(rng.Intn(sp.Topo.Spines))
 		} else {
 			// A ToR wires to both aggs of its own pod (2 ToRs and 2 aggs per
 			// pod), so pick the cut among links that exist.
 			t := rng.Intn(8)
-			a = scenario.SwitchRefSpec{Tier: "tor", I: t}
-			b = scenario.SwitchRefSpec{Tier: "agg", I: (t/2)*2 + rng.Intn(2)}
+			a = scenario.Tor(t)
+			b = scenario.Agg((t/2)*2 + rng.Intn(2))
 		}
 		sp.Events = append(sp.Events, scenario.EventSpec{Kind: "fail", AtUS: failAt, A: &a, B: &b})
 		if rng.Float64() < 0.5 {
@@ -147,8 +147,8 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) scenario.Traffi
 			}
 			list = append(list, scenario.FlowEntry{
 				StartUS: rng.Int63n(horizonUS/3 + 1),
-				Src:     &scenario.RefSpec{Kind: "host", I: src},
-				Dst:     &scenario.RefSpec{Kind: "host", I: dst},
+				Src:     &scenario.HostRef{Kind: "host", I: src},
+				Dst:     &scenario.HostRef{Kind: "host", I: dst},
 				Size:    size,
 			})
 		}
@@ -157,14 +157,14 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) scenario.Traffi
 		tr := scenario.TrafficSpec{
 			Kind:     "pulse",
 			AtUS:     rng.Int63n(horizonUS/4 + 1),
-			Receiver: &scenario.RefSpec{Kind: "host", I: 0},
+			Receiver: &scenario.HostRef{Kind: "host", I: 0},
 			FanIn:    2 + rng.Intn(5),
 			FlowSize: 5000 + rng.Int63n(75001),
 		}
 		if !f.multiRack() {
 			// On a star the zero span would exclude the receiver's rack —
 			// which is every host — so name the sender pool explicitly.
-			tr.SpanFrom = &scenario.RefSpec{Kind: "host", I: 1}
+			tr.SpanFrom = &scenario.HostRef{Kind: "host", I: 1}
 		}
 		return tr
 	case "staggered":
@@ -179,8 +179,8 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) scenario.Traffi
 		}
 		return scenario.TrafficSpec{
 			Kind:        "staggered",
-			Receiver:    &scenario.RefSpec{Kind: "host", I: 0},
-			FirstSender: &scenario.RefSpec{Kind: "host", I: 1},
+			Receiver:    &scenario.HostRef{Kind: "host", I: 0},
+			FirstSender: &scenario.HostRef{Kind: "host", I: 1},
 			Count:       cnt,
 			StaggerUS:   5 + rng.Int63n(16),
 			Sizes:       sizes,
@@ -219,8 +219,8 @@ func genComponent(rng *rand.Rand, f fabricInfo, horizonUS int64) scenario.Traffi
 		}
 		return scenario.TrafficSpec{
 			Kind:     "rackpairs",
-			FromRack: &scenario.RefSpec{Kind: "rack_start", Rack: from},
-			ToRack:   &scenario.RefSpec{Kind: "rack_start", Rack: to},
+			FromRack: &scenario.HostRef{Kind: "rack_start", Rack: from},
+			ToRack:   &scenario.HostRef{Kind: "rack_start", Rack: to},
 			Count:    1 + rng.Intn(f.perRack),
 			Size:     size,
 		}

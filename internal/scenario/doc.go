@@ -12,8 +12,8 @@
 // launches every traffic component in order, schedules the timeline,
 // installs the probes, drives the engine to the horizon, and lets each
 // probe finalize its metrics. The per-figure experiments of the paper
-// (internal/exp) are thin presets returning Scenario values, so a new
-// scenario — two traffic classes under different schemes, an incast
+// (internal/exp) are thin presets that each build one Scenario value
+// and Run it, so a new scenario — two traffic classes under different schemes, an incast
 // pulse during a failover, a load step mid-run — is a value, not a new
 // runner file. This mirrors how NS-2 (whose scheduler lineage
 // internal/sim follows, see PERF.md) gets its scenario diversity from a

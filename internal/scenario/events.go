@@ -85,18 +85,17 @@ func (e InjectTraffic) apply(env *Env, links *[]route.LinkEvent) error {
 }
 
 func (env *Env) resolveLink(a, b SwitchRef) (int, int, error) {
-	res, ok := env.Scenario.Topology.(switchResolver)
-	if !ok {
-		// Only RotorTopology has no switch references, on purpose: its
-		// timeline rewrites the ToR tables every slot, and a link event's
+	if env.Lab.Net.Rotor != nil {
+		// The rotor has no switch references, on purpose: its timeline
+		// rewrites the ToR tables every slot, and a link event's
 		// Router.Rebuild would write the same tables.
 		return 0, 0, fmt.Errorf("scenario: link events are not supported on %T (the rotor timeline and the control plane's rebuild would both write the ToR tables)", env.Scenario.Topology)
 	}
-	ai, err := res.resolveSwitch(a, env)
+	ai, err := env.resolveSwitch(a)
 	if err != nil {
 		return 0, 0, err
 	}
-	bi, err := res.resolveSwitch(b, env)
+	bi, err := env.resolveSwitch(b)
 	if err != nil {
 		return 0, 0, err
 	}

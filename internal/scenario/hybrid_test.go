@@ -24,9 +24,9 @@ const hybridFCTTolerance = 0.10
 // sizes from workload CDFs that never produce these exact values).
 func hybridForeground() []FlowEntry {
 	return []FlowEntry{
-		{StartUS: 20, Src: &RefSpec{Kind: "host", I: 1}, Dst: &RefSpec{Kind: "host", I: 13}, Size: 123_451},
-		{StartUS: 60, Src: &RefSpec{Kind: "host", I: 6}, Dst: &RefSpec{Kind: "host", I: 10}, Size: 61_211},
-		{StartUS: 120, Src: &RefSpec{Kind: "host", I: 2}, Dst: &RefSpec{Kind: "host", I: 14}, Size: 30_603},
+		{StartUS: 20, Src: &HostRef{Kind: "host", I: 1}, Dst: &HostRef{Kind: "host", I: 13}, Size: 123_451},
+		{StartUS: 60, Src: &HostRef{Kind: "host", I: 6}, Dst: &HostRef{Kind: "host", I: 10}, Size: 61_211},
+		{StartUS: 120, Src: &HostRef{Kind: "host", I: 2}, Dst: &HostRef{Kind: "host", I: 14}, Size: 30_603},
 	}
 }
 
@@ -44,7 +44,7 @@ func hybridCalibrationSpecs() []Spec {
 			}, HorizonUS: 500},
 		{Name: "rackpairs-hpcc", Seed: 12, Scheme: "hpcc", Topo: topo,
 			Traffic: []TrafficSpec{
-				{Kind: "rackpairs", FromRack: &RefSpec{Kind: "rack_start", Rack: 2}, ToRack: &RefSpec{Kind: "rack_start", Rack: 3}, Count: 2, Size: 60_000, Fidelity: "fluid"},
+				{Kind: "rackpairs", FromRack: &HostRef{Kind: "rack_start", Rack: 2}, ToRack: &HostRef{Kind: "rack_start", Rack: 3}, Count: 2, Size: 60_000, Fidelity: "fluid"},
 				{Kind: "flows", Flows: hybridForeground()},
 			}, HorizonUS: 500},
 		{Name: "poisson-timely", Seed: 21, Scheme: "timely", Topo: topo,

@@ -48,9 +48,14 @@ type keyedRecord struct {
 type Lab struct {
 	Scheme  Scheme
 	Net     *topo.Network
-	FTCfg   topo.FatTreeConfig
 	LSCfg   topo.LeafSpineConfig
 	Records []FlowRecord
+
+	// fabric names the fabric in errors, and tiers are the switch runs
+	// a SwitchRef can name on it by role (Env.resolveSwitch): none on a
+	// star or a rotor.
+	fabric string
+	tiers  []switchTier
 
 	started int
 	scratch *runScratch

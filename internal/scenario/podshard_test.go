@@ -236,7 +236,7 @@ func TestPodShardBoundary(t *testing.T) {
 // were sharded at all (the golden was recorded at the parent of that
 // change).
 func TestFluidRunsOnPodShards(t *testing.T) {
-	host := func(i int) *scenario.RefSpec { return &scenario.RefSpec{Kind: "host", I: i} }
+	host := func(i int) *scenario.HostRef { return &scenario.HostRef{Kind: "host", I: i} }
 	sp := scenario.Spec{
 		Name: "fluid-fattree512", Seed: 11, Scheme: "powertcp",
 		Topo: scenario.TopoSpec{Kind: "fattree", ServersPerTor: 64},

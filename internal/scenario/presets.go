@@ -31,7 +31,7 @@ func SpecPresets() []Spec {
 			Scheme: "powertcp",
 			Topo:   TopoSpec{Kind: "leafspine", Leaves: 4, Spines: 2, ServersPerLeaf: 4},
 			Traffic: []TrafficSpec{
-				{Kind: "rackpairs", FromRack: &RefSpec{Kind: "host", I: 0}, ToRack: &RefSpec{Kind: "host", I: 2}, Count: 4, Size: 200_000},
+				{Kind: "rackpairs", FromRack: &HostRef{Kind: "host", I: 0}, ToRack: &HostRef{Kind: "host", I: 2}, Count: 4, Size: 200_000},
 			},
 			HorizonUS: 400,
 		},
@@ -42,11 +42,11 @@ func SpecPresets() []Spec {
 			Scheme: "powertcp",
 			Topo:   TopoSpec{Kind: "leafspine", Leaves: 2, Spines: 2, ServersPerLeaf: 4},
 			Traffic: []TrafficSpec{
-				{Kind: "rackpairs", FromRack: &RefSpec{Kind: "host", I: 0}, ToRack: &RefSpec{Kind: "host", I: 1}, Count: 4, Size: -1},
+				{Kind: "rackpairs", FromRack: &HostRef{Kind: "host", I: 0}, ToRack: &HostRef{Kind: "host", I: 1}, Count: 4, Size: -1},
 			},
 			Events: []EventSpec{
-				{Kind: "fail", AtUS: 100, A: &SwitchRefSpec{Tier: "leaf", I: 0}, B: &SwitchRefSpec{Tier: "spine", I: 0}},
-				{Kind: "restore", AtUS: 250, A: &SwitchRefSpec{Tier: "leaf", I: 0}, B: &SwitchRefSpec{Tier: "spine", I: 0}},
+				{Kind: "fail", AtUS: 100, A: &SwitchRef{Tier: "leaf", I: 0}, B: &SwitchRef{Tier: "spine", I: 0}},
+				{Kind: "restore", AtUS: 250, A: &SwitchRef{Tier: "leaf", I: 0}, B: &SwitchRef{Tier: "spine", I: 0}},
 			},
 			ReconvergeUS: 20,
 			HorizonUS:    400,
@@ -58,7 +58,7 @@ func SpecPresets() []Spec {
 			Scheme: "powertcp",
 			Topo:   TopoSpec{Kind: "star", Hosts: 8},
 			Traffic: []TrafficSpec{
-				{Kind: "staggered", Receiver: &RefSpec{Kind: "from_end", I: 1}, FirstSender: &RefSpec{Kind: "host", I: 0}, Count: 4, StaggerUS: 50, Sizes: []int64{-1, -1, -1, -1}},
+				{Kind: "staggered", Receiver: &HostRef{Kind: "from_end", I: 1}, FirstSender: &HostRef{Kind: "host", I: 0}, Count: 4, StaggerUS: 50, Sizes: []int64{-1, -1, -1, -1}},
 			},
 			HorizonUS: 500,
 		},
@@ -74,8 +74,8 @@ func SpecPresets() []Spec {
 			Traffic: []TrafficSpec{
 				{Kind: "poisson", Load: 0.4, GenHorizonUS: 300, Fidelity: "fluid"},
 				{Kind: "flows", Flows: []FlowEntry{
-					{Src: &RefSpec{Kind: "host", I: 0}, Dst: &RefSpec{Kind: "host", I: 12}, Size: 120_000},
-					{StartUS: 50, Src: &RefSpec{Kind: "host", I: 5}, Dst: &RefSpec{Kind: "host", I: 9}, Size: 60_000},
+					{Src: &HostRef{Kind: "host", I: 0}, Dst: &HostRef{Kind: "host", I: 12}, Size: 120_000},
+					{StartUS: 50, Src: &HostRef{Kind: "host", I: 5}, Dst: &HostRef{Kind: "host", I: 9}, Size: 60_000},
 				}},
 			},
 			HorizonUS: 400,
@@ -87,7 +87,7 @@ func SpecPresets() []Spec {
 			Scheme: "powertcp",
 			Topo:   TopoSpec{Kind: "fattree", ServersPerTor: 2},
 			Traffic: []TrafficSpec{
-				{Kind: "pulse", AtUS: 10, Receiver: &RefSpec{Kind: "host", I: 0}, FanIn: 8, FlowSize: 100_000},
+				{Kind: "pulse", AtUS: 10, Receiver: &HostRef{Kind: "host", I: 0}, FanIn: 8, FlowSize: 100_000},
 			},
 			HorizonUS: 400,
 		},

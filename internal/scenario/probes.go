@@ -19,52 +19,24 @@ type Probe interface {
 	Finalize(env *Env, res *Result) error
 }
 
-// until resolves a probe's sampling end: 0 means the run horizon.
-func (env *Env) until(d sim.Duration) sim.Time {
-	if d > 0 {
-		return sim.Time(d)
-	}
-	return env.Horizon
-}
-
-// GoodputProbe samples the aggregate receive rate of a host set and
-// emits it as a time series plus a mean-goodput scalar.
+// GoodputProbe samples the aggregate receive rate of every host to the
+// horizon and emits it as the goodput_gbps time series plus its mean,
+// goodput_gbps_avg.
 type GoodputProbe struct {
-	// Name labels the series ("goodput_gbps" when empty) and prefixes
-	// the scalar.
-	Name string
-	// Receivers restricts the sampled hosts (nil means every host).
-	Receivers []HostRef
-	Period    sim.Duration
-	// Until bounds sampling; 0 samples to the horizon.
-	Until sim.Duration
+	Period sim.Duration
 
-	hosts []int
-	t     []sim.Time
-	gbps  []float64
+	t    []sim.Time
+	gbps []float64
 }
 
 func (p *GoodputProbe) Install(env *Env) error {
 	if p.Period <= 0 {
 		return fmt.Errorf("scenario: goodput probe needs a sampling Period")
 	}
-	if p.Receivers == nil {
-		for i := 0; i < env.Fabric.Hosts; i++ {
-			p.hosts = append(p.hosts, i)
-		}
-	} else {
-		for _, r := range p.Receivers {
-			i, err := r.Resolve(env.Fabric)
-			if err != nil {
-				return err
-			}
-			p.hosts = append(p.hosts, i)
-		}
-	}
 	var last int64
-	SampleEvery(env.Eng(), p.Period, env.until(p.Until), func(now sim.Time) {
+	SampleEvery(env.Eng(), p.Period, env.Horizon, func(now sim.Time) {
 		var cur int64
-		for _, h := range p.hosts {
+		for h := range env.Fabric.Hosts {
 			cur += env.Lab.ReceivedTotal(h)
 		}
 		p.t = append(p.t, now)
@@ -75,30 +47,23 @@ func (p *GoodputProbe) Install(env *Env) error {
 }
 
 func (p *GoodputProbe) Finalize(env *Env, res *Result) error {
-	name := p.Name
-	if name == "" {
-		name = "goodput_gbps"
-	}
 	var sum float64
 	for _, g := range p.gbps {
 		sum += g
 	}
 	if n := len(p.gbps); n > 0 {
-		res.SetScalar(name+"_avg", sum/float64(n))
+		res.SetScalar("goodput_gbps_avg", sum/float64(n))
 	}
-	res.AddSeries(TimeSeries(name, p.t, p.gbps))
+	res.AddSeries(TimeSeries("goodput_gbps", p.t, p.gbps))
 	return nil
 }
 
-// QueueProbe samples one switch egress queue and emits its depth as a
-// time series plus a peak scalar.
+// QueueProbe samples one switch egress queue to the horizon and emits its
+// depth as the queue_kb time series plus its peak, queue_kb_peak.
 type QueueProbe struct {
-	// Name labels the series ("queue_kb" when empty).
-	Name   string
 	Switch SwitchRef
 	Port   int
 	Period sim.Duration
-	Until  sim.Duration
 
 	t  []sim.Time
 	kb []float64
@@ -108,11 +73,10 @@ func (p *QueueProbe) Install(env *Env) error {
 	if p.Period <= 0 {
 		return fmt.Errorf("scenario: queue probe needs a sampling Period")
 	}
-	resolver, ok := env.Scenario.Topology.(switchResolver)
-	if !ok {
+	if env.Lab.Net.Rotor != nil {
 		return fmt.Errorf("scenario: queue probe needs a topology with switch references (%T has none)", env.Scenario.Topology)
 	}
-	si, err := resolver.resolveSwitch(p.Switch, env)
+	si, err := env.resolveSwitch(p.Switch)
 	if err != nil {
 		return err
 	}
@@ -124,7 +88,7 @@ func (p *QueueProbe) Install(env *Env) error {
 		return fmt.Errorf("scenario: queue probe port %d out of range (switch %d has %d ports)", p.Port, si, len(ports))
 	}
 	port := ports[p.Port]
-	SampleEvery(env.Eng(), p.Period, env.until(p.Until), func(now sim.Time) {
+	SampleEvery(env.Eng(), p.Period, env.Horizon, func(now sim.Time) {
 		p.t = append(p.t, now)
 		p.kb = append(p.kb, float64(port.QueueBytes())/1024)
 	})
@@ -132,18 +96,14 @@ func (p *QueueProbe) Install(env *Env) error {
 }
 
 func (p *QueueProbe) Finalize(env *Env, res *Result) error {
-	name := p.Name
-	if name == "" {
-		name = "queue_kb"
-	}
 	var peak float64
 	for _, q := range p.kb {
 		if q > peak {
 			peak = q
 		}
 	}
-	res.SetScalar(name+"_peak", peak)
-	res.AddSeries(TimeSeries(name, p.t, p.kb))
+	res.SetScalar("queue_kb_peak", peak)
+	res.AddSeries(TimeSeries("queue_kb", p.t, p.kb))
 	return nil
 }
 

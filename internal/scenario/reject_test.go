@@ -94,6 +94,10 @@ func TestRunRejectsMalformedScenarios(t *testing.T) {
 			sc.Traffic = []Traffic{IncastPulse{Receiver: Host(0), FanIn: 4, FlowSize: 1000,
 				Senders: Span{From: Host(2), To: Host(2)}}}
 		}, "no eligible senders"},
+		{"span to without from", func(sc *Scenario) {
+			sc.Traffic = []Traffic{IncastPulse{Receiver: Host(0), FanIn: 2, FlowSize: 1000,
+				Senders: Span{To: Host(3)}}}
+		}, "Senders.To is set without Senders.From"},
 		{"zero fan-in", func(sc *Scenario) {
 			sc.Traffic = []Traffic{IncastPulse{Receiver: Host(0), FanIn: 0, FlowSize: 1000}}
 		}, "FanIn"},
@@ -194,6 +198,8 @@ func TestSpecJSONRejectsOutOfDomainValues(t *testing.T) {
 		{"negative request fan-in", `{"kind":"requests","request_rate":20000,"request_size":20000,"fan_in":-4,"gen_horizon_us":100}`, "FanIn ≥ 1, got -4"},
 		{"negative requests start", `{"kind":"requests","request_rate":20000,"request_size":20000,"fan_in":4,"at_us":-5,"gen_horizon_us":100}`, "Start -5"},
 		{"negative rack-pair count", `{"kind":"rackpairs","from_rack":{"kind":"rack_start"},"to_rack":{"kind":"rack_start","rack":1},"count":-1}`, "Count -1 "},
+		{"span_to without span_from", `{"kind":"pulse","receiver":{"kind":"host"},"fan_in":2,"flow_size":1000,"span_to":{"kind":"host","i":9}}`, "Senders.To is set without Senders.From"},
+		{"span_from without kind", `{"kind":"pulse","receiver":{"kind":"host"},"fan_in":2,"flow_size":1000,"span_from":{"i":3}}`, "unset host reference"},
 		{"negative stagger", `{"kind":"staggered","receiver":{"kind":"host"},"first_sender":{"kind":"host","i":1},"count":2,"stagger_us":-5,"sizes":[1000]}`, "Stagger -5"},
 		{"negative staggered size", `{"kind":"staggered","receiver":{"kind":"host"},"first_sender":{"kind":"host","i":1},"count":2,"sizes":[1000,-7]}`, "size -7"},
 	}

@@ -61,62 +61,57 @@ type Fabric struct {
 const Unbounded int64 = -1
 
 // HostRef names a host relative to the fabric, so traffic components
-// stay valid across topology scales. The zero HostRef is unset — it
-// does not name host 0 — so forgetting a selector errors instead of
-// silently targeting the first host, and optional references (Span.To)
-// can tell "absent" from Host(0).
+// stay valid across topology scales. It is its own wire form: Kind is
+// "host", "from_end", "rack_start" or "rack_host", and the constructors
+// marshal as {"kind":"host","i":3}, {"kind":"from_end","i":1},
+// {"kind":"rack_start","rack":2} and {"kind":"rack_host","rack":5,"i":1}.
+// The zero HostRef is unset — it does not name host 0 — so forgetting a
+// selector errors instead of silently targeting the first host, and
+// optional references (Span.To) can tell "absent" from Host(0).
 type HostRef struct {
-	kind refKind
-	rack int
-	i    int
+	Kind string `json:"kind"`
+	Rack int    `json:"rack,omitempty"`
+	I    int    `json:"i,omitempty"`
 }
 
-type refKind int
-
-const (
-	refUnset refKind = iota
-	refIndex
-	refFromEnd
-	refRackStart
-	refRackHost
-)
-
-// isSet reports whether the reference names anything.
-func (h HostRef) isSet() bool { return h.kind != refUnset }
-
 // Host references host i (absolute index).
-func Host(i int) HostRef { return HostRef{kind: refIndex, i: i} }
+func Host(i int) HostRef { return HostRef{Kind: "host", I: i} }
 
 // HostFromEnd references the i-th host from the end (1 = last host).
-func HostFromEnd(i int) HostRef { return HostRef{kind: refFromEnd, i: i} }
+func HostFromEnd(i int) HostRef { return HostRef{Kind: "from_end", I: i} }
 
 // RackStart references the first host of rack r.
-func RackStart(r int) HostRef { return HostRef{kind: refRackStart, rack: r} }
+func RackStart(r int) HostRef { return HostRef{Kind: "rack_start", Rack: r} }
 
 // RackHost references host i of rack r.
-func RackHost(r, i int) HostRef { return HostRef{kind: refRackHost, rack: r, i: i} }
+func RackHost(r, i int) HostRef { return HostRef{Kind: "rack_host", Rack: r, I: i} }
 
 // Resolve returns the absolute host index of the reference. Rack-based
 // references are bounds-checked against their own rack, so RackHost(0,
 // perRack) errors instead of silently naming the first host of rack 1.
 func (h HostRef) Resolve(f Fabric) (int, error) {
 	var idx int
-	switch h.kind {
-	case refUnset:
+	switch h.Kind {
+	case "":
 		return 0, fmt.Errorf("scenario: unset host reference (use Host/HostFromEnd/RackStart/RackHost)")
-	case refIndex:
-		idx = h.i
-	case refFromEnd:
-		idx = f.Hosts - h.i
-	case refRackStart, refRackHost:
-		if h.rack < 0 || h.rack >= f.Racks {
-			return 0, fmt.Errorf("scenario: host reference names rack %d, fabric has %d racks", h.rack, f.Racks)
+	case "host":
+		idx = h.I
+	case "from_end":
+		idx = f.Hosts - h.I
+	case "rack_start", "rack_host":
+		if h.Rack < 0 || h.Rack >= f.Racks {
+			return 0, fmt.Errorf("scenario: host reference names rack %d, fabric has %d racks", h.Rack, f.Racks)
 		}
-		if h.kind == refRackHost && (h.i < 0 || h.i >= f.HostsPerRack) {
-			return 0, fmt.Errorf("scenario: host reference names host %d of rack %d, racks hold %d hosts",
-				h.i, h.rack, f.HostsPerRack)
+		idx = h.Rack * f.HostsPerRack
+		if h.Kind == "rack_host" {
+			if h.I < 0 || h.I >= f.HostsPerRack {
+				return 0, fmt.Errorf("scenario: host reference names host %d of rack %d, racks hold %d hosts",
+					h.I, h.Rack, f.HostsPerRack)
+			}
+			idx += h.I
 		}
-		idx = h.rack*f.HostsPerRack + h.i
+	default:
+		return 0, fmt.Errorf("scenario: unknown host reference kind %q", h.Kind)
 	}
 	if idx < 0 || idx >= f.Hosts {
 		return 0, fmt.Errorf("scenario: host reference resolves to %d, fabric has %d hosts", idx, f.Hosts)
@@ -126,47 +121,71 @@ func (h HostRef) Resolve(f Fabric) (int, error) {
 
 // Span is a half-open host range [From, To). An unset To (the zero
 // HostRef) means end-of-hosts; an unset From makes the whole Span
-// absent.
+// absent, and a To without a From is an error.
 type Span struct {
 	From, To HostRef
 }
 
 // SwitchRef names a switch by its topology role, resolved against the
-// concrete topology (Leaf/Spine for leaf-spine, Tor/Agg/Core for
-// fat-tree, SwitchIndex anywhere).
+// concrete fabric's switch tiers: Leaf/Spine on a leaf-spine, Tor/Agg/Core
+// on a fat-tree, SwitchIndex anywhere. It is its own wire form, Tier being
+// "leaf", "spine", "tor", "agg", "core" or "index": Leaf(0) marshals as
+// {"tier":"leaf","i":0}. The zero SwitchRef is unset and names no switch.
 type SwitchRef struct {
-	kind switchKind
-	i    int
+	Tier string `json:"tier"`
+	I    int    `json:"i"`
 }
 
-type switchKind int
-
-const (
-	swIndex switchKind = iota
-	swLeaf
-	swSpine
-	swTor
-	swAgg
-	swCore
-)
-
 // SwitchIndex references switch i of the built network directly.
-func SwitchIndex(i int) SwitchRef { return SwitchRef{kind: swIndex, i: i} }
+func SwitchIndex(i int) SwitchRef { return SwitchRef{Tier: "index", I: i} }
 
 // Leaf references leaf switch i of a leaf-spine fabric.
-func Leaf(i int) SwitchRef { return SwitchRef{kind: swLeaf, i: i} }
+func Leaf(i int) SwitchRef { return SwitchRef{Tier: "leaf", I: i} }
 
 // Spine references spine switch i of a leaf-spine fabric.
-func Spine(i int) SwitchRef { return SwitchRef{kind: swSpine, i: i} }
+func Spine(i int) SwitchRef { return SwitchRef{Tier: "spine", I: i} }
 
 // Tor references ToR switch i of a fat-tree.
-func Tor(i int) SwitchRef { return SwitchRef{kind: swTor, i: i} }
+func Tor(i int) SwitchRef { return SwitchRef{Tier: "tor", I: i} }
 
 // Agg references aggregation switch i of a fat-tree.
-func Agg(i int) SwitchRef { return SwitchRef{kind: swAgg, i: i} }
+func Agg(i int) SwitchRef { return SwitchRef{Tier: "agg", I: i} }
 
 // Core references core switch i of a fat-tree.
-func Core(i int) SwitchRef { return SwitchRef{kind: swCore, i: i} }
+func Core(i int) SwitchRef { return SwitchRef{Tier: "core", I: i} }
+
+// switchTier is a run of a fabric's switches one SwitchRef tier names:
+// switches [first, first+count) of the built network. label is the word
+// the tier's errors use.
+type switchTier struct {
+	name, label  string
+	first, count int
+}
+
+// resolveSwitch returns the network index of the switch ref names, from
+// the tiers the fabric's build recorded on the lab. An "index" reference
+// passes through as given: callers bound-check every index against the
+// network.
+func (env *Env) resolveSwitch(ref SwitchRef) (int, error) {
+	switch ref.Tier {
+	case "":
+		return 0, fmt.Errorf("scenario: unset switch reference (use SwitchIndex/Leaf/Spine/Tor/Agg/Core)")
+	case "index":
+		return ref.I, nil
+	case "leaf", "spine", "tor", "agg", "core":
+	default:
+		return 0, fmt.Errorf("scenario: unknown switch tier %q", ref.Tier)
+	}
+	for _, t := range env.Lab.tiers {
+		if t.name == ref.Tier {
+			if ref.I < 0 || ref.I >= t.count {
+				return 0, fmt.Errorf("scenario: %s switch %d out of range (fabric has %d)", t.label, ref.I, t.count)
+			}
+			return t.first + ref.I, nil
+		}
+	}
+	return 0, fmt.Errorf("scenario: %s switch reference not valid on a %s", ref.Tier, env.Lab.fabric)
+}
 
 // Topology describes the fabric axis of a Scenario. Implementations
 // build the network and fill the Env's fabric metadata.
@@ -197,6 +216,7 @@ func (t StarTopology) build(env *Env) error {
 		func(o topo.Options) *topo.Network {
 			return topo.Star(topo.StarConfig{Hosts: t.Hosts, Opts: o})
 		})
+	env.Lab.fabric = "star"
 	env.Fabric = Fabric{
 		Hosts:         t.Hosts,
 		Racks:         1,
@@ -204,13 +224,6 @@ func (t StarTopology) build(env *Env) error {
 		UnboundedSize: env.Lab.UnboundedSize(),
 	}
 	return nil
-}
-
-func (t StarTopology) resolveSwitch(ref SwitchRef, env *Env) (int, error) {
-	if ref.kind != swIndex || ref.i != 0 {
-		return 0, fmt.Errorf("scenario: star topology has a single switch; use SwitchIndex(0)")
-	}
-	return 0, nil
 }
 
 // FatTreeTopology is the paper's §4.1 oversubscribed fat-tree scaled by
@@ -318,50 +331,18 @@ func (t FatTreeTopology) build(env *Env) error {
 			cfg.Opts = o
 			return topo.FatTree(cfg)
 		})
-	env.Lab.FTCfg = cfg
-	racks := cfg.Racks()
+	racks, aggs := cfg.Racks(), cfg.Pods*cfg.AggsPerPod
+	env.Lab.fabric, env.Lab.tiers = "fat-tree", []switchTier{
+		{"tor", "ToR", 0, racks},
+		{"agg", "aggregation", racks, aggs},
+		{"core", "core", racks + aggs, cfg.Cores},
+	}
 	env.Fabric = Fabric{
 		Hosts:            racks * spt,
 		Racks:            racks,
 		HostsPerRack:     spt,
 		UplinkCapPerRack: units.BitRate(cfg.AggsPerPod) * cfg.FabricRate,
 		UnboundedSize:    env.Lab.UnboundedSize(),
-	}
-	return nil
-}
-
-func (t FatTreeTopology) resolveSwitch(ref SwitchRef, env *Env) (int, error) {
-	cfg := env.Lab.FTCfg
-	nTors := cfg.Racks()
-	nAggs := cfg.Pods * cfg.AggsPerPod
-	switch ref.kind {
-	case swIndex:
-		return ref.i, nil
-	case swTor:
-		if err := tierCheck("ToR", ref.i, nTors); err != nil {
-			return 0, err
-		}
-		return ref.i, nil
-	case swAgg:
-		if err := tierCheck("aggregation", ref.i, nAggs); err != nil {
-			return 0, err
-		}
-		return nTors + ref.i, nil
-	case swCore:
-		if err := tierCheck("core", ref.i, cfg.Cores); err != nil {
-			return 0, err
-		}
-		return nTors + nAggs + ref.i, nil
-	}
-	return 0, fmt.Errorf("scenario: switch reference not valid on a fat-tree (use Tor/Agg/Core/SwitchIndex)")
-}
-
-// tierCheck bounds a role-based switch reference to its tier, so an
-// overflowing index errors instead of silently naming a switch of the
-// next tier.
-func tierCheck(tier string, i, n int) error {
-	if i < 0 || i >= n {
-		return fmt.Errorf("scenario: %s switch %d out of range (fabric has %d)", tier, i, n)
 	}
 	return nil
 }
@@ -419,6 +400,10 @@ func (t LeafSpineTopology) build(env *Env) error {
 			return topo.LeafSpine(cfg)
 		})
 	env.Lab.LSCfg = ls
+	env.Lab.fabric, env.Lab.tiers = "leaf-spine", []switchTier{
+		{"leaf", "leaf", ls.LeafSwitch(0), ls.Leaves},
+		{"spine", "spine", ls.SpineSwitch(0), ls.Spines},
+	}
 	var uplink units.BitRate
 	for sp := 0; sp < ls.Spines; sp++ {
 		uplink += ls.SpineRate(sp)
@@ -431,25 +416,6 @@ func (t LeafSpineTopology) build(env *Env) error {
 		UnboundedSize:    env.Lab.UnboundedSize(),
 	}
 	return nil
-}
-
-func (t LeafSpineTopology) resolveSwitch(ref SwitchRef, env *Env) (int, error) {
-	ls := env.Lab.LSCfg
-	switch ref.kind {
-	case swIndex:
-		return ref.i, nil
-	case swLeaf:
-		if err := tierCheck("leaf", ref.i, ls.Leaves); err != nil {
-			return 0, err
-		}
-		return ls.LeafSwitch(ref.i), nil
-	case swSpine:
-		if err := tierCheck("spine", ref.i, ls.Spines); err != nil {
-			return 0, err
-		}
-		return ls.SpineSwitch(ref.i), nil
-	}
-	return 0, fmt.Errorf("scenario: switch reference not valid on a leaf-spine (use Leaf/Spine/SwitchIndex)")
 }
 
 // RotorTopology is the reconfigurable DCN of §5: Tors racks (default
@@ -511,12 +477,6 @@ func (t RotorTopology) build(env *Env) error {
 		UnboundedSize: env.Lab.UnboundedSize(),
 	}
 	return nil
-}
-
-// switchResolver is implemented by topologies whose switches events can
-// reference.
-type switchResolver interface {
-	resolveSwitch(ref SwitchRef, env *Env) (int, error)
 }
 
 // LaunchedFlow records one launched transfer: the generated flow plus

@@ -11,7 +11,9 @@ import (
 // the pinned corpus stores them, and the powersimd service accepts them
 // as request bodies; Build compiles one into a fresh Scenario
 // (scenarios are single-use), so one Spec can be run repeatedly and at
-// different partition counts.
+// different partition counts. Host and switch references are the
+// Scenario's own HostRef and SwitchRef, held by pointer: an absent one
+// is the unset value, which the run refuses where it must resolve it.
 //
 // The JSON encoding is canonical and versioned — see MarshalCanonical,
 // DecodeSpec, and SpecKey in canonical.go. V carries the encoding
@@ -47,64 +49,11 @@ type TopoSpec struct {
 	Routing string `json:"routing,omitempty"`
 }
 
-// RefSpec is the serializable form of HostRef.
-type RefSpec struct {
-	// Kind is "host", "from_end", "rack_start", or "rack_host".
-	Kind string `json:"kind"`
-	Rack int    `json:"rack,omitempty"`
-	I    int    `json:"i,omitempty"`
-}
-
-func (r *RefSpec) toRef() (HostRef, error) {
-	if r == nil {
-		return HostRef{}, fmt.Errorf("scenario: missing host reference")
-	}
-	switch r.Kind {
-	case "host":
-		return Host(r.I), nil
-	case "from_end":
-		return HostFromEnd(r.I), nil
-	case "rack_start":
-		return RackStart(r.Rack), nil
-	case "rack_host":
-		return RackHost(r.Rack, r.I), nil
-	}
-	return HostRef{}, fmt.Errorf("scenario: unknown host reference kind %q", r.Kind)
-}
-
-// SwitchRefSpec is the serializable form of SwitchRef.
-type SwitchRefSpec struct {
-	// Tier is "leaf", "spine", "tor", "agg", "core", or "index".
-	Tier string `json:"tier"`
-	I    int    `json:"i"`
-}
-
-func (r *SwitchRefSpec) toRef() (SwitchRef, error) {
-	if r == nil {
-		return SwitchRef{}, fmt.Errorf("scenario: missing switch reference")
-	}
-	switch r.Tier {
-	case "leaf":
-		return Leaf(r.I), nil
-	case "spine":
-		return Spine(r.I), nil
-	case "tor":
-		return Tor(r.I), nil
-	case "agg":
-		return Agg(r.I), nil
-	case "core":
-		return Core(r.I), nil
-	case "index":
-		return SwitchIndex(r.I), nil
-	}
-	return SwitchRef{}, fmt.Errorf("scenario: unknown switch tier %q", r.Tier)
-}
-
 // FlowEntry is one explicit transfer of a "flows" component.
 type FlowEntry struct {
 	StartUS int64    `json:"start_us,omitempty"`
-	Src     *RefSpec `json:"src"`
-	Dst     *RefSpec `json:"dst"`
+	Src     *HostRef `json:"src"`
+	Dst     *HostRef `json:"dst"`
 	// Size in bytes; -1 means Unbounded.
 	Size int64 `json:"size"`
 }
@@ -127,13 +76,13 @@ type TrafficSpec struct {
 	Flows []FlowEntry `json:"flows,omitempty"`
 
 	AtUS     int64    `json:"at_us,omitempty"`
-	Receiver *RefSpec `json:"receiver,omitempty"`
+	Receiver *HostRef `json:"receiver,omitempty"`
 	FanIn    int      `json:"fan_in,omitempty"`
 	FlowSize int64    `json:"flow_size,omitempty"`
-	SpanFrom *RefSpec `json:"span_from,omitempty"`
-	SpanTo   *RefSpec `json:"span_to,omitempty"`
+	SpanFrom *HostRef `json:"span_from,omitempty"`
+	SpanTo   *HostRef `json:"span_to,omitempty"`
 
-	FirstSender *RefSpec `json:"first_sender,omitempty"`
+	FirstSender *HostRef `json:"first_sender,omitempty"`
 	Count       int      `json:"count,omitempty"`
 	StaggerUS   int64    `json:"stagger_us,omitempty"`
 	Sizes       []int64  `json:"sizes,omitempty"`
@@ -144,8 +93,8 @@ type TrafficSpec struct {
 	// GenHorizonUS bounds open-loop trace generation (poisson, requests).
 	GenHorizonUS int64 `json:"gen_horizon_us,omitempty"`
 
-	FromRack *RefSpec `json:"from_rack,omitempty"`
-	ToRack   *RefSpec `json:"to_rack,omitempty"`
+	FromRack *HostRef `json:"from_rack,omitempty"`
+	ToRack   *HostRef `json:"to_rack,omitempty"`
 	Size     int64    `json:"size,omitempty"`
 
 	SeedOffset int64 `json:"seed_offset,omitempty"`
@@ -154,10 +103,10 @@ type TrafficSpec struct {
 // EventSpec is one timeline entry.
 type EventSpec struct {
 	// Kind is "fail", "restore", or "inject".
-	Kind string         `json:"kind"`
-	AtUS int64          `json:"at_us"`
-	A    *SwitchRefSpec `json:"a,omitempty"`
-	B    *SwitchRefSpec `json:"b,omitempty"`
+	Kind string     `json:"kind"`
+	AtUS int64      `json:"at_us"`
+	A    *SwitchRef `json:"a,omitempty"`
+	B    *SwitchRef `json:"b,omitempty"`
 	// Inject carries the injected component for Kind "inject".
 	Inject *TrafficSpec `json:"inject,omitempty"`
 }
@@ -213,56 +162,35 @@ func (s *Spec) buildTopology(parts int) (Topology, error) {
 	return nil, fmt.Errorf("scenario: unknown topology kind %q", s.Topo.Kind)
 }
 
+// deref reads a Spec's optional reference: nil is the unset value, which
+// resolution refuses by name.
+func deref[R HostRef | SwitchRef](r *R) R {
+	if r == nil {
+		var unset R
+		return unset
+	}
+	return *r
+}
+
 func (t *TrafficSpec) build() (Traffic, error) {
 	var built Traffic
 	switch t.Kind {
 	case "flows":
 		list := make([]FlowSpec, 0, len(t.Flows))
 		for _, fe := range t.Flows {
-			src, err := fe.Src.toRef()
-			if err != nil {
-				return nil, err
-			}
-			dst, err := fe.Dst.toRef()
-			if err != nil {
-				return nil, err
-			}
 			list = append(list, FlowSpec{
-				Start: sim.Time(us(fe.StartUS)), Src: src, Dst: dst, Size: fe.Size,
+				Start: sim.Time(us(fe.StartUS)), Src: deref(fe.Src), Dst: deref(fe.Dst), Size: fe.Size,
 			})
 		}
 		built = Flows{List: list}
 	case "pulse":
-		rx, err := t.Receiver.toRef()
-		if err != nil {
-			return nil, err
-		}
-		var span Span
-		if t.SpanFrom != nil {
-			if span.From, err = t.SpanFrom.toRef(); err != nil {
-				return nil, err
-			}
-		}
-		if t.SpanTo != nil {
-			if span.To, err = t.SpanTo.toRef(); err != nil {
-				return nil, err
-			}
-		}
 		built = IncastPulse{
-			At: us(t.AtUS), Receiver: rx, FanIn: t.FanIn,
-			FlowSize: t.FlowSize, Senders: span,
+			At: us(t.AtUS), Receiver: deref(t.Receiver), FanIn: t.FanIn,
+			FlowSize: t.FlowSize, Senders: Span{From: deref(t.SpanFrom), To: deref(t.SpanTo)},
 		}
 	case "staggered":
-		rx, err := t.Receiver.toRef()
-		if err != nil {
-			return nil, err
-		}
-		first, err := t.FirstSender.toRef()
-		if err != nil {
-			return nil, err
-		}
 		built = Staggered{
-			Receiver: rx, FirstSender: first, Count: t.Count,
+			Receiver: deref(t.Receiver), FirstSender: deref(t.FirstSender), Count: t.Count,
 			Stagger: us(t.StaggerUS), Sizes: t.Sizes,
 		}
 	case "poisson":
@@ -279,15 +207,7 @@ func (t *TrafficSpec) build() (Traffic, error) {
 	case "permutation":
 		built = Permutation{SeedOffset: t.SeedOffset}
 	case "rackpairs":
-		from, err := t.FromRack.toRef()
-		if err != nil {
-			return nil, err
-		}
-		to, err := t.ToRack.toRef()
-		if err != nil {
-			return nil, err
-		}
-		built = RackPairs{FromRack: from, ToRack: to, Count: t.Count, Size: t.Size}
+		built = RackPairs{FromRack: deref(t.FromRack), ToRack: deref(t.ToRack), Count: t.Count, Size: t.Size}
 	default:
 		return nil, fmt.Errorf("scenario: unknown traffic kind %q", t.Kind)
 	}
@@ -306,19 +226,10 @@ func (t *TrafficSpec) build() (Traffic, error) {
 
 func (e *EventSpec) build() (Event, error) {
 	switch e.Kind {
-	case "fail", "restore":
-		a, err := e.A.toRef()
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.B.toRef()
-		if err != nil {
-			return nil, err
-		}
-		if e.Kind == "fail" {
-			return LinkFail{At: us(e.AtUS), A: a, B: b}, nil
-		}
-		return LinkRestore{At: us(e.AtUS), A: a, B: b}, nil
+	case "fail":
+		return LinkFail{At: us(e.AtUS), A: deref(e.A), B: deref(e.B)}, nil
+	case "restore":
+		return LinkRestore{At: us(e.AtUS), A: deref(e.A), B: deref(e.B)}, nil
 	case "inject":
 		if e.Inject == nil {
 			return nil, fmt.Errorf("scenario: inject event carries no traffic component")

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -27,6 +28,7 @@ func TestSpecSwitchTiers(t *testing.T) {
 		{"index", fatTree, `{"tier":"index","i":0}`, `{"tier":"index","i":8}`, SwitchIndex(0), SwitchIndex(8), ""},
 		{"unknown tier", leafSpine, `{"tier":"pod","i":0}`, `{"tier":"spine","i":0}`, SwitchRef{}, SwitchRef{}, `unknown switch tier "pod"`},
 		{"wrong fabric", leafSpine, `{"tier":"tor","i":0}`, `{"tier":"spine","i":0}`, SwitchRef{}, SwitchRef{}, "not valid on a leaf-spine"},
+		{"unset", leafSpine, `null`, `{"tier":"spine","i":0}`, SwitchRef{}, SwitchRef{}, "unset switch reference"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,9 +59,25 @@ func TestSpecSwitchTiers(t *testing.T) {
 }
 
 // Each of the Spec's four host-reference kinds decodes to its
-// constructor's HostRef and resolves to that host on a fat-tree; an
-// unknown kind and a flows entry without a source are rejected.
+// constructor's HostRef and resolves to that host on a fat-tree; each
+// constructor marshals to the bytes HostRef documents; an unknown kind
+// and a flows entry without a source are rejected.
 func TestSpecHostRefs(t *testing.T) {
+	for _, c := range []struct {
+		ref  HostRef
+		want string
+	}{
+		{Host(0), `{"kind":"host"}`},
+		{Host(3), `{"kind":"host","i":3}`},
+		{HostFromEnd(1), `{"kind":"from_end","i":1}`},
+		{RackStart(2), `{"kind":"rack_start","rack":2}`},
+		{RackHost(5, 1), `{"kind":"rack_host","rack":5,"i":1}`},
+	} {
+		if got, err := json.Marshal(c.ref); err != nil || string(got) != c.want {
+			t.Errorf("json.Marshal(%+v) = %s, %v; want %s", c.ref, got, err, c.want)
+		}
+	}
+
 	const fatTree = `{"kind":"fattree","servers_per_tor":2}` // 8 ToRs of 2 servers: 16 hosts
 	cases := []struct {
 		name, src string // src is the flows entry's source field, empty for none
@@ -72,7 +90,7 @@ func TestSpecHostRefs(t *testing.T) {
 		{"rack_start", `,"src":{"kind":"rack_start","rack":2}`, RackStart(2), 4, ""},
 		{"rack_host", `,"src":{"kind":"rack_host","rack":5,"i":1}`, RackHost(5, 1), 11, ""},
 		{"unknown kind", `,"src":{"kind":"pod","i":1}`, HostRef{}, 0, `unknown host reference kind "pod"`},
-		{"no src", ``, HostRef{}, 0, "host reference"},
+		{"no src", ``, HostRef{}, 0, "unset host reference"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -70,15 +70,17 @@ func (t IncastPulse) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 	}
 	from, to := 0, f.Hosts
 	skipRack := -1
-	if t.Senders.From.isSet() {
+	if t.Senders.From != (HostRef{}) {
 		if from, err = t.Senders.From.Resolve(f); err != nil {
 			return nil, err
 		}
-		if t.Senders.To.isSet() {
+		if t.Senders.To != (HostRef{}) {
 			if to, err = t.Senders.To.Resolve(f); err != nil {
 				return nil, err
 			}
 		}
+	} else if t.Senders.To != (HostRef{}) {
+		return nil, fmt.Errorf("scenario: incast pulse Senders.To is set without Senders.From")
 	} else if f.HostsPerRack > 0 {
 		skipRack = rx / f.HostsPerRack
 	}
@@ -149,14 +151,12 @@ func (t Staggered) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 	return out, nil
 }
 
-// PoissonLoad offers the web-search-style open-loop Poisson process at a
-// target rack-uplink load (§4.1): sources uniform over all hosts,
-// destinations uniform over other racks.
+// PoissonLoad offers the web-search open-loop Poisson process at a
+// target rack-uplink load (§4.1): flow sizes from the web-search CDF,
+// sources uniform over all hosts, destinations uniform over other racks.
 type PoissonLoad struct {
 	// Load is the offered load on the rack uplinks, within (0, 1].
 	Load float64
-	// Dist samples flow sizes; nil means the web-search distribution.
-	Dist workload.SizeDist
 	// Start shifts the whole trace (load steps); flows arrive in
 	// [Start, Start+Horizon).
 	Start sim.Duration
@@ -180,16 +180,12 @@ func (t PoissonLoad) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 	if t.Start < 0 {
 		return nil, fmt.Errorf("scenario: Poisson load Start %v is negative", t.Start)
 	}
-	dist := t.Dist
-	if dist == nil {
-		dist = workload.WebSearch()
-	}
 	gen := &workload.Poisson{
 		Load:             t.Load,
 		UplinkCapPerRack: f.UplinkCapPerRack,
 		Racks:            f.Racks,
 		HostsPerRack:     f.HostsPerRack,
-		Dist:             dist,
+		Dist:             workload.WebSearch(),
 		Seed:             seed + t.SeedOffset,
 	}
 	flows := gen.Generate(t.Horizon)
@@ -271,8 +267,8 @@ func (t Permutation) generate(f Fabric, seed int64) ([]workload.Flow, error) {
 // asymmetry and failover scenarios. Count 0 pairs the whole rack; a
 // negative Count or one larger than the rack is an error.
 type RackPairs struct {
-	FromRack HostRef // resolved as the first host of the source rack
-	ToRack   HostRef // resolved as the first host of the destination rack
+	FromRack HostRef // the first source host, usually RackStart of the source rack
+	ToRack   HostRef // the first destination host, usually RackStart of the destination rack
 	Count    int
 	Size     int64 // bytes per flow; 0 means Unbounded
 }
