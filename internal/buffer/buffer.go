@@ -21,11 +21,6 @@ type Shared struct {
 	used int64
 }
 
-// NewShared returns a DT-managed pool of total bytes with factor alpha.
-func NewShared(total int64, alpha float64) *Shared {
-	return &Shared{Total: total, Alpha: alpha}
-}
-
 // Used returns the bytes currently occupied across all queues.
 func (s *Shared) Used() int64 { return s.used }
 

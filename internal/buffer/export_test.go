@@ -7,3 +7,9 @@ func (s *Shared) Free() int64 {
 	}
 	return s.Total - s.used
 }
+
+// NewShared returns a DT-managed pool of total bytes with factor alpha.
+// A switch keeps its pool as a field (swtch.Switch.Init).
+func NewShared(total int64, alpha float64) *Shared {
+	return &Shared{Total: total, Alpha: alpha}
+}

@@ -174,3 +174,32 @@ func TestDCQCNAlphaDecays(t *testing.T) {
 	}
 	d.Stop()
 }
+
+// lender lends one array's storage and counts the loans.
+type lender struct {
+	room [telemetry.PathHopCap]telemetry.HopRecord
+	lent int
+}
+
+func (l *lender) HopRoom() []telemetry.HopRecord { l.lent++; return l.room[:0] }
+
+// A law's first snapshot takes its storage from the ACK's lender, and
+// later ones copy into it in place; with no lender the copy goes to the
+// heap.
+func TestSnapshotTakesLentRoom(t *testing.T) {
+	var l lender
+	hops := []telemetry.HopRecord{hop(1, 100, 1), hop(2, 200, 2)}
+	a := Ack{Hops: hops, Room: &l}
+	prev := a.Snapshot(nil)
+	if l.lent != 1 || &prev[0] != &l.room[0] || prev[1] != hops[1] {
+		t.Fatalf("first snapshot: %d loans, %v", l.lent, prev)
+	}
+	a.Hops = []telemetry.HopRecord{hop(3, 300, 3)}
+	if prev = a.Snapshot(prev); l.lent != 1 || &prev[0] != &l.room[0] || len(prev) != 1 || prev[0] != a.Hops[0] {
+		t.Fatalf("second snapshot: %d loans, %v", l.lent, prev)
+	}
+	plain := Ack{Hops: hops}
+	if own := plain.Snapshot(nil); len(own) != 2 || &own[0] == &hops[0] || own[0] != hops[0] {
+		t.Fatalf("unlent snapshot = %v", own)
+	}
+}

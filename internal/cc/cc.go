@@ -38,6 +38,25 @@ type Ack struct {
 	RTT        sim.Duration          // sample measured from the echoed timestamp
 	ECNEcho    bool                  // acknowledged packet had CE set
 	Hops       []telemetry.HopRecord // INT stack collected round-trip
+	// Room, when set, lends a law that keeps a copy of Hops past the call
+	// (its INT snapshot) storage for it; nil leaves the copy to the heap.
+	Room Lender
+}
+
+// Lender lends storage for a copy of an INT stack: an empty slice with
+// room for a round trip's records, which lives as long as the run's
+// packet memory (packet.Pool.HopRoom).
+type Lender interface {
+	HopRoom() []telemetry.HopRecord
+}
+
+// Snapshot returns a copy of a.Hops in prev's storage; a law's first
+// snapshot, with prev nil, takes its storage from a.Room.
+func (a *Ack) Snapshot(prev []telemetry.HopRecord) []telemetry.HopRecord {
+	if prev == nil && a.Room != nil {
+		prev = a.Room.HopRoom()
+	}
+	return append(prev[:0], a.Hops...)
 }
 
 // Algorithm is a congestion-control law. Implementations are per-flow and

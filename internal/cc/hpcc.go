@@ -87,12 +87,12 @@ func (h *HPCC) OnAck(a Ack) {
 		return
 	}
 	if !h.havePrev || len(h.prev) != len(a.Hops) {
-		h.prev = append(h.prev[:0], a.Hops...)
+		h.prev = a.Snapshot(h.prev)
 		h.havePrev = true
 		return
 	}
 	uNew, dt, ok := h.measure(a.Hops)
-	h.prev = append(h.prev[:0], a.Hops...)
+	h.prev = a.Snapshot(h.prev)
 	if !ok {
 		return
 	}

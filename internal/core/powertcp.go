@@ -127,13 +127,13 @@ func (p *PowerTCP) OnAck(a cc.Ack) {
 		return // no INT this path; nothing to react to
 	}
 	if !p.havePrev || len(p.prev) != len(a.Hops) {
-		p.prev = append(p.prev[:0], a.Hops...)
+		p.prev = a.Snapshot(p.prev)
 		p.havePrev = true
 		return
 	}
 	norm, dt, ok := p.normPower(a.Hops)
 	// prevInt = ack.H (line 7): always roll the reference forward.
-	p.prev = append(p.prev[:0], a.Hops...)
+	p.prev = a.Snapshot(p.prev)
 	if !ok {
 		return
 	}

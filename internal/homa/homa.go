@@ -128,6 +128,21 @@ func (h *Host) Init(eng *sim.Engine, id packet.NodeID, cfg Config) {
 	*h = Host{id: id, eng: eng, cfg: cfg, resendAfter: transport.RTO(cfg.BaseRTT)}
 }
 
+// liveRoom is how many incomplete messages a receiver given room by
+// LiveRoom holds before its live list grows on its own.
+const liveRoom = 4
+
+// LiveRoom gives each of hosts, after Init, a live-message list with
+// room for liveRoom messages, carved from one array, so a fabric's
+// receivers allocate no list of their own until one holds more
+// incomplete messages at once.
+func LiveRoom(hosts []Host) {
+	room := make([]*recvMsg, len(hosts)*liveRoom)
+	for i := range hosts {
+		hosts[i].live = room[i*liveRoom : i*liveRoom : (i+1)*liveRoom]
+	}
+}
+
 // ID implements topo.Node.
 func (h *Host) ID() packet.NodeID { return h.id }
 

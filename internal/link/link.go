@@ -143,12 +143,9 @@ type Block struct{ free []Port }
 // blockLen is how many ports an exhausted block grows by.
 const blockLen = 64
 
-// Reserve makes room for n more ports in one array.
-func (b *Block) Reserve(n int) {
-	if n > len(b.free) {
-		b.free = make([]Port, n)
-	}
-}
+// Use hands the block room, an array of zeroed ports, to carve from
+// next; past its end the block grows on its own.
+func (b *Block) Use(room []Port) { b.free = room }
 
 // Spare returns how many ports the block holds room for and has not
 // handed out.

@@ -245,6 +245,20 @@ func (pl *Pool) Put(p *Packet) {
 	pl.pkts.put(p)
 }
 
+// HopRoom returns an empty slice with room for a round trip's INT
+// records, carved like a round-trip block, for a holder that keeps a
+// copy of a stack past its packet (a control law's snapshot, see
+// cc.Lender). The block is never Put: it goes back with its slab when
+// the run's memory is handed on (Drain), so a warm run's snapshots cost
+// no allocation. Nil under a nil pool or with pooling disabled, where
+// the holder's copy goes to the heap.
+func (pl *Pool) HopRoom() []telemetry.HopRecord {
+	if pl == nil || !poolingEnabled.Load() {
+		return nil
+	}
+	return pl.trips.take()[:0]
+}
+
 // Stats reports pool traffic: total Gets, how many of them had to be
 // served from freshly allocated memory (neither the free list nor an
 // adopted slab), and total Puts. Benchmarks use it to report
@@ -258,9 +272,10 @@ func (pl *Pool) Stats() (gets, news, puts uint64) {
 
 // HopStats is Stats for hop blocks of both sizes: blocks attached (a
 // first block at a packet's first stamp, a round-trip block at its
-// fifth), how many of those were served from freshly allocated memory,
-// and blocks returned (by Put, or by the move into a round-trip block).
-// Attached minus returned is the blocks packets hold.
+// fifth or lent by HopRoom), how many of those were served from freshly
+// allocated memory, and blocks returned (by Put, or by the move into a
+// round-trip block). Attached minus returned is the blocks packets and
+// snapshots hold.
 func (pl *Pool) HopStats() (gets, news, puts uint64) {
 	if pl == nil {
 		return 0, 0, 0

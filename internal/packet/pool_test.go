@@ -452,6 +452,38 @@ func TestPoolEdges(t *testing.T) {
 	}
 }
 
+// HopRoom lends a round-trip block, counted as attached and never
+// returned, which Drain hands on with its slab like any other: a pool
+// that adopted it lends it again without allocating. A nil or disabled
+// pool lends nothing.
+func TestHopRoomLendsRoundTripBlock(t *testing.T) {
+	pl := NewPool()
+	room := pl.HopRoom()
+	if len(room) != 0 || cap(room) != telemetry.PathHopCap {
+		t.Fatalf("room has length %d and capacity %d, want 0 and %d", len(room), cap(room), telemetry.PathHopCap)
+	}
+	if gets, news, puts := pl.HopStats(); gets != 1 || news != 1 || puts != 0 {
+		t.Fatalf("lending counted %d/%d/%d, want 1 attached, 1 new, 0 returned", gets, news, puts)
+	}
+	next := NewPool()
+	next.Adopt(pl.Drain())
+	if again := next.HopRoom(); &again[:1][0] != &room[:1][0] {
+		t.Fatal("the adopting pool lent another block")
+	}
+	if _, news, _ := next.HopStats(); news != 0 {
+		t.Fatalf("the adopting pool allocated %d blocks", news)
+	}
+	var nilPool *Pool
+	if nilPool.HopRoom() != nil {
+		t.Fatal("a nil pool lent room")
+	}
+	SetPooling(false)
+	defer SetPooling(true)
+	if NewPool().HopRoom() != nil {
+		t.Fatal("a disabled pool lent room")
+	}
+}
+
 // TestSteadyStateAllocatesNothing: Get/stamp/Put round trips, and
 // carving packets and blocks out of adopted slabs with the adopted free
 // lists filling behind them, are allocation-free.

@@ -53,11 +53,13 @@ type PortRef struct {
 // Attach comes once, before any Install: it hands over the fabric's
 // Addressing and the switch's own edge ordinal (-1 for a switch with no
 // hosts), which fix the table's indexes (Addressing.Index) and its
-// length (Addressing.TableLen). Install sets entry i to a candidate port
-// list; ports belongs to the router and is valid only during the call,
-// so the installer copies what it keeps. *swtch.Switch implements it.
+// length (Addressing.TableLen), and the table itself, zeroed and that
+// long, carved with every other switch's from one array. Install sets
+// entry i to a candidate port list; ports belongs to the router and is
+// valid only during the call, so the installer copies what it keeps.
+// *swtch.Switch implements it.
 type Installer interface {
-	Attach(a *Addressing, own int)
+	Attach(a *Addressing, own int, table []uint32)
 	Install(i int, ports []int)
 }
 
@@ -339,8 +341,15 @@ func NewRouter(eng *sim.Engine, graph [][]PortRef, installers []Installer, strat
 			r.addr.edges = append(r.addr.edges, edge{sw: si, lo: lo, hi: hi})
 		}
 	}
+	var entries int
+	for si := range installers {
+		entries += r.addr.TableLen(own[si])
+	}
+	tables := make([]uint32, entries)
 	for si, in := range installers {
-		in.Attach(&r.addr, own[si])
+		n := r.addr.TableLen(own[si])
+		in.Attach(&r.addr, own[si], tables[:n:n])
+		tables = tables[n:]
 	}
 	r.Rebuild()
 	return r

@@ -105,7 +105,7 @@ type tableStub struct {
 
 func newTableStub() *tableStub { return &tableStub{entries: map[int][]int{}} }
 
-func (ts *tableStub) Attach(a *Addressing, own int) { ts.addr, ts.own = a, own }
+func (ts *tableStub) Attach(a *Addressing, own int, _ []uint32) { ts.addr, ts.own = a, own }
 
 func (ts *tableStub) Install(i int, ports []int) {
 	if i < 0 || i >= ts.addr.TableLen(ts.own) {
@@ -296,8 +296,8 @@ func TestMultiHomedHostPanics(t *testing.T) {
 // nopInstaller takes tables and keeps nothing.
 type nopInstaller struct{}
 
-func (nopInstaller) Attach(*Addressing, int) {}
-func (nopInstaller) Install(int, []int)      {}
+func (nopInstaller) Attach(*Addressing, int, []uint32) {}
+func (nopInstaller) Install(int, []int)                {}
 
 // An address packs the edge ordinal and the slot in 16 bits each: a
 // fabric wider than that is refused at build, by name, rather than

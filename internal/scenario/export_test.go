@@ -6,6 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"unsafe"
+
+	"repro/internal/packet"
+	"repro/internal/units"
 )
 
 // PodShardHosts is the size from which a fat-tree is built on its pod
@@ -59,4 +64,71 @@ func SpecKeyOracle(sp *Spec, seed int64, parts int) (string, error) {
 	binary.BigEndian.PutUint64(tail[8:], uint64(parts))
 	h.Write(tail[:])
 	return fmt.Sprintf("%x", h.Sum(nil)), nil
+}
+
+// keptArrays lists, by name, every array the scratch keeps for the next
+// lab, each over its whole capacity: the fabric's (topo.Memory keeps them
+// unexported; reflect may look), each transport's hosts, and each block
+// of each transport's flow table, spares included.
+func keptArrays(sc *runScratch) map[string]reflect.Value {
+	whole := func(v reflect.Value) reflect.Value { return v.Slice(0, v.Cap()) }
+	out := map[string]reflect.Value{
+		"hosts":     whole(reflect.ValueOf(sc.hosts)),
+		"homaHosts": whole(reflect.ValueOf(sc.homaHosts)),
+	}
+	fab := reflect.ValueOf(&sc.fabric).Elem()
+	for i := range fab.NumField() {
+		out["fabric."+fab.Type().Field(i).Name] = whole(fab.Field(i))
+	}
+	for name, t := range map[string]packet.Table{"flows": sc.flows, "homaFlows": sc.homaFlows} {
+		if t == nil {
+			continue
+		}
+		blocks := reflect.ValueOf(t).Elem().FieldByName("blocks")
+		for j := range blocks.Len() {
+			out[fmt.Sprintf("%s.block[%d]", name, j)] = blocks.Index(j).Elem()
+		}
+	}
+	return out
+}
+
+// nonZero returns the names of the kept arrays that hold a non-zero
+// element.
+func nonZero(kept map[string]reflect.Value) []string {
+	var out []string
+	for name, v := range kept {
+		for j := range v.Len() {
+			if !v.Index(j).IsZero() {
+				out = append(out, fmt.Sprintf("%s[%d]", name, j))
+				break
+			}
+		}
+	}
+	return out
+}
+
+// arrayAt is where an array lives and how many elements it holds.
+type arrayAt struct {
+	at  uintptr
+	len int
+}
+
+// whereKept returns where each kept array lives.
+func whereKept(kept map[string]reflect.Value) map[string]arrayAt {
+	out := map[string]arrayAt{}
+	for name, v := range kept {
+		at := arrayAt{len: v.Len()}
+		if v.Len() > 0 {
+			at.at = v.Index(0).UnsafeAddr()
+		}
+		out[name] = at
+	}
+	return out
+}
+
+// lastKeptPortRate points at the Rate of the last port the scratch's
+// fabric memory keeps, for a test to mark a port no smaller lab carves.
+func lastKeptPortRate(sc *runScratch) *units.BitRate {
+	ports := keptArrays(sc)["fabric.ports"]
+	return (*units.BitRate)(unsafe.Pointer(ports.Index(ports.Len() - 1).FieldByName("Rate").UnsafeAddr()))
 }

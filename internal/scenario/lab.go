@@ -68,29 +68,36 @@ type Lab struct {
 
 // newLab builds a lab of any shape: it claims a recycled scratch, hands
 // build the switch/buffer options every lab shares — with the scratch's
-// warmed engines and mailboxes (if any) and scheme-appropriate hosts
-// configured by host, whose BaseRTT is the fabric's maximum RTT (the
-// paper's τ) — and wires the collectors onto the network build returns.
+// warmed engines, mailboxes and fabric arrays (if any) and
+// scheme-appropriate hosts configured by host, whose BaseRTT is the
+// fabric's maximum RTT (the paper's τ) — and wires the collectors onto
+// the network build returns.
 // The scheme's DTAlpha (composed via the Alpha scheme option) overrides
 // the Dynamic Thresholds factor; 0 keeps the default α=1. build adds
 // what is the fabric's own (a partition plan, the rotor's INT and buffer
-// rules). The fabric has hosts hosts, carved from one array.
+// rules). The fabric has hosts hosts, carved from the scratch's array of
+// its transport's hosts.
 func newLab(scheme Scheme, seed int64, routing route.Strategy, host transport.Config, hosts int, build func(topo.Options) *topo.Network) *Lab {
-	l := &Lab{Scheme: scheme, scratch: getScratch()}
+	sc := getScratch()
+	l := &Lab{Scheme: scheme, scratch: sc}
 	var node topo.HostFactory
+	var flows packet.Table
+	var homaHosts []homa.Host
 	if scheme.IsHoma() {
 		cfg := homa.Config{BaseRTT: host.BaseRTT, Overcommit: scheme.Overcommit}
-		all := make([]homa.Host, hosts)
+		all := carveHosts(&sc.homaHosts, hosts)
 		node = func(eng *sim.Engine, id packet.NodeID) topo.Node {
 			all[id].Init(eng, id, cfg)
 			return &all[id]
 		}
+		flows, homaHosts = sc.homaFlows, all
 	} else {
-		all := make([]transport.Host, hosts)
+		all := carveHosts(&sc.hosts, hosts)
 		node = func(eng *sim.Engine, id packet.NodeID) topo.Node {
 			all[id].Init(eng, id, host)
 			return &all[id]
 		}
+		flows = sc.flows
 	}
 	l.Net = build(topo.Options{
 		BufferPerGbps: topo.TofinoBufferPerGbps,
@@ -103,10 +110,24 @@ func newLab(scheme Scheme, seed int64, routing route.Strategy, host transport.Co
 		Engine:        l.scratch.eng,
 		ShardEngines:  l.scratch.engs,
 		Mailboxes:     l.scratch.boxes,
+		Memory:        &l.scratch.fabric,
+		Flows:         flows,
 		Hosts:         node,
 	})
+	if homaHosts != nil {
+		homa.LiveRoom(homaHosts)
+	}
 	l.wireCollectors()
 	return l
+}
+
+// carveHosts returns n zeroed hosts from the front of the scratch's
+// array *kept, which a larger fabric replaces with one of its exact size.
+func carveHosts[H any](kept *[]H, n int) []H {
+	if len(*kept) < n {
+		*kept = make([]H, n)
+	}
+	return (*kept)[:n:n]
 }
 
 // wireCollectors attaches completion callbacks on every host and moves

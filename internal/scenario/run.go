@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -333,6 +334,7 @@ func (env *Env) launchComponent(wrapped Traffic, shift sim.Duration) error {
 		laws = env.Scheme.Alg(len(flows))
 	}
 	spt := env.Fabric.HostsPerRack
+	env.Launched = slices.Grow(env.Launched, len(flows))
 	for i, f := range flows {
 		launch := f
 		if launch.Size == Unbounded {

@@ -9,6 +9,8 @@ import (
 	"repro/internal/psim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
+	"repro/internal/units"
 )
 
 // cutShort is a 16-host fat-tree under permutation traffic stopped at
@@ -377,5 +379,103 @@ func TestHopBlocksFollowStamps(t *testing.T) {
 		if p.hopNews >= p.news {
 			t.Errorf("parts=%d: %d blocks carved for %d packets carved, want fewer", parts, p.hopNews, p.news)
 		}
+	}
+}
+
+// freshPass runs the scenario on a scratch no lab has used: it discards
+// the scratches earlier tests released until the pool makes a new one.
+func freshPass(t *testing.T, sc Scenario) scratchPass {
+	t.Helper()
+	for try := 0; try < 40; try++ {
+		for len(getScratch().slabs) > 0 { // discard what earlier tests released
+		}
+		if p := runScratchPass(t, sc); p.cold {
+			return p
+		}
+	}
+	t.Fatal("never ran on a fresh scratch")
+	return scratchPass{}
+}
+
+// A scratch keeps the arrays a fabric is carved from, and a lab of any
+// shape may run on it. Four passes on one scratch — a four-shard
+// fat-tree, a smaller leaf-spine, a two-host star, the fat-tree again —
+// each give the Result a fresh scratch gives, and each Release leaves
+// every kept array all zero. The smaller labs carve from the fat-tree's
+// arrays, and Release clears only what a lab used: a mark past the star's
+// hosts and ports survives it. So the second fat-tree pass finds every
+// array where the first left it, the ports and the flow table's blocks
+// too, and allocates none.
+func TestScratchArraysAcrossShapes(t *testing.T) {
+	leafSpine := Scenario{
+		Name: "leaf-spine", Scheme: mustScheme(PowerTCP), Seed: 3,
+		Topology: LeafSpineTopology{Leaves: 2, Spines: 2, ServersPerLeaf: 4},
+		Traffic:  []Traffic{Permutation{}},
+		Probes:   []Probe{AccountingProbe{}},
+		Until:    30 * sim.Microsecond,
+	}
+	star := Scenario{
+		Name: "park", Scheme: mustScheme(PowerTCP),
+		Topology: StarTopology{Hosts: 2}, Until: sim.Nanosecond,
+	}
+	shapes := []Scenario{cutShort(4), leafSpine, star, cutShort(4)}
+	want := make([][]byte, len(shapes))
+	for i, sc := range shapes[:3] {
+		want[i] = freshPass(t, sc).envelope
+	}
+	want[3] = want[0]
+try:
+	for try := 0; ; try++ {
+		if try == 40 {
+			t.Fatal("the scratch never survived four passes") // see warmPair
+		}
+		var s *runScratch
+		var first map[string]arrayAt
+		for i, sc := range shapes {
+			var mark *units.BitRate
+			if i == 2 {
+				// Past the star's two hosts and four ports.
+				mark = lastKeptPortRate(s)
+				*mark = 1
+				s.hosts[len(s.hosts)-1].OnFlowDone = func(transport.Completion) {}
+			}
+			p := runScratchPass(t, sc)
+			if mark != nil {
+				survived := *mark == 1 && s.hosts[len(s.hosts)-1].OnFlowDone != nil
+				*mark, s.hosts[len(s.hosts)-1].OnFlowDone = 0, nil
+				if p.scratch == s && !survived {
+					t.Fatal("the star lab's Release cleared a port or host past the ones it used")
+				}
+			}
+			if i > 0 && p.scratch != s {
+				continue try
+			}
+			s = p.scratch
+			if !bytes.Equal(p.envelope, want[i]) {
+				t.Fatalf("pass %d (%s): Result differs from a fresh scratch's", i+1, sc.Name)
+			}
+			kept := keptArrays(s)
+			if dirty := nonZero(kept); len(dirty) > 0 {
+				t.Fatalf("pass %d (%s): after Release the scratch keeps non-zero %v", i+1, sc.Name, dirty)
+			}
+			switch i {
+			case 0:
+				first = whereKept(kept)
+				if first["fabric.ports"].len == 0 || first["flows.block[1]"].len == 0 {
+					t.Fatalf("pass 1 kept %v; the scenario tests nothing", first)
+				}
+			case 3:
+				got := whereKept(kept)
+				for name := range got {
+					if got[name] != first[name] {
+						t.Errorf("the second fat-tree pass left %s at %v, the first at %v; want the same array", name, got[name], first[name])
+					}
+				}
+				if len(got) != len(first) {
+					t.Errorf("the second fat-tree pass left %d arrays, the first %d", len(got), len(first))
+				}
+			}
+		}
+		return
 	}
 }

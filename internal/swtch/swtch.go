@@ -48,10 +48,14 @@ type Config struct {
 	// engine's shared packet free list and supplies the hop blocks INT
 	// stamping attaches.
 	Pool *packet.Pool
-	// Ports, when it has room, is where the port list grows: a fabric
-	// hands each switch an empty slice of one array, as long as the
-	// switch's degree, so no switch grows a list of its own.
-	Ports []*link.Port
+	// Ports, Groups and Store, when they have room, are where the port
+	// list, the distinct candidate lists and those lists' ports grow: a
+	// fabric hands each switch empty slices of three arrays, with room
+	// for one, one and two a port of the switch's degree, so no switch
+	// grows a list of its own.
+	Ports  []*link.Port
+	Groups [][]int
+	Store  []int
 }
 
 // Switch is one switch instance. It implements link.Receiver.
@@ -59,7 +63,7 @@ type Switch struct {
 	id    packet.NodeID
 	eng   *sim.Engine
 	cfg   Config
-	share *buffer.Shared
+	share buffer.Shared
 	ports []*link.Port
 	rng   *rand.Rand // marking RNG, built by the first probabilistic mark
 
@@ -82,22 +86,32 @@ type Switch struct {
 
 // New creates a switch.
 func New(eng *sim.Engine, id packet.NodeID, cfg Config) *Switch {
+	s := new(Switch)
+	s.Init(eng, id, cfg)
+	return s
+}
+
+// Init makes s the switch New would build, in place: a fabric's switches
+// can then come in one array, not one allocation each.
+func (s *Switch) Init(eng *sim.Engine, id packet.NodeID, cfg Config) {
 	if cfg.Alpha == 0 {
 		cfg.Alpha = 1
 	}
-	ports := cfg.Ports[:0]
-	cfg.Ports = nil
-	return &Switch{
-		id:    id,
-		eng:   eng,
-		cfg:   cfg,
-		share: buffer.NewShared(cfg.BufferBytes, cfg.Alpha),
-		ports: ports,
+	ports, groups, store := cfg.Ports[:0], cfg.Groups[:0], cfg.Store[:0]
+	cfg.Ports, cfg.Groups, cfg.Store = nil, nil, nil
+	*s = Switch{
+		id:     id,
+		eng:    eng,
+		cfg:    cfg,
+		share:  buffer.Shared{Total: cfg.BufferBytes, Alpha: cfg.Alpha},
+		ports:  ports,
+		groups: groups,
+		store:  store,
 	}
 }
 
 // Shared exposes the buffer pool (metrics).
-func (s *Switch) Shared() *buffer.Shared { return s.share }
+func (s *Switch) Shared() *buffer.Shared { return &s.share }
 
 // Ports returns the egress ports in creation order.
 func (s *Switch) Ports() []*link.Port { return s.ports }
@@ -202,10 +216,10 @@ func (s *Switch) SetRoute(dst packet.NodeID, portIdx []int) {
 }
 
 // Attach implements route.Installer: from here on the table is keyed by
-// the fabric's addressing, one entry per edge plus one per own host.
-func (s *Switch) Attach(a *route.Addressing, own int) {
-	s.addr, s.own = a, own
-	s.table = make([]uint32, a.TableLen(own))
+// the fabric's addressing, one entry per edge plus one per own host, and
+// is table, zeroed and that long.
+func (s *Switch) Attach(a *route.Addressing, own int, table []uint32) {
+	s.addr, s.own, s.table = a, own, table
 }
 
 // Install implements route.Installer: table entry i gets the candidate
@@ -230,7 +244,8 @@ func (s *Switch) intern(portIdx []int) uint32 {
 		}
 	}
 	if s.groups == nil {
-		// One block for the lists and one for their headers: an intact
+		// One block for the lists and one for their headers, unless the
+		// fabric carved them (Config.Groups, Config.Store): an intact
 		// fabric needs a group per host port and one per set of
 		// switch-facing next hops, under one per port. append takes over
 		// beyond that; groups carved earlier keep the block they are in.

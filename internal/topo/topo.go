@@ -72,6 +72,14 @@ type Options struct {
 	// the i-th sync edge the fabric declares takes Mailboxes[i]
 	// (psim.Fabric.Adopt), and edges beyond the slice get fresh ones.
 	Mailboxes []psim.Mailbox
+	// Memory, when non-nil, holds the arrays a finished network gave
+	// back (Network.Recycle); the network takes them over and carves
+	// its ports, switches and lists from them.
+	Memory *Memory
+	// Flows, when non-nil, is an empty flow table (packet.Table.Clear)
+	// the network's hosts share instead of starting one; it must keep
+	// the slot type of the hosts Hosts builds.
+	Flows packet.Table
 	// Partition is the plan the fabric runs on (internal/psim): every host
 	// and switch runs on its partition's engine and packet pool, and a
 	// link whose ends land on different partitions delivers through its
@@ -121,11 +129,76 @@ type Network struct {
 	hostTor  []int       // per host: index of the switch its NIC points at
 	ports    link.Block  // every NIC and switch port, carved in wiring order
 
-	// Room for every switch's port list and peer list, carved by degree
-	// as switches are added (addSwitch).
+	// Room for every switch's port, peer and candidate lists, carved by
+	// degree as switches are added (addSwitch).
 	swPorts []*link.Port
 	peers   []peerRef
+	groups  [][]int
+	store   []int
 	queues  []queue.Queue // switch port disciplines not yet handed out (qFor)
+	// mem holds the arrays the network carved everything above from, each
+	// cut to what it carved; Recycle hands them on.
+	mem Memory
+}
+
+// Memory is the arrays sized by a fabric that a network is carved from:
+// its ports, its switches, their port, peer and candidate lists, its host
+// list and the router's port references. Handed to a builder through
+// Options.Memory, each array is carved from when it holds the fabric's
+// count and replaced by a fresh one of exactly that count when it does
+// not; Network.Recycle zeroes what the network carved and gives the
+// arrays back. A Memory between networks is therefore all zero, pins
+// nothing of the fabric that used it, and is as large as the largest
+// fabric built from it, so a run of networks of one shape, even with
+// smaller ones in between, allocates none of these arrays after the
+// first. The zero value is empty.
+type Memory struct {
+	ports    []link.Port
+	switches []swtch.Switch
+	swPorts  []*link.Port
+	peers    []peerRef
+	groups   [][]int
+	store    []int
+	refs     []route.PortRef
+	hosts    []Node
+	hostTor  []int
+}
+
+// carveKept returns n zeroed elements, capped at n, from the front of
+// *kept's array, which becomes those n: its own when it has room for
+// them, else a fresh array of exactly n that replaces it.
+func carveKept[T any](kept *[]T, n int) []T {
+	if cap(*kept) < n {
+		*kept = make([]T, n)
+	}
+	*kept = (*kept)[:n]
+	return (*kept)[:n:n]
+}
+
+// giveBack zeroes used, what a network carved of an array, and makes the
+// whole array *kept again, empty.
+func giveBack[T any](kept *[]T, used []T) {
+	clear(used)
+	*kept = used[:0]
+}
+
+// Recycle zeroes every element the network carved from its Memory and
+// gives the arrays back to m, for the next network to carve from
+// (Options.Memory); nothing of the network may be used afterwards, not
+// its hosts' uplinks, its switches or its ports. Its flow table is the
+// hosts' to clear (packet.Table.Clear).
+func (n *Network) Recycle(m *Memory) {
+	u := &n.mem
+	giveBack(&m.ports, u.ports)
+	giveBack(&m.switches, u.switches)
+	giveBack(&m.swPorts, u.swPorts)
+	giveBack(&m.peers, u.peers)
+	giveBack(&m.groups, u.groups)
+	giveBack(&m.store, u.store)
+	giveBack(&m.refs, u.refs)
+	giveBack(&m.hosts, u.hosts)
+	giveBack(&m.hostTor, u.hostTor)
+	*u = Memory{}
 }
 
 type peerRef struct {
@@ -156,7 +229,8 @@ func (n *Network) HostID(i int) packet.NodeID { return n.Hosts[i].ID() }
 // the given host, switch and port counts: the plan's engines and pools,
 // the psim fabric (its sync edges come with the links that cross, see
 // wireSwitches), one block for all the ports (two per link, plus any
-// one-way port), and the lists that name them, each sized once. Every
+// one-way port), one array of switches, and the lists that name them,
+// each sized once and carved from opts.Memory where it has room. Every
 // port but a host's NIC is a switch's. A one-shard plan's engine is the
 // control engine.
 func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options) *Network {
@@ -170,12 +244,20 @@ func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options
 	}
 	pl.validate(hosts, switches)
 	n := &Network{
-		Eng: eng, HostRate: hostRate, Part: pl,
+		Eng: eng, HostRate: hostRate, Part: pl, Flows: opts.Flows,
 		Engs: make([]*sim.Engine, pl.Parts), Pools: make([]*packet.Pool, pl.Parts),
-		Hosts: make([]Node, 0, hosts), Switches: make([]*swtch.Switch, 0, switches),
-		swPeers: make([][]peerRef, 0, switches), hostTor: make([]int, hosts),
-		swPorts: make([]*link.Port, ports-hosts), peers: make([]peerRef, ports-hosts),
+		Switches: make([]*swtch.Switch, 0, switches), swPeers: make([][]peerRef, 0, switches),
 	}
+	if opts.Memory != nil {
+		n.mem, *opts.Memory = *opts.Memory, Memory{}
+	}
+	m, lists := &n.mem, ports-hosts
+	n.Hosts = carveKept(&m.hosts, hosts)[:0]
+	n.hostTor = carveKept(&m.hostTor, hosts)
+	n.swPorts, n.peers = carveKept(&m.swPorts, lists), carveKept(&m.peers, lists)
+	n.groups, n.store = carveKept(&m.groups, lists), carveKept(&m.store, 2*lists)
+	carveKept(&m.switches, switches)
+	n.ports.Use(carveKept(&m.ports, ports))
 	if pl.Parts == 1 {
 		n.Engs[0] = eng
 	} else {
@@ -188,7 +270,6 @@ func newNetwork(hostRate units.BitRate, hosts, switches, ports int, opts Options
 		n.Pools[i] = packet.NewPool()
 	}
 	n.Pool = n.Pools[0]
-	n.ports.Reserve(ports)
 	if opts.Queues != nil {
 		n.queues = opts.Queues(ports - hosts)
 	}
@@ -228,13 +309,16 @@ func (n *Network) addSwitch(opts Options, degree int) int {
 	// output since routing is table-driven.
 	id := packet.NodeID(1<<16 + len(n.Switches))
 	part := n.Part.SwitchPart[len(n.Switches)]
-	s := swtch.New(n.Engs[part], id, swtch.Config{
-		Alpha: opts.Alpha,
-		INT:   opts.INT,
-		ECN:   opts.ECN,
-		Seed:  opts.Seed,
-		Pool:  n.Pools[part],
-		Ports: carve(&n.swPorts, degree),
+	s := &n.mem.switches[len(n.Switches)]
+	s.Init(n.Engs[part], id, swtch.Config{
+		Alpha:  opts.Alpha,
+		INT:    opts.INT,
+		ECN:    opts.ECN,
+		Seed:   opts.Seed,
+		Pool:   n.Pools[part],
+		Ports:  carve(&n.swPorts, degree),
+		Groups: carve(&n.groups, degree),
+		Store:  carve(&n.store, 2*degree),
 	})
 	n.Switches = append(n.Switches, s)
 	n.swPeers = append(n.swPeers, carve(&n.peers, degree))
@@ -352,7 +436,7 @@ func (n *Network) finish(opts Options) {
 	for _, peers := range n.swPeers {
 		links += len(peers)
 	}
-	all := make([]route.PortRef, links)
+	all := carveKept(&n.mem.refs, links)
 	for si, s := range n.Switches {
 		installers[si] = s
 		ports := s.Ports()

@@ -190,6 +190,7 @@ func (f *Flow) onAck(p *packet.Packet) {
 		RTT:        now.Sub(p.EchoSent()),
 		ECNEcho:    p.EchoECN,
 		Hops:       p.Hops(),
+		Room:       f.Src.pool,
 	})
 
 	if f.Size != Unbounded && f.sndUna >= f.Size {
